@@ -12,12 +12,12 @@ Layers:
 
 from . import attack, data, defense, fedsim, harness, nn
 from .errors import (ConfigError, FedprofError, FormatError, InputError,
-                     InternalError, SpecError, StateError)
+                     InternalError, NumericalError, SpecError, StateError)
 
 __all__ = [
     "attack", "data", "defense", "fedsim", "harness", "nn",
     "FedprofError", "InputError", "FormatError", "SpecError",
-    "ConfigError", "StateError", "InternalError",
+    "ConfigError", "StateError", "InternalError", "NumericalError",
 ]
 
 __version__ = "0.1.0"

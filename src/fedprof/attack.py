@@ -1,6 +1,7 @@
 """The attacking server: per-class model-sensitivity extraction, shadow-model
 corpus and meta-classifier construction (centralized and federated variants),
-selective-aggregation partner choice, and streak-gated online profiling.
+selective-aggregation partner choice, and streak-gated profiling as a fold
+over the round traces the server records.
 
 Model sensitivity of class c is the sum over the architecture's feature-layer
 parameters of |(theta - theta') / alpha|, where theta' is the model after one
@@ -141,13 +142,11 @@ def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture, n_shadows: int,
 # ---------------------------------------------------------------------------
 
 
-def build_meta_dataset_centralized(shadows: List[ShadowRecord], aux: AuxiliaryStore,
-                                   arch: nn.Architecture, alpha: float) -> List[MetaSample]:
+def build_meta_dataset_centralized(shadows: List[ShadowRecord]) -> List[MetaSample]:
     """One (sensitivity vector, preference) sample per shadow model."""
     if not shadows:
         raise InputError("no shadow records")
-    return [MetaSample(extract_sensitivity(s.params, arch, aux, alpha), s.preference)
-            for s in shadows]
+    return [MetaSample(s.sensitivity, s.preference) for s in shadows]
 
 
 def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
@@ -366,41 +365,31 @@ def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int) -> 
 
 @dataclass
 class RoundTrace:
+    """What the server observed in one round, per user: the sensitivity of
+    the upload and its differential sensitivity (DS) against the model the
+    user received the round before."""
+
     round_index: int
     sensitivities: np.ndarray
     ds: np.ndarray
-    agg_sensitivities: np.ndarray
-    predictions: list
-    locked: list
 
 
 class PreferenceProfiler:
-    """Aggregation hook that extracts sensitivities, profiles preferences and
-    performs selective (or plain) aggregation.
+    """Aggregation hook that extracts sensitivities, records a RoundTrace per
+    round and performs selective (or plain) aggregation.
 
-    ``feature_mode`` selects what the meta-classifier consumes online:
-    ``"differential"`` feeds the cross-round differential sensitivity,
-    ``"sensitivity"`` feeds the uploaded model's raw sensitivity vector (the
-    centralized-meta baseline).
+    Verdicts never feed back into aggregation, so they are computed
+    afterwards by :func:`profile_history` over ``history``.
     """
 
-    def __init__(self, arch: nn.Architecture, aux: AuxiliaryStore,
-                 meta: MetaClassifier, alpha: float, th_round: int, n_user: int,
-                 policy="fedavg", feature_mode: str = "differential",
-                 mode: str = "majority"):
-        if feature_mode not in ("differential", "sensitivity"):
-            raise ConfigError(f"unknown feature mode {feature_mode!r}")
+    def __init__(self, arch: nn.Architecture, aux: AuxiliaryStore, alpha: float,
+                 n_user: int, policy="fedavg"):
         self.arch = arch
         self.aux = aux
-        self.meta = meta
         self.alpha = alpha
         self.n_user = n_user
         self.policy = policy
-        self.feature_mode = feature_mode
-        self.mode = mode
-        self.state = ProfilerState(th_round, n_user)
         self.prev_agg_sens: Optional[np.ndarray] = None
-        self.final_rankings: list = [None] * n_user
         self.history: List[RoundTrace] = []
 
     def prime(self, init_model: nn.ParamVector) -> None:
@@ -409,48 +398,24 @@ class PreferenceProfiler:
         self.prev_agg_sens = np.tile(s, (self.n_user, 1))
 
     def __call__(self, round_index: int, uploads: list, weights: list,
-                 selected: list) -> fedsim.HookResult:
+                 selected: list) -> list:
         if self.prev_agg_sens is None:
             raise StateError("profiler must be primed with the initial model")
-        n = self.n_user
         sens = np.stack([
             extract_sensitivity(uploads[u], self.arch, self.aux, self.alpha)
-            for u in range(n)
+            for u in range(self.n_user)
         ])
-        ds = np.abs(self.prev_agg_sens - sens)
+        self.history.append(RoundTrace(round_index, sens, np.abs(self.prev_agg_sens - sens)))
+        distributed, self.prev_agg_sens = self._aggregate(round_index, uploads, weights,
+                                                          selected, sens)
+        return distributed
 
-        predictions = [None] * n
-        for u in range(n):
-            features = ds[u] if self.feature_mode == "differential" else sens[u]
-            if self.state.locked[u] is None:
-                predictions[u], _ = profile_round(self.state, u, features,
-                                                  self.meta, round_index)
-                self.final_rankings[u] = self.meta.ranking(features)
-
-        distributed, agg_sens = self._aggregate(uploads, weights, selected, sens)
-        self.prev_agg_sens = agg_sens
-        locked = list(self.state.locked)
-        self.history.append(RoundTrace(round_index, sens, ds, agg_sens,
-                                       predictions, locked))
-        return fedsim.HookResult(
-            distributed=distributed,
-            sensitivities=sens,
-            agg_sensitivities=agg_sens,
-            ds=ds,
-            predictions=predictions,
-            verdict_streaks=[(self.state.last_pred[u], self.state.streak[u])
-                             for u in range(n)],
-            locked=locked,
-        )
-
-    def _aggregate(self, uploads, weights, selected, sens):
+    def _aggregate(self, round_index, uploads, weights, selected, sens):
         n = self.n_user
         if self.policy == "fedavg":
-            models = [uploads[u] for u in selected]
-            w = [weights[u] for u in selected]
-            g = fedsim.fedavg(models, w, ids=list(selected))
-            s = extract_sensitivity(g, self.arch, self.aux, self.alpha)
-            return [g] * n, np.tile(s, (n, 1))
+            distributed = fedsim.fedavg_hook(round_index, uploads, weights, selected)
+            s = extract_sensitivity(distributed[0], self.arch, self.aux, self.alpha)
+            return distributed, np.tile(s, (n, 1))
         pol: fedsim.SelectivePolicy = self.policy
         distributed, agg_sens = [], []
         for u in range(n):
@@ -463,37 +428,66 @@ class PreferenceProfiler:
             agg_sens.append(extract_sensitivity(agg, self.arch, self.aux, self.alpha))
         return distributed, np.stack(agg_sens)
 
-    # -- end-of-run summaries -------------------------------------------------
 
-    def final_predictions(self) -> list:
-        """Locked verdicts, falling back to the latest prediction if never locked."""
-        return [self.state.locked[u] if self.state.locked[u] is not None
-                else self.state.last_pred[u] for u in range(self.n_user)]
-
-    def lock_rounds(self) -> list:
-        return list(self.state.locked_round)
-
-    def all_locked(self) -> bool:
-        return all(l is not None for l in self.state.locked)
+# ---------------------------------------------------------------------------
+# Verdicts: one fold over the recorded round traces
+# ---------------------------------------------------------------------------
 
 
-def replay_profiling(history: List[RoundTrace], meta: MetaClassifier,
-                     feature_mode: str, th_round: int, n_user: int):
-    """Re-run streak-gated profiling over recorded round traces.
+def round_features(trace: RoundTrace, feature_mode: str) -> np.ndarray:
+    """The per-user features a meta-classifier reads in one round.
+
+    ``"differential"`` is the cross-round differential sensitivity,
+    ``"sensitivity"`` the uploaded model's raw sensitivity vector (the
+    centralized-meta baseline).
+    """
+    if feature_mode == "differential":
+        return trace.ds
+    if feature_mode == "sensitivity":
+        return trace.sensitivities
+    raise ConfigError(f"unknown feature mode {feature_mode!r}")
+
+
+@dataclass
+class Profile:
+    """Streak-gated verdicts over a run.
+
+    ``predictions[r][u]`` is round r's prediction for user u, None once the
+    user was locked in an earlier round; ``locked[r][u]`` is the class user u
+    is locked to after round r, or None.  ``verdicts`` are the locked classes,
+    falling back to the last prediction for users never locked.
+    """
+
+    predictions: list
+    locked: list
+    verdicts: list
+    rankings: list
+    lock_rounds: list
+
+
+def profile_history(history: List[RoundTrace], meta: MetaClassifier,
+                    feature_mode: str, th_round: int) -> Profile:
+    """Streak-gated profiling of every user over recorded round traces.
 
     The aggregation trajectory does not depend on which meta-classifier reads
     the features, so one recorded simulation can score several meta variants
-    on identical footing.  Returns (final predictions, final rankings, lock
-    rounds).
+    on identical footing.
     """
+    if not history:
+        raise InputError("no round traces to profile")
+    n_user = len(history[0].ds)
     state = ProfilerState(th_round, n_user)
     rankings = [None] * n_user
+    predictions, locked = [], []
     for trace in history:
+        features = round_features(trace, feature_mode)
+        preds = [None] * n_user
         for u in range(n_user):
             if state.locked[u] is None:
-                f = trace.ds[u] if feature_mode == "differential" else trace.sensitivities[u]
-                profile_round(state, u, f, meta, trace.round_index)
-                rankings[u] = meta.ranking(f)
-    preds = [state.locked[u] if state.locked[u] is not None else state.last_pred[u]
-             for u in range(n_user)]
-    return preds, rankings, list(state.locked_round)
+                preds[u], _ = profile_round(state, u, features[u], meta, trace.round_index)
+                rankings[u] = meta.ranking(features[u])
+        predictions.append(preds)
+        locked.append(list(state.locked))
+    verdicts = [state.locked[u] if state.locked[u] is not None else state.last_pred[u]
+                for u in range(n_user)]
+    return Profile(predictions, locked, verdicts, rankings, list(state.locked_round))

@@ -27,3 +27,7 @@ class StateError(FedprofError):
 
 class InternalError(FedprofError):
     """An internal consistency check failed (layout mismatch etc.)."""
+
+
+class NumericalError(FedprofError):
+    """Training diverged: a model holds non-finite parameters."""

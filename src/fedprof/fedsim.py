@@ -3,19 +3,20 @@
 The aggregation step is delegated to a hook so an attacker-controlled server
 can observe uploads and hand back per-user models.  The identity hook is
 plain weighted FedAvg broadcast to everyone.  All per-round randomness is
-derived from the run seed, so trajectories are bit-reproducible.
+derived from the run seed, so trajectories are bit-reproducible.  A model
+with non-finite parameters stops the run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import nn
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, NumericalError
 from .seeding import derive_seed, rng_for
 
 
@@ -38,7 +39,6 @@ class FlConfig:
     train: nn.TrainConfig
     client_fraction: float = 1.0
     local_epochs: int = 1
-    aggregation_policy: Union[str, SelectivePolicy] = "fedavg"
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -53,38 +53,19 @@ class FlConfig:
 class RoundState:
     """Everything the simulator knows about one FL round.
 
-    ``distributed[u]`` may differ per user under an attacking server.  The
-    attack-side fields stay None under the identity hook.
+    ``distributed[u]`` may differ per user under an attacking server.
     """
 
     round_index: int
     uploaded: list
     distributed: list
-    sensitivities: Optional[np.ndarray] = None
-    agg_sensitivities: Optional[np.ndarray] = None
-    ds: Optional[np.ndarray] = None
-    predictions: Optional[list] = None
-    verdict_streaks: Optional[list] = None
-    locked: Optional[list] = None
     local_acc: Optional[list] = None
     global_acc: Optional[list] = None
     selected: Optional[list] = None
 
 
-@dataclass
-class HookResult:
-    """What an aggregation hook hands back to the round driver."""
-
-    distributed: list
-    sensitivities: Optional[np.ndarray] = None
-    agg_sensitivities: Optional[np.ndarray] = None
-    ds: Optional[np.ndarray] = None
-    predictions: Optional[list] = None
-    verdict_streaks: Optional[list] = None
-    locked: Optional[list] = None
-
-
-AggregationHook = Callable[[int, list, list, list], HookResult]
+# (round_index, uploads, weights, selected) -> the model distributed to each user
+AggregationHook = Callable[[int, list, list, list], list]
 
 
 def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
@@ -122,13 +103,12 @@ def client_fraction_sample(n_user: int, fraction: float,
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 
-def fedavg_hook(round_index: int, uploads: list, weights: list,
-                selected: list) -> HookResult:
+def fedavg_hook(round_index: int, uploads: list, weights: list, selected: list) -> list:
     """Identity server: plain FedAvg over the sampled uploads, broadcast to all."""
     models = [uploads[u] for u in selected]
     w = [weights[u] for u in selected]
     g = fedavg(models, w, ids=list(selected))
-    return HookResult(distributed=[g] * len(uploads))
+    return [g] * len(uploads)
 
 
 def initial_state(n_user: int, init_model: nn.ParamVector) -> RoundState:
@@ -146,6 +126,8 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     observes all current uploads and returns the per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
     model and for the received model, using the same evaluation set.
+    Raises NumericalError, naming the round and user, if an upload or a
+    distributed model has a non-finite parameter.
     """
     n_user = len(clients)
     rnd = prev.round_index + 1
@@ -161,26 +143,31 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
         )
         uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, cfg)
 
+    _check_finite(uploads, rnd, "uploaded")
+
     weights = [len(c) for c in clients]
-    result = hook(rnd, uploads, weights, list(selected))
-    if len(result.distributed) != n_user:
+    distributed = hook(rnd, uploads, weights, list(selected))
+    if len(distributed) != n_user:
         raise InternalError("hook returned wrong number of distributed models")
+    _check_finite(distributed, rnd, "distributed")
 
     local_acc = [nn.accuracy(uploads[u], arch, clients[u].X, clients[u].y)
                  for u in range(n_user)]
-    global_acc = [nn.accuracy(result.distributed[u], arch, clients[u].X, clients[u].y)
+    global_acc = [nn.accuracy(distributed[u], arch, clients[u].X, clients[u].y)
                   for u in range(n_user)]
     return RoundState(
         round_index=rnd,
         uploaded=uploads,
-        distributed=result.distributed,
-        sensitivities=result.sensitivities,
-        agg_sensitivities=result.agg_sensitivities,
-        ds=result.ds,
-        predictions=result.predictions,
-        verdict_streaks=result.verdict_streaks,
-        locked=result.locked,
+        distributed=distributed,
         local_acc=local_acc,
         global_acc=global_acc,
         selected=list(selected),
     )
+
+
+def _check_finite(models: list, round_index: int, role: str) -> None:
+    for u, m in enumerate(models):
+        if not np.isfinite(m.values).all():
+            raise NumericalError(
+                f"round {round_index}: the model {role} for user {u} has non-finite parameters"
+            )

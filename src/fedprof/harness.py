@@ -172,10 +172,14 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         problems.append("attack.x must be smaller than federation.n_user")
     if resolved["attack"]["n_shadows"] < ds["n_label"]:
         problems.append("attack.n_shadows must be at least dataset.n_label")
-    if resolved["model"]["kind"] == "cnn" and ds["kind"] == "synthetic":
+    if (resolved["model"]["kind"] == "cnn" and ds["kind"] == "synthetic"
+            and isinstance(ds["dim"], int)):
         side = int(round(ds["dim"] ** 0.5))
         if side * side != ds["dim"]:
             problems.append("model.kind 'cnn' on synthetic data needs a square dataset.dim")
+        elif not _cnn_fits(side, side):
+            problems.append(f"dataset.dim {ds['dim']} is a {side}x{side} image, too small for "
+                            f"model.kind 'cnn' (at least 6x6, dim 36)")
     if problems:
         raise ConfigError("; ".join(problems))
     return ExperimentConfig(resolved)
@@ -184,6 +188,11 @@ def validate_config(raw_text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # Model and data staging
 # ---------------------------------------------------------------------------
+
+
+def _cnn_fits(rows: int, cols: int) -> bool:
+    """Whether two 3x3 convolutions and a 2x2 pool leave at least one pixel."""
+    return min(rows, cols) >= 6
 
 
 def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) -> nn.Architecture:
@@ -203,6 +212,8 @@ def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) 
     else:
         side = int(round(feature_shape[0] ** 0.5))
         rows = cols = side
+    if not _cnn_fits(rows, cols):
+        raise ConfigError(f"model.kind 'cnn' needs images of at least 6x6, got {rows}x{cols}")
     h1 = rows - 2
     h2 = (h1 - 2) // 2
     flat = 16 * h2 * h2
@@ -320,8 +331,7 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCo
     meta = attack.train_meta(meta_samples, n_label, meta_cfg, hidden=atk["meta"]["hidden"])
     out = OfflineArtifacts(shadows, meta_samples, meta)
     if include_centralized:
-        out.meta_samples_centralized = attack.build_meta_dataset_centralized(
-            shadows, staged.aux, staged.arch, atk["alpha"])
+        out.meta_samples_centralized = attack.build_meta_dataset_centralized(shadows)
         out.meta_centralized = attack.train_meta(
             out.meta_samples_centralized, n_label, meta_cfg, hidden=atk["meta"]["hidden"])
     return out
@@ -332,15 +342,9 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OnlineResult:
-    profiler: attack.PreferenceProfiler
-    states: list
-    final_state: fedsim.RoundState
-
-
-def run_online(cfg: ExperimentConfig, staged: StagedData, meta: attack.MetaClassifier,
-               train_cfg: nn.TrainConfig, aggregation: Optional[str] = None) -> OnlineResult:
+def run_online(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainConfig,
+               aggregation: Optional[str] = None):
+    """FL with the attacking server.  Returns (round traces, round states)."""
     seed = cfg.seed
     atk = cfg["attack"]
     n_user = cfg["federation"]["n_user"]
@@ -348,15 +352,13 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, meta: attack.MetaClass
     policy = (fedsim.SelectivePolicy(x=atk["x"], mode=atk["mode"])
               if aggregation == "selective" else "fedavg")
     init = nn.init_params(staged.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(
-        staged.arch, staged.aux, meta, atk["alpha"], atk["th_round"], n_user,
-        policy=policy, feature_mode=atk["feature_mode"], mode=atk["mode"],
-    )
+    profiler = attack.PreferenceProfiler(staged.arch, staged.aux, atk["alpha"], n_user,
+                                         policy=policy)
     profiler.prime(init)
     fl_cfg = fedsim.FlConfig(
         n_rounds=cfg["fl"]["n_rounds"], train=train_cfg,
         client_fraction=cfg["fl"]["client_fraction"],
-        local_epochs=cfg["fl"]["local_epochs"], aggregation_policy=policy,
+        local_epochs=cfg["fl"]["local_epochs"],
     )
     state = fedsim.initial_state(n_user, init)
     states = []
@@ -364,7 +366,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, meta: attack.MetaClass
         state = fedsim.run_round(state, staged.clients, staged.arch, fl_cfg, profiler,
                                  derive_seed(seed, "fl"))
         states.append(state)
-    return OnlineResult(profiler, states, state)
+    return profiler.history, states
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +404,22 @@ def _mean_test_acc(state: fedsim.RoundState, staged: StagedData) -> float:
     ]))
 
 
-def _ds_trace(profiler: attack.PreferenceProfiler, truth: list) -> list:
+def _ds_trace(history: list, truth: list) -> list:
     return [float(np.mean([tr.ds[u][truth[u]] for u in range(len(truth))]))
-            for tr in profiler.history]
+            for tr in history]
 
 
-def _round_log(states: list, profiler: attack.PreferenceProfiler) -> list:
+def _round_log(states: list, profile: attack.Profile) -> list:
     log = []
-    for st in states:
+    for st, preds, locked in zip(states, profile.predictions, profile.locked):
         for u in range(len(st.uploaded)):
             log.append({
                 "round": st.round_index,
                 "user": u,
                 "local_acc_before": st.local_acc[u],
                 "global_acc_after": st.global_acc[u],
-                "locked": st.locked[u] is not None if st.locked else False,
-                "predicted_class": (None if st.predictions is None
-                                    else st.predictions[u]),
+                "locked": locked[u] is not None,
+                "predicted_class": preds[u],
             })
     return log
 
@@ -436,39 +437,42 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     offline = run_offline(cfg, staged, train_cfg)
     t_offline = time.time() - t0
 
-    arm = run_online(cfg, staged, offline.meta, train_cfg)
-    baseline = None
+    atk = cfg["attack"]
+    history, states = run_online(cfg, staged, train_cfg)
+    profile = attack.profile_history(history, offline.meta, atk["feature_mode"],
+                                     atk["th_round"])
+    base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
-        baseline = run_online(cfg, staged, offline.meta, train_cfg, aggregation="fedavg")
+        base_history, base_states = run_online(cfg, staged, train_cfg, aggregation="fedavg")
+        base_final = base_states[-1]
+        base_profile = attack.profile_history(base_history, offline.meta,
+                                              atk["feature_mode"], atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
-    truth = [data.preference_class(c.class_counts, cfg["attack"]["mode"])
-             for c in staged.clients]
+    truth = [data.preference_class(c.class_counts, atk["mode"]) for c in staged.clients]
     counts = [c.class_counts.tolist() for c in staged.clients]
-    rankings = arm.profiler.final_rankings
-    topk = {str(k): attack.topk_accuracy_from_counts(rankings, counts, k)
+    topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k)
             for k in (1, 2, 3)}
     report = RunReport(
         run_id=run_id_for(cfg),
         config=cfg.resolved,
         truth=truth,
         class_counts=counts,
-        predictions=arm.profiler.final_predictions(),
-        lock_rounds=arm.profiler.lock_rounds(),
+        predictions=profile.verdicts,
+        lock_rounds=profile.lock_rounds,
         topk=topk,
-        utility_test_with=_mean_test_acc(arm.final_state, staged),
-        utility_test_without=(None if baseline is None
-                              else _mean_test_acc(baseline.final_state, staged)),
-        utility_own_with=float(np.mean(arm.final_state.global_acc)),
-        utility_own_without=(None if baseline is None
-                             else float(np.mean(baseline.final_state.global_acc))),
+        utility_test_with=_mean_test_acc(states[-1], staged),
+        utility_test_without=(None if base_final is None
+                              else _mean_test_acc(base_final, staged)),
+        utility_own_with=float(np.mean(states[-1].global_acc)),
+        utility_own_without=(None if base_final is None
+                             else float(np.mean(base_final.global_acc))),
         meta_train_accuracy=offline.meta.train_accuracy,
-        ds_trace_attack=_ds_trace(arm.profiler, truth),
-        ds_trace_baseline=(None if baseline is None
-                           else _ds_trace(baseline.profiler, truth)),
-        baseline_top1=(None if baseline is None else attack.topk_accuracy_from_counts(
-            baseline.profiler.final_rankings, counts, 1)),
-        round_log=_round_log(arm.states, arm.profiler),
+        ds_trace_attack=_ds_trace(history, truth),
+        ds_trace_baseline=None if base_history is None else _ds_trace(base_history, truth),
+        baseline_top1=(None if base_profile is None else attack.topk_accuracy_from_counts(
+            base_profile.rankings, counts, 1)),
+        round_log=_round_log(states, profile),
     )
     if out_dir is not None:
         persist_run(report, offline, Path(out_dir),
@@ -508,30 +512,23 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     staged = stage_data(cfg)
     train_cfg = client_train_config(cfg)
     offline = run_offline(cfg, staged, train_cfg, include_centralized=True)
-    arm = run_online(cfg, staged, offline.meta, train_cfg)
+    history, _ = run_online(cfg, staged, train_cfg)
     counts = [c.class_counts.tolist() for c in staged.clients]
     truth = [data.preference_class(c.class_counts, cfg["attack"]["mode"])
              for c in staged.clients]
-    n_user = cfg["federation"]["n_user"]
-    th = cfg["attack"]["th_round"]
     out = {}
     for label, meta, mode in (
         ("centralized", offline.meta_centralized, "sensitivity"),
         ("federated", offline.meta, "differential"),
     ):
-        hits = total = 0
-        for trace in arm.profiler.history:
-            for u in range(n_user):
-                f = trace.ds[u] if mode == "differential" else trace.sensitivities[u]
-                hits += int(meta.predict(f) == truth[u])
-                total += 1
-        preds, rankings, locks = attack.replay_profiling(
-            arm.profiler.history, meta, mode, th, n_user)
+        hits = [meta.predict(f) == t for tr in history
+                for f, t in zip(attack.round_features(tr, mode), truth)]
+        profile = attack.profile_history(history, meta, mode, cfg["attack"]["th_round"])
         out[label] = {
-            "accuracy": hits / total,
-            "locked_top1": attack.topk_accuracy_from_counts(rankings, counts, 1),
-            "predictions": preds,
-            "lock_rounds": locks,
+            "accuracy": sum(hits) / len(hits),
+            "locked_top1": attack.topk_accuracy_from_counts(profile.rankings, counts, 1),
+            "predictions": profile.verdicts,
+            "lock_rounds": profile.lock_rounds,
             "meta_train_accuracy": meta.train_accuracy,
         }
     return out

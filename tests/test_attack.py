@@ -162,7 +162,7 @@ def test_forty_shadows_ten_classes_all_preferred():
 
 def test_centralized_meta_dataset_labels_and_nonnegativity(shadows, world):
     pool, aux, arch = world
-    samples = attack.build_meta_dataset_centralized(shadows, aux, arch, 0.001)
+    samples = attack.build_meta_dataset_centralized(shadows)
     assert len(samples) == len(shadows)
     for ms, sh in zip(samples, shadows):
         assert ms.label == sh.preference
@@ -177,7 +177,7 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
 
     cfg = nn.TrainConfig(0.05, 3, 16, seed=0)
     out = attack.train_shadows(aux, arch, 12, skewed, cfg, 0.001, seed=8)
-    samples = attack.build_meta_dataset_centralized(out, aux, arch, 0.001)
+    samples = attack.build_meta_dataset_centralized(out)
     hit = np.mean([int(np.argmin(ms.features)) == ms.label for ms in samples])
     assert hit >= 0.8  # chance would be 0.25
 
@@ -218,7 +218,7 @@ def test_federated_meta_dataset_shapes(shadows, world):
 
 def test_meta_csv_export(tmp_path, shadows, world):
     pool, aux, arch = world
-    samples = attack.build_meta_dataset_centralized(shadows, aux, arch, 0.001)
+    samples = attack.build_meta_dataset_centralized(shadows)
     path = tmp_path / "meta.csv"
     attack.export_meta_csv(samples, path)
     lines = path.read_text().strip().splitlines()
@@ -430,26 +430,26 @@ def test_profiler_hook_runs_and_locks(world):
                                                   nn.TrainConfig(0.05, 1, 16, seed=0), seed=33)
     meta = attack.train_meta(meta_ds, 4, nn.TrainConfig(0.1, 200, 16, seed=34))
     init = nn.init_params(arch, seed=35)
-    prof = attack.PreferenceProfiler(arch, aux, meta, 0.001, th_round=2, n_user=4,
+    prof = attack.PreferenceProfiler(arch, aux, 0.001, n_user=4,
                                      policy=fedsim.SelectivePolicy(x=2))
     prof.prime(init)
-    cfg = fedsim.FlConfig(n_rounds=8, train=nn.TrainConfig(0.05, 1, 16, seed=0),
-                          aggregation_policy=fedsim.SelectivePolicy(x=2))
+    cfg = fedsim.FlConfig(n_rounds=8, train=nn.TrainConfig(0.05, 1, 16, seed=0))
     st = fedsim.initial_state(4, init)
     for _ in range(8):
         st = fedsim.run_round(st, clients, arch, cfg, prof, run_seed=36)
     assert len(prof.history) == 8
-    assert all(p is not None for p in prof.final_predictions())
-    assert st.sensitivities.shape == (4, 4)
-    assert st.ds.shape == (4, 4)
+    profile = attack.profile_history(prof.history, meta, "differential", th_round=2)
+    assert all(p is not None for p in profile.verdicts)
+    last = prof.history[-1]
+    assert last.sensitivities.shape == (4, 4)
+    assert last.ds.shape == (4, 4)
     # locked users keep their verdict in later round states
-    locked_round = [prof.state.locked_round[u] for u in range(4)]
-    for u, lr_ in enumerate(locked_round):
+    for u, lr_ in enumerate(profile.lock_rounds):
         if lr_ is not None:
-            assert prof.state.locked[u] == prof.final_predictions()[u]
+            assert profile.locked[-1][u] == profile.verdicts[u]
     # every distributed model is a valid equal-weight fedavg of x+1 uploads
     for u in range(4):
-        partners = attack.select_partners(u, st.sensitivities, 2, "majority")
+        partners = attack.select_partners(u, last.sensitivities, 2, "majority")
         group = [u] + partners
         want = fedsim.fedavg([st.uploaded[v] for v in group], [1.0] * 3, ids=group)
         assert np.array_equal(st.distributed[u].values, want.values)
@@ -463,8 +463,7 @@ def test_replay_matches_online_profiling(world):
     for t in range(1, T + 1):
         sens = rng.random((n_user, n_label))
         ds = rng.random((n_user, n_label))
-        history.append(attack.RoundTrace(t, sens, ds, sens, [None] * n_user,
-                                         [None] * n_user))
+        history.append(attack.RoundTrace(t, sens, ds))
     samples = []
     for c in range(4):
         for _ in range(8):
@@ -472,7 +471,7 @@ def test_replay_matches_online_profiling(world):
             f[c] = 1.0
             samples.append(attack.MetaSample(f, c))
     meta = attack.train_meta(samples, 4, nn.TrainConfig(0.2, 150, 16, seed=41))
-    preds, rankings, locks = attack.replay_profiling(history, meta, "differential", 2, n_user)
+    profile = attack.profile_history(history, meta, "differential", 2)
     st = attack.ProfilerState(2, n_user)
     for tr in history:
         for u in range(n_user):
@@ -480,5 +479,5 @@ def test_replay_matches_online_profiling(world):
                 attack.profile_round(st, u, tr.ds[u], meta, tr.round_index)
     want = [st.locked[u] if st.locked[u] is not None else st.last_pred[u]
             for u in range(n_user)]
-    assert preds == want
-    assert locks == st.locked_round
+    assert profile.verdicts == want
+    assert profile.lock_rounds == st.locked_round

@@ -1,0 +1,39 @@
+"""The benchmark's tracer wraps fedprof functions by name; a rename must fail here."""
+
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Metrics bench/run.py adds next to the tracer's layer metrics.
+ADDED_BY_RUNNER = {"trace.run_s", "trace.overhead_s", "attack_top1", "utility_test"}
+
+TINY = {
+    "seed": 5,
+    "dataset": {"n_label": 4, "dim": 8},
+    "federation": {"n_user": 4, "user_size": 80, "cp_range": [0.4, 0.6],
+                   "cd_range": [0.2, 0.4], "equalize_rest": False},
+    "fl": {"n_rounds": 3, "learning_rate": 0.05},
+    "attack": {"x": 2, "n_shadows": 8, "aux_per_class": 30, "shadow_epochs": 2,
+               "meta": {"epochs": 60}},
+    "eval_per_class": 15,
+}
+
+
+def test_traced_child_reports_every_per_layer_metric(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(TINY))
+    work = tmp_path / "work"
+    work.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), "trace", str(cfg), str(work),
+         repr(time.monotonic())],
+        capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads((work / "result.json").read_text())["layers"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(layers) == {m["name"] for m in spec["per_layer"]} - ADDED_BY_RUNNER
+    assert layers["attack.profile_round.calls"] > 0

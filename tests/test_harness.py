@@ -11,7 +11,7 @@ import pytest
 
 import fedprof
 from fedprof import harness
-from fedprof.errors import ConfigError
+from fedprof.errors import ConfigError, NumericalError
 
 FAST = {
     "seed": 5,
@@ -23,6 +23,9 @@ FAST = {
                "meta": {"epochs": 120}},
     "eval_per_class": 15,
 }
+
+# Parameters overflow to inf within two rounds.
+DIVERGING_FL = {**FAST["fl"], "learning_rate": 1e6, "local_epochs": 5}
 
 
 def fast_config(**overrides):
@@ -156,6 +159,27 @@ def test_cnn_model_arch_on_image_data():
     assert len(rep.predictions) == 3
 
 
+@pytest.mark.parametrize("dim", [16, 25, "x"])
+def test_cnn_on_too_small_synthetic_images_is_a_config_error(dim):
+    raw = {"model": {"kind": "cnn"}, "dataset": {"dim": dim}}
+    with pytest.raises(ConfigError, match="dataset.dim"):
+        harness.validate_config(json.dumps(raw))
+
+
+def test_cnn_smallest_runnable_image_validates():
+    cfg = harness.validate_config(json.dumps({"model": {"kind": "cnn"},
+                                              "dataset": {"dim": 36}}))
+    assert harness.build_model_arch(cfg, 10, (36,)).input_shape == (1, 6, 6)
+    with pytest.raises(ConfigError, match="6x6"):
+        harness.build_model_arch(cfg, 10, (5, 5))  # IDX images too small for the CNN
+
+
+def test_divergence_raises_numerical_error_naming_round_and_user():
+    cfg = fast_config(fl=DIVERGING_FL)
+    with pytest.raises(NumericalError, match=r"round \d+: .* user \d+"):
+        harness.run_experiment(cfg)
+
+
 def test_hundred_user_run_completes_with_strong_attack():
     cfg = harness.validate_config(json.dumps({
         "seed": 77,
@@ -221,6 +245,25 @@ def test_cli_runtime_error_exit_code_two(tmp_path):
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad magic" in proc.stderr
+
+
+def test_cli_cnn_too_small_exit_code_one(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "cnn"},
+                               "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert "dataset.dim" in proc.stderr
+
+
+def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, "fl": DIVERGING_FL,
+                               "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "non-finite" in proc.stderr
+    assert not list(tmp_path.rglob("report.json"))
 
 
 def test_cli_shadow_and_meta_train(tmp_path):
