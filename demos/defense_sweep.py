@@ -1,6 +1,8 @@
 """Client-side defenses vs the attack: dropout and DP-SGD.
 
-One full federated run per variant with identical seeds.  Gaussian noise
+One full federated run per variant with identical seeds; each variant is the
+base config with its defense block overridden, e.g.
+{"defense": {"apply": "dp", "noise_multiplier": 4.0}}.  Gaussian noise
 eventually blinds the attacker, but only at a visible cost to the shared
 model; dropout barely moves the needle.
 

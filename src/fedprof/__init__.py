@@ -6,8 +6,8 @@ Layers:
   data     synthetic datasets, IDX files, heterogeneous partitioning, metrics
   fedsim   the FL round loop with pluggable (attacker-controlled) aggregation
   attack   sensitivity extraction, shadow/meta pipeline, selective aggregation
-  defense  dropout and DP-SGD mitigations plus the sweep driver
   harness  config validation, end-to-end experiments, reports, persistence
+  defense  the dropout / DP-SGD sweep, one config override per variant
 """
 
 from . import attack, data, defense, fedsim, harness, nn

@@ -20,7 +20,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import fedsim, nn
-from .data import AuxiliaryStore, DistributionSpec, LabeledDataset, preference_class, realize_distribution
+from .data import (AuxiliaryStore, DistributionSpec, LabeledDataset, preference_class,
+                   realize_distribution, sample_cp_cd)
 from .errors import ConfigError, InputError, StateError
 from .seeding import derive_seed
 
@@ -95,10 +96,7 @@ def default_shadow_sampler(n_label: int, total_size: int,
     """Distribution sampler for shadow datasets; cd is clamped below cp."""
 
     def sample(preferred: int, rng: np.random.Generator) -> DistributionSpec:
-        cp = float(rng.uniform(*cp_range))
-        hi = min(cd_range[1], cp) if mode == "majority" else cd_range[1]
-        lo = min(cd_range[0], hi)
-        cd = float(rng.uniform(lo, hi))
+        cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
         return DistributionSpec(n_label, total_size, cp, cd, preferred, mode)
 
     return sample
@@ -199,15 +197,14 @@ def export_meta_csv(samples: List[MetaSample], path) -> None:
 
 @dataclass
 class MetaClassifier:
-    """Small perceptron mapping (normalized) sensitivity features to classes."""
+    """Small perceptron mapping max-normalized sensitivity features to classes."""
 
     params: nn.ParamVector
     arch: nn.Architecture
-    normalize: bool = True
     train_accuracy: float = 0.0
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        f = normalize_features(features) if self.normalize else np.asarray(features)
+        f = normalize_features(features)
         return nn.predict_logits(self.params, self.arch, f[None, :])[0]
 
     def predict(self, features: np.ndarray) -> int:
@@ -219,8 +216,7 @@ class MetaClassifier:
 
 
 def train_meta(meta_samples: List[MetaSample], n_label: int,
-               train_cfg: nn.TrainConfig, hidden: int = 32,
-               normalize: bool = True) -> MetaClassifier:
+               train_cfg: nn.TrainConfig, hidden: int = 32) -> MetaClassifier:
     """Fit the meta-classifier on (features, preference) pairs."""
     if len(meta_samples) < n_label:
         raise ConfigError(
@@ -230,8 +226,7 @@ def train_meta(meta_samples: List[MetaSample], n_label: int,
     missing = sorted(set(range(n_label)) - set(labels.tolist()))
     if missing:
         raise ConfigError(f"meta dataset has no samples for classes {missing}")
-    feats = np.stack([normalize_features(s.features) if normalize else s.features
-                      for s in meta_samples])
+    feats = np.stack([normalize_features(s.features) for s in meta_samples])
     arch = nn.Architecture(
         (nn.Dense(n_label, hidden), nn.Relu(), nn.Dense(hidden, n_label)),
         (n_label,), n_label,
@@ -240,7 +235,7 @@ def train_meta(meta_samples: List[MetaSample], n_label: int,
     cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, len(feats)))
     params = nn.train(params, arch, feats, labels, cfg)
     acc = nn.accuracy(params, arch, feats, labels)
-    return MetaClassifier(params, arch, normalize, acc)
+    return MetaClassifier(params, arch, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +400,8 @@ class PreferenceProfiler:
             extract_sensitivity(uploads[u], self.arch, self.aux, self.alpha)
             for u in range(self.n_user)
         ])
-        self.history.append(RoundTrace(round_index, sens, np.abs(self.prev_agg_sens - sens)))
+        ds = differential_sensitivity(self.prev_agg_sens, sens)
+        self.history.append(RoundTrace(round_index, sens, ds))
         distributed, self.prev_agg_sens = self._aggregate(round_index, uploads, weights,
                                                           selected, sens)
         return distributed
@@ -422,8 +418,7 @@ class PreferenceProfiler:
             partners = select_partners(u, sens, pol.x, pol.mode)
             group = [u] + partners
             models = [uploads[v] for v in group]
-            w = [weights[v] for v in group] if pol.size_weighted else [1.0] * len(group)
-            agg = fedsim.fedavg(models, w, ids=group)
+            agg = fedsim.fedavg(models, [1.0] * len(group), ids=group)
             distributed.append(agg)
             agg_sens.append(extract_sensitivity(agg, self.arch, self.aux, self.alpha))
         return distributed, np.stack(agg_sens)

@@ -28,7 +28,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.out is not None:
         overrides["output_dir"] = str(args.out)
     if overrides:
-        cfg = cfg.with_overrides(**overrides)
+        cfg = cfg.with_overrides(overrides)
     return cfg
 
 

@@ -448,6 +448,15 @@ def equalized_grid(n_label: int, total_size: int, cp_range, cd_range) -> list:
     return grid
 
 
+def sample_cp_cd(rng: np.random.Generator, cp_range, cd_range, mode: str) -> tuple:
+    """cp ~ U(cp_range), then cd ~ U(cd_range) clamped below cp in majority
+    mode, so the runner-up count stays non-negative."""
+    cp = float(rng.uniform(*cp_range))
+    hi = min(cd_range[1], cp) if mode == "majority" else cd_range[1]
+    lo = min(cd_range[0], hi)
+    return cp, float(rng.uniform(lo, hi))
+
+
 def make_federation_spec(n_user: int, n_label: int, total_size: int,
                          cp_range, cd_range, seed: int, mode: str = "majority",
                          ud_target: Optional[float] = None,
@@ -458,11 +467,10 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     Preferred classes are drawn uniformly at random (so several users may
     share one, the usual statistical heterogeneity) unless ud_target is set,
     in which case round(ud_target * n_user) users share class 0 and the rest
-    spread over the other classes.  cd is clamped to cp so counts stay
-    non-negative.  With id_target set, sizes are total_size +/- delta with
-    delta solved so the sample variance hits the target.  equalize_rest
-    restricts (cp, cd) to the :func:`equalized_grid` so that the non-preferred
-    classes tie exactly.
+    spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`.
+    With id_target set, sizes are total_size +/- delta with delta solved so
+    the sample variance hits the target.  equalize_rest restricts (cp, cd) to
+    the :func:`equalized_grid` so that the non-preferred classes tie exactly.
     """
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
     if ud_target is None:
@@ -494,9 +502,6 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
                 )
             cp, cd = grid[int(rng.integers(0, len(grid)))]
         else:
-            cp = float(rng.uniform(*cp_range))
-            cd_hi = min(cd_range[1], cp) if mode == "majority" else cd_range[1]
-            cd_lo = min(cd_range[0], cd_hi)
-            cd = float(rng.uniform(cd_lo, cd_hi))
+            cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
         specs.append(DistributionSpec(n_label, int(sizes[u]), cp, cd, prefs[u], mode))
     return FederationSpec(n_user, tuple(specs), ud_target, id_target)

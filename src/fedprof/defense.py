@@ -1,34 +1,20 @@
 """Client-side mitigations evaluated against the profiling attack: dropout
 during local training and DP-SGD (per-example clipping + Gaussian noise).
 
-Both are wired through the engine's TrainConfig, so a sweep is the same
-experiment re-run with patched client training settings and identical seeds.
+A sweep variant is a label plus a nested override of the validated config's
+defense block, so every variant is the same experiment with identical seeds.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
+from . import harness
 from .errors import ConfigError
-from .nn import DpConfig, TrainConfig
 
-__all__ = ["DpConfig", "DefenseSweep", "SweepRow", "standard_sweep", "run_defense_sweep"]
-
-
-@dataclass(frozen=True)
-class DefenseSweep:
-    """Labelled client TrainConfig variants to evaluate under attack."""
-
-    variants: Tuple[Tuple[str, TrainConfig], ...]
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.variants]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate sweep labels in {labels}")
+__all__ = ["SweepRow", "sweep_from_config", "run_defense_sweep"]
 
 
 @dataclass(frozen=True)
@@ -39,46 +25,37 @@ class SweepRow:
     model_utility: float
 
 
-def standard_sweep(base: TrainConfig, noise_multipliers=(0.05, 0.25, 1.0, 4.0),
-                   clip_norm: float = 1.0) -> DefenseSweep:
-    """none / dropout / one DP variant per noise multiplier."""
+def sweep_from_config(cfg: harness.ExperimentConfig) -> list:
+    """(label, overrides) pairs: none / dropout / one DP variant per entry of
+    ``defense.noise_multipliers``, at the config's clip norm."""
     variants = [
-        ("none", base),
-        ("dropout", dataclasses.replace(base, dropout_enabled=True)),
+        ("none", {"defense": {"apply": "none"}}),
+        ("dropout", {"defense": {"apply": "dropout"}}),
     ]
-    for m in noise_multipliers:
-        variants.append((
-            f"dp_{m:g}",
-            dataclasses.replace(base, dp=DpConfig(clip_norm=clip_norm, noise_multiplier=m)),
-        ))
-    return DefenseSweep(tuple(variants))
+    for m in cfg["defense"]["noise_multipliers"]:
+        variants.append((f"dp_{m:g}", {"defense": {"apply": "dp", "noise_multiplier": m}}))
+    return variants
 
 
-def sweep_from_config(cfg) -> DefenseSweep:
-    """The standard sweep using the config's client and defense settings."""
-    from .harness import client_train_config
-
-    base = dataclasses.replace(client_train_config(cfg), dropout_enabled=False, dp=None)
-    return standard_sweep(base, noise_multipliers=cfg["defense"]["noise_multipliers"],
-                          clip_norm=cfg["defense"]["clip_norm"])
-
-
-def run_defense_sweep(base_cfg, sweep: DefenseSweep,
+def run_defense_sweep(cfg: harness.ExperimentConfig, variants: list,
                       out_dir: Optional[Path] = None) -> List[SweepRow]:
-    """One full FL+attack run per variant with identical seeds.
+    """One full FL+attack run of ``cfg.with_overrides(overrides)`` per
+    (label, overrides) variant, all with identical seeds.
 
     Reports top-1 attack accuracy and model utility (mean accuracy of the
     final distributed models on the shared test set).
     """
-    from . import harness  # imported here: harness sits above this module
-
+    labels = [label for label, _ in variants]
+    if len(set(labels)) != len(labels):
+        raise ConfigError(f"duplicate sweep labels in {labels}")
     rows = []
-    for label, train_cfg in sweep.variants:
-        cfg = _variant_config(base_cfg, train_cfg)
-        report = harness.run_experiment(cfg)
+    for label, overrides in variants:
+        variant = cfg.with_overrides(overrides)
+        d = variant["defense"]
+        report = harness.run_experiment(variant)
         rows.append(SweepRow(
             label=label,
-            noise_multiplier=(train_cfg.dp.noise_multiplier if train_cfg.dp else None),
+            noise_multiplier=d["noise_multiplier"] if d["apply"] == "dp" else None,
             attack_acc_top1=report.topk["1"],
             model_utility=report.utility_test_with,
         ))
@@ -91,23 +68,3 @@ def run_defense_sweep(base_cfg, sweep: DefenseSweep,
                 nm = "" if r.noise_multiplier is None else repr(r.noise_multiplier)
                 f.write(f"{r.label},{nm},{r.attack_acc_top1!r},{r.model_utility!r}\n")
     return rows
-
-
-def _variant_config(base_cfg, train_cfg: TrainConfig):
-    """Map a TrainConfig variant onto the validated config's defense block."""
-    from .harness import validate_config
-
-    resolved = json.loads(json.dumps(base_cfg.resolved))
-    fl = resolved["fl"]
-    fl["learning_rate"] = train_cfg.learning_rate
-    fl["batch_size"] = train_cfg.batch_size
-    d = resolved["defense"]
-    if train_cfg.dp is not None:
-        d["apply"] = "dp"
-        d["clip_norm"] = train_cfg.dp.clip_norm
-        d["noise_multiplier"] = train_cfg.dp.noise_multiplier
-    elif train_cfg.dropout_enabled:
-        d["apply"] = "dropout"
-    else:
-        d["apply"] = "none"
-    return validate_config(json.dumps(resolved))

@@ -22,15 +22,11 @@ from .seeding import derive_seed, rng_for
 
 @dataclass(frozen=True)
 class SelectivePolicy:
-    """Aggregate each user's model with x partner models chosen by the server.
-
-    Partners are averaged with equal weights by default; ``size_weighted``
-    switches to data-size weights.
-    """
+    """Aggregate each user's model with x partner models chosen by the server,
+    averaged with equal weights."""
 
     x: int
     mode: str = "majority"
-    size_weighted: bool = False
 
 
 @dataclass(frozen=True)
@@ -38,15 +34,12 @@ class FlConfig:
     n_rounds: int
     train: nn.TrainConfig
     client_fraction: float = 1.0
-    local_epochs: int = 1
 
     def __post_init__(self):
         if self.n_rounds < 1:
             raise InputError("n_rounds must be >= 1")
         if not 0.0 < self.client_fraction <= 1.0:
             raise InputError("client_fraction must be in (0, 1]")
-        if self.local_epochs < 0:
-            raise InputError("local_epochs must be >= 0")
 
 
 @dataclass
@@ -121,7 +114,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
               fl_cfg: FlConfig, hook: AggregationHook, run_seed: int) -> RoundState:
     """Advance the federation by one round.
 
-    Sampled clients train ``local_epochs`` on their last distributed model and
+    Sampled clients train ``train.epochs`` on their last distributed model and
     upload; unsampled clients keep their previous upload and model.  The hook
     observes all current uploads and returns the per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
@@ -136,11 +129,8 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
 
     uploads = list(prev.uploaded)
     for u in selected:
-        cfg = dataclasses.replace(
-            fl_cfg.train,
-            epochs=fl_cfg.local_epochs,
-            seed=derive_seed(run_seed, "local-train", rnd, int(u)),
-        )
+        cfg = dataclasses.replace(fl_cfg.train,
+                                  seed=derive_seed(run_seed, "local-train", rnd, int(u)))
         uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, cfg)
 
     _check_finite(uploads, rnd, "uploaded")

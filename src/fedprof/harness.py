@@ -27,26 +27,31 @@ from .seeding import derive_seed
 # Config schema
 # ---------------------------------------------------------------------------
 
-# Each leaf is (default, validator); validators raise ConfigError with the
-# offending key path.  None defaults with required=False mean "optional".
+# Each leaf is (default, validator); a failed validator is reported with the
+# offending key path.  A key whose default is None is optional: it accepts
+# null or a value its validator passes.  Booleans are not numbers here.
 
-_POS = lambda v: v > 0
-_POS_INT = lambda v: isinstance(v, int) and v > 0
-_NONNEG = lambda v: v >= 0
-_FRAC = lambda v: 0 < v <= 1
+_NUM = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+_INT = lambda v: isinstance(v, int) and not isinstance(v, bool)
+_POS = lambda v: _NUM(v) and v > 0
+_POS_INT = lambda v: _INT(v) and v > 0
+_NONNEG = lambda v: _NUM(v) and v >= 0
+_FRAC = lambda v: _NUM(v) and 0 < v <= 1
+_UNIT = lambda v: _NUM(v) and 0 <= v <= 1
 _RANGE = lambda v: (isinstance(v, list) and len(v) == 2
-                    and 0 <= v[0] <= v[1] <= 1)
+                    and all(_UNIT(b) for b in v) and v[0] <= v[1])
+_NAME = lambda v: isinstance(v, str) and v != ""
 
 _SCHEMA = {
-    "seed": (1, lambda v: isinstance(v, int) and v >= 0),
-    "output_dir": ("runs", lambda v: isinstance(v, str) and v != ""),
+    "seed": (1, lambda v: _INT(v) and v >= 0),
+    "output_dir": ("runs", _NAME),
     "dataset": {
         "kind": ("synthetic", lambda v: v in ("synthetic", "idx")),
-        "n_label": (10, lambda v: isinstance(v, int) and v >= 2),
-        "dim": (16, lambda v: isinstance(v, int) and v >= 2),
+        "n_label": (10, lambda v: _INT(v) and v >= 2),
+        "dim": (16, lambda v: _INT(v) and v >= 2),
         "sigma": (1.0, _POS),
-        "images": (None, None),
-        "labels": (None, None),
+        "images": (None, _NAME),
+        "labels": (None, _NAME),
     },
     "federation": {
         "n_user": (10, _POS_INT),
@@ -54,8 +59,8 @@ _SCHEMA = {
         "cp_range": ([0.4, 0.6], _RANGE),
         "cd_range": ([0.4, 0.6], _RANGE),
         "mode": ("majority", lambda v: v in ("majority", "minority")),
-        "ud_target": (None, None),
-        "id_target": (None, None),
+        "ud_target": (None, _UNIT),
+        "id_target": (None, _NONNEG),
         "equalize_rest": (True, lambda v: isinstance(v, bool)),
     },
     "fl": {
@@ -74,7 +79,7 @@ _SCHEMA = {
         "n_shadows": (40, _POS_INT),
         "aux_per_class": (150, _POS_INT),
         "shadow_epochs": (5, _POS_INT),
-        "shadow_size": (None, None),
+        "shadow_size": (None, _POS_INT),
         "shadow_cp_range": ([0.35, 0.7], _RANGE),
         "shadow_cd_range": ([0.1, 0.6], _RANGE),
         "feature_mode": ("differential", lambda v: v in ("differential", "sensitivity")),
@@ -91,11 +96,11 @@ _SCHEMA = {
     },
     "defense": {
         "apply": ("none", lambda v: v in ("none", "dropout", "dp")),
-        "dropout_rate": (0.5, lambda v: 0 <= v < 1),
+        "dropout_rate": (0.5, lambda v: _NUM(v) and 0 <= v < 1),
         "clip_norm": (10.0, _POS),
         "noise_multiplier": (0.0, _NONNEG),
         "noise_multipliers": ([0.05, 0.25, 1.0, 4.0],
-                              lambda v: isinstance(v, list) and all(m >= 0 for m in v)),
+                              lambda v: isinstance(v, list) and all(_NONNEG(m) for m in v)),
     },
     "eval_per_class": (30, _POS_INT),
     "with_baseline": (True, lambda v: isinstance(v, bool)),
@@ -118,7 +123,7 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
             continue
         default, validator = entry
         value = raw.get(key, default)
-        if value is not None and validator is not None and not validator(value):
+        if not (value is None and default is None) and not validator(value):
             problems.append(f"invalid value for {where}: {value!r}")
         out[key] = value
     return out
@@ -140,10 +145,22 @@ class ExperimentConfig:
     def to_json(self) -> str:
         return json.dumps(self.resolved, sort_keys=True, indent=2)
 
-    def with_overrides(self, **top_level) -> "ExperimentConfig":
-        merged = json.loads(json.dumps(self.resolved))
-        merged.update(top_level)
-        return validate_config(json.dumps(merged))
+    def with_overrides(self, overrides: dict) -> "ExperimentConfig":
+        """This config with ``overrides`` deep-merged in, validated again.
+
+        Dicts merge key by key; any other value, lists included, replaces the
+        old one.
+        """
+        return validate_config(json.dumps(_deep_merge(self.resolved, overrides)))
+
+
+def _deep_merge(base: dict, overrides: dict) -> dict:
+    out = dict(base)
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            value = _deep_merge(out[key], value)
+        out[key] = value
+    return out
 
 
 def validate_config(raw_text: str) -> ExperimentConfig:
@@ -160,6 +177,8 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError("config root must be a JSON object")
     problems: list = []
     resolved = _resolve(raw, _SCHEMA, "", problems)
+    if problems:  # the checks below compare values of the right type only
+        raise ConfigError("; ".join(problems))
 
     ds = resolved["dataset"]
     if ds["kind"] == "idx":
@@ -172,8 +191,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         problems.append("attack.x must be smaller than federation.n_user")
     if resolved["attack"]["n_shadows"] < ds["n_label"]:
         problems.append("attack.n_shadows must be at least dataset.n_label")
-    if (resolved["model"]["kind"] == "cnn" and ds["kind"] == "synthetic"
-            and isinstance(ds["dim"], int)):
+    if resolved["model"]["kind"] == "cnn" and ds["kind"] == "synthetic":
         side = int(round(ds["dim"] ** 0.5))
         if side * side != ds["dim"]:
             problems.append("model.kind 'cnn' on synthetic data needs a square dataset.dim")
@@ -214,15 +232,12 @@ def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) 
         rows = cols = side
     if not _cnn_fits(rows, cols):
         raise ConfigError(f"model.kind 'cnn' needs images of at least 6x6, got {rows}x{cols}")
-    h1 = rows - 2
-    h2 = (h1 - 2) // 2
-    flat = 16 * h2 * h2
     layers = (
         nn.Conv2d(1, 8, kernel=3), nn.Relu(),
         nn.Conv2d(8, 16, kernel=3), nn.Relu(),
         nn.MaxPool2d(2),
         nn.Dropout(rate),
-        nn.Dense(flat, n_label),
+        nn.Dense(16 * ((rows - 4) // 2) * ((cols - 4) // 2), n_label),
     )
     return nn.Architecture(layers, (1, rows, cols), n_label)
 
@@ -318,8 +333,7 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCo
     shadows = attack.train_shadows(staged.aux, staged.arch, atk["n_shadows"], sampler,
                                    shadow_cfg, atk["alpha"],
                                    seed=derive_seed(seed, "shadows"), mode=atk["mode"])
-    update_cfg = dataclasses.replace(train_cfg, epochs=cfg["fl"]["local_epochs"],
-                                     batch_size=min(train_cfg.batch_size, shadow_size))
+    update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
     meta_samples = attack.build_meta_dataset_federated(
         shadows, staged.aux, staged.arch, atk["alpha"], update_cfg,
         seed=derive_seed(seed, "meta-fed"), mode=atk["mode"],
@@ -358,7 +372,6 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCon
     fl_cfg = fedsim.FlConfig(
         n_rounds=cfg["fl"]["n_rounds"], train=train_cfg,
         client_fraction=cfg["fl"]["client_fraction"],
-        local_epochs=cfg["fl"]["local_epochs"],
     )
     state = fedsim.initial_state(n_user, init)
     states = []

@@ -1,13 +1,12 @@
-"""Defense sweep tests: variant construction and degenerate-DP equivalence."""
+"""Defense sweep tests: variant overrides, degenerate-DP equivalence, the CLI."""
 
-import dataclasses
 import json
 
-import numpy as np
 import pytest
 
-from fedprof import defense, harness, nn
+from fedprof import defense, harness
 from fedprof.errors import ConfigError
+from test_harness import run_cli
 
 BASE = {
     "seed": 9,
@@ -26,48 +25,57 @@ def base_cfg():
     return harness.validate_config(json.dumps(BASE))
 
 
+# The sweep runs below train at local batch size 16 (the default is 32), so
+# DP-SGD takes several clipped steps per local epoch.
+BATCH_16 = {"fl": {"batch_size": 16}}
+
+
 def test_sweep_labels_must_be_unique():
-    tc = nn.TrainConfig(0.05, 1, 16, seed=0)
     with pytest.raises(ConfigError):
-        defense.DefenseSweep((("a", tc), ("a", tc)))
+        defense.run_defense_sweep(base_cfg(), [("a", {}), ("a", {})])
 
 
 def test_standard_sweep_structure():
-    tc = nn.TrainConfig(0.05, 1, 16, seed=0)
-    sweep = defense.standard_sweep(tc)
-    labels = [label for label, _ in sweep.variants]
+    variants = defense.sweep_from_config(base_cfg())
+    labels = [label for label, _ in variants]
     assert labels == ["none", "dropout", "dp_0.05", "dp_0.25", "dp_1", "dp_4"]
-    assert sweep.variants[1][1].dropout_enabled
-    assert sweep.variants[2][1].dp.noise_multiplier == 0.05
+    assert variants[1][1] == {"defense": {"apply": "dropout"}}
+    assert variants[2][1] == {"defense": {"apply": "dp", "noise_multiplier": 0.05}}
 
 
 def test_degenerate_dp_equals_no_defense_metrics():
     # noise multiplier 0 and a clip norm far above any gradient norm behave
     # like plain SGD on the reported metrics
-    tc = nn.TrainConfig(0.05, 1, 16, seed=0)
-    sweep = defense.DefenseSweep((
-        ("none", tc),
-        ("dp_degenerate", dataclasses.replace(
-            tc, dp=nn.DpConfig(clip_norm=1e9, noise_multiplier=0.0))),
-    ))
-    rows = defense.run_defense_sweep(base_cfg(), sweep)
+    cfg = base_cfg().with_overrides(BATCH_16)
+    rows = defense.run_defense_sweep(cfg, [
+        ("none", {}),
+        ("dp_degenerate", {"defense": {"apply": "dp", "clip_norm": 1e9,
+                                       "noise_multiplier": 0.0}}),
+    ])
     assert rows[0].attack_acc_top1 == rows[1].attack_acc_top1
     assert rows[0].model_utility == pytest.approx(rows[1].model_utility, abs=1e-9)
 
 
 def test_sweep_runs_and_writes_csv(tmp_path):
-    tc = nn.TrainConfig(0.05, 1, 16, seed=0)
-    sweep = defense.DefenseSweep((
-        ("none", tc),
-        ("dropout", dataclasses.replace(tc, dropout_enabled=True)),
-        ("dp_4", dataclasses.replace(tc, dp=nn.DpConfig(10.0, 4.0))),
-    ))
-    rows = defense.run_defense_sweep(base_cfg(), sweep, out_dir=tmp_path)
+    cfg = base_cfg().with_overrides({**BATCH_16, "defense": {"noise_multipliers": [4.0]}})
+    rows = defense.run_defense_sweep(cfg, defense.sweep_from_config(cfg), out_dir=tmp_path)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "label,noise_multiplier,attack_acc_top1,model_utility"
     assert len(text) == 4
     assert text[3].startswith("dp_4,4.0,")
+
+
+def test_cli_defense_sweep(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**BASE, "defense": {"noise_multipliers": [4.0]},
+                                    "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["defense-sweep", "--config", str(cfg_path)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    (csv,) = (tmp_path / "runs").glob("*/defense/sweep.csv")
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "label,noise_multiplier,attack_acc_top1,model_utility"
+    assert [line.split(",")[0] for line in lines[1:]] == ["none", "dropout", "dp_4"]
 
 
 def test_disabled_defense_is_bit_identical_to_plain_run():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedprof
-from fedprof import harness
+from fedprof import harness, nn
 from fedprof.errors import ConfigError, NumericalError
 
 FAST = {
@@ -66,6 +66,43 @@ def test_invalid_values_reported_with_key_path():
         harness.validate_config(json.dumps({"fl": {"client_fraction": 1.5}}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         harness.validate_config("{nope")
+
+
+def test_with_overrides_merges_nested_dicts_and_replaces_lists():
+    base = fast_config()
+    cfg = base.with_overrides({"defense": {"apply": "dp", "noise_multipliers": [2.0]},
+                               "seed": 4})
+    assert cfg.seed == 4
+    assert cfg["defense"]["apply"] == "dp"
+    assert cfg["defense"]["noise_multipliers"] == [2.0]
+    assert cfg["defense"]["clip_norm"] == base["defense"]["clip_norm"]
+    assert cfg["federation"] == base["federation"]
+    assert base["defense"]["apply"] == "none"
+    with pytest.raises(ConfigError, match="defense.apply"):
+        base.with_overrides({"defense": {"apply": "noise"}})
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("dataset", "sigma", "a"),
+    ("dataset", "sigma", True),
+    ("defense", "noise_multipliers", ["a"]),
+    ("dataset", "images", 5),
+    ("attack", "shadow_size", "x"),
+    ("attack", "shadow_size", -3),
+    ("attack", "shadow_size", 2.5),
+    ("federation", "ud_target", "a"),
+    ("federation", "ud_target", 1.5),
+    ("federation", "id_target", -4.0),
+    ("federation", "cp_range", ["a", 0.5]),
+    ("fl", "n_rounds", True),
+    ("fl", "n_rounds", None),
+])
+def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, value):
+    raw = {section: {key: value}}
+    if key == "images":
+        raw["dataset"]["kind"] = "idx"
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        harness.validate_config(json.dumps(raw))
 
 
 def test_idx_kind_requires_existing_files(tmp_path):
@@ -172,6 +209,9 @@ def test_cnn_smallest_runnable_image_validates():
     assert harness.build_model_arch(cfg, 10, (36,)).input_shape == (1, 6, 6)
     with pytest.raises(ConfigError, match="6x6"):
         harness.build_model_arch(cfg, 10, (5, 5))  # IDX images too small for the CNN
+    arch = harness.build_model_arch(cfg, 10, (8, 10))  # IDX images need not be square
+    logits = nn.predict_logits(nn.init_params(arch, seed=0), arch, np.zeros((3, 80)))
+    assert logits.shape == (3, 10)
 
 
 def test_divergence_raises_numerical_error_naming_round_and_user():
