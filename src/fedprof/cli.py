@@ -53,8 +53,7 @@ def cmd_shadow_train(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg) / "shadows"
     staged = harness.stage_data(cfg)
-    train_cfg = harness.client_train_config(cfg)
-    offline = harness.run_offline(cfg, staged, train_cfg)
+    offline = harness.run_offline(cfg, staged)
     out.mkdir(parents=True, exist_ok=True)
     meta_info = []
     for i, sh in enumerate(offline.shadows):
@@ -75,8 +74,7 @@ def cmd_meta_train(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg)
     staged = harness.stage_data(cfg)
-    train_cfg = harness.client_train_config(cfg)
-    offline = harness.run_offline(cfg, staged, train_cfg)
+    offline = harness.run_offline(cfg, staged)
     out.mkdir(parents=True, exist_ok=True)
     nn.save_checkpoint(out / "meta.ppam", offline.meta.params, offline.meta.arch)
     attack.export_meta_csv(offline.meta_samples, out / "meta_dataset.csv")

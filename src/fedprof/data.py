@@ -457,6 +457,22 @@ def sample_cp_cd(rng: np.random.Generator, cp_range, cd_range, mode: str) -> tup
     return cp, float(rng.uniform(lo, hi))
 
 
+def user_sizes(n_user: int, n_label: int, total_size: int,
+               id_target: Optional[float] = None) -> np.ndarray:
+    """Per-user dataset sizes: total_size each, or with id_target set,
+    total_size +/- delta with delta solved so the sample variance hits the
+    target (sizes clamp below at n_label)."""
+    if id_target is None or n_user < 2:
+        return np.full(n_user, total_size, dtype=np.int64)
+    pattern = np.array([1 if u % 2 == 0 else -1 for u in range(n_user)], dtype=np.float64)
+    if n_user % 2 == 1:
+        pattern[-1] = 0.0
+    pattern -= pattern.mean()
+    denom = float((pattern ** 2).sum())
+    delta = np.sqrt(id_target * (n_user - 1) / denom) if denom > 0 else 0.0
+    return np.maximum(n_label, np.rint(total_size + delta * pattern)).astype(np.int64)
+
+
 def make_federation_spec(n_user: int, n_label: int, total_size: int,
                          cp_range, cd_range, seed: int, mode: str = "majority",
                          ud_target: Optional[float] = None,
@@ -468,8 +484,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     share one, the usual statistical heterogeneity) unless ud_target is set,
     in which case round(ud_target * n_user) users share class 0 and the rest
     spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`.
-    With id_target set, sizes are total_size +/- delta with delta solved so
-    the sample variance hits the target.  equalize_rest restricts (cp, cd) to
+    Sizes come from :func:`user_sizes`.  equalize_rest restricts (cp, cd) to
     the :func:`equalized_grid` so that the non-preferred classes tie exactly.
     """
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
@@ -483,15 +498,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
         while len(prefs) < n_user:
             prefs.append(c % n_label if c % n_label != 0 else 1)
             c += 1
-    sizes = np.full(n_user, total_size, dtype=np.int64)
-    if id_target is not None and n_user > 1:
-        pattern = np.array([1 if u % 2 == 0 else -1 for u in range(n_user)], dtype=np.float64)
-        if n_user % 2 == 1:
-            pattern[-1] = 0.0
-        pattern -= pattern.mean()
-        denom = float((pattern ** 2).sum())
-        delta = np.sqrt(id_target * (n_user - 1) / denom) if denom > 0 else 0.0
-        sizes = np.maximum(n_label, np.rint(total_size + delta * pattern)).astype(np.int64)
+    sizes = user_sizes(n_user, n_label, total_size, id_target)
     specs = []
     for u in range(n_user):
         if equalize_rest:

@@ -198,6 +198,13 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         elif not _cnn_fits(side, side):
             problems.append(f"dataset.dim {ds['dim']} is a {side}x{side} image, too small for "
                             f"model.kind 'cnn' (at least 6x6, dim 36)")
+    fed, batch = resolved["federation"], resolved["fl"]["batch_size"]
+    smallest = int(data.user_sizes(fed["n_user"], ds["n_label"], fed["user_size"],
+                                   fed["id_target"]).min())
+    if smallest < batch:
+        key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
+        problems.append(f"fl.batch_size {batch} exceeds the smallest user dataset "
+                        f"({smallest} samples, set by {key})")
     if problems:
         raise ConfigError("; ".join(problems))
     return ExperimentConfig(resolved)
@@ -244,13 +251,11 @@ def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) 
 
 @dataclass
 class StagedData:
-    pool: data.LabeledDataset
     clients: list
     aux: data.AuxiliaryStore
     test_X: np.ndarray
     test_y: np.ndarray
     arch: nn.Architecture
-    fed_spec: data.FederationSpec
 
 
 def stage_data(cfg: ExperimentConfig) -> StagedData:
@@ -258,14 +263,14 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     seed = cfg.seed
     ds_cfg, fed_cfg = cfg["dataset"], cfg["federation"]
     n_label = ds_cfg["n_label"]
-    fed_spec = data.make_federation_spec(
+    federation = data.make_federation_spec(
         n_user=fed_cfg["n_user"], n_label=n_label, total_size=fed_cfg["user_size"],
         cp_range=tuple(fed_cfg["cp_range"]), cd_range=tuple(fed_cfg["cd_range"]),
         seed=derive_seed(seed, "federation-spec"), mode=fed_cfg["mode"],
         ud_target=fed_cfg["ud_target"], id_target=fed_cfg["id_target"],
         equalize_rest=fed_cfg["equalize_rest"],
     )
-    per_class_demand = np.stack([data.spec_counts(s) for s in fed_spec.specs]).sum(axis=0)
+    per_class_demand = np.stack([data.spec_counts(s) for s in federation.specs]).sum(axis=0)
     need = int(per_class_demand.max()) + cfg["attack"]["aux_per_class"] + cfg["eval_per_class"]
     if ds_cfg["kind"] == "synthetic":
         pool = data.make_synthetic(n_label, ds_cfg["dim"], need,
@@ -276,14 +281,14 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
             raise ConfigError(
                 f"dataset.n_label is {n_label} but the IDX pool holds {pool.n_label} classes"
             )
-    clients, used = data.build_federation(pool, fed_spec, seed=derive_seed(seed, "federation"))
+    clients, used = data.build_federation(pool, federation, seed=derive_seed(seed, "federation"))
     aux = data.build_auxiliary(pool, cfg["attack"]["aux_per_class"], excluded_indices=used)
     excluded = np.concatenate([used, np.concatenate(aux.source_indices)])
     test_batches, _ = data.sample_per_class(pool, cfg["eval_per_class"], excluded)
     test_X = np.concatenate(test_batches)
     test_y = np.repeat(np.arange(n_label), cfg["eval_per_class"])
     arch = build_model_arch(cfg, n_label, pool.feature_shape)
-    return StagedData(pool, clients, aux, test_X, test_y, arch, fed_spec)
+    return StagedData(clients, aux, test_X, test_y, arch)
 
 
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
@@ -310,15 +315,22 @@ class OfflineArtifacts:
     shadows: list
     meta_samples: list
     meta: attack.MetaClassifier
-    meta_samples_centralized: Optional[list] = None
-    meta_centralized: Optional[attack.MetaClassifier] = None
 
 
-def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainConfig,
-                include_centralized: bool = False) -> OfflineArtifacts:
+def _train_meta(cfg: ExperimentConfig, meta_samples: list, n_label: int) -> attack.MetaClassifier:
+    meta = cfg["attack"]["meta"]
+    meta_cfg = nn.TrainConfig(
+        learning_rate=meta["learning_rate"], epochs=meta["epochs"],
+        batch_size=meta["batch_size"], seed=derive_seed(cfg.seed, "meta-train"),
+    )
+    return attack.train_meta(meta_samples, n_label, meta_cfg, hidden=meta["hidden"])
+
+
+def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     seed = cfg.seed
     atk = cfg["attack"]
-    n_label = staged.pool.n_label
+    n_label = staged.aux.n_label
+    train_cfg = client_train_config(cfg)
     shadow_size = atk["shadow_size"]
     if shadow_size is None:
         shadow_size = max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3))
@@ -338,17 +350,7 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCo
         shadows, staged.aux, staged.arch, atk["alpha"], update_cfg,
         seed=derive_seed(seed, "meta-fed"), mode=atk["mode"],
     )
-    meta_cfg = nn.TrainConfig(
-        learning_rate=atk["meta"]["learning_rate"], epochs=atk["meta"]["epochs"],
-        batch_size=atk["meta"]["batch_size"], seed=derive_seed(seed, "meta-train"),
-    )
-    meta = attack.train_meta(meta_samples, n_label, meta_cfg, hidden=atk["meta"]["hidden"])
-    out = OfflineArtifacts(shadows, meta_samples, meta)
-    if include_centralized:
-        out.meta_samples_centralized = attack.build_meta_dataset_centralized(shadows)
-        out.meta_centralized = attack.train_meta(
-            out.meta_samples_centralized, n_label, meta_cfg, hidden=atk["meta"]["hidden"])
-    return out
+    return OfflineArtifacts(shadows, meta_samples, _train_meta(cfg, meta_samples, n_label))
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +358,7 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCo
 # ---------------------------------------------------------------------------
 
 
-def run_online(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainConfig,
-               aggregation: Optional[str] = None):
+def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[str] = None):
     """FL with the attacking server.  Returns (round traces, round states)."""
     seed = cfg.seed
     atk = cfg["attack"]
@@ -370,7 +371,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, train_cfg: nn.TrainCon
                                          policy=policy)
     profiler.prime(init)
     fl_cfg = fedsim.FlConfig(
-        n_rounds=cfg["fl"]["n_rounds"], train=train_cfg,
+        n_rounds=cfg["fl"]["n_rounds"], train=client_train_config(cfg),
         client_fraction=cfg["fl"]["client_fraction"],
     )
     state = fedsim.initial_state(n_user, init)
@@ -446,17 +447,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     """
     t0 = time.time()
     staged = stage_data(cfg)
-    train_cfg = client_train_config(cfg)
-    offline = run_offline(cfg, staged, train_cfg)
+    offline = run_offline(cfg, staged)
     t_offline = time.time() - t0
 
     atk = cfg["attack"]
-    history, states = run_online(cfg, staged, train_cfg)
+    history, states = run_online(cfg, staged)
     profile = attack.profile_history(history, offline.meta, atk["feature_mode"],
                                      atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
-        base_history, base_states = run_online(cfg, staged, train_cfg, aggregation="fedavg")
+        base_history, base_states = run_online(cfg, staged, aggregation="fedavg")
         base_final = base_states[-1]
         base_profile = attack.profile_history(base_history, offline.meta,
                                               atk["feature_mode"], atk["th_round"])
@@ -523,15 +523,16 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     whole run.  The streak-locked pipeline verdicts are reported alongside.
     """
     staged = stage_data(cfg)
-    train_cfg = client_train_config(cfg)
-    offline = run_offline(cfg, staged, train_cfg, include_centralized=True)
-    history, _ = run_online(cfg, staged, train_cfg)
+    offline = run_offline(cfg, staged)
+    centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows),
+                              staged.aux.n_label)
+    history, _ = run_online(cfg, staged)
     counts = [c.class_counts.tolist() for c in staged.clients]
     truth = [data.preference_class(c.class_counts, cfg["attack"]["mode"])
              for c in staged.clients]
     out = {}
     for label, meta, mode in (
-        ("centralized", offline.meta_centralized, "sensitivity"),
+        ("centralized", centralized, "sensitivity"),
         ("federated", offline.meta, "differential"),
     ):
         hits = [meta.predict(f) == t for tr in history

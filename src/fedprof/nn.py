@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +61,6 @@ class Dropout:
     rate: float
 
 
-LayerSpec = Union[Dense, Conv2d, MaxPool2d, Relu, Dropout]
-
 _KIND = {Dense: "dense", Conv2d: "conv2d", MaxPool2d: "maxpool", Relu: "relu", Dropout: "dropout"}
 
 
@@ -75,6 +74,12 @@ class Architecture:
     not the output layer (the only dense layer if there is just one).  The
     feature layer is the slice of the parameter vector used by sensitivity
     extraction.
+
+    The parameter layout is then fixed once, in plain attributes (not fields,
+    so equality and :meth:`to_json` ignore them): ``param_slots`` maps each
+    parameterised layer's index to (offset, W shape, W size, b size), W
+    before b; ``layout`` maps its id ``"i:kind"`` to (offset, length);
+    ``n_params`` is the total and ``feature_id`` the feature layer's id.
     """
 
     layers: tuple
@@ -89,6 +94,7 @@ class Architecture:
         self._check_shapes()
         if not any(getattr(l, "feature_layer", False) for l in self.layers):
             self._mark_default_feature_layer()
+        self._lay_out_params()
 
     def _check_shapes(self):
         shape = self.input_shape
@@ -142,6 +148,26 @@ class Architecture:
         layers[pick] = dataclasses.replace(layers[pick], feature_layer=True)
         self.layers = tuple(layers)
 
+    def _lay_out_params(self):
+        self.param_slots, self.layout, self.feature_id = {}, {}, None
+        offset = 0
+        for i, layer in enumerate(self.layers):
+            if isinstance(layer, Dense):
+                w_shape, b_size = (layer.in_dim, layer.out_dim), layer.out_dim
+            elif isinstance(layer, Conv2d):
+                w_shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
+                b_size = layer.out_ch
+            else:
+                continue
+            w_size = math.prod(w_shape)
+            layer_id = f"{i}:{_KIND[type(layer)]}"
+            self.param_slots[i] = (offset, w_shape, w_size, b_size)
+            self.layout[layer_id] = (offset, w_size + b_size)
+            if layer.feature_layer and self.feature_id is None:
+                self.feature_id = layer_id
+            offset += w_size + b_size
+        self.n_params = offset
+
     def to_json(self) -> str:
         out = {"input_shape": list(self.input_shape), "n_classes": self.n_classes, "layers": []}
         for layer in self.layers:
@@ -153,7 +179,7 @@ class Architecture:
     @staticmethod
     def from_json(text: str) -> "Architecture":
         raw = json.loads(text)
-        ctor = {"dense": Dense, "conv2d": Conv2d, "maxpool": MaxPool2d, "relu": Relu, "dropout": Dropout}
+        ctor = {kind: cls for cls, kind in _KIND.items()}
         layers = []
         for entry in raw["layers"]:
             kind = entry.pop("kind")
@@ -161,29 +187,8 @@ class Architecture:
         return Architecture(tuple(layers), tuple(raw["input_shape"]), raw["n_classes"])
 
 
-def _layer_id(index: int, layer: LayerSpec) -> str:
-    return f"{index}:{_KIND[type(layer)]}"
-
-
-def layer_param_shapes(arch: Architecture) -> list:
-    """(layer_id, [(name, shape), ...]) for every parameterised layer, in order."""
-    out = []
-    for i, layer in enumerate(arch.layers):
-        if isinstance(layer, Dense):
-            out.append((_layer_id(i, layer), [("W", (layer.in_dim, layer.out_dim)), ("b", (layer.out_dim,))]))
-        elif isinstance(layer, Conv2d):
-            out.append((
-                _layer_id(i, layer),
-                [("W", (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)), ("b", (layer.out_ch,))],
-            ))
-    return out
-
-
 def feature_layer_id(arch: Architecture) -> str:
-    for i, layer in enumerate(arch.layers):
-        if getattr(layer, "feature_layer", False):
-            return _layer_id(i, layer)
-    raise InternalError("architecture has no feature layer")
+    return arch.feature_id
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +221,6 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
-    def layer_values(self, layer_id: str) -> np.ndarray:
-        off, length = self.layout[layer_id]
-        return self.values[off:off + length]
-
     def same_layout(self, other: "ParamVector") -> bool:
         return self.layout == other.layout and self.values.size == other.values.size
 
@@ -228,55 +229,30 @@ class ParamVector:
 GradientVector = ParamVector
 
 
-def _build_layout(arch: Architecture) -> dict:
-    layout, offset = {}, 0
-    for layer_id, parts in layer_param_shapes(arch):
-        length = sum(int(np.prod(s)) for _, s in parts)
-        layout[layer_id] = (offset, length)
-        offset += length
-    return layout
-
-
 def zeros_like_params(arch: Architecture) -> ParamVector:
-    layout = _build_layout(arch)
-    total = sum(length for _, length in layout.values())
-    return ParamVector(np.zeros(total), layout)
+    return ParamVector(np.zeros(arch.n_params), arch.layout)
 
 
 def init_params(arch: Architecture, seed: int) -> ParamVector:
     """Glorot-uniform weights, zero biases, deterministic by seed."""
     rng = np.random.default_rng(derive_seed(seed, "init"))
     pv = zeros_like_params(arch)
-    for i, layer in enumerate(arch.layers):
-        if isinstance(layer, Dense):
-            fan_in, fan_out = layer.in_dim, layer.out_dim
-            w_size = fan_in * fan_out
-        elif isinstance(layer, Conv2d):
-            fan_in = layer.in_ch * layer.kernel * layer.kernel
-            fan_out = layer.out_ch * layer.kernel * layer.kernel
-            w_size = layer.out_ch * layer.in_ch * layer.kernel * layer.kernel
-        else:
-            continue
+    for off, w_shape, w_size, b_size in arch.param_slots.values():
+        # W is (in, out) for dense and (out, in, k, k) for conv: b_size output
+        # units, each fed by w_size // b_size inputs, over a k*k receptive field.
+        fan_in, fan_out = w_size // b_size, b_size * math.prod(w_shape[2:])
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        block = pv.layer_values(_layer_id(i, layer))
-        block[:w_size] = rng.uniform(-bound, bound, w_size)
+        pv.values[off:off + w_size] = rng.uniform(-bound, bound, w_size)
     return pv
 
 
 def _layer_params(pv: ParamVector, arch: Architecture, index: int):
     """(W, b) views into the flat vector for the parameterised layer at index."""
-    layer = arch.layers[index]
-    block = pv.layer_values(_layer_id(index, layer))
-    if isinstance(layer, Dense):
-        w_size = layer.in_dim * layer.out_dim
-        return block[:w_size].reshape(layer.in_dim, layer.out_dim), block[w_size:]
-    if isinstance(layer, Conv2d):
-        w_size = layer.out_ch * layer.in_ch * layer.kernel * layer.kernel
-        return (
-            block[:w_size].reshape(layer.out_ch, layer.in_ch, layer.kernel, layer.kernel),
-            block[w_size:],
-        )
-    raise InternalError(f"layer {index} has no parameters")
+    if index not in arch.param_slots:
+        raise InternalError(f"layer {index} has no parameters")
+    off, w_shape, w_size, b_size = arch.param_slots[index]
+    return (pv.values[off:off + w_size].reshape(w_shape),
+            pv.values[off + w_size:off + w_size + b_size])
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +564,9 @@ def load_checkpoint(path):
         raise FormatError("truncated architecture descriptor")
     arch = Architecture.from_json(blob[10:10 + desc_len].decode("utf-8"))
     payload = blob[10 + desc_len:]
-    expected = sum(length for _, length in _build_layout(arch).values())
-    if len(payload) != 4 * expected:
+    if len(payload) != 4 * arch.n_params:
         raise FormatError(
-            f"parameter payload holds {len(payload) // 4} floats, expected {expected}"
+            f"parameter payload holds {len(payload) // 4} floats, expected {arch.n_params}"
         )
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return ParamVector(values, _build_layout(arch)), arch
+    return ParamVector(values, arch.layout), arch

@@ -105,6 +105,17 @@ def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, va
         harness.validate_config(json.dumps(raw))
 
 
+@pytest.mark.parametrize("federation, key", [
+    ({"user_size": 20}, "federation.user_size"),
+    ({"id_target": 1e9}, "federation.id_target"),  # user sizes clamp to n_label
+])
+def test_user_dataset_smaller_than_batch_size_is_a_config_error(federation, key):
+    raw = {**FAST, "federation": {**FAST["federation"], **federation}}
+    with pytest.raises(ConfigError, match="fl.batch_size") as err:
+        harness.validate_config(json.dumps(raw))
+    assert key in str(err.value)
+
+
 def test_idx_kind_requires_existing_files(tmp_path):
     raw = {"dataset": {"kind": "idx", "images": str(tmp_path / "x"), "labels": None}}
     with pytest.raises(ConfigError, match="dataset."):
@@ -214,6 +225,7 @@ def test_cnn_smallest_runnable_image_validates():
     assert logits.shape == (3, 10)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_divergence_raises_numerical_error_naming_round_and_user():
     cfg = fast_config(fl=DIVERGING_FL)
     with pytest.raises(NumericalError, match=r"round \d+: .* user \d+"):

@@ -1,12 +1,14 @@
 """Engine tests: forward/backward oracles, SGD variants, determinism, checkpoints."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fedprof import nn
+from fedprof import harness, nn
 from fedprof.errors import FormatError, InputError, InternalError
+from fedprof.seeding import derive_seed
 
 
 def mlp(in_dim=6, hidden=8, n_classes=3):
@@ -434,3 +436,64 @@ def test_feature_layer_defaults():
 def test_architecture_json_round_trip():
     arch = small_cnn()
     assert nn.Architecture.from_json(arch.to_json()) == arch
+
+
+# ---------------------------------------------------------------------------
+# Parameter layout, against references written out here
+# ---------------------------------------------------------------------------
+
+# The default MLP (dim 16, hidden [32], 10 classes) and the 6x6 benchmark CNN.
+LAYOUT_CASES = [
+    ({}, {"0:dense": (0, 544), "3:dense": (544, 330)}, "0:dense"),
+    ({"model": {"kind": "cnn"}, "dataset": {"dim": 36}},
+     {"0:conv2d": (0, 80), "2:conv2d": (80, 1168), "6:dense": (1248, 170)}, "2:conv2d"),
+]
+
+
+def reference_arch(overrides):
+    cfg = harness.validate_config(json.dumps(overrides))
+    return harness.build_model_arch(cfg, 10, (cfg["dataset"]["dim"],))
+
+
+def glorot_reference(arch, seed):
+    """Glorot-uniform W and zero b, drawn layer by layer from the layer specs."""
+    rng = np.random.default_rng(derive_seed(seed, "init"))
+    parts = []
+    for layer in arch.layers:
+        if isinstance(layer, nn.Dense):
+            fan_in, fan_out = layer.in_dim, layer.out_dim
+            w_size, b_size = layer.in_dim * layer.out_dim, layer.out_dim
+        elif isinstance(layer, nn.Conv2d):
+            area = layer.kernel * layer.kernel
+            fan_in, fan_out = layer.in_ch * area, layer.out_ch * area
+            w_size, b_size = layer.out_ch * layer.in_ch * area, layer.out_ch
+        else:
+            continue
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-bound, bound, w_size), np.zeros(b_size)]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("overrides, layout, feature_id", LAYOUT_CASES)
+def test_layout_and_feature_layer_match_written_references(overrides, layout, feature_id):
+    arch = reference_arch(overrides)
+    assert nn.zeros_like_params(arch).layout == layout
+    assert nn.feature_layer_id(arch) == feature_id
+    for layer_id in layout:
+        index = int(layer_id.split(":")[0])
+        layer = arch.layers[index]
+        W, b = nn._layer_params(nn.zeros_like_params(arch), arch, index)
+        if isinstance(layer, nn.Dense):
+            shapes = (layer.in_dim, layer.out_dim), (layer.out_dim,)
+        else:
+            shapes = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel), (layer.out_ch,)
+        assert (W.shape, b.shape) == shapes
+    with pytest.raises(InternalError):
+        nn._layer_params(nn.zeros_like_params(arch), arch, 1)  # a relu
+
+
+@pytest.mark.parametrize("overrides", [case[0] for case in LAYOUT_CASES])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_init_params_equals_layerwise_glorot_reference(overrides, seed):
+    arch = reference_arch(overrides)
+    assert np.array_equal(nn.init_params(arch, seed).values, glorot_reference(arch, seed))
