@@ -3,8 +3,9 @@ profiling attack laboratory.
 
 Layers:
   nn       minimal differentiable network engine (dense/conv, SGD, DP-SGD)
-  data     synthetic datasets, IDX files, heterogeneous partitioning, metrics
+  data     synthetic datasets, IDX files, heterogeneous partitioning
   fedsim   the FL round loop with pluggable (attacker-controlled) aggregation
+           and a stop on diverged parameters
   attack   sensitivity extraction, shadow/meta pipeline, selective aggregation
   harness  config validation, end-to-end experiments, reports, persistence
   defense  the dropout / DP-SGD sweep, one config override per variant

@@ -40,11 +40,10 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     """
     if alpha <= 0:
         raise InputError("alpha must be > 0")
-    fid = nn.feature_layer_id(arch)
-    off, length = pv.layout[fid]
+    off, length = pv.layout[arch.feature_id]
     out = np.zeros(aux.n_label)
     for c in range(aux.n_label):
-        Xc = aux.class_batch(c)
+        Xc = aux.per_class[c]
         if len(Xc) == 0:
             raise InputError(f"auxiliary store has no samples for class {c}")
         yc = np.full(len(Xc), c, dtype=np.int64)
@@ -147,13 +146,19 @@ def build_meta_dataset_centralized(shadows: List[ShadowRecord]) -> List[MetaSamp
     return [MetaSample(s.sensitivity, s.preference) for s in shadows]
 
 
+def _most_opposite(column, target: int, mode: str) -> List[int]:
+    """Every id but ``target``, most opposite first at one class: the largest
+    ``column[id]`` first in majority mode, the smallest first in minority
+    mode.  Ties go to the lower id."""
+    sign = -1.0 if mode == "majority" else 1.0
+    others = [j for j in range(len(column)) if j != target]
+    return sorted(others, key=lambda j: (sign * column[j], j))
+
+
 def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
     """The other shadow with the most opposite sensitivity at shadow i's class."""
     key = shadows[i].preference
-    others = [j for j in range(len(shadows)) if j != i]
-    if mode == "majority":
-        return max(others, key=lambda j: (shadows[j].sensitivity[key], -j))
-    return min(others, key=lambda j: (shadows[j].sensitivity[key], j))
+    return _most_opposite([s.sensitivity[key] for s in shadows], i, mode)[0]
 
 
 def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStore,
@@ -179,15 +184,6 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStor
         s2 = extract_sensitivity(updated, arch, aux, alpha)
         samples.append(MetaSample(np.abs(s1 - s2), sh.preference))
     return samples
-
-
-def export_meta_csv(samples: List[MetaSample], path) -> None:
-    """CSV with one feature column per class plus the preference label."""
-    n_label = len(samples[0].features)
-    with open(path, "w") as f:
-        f.write(",".join(f"s{c}" for c in range(n_label)) + ",label\n")
-        for s in samples:
-            f.write(",".join(repr(float(v)) for v in s.features) + f",{s.label}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +252,7 @@ def select_partners(target_user: int, all_sensitivities, x: int,
         raise InputError(f"x={x} but only {n - 1} other users exist")
     s_t = np.asarray(all_sensitivities[target_user])
     c = int(np.argmin(s_t)) if mode == "majority" else int(np.argmax(s_t))
-    others = [u for u in range(n) if u != target_user]
-    if mode == "majority":
-        others.sort(key=lambda u: (-all_sensitivities[u][c], u))
-    else:
-        others.sort(key=lambda u: (all_sensitivities[u][c], u))
-    return others[:x]
+    return _most_opposite([s[c] for s in all_sensitivities], target_user, mode)[:x]
 
 
 # ---------------------------------------------------------------------------
@@ -312,31 +303,13 @@ def profile_round(state: ProfilerState, user: int, features: np.ndarray,
     return pred, locked
 
 
-def topk_accuracy(predicted_rankings, true_rankings, k: int) -> float:
-    """Fraction of users whose top-k predicted set equals the true top-k set.
-
-    Order within the top-k is ignored, but at k=1 a preference ranked second
-    still counts as a miss.
-    """
-    if len(predicted_rankings) != len(true_rankings):
-        raise InputError("ranking lists differ in length")
-    hits = 0
-    for pred, true in zip(predicted_rankings, true_rankings):
-        if k > len(pred) or k > len(true):
-            raise InputError(f"k={k} exceeds ranking length")
-        if set(int(c) for c in pred[:k]) == set(int(c) for c in true[:k]):
-            hits += 1
-    return hits / len(predicted_rankings)
-
-
 def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int) -> float:
     """Top-k accuracy against count-derived ground truth, tie-aware.
 
     Classes with counts strictly above the k-th largest count are mandatory;
     classes tied at the k-th count are interchangeable.  A prediction is
-    correct iff its top-k set is one of the valid top-k sets.  With distinct
-    counts this coincides with :func:`topk_accuracy` against the count
-    ranking.
+    correct iff its top-k set is one of the valid top-k sets, so order within
+    the top-k is ignored, but at k=1 a preference ranked second is a miss.
     """
     if len(predicted_rankings) != len(class_counts_list):
         raise InputError("rankings and counts differ in length")

@@ -11,7 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import attack, defense, harness, nn
+from . import defense, harness, nn
 from .errors import ConfigError, FedprofError
 
 
@@ -77,7 +77,7 @@ def cmd_meta_train(args) -> int:
     offline = harness.run_offline(cfg, staged)
     out.mkdir(parents=True, exist_ok=True)
     nn.save_checkpoint(out / "meta.ppam", offline.meta.params, offline.meta.arch)
-    attack.export_meta_csv(offline.meta_samples, out / "meta_dataset.csv")
+    harness.write_meta_csv(offline.meta_samples, out / "meta_dataset.csv")
     (out / "meta.json").write_text(json.dumps(
         {"train_accuracy": offline.meta.train_accuracy,
          "n_samples": len(offline.meta_samples)}, indent=2))

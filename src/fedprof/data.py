@@ -1,6 +1,4 @@
-"""Dataset synthesis, IDX container I/O, heterogeneous partitioning and the
-four distribution metrics (class proportion, class dominance, user dispersion,
-imbalance degree).
+"""Dataset synthesis, IDX container I/O and heterogeneous partitioning.
 
 All sampling is without replacement and deterministic given a seed.  Client
 datasets and the server's auxiliary store are kept disjoint by index
@@ -15,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, FormatError, SpecError
+from .errors import ConfigError, InputError, FormatError, SpecError
 from .seeding import derive_seed
 
 IMAGES_MAGIC = 0x00000803
@@ -108,8 +106,6 @@ class DistributionSpec:
 class FederationSpec:
     n_user: int
     specs: tuple
-    ud_target: Optional[float] = None
-    id_target: Optional[float] = None
 
     def __post_init__(self):
         if len(self.specs) != self.n_user:
@@ -121,7 +117,6 @@ class AuxiliaryStore:
     """Per-class sample lists held by the server, disjoint from every client."""
 
     per_class: list
-    samples_per_class: int
     n_label: int
     feature_shape: tuple = ()
     source_indices: Optional[list] = None
@@ -129,9 +124,6 @@ class AuxiliaryStore:
     def __post_init__(self):
         if len(self.per_class) != self.n_label:
             raise InputError("per_class list length must equal n_label")
-
-    def class_batch(self, c: int) -> np.ndarray:
-        return self.per_class[c]
 
     def to_dataset(self) -> LabeledDataset:
         X = np.concatenate(self.per_class, axis=0)
@@ -232,17 +224,15 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
         f.write(ds.y.astype(np.uint8).tobytes())
 
 
-def normalized_unit(ds: LabeledDataset) -> LabeledDataset:
-    """Min-max rescale features into [0, 1] (for IDX export of synthetic data)."""
-    lo, hi = ds.X.min(), ds.X.max()
-    span = hi - lo if hi > lo else 1.0
-    return LabeledDataset((ds.X - lo) / span, ds.y, ds.n_label,
-                          ds.feature_shape, ds.source_indices)
-
-
 # ---------------------------------------------------------------------------
 # Heterogeneous partitioning
 # ---------------------------------------------------------------------------
+
+
+def preference_class(counts: np.ndarray, mode: str) -> int:
+    """The most (majority mode) or least (minority mode) frequent class; ties
+    go to the lowest class index."""
+    return int(np.argmax(counts) if mode == "majority" else np.argmin(counts))
 
 
 def spec_counts(spec: DistributionSpec) -> np.ndarray:
@@ -359,63 +349,8 @@ def build_auxiliary(pool: LabeledDataset, samples_per_class: int,
     if samples_per_class < 0:
         raise InputError("samples_per_class must be >= 0")
     batches, indices = sample_per_class(pool, samples_per_class, excluded_indices)
-    return AuxiliaryStore(batches, samples_per_class, pool.n_label,
+    return AuxiliaryStore(batches, pool.n_label,
                           feature_shape=pool.feature_shape, source_indices=indices)
-
-
-# ---------------------------------------------------------------------------
-# Distribution metrics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FederationMetrics:
-    cp: np.ndarray
-    cd: np.ndarray
-    ud: float
-    id: float
-
-
-def majority_class(counts: np.ndarray) -> int:
-    return int(np.argmax(counts))  # tie -> lowest index
-
-
-def minority_class(counts: np.ndarray) -> int:
-    return int(np.argmin(counts))
-
-
-def preference_class(counts: np.ndarray, mode: str) -> int:
-    return majority_class(counts) if mode == "majority" else minority_class(counts)
-
-
-def metrics(federation: list) -> FederationMetrics:
-    """CP/CD per user plus the federation-level UD and ID.
-
-    UD counts, for each of the n_label classes, how many users prefer it
-    (zero for classes nobody prefers) and reports (max - min) / n_user, so a
-    federation where everyone shares one preference scores 1.  ID is the
-    sample variance (ddof=1) of the per-user dataset sizes, 0 for a single
-    user.
-    """
-    if not federation:
-        raise InputError("federation is empty")
-    n_label = federation[0].n_label
-    cp, cd, majors, sizes = [], [], [], []
-    for ds in federation:
-        counts = ds.class_counts
-        size = counts.sum()
-        order = np.sort(counts)
-        cp.append(order[-1] / size)
-        if np.count_nonzero(counts) <= 1:
-            cd.append(0.0)
-        else:
-            cd.append((order[-1] - order[-2]) / size)
-        majors.append(majority_class(counts))
-        sizes.append(int(size))
-    mult = np.bincount(np.asarray(majors), minlength=n_label)
-    ud = float((mult.max() - mult.min()) / len(federation))
-    id_ = float(np.var(sizes, ddof=1)) if len(sizes) > 1 else 0.0
-    return FederationMetrics(np.asarray(cp), np.asarray(cd), ud, id_)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +396,11 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
                id_target: Optional[float] = None) -> np.ndarray:
     """Per-user dataset sizes: total_size each, or with id_target set,
     total_size +/- delta with delta solved so the sample variance hits the
-    target (sizes clamp below at n_label)."""
+    target (sizes clamp below at n_label).
+
+    Raises ConfigError, naming federation.id_target, when the largest size
+    does not fit in int64.
+    """
     if id_target is None or n_user < 2:
         return np.full(n_user, total_size, dtype=np.int64)
     pattern = np.array([1 if u % 2 == 0 else -1 for u in range(n_user)], dtype=np.float64)
@@ -470,6 +409,10 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
     pattern -= pattern.mean()
     denom = float((pattern ** 2).sum())
     delta = np.sqrt(id_target * (n_user - 1) / denom) if denom > 0 else 0.0
+    largest = total_size + delta * pattern.max()
+    if not largest < 2.0 ** 63:  # also catches an infinite delta
+        raise ConfigError(f"federation.id_target {id_target:g} makes the largest user "
+                          f"dataset {largest:g} samples, beyond the int64 range")
     return np.maximum(n_label, np.rint(total_size + delta * pattern)).astype(np.int64)
 
 
@@ -511,4 +454,4 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
         specs.append(DistributionSpec(n_label, int(sizes[u]), cp, cd, prefs[u], mode))
-    return FederationSpec(n_user, tuple(specs), ud_target, id_target)
+    return FederationSpec(n_user, tuple(specs))

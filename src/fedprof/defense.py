@@ -7,6 +7,7 @@ defense block, so every variant is the same experiment with identical seeds.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
@@ -62,9 +63,5 @@ def run_defense_sweep(cfg: harness.ExperimentConfig, variants: list,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep.csv", "w") as f:
-            f.write("label,noise_multiplier,attack_acc_top1,model_utility\n")
-            for r in rows:
-                nm = "" if r.noise_multiplier is None else repr(r.noise_multiplier)
-                f.write(f"{r.label},{nm},{r.attack_acc_top1!r},{r.model_utility!r}\n")
+        harness.write_csv(out_dir / "sweep.csv", [dataclasses.asdict(r) for r in rows])
     return rows

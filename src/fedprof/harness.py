@@ -82,7 +82,6 @@ _SCHEMA = {
         "shadow_size": (None, _POS_INT),
         "shadow_cp_range": ([0.35, 0.7], _RANGE),
         "shadow_cd_range": ([0.1, 0.6], _RANGE),
-        "feature_mode": ("differential", lambda v: v in ("differential", "sensitivity")),
         "meta": {
             "hidden": (32, _POS_INT),
             "learning_rate": (0.1, _POS),
@@ -207,6 +206,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
                         f"({smallest} samples, set by {key})")
     if problems:
         raise ConfigError("; ".join(problems))
+    _shadow_size(resolved["attack"], ds["n_label"])
     return ExperimentConfig(resolved)
 
 
@@ -291,6 +291,26 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     return StagedData(clients, aux, test_X, test_y, arch)
 
 
+def _shadow_size(atk: dict, n_label: int) -> int:
+    """Samples per shadow dataset, for the resolved ``attack`` block.
+
+    A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
+    all drawn from that class's aux_per_class samples, so the size is capped
+    at int(aux_per_class / shadow_cp_range[1]).  A null attack.shadow_size
+    defaults to max(2 * n_label, int(aux_per_class * n_label / 10 * 1.3)),
+    cut to the cap; an explicit one above the cap is a ConfigError.
+    """
+    cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
+    size = atk["shadow_size"]
+    if size is None:
+        return min(max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3)), cap)
+    if size > cap:
+        raise ConfigError(f"attack.shadow_size {size} exceeds {cap}, the most the auxiliary "
+                          f"store can supply (attack.aux_per_class / "
+                          f"attack.shadow_cp_range[1])")
+    return size
+
+
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
     d = cfg["defense"]
     dp = (nn.DpConfig(clip_norm=d["clip_norm"], noise_multiplier=d["noise_multiplier"])
@@ -331,11 +351,7 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     atk = cfg["attack"]
     n_label = staged.aux.n_label
     train_cfg = client_train_config(cfg)
-    shadow_size = atk["shadow_size"]
-    if shadow_size is None:
-        shadow_size = max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3))
-        cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
-        shadow_size = min(shadow_size, cap)
+    shadow_size = _shadow_size(atk, n_label)
     sampler = attack.default_shadow_sampler(
         n_label, shadow_size, tuple(atk["shadow_cp_range"]),
         tuple(atk["shadow_cd_range"]), atk["mode"],
@@ -452,14 +468,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
 
     atk = cfg["attack"]
     history, states = run_online(cfg, staged)
-    profile = attack.profile_history(history, offline.meta, atk["feature_mode"],
-                                     atk["th_round"])
+    profile = attack.profile_history(history, offline.meta, "differential", atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
         base_history, base_states = run_online(cfg, staged, aggregation="fedavg")
         base_final = base_states[-1]
-        base_profile = attack.profile_history(base_history, offline.meta,
-                                              atk["feature_mode"], atk["th_round"])
+        base_profile = attack.profile_history(base_history, offline.meta, "differential",
+                                              atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
     truth = [data.preference_class(c.class_counts, atk["mode"]) for c in staged.clients]
@@ -507,7 +522,7 @@ def persist_run(report: RunReport, offline: Optional[OfflineArtifacts],
         for entry in report.round_log:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
     if offline is not None:
-        attack.export_meta_csv(offline.meta_samples, out_dir / "meta_dataset.csv")
+        write_meta_csv(offline.meta_samples, out_dir / "meta_dataset.csv")
         nn.save_checkpoint(out_dir / "meta.ppam", offline.meta.params, offline.meta.arch)
     if timings is not None:
         (out_dir / "timings.json").write_text(json.dumps(timings, indent=2))
@@ -595,12 +610,19 @@ def report_runs(run_dirs: list, k_values=(1, 2, 3), out_dir: Optional[Path] = No
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_dir / "summary.csv", summary)
-        _write_csv(out_dir / "ds_vs_round.csv", ds_rows)
+        write_csv(out_dir / "summary.csv", summary)
+        write_csv(out_dir / "ds_vs_round.csv", ds_rows)
     return summary, ds_rows
 
 
-def _write_csv(path: Path, rows: list) -> None:
+def write_meta_csv(samples: list, path: Path) -> None:
+    """One feature column per class (s0, s1, ...), then the preference label."""
+    write_csv(path, [{**{f"s{c}": float(v) for c, v in enumerate(s.features)}, "label": s.label}
+                     for s in samples])
+
+
+def write_csv(path: Path, rows: list) -> None:
+    """One column per key of the first row; None is written as an empty field."""
     if not rows:
         path.write_text("")
         return

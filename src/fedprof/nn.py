@@ -187,10 +187,6 @@ class Architecture:
         return Architecture(tuple(layers), tuple(raw["input_shape"]), raw["n_classes"])
 
 
-def feature_layer_id(arch: Architecture) -> str:
-    return arch.feature_id
-
-
 # ---------------------------------------------------------------------------
 # Parameter vectors
 # ---------------------------------------------------------------------------
@@ -223,10 +219,6 @@ class ParamVector:
 
     def same_layout(self, other: "ParamVector") -> bool:
         return self.layout == other.layout and self.values.size == other.values.size
-
-
-# A gradient has exactly the shape and layout of the model it came from.
-GradientVector = ParamVector
 
 
 def zeros_like_params(arch: Architecture) -> ParamVector:
@@ -392,8 +384,9 @@ def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.nda
     return logits
 
 
-def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> GradientVector:
-    """Gradient of the mean batch loss w.r.t. every parameter (eval mode)."""
+def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> ParamVector:
+    """Gradient of the mean batch loss w.r.t. every parameter (eval mode), in
+    the model's layout."""
     return _loss_and_grad(pv, arch, X, y)[1]
 
 
@@ -439,7 +432,7 @@ class TrainConfig:
             raise InputError("batch_size must be >= 1")
 
 
-def sgd_step(pv: ParamVector, grad: GradientVector, lr: float) -> ParamVector:
+def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     if lr <= 0:
         raise InputError("learning rate must be > 0")
     if not pv.same_layout(grad):

@@ -89,14 +89,13 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
     with criterion(2, "delta-based sensitivity equals summed feature-layer gradient (1e-9 rel)"):
         rng = np.random.default_rng(4100)
         arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)
-        fid = nn.feature_layer_id(arch)
         alpha = 0.05
         for trial in range(100):
             params = nn.init_params(arch, seed=trial)
             batches = [rng.standard_normal((int(rng.integers(3, 9)), 6)) for _ in range(4)]
-            aux = data.AuxiliaryStore(batches, 0, 4)
+            aux = data.AuxiliaryStore(batches, 4)
             got = attack.extract_sensitivity(params, arch, aux, alpha)
-            off, length = params.layout[fid]
+            off, length = params.layout[arch.feature_id]
             for c in range(4):
                 grad = nn.backward(params, arch, batches[c], np.full(len(batches[c]), c))
                 want = np.abs(grad.values[off:off + length]).sum()

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fedprof import attack, data, fedsim, nn
+from fedprof import attack, data, fedsim, harness, nn
 from fedprof.errors import ConfigError, InputError, StateError
 
 
@@ -29,10 +29,9 @@ def test_sensitivity_matches_summed_feature_layer_gradient(world):
     params = nn.init_params(arch, seed=1)
     alpha = 0.01
     got = attack.extract_sensitivity(params, arch, aux, alpha)
-    fid = nn.feature_layer_id(arch)
-    off, length = params.layout[fid]
+    off, length = params.layout[arch.feature_id]
     for c in range(4):
-        Xc = aux.class_batch(c)
+        Xc = aux.per_class[c]
         grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
         want = np.abs(grad.values[off:off + length]).sum()
         assert got[c] == pytest.approx(want, rel=1e-9)
@@ -45,7 +44,7 @@ def test_sensitivity_zero_at_stationary_point(world):
     params = nn.zeros_like_params(big)
     W, b = nn._layer_params(params, big, 0)
     b[:] = [80.0, -80.0]  # class 0 always wins regardless of input
-    aux2 = data.AuxiliaryStore([aux.per_class[0], aux.per_class[1]], 30, 2)
+    aux2 = data.AuxiliaryStore([aux.per_class[0], aux.per_class[1]], 2)
     s = attack.extract_sensitivity(params, big, aux2, 0.01)
     assert s[0] < 1e-6
 
@@ -60,7 +59,7 @@ def test_sensitivity_never_mutates_the_model(world):
 
 def test_sensitivity_rejects_empty_class_and_bad_alpha(world):
     pool, aux, arch = world
-    empty = data.AuxiliaryStore([np.zeros((0, 8))] * 4, 0, 4)
+    empty = data.AuxiliaryStore([np.zeros((0, 8))] * 4, 4)
     params = nn.init_params(arch, seed=3)
     with pytest.raises(InputError):
         attack.extract_sensitivity(params, arch, empty, 0.001)
@@ -220,7 +219,7 @@ def test_meta_csv_export(tmp_path, shadows, world):
     pool, aux, arch = world
     samples = attack.build_meta_dataset_centralized(shadows)
     path = tmp_path / "meta.csv"
-    attack.export_meta_csv(samples, path)
+    harness.write_meta_csv(samples, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s0,s1,s2,s3,label"
     assert len(lines) == len(samples) + 1
@@ -377,25 +376,29 @@ def test_profiling_locked_user_is_state_error():
 # ---------------------------------------------------------------------------
 
 
+# Distinct counts: the true ranking is strict, so exactly one top-k set is valid.
+
+
 def test_topk_order_free_within_the_set():
-    truth = [np.array([0, 1, 2, 3])]
+    counts = [[4, 3, 2, 1]]  # true ranking 0, 1, 2, 3
     for pred in ([0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3]):
-        assert attack.topk_accuracy([np.array(pred)], truth, 3) == 1.0
+        assert attack.topk_accuracy_from_counts([np.array(pred)], counts, 3) == 1.0
 
 
 def test_top1_ranked_second_is_a_miss():
-    truth = [np.array([0, 1, 2])]
+    counts = [[3, 2, 1]]  # true ranking 0, 1, 2
     pred = [np.array([1, 0, 2])]
-    assert attack.topk_accuracy(pred, truth, 1) == 0.0
-    assert attack.topk_accuracy(pred, truth, 2) == 1.0
+    assert attack.topk_accuracy_from_counts(pred, counts, 1) == 0.0
+    assert attack.topk_accuracy_from_counts(pred, counts, 2) == 1.0
 
 
 def test_topk_exact_prediction_is_always_correct():
     truth = [np.array([2, 0, 1, 3])]
+    counts = [[3, 2, 4, 1]]  # true ranking 2, 0, 1, 3
     for k in (1, 2, 3, 4):
-        assert attack.topk_accuracy(truth, truth, k) == 1.0
+        assert attack.topk_accuracy_from_counts(truth, counts, k) == 1.0
     with pytest.raises(InputError):
-        attack.topk_accuracy(truth, truth, 5)
+        attack.topk_accuracy_from_counts(truth, counts, 5)
 
 
 def test_topk_from_counts_tie_aware():

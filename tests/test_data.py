@@ -1,4 +1,4 @@
-"""Dataset synthesis, IDX I/O, partitioning and distribution-metric tests."""
+"""Dataset synthesis, IDX I/O and partitioning tests."""
 
 import struct
 
@@ -140,9 +140,13 @@ def test_spec_counts_cp_one_boundary():
     spec = data.DistributionSpec(10, 100, cp=1.0, cd=0.0, preferred_class=3)
     counts = data.spec_counts(spec)
     assert counts[3] == 100 and counts.sum() == 100
-    ds = data.LabeledDataset(np.zeros((100, 2)), np.full(100, 3), 10)
-    m = data.metrics([ds])
-    assert m.cp[0] == 1.0 and m.cd[0] == 0.0
+    assert np.count_nonzero(counts) == 1  # CP 1, CD 0: no runner-up class
+
+
+def test_preference_class_by_mode_ties_to_lowest_index():
+    counts = np.array([5, 9, 2, 9, 2])
+    assert data.preference_class(counts, "majority") == 1
+    assert data.preference_class(counts, "minority") == 2
 
 
 def test_spec_counts_negative_runner_up_is_spec_error():
@@ -264,54 +268,16 @@ def test_federation_matches_spec_counts():
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Federation specs
 # ---------------------------------------------------------------------------
 
 
-def _ds_with_counts(counts, n_label):
-    y = np.repeat(np.arange(len(counts)), counts)
-    return data.LabeledDataset(np.zeros((len(y), 2)), y, n_label)
-
-
-def test_ud_worked_example():
-    # 10 users over 3 classes with majority multiplicities 5/3/2 -> 30%.
-    majors = [0] * 5 + [1] * 3 + [2] * 2
-    fed = [_ds_with_counts({0: [8, 1, 1], 1: [1, 8, 1], 2: [1, 1, 8]}[m], 3)
-           for m in majors]
-    m = data.metrics(fed)
-    assert m.ud == pytest.approx(0.30)
-
-
-def test_ud_is_one_when_all_users_share_a_preference():
-    fed = [_ds_with_counts([8, 1, 1], 3) for _ in range(6)]
-    assert data.metrics(fed).ud == 1.0
-
-
-def test_id_zero_for_equal_sizes_and_sample_variance_otherwise():
-    fed = [_ds_with_counts([5, 3, 2], 3) for _ in range(4)]
-    assert data.metrics(fed).id == 0.0
-    uneven = [_ds_with_counts([5, 3, 2], 3), _ds_with_counts([10, 6, 4], 3)]
-    assert data.metrics(uneven).id == pytest.approx(np.var([10, 20], ddof=1))
-
-
-def test_single_user_cp_cd():
-    ds = _ds_with_counts([40, 20, 5, 5, 5, 5, 5, 5, 5, 5], 10)
-    m = data.metrics([ds])
-    assert m.cp[0] == pytest.approx(0.40)
-    assert m.cd[0] == pytest.approx(0.20)
-    assert m.id == 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 30), min_size=3, max_size=3).filter(lambda c: sum(c) > 0),
-                min_size=1, max_size=8))
-def test_metric_ranges(countss):
-    fed = [_ds_with_counts(c, 3) for c in countss]
-    m = data.metrics(fed)
-    assert ((m.cp > 0) & (m.cp <= 1)).all()
-    assert ((m.cd >= 0) & (m.cd <= 1)).all()
-    assert 0.0 <= m.ud <= 1.0
-    assert m.id >= 0.0
+def test_make_federation_spec_ud_target_shares_class_zero():
+    fed = data.make_federation_spec(10, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
+                                    ud_target=0.3)
+    prefs = [s.preferred_class for s in fed.specs]
+    assert prefs[:3] == [0, 0, 0]
+    assert 0 not in prefs[3:]
 
 
 def test_make_federation_spec_hits_id_target():

@@ -116,6 +116,13 @@ def test_user_dataset_smaller_than_batch_size_is_a_config_error(federation, key)
     assert key in str(err.value)
 
 
+def test_shadow_size_cap_boundary():
+    # FAST: 30 aux samples per class, shadow_cp_range[1] 0.7 -> cap int(30 / 0.7) = 42
+    fast_config(attack={**FAST["attack"], "shadow_size": 42})
+    with pytest.raises(ConfigError, match="attack.shadow_size 43 exceeds 42"):
+        fast_config(attack={**FAST["attack"], "shadow_size": 43})
+
+
 def test_idx_kind_requires_existing_files(tmp_path):
     raw = {"dataset": {"kind": "idx", "images": str(tmp_path / "x"), "labels": None}}
     with pytest.raises(ConfigError, match="dataset."):
@@ -232,6 +239,13 @@ def test_divergence_raises_numerical_error_naming_round_and_user():
         harness.run_experiment(cfg)
 
 
+def test_finite_divergence_raises_numerical_error_in_round_one():
+    # Parameters pass 1e17 after round 1 and stay finite for many more rounds.
+    cfg = fast_config(fl={**FAST["fl"], "learning_rate": 1e6, "local_epochs": 1})
+    with pytest.raises(NumericalError, match=r"round 1: .* user \d+ .*bound 1e\+06"):
+        harness.run_experiment(cfg)
+
+
 def test_hundred_user_run_completes_with_strong_attack():
     cfg = harness.validate_config(json.dumps({
         "seed": 77,
@@ -316,6 +330,20 @@ def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
     assert proc.returncode == 2
     assert "non-finite" in proc.stderr
     assert not list(tmp_path.rglob("report.json"))
+
+
+@pytest.mark.parametrize("section, override, key", [
+    ("attack", {"shadow_size": 500}, "attack.shadow_size"),  # aux store: 30 per class
+    ("federation", {"id_target": 1e308}, "federation.id_target"),  # sizes beyond int64
+])
+def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FAST, section: {**FAST[section], **override},
+                               "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert key in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_cli_shadow_and_meta_train(tmp_path):

@@ -478,7 +478,7 @@ def glorot_reference(arch, seed):
 def test_layout_and_feature_layer_match_written_references(overrides, layout, feature_id):
     arch = reference_arch(overrides)
     assert nn.zeros_like_params(arch).layout == layout
-    assert nn.feature_layer_id(arch) == feature_id
+    assert arch.feature_id == feature_id
     for layer_id in layout:
         index = int(layer_id.split(":")[0])
         layer = arch.layers[index]
