@@ -3,25 +3,25 @@ corpus and meta-classifier construction (centralized and federated variants),
 selective-aggregation partner choice, and streak-gated profiling as a fold
 over the round traces the server records.
 
-Model sensitivity of class c is the sum over the architecture's feature-layer
-parameters of |(theta - theta') / alpha|, where theta' is the model after one
-full-batch gradient step on the class-c auxiliary subset at rate alpha.  The
-profiler consumes the per-class absolute difference between the sensitivity
-of the model a user received last round and the sensitivity of the model it
-uploaded this round.
+Model sensitivity of class c is the L1 norm of the feature-layer gradient of
+the mean loss on the class-c auxiliary subset: how far one full-batch
+retraining step on that subset would move the feature layer, per unit of
+learning rate.  The profiler consumes the per-class absolute difference
+between the sensitivity of the model a user received last round and the
+sensitivity of the model it uploaded this round.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import fedsim, nn
 from .data import (AuxiliaryStore, DistributionSpec, LabeledDataset, preference_class,
-                   realize_distribution, sample_cp_cd)
+                   realize_distribution, sample_cp_cd, spec_counts)
 from .errors import ConfigError, InputError, StateError
 from .seeding import derive_seed
 
@@ -31,26 +31,18 @@ from .seeding import derive_seed
 
 
 def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
-                        aux: AuxiliaryStore, alpha: float) -> np.ndarray:
-    """Per-class model sensitivity via a one-step retrain on each class subset.
-
-    The input model is never mutated.  For a single gradient step the scaled
-    parameter delta equals the gradient restricted to the feature layer, so
-    this is exactly the summed absolute gradient there.
-    """
-    if alpha <= 0:
-        raise InputError("alpha must be > 0")
+                        aux: AuxiliaryStore) -> np.ndarray:
+    """Per-class model sensitivity: the summed absolute feature-layer gradient
+    of the mean loss on each class's auxiliary samples.  The input model is
+    never mutated."""
     off, length = pv.layout[arch.feature_id]
     out = np.zeros(aux.n_label)
     for c in range(aux.n_label):
         Xc = aux.per_class[c]
         if len(Xc) == 0:
             raise InputError(f"auxiliary store has no samples for class {c}")
-        yc = np.full(len(Xc), c, dtype=np.int64)
-        grad = nn.backward(pv, arch, Xc, yc)
-        retrained = nn.sgd_step(pv, grad, alpha)
-        delta = (pv.values[off:off + length] - retrained.values[off:off + length]) / alpha
-        out[c] = np.abs(delta).sum()
+        grad = nn.backward(pv, arch, Xc, np.full(len(Xc), c, dtype=np.int64))
+        out[c] = np.abs(grad.values[off:off + length]).sum()
     return out
 
 
@@ -101,36 +93,43 @@ def default_shadow_sampler(n_label: int, total_size: int,
     return sample
 
 
-def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture, n_shadows: int,
-                  spec_sampler: Callable, train_cfg: nn.TrainConfig,
-                  alpha: float, seed: int, mode: str = "majority") -> List[ShadowRecord]:
-    """Train shadow models on heterogeneous draws from the auxiliary pool.
-
-    Preference classes are forced round-robin, so every class is preferred by
-    at least one shadow whenever n_shadows >= n_label; each label is verified
-    against the realized class counts (resampling on the rare tie).
-    """
-    if n_shadows < aux.n_label:
-        raise ConfigError(
-            f"{n_shadows} shadows cannot cover {aux.n_label} preference classes"
-        )
-    pool = aux.to_dataset()
-    shadows = []
+def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed: int,
+                      mode: str = "majority") -> List[Tuple[DistributionSpec, int]]:
+    """One (spec, sub-seed) per shadow, preference classes forced round-robin
+    so every class is covered; a draw whose class counts do not prefer the
+    forced class is resampled.  No data is read, so a config can be checked
+    before a run."""
+    if n_shadows < n_label:
+        raise ConfigError(f"{n_shadows} shadows cannot cover {n_label} preference classes")
+    draws = []
     for i in range(n_shadows):
-        forced = i % aux.n_label
+        forced = i % n_label
         for attempt in range(50):
             sub = derive_seed(seed, "shadow", i, attempt)
             spec = spec_sampler(forced, np.random.default_rng(derive_seed(sub, "spec")))
-            ds = realize_distribution(pool, spec, seed=derive_seed(sub, "data"))
-            if preference_class(ds.class_counts, mode) == forced:
+            if preference_class(spec_counts(spec), mode) == forced:
                 break
         else:
             raise ConfigError(f"could not realize a shadow preferring class {forced}")
+        draws.append((spec, sub))
+    return draws
+
+
+def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture, n_shadows: int,
+                  spec_sampler: Callable, train_cfg: nn.TrainConfig,
+                  seed: int, mode: str = "majority") -> List[ShadowRecord]:
+    """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
+    realized from the auxiliary pool."""
+    pool = aux.to_dataset()
+    shadows = []
+    draws = draw_shadow_specs(aux.n_label, n_shadows, spec_sampler, seed, mode)
+    for i, (spec, sub) in enumerate(draws):
+        ds = realize_distribution(pool, spec, seed=derive_seed(sub, "data"))
         params = nn.init_params(arch, seed=derive_seed(sub, "init"))
         cfg = dataclasses.replace(train_cfg, seed=derive_seed(sub, "train"))
         params = nn.train(params, arch, ds.X, ds.y, cfg)
-        shadows.append(ShadowRecord(params, ds, forced,
-                                    extract_sensitivity(params, arch, aux, alpha)))
+        shadows.append(ShadowRecord(params, ds, i % aux.n_label,
+                                    extract_sensitivity(params, arch, aux)))
     return shadows
 
 
@@ -162,8 +161,7 @@ def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
 
 
 def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStore,
-                                 arch: nn.Architecture, alpha: float,
-                                 update_cfg: nn.TrainConfig, seed: int,
+                                 arch: nn.Architecture, update_cfg: nn.TrainConfig, seed: int,
                                  mode: str = "majority") -> List[MetaSample]:
     """Pair each shadow with its most opposite peer and mimic two FL rounds.
 
@@ -178,10 +176,10 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStor
     for i, sh in enumerate(shadows):
         partner = _pair_partner(shadows, i, mode)
         agg = fedsim.fedavg([sh.params, shadows[partner].params], [1.0, 1.0])
-        s1 = extract_sensitivity(agg, arch, aux, alpha)
+        s1 = extract_sensitivity(agg, arch, aux)
         cfg = dataclasses.replace(update_cfg, seed=derive_seed(seed, "shadow-update", i))
         updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, cfg)
-        s2 = extract_sensitivity(updated, arch, aux, alpha)
+        s2 = extract_sensitivity(updated, arch, aux)
         samples.append(MetaSample(np.abs(s1 - s2), sh.preference))
     return samples
 
@@ -303,19 +301,23 @@ def profile_round(state: ProfilerState, user: int, features: np.ndarray,
     return pred, locked
 
 
-def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int) -> float:
+def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int,
+                              mode: str = "majority") -> float:
     """Top-k accuracy against count-derived ground truth, tie-aware.
 
-    Classes with counts strictly above the k-th largest count are mandatory;
-    classes tied at the k-th count are interchangeable.  A prediction is
-    correct iff its top-k set is one of the valid top-k sets, so order within
-    the top-k is ignored, but at k=1 a preference ranked second is a miss.
+    The true ranking runs from the largest count down in majority mode and
+    from the smallest count up in minority mode.  Classes ranked strictly
+    before the k-th class are mandatory; classes tied with it are
+    interchangeable.  A prediction is correct iff its top-k set is one of the
+    valid top-k sets, so order within the top-k is ignored, but at k=1 a
+    preference ranked second is a miss.
     """
     if len(predicted_rankings) != len(class_counts_list):
         raise InputError("rankings and counts differ in length")
+    sign = 1 if mode == "majority" else -1
     hits = 0
     for rank, counts in zip(predicted_rankings, class_counts_list):
-        counts = np.asarray(counts)
+        counts = sign * np.asarray(counts)
         if k > counts.size or k > len(rank):
             raise InputError(f"k={k} exceeds the number of classes")
         kth = np.sort(counts)[::-1][k - 1]
@@ -344,35 +346,29 @@ class RoundTrace:
 
 class PreferenceProfiler:
     """Aggregation hook that extracts sensitivities, records a RoundTrace per
-    round and performs selective (or plain) aggregation.
+    round and aggregates each upload with its x :func:`select_partners`
+    partners at equal weights, or by plain FedAvg when x is None.
 
-    Verdicts never feed back into aggregation, so they are computed
-    afterwards by :func:`profile_history` over ``history``.
+    ``init_model`` is the model every user starts from.  Verdicts never feed
+    back into aggregation, so :func:`profile_history` computes them afterwards
+    over ``history``.
     """
 
-    def __init__(self, arch: nn.Architecture, aux: AuxiliaryStore, alpha: float,
-                 n_user: int, policy="fedavg"):
+    def __init__(self, arch: nn.Architecture, aux: AuxiliaryStore, n_user: int,
+                 init_model: nn.ParamVector, x: Optional[int] = None,
+                 mode: str = "majority"):
         self.arch = arch
         self.aux = aux
-        self.alpha = alpha
         self.n_user = n_user
-        self.policy = policy
-        self.prev_agg_sens: Optional[np.ndarray] = None
+        self.x = x
+        self.mode = mode
+        self.prev_agg_sens = np.tile(extract_sensitivity(init_model, arch, aux), (n_user, 1))
         self.history: List[RoundTrace] = []
-
-    def prime(self, init_model: nn.ParamVector) -> None:
-        """Record the sensitivity of the round-0 model every user received."""
-        s = extract_sensitivity(init_model, self.arch, self.aux, self.alpha)
-        self.prev_agg_sens = np.tile(s, (self.n_user, 1))
 
     def __call__(self, round_index: int, uploads: list, weights: list,
                  selected: list) -> list:
-        if self.prev_agg_sens is None:
-            raise StateError("profiler must be primed with the initial model")
-        sens = np.stack([
-            extract_sensitivity(uploads[u], self.arch, self.aux, self.alpha)
-            for u in range(self.n_user)
-        ])
+        sens = np.stack([extract_sensitivity(uploads[u], self.arch, self.aux)
+                         for u in range(self.n_user)])
         ds = differential_sensitivity(self.prev_agg_sens, sens)
         self.history.append(RoundTrace(round_index, sens, ds))
         distributed, self.prev_agg_sens = self._aggregate(round_index, uploads, weights,
@@ -381,19 +377,16 @@ class PreferenceProfiler:
 
     def _aggregate(self, round_index, uploads, weights, selected, sens):
         n = self.n_user
-        if self.policy == "fedavg":
+        if self.x is None:
             distributed = fedsim.fedavg_hook(round_index, uploads, weights, selected)
-            s = extract_sensitivity(distributed[0], self.arch, self.aux, self.alpha)
+            s = extract_sensitivity(distributed[0], self.arch, self.aux)
             return distributed, np.tile(s, (n, 1))
-        pol: fedsim.SelectivePolicy = self.policy
         distributed, agg_sens = [], []
         for u in range(n):
-            partners = select_partners(u, sens, pol.x, pol.mode)
-            group = [u] + partners
-            models = [uploads[v] for v in group]
-            agg = fedsim.fedavg(models, [1.0] * len(group), ids=group)
+            group = [u] + select_partners(u, sens, self.x, self.mode)
+            agg = fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group), ids=group)
             distributed.append(agg)
-            agg_sens.append(extract_sensitivity(agg, self.arch, self.aux, self.alpha))
+            agg_sens.append(extract_sensitivity(agg, self.arch, self.aux))
         return distributed, np.stack(agg_sens)
 
 

@@ -408,10 +408,14 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
         pattern[-1] = 0.0
     pattern -= pattern.mean()
     denom = float((pattern ** 2).sum())
-    delta = np.sqrt(id_target * (n_user - 1) / denom) if denom > 0 else 0.0
+    try:
+        target = float(id_target)
+    except OverflowError:  # a JSON integer beyond the float range
+        target = np.inf
+    delta = np.sqrt(target * (n_user - 1) / denom) if denom > 0 else 0.0
     largest = total_size + delta * pattern.max()
     if not largest < 2.0 ** 63:  # also catches an infinite delta
-        raise ConfigError(f"federation.id_target {id_target:g} makes the largest user "
+        raise ConfigError(f"federation.id_target {target:g} makes the largest user "
                           f"dataset {largest:g} samples, beyond the int64 range")
     return np.maximum(n_label, np.rint(total_size + delta * pattern)).astype(np.int64)
 

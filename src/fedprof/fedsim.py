@@ -27,15 +27,6 @@ DIVERGENCE_BOUND = 1e6
 
 
 @dataclass(frozen=True)
-class SelectivePolicy:
-    """Aggregate each user's model with x partner models chosen by the server,
-    averaged with equal weights."""
-
-    x: int
-    mode: str = "majority"
-
-
-@dataclass(frozen=True)
 class FlConfig:
     n_rounds: int
     train: nn.TrainConfig

@@ -72,7 +72,6 @@ _SCHEMA = {
         "aggregation": ("selective", lambda v: v in ("selective", "fedavg")),
     },
     "attack": {
-        "alpha": (0.001, _POS),
         "th_round": (3, _POS_INT),
         "x": (4, _POS_INT),
         "mode": ("majority", lambda v: v in ("majority", "minority")),
@@ -206,7 +205,21 @@ def validate_config(raw_text: str) -> ExperimentConfig:
                         f"({smallest} samples, set by {key})")
     if problems:
         raise ConfigError("; ".join(problems))
-    _shadow_size(resolved["attack"], ds["n_label"])
+    # Replay the run's shadow spec draws: each must realize its forced
+    # preference from at most aux_per_class samples of every class.
+    atk = resolved["attack"]
+    size, sampler, seed = _shadow_plan(resolved)
+    try:
+        draws = attack.draw_shadow_specs(ds["n_label"], atk["n_shadows"], sampler, seed,
+                                         atk["mode"])
+    except ConfigError as e:
+        raise ConfigError(f"attack.shadow_cp_range {atk['shadow_cp_range']} with "
+                          f"attack.shadow_cd_range {atk['shadow_cd_range']} in {atk['mode']} "
+                          f"mode: {e}") from None
+    need = max(int(data.spec_counts(spec).max()) for spec, _ in draws)
+    if need > atk["aux_per_class"]:
+        raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
+                          f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
     return ExperimentConfig(resolved)
 
 
@@ -291,8 +304,9 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     return StagedData(clients, aux, test_X, test_y, arch)
 
 
-def _shadow_size(atk: dict, n_label: int) -> int:
-    """Samples per shadow dataset, for the resolved ``attack`` block.
+def _shadow_plan(cfg: dict) -> tuple:
+    """(samples per shadow dataset, spec sampler, seed) of a resolved config's
+    shadows.
 
     A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
     all drawn from that class's aux_per_class samples, so the size is capped
@@ -300,15 +314,18 @@ def _shadow_size(atk: dict, n_label: int) -> int:
     defaults to max(2 * n_label, int(aux_per_class * n_label / 10 * 1.3)),
     cut to the cap; an explicit one above the cap is a ConfigError.
     """
+    atk, n_label = cfg["attack"], cfg["dataset"]["n_label"]
     cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
     size = atk["shadow_size"]
     if size is None:
-        return min(max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3)), cap)
-    if size > cap:
+        size = min(max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3)), cap)
+    elif size > cap:
         raise ConfigError(f"attack.shadow_size {size} exceeds {cap}, the most the auxiliary "
                           f"store can supply (attack.aux_per_class / "
                           f"attack.shadow_cp_range[1])")
-    return size
+    sampler = attack.default_shadow_sampler(n_label, size, tuple(atk["shadow_cp_range"]),
+                                            tuple(atk["shadow_cd_range"]), atk["mode"])
+    return size, sampler, derive_seed(cfg["seed"], "shadows")
 
 
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
@@ -351,19 +368,14 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     atk = cfg["attack"]
     n_label = staged.aux.n_label
     train_cfg = client_train_config(cfg)
-    shadow_size = _shadow_size(atk, n_label)
-    sampler = attack.default_shadow_sampler(
-        n_label, shadow_size, tuple(atk["shadow_cp_range"]),
-        tuple(atk["shadow_cd_range"]), atk["mode"],
-    )
+    shadow_size, sampler, shadow_seed = _shadow_plan(cfg.resolved)
     shadow_cfg = dataclasses.replace(train_cfg, epochs=atk["shadow_epochs"],
                                      batch_size=min(train_cfg.batch_size, shadow_size))
     shadows = attack.train_shadows(staged.aux, staged.arch, atk["n_shadows"], sampler,
-                                   shadow_cfg, atk["alpha"],
-                                   seed=derive_seed(seed, "shadows"), mode=atk["mode"])
+                                   shadow_cfg, seed=shadow_seed, mode=atk["mode"])
     update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
     meta_samples = attack.build_meta_dataset_federated(
-        shadows, staged.aux, staged.arch, atk["alpha"], update_cfg,
+        shadows, staged.aux, staged.arch, update_cfg,
         seed=derive_seed(seed, "meta-fed"), mode=atk["mode"],
     )
     return OfflineArtifacts(shadows, meta_samples, _train_meta(cfg, meta_samples, n_label))
@@ -375,28 +387,29 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
 
 
 def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[str] = None):
-    """FL with the attacking server.  Returns (round traces, round states)."""
+    """FL with the attacking server.
+
+    Returns (round traces, per-round (round index, local_acc, global_acc),
+    final round state); the models of earlier rounds are not kept.
+    """
     seed = cfg.seed
     atk = cfg["attack"]
     n_user = cfg["federation"]["n_user"]
-    aggregation = aggregation or cfg["fl"]["aggregation"]
-    policy = (fedsim.SelectivePolicy(x=atk["x"], mode=atk["mode"])
-              if aggregation == "selective" else "fedavg")
+    selective = (aggregation or cfg["fl"]["aggregation"]) == "selective"
     init = nn.init_params(staged.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(staged.arch, staged.aux, atk["alpha"], n_user,
-                                         policy=policy)
-    profiler.prime(init)
+    profiler = attack.PreferenceProfiler(staged.arch, staged.aux, n_user, init,
+                                         x=atk["x"] if selective else None, mode=atk["mode"])
     fl_cfg = fedsim.FlConfig(
         n_rounds=cfg["fl"]["n_rounds"], train=client_train_config(cfg),
         client_fraction=cfg["fl"]["client_fraction"],
     )
     state = fedsim.initial_state(n_user, init)
-    states = []
+    accs = []
     for _ in range(fl_cfg.n_rounds):
         state = fedsim.run_round(state, staged.clients, staged.arch, fl_cfg, profiler,
                                  derive_seed(seed, "fl"))
-        states.append(state)
-    return profiler.history, states
+        accs.append((state.round_index, state.local_acc, state.global_acc))
+    return profiler.history, accs, state
 
 
 # ---------------------------------------------------------------------------
@@ -439,19 +452,11 @@ def _ds_trace(history: list, truth: list) -> list:
             for tr in history]
 
 
-def _round_log(states: list, profile: attack.Profile) -> list:
-    log = []
-    for st, preds, locked in zip(states, profile.predictions, profile.locked):
-        for u in range(len(st.uploaded)):
-            log.append({
-                "round": st.round_index,
-                "user": u,
-                "local_acc_before": st.local_acc[u],
-                "global_acc_after": st.global_acc[u],
-                "locked": locked[u] is not None,
-                "predicted_class": preds[u],
-            })
-    return log
+def _round_log(accs: list, profile: attack.Profile) -> list:
+    return [{"round": rnd, "user": u, "local_acc_before": local[u], "global_acc_after": glob[u],
+             "locked": locked[u] is not None, "predicted_class": preds[u]}
+            for (rnd, local, glob), preds, locked in zip(accs, profile.predictions, profile.locked)
+            for u in range(len(local))]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
@@ -467,19 +472,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     t_offline = time.time() - t0
 
     atk = cfg["attack"]
-    history, states = run_online(cfg, staged)
+    history, accs, final = run_online(cfg, staged)
     profile = attack.profile_history(history, offline.meta, "differential", atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
-        base_history, base_states = run_online(cfg, staged, aggregation="fedavg")
-        base_final = base_states[-1]
+        base_history, _, base_final = run_online(cfg, staged, aggregation="fedavg")
         base_profile = attack.profile_history(base_history, offline.meta, "differential",
                                               atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
     truth = [data.preference_class(c.class_counts, atk["mode"]) for c in staged.clients]
     counts = [c.class_counts.tolist() for c in staged.clients]
-    topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k)
+    topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k, atk["mode"])
             for k in (1, 2, 3)}
     report = RunReport(
         run_id=run_id_for(cfg),
@@ -489,18 +493,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         predictions=profile.verdicts,
         lock_rounds=profile.lock_rounds,
         topk=topk,
-        utility_test_with=_mean_test_acc(states[-1], staged),
+        utility_test_with=_mean_test_acc(final, staged),
         utility_test_without=(None if base_final is None
                               else _mean_test_acc(base_final, staged)),
-        utility_own_with=float(np.mean(states[-1].global_acc)),
+        utility_own_with=float(np.mean(final.global_acc)),
         utility_own_without=(None if base_final is None
                              else float(np.mean(base_final.global_acc))),
         meta_train_accuracy=offline.meta.train_accuracy,
         ds_trace_attack=_ds_trace(history, truth),
         ds_trace_baseline=None if base_history is None else _ds_trace(base_history, truth),
         baseline_top1=(None if base_profile is None else attack.topk_accuracy_from_counts(
-            base_profile.rankings, counts, 1)),
-        round_log=_round_log(states, profile),
+            base_profile.rankings, counts, 1, atk["mode"])),
+        round_log=_round_log(accs, profile),
     )
     if out_dir is not None:
         persist_run(report, offline, Path(out_dir),
@@ -541,21 +545,21 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     offline = run_offline(cfg, staged)
     centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows),
                               staged.aux.n_label)
-    history, _ = run_online(cfg, staged)
+    history, _, _ = run_online(cfg, staged)
+    mode = cfg["attack"]["mode"]
     counts = [c.class_counts.tolist() for c in staged.clients]
-    truth = [data.preference_class(c.class_counts, cfg["attack"]["mode"])
-             for c in staged.clients]
+    truth = [data.preference_class(c.class_counts, mode) for c in staged.clients]
     out = {}
-    for label, meta, mode in (
+    for label, meta, features in (
         ("centralized", centralized, "sensitivity"),
         ("federated", offline.meta, "differential"),
     ):
         hits = [meta.predict(f) == t for tr in history
-                for f, t in zip(attack.round_features(tr, mode), truth)]
-        profile = attack.profile_history(history, meta, mode, cfg["attack"]["th_round"])
+                for f, t in zip(attack.round_features(tr, features), truth)]
+        profile = attack.profile_history(history, meta, features, cfg["attack"]["th_round"])
         out[label] = {
             "accuracy": sum(hits) / len(hits),
-            "locked_top1": attack.topk_accuracy_from_counts(profile.rankings, counts, 1),
+            "locked_top1": attack.topk_accuracy_from_counts(profile.rankings, counts, 1, mode),
             "predictions": profile.verdicts,
             "lock_rounds": profile.lock_rounds,
             "meta_train_accuracy": meta.train_accuracy,

@@ -86,15 +86,14 @@ def test_criterion_01_gradient_matches_finite_differences():
 
 
 def test_criterion_02_sensitivity_identity_on_random_pairs():
-    with criterion(2, "delta-based sensitivity equals summed feature-layer gradient (1e-9 rel)"):
+    with criterion(2, "sensitivity equals summed absolute feature-layer gradient (1e-9 rel)"):
         rng = np.random.default_rng(4100)
         arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)
-        alpha = 0.05
         for trial in range(100):
             params = nn.init_params(arch, seed=trial)
             batches = [rng.standard_normal((int(rng.integers(3, 9)), 6)) for _ in range(4)]
             aux = data.AuxiliaryStore(batches, 4)
-            got = attack.extract_sensitivity(params, arch, aux, alpha)
+            got = attack.extract_sensitivity(params, arch, aux)
             off, length = params.layout[arch.feature_id]
             for c in range(4):
                 grad = nn.backward(params, arch, batches[c], np.full(len(batches[c]), c))
@@ -155,7 +154,7 @@ def test_criterion_04_binary_ratio_monotonicity():
             params = nn.init_params(arch, seed=derive_seed(pool_seed, "init"))
             cfg = nn.TrainConfig(0.01, 1, 32, seed=derive_seed(pool_seed, "train", i))
             trained = nn.train(params, arch, ds.X, ds.y, cfg)
-            s_at_a.append(attack.extract_sensitivity(trained, arch, aux, 0.001)[0])
+            s_at_a.append(attack.extract_sensitivity(trained, arch, aux)[0])
         rho = stats.spearmanr(ratios, s_at_a).statistic
         print(f"\n  ratio sweep S[A]: {np.round(s_at_a, 3)}  spearman={rho:+.3f}")
         assert rho <= -0.9
@@ -185,7 +184,7 @@ def test_criterion_05_sensitivity_extremes():
             params = nn.init_params(arch, seed=derive_seed(4400 + t, "init"))
             cfg = nn.TrainConfig(0.03, 1, 32, seed=derive_seed(4500 + t, "train"))
             trained = nn.train(params, arch, ds.X, ds.y, cfg)
-            s = attack.extract_sensitivity(trained, arch, aux, 0.001)
+            s = attack.extract_sensitivity(trained, arch, aux)
             ok_min += int(np.argmin(s) == 1)
             ok_max += int(np.argmax(s) == 8)
         print(f"\n  argmin hits {ok_min}/20, argmax hits {ok_max}/20")

@@ -27,8 +27,7 @@ def world():
 def test_sensitivity_matches_summed_feature_layer_gradient(world):
     pool, aux, arch = world
     params = nn.init_params(arch, seed=1)
-    alpha = 0.01
-    got = attack.extract_sensitivity(params, arch, aux, alpha)
+    got = attack.extract_sensitivity(params, arch, aux)
     off, length = params.layout[arch.feature_id]
     for c in range(4):
         Xc = aux.per_class[c]
@@ -45,7 +44,7 @@ def test_sensitivity_zero_at_stationary_point(world):
     W, b = nn._layer_params(params, big, 0)
     b[:] = [80.0, -80.0]  # class 0 always wins regardless of input
     aux2 = data.AuxiliaryStore([aux.per_class[0], aux.per_class[1]], 2)
-    s = attack.extract_sensitivity(params, big, aux2, 0.01)
+    s = attack.extract_sensitivity(params, big, aux2)
     assert s[0] < 1e-6
 
 
@@ -53,18 +52,16 @@ def test_sensitivity_never_mutates_the_model(world):
     pool, aux, arch = world
     params = nn.init_params(arch, seed=2)
     before = params.values.copy()
-    attack.extract_sensitivity(params, arch, aux, 0.001)
+    attack.extract_sensitivity(params, arch, aux)
     assert np.array_equal(params.values, before)
 
 
-def test_sensitivity_rejects_empty_class_and_bad_alpha(world):
+def test_sensitivity_rejects_empty_class(world):
     pool, aux, arch = world
     empty = data.AuxiliaryStore([np.zeros((0, 8))] * 4, 4)
     params = nn.init_params(arch, seed=3)
     with pytest.raises(InputError):
-        attack.extract_sensitivity(params, arch, empty, 0.001)
-    with pytest.raises(InputError):
-        attack.extract_sensitivity(params, arch, aux, 0.0)
+        attack.extract_sensitivity(params, arch, empty)
 
 
 def test_skewed_training_orders_sensitivity():
@@ -79,7 +76,7 @@ def test_skewed_training_orders_sensitivity():
     ds = pool.subset(idx)
     params = nn.train(nn.init_params(arch, seed=4), arch, ds.X, ds.y,
                       nn.TrainConfig(0.03, 1, 32, seed=5))
-    s = attack.extract_sensitivity(params, arch, aux, 0.001)
+    s = attack.extract_sensitivity(params, arch, aux)
     assert int(np.argmin(s)) == 0
     assert int(np.argmax(s)) == 1
 
@@ -117,7 +114,7 @@ def shadows(world):
     pool, aux, arch = world
     sampler = attack.default_shadow_sampler(4, 40)
     cfg = nn.TrainConfig(0.05, 3, 16, seed=0)
-    return attack.train_shadows(aux, arch, 8, sampler, cfg, 0.001, seed=77)
+    return attack.train_shadows(aux, arch, 8, sampler, cfg, seed=77)
 
 
 def test_shadows_cover_every_class(shadows):
@@ -134,7 +131,7 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
         return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred)
 
     cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
-    out = attack.train_shadows(aux, arch, 4, strict_sampler, cfg, 0.001, seed=5)
+    out = attack.train_shadows(aux, arch, 4, strict_sampler, cfg, seed=5)
     for s in out:
         measured = s.dataset.class_counts.max() / 30
         assert 0.89 <= measured <= 0.91
@@ -145,7 +142,7 @@ def test_too_few_shadows_is_config_error(world):
     sampler = attack.default_shadow_sampler(4, 40)
     with pytest.raises(ConfigError):
         attack.train_shadows(aux, arch, 3, sampler, nn.TrainConfig(0.05, 1, 16, seed=0),
-                             0.001, seed=0)
+                             seed=0)
 
 
 def test_forty_shadows_ten_classes_all_preferred():
@@ -154,7 +151,7 @@ def test_forty_shadows_ten_classes_all_preferred():
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
     sampler = attack.default_shadow_sampler(10, 50)
     out = attack.train_shadows(aux, arch, 40, sampler, nn.TrainConfig(0.05, 1, 16, seed=0),
-                               0.001, seed=6)
+                               seed=6)
     prefs = [s.preference for s in out]
     assert set(prefs) == set(range(10))
 
@@ -175,7 +172,7 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
         return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred)
 
     cfg = nn.TrainConfig(0.05, 3, 16, seed=0)
-    out = attack.train_shadows(aux, arch, 12, skewed, cfg, 0.001, seed=8)
+    out = attack.train_shadows(aux, arch, 12, skewed, cfg, seed=8)
     samples = attack.build_meta_dataset_centralized(out)
     hit = np.mean([int(np.argmin(ms.features)) == ms.label for ms in samples])
     assert hit >= 0.8  # chance would be 0.25
@@ -205,14 +202,14 @@ def test_federated_meta_pairing_is_most_opposite(shadows, world):
 def test_federated_meta_dataset_shapes(shadows, world):
     pool, aux, arch = world
     upd = nn.TrainConfig(0.05, 1, 16, seed=0)
-    samples = attack.build_meta_dataset_federated(shadows, aux, arch, 0.001, upd, seed=9)
+    samples = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9)
     assert len(samples) == len(shadows)
     for ms, sh in zip(samples, shadows):
         assert ms.label == sh.preference
         assert ms.features.shape == (4,)
         assert (ms.features >= 0).all()
     with pytest.raises(ConfigError):
-        attack.build_meta_dataset_federated(shadows[:1], aux, arch, 0.001, upd, seed=9)
+        attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9)
 
 
 def test_meta_csv_export(tmp_path, shadows, world):
@@ -411,6 +408,20 @@ def test_topk_from_counts_tie_aware():
     distinct = [[9, 7, 5, 3]]
     assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 1) == 0.0
     assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 2) == 1.0
+    # minority mode ranks from the smallest count up; classes 1 and 2 tie there
+    tied = [[10, 1, 1, 5]]
+
+    def score(rank, k):
+        return attack.topk_accuracy_from_counts([np.array(rank)], tied, k, "minority")
+
+    assert score([1, 2, 3, 0], 1) == 1.0
+    assert score([2, 1, 3, 0], 1) == 1.0
+    assert score([3, 1, 2, 0], 1) == 0.0
+    assert score([2, 1, 0, 3], 2) == 1.0
+    assert score([1, 3, 2, 0], 2) == 0.0
+    assert score([3, 2, 1, 0], 3) == 1.0
+    assert score([0, 1, 2, 3], 3) == 0.0
+    assert attack.topk_accuracy_from_counts([np.array([1, 2, 3, 0])], tied, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +439,12 @@ def test_profiler_hook_runs_and_locks(world):
     clients, _ = data.build_federation(sub, fed, seed=31)
     sampler = attack.default_shadow_sampler(4, 40)
     shadows = attack.train_shadows(aux, arch, 8, sampler,
-                                   nn.TrainConfig(0.05, 3, 16, seed=0), 0.001, seed=32)
-    meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, 0.001,
+                                   nn.TrainConfig(0.05, 3, 16, seed=0), seed=32)
+    meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16, seed=0), seed=33)
     meta = attack.train_meta(meta_ds, 4, nn.TrainConfig(0.1, 200, 16, seed=34))
     init = nn.init_params(arch, seed=35)
-    prof = attack.PreferenceProfiler(arch, aux, 0.001, n_user=4,
-                                     policy=fedsim.SelectivePolicy(x=2))
-    prof.prime(init)
+    prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2)
     cfg = fedsim.FlConfig(n_rounds=8, train=nn.TrainConfig(0.05, 1, 16, seed=0))
     st = fedsim.initial_state(4, init)
     for _ in range(8):

@@ -27,6 +27,10 @@ FAST = {
 # Parameters overflow to inf within two rounds.
 DIVERGING_FL = {**FAST["fl"], "learning_rate": 1e6, "local_epochs": 5}
 
+# Shadows that prefer their smallest class: 5-15% of a four-class dataset.
+MINORITY_SHADOWS = {"mode": "minority", "shadow_cp_range": [0.05, 0.15],
+                    "shadow_cd_range": [0.1, 0.2]}
+
 
 def fast_config(**overrides):
     raw = json.loads(json.dumps(FAST))
@@ -43,7 +47,6 @@ def test_minimal_config_resolves_documented_defaults():
     cfg = harness.validate_config("{}")
     assert cfg["attack"]["th_round"] == 3
     assert cfg["attack"]["x"] == 4
-    assert cfg["attack"]["alpha"] == 0.001
     assert cfg["attack"]["aux_per_class"] == 150
     assert cfg["fl"]["aggregation"] == "selective"
 
@@ -59,6 +62,8 @@ def test_unknown_keys_rejected_by_name():
         harness.validate_config(json.dumps({"foo": 1}))
     with pytest.raises(ConfigError, match="attack.bar"):
         harness.validate_config(json.dumps({"attack": {"bar": 2}}))
+    with pytest.raises(ConfigError, match="unknown key attack.alpha"):  # removed knob
+        harness.validate_config(json.dumps({"attack": {"alpha": 0.001}}))
 
 
 def test_invalid_values_reported_with_key_path():
@@ -259,6 +264,17 @@ def test_hundred_user_run_completes_with_strong_attack():
     assert rep.topk["1"] >= 0.6
 
 
+def test_minority_run_top1_is_the_share_of_correct_predictions():
+    cfg = fast_config(attack={**FAST["attack"], **MINORITY_SHADOWS},
+                      federation={**FAST["federation"], "mode": "minority",
+                                  "cp_range": [0.05, 0.15], "cd_range": [0.1, 0.2]})
+    rep = harness.run_experiment(cfg)
+    assert rep.truth == [int(np.argmin(c)) for c in rep.class_counts]
+    hits = [p == t for p, t in zip(rep.predictions, rep.truth)]
+    assert rep.topk["1"] == sum(hits) / len(hits)
+    assert rep.topk["1"] > 0
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -335,11 +351,20 @@ def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
 @pytest.mark.parametrize("section, override, key", [
     ("attack", {"shadow_size": 500}, "attack.shadow_size"),  # aux store: 30 per class
     ("federation", {"id_target": 1e308}, "federation.id_target"),  # sizes beyond int64
+    # a two-class shadow of 7 samples with cp < 0.5 holds at most 3 of its preferred class
+    (None, {"dataset": {"n_label": 2},
+            "attack": {"shadow_cp_range": [0.1, 0.5], "shadow_cd_range": [0.0, 0.05]}},
+     "attack.shadow_cp_range"),
+    # a class holding 35-70% of a four-class dataset is never its smallest
+    ("attack", {"mode": "minority"}, "attack.shadow_cp_range"),
+    # at the cap of int(30 / 0.15) = 200, a non-preferred class needs over 30 samples
+    ("attack", {**MINORITY_SHADOWS, "shadow_size": 200}, "attack.shadow_size"),
+    ("federation", {"id_target": 10 ** 400}, "federation.id_target"),  # beyond float range
 ])
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**FAST, section: {**FAST[section], **override},
-                               "output_dir": str(tmp_path / "runs")}))
+    raw = harness._deep_merge(FAST, {section: override} if section else override)
+    cfg.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr
