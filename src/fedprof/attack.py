@@ -115,20 +115,20 @@ def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed
     return draws
 
 
-def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture, n_shadows: int,
-                  spec_sampler: Callable, train_cfg: nn.TrainConfig,
-                  seed: int, mode: str = "majority") -> List[ShadowRecord]:
+def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture,
+                  draws: List[Tuple[DistributionSpec, int]],
+                  train_cfg: nn.TrainConfig) -> List[ShadowRecord]:
     """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
-    realized from the auxiliary pool."""
+    realized from the auxiliary pool; its preference is the spec's preferred
+    class."""
     pool = aux.to_dataset()
     shadows = []
-    draws = draw_shadow_specs(aux.n_label, n_shadows, spec_sampler, seed, mode)
-    for i, (spec, sub) in enumerate(draws):
+    for spec, sub in draws:
         ds = realize_distribution(pool, spec, seed=derive_seed(sub, "data"))
         params = nn.init_params(arch, seed=derive_seed(sub, "init"))
         cfg = dataclasses.replace(train_cfg, seed=derive_seed(sub, "train"))
         params = nn.train(params, arch, ds.X, ds.y, cfg)
-        shadows.append(ShadowRecord(params, ds, i % aux.n_label,
+        shadows.append(ShadowRecord(params, ds, spec.preferred_class,
                                     extract_sensitivity(params, arch, aux)))
     return shadows
 
@@ -180,7 +180,7 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStor
         cfg = dataclasses.replace(update_cfg, seed=derive_seed(seed, "shadow-update", i))
         updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, cfg)
         s2 = extract_sensitivity(updated, arch, aux)
-        samples.append(MetaSample(np.abs(s1 - s2), sh.preference))
+        samples.append(MetaSample(differential_sensitivity(s1, s2), sh.preference))
     return samples
 
 

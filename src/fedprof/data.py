@@ -358,15 +358,16 @@ def build_auxiliary(pool: LabeledDataset, samples_per_class: int,
 # ---------------------------------------------------------------------------
 
 
-def equalized_grid(n_label: int, total_size: int, cp_range, cd_range) -> list:
+def equalized_grid(n_label: int, total_size: int, cp_range, cd_range, mode: str) -> list:
     """(cp, cd) pairs under which every non-preferred class realizes exactly
     the same count.
 
     With the usual rounding, nearby classes end up one sample apart, which
     leaves the rank-2/3 ground truth of a dataset decided by a single sample.
     On this grid the preferred count m satisfies (total - m) % (n_label - 1)
-    == 0 and the runner-up count equals the even spread, so the top-k truth
-    is a clean (preferred + any others) family.
+    == 0 and the runner-up count equals the even spread pack, so the top-k
+    truth is a clean (preferred + any others) family.  cd = |m - pack| / total
+    with m > pack in majority mode and m < pack in minority mode.
     """
     rest_classes = n_label - 1
     grid = []
@@ -374,10 +375,10 @@ def equalized_grid(n_label: int, total_size: int, cp_range, cd_range) -> list:
         if (total_size - m) % rest_classes:
             continue
         pack = (total_size - m) // rest_classes
-        if m <= pack:
+        gap = m - pack if mode == "majority" else pack - m
+        if gap <= 0:
             continue
-        cp = m / total_size
-        cd = (m - pack) / total_size
+        cp, cd = m / total_size, gap / total_size
         if cp_range[0] <= cp <= cp_range[1] and cd_range[0] <= cd <= cd_range[1]:
             grid.append((cp, cd))
     return grid
@@ -398,9 +399,12 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
     total_size +/- delta with delta solved so the sample variance hits the
     target (sizes clamp below at n_label).
 
-    Raises ConfigError, naming federation.id_target, when the largest size
-    does not fit in int64.
+    Raises ConfigError, naming its key, when n_user, total_size or the
+    largest size does not fit in int64.
     """
+    for key, value in (("federation.n_user", n_user), ("federation.user_size", total_size)):
+        if not value < 2 ** 63:
+            raise ConfigError(f"{key} {value} is beyond the int64 range")
     if id_target is None or n_user < 2:
         return np.full(n_user, total_size, dtype=np.int64)
     pattern = np.array([1 if u % 2 == 0 else -1 for u in range(n_user)], dtype=np.float64)
@@ -431,9 +435,11 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     share one, the usual statistical heterogeneity) unless ud_target is set,
     in which case round(ud_target * n_user) users share class 0 and the rest
     spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`.
-    Sizes come from :func:`user_sizes`.  equalize_rest restricts (cp, cd) to
-    the :func:`equalized_grid` so that the non-preferred classes tie exactly.
+    Sizes come from :func:`user_sizes`, checked before any draw.  equalize_rest
+    restricts (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
+    non-preferred classes tie exactly (one grid per distinct size).
     """
+    sizes = user_sizes(n_user, n_label, total_size, id_target)
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
     if ud_target is None:
         prefs = [int(v) for v in rng.integers(0, n_label, n_user)]
@@ -445,17 +451,17 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
         while len(prefs) < n_user:
             prefs.append(c % n_label if c % n_label != 0 else 1)
             c += 1
-    sizes = user_sizes(n_user, n_label, total_size, id_target)
-    specs = []
-    for u in range(n_user):
+    specs, grids = [], {}
+    for size, pref in zip(sizes.tolist(), prefs):
         if equalize_rest:
-            grid = equalized_grid(n_label, int(sizes[u]), cp_range, cd_range)
+            if size not in grids:
+                grids[size] = equalized_grid(n_label, size, cp_range, cd_range, mode)
+            grid = grids[size]
             if not grid:
-                raise SpecError(
-                    f"no equalized (cp, cd) grid point inside cp {cp_range}, cd {cd_range}"
-                )
+                raise SpecError(f"no equalized (cp, cd) grid point inside cp {cp_range}, "
+                                f"cd {cd_range}")
             cp, cd = grid[int(rng.integers(0, len(grid)))]
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        specs.append(DistributionSpec(n_label, int(sizes[u]), cp, cd, prefs[u], mode))
+        specs.append(DistributionSpec(n_label, size, cp, cd, pref, mode))
     return FederationSpec(n_user, tuple(specs))

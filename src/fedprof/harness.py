@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import attack, data, fedsim, nn
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, SpecError
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -129,9 +129,12 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment description (plain dict inside)."""
+    """Resolved, validated experiment description (plain dict inside) and the
+    client and shadow specs drawn from it, which the run consumes."""
 
     resolved: dict
+    fed_spec: data.FederationSpec
+    shadow_draws: list
 
     def __getitem__(self, key):
         return self.resolved[key]
@@ -162,10 +165,11 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 
 def validate_config(raw_text: str) -> ExperimentConfig:
-    """Parse, strictly validate and default-fill a JSON experiment config.
+    """Parse, strictly validate and default-fill a JSON experiment config,
+    and draw the client and shadow specs its run consumes.
 
-    Every violated invariant is reported with its key path; unknown keys are
-    rejected.
+    Every violated invariant, a spec the config cannot realize included, is
+    reported with its key path; unknown keys are rejected.
     """
     try:
         raw = json.loads(raw_text)
@@ -196,23 +200,45 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         elif not _cnn_fits(side, side):
             problems.append(f"dataset.dim {ds['dim']} is a {side}x{side} image, too small for "
                             f"model.kind 'cnn' (at least 6x6, dim 36)")
-    fed, batch = resolved["federation"], resolved["fl"]["batch_size"]
-    smallest = int(data.user_sizes(fed["n_user"], ds["n_label"], fed["user_size"],
-                                   fed["id_target"]).min())
-    if smallest < batch:
-        key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
-        problems.append(f"fl.batch_size {batch} exceeds the smallest user dataset "
-                        f"({smallest} samples, set by {key})")
     if problems:
         raise ConfigError("; ".join(problems))
-    # Replay the run's shadow spec draws: each must realize its forced
-    # preference from at most aux_per_class samples of every class.
-    atk = resolved["attack"]
-    size, sampler, seed = _shadow_plan(resolved)
+    fed, n_label = resolved["federation"], ds["n_label"]
     try:
-        draws = attack.draw_shadow_specs(ds["n_label"], atk["n_shadows"], sampler, seed,
-                                         atk["mode"])
-    except ConfigError as e:
+        fed_spec = data.make_federation_spec(
+            n_user=fed["n_user"], n_label=n_label, total_size=fed["user_size"],
+            cp_range=tuple(fed["cp_range"]), cd_range=tuple(fed["cd_range"]),
+            seed=derive_seed(resolved["seed"], "federation-spec"), mode=fed["mode"],
+            ud_target=fed["ud_target"], id_target=fed["id_target"],
+            equalize_rest=fed["equalize_rest"])
+    except SpecError as e:  # a ConfigError from the user sizes names its own key
+        raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
+                          f"{fed['cd_range']} in {fed['mode']} mode: {e}") from None
+    smallest, batch = min(s.total_size for s in fed_spec.specs), resolved["fl"]["batch_size"]
+    if smallest < batch:
+        key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
+        raise ConfigError(f"fl.batch_size {batch} exceeds the smallest user dataset "
+                          f"({smallest} samples, set by {key})")
+    # A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
+    # all drawn from that class's aux_per_class samples, so the size is capped
+    # at int(aux_per_class / shadow_cp_range[1]).  A null attack.shadow_size
+    # defaults to max(2 * n_label, int(aux_per_class * n_label / 10 * 1.3)),
+    # cut to the cap.
+    atk = resolved["attack"]
+    cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
+    size = atk["shadow_size"]
+    if size is None:
+        size = min(max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3)), cap)
+    elif size > cap:
+        raise ConfigError(f"attack.shadow_size {size} exceeds {cap}, the most the auxiliary "
+                          f"store can supply (attack.aux_per_class / "
+                          f"attack.shadow_cp_range[1])")
+    sampler = attack.default_shadow_sampler(n_label, size, tuple(atk["shadow_cp_range"]),
+                                            tuple(atk["shadow_cd_range"]), atk["mode"])
+    # Every draw must realize its forced preference from the auxiliary store.
+    try:
+        draws = attack.draw_shadow_specs(n_label, atk["n_shadows"], sampler,
+                                         derive_seed(resolved["seed"], "shadows"), atk["mode"])
+    except (ConfigError, SpecError) as e:
         raise ConfigError(f"attack.shadow_cp_range {atk['shadow_cp_range']} with "
                           f"attack.shadow_cd_range {atk['shadow_cd_range']} in {atk['mode']} "
                           f"mode: {e}") from None
@@ -220,7 +246,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if need > atk["aux_per_class"]:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
-    return ExperimentConfig(resolved)
+    return ExperimentConfig(resolved, fed_spec, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +300,9 @@ class StagedData:
 def stage_data(cfg: ExperimentConfig) -> StagedData:
     """Build the pool, disjoint client datasets, auxiliary store and test set."""
     seed = cfg.seed
-    ds_cfg, fed_cfg = cfg["dataset"], cfg["federation"]
+    ds_cfg = cfg["dataset"]
     n_label = ds_cfg["n_label"]
-    federation = data.make_federation_spec(
-        n_user=fed_cfg["n_user"], n_label=n_label, total_size=fed_cfg["user_size"],
-        cp_range=tuple(fed_cfg["cp_range"]), cd_range=tuple(fed_cfg["cd_range"]),
-        seed=derive_seed(seed, "federation-spec"), mode=fed_cfg["mode"],
-        ud_target=fed_cfg["ud_target"], id_target=fed_cfg["id_target"],
-        equalize_rest=fed_cfg["equalize_rest"],
-    )
-    per_class_demand = np.stack([data.spec_counts(s) for s in federation.specs]).sum(axis=0)
+    per_class_demand = np.stack([data.spec_counts(s) for s in cfg.fed_spec.specs]).sum(axis=0)
     need = int(per_class_demand.max()) + cfg["attack"]["aux_per_class"] + cfg["eval_per_class"]
     if ds_cfg["kind"] == "synthetic":
         pool = data.make_synthetic(n_label, ds_cfg["dim"], need,
@@ -294,7 +313,7 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
             raise ConfigError(
                 f"dataset.n_label is {n_label} but the IDX pool holds {pool.n_label} classes"
             )
-    clients, used = data.build_federation(pool, federation, seed=derive_seed(seed, "federation"))
+    clients, used = data.build_federation(pool, cfg.fed_spec, seed=derive_seed(seed, "federation"))
     aux = data.build_auxiliary(pool, cfg["attack"]["aux_per_class"], excluded_indices=used)
     excluded = np.concatenate([used, np.concatenate(aux.source_indices)])
     test_batches, _ = data.sample_per_class(pool, cfg["eval_per_class"], excluded)
@@ -302,30 +321,6 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     test_y = np.repeat(np.arange(n_label), cfg["eval_per_class"])
     arch = build_model_arch(cfg, n_label, pool.feature_shape)
     return StagedData(clients, aux, test_X, test_y, arch)
-
-
-def _shadow_plan(cfg: dict) -> tuple:
-    """(samples per shadow dataset, spec sampler, seed) of a resolved config's
-    shadows.
-
-    A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
-    all drawn from that class's aux_per_class samples, so the size is capped
-    at int(aux_per_class / shadow_cp_range[1]).  A null attack.shadow_size
-    defaults to max(2 * n_label, int(aux_per_class * n_label / 10 * 1.3)),
-    cut to the cap; an explicit one above the cap is a ConfigError.
-    """
-    atk, n_label = cfg["attack"], cfg["dataset"]["n_label"]
-    cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
-    size = atk["shadow_size"]
-    if size is None:
-        size = min(max(n_label * 2, int(atk["aux_per_class"] * n_label / 10 * 1.3)), cap)
-    elif size > cap:
-        raise ConfigError(f"attack.shadow_size {size} exceeds {cap}, the most the auxiliary "
-                          f"store can supply (attack.aux_per_class / "
-                          f"attack.shadow_cp_range[1])")
-    sampler = attack.default_shadow_sampler(n_label, size, tuple(atk["shadow_cp_range"]),
-                                            tuple(atk["shadow_cd_range"]), atk["mode"])
-    return size, sampler, derive_seed(cfg["seed"], "shadows")
 
 
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
@@ -364,21 +359,18 @@ def _train_meta(cfg: ExperimentConfig, meta_samples: list, n_label: int) -> atta
 
 
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
-    seed = cfg.seed
     atk = cfg["attack"]
-    n_label = staged.aux.n_label
     train_cfg = client_train_config(cfg)
-    shadow_size, sampler, shadow_seed = _shadow_plan(cfg.resolved)
-    shadow_cfg = dataclasses.replace(train_cfg, epochs=atk["shadow_epochs"],
-                                     batch_size=min(train_cfg.batch_size, shadow_size))
-    shadows = attack.train_shadows(staged.aux, staged.arch, atk["n_shadows"], sampler,
-                                   shadow_cfg, seed=shadow_seed, mode=atk["mode"])
+    shadow_size = cfg.shadow_draws[0][0].total_size
     update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
+    shadow_cfg = dataclasses.replace(update_cfg, epochs=atk["shadow_epochs"])
+    shadows = attack.train_shadows(staged.aux, staged.arch, cfg.shadow_draws, shadow_cfg)
     meta_samples = attack.build_meta_dataset_federated(
         shadows, staged.aux, staged.arch, update_cfg,
-        seed=derive_seed(seed, "meta-fed"), mode=atk["mode"],
+        seed=derive_seed(cfg.seed, "meta-fed"), mode=atk["mode"],
     )
-    return OfflineArtifacts(shadows, meta_samples, _train_meta(cfg, meta_samples, n_label))
+    return OfflineArtifacts(shadows, meta_samples,
+                            _train_meta(cfg, meta_samples, staged.aux.n_label))
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,8 @@ def test_normalize_features_scale_free():
 @pytest.fixture(scope="module")
 def shadows(world):
     pool, aux, arch = world
-    sampler = attack.default_shadow_sampler(4, 40)
-    cfg = nn.TrainConfig(0.05, 3, 16, seed=0)
-    return attack.train_shadows(aux, arch, 8, sampler, cfg, seed=77)
+    draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=77)
+    return attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
 
 
 def test_shadows_cover_every_class(shadows):
@@ -130,28 +129,25 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
     def strict_sampler(preferred, rng):
         return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred)
 
-    cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
-    out = attack.train_shadows(aux, arch, 4, strict_sampler, cfg, seed=5)
+    draws = attack.draw_shadow_specs(4, 4, strict_sampler, seed=5)
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16, seed=0))
     for s in out:
         measured = s.dataset.class_counts.max() / 30
         assert 0.89 <= measured <= 0.91
 
 
-def test_too_few_shadows_is_config_error(world):
-    pool, aux, arch = world
+def test_too_few_shadows_is_config_error():
     sampler = attack.default_shadow_sampler(4, 40)
     with pytest.raises(ConfigError):
-        attack.train_shadows(aux, arch, 3, sampler, nn.TrainConfig(0.05, 1, 16, seed=0),
-                             seed=0)
+        attack.draw_shadow_specs(4, 3, sampler, seed=0)
 
 
 def test_forty_shadows_ten_classes_all_preferred():
     pool = data.make_synthetic(10, 8, 120, seed=20)
     aux = data.build_auxiliary(pool, 40, excluded_indices=None)
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
-    sampler = attack.default_shadow_sampler(10, 50)
-    out = attack.train_shadows(aux, arch, 40, sampler, nn.TrainConfig(0.05, 1, 16, seed=0),
-                               seed=6)
+    draws = attack.draw_shadow_specs(10, 40, attack.default_shadow_sampler(10, 50), seed=6)
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16, seed=0))
     prefs = [s.preference for s in out]
     assert set(prefs) == set(range(10))
 
@@ -171,8 +167,8 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
     def skewed(preferred, rng):
         return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred)
 
-    cfg = nn.TrainConfig(0.05, 3, 16, seed=0)
-    out = attack.train_shadows(aux, arch, 12, skewed, cfg, seed=8)
+    draws = attack.draw_shadow_specs(4, 12, skewed, seed=8)
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
     samples = attack.build_meta_dataset_centralized(out)
     hit = np.mean([int(np.argmin(ms.features)) == ms.label for ms in samples])
     assert hit >= 0.8  # chance would be 0.25
@@ -437,9 +433,8 @@ def test_profiler_hook_runs_and_locks(world):
     # carve clients from the part of the pool not reserved for the auxiliary
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux_idx))
     clients, _ = data.build_federation(sub, fed, seed=31)
-    sampler = attack.default_shadow_sampler(4, 40)
-    shadows = attack.train_shadows(aux, arch, 8, sampler,
-                                   nn.TrainConfig(0.05, 3, 16, seed=0), seed=32)
+    draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=32)
+    shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16, seed=0), seed=33)
     meta = attack.train_meta(meta_ds, 4, nn.TrainConfig(0.1, 200, 16, seed=34))

@@ -1,10 +1,16 @@
-"""The benchmark's tracer wraps fedprof functions by name; a rename must fail here."""
+"""The benchmark's tracer wraps fedprof functions by name, and its workloads are
+fedprof configs; a rename or a validation change that breaks either fails here."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
+
+from fedprof import harness
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -37,3 +43,20 @@ def test_traced_child_reports_every_per_layer_metric(tmp_path):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert set(layers) == {m["name"] for m in spec["per_layer"]} - ADDED_BY_RUNNER
     assert layers["attack.profile_round.calls"] > 0
+
+
+def _load_bench_workloads() -> dict:
+    spec = importlib.util.spec_from_file_location("bench_run", ROOT / "bench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
+def test_bench_workload_validates(workload):
+    cfg = harness.validate_config(json.dumps({**BENCH_WORKLOADS[workload], "seed": 7}))
+    assert len(cfg.fed_spec.specs) == cfg["federation"]["n_user"]
+    assert len(cfg.shadow_draws) == cfg["attack"]["n_shadows"]

@@ -285,3 +285,30 @@ def test_make_federation_spec_hits_id_target():
                                     id_target=25.0)
     sizes = [s.total_size for s in fed.specs]
     assert np.var(sizes, ddof=1) == pytest.approx(25.0, rel=0.2)
+
+
+@pytest.mark.parametrize("mode", ["majority", "minority"])
+def test_equalized_grid_specs_tie_the_other_classes(mode):
+    for n_label, total in ((2, 30), (3, 40), (4, 80), (5, 81)):
+        grid = data.equalized_grid(n_label, total, (0.0, 1.0), (0.0, 1.0), mode)
+        assert grid
+        for cp, cd in grid:
+            spec = data.DistributionSpec(n_label, total, cp, cd, n_label - 1, mode)
+            counts = data.spec_counts(spec)
+            preferred, rest = counts[-1], counts[:-1]
+            assert rest.min() == rest.max()
+            assert (preferred > rest[0]) if mode == "majority" else (preferred < rest[0])
+
+
+def test_minority_equalized_federation_prefers_the_smallest_class():
+    grid = data.equalized_grid(4, 80, (0.05, 0.15), (0.1, 0.2), "minority")
+    assert grid == [(0.1, 0.2), (0.1375, 0.15)]
+    fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
+                                    mode="minority", equalize_rest=True)
+    for spec in fed.specs:
+        assert sorted(data.spec_counts(spec).tolist()) in ([8, 24, 24, 24], [11, 23, 23, 23])
+        assert data.preference_class(data.spec_counts(spec), "minority") == spec.preferred_class
+    # a preferred share of 40-60% is never the smallest of four classes
+    with pytest.raises(SpecError, match="no equalized"):
+        data.make_federation_spec(4, 4, 80, (0.4, 0.6), (0.4, 0.6), seed=1,
+                                  mode="minority", equalize_rest=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fedprof
-from fedprof import harness, nn
+from fedprof import attack, data, harness, nn
 from fedprof.errors import ConfigError, NumericalError
 
 FAST = {
@@ -119,6 +119,25 @@ def test_user_dataset_smaller_than_batch_size_is_a_config_error(federation, key)
     with pytest.raises(ConfigError, match="fl.batch_size") as err:
         harness.validate_config(json.dumps(raw))
     assert key in str(err.value)
+
+
+def test_run_consumes_the_specs_drawn_at_validation(monkeypatch):
+    cfg = fast_config()
+
+    def redraw(*args, **kwargs):
+        raise AssertionError("specs drawn again after validation")
+
+    monkeypatch.setattr(data, "make_federation_spec", redraw)
+    monkeypatch.setattr(attack, "draw_shadow_specs", redraw)
+    staged = harness.stage_data(cfg)
+    offline = harness.run_offline(cfg, staged)
+    assert len(staged.clients) == len(cfg.fed_spec.specs) == 4
+    for spec, client in zip(cfg.fed_spec.specs, staged.clients):
+        assert np.array_equal(client.class_counts, data.spec_counts(spec))
+    assert len(offline.shadows) == len(cfg.shadow_draws) == 8
+    for (spec, _), shadow in zip(cfg.shadow_draws, offline.shadows):
+        assert np.array_equal(shadow.dataset.class_counts, data.spec_counts(spec))
+        assert shadow.preference == spec.preferred_class
 
 
 def test_shadow_size_cap_boundary():
@@ -360,6 +379,16 @@ def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
     # at the cap of int(30 / 0.15) = 200, a non-preferred class needs over 30 samples
     ("attack", {**MINORITY_SHADOWS, "shadow_size": 200}, "attack.shadow_size"),
     ("federation", {"id_target": 10 ** 400}, "federation.id_target"),  # beyond float range
+    ("federation", {"user_size": 2 ** 63}, "federation.user_size"),  # beyond int64
+    ("federation", {"n_user": 10 ** 30}, "federation.n_user"),
+    # a client spec with cp = 0 holds none of its preferred class
+    ("federation", {"cp_range": [0, 0], "cd_range": [0, 0], "equalize_rest": False},
+     "federation.cp_range"),
+    # the equalized grid has no point with cd = 0: the other classes would tie it
+    ("federation", {"cp_range": [0.5, 0.5], "cd_range": [0, 0], "equalize_rest": True},
+     "federation.cp_range"),
+    ("attack", {"shadow_cp_range": [0, 0], "shadow_cd_range": [0, 0]},
+     "attack.shadow_cp_range"),
 ])
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"
