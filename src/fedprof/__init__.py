@@ -13,12 +13,12 @@ Layers:
 
 from . import attack, data, defense, fedsim, harness, nn
 from .errors import (ConfigError, FedprofError, FormatError, InputError,
-                     InternalError, NumericalError, SpecError, StateError)
+                     InternalError, NumericalError, SpecError)
 
 __all__ = [
     "attack", "data", "defense", "fedsim", "harness", "nn",
     "FedprofError", "InputError", "FormatError", "SpecError",
-    "ConfigError", "StateError", "InternalError", "NumericalError",
+    "ConfigError", "InternalError", "NumericalError",
 ]
 
 __version__ = "0.1.0"

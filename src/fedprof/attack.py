@@ -14,7 +14,7 @@ sensitivity of the model it uploaded this round.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import fedsim, nn
 from .data import (AuxiliaryStore, DistributionSpec, LabeledDataset, preference_class,
                    realize_distribution, sample_cp_cd, spec_counts)
-from .errors import ConfigError, InputError, StateError
+from .errors import ConfigError, InputError
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,11 @@ def differential_sensitivity(s_agg_prev: np.ndarray, s_now: np.ndarray) -> np.nd
 
 
 def normalize_features(v: np.ndarray) -> np.ndarray:
-    """Scale a feature vector by its max; zero vectors pass through unchanged."""
+    """Scale each feature row (the last axis) by its max; zero rows pass
+    through unchanged."""
     v = np.asarray(v, dtype=np.float64)
-    m = v.max()
-    return v / m if m > 0 else v.copy()
+    m = v.max(axis=-1, keepdims=True)
+    return np.divide(v, m, out=v.copy(), where=m > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +199,9 @@ class MetaClassifier:
     train_accuracy: float = 0.0
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        f = normalize_features(features)
-        return nn.predict_logits(self.params, self.arch, f[None, :])[0]
-
-    def predict(self, features: np.ndarray) -> int:
-        return int(np.argmax(self.scores(features)))
-
-    def ranking(self, features: np.ndarray) -> np.ndarray:
-        """All classes ordered from most to least likely preference."""
-        return np.argsort(-self.scores(features), kind="stable")
+        """Logits for an (n, n_label) feature matrix, one row per sample;
+        the predicted class is the row argmax."""
+        return nn.predict_logits(self.params, self.arch, normalize_features(features))
 
 
 def train_meta(meta_samples: List[MetaSample], n_label: int,
@@ -220,7 +215,7 @@ def train_meta(meta_samples: List[MetaSample], n_label: int,
     missing = sorted(set(range(n_label)) - set(labels.tolist()))
     if missing:
         raise ConfigError(f"meta dataset has no samples for classes {missing}")
-    feats = np.stack([normalize_features(s.features) for s in meta_samples])
+    feats = normalize_features(np.stack([s.features for s in meta_samples]))
     arch = nn.Architecture(
         (nn.Dense(n_label, hidden), nn.Relu(), nn.Dense(hidden, n_label)),
         (n_label,), n_label,
@@ -254,51 +249,8 @@ def select_partners(target_user: int, all_sensitivities, x: int,
 
 
 # ---------------------------------------------------------------------------
-# Online profiling
+# Top-k scoring
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ProfilerState:
-    """Per-user verdict streaks and locks for streak-gated profiling."""
-
-    th_round: int
-    n_user: int
-    last_pred: list = field(default_factory=list)
-    streak: list = field(default_factory=list)
-    locked: list = field(default_factory=list)
-    locked_round: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.th_round < 1:
-            raise InputError("th_round must be >= 1")
-        if not self.last_pred:
-            self.last_pred = [None] * self.n_user
-            self.streak = [0] * self.n_user
-            self.locked = [None] * self.n_user
-            self.locked_round = [None] * self.n_user
-
-
-def profile_round(state: ProfilerState, user: int, features: np.ndarray,
-                  meta: MetaClassifier, round_index: Optional[int] = None):
-    """Feed one round of features for one user; lock after th_round repeats.
-
-    Returns (prediction, locked?).  Calling this for an already locked user is
-    a state error: monitoring them is over.
-    """
-    if state.locked[user] is not None:
-        raise StateError(f"user {user} is already locked")
-    pred = meta.predict(features)
-    if pred == state.last_pred[user]:
-        state.streak[user] += 1
-    else:
-        state.last_pred[user] = pred
-        state.streak[user] = 1
-    locked = state.streak[user] >= state.th_round
-    if locked:
-        state.locked[user] = pred
-        state.locked_round[user] = round_index
-    return pred, locked
 
 
 def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int,
@@ -391,64 +343,69 @@ class PreferenceProfiler:
 
 
 # ---------------------------------------------------------------------------
-# Verdicts: one fold over the recorded round traces
+# Verdicts: one fold over the per-round feature matrices
 # ---------------------------------------------------------------------------
-
-
-def round_features(trace: RoundTrace, feature_mode: str) -> np.ndarray:
-    """The per-user features a meta-classifier reads in one round.
-
-    ``"differential"`` is the cross-round differential sensitivity,
-    ``"sensitivity"`` the uploaded model's raw sensitivity vector (the
-    centralized-meta baseline).
-    """
-    if feature_mode == "differential":
-        return trace.ds
-    if feature_mode == "sensitivity":
-        return trace.sensitivities
-    raise ConfigError(f"unknown feature mode {feature_mode!r}")
 
 
 @dataclass
 class Profile:
-    """Streak-gated verdicts over a run.
+    """Streak-gated verdicts over a run of rounds 1..T.
 
-    ``predictions[r][u]`` is round r's prediction for user u, None once the
-    user was locked in an earlier round; ``locked[r][u]`` is the class user u
-    is locked to after round r, or None.  ``verdicts`` are the locked classes,
-    falling back to the last prediction for users never locked.
+    ``predictions[r - 1, u]`` is the meta-classifier's class for user u in
+    round r, scored whether or not u was locked by then.  ``lock_rounds[u]``
+    is the round user u locked in, or None.  ``verdicts`` are the locked
+    classes, falling back to the last prediction for users never locked;
+    ``rankings[u]`` orders every class for user u, frozen at its lock round.
     """
 
-    predictions: list
-    locked: list
-    verdicts: list
-    rankings: list
+    predictions: np.ndarray
     lock_rounds: list
+    verdicts: list
+    rankings: np.ndarray
 
 
-def profile_history(history: List[RoundTrace], meta: MetaClassifier,
-                    feature_mode: str, th_round: int) -> Profile:
-    """Streak-gated profiling of every user over recorded round traces.
+def profile_round(preds: np.ndarray, last: np.ndarray, streak: np.ndarray,
+                  lock_round: np.ndarray, round_index: int, th_round: int) -> np.ndarray:
+    """One streak step for every user of one round, updating the state arrays
+    in place.
+
+    A user not yet locked (``lock_round`` 0) extends its streak when its
+    prediction repeats its last one and restarts it at 1 otherwise; once the
+    streak reaches th_round it locks at ``round_index``.  Locked users are
+    left alone.  Returns the mask of users that were open this round.
+    """
+    open_ = lock_round == 0
+    streak[open_] = np.where(preds == last, streak + 1, 1)[open_]
+    last[open_] = preds[open_]
+    lock_round[open_ & (streak >= th_round)] = round_index
+    return open_
+
+
+def profile_history(features: List[np.ndarray], meta: MetaClassifier,
+                    th_round: int) -> Profile:
+    """Streak-gated profiling of every user, as one fold over per-round
+    (n_user, n_label) feature matrices for rounds 1..T: the differential
+    sensitivities ``[tr.ds for tr in history]``, or the raw sensitivities
+    for the centralized-meta baseline.  Each round is scored once.
 
     The aggregation trajectory does not depend on which meta-classifier reads
     the features, so one recorded simulation can score several meta variants
     on identical footing.
     """
-    if not history:
-        raise InputError("no round traces to profile")
-    n_user = len(history[0].ds)
-    state = ProfilerState(th_round, n_user)
-    rankings = [None] * n_user
-    predictions, locked = [], []
-    for trace in history:
-        features = round_features(trace, feature_mode)
-        preds = [None] * n_user
-        for u in range(n_user):
-            if state.locked[u] is None:
-                preds[u], _ = profile_round(state, u, features[u], meta, trace.round_index)
-                rankings[u] = meta.ranking(features[u])
+    if not features:
+        raise InputError("no round features to profile")
+    if th_round < 1:
+        raise InputError("th_round must be >= 1")
+    n_user, n_label = np.shape(features[0])
+    last = np.full(n_user, -1)
+    streak, lock_round = np.zeros(n_user, dtype=np.int64), np.zeros(n_user, dtype=np.int64)
+    rankings = np.zeros((n_user, n_label), dtype=np.int64)
+    predictions = []
+    for r, f in enumerate(features, start=1):
+        scores = meta.scores(f)
+        preds = scores.argmax(axis=1)
+        open_ = profile_round(preds, last, streak, lock_round, r, th_round)
+        rankings[open_] = np.argsort(-scores[open_], axis=1, kind="stable")
         predictions.append(preds)
-        locked.append(list(state.locked))
-    verdicts = [state.locked[u] if state.locked[u] is not None else state.last_pred[u]
-                for u in range(n_user)]
-    return Profile(predictions, locked, verdicts, rankings, list(state.locked_round))
+    return Profile(np.stack(predictions), [int(r) if r else None for r in lock_round],
+                   last.tolist(), rankings)

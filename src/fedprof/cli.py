@@ -41,8 +41,7 @@ def cmd_run(args) -> int:
     out = _out_dir(cfg)
     report = harness.run_experiment(cfg, out_dir=out)
     print(f"run {report.run_id} -> {out}")
-    print(f"  top1={report.topk['1']:.3f} top2={report.topk['2']:.3f} "
-          f"top3={report.topk['3']:.3f}")
+    print("  " + " ".join(f"top{k}={v:.3f}" for k, v in report.topk.items()))
     print(f"  utility(test) with attack={report.utility_test_with:.3f}"
           + ("" if report.utility_test_without is None
              else f" without={report.utility_test_without:.3f}"))
@@ -100,7 +99,12 @@ def cmd_defense_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    ks = [int(v) for v in args.k.split(",")] if args.k else [1, 2, 3]
+    try:
+        ks = [int(v) for v in args.k.split(",")]
+    except ValueError:
+        ks = []
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"--k must be comma-separated positive integers, got {args.k!r}")
     out = Path(args.out) if args.out else Path("report-out")
     summary, _ = harness.report_runs(args.run_dirs, k_values=ks, out_dir=out)
     cols = ["run_id", "aggregation", "x", "aux_per_class"] + [f"top{k}" for k in ks]

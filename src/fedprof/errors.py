@@ -21,10 +21,6 @@ class ConfigError(FedprofError):
     """An experiment or attack configuration is invalid."""
 
 
-class StateError(FedprofError):
-    """An operation was invoked on an object in the wrong state."""
-
-
 class InternalError(FedprofError):
     """An internal consistency check failed (layout mismatch etc.)."""
 

@@ -445,10 +445,13 @@ def _ds_trace(history: list, truth: list) -> list:
 
 
 def _round_log(accs: list, profile: attack.Profile) -> list:
+    """One entry per (round, user); a user locked before a round has no
+    prediction in it."""
     return [{"round": rnd, "user": u, "local_acc_before": local[u], "global_acc_after": glob[u],
-             "locked": locked[u] is not None, "predicted_class": preds[u]}
-            for (rnd, local, glob), preds, locked in zip(accs, profile.predictions, profile.locked)
-            for u in range(len(local))]
+             "locked": lock is not None and lock <= rnd,
+             "predicted_class": None if lock is not None and lock < rnd else int(preds[u])}
+            for (rnd, local, glob), preds in zip(accs, profile.predictions)
+            for u, lock in enumerate(profile.lock_rounds)]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
@@ -465,18 +468,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
 
     atk = cfg["attack"]
     history, accs, final = run_online(cfg, staged)
-    profile = attack.profile_history(history, offline.meta, "differential", atk["th_round"])
+    profile = attack.profile_history([tr.ds for tr in history], offline.meta, atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
         base_history, _, base_final = run_online(cfg, staged, aggregation="fedavg")
-        base_profile = attack.profile_history(base_history, offline.meta, "differential",
+        base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
                                               atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
     truth = [data.preference_class(c.class_counts, atk["mode"]) for c in staged.clients]
     counts = [c.class_counts.tolist() for c in staged.clients]
     topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k, atk["mode"])
-            for k in (1, 2, 3)}
+            for k in range(1, min(3, cfg["dataset"]["n_label"]) + 1)}
     report = RunReport(
         run_id=run_id_for(cfg),
         config=cfg.resolved,
@@ -543,14 +546,13 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     truth = [data.preference_class(c.class_counts, mode) for c in staged.clients]
     out = {}
     for label, meta, features in (
-        ("centralized", centralized, "sensitivity"),
-        ("federated", offline.meta, "differential"),
+        ("centralized", centralized, [tr.sensitivities for tr in history]),
+        ("federated", offline.meta, [tr.ds for tr in history]),
     ):
-        hits = [meta.predict(f) == t for tr in history
-                for f, t in zip(attack.round_features(tr, features), truth)]
-        profile = attack.profile_history(history, meta, features, cfg["attack"]["th_round"])
+        profile = attack.profile_history(features, meta, cfg["attack"]["th_round"])
+        hits = profile.predictions == np.array(truth)
         out[label] = {
-            "accuracy": sum(hits) / len(hits),
+            "accuracy": int(hits.sum()) / hits.size,
             "locked_top1": attack.topk_accuracy_from_counts(profile.rankings, counts, 1, mode),
             "predictions": profile.verdicts,
             "lock_rounds": profile.lock_rounds,

@@ -79,7 +79,8 @@ class Architecture:
     so equality and :meth:`to_json` ignore them): ``param_slots`` maps each
     parameterised layer's index to (offset, W shape, W size, b size), W
     before b; ``layout`` maps its id ``"i:kind"`` to (offset, length);
-    ``n_params`` is the total and ``feature_id`` the feature layer's id.
+    ``n_params`` is the total, ``feature_id`` the feature layer's id and
+    ``input_size`` the flat size of one input sample.
     """
 
     layers: tuple
@@ -167,6 +168,7 @@ class Architecture:
                 self.feature_id = layer_id
             offset += w_size + b_size
         self.n_params = offset
+        self.input_size = math.prod(self.input_shape)
 
     def to_json(self) -> str:
         out = {"input_shape": list(self.input_shape), "n_classes": self.n_classes, "layers": []}
@@ -256,8 +258,7 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise InputError("batch is empty")
-    flat = int(np.prod(X.shape[1:]))
-    if flat != int(np.prod(arch.input_shape)):
+    if X.size != X.shape[0] * arch.input_size:
         raise InputError(
             f"sample shape {X.shape[1:]} incompatible with input shape {arch.input_shape}"
         )
@@ -555,7 +556,10 @@ def load_checkpoint(path):
     (desc_len,) = struct.unpack("<I", blob[6:10])
     if len(blob) < 10 + desc_len:
         raise FormatError("truncated architecture descriptor")
-    arch = Architecture.from_json(blob[10:10 + desc_len].decode("utf-8"))
+    try:
+        arch = Architecture.from_json(blob[10:10 + desc_len].decode("utf-8"))
+    except (ValueError, KeyError, TypeError, AttributeError, InputError) as e:
+        raise FormatError(f"bad architecture descriptor: {e!r}") from None
     payload = blob[10 + desc_len:]
     if len(payload) != 4 * arch.n_params:
         raise FormatError(

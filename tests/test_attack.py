@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedprof import attack, data, fedsim, harness, nn
-from fedprof.errors import ConfigError, InputError, StateError
+from fedprof.errors import ConfigError, InputError
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,11 @@ def test_normalize_features_scale_free():
     v = np.array([2.0, 4.0, 1.0])
     assert np.array_equal(attack.normalize_features(v), attack.normalize_features(10 * v))
     assert np.array_equal(attack.normalize_features(np.zeros(3)), np.zeros(3))
+    # a matrix is scaled row by row; a zero row passes through
+    M = np.array([[2.0, 4.0, 1.0], [0.0, 0.0, 0.0], [3.0, 1.0, 1.5]])
+    want = np.stack([attack.normalize_features(row) for row in M])
+    assert np.array_equal(attack.normalize_features(M), want)
+    assert np.array_equal(want, [[0.5, 1.0, 0.25], [0.0, 0.0, 0.0], [1.0, 1 / 3, 0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +239,8 @@ def test_meta_degenerate_single_label_always_predicts_it():
     samples += [attack.MetaSample(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random(3), 1)
                 for _ in range(60)]
     meta = attack.train_meta(samples, 3, nn.TrainConfig(0.1, 200, 16, seed=0))
-    hits = sum(meta.predict(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random(3)) == 1
-               for _ in range(20))
-    assert hits >= 18
+    preds = meta.scores(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((20, 3))).argmax(axis=1)
+    assert (preds == 1).sum() >= 18
 
 
 def test_meta_linearly_separable_reaches_perfect_training_accuracy():
@@ -268,10 +272,10 @@ def test_meta_prediction_invariant_under_feature_scaling():
             f[c] = 1.0
             samples.append(attack.MetaSample(f, c))
     meta = attack.train_meta(samples, 3, nn.TrainConfig(0.2, 200, 16, seed=2))
-    for _ in range(10):
-        v = rng.random(3)
-        assert meta.predict(v) == meta.predict(500.0 * v)
-        assert np.array_equal(meta.ranking(v), meta.ranking(0.01 * v))
+    V = rng.random((10, 3))
+    for scale in (500.0, 0.01):
+        assert np.array_equal(np.argsort(-meta.scores(V), axis=1, kind="stable"),
+                              np.argsort(-meta.scores(scale * V), axis=1, kind="stable"))
 
 
 # ---------------------------------------------------------------------------
@@ -319,49 +323,107 @@ def test_partner_choice_deterministic_and_excludes_target():
 
 
 # ---------------------------------------------------------------------------
-# profiling state machine
+# streak-gated profiling
 # ---------------------------------------------------------------------------
 
 
-class FixedMeta:
-    """Stand-in meta-classifier producing a scripted prediction sequence."""
+class ScoresAreFeatures:
+    """Stand-in meta-classifier whose scores are the features themselves."""
 
-    def __init__(self, script):
-        self.script = list(script)
-        self.i = 0
+    def scores(self, features):
+        return np.asarray(features, dtype=np.float64)
 
-    def predict(self, features):
-        v = self.script[self.i]
-        self.i += 1
-        return v
 
-    def ranking(self, features):
-        return np.arange(3)
+def one_hot_rounds(script, n_label=3):
+    """One user's per-round (1, n_label) features, predicting ``script``."""
+    return [np.eye(n_label)[[c]] for c in script]
+
+
+def scalar_profile(features, score, th_round):
+    """Per-user, per-round streak gate, the reference for the batched fold.
+
+    ``score`` maps one user's feature row to its class scores.  Returns the
+    verdicts, lock rounds, rankings, and per-round predictions with None for
+    users locked in an earlier round.
+    """
+    n_user = len(features[0])
+    last, streak = [None] * n_user, [0] * n_user
+    lock, ranking = [None] * n_user, [None] * n_user
+    masked = []
+    for r, f in enumerate(features, start=1):
+        row = [None] * n_user
+        for u in range(n_user):
+            if lock[u] is not None:
+                continue
+            s = list(score(f[u]))
+            pred = max(range(len(s)), key=lambda c: (s[c], -c))  # first max wins
+            streak[u] = streak[u] + 1 if pred == last[u] else 1
+            last[u] = pred
+            ranking[u] = sorted(range(len(s)), key=lambda c: (-s[c], c))
+            if streak[u] >= th_round:
+                lock[u] = r
+            row[u] = pred
+        masked.append(row)
+    return last, lock, ranking, masked
 
 
 def test_th_round_one_locks_immediately():
-    st = attack.ProfilerState(th_round=1, n_user=1)
-    pred, locked = attack.profile_round(st, 0, np.zeros(3), FixedMeta([2]), round_index=1)
-    assert (pred, locked) == (2, True)
-    assert st.locked[0] == 2 and st.locked_round[0] == 1
+    profile = attack.profile_history(one_hot_rounds([2, 0]), ScoresAreFeatures(), th_round=1)
+    assert profile.lock_rounds == [1] and profile.verdicts == [2]
+    assert profile.predictions[:, 0].tolist() == [2, 0]  # later rounds are still scored
 
 
 def test_streak_semantics_locks_on_round_five():
-    st = attack.ProfilerState(th_round=3, n_user=1)
-    meta = FixedMeta([0, 0, 1, 1, 1])  # A,A,B,B,B
-    outcomes = []
-    for rnd in range(1, 6):
-        outcomes.append(attack.profile_round(st, 0, np.zeros(3), meta, round_index=rnd))
-    assert [o[1] for o in outcomes] == [False, False, False, False, True]
-    assert st.locked[0] == 1
-    assert st.locked_round[0] == 5
+    meta = ScoresAreFeatures()
+    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1, 1]), meta, 3)  # A,A,B,B,B
+    assert profile.lock_rounds == [5] and profile.verdicts == [1]
+    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1]), meta, 3)
+    assert profile.lock_rounds == [None] and profile.verdicts == [1]
 
 
-def test_profiling_locked_user_is_state_error():
-    st = attack.ProfilerState(th_round=1, n_user=1)
-    attack.profile_round(st, 0, np.zeros(3), FixedMeta([0]), 1)
-    with pytest.raises(StateError):
-        attack.profile_round(st, 0, np.zeros(3), FixedMeta([0]), 2)
+def test_profile_round_leaves_locked_users_alone():
+    # user 0 locked to class 2 in round 1; user 1 is open with no prediction yet
+    last, streak, lock = np.array([2, -1]), np.array([1, 0]), np.array([1, 0])
+    open_ = attack.profile_round(np.array([0, 0]), last, streak, lock, 2, th_round=1)
+    assert open_.tolist() == [False, True]
+    assert last.tolist() == [2, 0] and streak.tolist() == [1, 1] and lock.tolist() == [1, 2]
+
+
+def test_profile_history_rejects_no_rounds_and_th_round_zero():
+    with pytest.raises(InputError):
+        attack.profile_history([], ScoresAreFeatures(), 1)
+    with pytest.raises(InputError):
+        attack.profile_history(one_hot_rounds([0]), ScoresAreFeatures(), 0)
+
+
+@pytest.mark.parametrize("th_round", [1, 2, 3])
+def test_batched_fold_matches_scalar_reference(th_round):
+    rng = np.random.default_rng(60 + th_round)
+    meta = ScoresAreFeatures()
+    seen = {"locked": False, "never_locked": False, "broken_streak": False}
+    for trial in range(30):
+        n_user, n_label, T = (int(v) for v in rng.integers((1, 2, 1), (8, 5, 9)))
+        # small integers tie often, in the argmax and in the ranking
+        features = [rng.integers(0, 3, (n_user, n_label)).astype(np.float64)
+                    if trial % 2 else rng.random((n_user, n_label)) for _ in range(T)]
+        profile = attack.profile_history(features, meta, th_round)
+        verdicts, lock, ranking, masked = scalar_profile(features, lambda row: row, th_round)
+        assert profile.verdicts == verdicts
+        assert profile.lock_rounds == lock
+        assert profile.rankings.tolist() == ranking
+        accs = [(r, [0.0] * n_user, [0.0] * n_user) for r in range(1, T + 1)]
+        log = harness._round_log(accs, profile)
+        assert [e["predicted_class"] for e in log] == [p for row in masked for p in row]
+        assert [e["locked"] for e in log] == [lock[u] is not None and lock[u] <= r
+                                              for r in range(1, T + 1) for u in range(n_user)]
+        seen["locked"] |= any(lr is not None for lr in lock)
+        seen["never_locked"] |= any(lr is None for lr in lock)
+        seen["broken_streak"] |= any(
+            masked[r][u] != masked[r + 1][u] and masked[r + 1][u] is not None
+            for r in range(T - 1) for u in range(n_user))
+    assert seen["locked"]
+    if th_round > 1:
+        assert seen["never_locked"] and seen["broken_streak"]
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +507,15 @@ def test_profiler_hook_runs_and_locks(world):
     for _ in range(8):
         st = fedsim.run_round(st, clients, arch, cfg, prof, run_seed=36)
     assert len(prof.history) == 8
-    profile = attack.profile_history(prof.history, meta, "differential", th_round=2)
+    profile = attack.profile_history([tr.ds for tr in prof.history], meta, th_round=2)
     assert all(p is not None for p in profile.verdicts)
     last = prof.history[-1]
     assert last.sensitivities.shape == (4, 4)
     assert last.ds.shape == (4, 4)
-    # locked users keep their verdict in later round states
+    # a locked user's verdict is its prediction in its lock round
     for u, lr_ in enumerate(profile.lock_rounds):
         if lr_ is not None:
-            assert profile.locked[-1][u] == profile.verdicts[u]
+            assert profile.predictions[lr_ - 1, u] == profile.verdicts[u]
     # every distributed model is a valid equal-weight fedavg of x+1 uploads
     for u in range(4):
         partners = attack.select_partners(u, last.sensitivities, 2, "majority")
@@ -478,13 +540,10 @@ def test_replay_matches_online_profiling(world):
             f[c] = 1.0
             samples.append(attack.MetaSample(f, c))
     meta = attack.train_meta(samples, 4, nn.TrainConfig(0.2, 150, 16, seed=41))
-    profile = attack.profile_history(history, meta, "differential", 2)
-    st = attack.ProfilerState(2, n_user)
-    for tr in history:
-        for u in range(n_user):
-            if st.locked[u] is None:
-                attack.profile_round(st, u, tr.ds[u], meta, tr.round_index)
-    want = [st.locked[u] if st.locked[u] is not None else st.last_pred[u]
-            for u in range(n_user)]
-    assert profile.verdicts == want
-    assert profile.lock_rounds == st.locked_round
+    features = [tr.ds for tr in history]
+    profile = attack.profile_history(features, meta, 2)
+    # online: one user and one round at a time, one meta-classifier row each
+    verdicts, lock, ranking, _ = scalar_profile(features, lambda row: meta.scores(row[None])[0], 2)
+    assert profile.verdicts == verdicts
+    assert profile.lock_rounds == lock
+    assert profile.rankings.tolist() == ranking

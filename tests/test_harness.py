@@ -325,6 +325,27 @@ def test_cli_run_and_report(tmp_path):
     assert (tmp_path / "rep" / "summary.csv").exists()
 
 
+def test_cli_two_class_run_scores_top1_and_top2(tmp_path):
+    raw = json.loads(json.dumps(FAST))
+    raw["dataset"]["n_label"] = 2
+    raw["federation"]["cp_range"] = [0.5, 0.7]
+    raw["attack"].update({"shadow_cp_range": [0.3, 0.7], "shadow_cd_range": [0.0, 0.1]})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg_path)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "top2=" in proc.stdout and "top3" not in proc.stdout
+    (report,) = (tmp_path / "runs").glob("*/report.json")
+    assert set(json.loads(report.read_text())["topk"]) == {"1", "2"}
+
+
+def test_cli_report_bad_k_is_config_error(tmp_path):
+    for k in ("x", "0", "1,-2", "1,,2", ""):
+        proc = run_cli(["report", str(tmp_path), "--k", k], cwd=tmp_path)
+        assert proc.returncode == 1, (k, proc.stderr)
+        assert "--k" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_config_error_exit_code_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"attack": {"x": 99}}))

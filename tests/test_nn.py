@@ -406,6 +406,23 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     cut.write_bytes(blob[:-4])
     with pytest.raises(FormatError):
         nn.load_checkpoint(cut)
+    # a descriptor that is not a valid architecture is a format error too
+    desc = json.loads(arch.to_json())
+    unknown_kind = json.loads(json.dumps(desc))
+    unknown_kind["layers"][0]["kind"] = "lstm"
+    unknown_field = json.loads(json.dumps(desc))
+    unknown_field["layers"][0]["bogus"] = 1
+    bad_chain = json.loads(json.dumps(desc))
+    bad_chain["layers"][0]["in_dim"] += 1
+    no_layers = {k: v for k, v in desc.items() if k != "layers"}
+    payload = params.values.astype("<f4").tobytes()
+    for text in (b"{not json", b"\xff\xfe", json.dumps(unknown_kind).encode(),
+                 json.dumps(no_layers).encode(), json.dumps(unknown_field).encode(),
+                 json.dumps(bad_chain).encode(), json.dumps({**desc, "layers": [1]}).encode()):
+        bad.write_bytes(b"PPAM" + (1).to_bytes(2, "little") + len(text).to_bytes(4, "little")
+                        + text + payload)
+        with pytest.raises(FormatError, match="architecture descriptor"):
+            nn.load_checkpoint(bad)
 
 
 # ---------------------------------------------------------------------------
