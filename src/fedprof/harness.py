@@ -570,7 +570,8 @@ def report_runs(run_dirs: list, k_values=(1, 2, 3), out_dir: Optional[Path] = No
     """Summary table plus DS-vs-round series for one or more completed runs.
 
     Returns (summary rows, ds rows); writes summary.csv and ds_vs_round.csv
-    when out_dir is given.  Raises on missing artifacts.
+    when out_dir is given.  Raises on missing artifacts, and a ConfigError for
+    a k that a run's report did not score.
     """
     if not run_dirs:
         raise InputError("no run directories given")
@@ -582,7 +583,6 @@ def report_runs(run_dirs: list, k_values=(1, 2, 3), out_dir: Optional[Path] = No
             raise OSError(f"missing report.json under {d}")
         rep = json.loads(rp.read_text())
         cfg = rep["config"]
-        rankings_counts = rep["class_counts"]
         row = {
             "run_id": rep["run_id"],
             "dir": str(d),
@@ -596,7 +596,10 @@ def report_runs(run_dirs: list, k_values=(1, 2, 3), out_dir: Optional[Path] = No
             "meta_train_accuracy": rep["meta_train_accuracy"],
         }
         for k in k_values:
-            row[f"top{k}"] = rep["topk"].get(str(k))
+            if str(k) not in rep["topk"]:
+                raise ConfigError(
+                    f"--k {k}: run {d} scored top-k only for k in {', '.join(rep['topk'])}")
+            row[f"top{k}"] = rep["topk"][str(k)]
         summary.append(row)
         for rnd, v in enumerate(rep["ds_trace_attack"], start=1):
             ds_rows.append({"run_id": rep["run_id"], "policy": cfg["fl"]["aggregation"],

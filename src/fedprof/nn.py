@@ -305,7 +305,9 @@ def _run_layers(pv, arch, X, train_mode, rng):
 
 
 def _softmax_xent(logits: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and its gradient w.r.t. logits (stable log-sum-exp)."""
+    """Mean cross-entropy (stable log-sum-exp) and, per row, the gradient of
+    that row's own loss w.r.t. its logits.  The mean loss's gradient is the
+    latter divided by the batch size."""
     n = logits.shape[0]
     m = logits.max(axis=1, keepdims=True)
     shifted = logits - m
@@ -314,32 +316,60 @@ def _softmax_xent(logits: np.ndarray, y: np.ndarray):
     loss = -log_p[np.arange(n), y].mean()
     grad = np.exp(log_p)
     grad[np.arange(n), y] -= 1.0
-    return loss, grad / n
+    return loss, grad
 
 
-def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None):
+def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) -> None:
+    """Write per-sample (gW, gb), each with a leading batch axis, into the
+    layer's slot of every row of a (batch, n_params) gradient matrix."""
+    off, _, w_size, b_size = arch.param_slots[index]
+    rows[:, off:off + w_size] = gW.reshape(len(rows), w_size)
+    rows[:, off + w_size:off + w_size + b_size] = gb
+
+
+def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False):
+    """Mean batch loss and its gradient, from one forward and one backward walk.
+
+    The gradient is a ParamVector in the model's layout or, with per_example,
+    a (batch, n_params) array whose row i is the gradient of sample i's own
+    loss, equal to what a one-row batch of sample i gives.  Per-example rows
+    keep the batch axis where the batch gradient sums over it: a dense
+    layer's row is outer(a_i, delta_i) (Goodfellow 2015, arXiv:1510.01799);
+    the ReLU, max-pool, dropout and input-gradient steps are shared.
+    """
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
     logits, caches = _run_layers(pv, arch, X, train_mode, rng)
     loss, delta = _softmax_xent(logits, y)
+    if per_example:
+        grad = np.zeros((X.shape[0], arch.n_params))
+    else:
+        delta = delta / X.shape[0]
+        grad = zeros_like_params(arch)
 
-    grad = zeros_like_params(arch)
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
             _, in_shape, flat = cache
             W, _ = _layer_params(pv, arch, i)
-            gW, gb = _layer_params(grad, arch, i)
-            gW += flat.T @ delta
-            gb += delta.sum(axis=0)
+            if per_example:
+                _set_layer_rows(grad, arch, i, flat[:, :, None] * delta[:, None, :], delta)
+            else:
+                gW, gb = _layer_params(grad, arch, i)
+                gW += flat.T @ delta
+                gb += delta.sum(axis=0)
             delta = (delta @ W.T).reshape(in_shape)
         elif isinstance(layer, Conv2d):
             _, x_in, win = cache
             W, _ = _layer_params(pv, arch, i)
-            gW, gb = _layer_params(grad, arch, i)
-            gW += np.einsum("nchwij,nohw->ocij", win, delta)
-            gb += delta.sum(axis=(0, 2, 3))
+            if per_example:
+                _set_layer_rows(grad, arch, i, np.einsum("nchwij,nohw->nocij", win, delta),
+                                delta.sum(axis=(2, 3)))
+            else:
+                gW, gb = _layer_params(grad, arch, i)
+                gW += np.einsum("nchwij,nohw->ocij", win, delta)
+                gb += delta.sum(axis=(0, 2, 3))
             dx = np.zeros_like(x_in)
             s, k = layer.stride, layer.kernel
             ho, wo = delta.shape[2], delta.shape[3]
@@ -443,29 +473,30 @@ def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
 
 def dp_sgd_step(
     pv: ParamVector,
-    per_example_grads: list,
+    per_example_grads: np.ndarray,
     clip_norm: float,
     noise_multiplier: float,
     lr: float,
     rng: np.random.Generator,
 ) -> ParamVector:
-    """Clip each per-example gradient to clip_norm, average, add Gaussian noise
-    with per-coordinate std noise_multiplier * clip_norm / batch_size, then step."""
-    if not per_example_grads:
+    """Clip each row of per_example_grads, a (batch, n_params) array with one
+    sample's gradient per row, to clip_norm; average; add Gaussian noise with
+    per-coordinate std noise_multiplier * clip_norm / batch_size; then step."""
+    if len(per_example_grads) == 0:
         raise InputError("per_example_grads is empty")
     if clip_norm <= 0:
         raise InputError("clip_norm must be > 0")
     if noise_multiplier < 0:
         raise InputError("noise_multiplier must be >= 0")
-    batch = len(per_example_grads)
-    mean = np.zeros_like(pv.values)
-    for g in per_example_grads:
-        if not pv.same_layout(g):
-            raise InternalError("per-example gradient layout mismatch")
-        norm = float(np.linalg.norm(g.values))
-        scale = min(1.0, clip_norm / norm) if norm > 0 else 1.0
-        mean += g.values * scale
-    mean /= batch
+    grads = np.asarray(per_example_grads, dtype=np.float64)
+    if grads.ndim != 2 or grads.shape[1] != pv.values.size:
+        raise InternalError(
+            f"per-example gradients have shape {grads.shape}, expected (batch, {pv.values.size})"
+        )
+    batch = grads.shape[0]
+    norms = np.linalg.norm(grads, axis=1)
+    scale = np.minimum(1.0, np.divide(clip_norm, norms, out=np.ones(batch), where=norms > 0))
+    mean = (grads * scale[:, None]).sum(axis=0) / batch
     if noise_multiplier > 0:
         mean = mean + rng.normal(0.0, noise_multiplier * clip_norm / batch, size=mean.shape)
     return sgd_step(pv, ParamVector(mean, pv.layout), lr)
@@ -482,8 +513,11 @@ def train(
 
     Shuffle order, dropout masks and DP noise all come from one generator
     seeded from cfg.seed, so identical configs give bit-identical results.
-    With cfg.dp set, per-example gradients are computed one sample at a time
-    (microbatch 1) and fed to :func:`dp_sgd_step`.
+    With cfg.dp set, one forward and one backward walk give each batch's
+    per-example gradients, which :func:`dp_sgd_step` clips, averages and
+    noises.  That walk draws a dropout layer's mask once for the whole batch;
+    with a single Dropout layer, as in every stack ``harness.build_model_arch``
+    builds, that is the same stream as one draw per sample in batch order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -498,21 +532,15 @@ def train(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
+            _, grad = _loss_and_grad(
+                out, arch, X[idx], y[idx], train_mode=cfg.dropout_enabled, rng=rng,
+                per_example=cfg.dp is not None,
+            )
             if cfg.dp is None:
-                _, grad = _loss_and_grad(
-                    out, arch, X[idx], y[idx], train_mode=cfg.dropout_enabled, rng=rng
-                )
                 out = sgd_step(out, grad, cfg.learning_rate)
             else:
-                grads = [
-                    _loss_and_grad(
-                        out, arch, X[i:i + 1], y[i:i + 1],
-                        train_mode=cfg.dropout_enabled, rng=rng,
-                    )[1]
-                    for i in idx
-                ]
                 out = dp_sgd_step(
-                    out, grads, cfg.dp.clip_norm, cfg.dp.noise_multiplier,
+                    out, grad, cfg.dp.clip_norm, cfg.dp.noise_multiplier,
                     cfg.learning_rate, rng,
                 )
     return out

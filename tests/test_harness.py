@@ -337,6 +337,11 @@ def test_cli_two_class_run_scores_top1_and_top2(tmp_path):
     assert "top2=" in proc.stdout and "top3" not in proc.stdout
     (report,) = (tmp_path / "runs").glob("*/report.json")
     assert set(json.loads(report.read_text())["topk"]) == {"1", "2"}
+    proc = run_cli(["report", str(report.parent), "--k", "1,3",
+                    "--out", str(tmp_path / "rep")], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "--k 3" in proc.stderr and str(report.parent) in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_report_bad_k_is_config_error(tmp_path):

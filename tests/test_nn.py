@@ -306,17 +306,13 @@ def test_dropout_eval_mode_is_identity():
 # ---------------------------------------------------------------------------
 
 
-def grad_of(values, layout):
-    return nn.ParamVector(np.asarray(values, dtype=float), layout)
-
-
 def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
     layout = {"0:dense": (0, 3)}
     p = nn.ParamVector(np.array([1.0, 2.0, 3.0]), layout)
-    gs = [grad_of([0.1, 0.0, 0.0], layout), grad_of([0.0, 0.1, 0.0], layout)]
+    gs = np.stack([np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.1, 0.0])])
     rng = np.random.default_rng(0)
     got = nn.dp_sgd_step(p, gs, clip_norm=10.0, noise_multiplier=0.0, lr=0.5, rng=rng)
-    mean = grad_of([0.05, 0.05, 0.0], layout)
+    mean = nn.ParamVector(np.array([0.05, 0.05, 0.0]), layout)
     want = nn.sgd_step(p, mean, 0.5)
     assert np.array_equal(got.values, want.values)
 
@@ -324,9 +320,9 @@ def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
 def test_dp_step_clips_large_gradient_to_clip_norm():
     layout = {"0:dense": (0, 2)}
     p = nn.ParamVector(np.zeros(2), layout)
-    g = grad_of([6.0, 8.0], layout)  # norm 10
+    g = np.array([6.0, 8.0])  # norm 10
     rng = np.random.default_rng(0)
-    got = nn.dp_sgd_step(p, [g], clip_norm=1.0, noise_multiplier=0.0, lr=1.0, rng=rng)
+    got = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0, lr=1.0, rng=rng)
     assert np.allclose(got.values, -np.array([0.6, 0.8]))
 
 
@@ -335,17 +331,17 @@ def test_clipping_never_increases_norm():
     rng = np.random.default_rng(5)
     p = nn.ParamVector(np.zeros(4), layout)
     for _ in range(20):
-        g = grad_of(rng.standard_normal(4) * rng.uniform(0.1, 5.0), layout)
-        stepped = nn.dp_sgd_step(p, [g], clip_norm=1.0, noise_multiplier=0.0,
+        g = rng.standard_normal(4) * rng.uniform(0.1, 5.0)
+        stepped = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0,
                                  lr=1.0, rng=np.random.default_rng(0))
-        assert np.linalg.norm(stepped.values) <= min(1.0, np.linalg.norm(g.values)) + 1e-12
+        assert np.linalg.norm(stepped.values) <= min(1.0, np.linalg.norm(g)) + 1e-12
 
 
 def test_dp_noise_std_monte_carlo():
     layout = {"0:dense": (0, 4)}
     p = nn.ParamVector(np.zeros(4), layout)
-    zero = grad_of([0.0] * 4, layout)
-    batch = [zero, zero]  # batch_size 2 -> std = 1 * 1 / 2
+    zero = np.zeros(4)
+    batch = np.stack([zero, zero])  # batch_size 2 -> std = 1 * 1 / 2
     rng = np.random.default_rng(123)
     draws = np.array([
         nn.dp_sgd_step(p, batch, clip_norm=1.0, noise_multiplier=1.0, lr=1.0, rng=rng).values
@@ -358,7 +354,90 @@ def test_dp_noise_std_monte_carlo():
 def test_dp_step_rejects_empty_gradient_list():
     p = nn.ParamVector(np.zeros(2), {"0:dense": (0, 2)})
     with pytest.raises(InputError):
-        nn.dp_sgd_step(p, [], 1.0, 0.0, 0.1, np.random.default_rng(0))
+        nn.dp_sgd_step(p, np.zeros((0, 2)), 1.0, 0.0, 0.1, np.random.default_rng(0))
+
+
+def test_dp_step_rejects_wrong_width_as_internal_error():
+    p = nn.ParamVector(np.zeros(2), {"0:dense": (0, 2)})
+    with pytest.raises(InternalError):
+        nn.dp_sgd_step(p, np.zeros((3, 5)), 1.0, 0.0, 0.1, np.random.default_rng(0))
+
+
+# The stacks harness.build_model_arch builds, with their one Dropout layer active.
+DP_ARCH_CASES = [
+    {"defense": {"dropout_rate": 0.5}},
+    {"model": {"kind": "cnn"}, "dataset": {"dim": 36}, "defense": {"dropout_rate": 0.5}},
+]
+
+
+def perturbed_params(arch, seed):
+    """Glorot init plus small noise on every parameter, so biases are non-zero
+    and ReLU and max-pool patterns vary across samples."""
+    params = nn.init_params(arch, seed)
+    return nn.ParamVector(
+        params.values + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params),
+        params.layout)
+
+
+@pytest.mark.parametrize("overrides", DP_ARCH_CASES)
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
+    arch = reference_arch(overrides)
+    params = perturbed_params(arch, 3)
+    X, y = rand_batch(arch, 9, seed=4)
+    rng = np.random.default_rng(11)
+    loss, rows = nn._loss_and_grad(params, arch, X, y, train_mode=train_mode, rng=rng,
+                                   per_example=True)
+    ref_rng = np.random.default_rng(11)
+    want = np.stack([
+        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1], train_mode=train_mode,
+                          rng=ref_rng)[1].values
+        for i in range(len(X))
+    ])
+    assert rows.shape == (len(X), arch.n_params)
+    assert np.max(np.abs(rows - want)) <= 1e-12
+    # Both walks drew the same dropout stream; without dropout, the rows
+    # average to the batch gradient.
+    assert rng.random() == ref_rng.random()
+    if not train_mode:
+        assert loss == nn._loss_and_grad(params, arch, X, y)[0]
+        assert np.max(np.abs(rows.mean(axis=0) - nn.backward(params, arch, X, y).values)) <= 1e-12
+
+
+def dp_train_reference(params, arch, X, y, cfg):
+    """nn.train with cfg.dp, as one one-row backward per sample and a
+    clipping loop over the batch."""
+    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
+    values = params.values.copy()
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            mean = np.zeros_like(values)
+            for i in idx:
+                g = nn._loss_and_grad(nn.ParamVector(values, params.layout), arch,
+                                      X[i:i + 1], y[i:i + 1],
+                                      train_mode=cfg.dropout_enabled, rng=rng)[1].values
+                norm = np.linalg.norm(g)
+                mean += g * (min(1.0, cfg.dp.clip_norm / norm) if norm > 0 else 1.0)
+            mean /= len(idx)
+            mean += rng.normal(0.0, cfg.dp.noise_multiplier * cfg.dp.clip_norm / len(idx),
+                               size=mean.shape)
+            values = values - cfg.learning_rate * mean
+    return values
+
+
+@pytest.mark.parametrize("overrides", DP_ARCH_CASES)
+@pytest.mark.parametrize("dropout_enabled", [False, True])
+def test_dp_train_equals_per_sample_reference(overrides, dropout_enabled):
+    arch = reference_arch(overrides)
+    params = perturbed_params(arch, 5)
+    X, y = rand_batch(arch, 20, seed=6)  # batches of 8, 8 and 4
+    # clip_norm 3.5 clips some rows and leaves others whole.
+    cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8, dropout_enabled=dropout_enabled,
+                         dp=nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7), seed=2)
+    got = nn.train(params, arch, X, y, cfg).values
+    assert np.max(np.abs(got - dp_train_reference(params, arch, X, y, cfg))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
