@@ -190,18 +190,22 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
             raise FormatError(f"bad magic 0x{magic:08x} in images file, expected 0x{IMAGES_MAGIC:08x}")
         n, rows, cols = struct.unpack(">III", _read_exact(f, 12, "images dimensions"))
         pixels = np.frombuffer(_read_exact(f, n * rows * cols, "images pixel data"), dtype=np.uint8)
+    y = load_idx_labels(labels_path)
+    if n != len(y):
+        raise FormatError(f"count mismatch: {n} images but {len(y)} labels")
+    X = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
+    n_label = int(y.max()) + 1 if n else 1
+    return LabeledDataset(X, y, n_label, feature_shape=(rows, cols))
+
+
+def load_idx_labels(labels_path) -> np.ndarray:
+    """The labels of an IDX label file, as int64."""
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "labels magic"))
         if magic != LABELS_MAGIC:
             raise FormatError(f"bad magic 0x{magic:08x} in labels file, expected 0x{LABELS_MAGIC:08x}")
-        (n_labels,) = struct.unpack(">I", _read_exact(f, 4, "labels count"))
-        labels = np.frombuffer(_read_exact(f, n_labels, "labels data"), dtype=np.uint8)
-    if n != n_labels:
-        raise FormatError(f"count mismatch: {n} images but {n_labels} labels")
-    X = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
-    y = labels.astype(np.int64)
-    n_label = int(y.max()) + 1 if n else 1
-    return LabeledDataset(X, y, n_label, feature_shape=(rows, cols))
+        (n,) = struct.unpack(">I", _read_exact(f, 4, "labels count"))
+        return np.frombuffer(_read_exact(f, n, "labels data"), dtype=np.uint8).astype(np.int64)
 
 
 def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:

@@ -246,7 +246,26 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     if need > atk["aux_per_class"]:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
+    if ds["kind"] == "idx":
+        have = np.bincount(data.load_idx_labels(ds["labels"]))
+        if len(have) != n_label:
+            raise ConfigError(f"dataset.n_label is {n_label} but dataset.labels holds "
+                              f"{len(have)} classes")
+        demand = _pool_demand(resolved, fed_spec)
+        short = [f"class {c}: {have[c]} samples, {demand[c] - have[c]} short of {demand[c]}"
+                 for c in np.flatnonzero(have < demand)]
+        if short:
+            raise ConfigError(f"dataset.labels {ds['labels']} is too small for the client "
+                              f"datasets plus attack.aux_per_class and eval_per_class per "
+                              f"class: " + "; ".join(short))
     return ExperimentConfig(resolved, fed_spec, draws)
+
+
+def _pool_demand(resolved: dict, fed_spec: data.FederationSpec) -> np.ndarray:
+    """Samples of each class a run takes from its pool: the client datasets,
+    the auxiliary store and the test set."""
+    clients = np.stack([data.spec_counts(s) for s in fed_spec.specs]).sum(axis=0)
+    return clients + resolved["attack"]["aux_per_class"] + resolved["eval_per_class"]
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +321,12 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     seed = cfg.seed
     ds_cfg = cfg["dataset"]
     n_label = ds_cfg["n_label"]
-    per_class_demand = np.stack([data.spec_counts(s) for s in cfg.fed_spec.specs]).sum(axis=0)
-    need = int(per_class_demand.max()) + cfg["attack"]["aux_per_class"] + cfg["eval_per_class"]
     if ds_cfg["kind"] == "synthetic":
+        need = int(_pool_demand(cfg.resolved, cfg.fed_spec).max())
         pool = data.make_synthetic(n_label, ds_cfg["dim"], need,
                                    seed=derive_seed(seed, "pool"), sigma=ds_cfg["sigma"])
-    else:
+    else:  # validate_config checked the classes and their counts
         pool = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
-        if pool.n_label != n_label:
-            raise ConfigError(
-                f"dataset.n_label is {n_label} but the IDX pool holds {pool.n_label} classes"
-            )
     clients, used = data.build_federation(pool, cfg.fed_spec, seed=derive_seed(seed, "federation"))
     aux = data.build_auxiliary(pool, cfg["attack"]["aux_per_class"], excluded_indices=used)
     excluded = np.concatenate([used, np.concatenate(aux.source_indices)])
@@ -511,8 +525,9 @@ def run_id_for(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(cfg.to_json().encode("utf-8")).hexdigest()[:12]
 
 
-def persist_run(report: RunReport, offline: Optional[OfflineArtifacts],
-                out_dir: Path, timings: Optional[dict] = None) -> Path:
+def persist_run(report: RunReport, offline: OfflineArtifacts, out_dir: Path,
+                timings: dict) -> Path:
+    """Write every artifact of a run, offline ones included, into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(report.config, sort_keys=True, indent=2))
@@ -520,11 +535,14 @@ def persist_run(report: RunReport, offline: Optional[OfflineArtifacts],
     with open(out_dir / "rounds.jsonl", "w") as f:
         for entry in report.round_log:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
-    if offline is not None:
-        write_meta_csv(offline.meta_samples, out_dir / "meta_dataset.csv")
-        nn.save_checkpoint(out_dir / "meta.ppam", offline.meta.params, offline.meta.arch)
-    if timings is not None:
-        (out_dir / "timings.json").write_text(json.dumps(timings, indent=2))
+    write_meta_csv(offline.meta_samples, out_dir / "meta_dataset.csv")
+    nn.save_checkpoint(out_dir / "meta.ppam", offline.meta.params, offline.meta.arch)
+    (out_dir / "shadows.json").write_text(json.dumps([
+        {"index": i, "preference": sh.preference,
+         "class_counts": sh.dataset.class_counts.tolist(),
+         "sensitivity": [float(v) for v in sh.sensitivity]}
+        for i, sh in enumerate(offline.shadows)], indent=2))
+    (out_dir / "timings.json").write_text(json.dumps(timings, indent=2))
     return out_dir
 
 
@@ -566,22 +584,25 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def report_runs(run_dirs: list, k_values=(1, 2, 3), out_dir: Optional[Path] = None):
+def report_runs(run_dirs: list, k_values=None, out_dir: Optional[Path] = None):
     """Summary table plus DS-vs-round series for one or more completed runs.
 
-    Returns (summary rows, ds rows); writes summary.csv and ds_vs_round.csv
-    when out_dir is given.  Raises on missing artifacts, and a ConfigError for
-    a k that a run's report did not score.
+    ``k_values`` defaults to every k that all the runs scored.  Returns
+    (summary rows, ds rows); writes summary.csv and ds_vs_round.csv when
+    out_dir is given.  Raises on missing artifacts, and a ConfigError for a k
+    that a run's report did not score.
     """
     if not run_dirs:
         raise InputError("no run directories given")
-    summary, ds_rows = [], []
-    for d in run_dirs:
-        d = Path(d)
-        rp = d / "report.json"
-        if not rp.exists():
+    reports = []
+    for d in map(Path, run_dirs):
+        if not (d / "report.json").exists():
             raise OSError(f"missing report.json under {d}")
-        rep = json.loads(rp.read_text())
+        reports.append((d, json.loads((d / "report.json").read_text())))
+    if k_values is None:
+        k_values = sorted(set.intersection(*(set(map(int, rep["topk"])) for _, rep in reports)))
+    summary, ds_rows = [], []
+    for d, rep in reports:
         cfg = rep["config"]
         row = {
             "run_id": rep["run_id"],

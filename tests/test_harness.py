@@ -1,5 +1,6 @@
 """Config validation, end-to-end determinism, persistence, reporting, CLI."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedprof
-from fedprof import attack, data, harness, nn
+from fedprof import attack, cli, data, harness, nn
 from fedprof.errors import ConfigError, NumericalError
 
 FAST = {
@@ -153,14 +154,55 @@ def test_idx_kind_requires_existing_files(tmp_path):
         harness.validate_config(json.dumps(raw))
 
 
+def write_idx_pool(tmp_path, counts):
+    """An IDX pair holding counts[c] samples of class c; returns the FAST
+    config on it."""
+    y = np.repeat(np.arange(len(counts)), counts)
+    X = np.random.default_rng(0).integers(0, 256, (len(y), 8)) / 255.0
+    img, lbl = tmp_path / "images.idx", tmp_path / "labels.idx"
+    data.write_idx(data.LabeledDataset(X, y, len(counts)), img, lbl)
+    return harness._deep_merge(FAST, {"dataset": {"kind": "idx", "images": str(img),
+                                                  "labels": str(lbl)}})
+
+
+def test_idx_pool_must_hold_what_the_run_draws(tmp_path):
+    # Each class must cover the clients' draws plus the aux store and test set.
+    cfg = fast_config()
+    need = (np.stack([data.spec_counts(s) for s in cfg.fed_spec.specs]).sum(axis=0)
+            + FAST["attack"]["aux_per_class"] + FAST["eval_per_class"])
+    exact = harness.validate_config(json.dumps(write_idx_pool(tmp_path, need)))
+    staged = harness.stage_data(exact)
+    assert [len(c) for c in staged.clients] == [len(c) for c in
+                                                harness.stage_data(cfg).clients]
+    for c in range(4):
+        counts = need.copy()
+        counts[c] -= 1
+        with pytest.raises(ConfigError, match=rf"dataset.labels .*class {c}: "
+                                              rf"{counts[c]} samples, 1 short of {need[c]}"):
+            harness.validate_config(json.dumps(write_idx_pool(tmp_path, counts)))
+
+
+def test_idx_pool_class_count_must_match_n_label(tmp_path):
+    raw = write_idx_pool(tmp_path, [200, 200, 200])
+    with pytest.raises(ConfigError, match="dataset.n_label is 4 but dataset.labels holds 3"):
+        harness.validate_config(json.dumps(raw))
+
+
 # ---------------------------------------------------------------------------
 # run_experiment
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def fast_report():
-    return harness.run_experiment(fast_config())
+def fast_run(tmp_path_factory):
+    """The FAST run's report and its run directory."""
+    out = tmp_path_factory.mktemp("fast") / "run"
+    return harness.run_experiment(fast_config(), out_dir=out), out
+
+
+@pytest.fixture(scope="module")
+def fast_report(fast_run):
+    return fast_run[0]
 
 
 def test_report_fields_well_formed(fast_report):
@@ -185,17 +227,38 @@ def test_seed_changes_the_run(fast_report):
     assert other.to_json() != fast_report.to_json()
 
 
-def test_persistence_layout(tmp_path):
+def test_persistence_layout(fast_run):
+    rep, d = fast_run
     cfg = fast_config()
-    rep = harness.run_experiment(cfg, out_dir=tmp_path / "run1")
-    d = tmp_path / "run1"
     for name in ("config.json", "report.json", "rounds.jsonl", "meta.ppam",
-                 "meta_dataset.csv", "timings.json"):
+                 "meta_dataset.csv", "shadows.json", "timings.json"):
         assert (d / name).exists(), name
     echoed = json.loads((d / "config.json").read_text())
     assert echoed == cfg.resolved
     lines = (d / "rounds.jsonl").read_text().strip().splitlines()
     assert len(lines) == len(rep.round_log)
+    assert json.loads((d / "report.json").read_text())["meta_train_accuracy"] == \
+        rep.meta_train_accuracy > 0
+    # shadows.json holds the meta dataset's inputs, one entry per shadow.
+    shadows = json.loads((d / "shadows.json").read_text())
+    assert [sh["index"] for sh in shadows] == list(range(8))
+    assert {sh["preference"] for sh in shadows} == set(range(4))
+    size = cfg.shadow_draws[0][0].total_size
+    for sh, (spec, _) in zip(shadows, cfg.shadow_draws):
+        assert sum(sh["class_counts"]) == size
+        assert sh["class_counts"] == data.spec_counts(spec).tolist()
+        assert sh["preference"] == spec.preferred_class
+        assert len(sh["sensitivity"]) == 4 and min(sh["sensitivity"]) >= 0
+
+
+def test_run_directory_is_byte_deterministic(fast_run, tmp_path):
+    _, first = fast_run
+    harness.run_experiment(fast_config(), out_dir=tmp_path)
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in tmp_path.iterdir())
+    for name in names:
+        if name != "timings.json":  # wall clock
+            assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_report_runs_joins_policies(tmp_path):
@@ -342,6 +405,12 @@ def test_cli_two_class_run_scores_top1_and_top2(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "--k 3" in proc.stderr and str(report.parent) in proc.stderr
     assert "Traceback" not in proc.stderr
+    # Without --k, report prints every k the run scored.
+    proc = run_cli(["report", str(report.parent), "--out", str(tmp_path / "rep")],
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header = proc.stdout.splitlines()[0].split()
+    assert header[-2:] == ["top1", "top2"] and "top3" not in proc.stdout
 
 
 def test_cli_report_bad_k_is_config_error(tmp_path):
@@ -372,6 +441,17 @@ def test_cli_runtime_error_exit_code_two(tmp_path):
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad magic" in proc.stderr
+
+
+def test_cli_idx_pool_too_small_exit_code_one(tmp_path):
+    # 60 samples per class validate as files but cannot feed the FAST run.
+    raw = write_idx_pool(tmp_path, [60] * 4)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "dataset.labels" in proc.stderr and "short of" in proc.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_cnn_too_small_exit_code_one(tmp_path):
@@ -426,14 +506,12 @@ def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     assert "Warning" not in proc.stderr
 
 
-def test_cli_shadow_and_meta_train(tmp_path):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**FAST, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["shadow-train", "--config", str(cfg_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    shadows = list((tmp_path / "runs").glob("*/shadows/shadow_*.ppam"))
-    assert len(shadows) == 8
-    proc = run_cli(["meta-train", "--config", str(cfg_path)], cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert list((tmp_path / "runs").glob("*/meta.ppam"))
-    assert list((tmp_path / "runs").glob("*/meta_dataset.csv"))
+def test_readme_cli_block_names_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("fedprof ")]
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(documented) == sorted(sub.choices)
+    assert len(set(documented)) == len(documented)
