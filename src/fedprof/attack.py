@@ -4,9 +4,9 @@ selective-aggregation partner choice, and streak-gated profiling as a fold
 over the round traces the server records.
 
 Model sensitivity of class c is the L1 norm of the feature-layer gradient of
-the mean loss on the class-c auxiliary subset: how far one full-batch
-retraining step on that subset would move the feature layer, per unit of
-learning rate.  The profiler consumes the per-class absolute difference
+the mean loss on the class-c block of the auxiliary store: how far one
+full-batch retraining step on that block would move the feature layer, per
+unit of learning rate.  The profiler consumes the per-class absolute difference
 between the sensitivity of the model a user received last round and the
 sensitivity of the model it uploaded this round.
 """
@@ -20,8 +20,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import fedsim, nn
-from .data import (AuxiliaryStore, DistributionSpec, LabeledDataset, preference_class,
-                   realize_distribution, sample_cp_cd, spec_counts)
+from .data import (DistributionSpec, LabeledDataset, preference_class, realize_distribution,
+                   sample_cp_cd, spec_counts)
 from .errors import ConfigError, InputError
 from .seeding import derive_seed
 
@@ -31,17 +31,21 @@ from .seeding import derive_seed
 
 
 def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
-                        aux: AuxiliaryStore) -> np.ndarray:
+                        aux: LabeledDataset) -> np.ndarray:
     """Per-class model sensitivity: the summed absolute feature-layer gradient
-    of the mean loss on each class's auxiliary samples.  The input model is
-    never mutated."""
+    of the mean loss on each class's auxiliary samples.  ``aux`` must be in
+    class blocks, as :func:`data.sample_per_class` draws it.  The input model
+    is never mutated."""
+    if np.any(aux.y[1:] < aux.y[:-1]):
+        raise InputError("auxiliary store is not in class blocks")
+    bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
     off, length = pv.layout[arch.feature_id]
     out = np.zeros(aux.n_label)
     for c in range(aux.n_label):
-        Xc = aux.per_class[c]
-        if len(Xc) == 0:
+        lo, hi = bounds[c], bounds[c + 1]
+        if lo == hi:
             raise InputError(f"auxiliary store has no samples for class {c}")
-        grad = nn.backward(pv, arch, Xc, np.full(len(Xc), c, dtype=np.int64))
+        grad = nn.backward(pv, arch, aux.X[lo:hi], aux.y[lo:hi])
         out[c] = np.abs(grad.values[off:off + length]).sum()
     return out
 
@@ -74,12 +78,6 @@ class ShadowRecord:
     dataset: LabeledDataset
     preference: int
     sensitivity: np.ndarray
-
-
-@dataclass
-class MetaSample:
-    features: np.ndarray
-    label: int
 
 
 def default_shadow_sampler(n_label: int, total_size: int,
@@ -116,16 +114,15 @@ def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed
     return draws
 
 
-def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture,
+def train_shadows(aux: LabeledDataset, arch: nn.Architecture,
                   draws: List[Tuple[DistributionSpec, int]],
                   train_cfg: nn.TrainConfig) -> List[ShadowRecord]:
     """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
-    realized from the auxiliary pool; its preference is the spec's preferred
+    realized from the auxiliary store; its preference is the spec's preferred
     class."""
-    pool = aux.to_dataset()
     shadows = []
     for spec, sub in draws:
-        ds = realize_distribution(pool, spec, seed=derive_seed(sub, "data"))
+        ds = realize_distribution(aux, spec, seed=derive_seed(sub, "data"))
         params = nn.init_params(arch, seed=derive_seed(sub, "init"))
         cfg = dataclasses.replace(train_cfg, seed=derive_seed(sub, "train"))
         params = nn.train(params, arch, ds.X, ds.y, cfg)
@@ -139,11 +136,12 @@ def train_shadows(aux: AuxiliaryStore, arch: nn.Architecture,
 # ---------------------------------------------------------------------------
 
 
-def build_meta_dataset_centralized(shadows: List[ShadowRecord]) -> List[MetaSample]:
+def build_meta_dataset_centralized(shadows: List[ShadowRecord]) -> LabeledDataset:
     """One (sensitivity vector, preference) sample per shadow model."""
     if not shadows:
         raise InputError("no shadow records")
-    return [MetaSample(s.sensitivity, s.preference) for s in shadows]
+    return LabeledDataset(np.stack([s.sensitivity for s in shadows]),
+                          [s.preference for s in shadows], shadows[0].dataset.n_label)
 
 
 def _most_opposite(column, target: int, mode: str) -> List[int]:
@@ -161,9 +159,9 @@ def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
     return _most_opposite([s.sensitivity[key] for s in shadows], i, mode)[0]
 
 
-def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStore,
+def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDataset,
                                  arch: nn.Architecture, update_cfg: nn.TrainConfig, seed: int,
-                                 mode: str = "majority") -> List[MetaSample]:
+                                 mode: str = "majority") -> LabeledDataset:
     """Pair each shadow with its most opposite peer and mimic two FL rounds.
 
     For shadow i: average it (equal weights) with the partner, extract S1 of
@@ -173,7 +171,7 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStor
     """
     if len(shadows) < 2:
         raise ConfigError("federated meta dataset needs at least two shadows")
-    samples = []
+    features = []
     for i, sh in enumerate(shadows):
         partner = _pair_partner(shadows, i, mode)
         agg = fedsim.fedavg([sh.params, shadows[partner].params], [1.0, 1.0])
@@ -181,8 +179,8 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: AuxiliaryStor
         cfg = dataclasses.replace(update_cfg, seed=derive_seed(seed, "shadow-update", i))
         updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, cfg)
         s2 = extract_sensitivity(updated, arch, aux)
-        samples.append(MetaSample(differential_sensitivity(s1, s2), sh.preference))
-    return samples
+        features.append(differential_sensitivity(s1, s2))
+    return LabeledDataset(np.stack(features), [sh.preference for sh in shadows], aux.n_label)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +202,24 @@ class MetaClassifier:
         return nn.predict_logits(self.params, self.arch, normalize_features(features))
 
 
-def train_meta(meta_samples: List[MetaSample], n_label: int,
-               train_cfg: nn.TrainConfig, hidden: int = 32) -> MetaClassifier:
-    """Fit the meta-classifier on (features, preference) pairs."""
-    if len(meta_samples) < n_label:
-        raise ConfigError(
-            f"need at least {n_label} meta samples, got {len(meta_samples)}"
-        )
-    labels = np.array([s.label for s in meta_samples])
-    missing = sorted(set(range(n_label)) - set(labels.tolist()))
+def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig,
+               hidden: int = 32) -> MetaClassifier:
+    """Fit the meta-classifier on (sensitivity features, preference) samples."""
+    n_label = meta.n_label
+    if len(meta) < n_label:
+        raise ConfigError(f"need at least {n_label} meta samples, got {len(meta)}")
+    missing = np.flatnonzero(meta.class_counts == 0).tolist()
     if missing:
         raise ConfigError(f"meta dataset has no samples for classes {missing}")
-    feats = normalize_features(np.stack([s.features for s in meta_samples]))
+    feats = normalize_features(meta.X)
     arch = nn.Architecture(
         (nn.Dense(n_label, hidden), nn.Relu(), nn.Dense(hidden, n_label)),
         (n_label,), n_label,
     )
     params = nn.init_params(arch, seed=derive_seed(train_cfg.seed, "meta-init"))
     cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, len(feats)))
-    params = nn.train(params, arch, feats, labels, cfg)
-    acc = nn.accuracy(params, arch, feats, labels)
+    params = nn.train(params, arch, feats, meta.y, cfg)
+    acc = nn.accuracy(params, arch, feats, meta.y)
     return MetaClassifier(params, arch, acc)
 
 
@@ -306,7 +302,7 @@ class PreferenceProfiler:
     over ``history``.
     """
 
-    def __init__(self, arch: nn.Architecture, aux: AuxiliaryStore, n_user: int,
+    def __init__(self, arch: nn.Architecture, aux: LabeledDataset, n_user: int,
                  init_model: nn.ParamVector, x: Optional[int] = None,
                  mode: str = "majority"):
         self.arch = arch

@@ -1,8 +1,8 @@
 """Dataset synthesis, IDX container I/O and heterogeneous partitioning.
 
 All sampling is without replacement and deterministic given a seed.  Client
-datasets and the server's auxiliary store are kept disjoint by index
-bookkeeping against a shared source pool.
+datasets, the server's auxiliary store and the test set are kept disjoint by
+index bookkeeping against a shared source pool.
 """
 
 from __future__ import annotations
@@ -112,28 +112,6 @@ class FederationSpec:
             raise SpecError(f"expected {self.n_user} user specs, got {len(self.specs)}")
 
 
-@dataclass
-class AuxiliaryStore:
-    """Per-class sample lists held by the server, disjoint from every client."""
-
-    per_class: list
-    n_label: int
-    feature_shape: tuple = ()
-    source_indices: Optional[list] = None
-
-    def __post_init__(self):
-        if len(self.per_class) != self.n_label:
-            raise InputError("per_class list length must equal n_label")
-
-    def to_dataset(self) -> LabeledDataset:
-        X = np.concatenate(self.per_class, axis=0)
-        y = np.concatenate([np.full(len(b), c, dtype=np.int64)
-                            for c, b in enumerate(self.per_class)])
-        src = (np.concatenate(self.source_indices)
-               if self.source_indices is not None else None)
-        return LabeledDataset(X, y, self.n_label, self.feature_shape, src)
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
@@ -184,11 +162,9 @@ def _read_exact(f, size, what):
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
     """Load an image/label IDX pair; pixels scaled to [0, 1]."""
+    n, rows, cols = load_idx_header(images_path)
     with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, "images magic"))
-        if magic != IMAGES_MAGIC:
-            raise FormatError(f"bad magic 0x{magic:08x} in images file, expected 0x{IMAGES_MAGIC:08x}")
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, "images dimensions"))
+        f.seek(16)
         pixels = np.frombuffer(_read_exact(f, n * rows * cols, "images pixel data"), dtype=np.uint8)
     y = load_idx_labels(labels_path)
     if n != len(y):
@@ -196,6 +172,15 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     X = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
     n_label = int(y.max()) + 1 if n else 1
     return LabeledDataset(X, y, n_label, feature_shape=(rows, cols))
+
+
+def load_idx_header(images_path) -> tuple:
+    """(count, rows, cols) from the 16-byte header of an IDX image file."""
+    with open(images_path, "rb") as f:
+        (magic,) = struct.unpack(">I", _read_exact(f, 4, "images magic"))
+        if magic != IMAGES_MAGIC:
+            raise FormatError(f"bad magic 0x{magic:08x} in images file, expected 0x{IMAGES_MAGIC:08x}")
+        return struct.unpack(">III", _read_exact(f, 12, "images dimensions"))
 
 
 def load_idx_labels(labels_path) -> np.ndarray:
@@ -328,33 +313,24 @@ def build_federation(pool: LabeledDataset, fed: FederationSpec, seed: int):
     return clients, used
 
 
-def sample_per_class(pool: LabeledDataset, per_class: int, excluded_indices):
-    """Lowest-index per-class draw from the pool, avoiding excluded indices."""
+def sample_per_class(pool: LabeledDataset, per_class: int, excluded_indices) -> LabeledDataset:
+    """The lowest-index ``per_class`` samples of each class that are not
+    excluded, in class blocks: class 0's rows first, then class 1's, and so
+    on.  This draws the server's auxiliary store and the test set."""
+    if per_class < 0:
+        raise InputError("per_class must be >= 0")
     excluded = np.zeros(len(pool), dtype=bool)
     if excluded_indices is not None and len(excluded_indices):
         excluded[np.asarray(excluded_indices, dtype=np.int64)] = True
-    batches, indices = [], []
+    picked = []
     for c in range(pool.n_label):
         avail = np.flatnonzero((pool.y == c) & ~excluded)
         if len(avail) < per_class:
             raise InputError(
                 f"only {len(avail)} unexcluded samples of class {c}, need {per_class}"
             )
-        take = avail[:per_class]
-        batches.append(pool.X[take])
-        indices.append(take)
-    return batches, indices
-
-
-def build_auxiliary(pool: LabeledDataset, samples_per_class: int,
-                    excluded_indices) -> AuxiliaryStore:
-    """Auxiliary store with exactly samples_per_class per class, disjoint from
-    every excluded pool index (i.e. from every client dataset)."""
-    if samples_per_class < 0:
-        raise InputError("samples_per_class must be >= 0")
-    batches, indices = sample_per_class(pool, samples_per_class, excluded_indices)
-    return AuxiliaryStore(batches, pool.n_label,
-                          feature_shape=pool.feature_shape, source_indices=indices)
+        picked.append(avail[:per_class])
+    return pool.subset(np.concatenate(picked))
 
 
 # ---------------------------------------------------------------------------

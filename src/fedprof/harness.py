@@ -247,6 +247,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
     if ds["kind"] == "idx":
+        _, rows, cols = data.load_idx_header(ds["images"])
+        if resolved["model"]["kind"] == "cnn" and not _cnn_fits(rows, cols):
+            raise ConfigError(f"dataset.images {ds['images']} holds {rows}x{cols} images, too "
+                              f"small for model.kind 'cnn' (at least 6x6)")
         have = np.bincount(data.load_idx_labels(ds["labels"]))
         if len(have) != n_label:
             raise ConfigError(f"dataset.n_label is {n_label} but dataset.labels holds "
@@ -310,9 +314,8 @@ def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) 
 @dataclass
 class StagedData:
     clients: list
-    aux: data.AuxiliaryStore
-    test_X: np.ndarray
-    test_y: np.ndarray
+    aux: data.LabeledDataset
+    test: data.LabeledDataset
     arch: nn.Architecture
 
 
@@ -328,13 +331,11 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     else:  # validate_config checked the classes and their counts
         pool = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
     clients, used = data.build_federation(pool, cfg.fed_spec, seed=derive_seed(seed, "federation"))
-    aux = data.build_auxiliary(pool, cfg["attack"]["aux_per_class"], excluded_indices=used)
-    excluded = np.concatenate([used, np.concatenate(aux.source_indices)])
-    test_batches, _ = data.sample_per_class(pool, cfg["eval_per_class"], excluded)
-    test_X = np.concatenate(test_batches)
-    test_y = np.repeat(np.arange(n_label), cfg["eval_per_class"])
+    aux = data.sample_per_class(pool, cfg["attack"]["aux_per_class"], used)
+    test = data.sample_per_class(pool, cfg["eval_per_class"],
+                                 np.concatenate([used, aux.source_indices]))
     arch = build_model_arch(cfg, n_label, pool.feature_shape)
-    return StagedData(clients, aux, test_X, test_y, arch)
+    return StagedData(clients, aux, test, arch)
 
 
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
@@ -359,17 +360,17 @@ def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
 @dataclass
 class OfflineArtifacts:
     shadows: list
-    meta_samples: list
+    meta_dataset: data.LabeledDataset
     meta: attack.MetaClassifier
 
 
-def _train_meta(cfg: ExperimentConfig, meta_samples: list, n_label: int) -> attack.MetaClassifier:
+def _train_meta(cfg: ExperimentConfig, meta_dataset: data.LabeledDataset) -> attack.MetaClassifier:
     meta = cfg["attack"]["meta"]
     meta_cfg = nn.TrainConfig(
         learning_rate=meta["learning_rate"], epochs=meta["epochs"],
         batch_size=meta["batch_size"], seed=derive_seed(cfg.seed, "meta-train"),
     )
-    return attack.train_meta(meta_samples, n_label, meta_cfg, hidden=meta["hidden"])
+    return attack.train_meta(meta_dataset, meta_cfg, hidden=meta["hidden"])
 
 
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
@@ -379,12 +380,11 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
     shadow_cfg = dataclasses.replace(update_cfg, epochs=atk["shadow_epochs"])
     shadows = attack.train_shadows(staged.aux, staged.arch, cfg.shadow_draws, shadow_cfg)
-    meta_samples = attack.build_meta_dataset_federated(
+    meta_dataset = attack.build_meta_dataset_federated(
         shadows, staged.aux, staged.arch, update_cfg,
         seed=derive_seed(cfg.seed, "meta-fed"), mode=atk["mode"],
     )
-    return OfflineArtifacts(shadows, meta_samples,
-                            _train_meta(cfg, meta_samples, staged.aux.n_label))
+    return OfflineArtifacts(shadows, meta_dataset, _train_meta(cfg, meta_dataset))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ class RunReport:
 
 def _mean_test_acc(state: fedsim.RoundState, staged: StagedData) -> float:
     return float(np.mean([
-        nn.accuracy(m, staged.arch, staged.test_X, staged.test_y)
+        nn.accuracy(m, staged.arch, staged.test.X, staged.test.y)
         for m in state.distributed
     ]))
 
@@ -535,7 +535,7 @@ def persist_run(report: RunReport, offline: OfflineArtifacts, out_dir: Path,
     with open(out_dir / "rounds.jsonl", "w") as f:
         for entry in report.round_log:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
-    write_meta_csv(offline.meta_samples, out_dir / "meta_dataset.csv")
+    write_meta_csv(offline.meta_dataset, out_dir / "meta_dataset.csv")
     nn.save_checkpoint(out_dir / "meta.ppam", offline.meta.params, offline.meta.arch)
     (out_dir / "shadows.json").write_text(json.dumps([
         {"index": i, "preference": sh.preference,
@@ -556,8 +556,7 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     """
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
-    centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows),
-                              staged.aux.n_label)
+    centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows))
     history, _, _ = run_online(cfg, staged)
     mode = cfg["attack"]["mode"]
     counts = [c.class_counts.tolist() for c in staged.clients]
@@ -637,10 +636,10 @@ def report_runs(run_dirs: list, k_values=None, out_dir: Optional[Path] = None):
     return summary, ds_rows
 
 
-def write_meta_csv(samples: list, path: Path) -> None:
+def write_meta_csv(meta: data.LabeledDataset, path: Path) -> None:
     """One feature column per class (s0, s1, ...), then the preference label."""
-    write_csv(path, [{**{f"s{c}": float(v) for c, v in enumerate(s.features)}, "label": s.label}
-                     for s in samples])
+    write_csv(path, [{**{f"s{c}": float(v) for c, v in enumerate(x)}, "label": int(label)}
+                     for x, label in zip(meta.X, meta.y)])
 
 
 def write_csv(path: Path, rows: list) -> None:

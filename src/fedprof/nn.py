@@ -304,19 +304,18 @@ def _run_layers(pv, arch, X, train_mode, rng):
     return act, caches
 
 
-def _softmax_xent(logits: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy (stable log-sum-exp) and, per row, the gradient of
-    that row's own loss w.r.t. its logits.  The mean loss's gradient is the
-    latter divided by the batch size."""
-    n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
-    shifted = logits - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_p = shifted - lse
-    loss = -log_p[np.arange(n), y].mean()
-    grad = np.exp(log_p)
-    grad[np.arange(n), y] -= 1.0
-    return loss, grad
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax by the stable log-sum-exp."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per row, the gradient of that row's own cross-entropy w.r.t. its
+    logits.  The mean loss's gradient is this divided by the batch size."""
+    grad = np.exp(_log_softmax(logits))
+    grad[np.arange(logits.shape[0]), y] -= 1.0
+    return grad
 
 
 def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) -> None:
@@ -328,7 +327,7 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
 
 
 def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False):
-    """Mean batch loss and its gradient, from one forward and one backward walk.
+    """Gradient of the mean batch loss, from one forward and one backward walk.
 
     The gradient is a ParamVector in the model's layout or, with per_example,
     a (batch, n_params) array whose row i is the gradient of sample i's own
@@ -340,7 +339,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
     logits, caches = _run_layers(pv, arch, X, train_mode, rng)
-    loss, delta = _softmax_xent(logits, y)
+    delta = _softmax_xent(logits, y)
     if per_example:
         grad = np.zeros((X.shape[0], arch.n_params))
     else:
@@ -397,7 +396,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
             _, keep, scale = cache
             if keep is not None:
                 delta = delta * keep * scale
-    return loss, grad
+    return grad
 
 
 def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
@@ -405,8 +404,7 @@ def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
     logits, _ = _run_layers(pv, arch, X, train_mode=False, rng=None)
-    loss, _ = _softmax_xent(logits, y)
-    return logits, loss
+    return logits, -_log_softmax(logits)[np.arange(len(y)), y].mean()
 
 
 def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.ndarray:
@@ -418,7 +416,7 @@ def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.nda
 def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> ParamVector:
     """Gradient of the mean batch loss w.r.t. every parameter (eval mode), in
     the model's layout."""
-    return _loss_and_grad(pv, arch, X, y)[1]
+    return _loss_and_grad(pv, arch, X, y)
 
 
 def accuracy(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:
@@ -532,7 +530,7 @@ def train(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            _, grad = _loss_and_grad(
+            grad = _loss_and_grad(
                 out, arch, X[idx], y[idx], train_mode=cfg.dropout_enabled, rng=rng,
                 per_example=cfg.dp is not None,
             )

@@ -92,7 +92,8 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
         for trial in range(100):
             params = nn.init_params(arch, seed=trial)
             batches = [rng.standard_normal((int(rng.integers(3, 9)), 6)) for _ in range(4)]
-            aux = data.AuxiliaryStore(batches, 4)
+            aux = data.LabeledDataset(np.concatenate(batches),
+                                      np.repeat(np.arange(4), [len(b) for b in batches]), 4)
             got = attack.extract_sensitivity(params, arch, aux)
             off, length = params.layout[arch.feature_id]
             for c in range(4):
@@ -141,8 +142,8 @@ def test_criterion_04_binary_ratio_monotonicity():
     with criterion(4, "sensitivity at class A decreases in A's ratio (Spearman <= -0.9)"):
         dim, total, pool_seed = 16, 6000, 0
         pool = data.make_synthetic(2, dim, total + 200, seed=pool_seed)
-        aux = data.build_auxiliary(pool, 150, excluded_indices=None)
-        aux_idx = np.concatenate(aux.source_indices)
+        aux = data.sample_per_class(pool, 150, None)
+        aux_idx = aux.source_indices
         avail = {c: np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx) for c in (0, 1)}
         arch = nn.Architecture((nn.Dense(dim, 32), nn.Relu(), nn.Dense(32, 2)), (dim,), 2)
         ratios = np.arange(0.1, 0.95, 0.1)
@@ -172,8 +173,8 @@ def test_criterion_05_sensitivity_extremes():
         counts[1], counts[8] = 3000, 120  # 50% majority, 2% minority of 6000
         for t in range(20):
             pool = data.make_synthetic(10, 16, 3400, seed=4300 + t)
-            aux = data.build_auxiliary(pool, 150, excluded_indices=None)
-            aux_idx = np.concatenate(aux.source_indices)
+            aux = data.sample_per_class(pool, 150, None)
+            aux_idx = aux.source_indices
             idx = np.concatenate([
                 np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx)[:counts[c]]
                 for c in range(10)

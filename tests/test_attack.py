@@ -14,7 +14,7 @@ from fedprof.errors import ConfigError, InputError
 def world():
     """Small pool, reserved auxiliary store, and an MLP over 4 classes."""
     pool = data.make_synthetic(4, 8, 200, seed=10)
-    aux = data.build_auxiliary(pool, 30, excluded_indices=None)
+    aux = data.sample_per_class(pool, 30, None)
     arch = nn.Architecture((nn.Dense(8, 16), nn.Relu(), nn.Dense(16, 4)), (8,), 4)
     return pool, aux, arch
 
@@ -30,7 +30,7 @@ def test_sensitivity_matches_summed_feature_layer_gradient(world):
     got = attack.extract_sensitivity(params, arch, aux)
     off, length = params.layout[arch.feature_id]
     for c in range(4):
-        Xc = aux.per_class[c]
+        Xc = aux.X[aux.y == c]
         grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
         want = np.abs(grad.values[off:off + length]).sum()
         assert got[c] == pytest.approx(want, rel=1e-9)
@@ -43,7 +43,8 @@ def test_sensitivity_zero_at_stationary_point(world):
     params = nn.zeros_like_params(big)
     W, b = nn._layer_params(params, big, 0)
     b[:] = [80.0, -80.0]  # class 0 always wins regardless of input
-    aux2 = data.AuxiliaryStore([aux.per_class[0], aux.per_class[1]], 2)
+    first_two = aux.y < 2
+    aux2 = data.LabeledDataset(aux.X[first_two], aux.y[first_two], 2)
     s = attack.extract_sensitivity(params, big, aux2)
     assert s[0] < 1e-6
 
@@ -58,18 +59,33 @@ def test_sensitivity_never_mutates_the_model(world):
 
 def test_sensitivity_rejects_empty_class(world):
     pool, aux, arch = world
-    empty = data.AuxiliaryStore([np.zeros((0, 8))] * 4, 4)
     params = nn.init_params(arch, seed=3)
-    with pytest.raises(InputError):
+    empty = data.LabeledDataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), 4)
+    with pytest.raises(InputError, match="no samples for class 0"):
         attack.extract_sensitivity(params, arch, empty)
+    no_class_2 = aux.subset(np.flatnonzero(aux.y != 2))
+    with pytest.raises(InputError, match="no samples for class 2"):
+        attack.extract_sensitivity(params, arch, no_class_2)
+
+
+def test_sensitivity_rejects_a_store_not_in_class_blocks(world):
+    pool, aux, arch = world
+    params = nn.init_params(arch, seed=3)
+    swapped = aux.subset(np.r_[np.arange(30, 60), np.arange(30), np.arange(60, 120)])
+    with pytest.raises(InputError, match="class blocks"):
+        attack.extract_sensitivity(params, arch, swapped)
+    # the same rows back in class order give the store's own sensitivity
+    restored = swapped.subset(np.argsort(swapped.y, kind="stable"))
+    assert np.array_equal(attack.extract_sensitivity(params, arch, restored),
+                          attack.extract_sensitivity(params, arch, aux))
 
 
 def test_skewed_training_orders_sensitivity():
     # Heavily trained class -> low sensitivity; starved class -> high.
     pool = data.make_synthetic(4, 8, 800, seed=11)
-    aux = data.build_auxiliary(pool, 100, excluded_indices=None)
+    aux = data.sample_per_class(pool, 100, None)
     arch = nn.Architecture((nn.Dense(8, 16), nn.Relu(), nn.Dense(16, 4)), (8,), 4)
-    aux_idx = np.concatenate(aux.source_indices)
+    aux_idx = aux.source_indices
     counts = np.array([700, 28, 336, 336])  # 50% / 2% / rest even
     avail = [np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx) for c in range(4)]
     idx = np.concatenate([avail[c][:counts[c]] for c in range(4)])
@@ -149,7 +165,7 @@ def test_too_few_shadows_is_config_error():
 
 def test_forty_shadows_ten_classes_all_preferred():
     pool = data.make_synthetic(10, 8, 120, seed=20)
-    aux = data.build_auxiliary(pool, 40, excluded_indices=None)
+    aux = data.sample_per_class(pool, 40, None)
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
     draws = attack.draw_shadow_specs(10, 40, attack.default_shadow_sampler(10, 50), seed=6)
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16, seed=0))
@@ -159,11 +175,10 @@ def test_forty_shadows_ten_classes_all_preferred():
 
 def test_centralized_meta_dataset_labels_and_nonnegativity(shadows, world):
     pool, aux, arch = world
-    samples = attack.build_meta_dataset_centralized(shadows)
-    assert len(samples) == len(shadows)
-    for ms, sh in zip(samples, shadows):
-        assert ms.label == sh.preference
-        assert (ms.features >= 0).all()
+    meta_ds = attack.build_meta_dataset_centralized(shadows)
+    assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
+    assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
+    assert (meta_ds.X >= 0).all()
 
 
 def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
@@ -174,8 +189,8 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
 
     draws = attack.draw_shadow_specs(4, 12, skewed, seed=8)
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
-    samples = attack.build_meta_dataset_centralized(out)
-    hit = np.mean([int(np.argmin(ms.features)) == ms.label for ms in samples])
+    meta_ds = attack.build_meta_dataset_centralized(out)
+    hit = np.mean(meta_ds.X.argmin(axis=1) == meta_ds.y)
     assert hit >= 0.8  # chance would be 0.25
 
 
@@ -203,27 +218,26 @@ def test_federated_meta_pairing_is_most_opposite(shadows, world):
 def test_federated_meta_dataset_shapes(shadows, world):
     pool, aux, arch = world
     upd = nn.TrainConfig(0.05, 1, 16, seed=0)
-    samples = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9)
-    assert len(samples) == len(shadows)
-    for ms, sh in zip(samples, shadows):
-        assert ms.label == sh.preference
-        assert ms.features.shape == (4,)
-        assert (ms.features >= 0).all()
+    meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9)
+    assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
+    assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
+    assert (meta_ds.X >= 0).all()
     with pytest.raises(ConfigError):
         attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9)
 
 
 def test_meta_csv_export(tmp_path, shadows, world):
     pool, aux, arch = world
-    samples = attack.build_meta_dataset_centralized(shadows)
+    meta_ds = attack.build_meta_dataset_centralized(shadows)
     path = tmp_path / "meta.csv"
-    harness.write_meta_csv(samples, path)
+    harness.write_meta_csv(meta_ds, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "s0,s1,s2,s3,label"
-    assert len(lines) == len(samples) + 1
+    assert len(lines) == len(meta_ds) + 1
     first = lines[1].split(",")
     assert len(first) == 5
-    assert float(first[0]) == pytest.approx(samples[0].features[0])
+    assert float(first[0]) == pytest.approx(meta_ds.X[0, 0])
+    assert int(first[4]) == meta_ds.y[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,47 +245,45 @@ def test_meta_csv_export(tmp_path, shadows, world):
 # ---------------------------------------------------------------------------
 
 
+def peaked_meta_dataset(rng, n_label, per_class, floor):
+    """per_class rows of each class, in class blocks: features uniform in
+    [0, floor) except a 1.0 at the row's class, so trivially separable."""
+    y = np.repeat(np.arange(n_label), per_class)
+    X = rng.random((len(y), n_label)) * floor
+    X[np.arange(len(y)), y] = 1.0
+    return data.LabeledDataset(X, y, n_label)
+
+
 def test_meta_degenerate_single_label_always_predicts_it():
     rng = np.random.default_rng(1)
     # all-class coverage is required, so exercise the degenerate behaviour via
     # a heavily imbalanced but covering dataset instead
-    samples = [attack.MetaSample(rng.random(3), label=c) for c in range(3)]
-    samples += [attack.MetaSample(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random(3), 1)
-                for _ in range(60)]
-    meta = attack.train_meta(samples, 3, nn.TrainConfig(0.1, 200, 16, seed=0))
+    X = np.concatenate([rng.random((3, 3)),
+                        np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((60, 3))])
+    samples = data.LabeledDataset(X, [0, 1, 2] + [1] * 60, 3)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16, seed=0))
     preds = meta.scores(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((20, 3))).argmax(axis=1)
     assert (preds == 1).sum() >= 18
 
 
 def test_meta_linearly_separable_reaches_perfect_training_accuracy():
-    rng = np.random.default_rng(2)
-    samples = []
-    for c in range(4):
-        for _ in range(12):
-            f = rng.random(4) * 0.2
-            f[c] = 1.0  # peak marks the class: trivially separable
-            samples.append(attack.MetaSample(f, c))
-    meta = attack.train_meta(samples, 4, nn.TrainConfig(0.2, 300, 16, seed=1))
+    samples = peaked_meta_dataset(np.random.default_rng(2), 4, 12, 0.2)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16, seed=1))
     assert meta.train_accuracy == 1.0
 
 
 def test_meta_missing_class_and_too_few_samples_rejected():
-    samples = [attack.MetaSample(np.ones(3), 0), attack.MetaSample(np.ones(3), 1)]
-    with pytest.raises(ConfigError):
-        attack.train_meta(samples, 3, nn.TrainConfig(0.1, 10, 4, seed=0))
-    with pytest.raises(ConfigError):
-        attack.train_meta(samples[:1], 3, nn.TrainConfig(0.1, 10, 4, seed=0))
+    samples = data.LabeledDataset(np.ones((3, 3)), [0, 1, 1], 3)
+    with pytest.raises(ConfigError, match=r"no samples for classes \[2\]"):
+        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4, seed=0))
+    with pytest.raises(ConfigError, match="at least 3"):
+        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4, seed=0))
 
 
 def test_meta_prediction_invariant_under_feature_scaling():
     rng = np.random.default_rng(3)
-    samples = []
-    for c in range(3):
-        for _ in range(10):
-            f = rng.random(3) * 0.3
-            f[c] = 1.0
-            samples.append(attack.MetaSample(f, c))
-    meta = attack.train_meta(samples, 3, nn.TrainConfig(0.2, 200, 16, seed=2))
+    samples = peaked_meta_dataset(rng, 3, 10, 0.3)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16, seed=2))
     V = rng.random((10, 3))
     for scale in (500.0, 0.01):
         assert np.array_equal(np.argsort(-meta.scores(V), axis=1, kind="stable"),
@@ -489,7 +501,7 @@ def test_topk_from_counts_tie_aware():
 
 def test_profiler_hook_runs_and_locks(world):
     pool, aux, arch = world
-    aux_idx = np.concatenate(aux.source_indices)
+    aux_idx = aux.source_indices
     fed = data.make_federation_spec(4, 4, 60, (0.5, 0.6), (0.2, 0.4), seed=30,
                                     equalize_rest=False)
     # carve clients from the part of the pool not reserved for the auxiliary
@@ -499,7 +511,7 @@ def test_profiler_hook_runs_and_locks(world):
     shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16, seed=0), seed=33)
-    meta = attack.train_meta(meta_ds, 4, nn.TrainConfig(0.1, 200, 16, seed=34))
+    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16, seed=34))
     init = nn.init_params(arch, seed=35)
     prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2)
     cfg = fedsim.FlConfig(n_rounds=8, train=nn.TrainConfig(0.05, 1, 16, seed=0))
@@ -533,13 +545,8 @@ def test_replay_matches_online_profiling(world):
         sens = rng.random((n_user, n_label))
         ds = rng.random((n_user, n_label))
         history.append(attack.RoundTrace(t, sens, ds))
-    samples = []
-    for c in range(4):
-        for _ in range(8):
-            f = rng.random(4) * 0.3
-            f[c] = 1.0
-            samples.append(attack.MetaSample(f, c))
-    meta = attack.train_meta(samples, 4, nn.TrainConfig(0.2, 150, 16, seed=41))
+    samples = peaked_meta_dataset(rng, 4, 8, 0.3)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16, seed=41))
     features = [tr.ds for tr in history]
     profile = attack.profile_history(features, meta, 2)
     # online: one user and one round at a time, one meta-classifier row each

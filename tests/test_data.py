@@ -245,20 +245,38 @@ def test_federation_clients_are_mutually_disjoint():
 
 def test_auxiliary_disjoint_from_every_client():
     pool, _, clients, used = small_federation()
-    aux = data.build_auxiliary(pool, samples_per_class=10, excluded_indices=used)
-    aux_idx = np.concatenate(aux.source_indices)
-    assert len(np.intersect1d(aux_idx, used)) == 0
-    for c in range(5):
-        assert aux.per_class[c].shape[0] == 10
-        assert (pool.y[aux.source_indices[c]] == c).all()
+    aux = data.sample_per_class(pool, 10, used)
+    assert len(np.intersect1d(aux.source_indices, used)) == 0
+    assert np.array_equal(aux.class_counts, [10] * 5)
+    assert np.array_equal(pool.y[aux.source_indices], aux.y)
+    assert np.array_equal(pool.X[aux.source_indices], aux.X)
+
+
+def test_sample_per_class_is_class_blocked():
+    pool = data.make_synthetic(4, 3, 20, seed=2)
+    shuffled = pool.subset(np.random.default_rng(0).permutation(len(pool)))
+    drawn = data.sample_per_class(shuffled, 6, [0, 1, 2])
+    assert drawn.y.tolist() == [0] * 6 + [1] * 6 + [2] * 6 + [3] * 6
+    # each block holds its class's lowest unexcluded indices, in index order
+    for c in range(4):
+        want = [i for i in np.flatnonzero(shuffled.y == c) if i > 2][:6]
+        assert drawn.source_indices[drawn.y == c].tolist() == \
+            shuffled.source_indices[want].tolist()
+    assert drawn.feature_shape == pool.feature_shape
 
 
 def test_auxiliary_empty_store_and_exhausted_pool():
     pool = data.make_synthetic(3, 3, 20, seed=1)
-    empty = data.build_auxiliary(pool, 0, excluded_indices=None)
-    assert all(len(b) == 0 for b in empty.per_class)
+    empty = data.sample_per_class(pool, 0, None)
+    assert len(empty) == 0 and empty.X.shape == (0, 3) and empty.n_label == 3
     with pytest.raises(InputError):
-        data.build_auxiliary(pool, 5, excluded_indices=np.arange(len(pool)))
+        data.sample_per_class(pool, 5, np.arange(len(pool)))
+
+
+def test_sample_per_class_rejects_a_negative_count():
+    pool = data.make_synthetic(3, 3, 20, seed=1)
+    with pytest.raises(InputError, match="per_class must be >= 0"):
+        data.sample_per_class(pool, -1, None)
 
 
 def test_federation_matches_spec_counts():

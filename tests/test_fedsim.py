@@ -148,17 +148,15 @@ def test_training_improves_over_initial_model():
     fed = data.make_federation_spec(10, 4, 80, (0.4, 0.6), (0.1, 0.3), seed=6,
                                     equalize_rest=False)
     clients, used = data.build_federation(pool, fed, seed=7)
-    test_batches, _ = data.sample_per_class(pool, 20, used)
-    test_X = np.concatenate(test_batches)
-    test_y = np.repeat(np.arange(4), 20)
+    test = data.sample_per_class(pool, 20, used)
     arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)
     init = nn.init_params(arch, seed=8)
-    before = nn.accuracy(init, arch, test_X, test_y)
+    before = nn.accuracy(init, arch, test.X, test.y)
     cfg = fedsim.FlConfig(n_rounds=5, train=nn.TrainConfig(0.05, 1, 16, seed=0))
     st = fedsim.initial_state(10, init)
     for _ in range(5):
         st = fedsim.run_round(st, clients, arch, cfg, fedsim.fedavg_hook, run_seed=9)
-    after = nn.accuracy(st.distributed[0], arch, test_X, test_y)
+    after = nn.accuracy(st.distributed[0], arch, test.X, test.y)
     assert after > before
 
 

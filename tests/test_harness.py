@@ -154,13 +154,13 @@ def test_idx_kind_requires_existing_files(tmp_path):
         harness.validate_config(json.dumps(raw))
 
 
-def write_idx_pool(tmp_path, counts):
-    """An IDX pair holding counts[c] samples of class c; returns the FAST
-    config on it."""
+def write_idx_pool(tmp_path, counts, shape=(8,)):
+    """An IDX pair holding counts[c] samples of class c, each of the given
+    feature shape; returns the FAST config on it."""
     y = np.repeat(np.arange(len(counts)), counts)
-    X = np.random.default_rng(0).integers(0, 256, (len(y), 8)) / 255.0
+    X = np.random.default_rng(0).integers(0, 256, (len(y), int(np.prod(shape)))) / 255.0
     img, lbl = tmp_path / "images.idx", tmp_path / "labels.idx"
-    data.write_idx(data.LabeledDataset(X, y, len(counts)), img, lbl)
+    data.write_idx(data.LabeledDataset(X, y, len(counts), feature_shape=shape), img, lbl)
     return harness._deep_merge(FAST, {"dataset": {"kind": "idx", "images": str(img),
                                                   "labels": str(lbl)}})
 
@@ -182,10 +182,30 @@ def test_idx_pool_must_hold_what_the_run_draws(tmp_path):
             harness.validate_config(json.dumps(write_idx_pool(tmp_path, counts)))
 
 
+def test_cnn_on_too_small_idx_images_is_a_config_error(tmp_path):
+    cnn = {"model": {"kind": "cnn"}}
+    raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(5, 5)), cnn)
+    with pytest.raises(ConfigError, match=r"dataset.images .* holds 5x5 images, too small "
+                                          r"for model.kind 'cnn'"):
+        harness.validate_config(json.dumps(raw))
+    raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(6, 6)), cnn)
+    assert harness.stage_data(harness.validate_config(json.dumps(raw))).arch.input_shape == \
+        (1, 6, 6)
+
+
 def test_idx_pool_class_count_must_match_n_label(tmp_path):
     raw = write_idx_pool(tmp_path, [200, 200, 200])
     with pytest.raises(ConfigError, match="dataset.n_label is 4 but dataset.labels holds 3"):
         harness.validate_config(json.dumps(raw))
+
+
+def test_staged_clients_aux_and_test_are_pairwise_disjoint():
+    staged = harness.stage_data(fast_config())
+    drawn = np.concatenate([c.source_indices for c in staged.clients]
+                           + [staged.aux.source_indices, staged.test.source_indices])
+    assert len(np.unique(drawn)) == len(drawn)
+    assert staged.aux.y.tolist() == np.repeat(np.arange(4), 30).tolist()
+    assert staged.test.y.tolist() == np.repeat(np.arange(4), 15).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +235,6 @@ def test_report_fields_well_formed(fast_report):
     entry = rep.round_log[0]
     assert set(entry) == {"round", "user", "local_acc_before", "global_acc_after",
                           "locked", "predicted_class"}
-
-
-def test_run_experiment_is_byte_deterministic(fast_report):
-    again = harness.run_experiment(fast_config())
-    assert again.to_json() == fast_report.to_json()
 
 
 def test_seed_changes_the_run(fast_report):
@@ -461,6 +476,17 @@ def test_cli_cnn_too_small_exit_code_one(tmp_path):
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 1
     assert "dataset.dim" in proc.stderr
+
+
+def test_cli_cnn_too_small_idx_images_exit_code_one(tmp_path):
+    raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(5, 5)),
+                              {"model": {"kind": "cnn"}, "output_dir": str(tmp_path / "runs")})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "dataset.images" in proc.stderr and "5x5" in proc.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_divergence_exit_code_two_and_no_report(tmp_path):

@@ -386,12 +386,12 @@ def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
     params = perturbed_params(arch, 3)
     X, y = rand_batch(arch, 9, seed=4)
     rng = np.random.default_rng(11)
-    loss, rows = nn._loss_and_grad(params, arch, X, y, train_mode=train_mode, rng=rng,
-                                   per_example=True)
+    rows = nn._loss_and_grad(params, arch, X, y, train_mode=train_mode, rng=rng,
+                             per_example=True)
     ref_rng = np.random.default_rng(11)
     want = np.stack([
         nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1], train_mode=train_mode,
-                          rng=ref_rng)[1].values
+                          rng=ref_rng).values
         for i in range(len(X))
     ])
     assert rows.shape == (len(X), arch.n_params)
@@ -400,7 +400,6 @@ def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
     # average to the batch gradient.
     assert rng.random() == ref_rng.random()
     if not train_mode:
-        assert loss == nn._loss_and_grad(params, arch, X, y)[0]
         assert np.max(np.abs(rows.mean(axis=0) - nn.backward(params, arch, X, y).values)) <= 1e-12
 
 
@@ -417,7 +416,7 @@ def dp_train_reference(params, arch, X, y, cfg):
             for i in idx:
                 g = nn._loss_and_grad(nn.ParamVector(values, params.layout), arch,
                                       X[i:i + 1], y[i:i + 1],
-                                      train_mode=cfg.dropout_enabled, rng=rng)[1].values
+                                      train_mode=cfg.dropout_enabled, rng=rng).values
                 norm = np.linalg.norm(g)
                 mean += g * (min(1.0, cfg.dp.clip_norm / norm) if norm > 0 else 1.0)
             mean /= len(idx)
