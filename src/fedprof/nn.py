@@ -62,6 +62,9 @@ class Dropout:
 
 
 _KIND = {Dense: "dense", Conv2d: "conv2d", MaxPool2d: "maxpool", Relu: "relu", Dropout: "dropout"}
+# Widths, channel counts, kernels and strides; each must be at least 1.
+_SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel", "stride"),
+          MaxPool2d: ("kernel",)}
 
 
 @dataclass
@@ -100,6 +103,10 @@ class Architecture:
     def _check_shapes(self):
         shape = self.input_shape
         for i, layer in enumerate(self.layers):
+            for name in _SIZES.get(type(layer), ()):
+                if getattr(layer, name) < 1:
+                    raise InputError(f"layer {i}: {_KIND[type(layer)]} {name} must be >= 1, "
+                                     f"got {getattr(layer, name)}")
             if isinstance(layer, Dense):
                 flat = int(np.prod(shape))
                 if flat != layer.in_dim:
@@ -276,11 +283,16 @@ def _run_layers(pv, arch, X, train_mode, rng):
             caches.append(("dense", act.shape, flat))
             act = flat @ W + b
         elif isinstance(layer, Conv2d):
+            # im2col: one row of c*k*k input taps per output pixel, so the
+            # convolution is one GEMM (Chellapilla et al. 2006).
             win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
             win = win[:, :, ::layer.stride, ::layer.stride, :, :]
+            n, _, ho, wo = win.shape[:4]
+            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
             W, b = _layer_params(pv, arch, i)
-            caches.append(("conv2d", act, win))
-            act = np.einsum("nchwij,ocij->nohw", win, W) + b[None, :, None, None]
+            caches.append(("conv2d", act.shape, cols))
+            out = cols.reshape(n * ho * wo, -1) @ W.reshape(len(W), -1).T + b
+            act = out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
         elif isinstance(layer, MaxPool2d):
             k = layer.kernel
             n, c, h, w = act.shape
@@ -333,7 +345,8 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
     a (batch, n_params) array whose row i is the gradient of sample i's own
     loss, equal to what a one-row batch of sample i gives.  Per-example rows
     keep the batch axis where the batch gradient sums over it: a dense
-    layer's row is outer(a_i, delta_i) (Goodfellow 2015, arXiv:1510.01799);
+    layer's row is outer(a_i, delta_i) (Goodfellow 2015, arXiv:1510.01799)
+    and a convolution's is delta_i @ cols_i, over sample i's im2col columns;
     the ReLU, max-pool, dropout and input-gradient steps are shared.
     """
     X = _as_batch(arch, X)
@@ -346,6 +359,9 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
         delta = delta / X.shape[0]
         grad = zeros_like_params(arch)
 
+    # No one reads the input gradient of the first parameterised layer, so
+    # the walk ends once that layer's parameter gradient is written.
+    stop = min(arch.param_slots)
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
@@ -358,24 +374,31 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
                 gW, gb = _layer_params(grad, arch, i)
                 gW += flat.T @ delta
                 gb += delta.sum(axis=0)
+            if i == stop:
+                break
             delta = (delta @ W.T).reshape(in_shape)
         elif isinstance(layer, Conv2d):
-            _, x_in, win = cache
+            _, in_shape, cols = cache
             W, _ = _layer_params(pv, arch, i)
+            n, o, ho, wo = delta.shape
+            d = delta.reshape(n, o, ho * wo)
             if per_example:
-                _set_layer_rows(grad, arch, i, np.einsum("nchwij,nohw->nocij", win, delta),
-                                delta.sum(axis=(2, 3)))
+                _set_layer_rows(grad, arch, i, d @ cols, d.sum(axis=2))
             else:
                 gW, gb = _layer_params(grad, arch, i)
-                gW += np.einsum("nchwij,nohw->ocij", win, delta)
-                gb += delta.sum(axis=(0, 2, 3))
-            dx = np.zeros_like(x_in)
+                gW += (d.transpose(1, 0, 2).reshape(o, -1)
+                       @ cols.reshape(n * ho * wo, -1)).reshape(W.shape)
+                gb += d.sum(axis=(0, 2))
+            if i == stop:
+                break
+            # col2im: scatter-add the column-space gradient back tap by tap.
             s, k = layer.stride, layer.kernel
-            ho, wo = delta.shape[2], delta.shape[3]
+            dcols = (d.transpose(0, 2, 1) @ W.reshape(o, -1)).reshape(n, ho, wo, -1, k, k)
+            dx = np.zeros(in_shape)
             for ki in range(k):
                 for kj in range(k):
-                    dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
-                        "oc,nohw->nchw", W[:, :, ki, kj], delta
+                    dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += (
+                        dcols[..., ki, kj].transpose(0, 3, 1, 2)
                     )
             delta = dx
         elif isinstance(layer, MaxPool2d):

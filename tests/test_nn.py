@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fedprof import harness, nn
 from fedprof.errors import FormatError, InputError, InternalError
@@ -188,6 +189,128 @@ def test_conv_stride_two_matches_finite_differences():
     X, y = rand_batch(arch, 3, seed=12)
     assert_close_rel(nn.backward(params, arch, X, y).values,
                      fd_gradient(params, arch, X, y), tol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# Convolution as a GEMM, against the einsum reference
+# ---------------------------------------------------------------------------
+
+
+def einsum_reference(params, arch, X, y):
+    """Eval-mode (logits, batch gradient, per-example rows) from a walk that
+    convolves by einsum over the strided window view, with no im2col columns:
+    the engine's convolution before it became a GEMM.  Its input gradient is
+    one einsum per kernel tap."""
+    act, n = X.reshape(len(X), *arch.input_shape), len(X)
+    caches = []
+    for i, layer in enumerate(arch.layers):
+        if isinstance(layer, nn.Dense):
+            W, b = nn._layer_params(params, arch, i)
+            caches.append((act.shape, act.reshape(n, -1)))
+            act = caches[-1][1] @ W + b
+        elif isinstance(layer, nn.Conv2d):
+            W, b = nn._layer_params(params, arch, i)
+            win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
+            caches.append((act.shape, win[:, :, ::layer.stride, ::layer.stride]))
+            act = np.einsum("nchwij,ocij->nohw", caches[-1][1], W) + b[None, :, None, None]
+        elif isinstance(layer, nn.MaxPool2d):
+            k, (_, c, h, w) = layer.kernel, act.shape
+            tiles = act[:, :, :h // k * k, :w // k * k].reshape(n, c, h // k, k, w // k, k)
+            tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // k, w // k, k * k)
+            caches.append((act.shape, tiles.argmax(axis=-1)))
+            act = tiles.max(axis=-1)
+        elif isinstance(layer, nn.Relu):
+            caches.append(act > 0)
+            act = np.maximum(act, 0.0)
+        else:  # dropout is the identity in eval mode
+            caches.append(1.0)
+    logits = act
+    delta = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta /= delta.sum(axis=1, keepdims=True)
+    delta[np.arange(n), y] -= 1.0  # per-row loss gradient; the batch mean's is delta / n
+    grad, rows = nn.zeros_like_params(arch), np.zeros((n, arch.n_params))
+    for i in range(len(arch.layers) - 1, -1, -1):
+        layer, cache = arch.layers[i], caches[i]
+        if isinstance(layer, nn.Dense):
+            W, _ = nn._layer_params(params, arch, i)
+            in_shape, flat = cache
+            gW, gb = nn._layer_params(grad, arch, i)
+            gW += flat.T @ delta / n
+            gb += delta.sum(axis=0) / n
+            nn._set_layer_rows(rows, arch, i, flat[:, :, None] * delta[:, None, :], delta)
+            delta = (delta @ W.T).reshape(in_shape)
+        elif isinstance(layer, nn.Conv2d):
+            W, _ = nn._layer_params(params, arch, i)
+            in_shape, win = cache
+            gW, gb = nn._layer_params(grad, arch, i)
+            gW += np.einsum("nchwij,nohw->ocij", win, delta) / n
+            gb += delta.sum(axis=(0, 2, 3)) / n
+            nn._set_layer_rows(rows, arch, i, np.einsum("nchwij,nohw->nocij", win, delta),
+                               delta.sum(axis=(2, 3)))
+            dx = np.zeros(in_shape)
+            s, (ho, wo) = layer.stride, delta.shape[2:]
+            for ki in range(layer.kernel):
+                for kj in range(layer.kernel):
+                    dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
+                        "oc,nohw->nchw", W[:, :, ki, kj], delta)
+            delta = dx
+        elif isinstance(layer, nn.MaxPool2d):
+            in_shape, idx = cache
+            k, (_, c, ho, wo) = layer.kernel, idx.shape
+            dtiles = np.zeros((n, c, ho, wo, k * k))
+            np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
+            delta = np.zeros(in_shape)
+            delta[:, :, :ho * k, :wo * k] = dtiles.reshape(n, c, ho, wo, k, k).transpose(
+                0, 1, 2, 4, 3, 5).reshape(n, c, ho * k, wo * k)
+        else:
+            delta = delta * cache
+    return logits, grad.values, rows
+
+
+def assert_matches_reference(got, want, tol=1e-12):
+    """Largest deviation at most tol times the reference's largest entry."""
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    worst = np.max(np.abs(got - want)) / scale
+    assert worst <= tol, f"relative deviation {worst:.3e} > {tol}"
+
+
+def strided_cnn(side):
+    """A 1x1 convolution, so that the next convolution's input gradient is
+    part of the gradient, then a 3x3 stride-2 convolution: on 7x7 its last
+    window ends at the edge, on 8x8 it leaves the last row and column out."""
+    return nn.Architecture(
+        (nn.Conv2d(2, 3, kernel=1), nn.Relu(), nn.Conv2d(3, 4, kernel=3, stride=2),
+         nn.Relu(), nn.Dense(4 * 3 * 3, 3)),
+        (2, side, side), 3,
+    )
+
+
+BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
+
+
+@pytest.mark.parametrize("make_arch, n", [
+    (lambda: reference_arch(BENCHMARK_CNN), 32),
+    (lambda: reference_arch(BENCHMARK_CNN), 1500),
+    (lambda: reference_arch({"model": {"kind": "cnn"}, "dataset": {"dim": 784}}), 16),
+    (lambda: strided_cnn(7), 20),
+    (lambda: strided_cnn(8), 20),
+], ids=["benchmark-cnn-32", "benchmark-cnn-1500", "cnn-28x28", "stride2-7x7", "stride2-8x8"])
+def test_conv_gemm_matches_einsum_reference(make_arch, n):
+    """Forward output, each layer's batch weight and bias gradients, and the
+    per-example rows.  The input gradient of every convolution after the
+    first feeds the gradients of the layers below it, so it is checked too."""
+    arch = make_arch()
+    params = perturbed_params(arch, 1)
+    X, y = rand_batch(arch, n, seed=2)
+    logits, grad, rows = einsum_reference(params, arch, X, y)
+    assert_matches_reference(nn.predict_logits(params, arch, X), logits)
+    got = nn.backward(params, arch, X, y)
+    for index in arch.param_slots:
+        want = nn._layer_params(nn.ParamVector(grad, got.layout), arch, index)
+        for got_part, want_part in zip(nn._layer_params(got, arch, index), want):
+            assert_matches_reference(got_part, want_part)
+    assert_matches_reference(nn._loss_and_grad(params, arch, X, y, per_example=True), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +636,35 @@ def test_architecture_rejects_incompatible_chain():
         nn.Architecture((nn.Dense(4, 5), nn.Dense(6, 3)), (4,), 3)
     with pytest.raises(InputError):
         nn.Architecture((nn.Dense(4, 5),), (4,), 3)  # output dim != n_classes
+
+
+@pytest.mark.parametrize("layers, input_shape, message", [
+    ((nn.Conv2d(1, 2, kernel=3, stride=0), nn.Dense(2 * 4 * 4, 3)), (1, 6, 6),
+     "layer 0: conv2d stride"),
+    ((nn.Conv2d(1, 2, kernel=0), nn.Dense(2 * 7 * 7, 3)), (1, 6, 6), "layer 0: conv2d kernel"),
+    ((nn.Conv2d(1, 0, kernel=3), nn.Dense(1, 3)), (1, 6, 6), "layer 0: conv2d out_ch"),
+    ((nn.Conv2d(0, 2, kernel=3), nn.Dense(2 * 4 * 4, 3)), (0, 6, 6), "layer 0: conv2d in_ch"),
+    ((nn.Conv2d(1, 2, kernel=3), nn.MaxPool2d(0), nn.Dense(2 * 4 * 4, 3)), (1, 6, 6),
+     "layer 1: maxpool kernel"),
+    ((nn.Dense(4, 0), nn.Dense(0, 3)), (4,), "layer 0: dense out_dim"),
+    ((nn.Dense(0, 3),), (0,), "layer 0: dense in_dim"),
+])
+def test_architecture_rejects_sizes_below_one(layers, input_shape, message):
+    with pytest.raises(InputError, match=message):
+        nn.Architecture(layers, input_shape, 3)
+
+
+def test_checkpoint_with_zero_kernel_is_format_error(tmp_path):
+    arch = small_cnn()
+    desc = json.loads(arch.to_json())
+    assert desc["layers"][2]["kind"] == "maxpool"
+    desc["layers"][2]["kernel"] = 0
+    text = json.dumps(desc).encode()
+    path = tmp_path / "zero.ppam"
+    path.write_bytes(b"PPAM" + (1).to_bytes(2, "little") + len(text).to_bytes(4, "little")
+                     + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
+    with pytest.raises(FormatError, match="layer 2: maxpool kernel"):
+        nn.load_checkpoint(path)
 
 
 def test_feature_layer_defaults():
