@@ -39,14 +39,14 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
-    off, length = pv.layout[arch.feature_id]
+    off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     out = np.zeros(aux.n_label)
     for c in range(aux.n_label):
         lo, hi = bounds[c], bounds[c + 1]
         if lo == hi:
             raise InputError(f"auxiliary store has no samples for class {c}")
         grad = nn.backward(pv, arch, aux.X[lo:hi], aux.y[lo:hi])
-        out[c] = np.abs(grad.values[off:off + length]).sum()
+        out[c] = np.abs(grad.values[off:off + w_size + b_size]).sum()
     return out
 
 
@@ -287,7 +287,6 @@ class RoundTrace:
     the upload and its differential sensitivity (DS) against the model the
     user received the round before."""
 
-    round_index: int
     sensitivities: np.ndarray
     ds: np.ndarray
 
@@ -297,9 +296,9 @@ class PreferenceProfiler:
     round and aggregates each upload with its x :func:`select_partners`
     partners at equal weights, or by plain FedAvg when x is None.
 
-    ``init_model`` is the model every user starts from.  Verdicts never feed
-    back into aggregation, so :func:`profile_history` computes them afterwards
-    over ``history``.
+    ``init_model`` is the model every user starts from.  ``history[r - 1]``
+    is the trace of round r.  Verdicts never feed back into aggregation, so
+    :func:`profile_history` computes them afterwards over ``history``.
     """
 
     def __init__(self, arch: nn.Architecture, aux: LabeledDataset, n_user: int,
@@ -318,7 +317,7 @@ class PreferenceProfiler:
         sens = np.stack([extract_sensitivity(uploads[u], self.arch, self.aux)
                          for u in range(self.n_user)])
         ds = differential_sensitivity(self.prev_agg_sens, sens)
-        self.history.append(RoundTrace(round_index, sens, ds))
+        self.history.append(RoundTrace(sens, ds))
         distributed, self.prev_agg_sens = self._aggregate(round_index, uploads, weights,
                                                           selected, sens)
         return distributed

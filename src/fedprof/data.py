@@ -130,11 +130,8 @@ def make_synthetic(n_label: int, dim: int, per_class_pool: int, seed: int,
     if dim < 2:
         raise InputError("dim must be >= 2")
     rng = np.random.default_rng(derive_seed(seed, "synthetic"))
-    dirs = rng.standard_normal((n_label, dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=-1)
-    min_gap = gaps[np.triu_indices(n_label, 1)].min()
-    while min_gap < 1e-3:  # essentially impossible, but keeps the scale finite
+    min_gap = 0.0
+    while min_gap < 1e-3:  # redrawing is essentially never needed, but keeps the scale finite
         dirs = rng.standard_normal((n_label, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=-1)

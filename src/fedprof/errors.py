@@ -22,7 +22,8 @@ class ConfigError(FedprofError):
 
 
 class InternalError(FedprofError):
-    """An internal consistency check failed (layout mismatch etc.)."""
+    """An internal consistency check failed (e.g. a parameter vector whose size
+    does not match its architecture or the vector it is combined with)."""
 
 
 class NumericalError(FedprofError):

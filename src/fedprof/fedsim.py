@@ -26,19 +26,6 @@ from .seeding import derive_seed, rng_for
 DIVERGENCE_BOUND = 1e6
 
 
-@dataclass(frozen=True)
-class FlConfig:
-    n_rounds: int
-    train: nn.TrainConfig
-    client_fraction: float = 1.0
-
-    def __post_init__(self):
-        if self.n_rounds < 1:
-            raise InputError("n_rounds must be >= 1")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise InputError("client_fraction must be in (0, 1]")
-
-
 @dataclass
 class RoundState:
     """Everything the simulator knows about one FL round.
@@ -78,10 +65,10 @@ def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamV
     acc = np.zeros_like(anchor.values)
     for i in order:
         m = models[i]
-        if not anchor.same_layout(m):
-            raise InternalError("fedavg layout mismatch across models")
+        if m.values.size != anchor.values.size:
+            raise InternalError("fedavg size mismatch across models")
         acc += (weights[i] / total) * (m.values - anchor.values)
-    return nn.ParamVector(anchor.values + acc, anchor.layout)
+    return nn.ParamVector(anchor.values + acc)
 
 
 def client_fraction_sample(n_user: int, fraction: float,
@@ -108,11 +95,13 @@ def initial_state(n_user: int, init_model: nn.ParamVector) -> RoundState:
 
 
 def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
-              fl_cfg: FlConfig, hook: AggregationHook, run_seed: int) -> RoundState:
+              train_cfg: nn.TrainConfig, client_fraction: float, hook: AggregationHook,
+              run_seed: int) -> RoundState:
     """Advance the federation by one round.
 
-    Sampled clients train ``train.epochs`` on their last distributed model and
-    upload; unsampled clients keep their previous upload and model.  The hook
+    A ``client_fraction`` share of the clients is sampled.  Sampled clients
+    train ``train_cfg.epochs`` on their last distributed model and upload;
+    unsampled clients keep their previous upload and model.  The hook
     observes all current uploads and returns the per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
     model and for the received model, using the same evaluation set.
@@ -123,11 +112,11 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     n_user = len(clients)
     rnd = prev.round_index + 1
     rng = rng_for(run_seed, "sampling", rnd)
-    selected = client_fraction_sample(n_user, fl_cfg.client_fraction, rng)
+    selected = client_fraction_sample(n_user, client_fraction, rng)
 
     uploads = list(prev.uploaded)
     for u in selected:
-        cfg = dataclasses.replace(fl_cfg.train,
+        cfg = dataclasses.replace(train_cfg,
                                   seed=derive_seed(run_seed, "local-train", rnd, int(u)))
         uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, cfg)
 

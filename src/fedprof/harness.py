@@ -405,15 +405,12 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[
     init = nn.init_params(staged.arch, seed=derive_seed(seed, "global-init"))
     profiler = attack.PreferenceProfiler(staged.arch, staged.aux, n_user, init,
                                          x=atk["x"] if selective else None, mode=atk["mode"])
-    fl_cfg = fedsim.FlConfig(
-        n_rounds=cfg["fl"]["n_rounds"], train=client_train_config(cfg),
-        client_fraction=cfg["fl"]["client_fraction"],
-    )
+    train_cfg = client_train_config(cfg)
     state = fedsim.initial_state(n_user, init)
     accs = []
-    for _ in range(fl_cfg.n_rounds):
-        state = fedsim.run_round(state, staged.clients, staged.arch, fl_cfg, profiler,
-                                 derive_seed(seed, "fl"))
+    for _ in range(cfg["fl"]["n_rounds"]):
+        state = fedsim.run_round(state, staged.clients, staged.arch, train_cfg,
+                                 cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
         accs.append((state.round_index, state.local_acc, state.global_acc))
     return profiler.history, accs, state
 

@@ -81,9 +81,9 @@ class Architecture:
     The parameter layout is then fixed once, in plain attributes (not fields,
     so equality and :meth:`to_json` ignore them): ``param_slots`` maps each
     parameterised layer's index to (offset, W shape, W size, b size), W
-    before b; ``layout`` maps its id ``"i:kind"`` to (offset, length);
-    ``n_params`` is the total, ``feature_id`` the feature layer's id and
-    ``input_size`` the flat size of one input sample.
+    before b, and is the only record of where a layer sits in a
+    :class:`ParamVector`; ``n_params`` is the total, ``feature_index`` the
+    feature layer's index and ``input_size`` the flat size of one input sample.
     """
 
     layers: tuple
@@ -157,7 +157,7 @@ class Architecture:
         self.layers = tuple(layers)
 
     def _lay_out_params(self):
-        self.param_slots, self.layout, self.feature_id = {}, {}, None
+        self.param_slots, self.feature_index = {}, None
         offset = 0
         for i, layer in enumerate(self.layers):
             if isinstance(layer, Dense):
@@ -168,11 +168,9 @@ class Architecture:
             else:
                 continue
             w_size = math.prod(w_shape)
-            layer_id = f"{i}:{_KIND[type(layer)]}"
             self.param_slots[i] = (offset, w_shape, w_size, b_size)
-            self.layout[layer_id] = (offset, w_size + b_size)
-            if layer.feature_layer and self.feature_id is None:
-                self.feature_id = layer_id
+            if layer.feature_layer and self.feature_index is None:
+                self.feature_index = i
             offset += w_size + b_size
         self.n_params = offset
         self.input_size = math.prod(self.input_shape)
@@ -203,35 +201,22 @@ class Architecture:
 
 @dataclass
 class ParamVector:
-    """Flat float64 parameter vector with a layer-id -> (offset, length) map."""
+    """Flat float64 parameter vector.  Where each layer's parameters sit in it
+    is its Architecture's ``param_slots``."""
 
     values: np.ndarray
-    layout: dict
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise InputError("ParamVector values must be 1-D")
-        spans = sorted(self.layout.values())
-        cursor = 0
-        for off, length in spans:
-            if off != cursor:
-                raise InternalError("layout offsets must be contiguous and non-overlapping")
-            cursor += length
-        if cursor != self.values.size:
-            raise InternalError(
-                f"layout covers {cursor} values but vector has {self.values.size}"
-            )
 
     def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy(), self.layout)
-
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout and self.values.size == other.values.size
+        return ParamVector(self.values.copy())
 
 
 def zeros_like_params(arch: Architecture) -> ParamVector:
-    return ParamVector(np.zeros(arch.n_params), arch.layout)
+    return ParamVector(np.zeros(arch.n_params))
 
 
 def init_params(arch: Architecture, seed: int) -> ParamVector:
@@ -274,13 +259,15 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
 
 def _run_layers(pv, arch, X, train_mode, rng):
     """Forward pass returning (logits, caches) for the backward walk."""
+    if pv.values.size != arch.n_params:
+        raise InternalError(f"{pv.values.size} parameters for an architecture of {arch.n_params}")
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Dense):
             flat = act.reshape(act.shape[0], -1)
             W, b = _layer_params(pv, arch, i)
-            caches.append(("dense", act.shape, flat))
+            caches.append((act.shape, flat))
             act = flat @ W + b
         elif isinstance(layer, Conv2d):
             # im2col: one row of c*k*k input taps per output pixel, so the
@@ -290,7 +277,7 @@ def _run_layers(pv, arch, X, train_mode, rng):
             n, _, ho, wo = win.shape[:4]
             cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
             W, b = _layer_params(pv, arch, i)
-            caches.append(("conv2d", act.shape, cols))
+            caches.append((act.shape, cols))
             out = cols.reshape(n * ho * wo, -1) @ W.reshape(len(W), -1).T + b
             act = out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
         elif isinstance(layer, MaxPool2d):
@@ -300,19 +287,19 @@ def _run_layers(pv, arch, X, train_mode, rng):
             tiles = act[:, :, :ho * k, :wo * k].reshape(n, c, ho, k, wo, k)
             tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
             idx = tiles.argmax(axis=-1)  # first max wins: deterministic tie-break
-            caches.append(("maxpool", act.shape, idx))
+            caches.append((act.shape, idx))
             act = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
         elif isinstance(layer, Relu):
-            caches.append(("relu", act > 0))
+            caches.append(act > 0)
             act = np.maximum(act, 0.0)
         elif isinstance(layer, Dropout):
             if train_mode and layer.rate > 0.0:
                 keep = rng.random(act.shape) >= layer.rate
                 scale = 1.0 / (1.0 - layer.rate)
-                caches.append(("dropout", keep, scale))
+                caches.append((keep, scale))
                 act = act * keep * scale
             else:
-                caches.append(("dropout", None, 1.0))
+                caches.append((None, 1.0))
     return act, caches
 
 
@@ -341,13 +328,14 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
 def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False):
     """Gradient of the mean batch loss, from one forward and one backward walk.
 
-    The gradient is a ParamVector in the model's layout or, with per_example,
-    a (batch, n_params) array whose row i is the gradient of sample i's own
-    loss, equal to what a one-row batch of sample i gives.  Per-example rows
-    keep the batch axis where the batch gradient sums over it: a dense
-    layer's row is outer(a_i, delta_i) (Goodfellow 2015, arXiv:1510.01799)
-    and a convolution's is delta_i @ cols_i, over sample i's im2col columns;
-    the ReLU, max-pool, dropout and input-gradient steps are shared.
+    The gradient is a ParamVector laid out by ``arch.param_slots`` or, with
+    per_example, a (batch, n_params) array whose row i is the gradient of
+    sample i's own loss, equal to what a one-row batch of sample i gives.
+    Per-example rows keep the batch axis where the batch gradient sums over
+    it: a dense layer's row is outer(a_i, delta_i) (Goodfellow 2015,
+    arXiv:1510.01799) and a convolution's is delta_i @ cols_i, over sample
+    i's im2col columns; the ReLU, max-pool, dropout and input-gradient steps
+    are shared.
     """
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
@@ -366,7 +354,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
         layer = arch.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
-            _, in_shape, flat = cache
+            in_shape, flat = cache
             W, _ = _layer_params(pv, arch, i)
             if per_example:
                 _set_layer_rows(grad, arch, i, flat[:, :, None] * delta[:, None, :], delta)
@@ -378,7 +366,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
                 break
             delta = (delta @ W.T).reshape(in_shape)
         elif isinstance(layer, Conv2d):
-            _, in_shape, cols = cache
+            in_shape, cols = cache
             W, _ = _layer_params(pv, arch, i)
             n, o, ho, wo = delta.shape
             d = delta.reshape(n, o, ho * wo)
@@ -402,7 +390,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
                     )
             delta = dx
         elif isinstance(layer, MaxPool2d):
-            _, in_shape, idx = cache
+            in_shape, idx = cache
             k = layer.kernel
             n, c, h, w = in_shape
             ho, wo = idx.shape[2], idx.shape[3]
@@ -414,9 +402,9 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
             )
             delta = dx
         elif isinstance(layer, Relu):
-            delta = delta * cache[1]
+            delta = delta * cache
         elif isinstance(layer, Dropout):
-            _, keep, scale = cache
+            keep, scale = cache
             if keep is not None:
                 delta = delta * keep * scale
     return grad
@@ -437,8 +425,8 @@ def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.nda
 
 
 def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> ParamVector:
-    """Gradient of the mean batch loss w.r.t. every parameter (eval mode), in
-    the model's layout."""
+    """Gradient of the mean batch loss w.r.t. every parameter (eval mode), laid
+    out by ``arch.param_slots``."""
     return _loss_and_grad(pv, arch, X, y)
 
 
@@ -487,9 +475,9 @@ class TrainConfig:
 def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
     if lr <= 0:
         raise InputError("learning rate must be > 0")
-    if not pv.same_layout(grad):
-        raise InternalError("gradient layout does not match model layout")
-    return ParamVector(pv.values - lr * grad.values, pv.layout)
+    if pv.values.size != grad.values.size:
+        raise InternalError(f"gradient has {grad.values.size} values, model has {pv.values.size}")
+    return ParamVector(pv.values - lr * grad.values)
 
 
 def dp_sgd_step(
@@ -520,7 +508,7 @@ def dp_sgd_step(
     mean = (grads * scale[:, None]).sum(axis=0) / batch
     if noise_multiplier > 0:
         mean = mean + rng.normal(0.0, noise_multiplier * clip_norm / batch, size=mean.shape)
-    return sgd_step(pv, ParamVector(mean, pv.layout), lr)
+    return sgd_step(pv, ParamVector(mean), lr)
 
 
 def train(
@@ -577,7 +565,7 @@ _VERSION = 1
 
 def save_checkpoint(path, pv: ParamVector, arch: Architecture) -> None:
     """Binary checkpoint: magic, u16 version, length-prefixed JSON descriptor,
-    then parameters as little-endian float32 in layout order."""
+    then parameters as little-endian float32 in ``param_slots`` order."""
     descriptor = arch.to_json().encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
@@ -615,4 +603,4 @@ def load_checkpoint(path):
             f"parameter payload holds {len(payload) // 4} floats, expected {arch.n_params}"
         )
     values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return ParamVector(values, arch.layout), arch
+    return ParamVector(values), arch

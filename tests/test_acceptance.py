@@ -39,8 +39,8 @@ def fd_gradient(params, arch, X, y, h=1e-4):
         plus, minus = base.copy(), base.copy()
         plus[i] += h
         minus[i] -= h
-        out[i] = (nn.forward(nn.ParamVector(plus, params.layout), arch, X, y)[1]
-                  - nn.forward(nn.ParamVector(minus, params.layout), arch, X, y)[1]) / (2 * h)
+        out[i] = (nn.forward(nn.ParamVector(plus), arch, X, y)[1]
+                  - nn.forward(nn.ParamVector(minus), arch, X, y)[1]) / (2 * h)
     return out
 
 
@@ -95,10 +95,10 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
             aux = data.LabeledDataset(np.concatenate(batches),
                                       np.repeat(np.arange(4), [len(b) for b in batches]), 4)
             got = attack.extract_sensitivity(params, arch, aux)
-            off, length = params.layout[arch.feature_id]
+            off, _, w_size, b_size = arch.param_slots[arch.feature_index]
             for c in range(4):
                 grad = nn.backward(params, arch, batches[c], np.full(len(batches[c]), c))
-                want = np.abs(grad.values[off:off + length]).sum()
+                want = np.abs(grad.values[off:off + w_size + b_size]).sum()
                 assert abs(got[c] - want) <= 1e-9 * max(want, 1e-30)
 
 
@@ -110,8 +110,7 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
 def test_criterion_03_fedavg_algebra():
     with criterion(3, "fedavg oracle (1e-12), idempotence, permutation invariance"):
         rng = np.random.default_rng(4200)
-        layout = {"0:dense": (0, 23)}
-        models = [nn.ParamVector(rng.standard_normal(23), layout) for _ in range(6)]
+        models = [nn.ParamVector(rng.standard_normal(23)) for _ in range(6)]
         weights = [int(w) for w in rng.integers(1, 40, 6)]
         got = fedsim.fedavg(models, weights)
         total = sum(weights)

@@ -28,11 +28,11 @@ def test_sensitivity_matches_summed_feature_layer_gradient(world):
     pool, aux, arch = world
     params = nn.init_params(arch, seed=1)
     got = attack.extract_sensitivity(params, arch, aux)
-    off, length = params.layout[arch.feature_id]
+    off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(4):
         Xc = aux.X[aux.y == c]
         grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
-        want = np.abs(grad.values[off:off + length]).sum()
+        want = np.abs(grad.values[off:off + w_size + b_size]).sum()
         assert got[c] == pytest.approx(want, rel=1e-9)
 
 
@@ -514,10 +514,10 @@ def test_profiler_hook_runs_and_locks(world):
     meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16, seed=34))
     init = nn.init_params(arch, seed=35)
     prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2)
-    cfg = fedsim.FlConfig(n_rounds=8, train=nn.TrainConfig(0.05, 1, 16, seed=0))
+    train_cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
     st = fedsim.initial_state(4, init)
     for _ in range(8):
-        st = fedsim.run_round(st, clients, arch, cfg, prof, run_seed=36)
+        st = fedsim.run_round(st, clients, arch, train_cfg, 1.0, prof, run_seed=36)
     assert len(prof.history) == 8
     profile = attack.profile_history([tr.ds for tr in prof.history], meta, th_round=2)
     assert all(p is not None for p in profile.verdicts)
@@ -541,10 +541,10 @@ def test_replay_matches_online_profiling(world):
     rng = np.random.default_rng(40)
     n_user, n_label, T = 3, 4, 6
     history = []
-    for t in range(1, T + 1):
+    for _ in range(T):
         sens = rng.random((n_user, n_label))
         ds = rng.random((n_user, n_label))
-        history.append(attack.RoundTrace(t, sens, ds))
+        history.append(attack.RoundTrace(sens, ds))
     samples = peaked_meta_dataset(rng, 4, 8, 0.3)
     meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16, seed=41))
     features = [tr.ds for tr in history]

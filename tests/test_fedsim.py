@@ -8,8 +8,7 @@ from fedprof.errors import InputError, InternalError
 
 
 def pv(values):
-    values = np.asarray(values, dtype=float)
-    return nn.ParamVector(values, {"0:dense": (0, values.size)})
+    return nn.ParamVector(np.asarray(values, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +67,8 @@ def test_fedavg_rejects_bad_input():
         fedsim.fedavg([], [])
     with pytest.raises(InputError):
         fedsim.fedavg([pv([1.0])], [0])
-    other = nn.ParamVector(np.zeros(2), {"1:dense": (0, 2)})
     with pytest.raises(InternalError):
-        fedsim.fedavg([pv([1.0, 2.0]), other], [1, 1])
+        fedsim.fedavg([pv([1.0, 2.0]), pv([1.0, 2.0, 3.0])], [1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +79,12 @@ def test_fedavg_rejects_bad_input():
 def test_sample_full_fraction_returns_everyone():
     got = fedsim.client_fraction_sample(10, 1.0, np.random.default_rng(0))
     assert np.array_equal(got, np.arange(10))
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.5])
+def test_sample_fraction_outside_zero_one_is_input_error(fraction):
+    with pytest.raises(InputError):
+        fedsim.client_fraction_sample(10, fraction, np.random.default_rng(0))
 
 
 def test_sample_point_one_of_ten_is_one_user():
@@ -120,20 +124,20 @@ def tiny_world():
 def test_single_client_identity_hook_global_equals_upload(tiny_world):
     clients, arch, init = tiny_world
     clients = clients[:1]
-    cfg = fedsim.FlConfig(n_rounds=1, train=nn.TrainConfig(0.05, 1, 8, seed=0))
+    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
     state = fedsim.initial_state(1, init)
-    state = fedsim.run_round(state, clients, arch, cfg, fedsim.fedavg_hook, run_seed=7)
+    state = fedsim.run_round(state, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=7)
     assert np.array_equal(state.distributed[0].values, state.uploaded[0].values)
 
 
 def test_two_rounds_bit_identical_on_rerun(tiny_world):
     clients, arch, init = tiny_world
-    cfg = fedsim.FlConfig(n_rounds=2, train=nn.TrainConfig(0.05, 1, 8, seed=0))
+    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
 
     def run():
         st = fedsim.initial_state(3, init)
         for _ in range(2):
-            st = fedsim.run_round(st, clients, arch, cfg, fedsim.fedavg_hook, run_seed=11)
+            st = fedsim.run_round(st, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=11)
         return st
 
     a, b = run(), run()
@@ -152,18 +156,18 @@ def test_training_improves_over_initial_model():
     arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)
     init = nn.init_params(arch, seed=8)
     before = nn.accuracy(init, arch, test.X, test.y)
-    cfg = fedsim.FlConfig(n_rounds=5, train=nn.TrainConfig(0.05, 1, 16, seed=0))
+    cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
     st = fedsim.initial_state(10, init)
     for _ in range(5):
-        st = fedsim.run_round(st, clients, arch, cfg, fedsim.fedavg_hook, run_seed=9)
+        st = fedsim.run_round(st, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=9)
     after = nn.accuracy(st.distributed[0], arch, test.X, test.y)
     assert after > before
 
 
 def test_identity_hook_broadcasts_one_model(tiny_world):
     clients, arch, init = tiny_world
-    cfg = fedsim.FlConfig(n_rounds=1, train=nn.TrainConfig(0.05, 1, 8, seed=0))
-    st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg,
+    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
+    st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg, 1.0,
                           fedsim.fedavg_hook, run_seed=13)
     for u in range(1, 3):
         assert np.array_equal(st.distributed[0].values, st.distributed[u].values)
@@ -171,10 +175,9 @@ def test_identity_hook_broadcasts_one_model(tiny_world):
 
 def test_unsampled_clients_keep_previous_upload(tiny_world):
     clients, arch, init = tiny_world
-    cfg = fedsim.FlConfig(n_rounds=1, train=nn.TrainConfig(0.05, 1, 8, seed=0),
-                          client_fraction=0.34)  # ceil -> 2 of 3
+    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
     st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg,
-                          fedsim.fedavg_hook, run_seed=17)
+                          0.34, fedsim.fedavg_hook, run_seed=17)  # ceil -> 2 of 3
     assert len(st.selected) == 2
     skipped = [u for u in range(3) if u not in st.selected]
     for u in skipped:
@@ -182,10 +185,3 @@ def test_unsampled_clients_keep_previous_upload(tiny_world):
     for u in st.selected:
         assert not np.array_equal(st.uploaded[u].values, init.values)
 
-
-def test_flconfig_validation():
-    tc = nn.TrainConfig(0.1, 1, 8, seed=0)
-    with pytest.raises(InputError):
-        fedsim.FlConfig(n_rounds=0, train=tc)
-    with pytest.raises(InputError):
-        fedsim.FlConfig(n_rounds=1, train=tc, client_fraction=0.0)

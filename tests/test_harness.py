@@ -102,6 +102,8 @@ def test_with_overrides_merges_nested_dicts_and_replaces_lists():
     ("federation", "cp_range", ["a", 0.5]),
     ("fl", "n_rounds", True),
     ("fl", "n_rounds", None),
+    ("fl", "n_rounds", 0),
+    ("fl", "client_fraction", 0.0),
 ])
 def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, value):
     raw = {section: {key: value}}

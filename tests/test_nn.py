@@ -63,8 +63,8 @@ def fd_gradient(params, arch, X, y, h=1e-4):
         plus, minus = base.copy(), base.copy()
         plus[i] += h
         minus[i] -= h
-        lp = nn.forward(nn.ParamVector(plus, params.layout), arch, X, y)[1]
-        lm = nn.forward(nn.ParamVector(minus, params.layout), arch, X, y)[1]
+        lp = nn.forward(nn.ParamVector(plus), arch, X, y)[1]
+        lm = nn.forward(nn.ParamVector(minus), arch, X, y)[1]
         out[i] = (lp - lm) / (2 * h)
     return out
 
@@ -115,6 +115,22 @@ def test_forward_rejects_shape_mismatch_and_empty_batch():
         nn.forward(params, arch, np.zeros((2, 5)), np.zeros(2, dtype=int))
     with pytest.raises(InputError):
         nn.forward(params, arch, np.zeros((0, 6)), np.zeros(0, dtype=int))
+
+
+@pytest.mark.parametrize("too_long", [True, False], ids=["too-long", "too-short"])
+def test_params_sized_for_another_architecture_are_internal_errors(too_long):
+    """The parameters of a two-dense-layer model do not fit a one-dense-layer
+    architecture, and the other way round."""
+    deep, shallow = mlp(), nn.Architecture((nn.Dense(6, 3),), (6,), 3)
+    params, arch = ((nn.init_params(deep, 0), shallow) if too_long
+                    else (nn.init_params(shallow, 0), deep))
+    X, y = rand_batch(arch, 8, seed=1)
+    with pytest.raises(InternalError, match="parameters"):
+        nn.predict_logits(params, arch, X)
+    with pytest.raises(InternalError, match="parameters"):
+        nn.backward(params, arch, X, y)
+    with pytest.raises(InternalError, match="parameters"):
+        nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4, seed=0))
 
 
 def test_forward_is_pure():
@@ -307,7 +323,7 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
     assert_matches_reference(nn.predict_logits(params, arch, X), logits)
     got = nn.backward(params, arch, X, y)
     for index in arch.param_slots:
-        want = nn._layer_params(nn.ParamVector(grad, got.layout), arch, index)
+        want = nn._layer_params(nn.ParamVector(grad), arch, index)
         for got_part, want_part in zip(nn._layer_params(got, arch, index), want):
             assert_matches_reference(got_part, want_part)
     assert_matches_reference(nn._loss_and_grad(params, arch, X, y, per_example=True), rows)
@@ -319,17 +335,16 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
 
 
 def test_sgd_step_arithmetic_and_identity():
-    layout = {"0:dense": (0, 1)}
-    p = nn.ParamVector(np.array([2.0]), layout)
-    g = nn.ParamVector(np.array([1.0]), layout)
+    p = nn.ParamVector(np.array([2.0]))
+    g = nn.ParamVector(np.array([1.0]))
     assert nn.sgd_step(p, g, 0.5).values[0] == 1.5
-    zero = nn.ParamVector(np.array([0.0]), layout)
+    zero = nn.ParamVector(np.array([0.0]))
     assert np.array_equal(nn.sgd_step(p, zero, 0.5).values, p.values)
 
 
 def test_sgd_step_layout_mismatch_is_internal_error():
-    p = nn.ParamVector(np.array([2.0]), {"0:dense": (0, 1)})
-    g = nn.ParamVector(np.array([1.0, 1.0]), {"1:dense": (0, 2)})
+    p = nn.ParamVector(np.array([2.0]))
+    g = nn.ParamVector(np.array([1.0, 1.0]))
     with pytest.raises(InternalError):
         nn.sgd_step(p, g, 0.1)
 
@@ -345,7 +360,7 @@ def test_two_recomputed_steps_differ_from_one_summed_step_on_curved_loss():
     two_steps = nn.sgd_step(after1, g2, lr)
     # One step with the gradient taken twice at the start point: only equal to
     # the two-step path if the loss surface were flat along the way.
-    naive = nn.sgd_step(params, nn.ParamVector(2.0 * g1.values, g1.layout), lr)
+    naive = nn.sgd_step(params, nn.ParamVector(2.0 * g1.values), lr)
     assert not np.allclose(two_steps.values, naive.values, atol=1e-12)
 
 
@@ -417,7 +432,7 @@ def test_dropout_eval_mode_is_identity():
     params = nn.init_params(arch, seed=9)
     X, y = blobs_2class(n_per_class=5)
     with_do = nn.predict_logits(params, arch, X)
-    # Same weights under the dropout-free layer stack (layer ids differ only).
+    # Same weights under the dropout-free layer stack (layer indices differ only).
     stripped = nn.zeros_like_params(plain)
     stripped.values[:] = params.values
     without = nn.predict_logits(stripped, plain, X)
@@ -430,19 +445,17 @@ def test_dropout_eval_mode_is_identity():
 
 
 def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
-    layout = {"0:dense": (0, 3)}
-    p = nn.ParamVector(np.array([1.0, 2.0, 3.0]), layout)
+    p = nn.ParamVector(np.array([1.0, 2.0, 3.0]))
     gs = np.stack([np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.1, 0.0])])
     rng = np.random.default_rng(0)
     got = nn.dp_sgd_step(p, gs, clip_norm=10.0, noise_multiplier=0.0, lr=0.5, rng=rng)
-    mean = nn.ParamVector(np.array([0.05, 0.05, 0.0]), layout)
+    mean = nn.ParamVector(np.array([0.05, 0.05, 0.0]))
     want = nn.sgd_step(p, mean, 0.5)
     assert np.array_equal(got.values, want.values)
 
 
 def test_dp_step_clips_large_gradient_to_clip_norm():
-    layout = {"0:dense": (0, 2)}
-    p = nn.ParamVector(np.zeros(2), layout)
+    p = nn.ParamVector(np.zeros(2))
     g = np.array([6.0, 8.0])  # norm 10
     rng = np.random.default_rng(0)
     got = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0, lr=1.0, rng=rng)
@@ -450,9 +463,8 @@ def test_dp_step_clips_large_gradient_to_clip_norm():
 
 
 def test_clipping_never_increases_norm():
-    layout = {"0:dense": (0, 4)}
     rng = np.random.default_rng(5)
-    p = nn.ParamVector(np.zeros(4), layout)
+    p = nn.ParamVector(np.zeros(4))
     for _ in range(20):
         g = rng.standard_normal(4) * rng.uniform(0.1, 5.0)
         stepped = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0,
@@ -461,8 +473,7 @@ def test_clipping_never_increases_norm():
 
 
 def test_dp_noise_std_monte_carlo():
-    layout = {"0:dense": (0, 4)}
-    p = nn.ParamVector(np.zeros(4), layout)
+    p = nn.ParamVector(np.zeros(4))
     zero = np.zeros(4)
     batch = np.stack([zero, zero])  # batch_size 2 -> std = 1 * 1 / 2
     rng = np.random.default_rng(123)
@@ -475,13 +486,13 @@ def test_dp_noise_std_monte_carlo():
 
 
 def test_dp_step_rejects_empty_gradient_list():
-    p = nn.ParamVector(np.zeros(2), {"0:dense": (0, 2)})
+    p = nn.ParamVector(np.zeros(2))
     with pytest.raises(InputError):
         nn.dp_sgd_step(p, np.zeros((0, 2)), 1.0, 0.0, 0.1, np.random.default_rng(0))
 
 
 def test_dp_step_rejects_wrong_width_as_internal_error():
-    p = nn.ParamVector(np.zeros(2), {"0:dense": (0, 2)})
+    p = nn.ParamVector(np.zeros(2))
     with pytest.raises(InternalError):
         nn.dp_sgd_step(p, np.zeros((3, 5)), 1.0, 0.0, 0.1, np.random.default_rng(0))
 
@@ -498,8 +509,7 @@ def perturbed_params(arch, seed):
     and ReLU and max-pool patterns vary across samples."""
     params = nn.init_params(arch, seed)
     return nn.ParamVector(
-        params.values + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params),
-        params.layout)
+        params.values + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params))
 
 
 @pytest.mark.parametrize("overrides", DP_ARCH_CASES)
@@ -537,7 +547,7 @@ def dp_train_reference(params, arch, X, y, cfg):
             idx = perm[start:start + cfg.batch_size]
             mean = np.zeros_like(values)
             for i in idx:
-                g = nn._loss_and_grad(nn.ParamVector(values, params.layout), arch,
+                g = nn._loss_and_grad(nn.ParamVector(values), arch,
                                       X[i:i + 1], y[i:i + 1],
                                       train_mode=cfg.dropout_enabled, rng=rng).values
                 norm = np.linalg.norm(g)
@@ -574,7 +584,7 @@ def test_checkpoint_round_trip(tmp_path):
     nn.save_checkpoint(path, params, arch)
     loaded, arch2 = nn.load_checkpoint(path)
     assert arch2 == arch
-    assert loaded.layout == params.layout
+    assert arch2.param_slots == arch.param_slots
     # float32 storage: round-trip through f4 must be exact
     assert np.array_equal(loaded.values, params.values.astype("<f4").astype(np.float64))
 
@@ -689,11 +699,12 @@ def test_architecture_json_round_trip():
 # Parameter layout, against references written out here
 # ---------------------------------------------------------------------------
 
-# The default MLP (dim 16, hidden [32], 10 classes) and the 6x6 benchmark CNN.
+# The default MLP (dim 16, hidden [32], 10 classes) and the 6x6 benchmark CNN:
+# (offset, length) of each parameterised layer by index, and the feature index.
 LAYOUT_CASES = [
-    ({}, {"0:dense": (0, 544), "3:dense": (544, 330)}, "0:dense"),
+    ({}, {0: (0, 544), 3: (544, 330)}, 0),
     ({"model": {"kind": "cnn"}, "dataset": {"dim": 36}},
-     {"0:conv2d": (0, 80), "2:conv2d": (80, 1168), "6:dense": (1248, 170)}, "2:conv2d"),
+     {0: (0, 80), 2: (80, 1168), 6: (1248, 170)}, 2),
 ]
 
 
@@ -721,13 +732,16 @@ def glorot_reference(arch, seed):
     return np.concatenate(parts)
 
 
-@pytest.mark.parametrize("overrides, layout, feature_id", LAYOUT_CASES)
-def test_layout_and_feature_layer_match_written_references(overrides, layout, feature_id):
+# The ids name each case's feature layer as index:kind.
+@pytest.mark.parametrize("overrides, layout, feature_index", LAYOUT_CASES,
+                         ids=["overrides0-layout0-0:dense", "overrides1-layout1-2:conv2d"])
+def test_layout_and_feature_layer_match_written_references(overrides, layout, feature_index):
     arch = reference_arch(overrides)
-    assert nn.zeros_like_params(arch).layout == layout
-    assert arch.feature_id == feature_id
-    for layer_id in layout:
-        index = int(layer_id.split(":")[0])
+    assert {i: (off, w_size + b_size)
+            for i, (off, _, w_size, b_size) in arch.param_slots.items()} == layout
+    assert arch.n_params == sum(length for _, length in layout.values())
+    assert arch.feature_index == feature_index
+    for index in layout:
         layer = arch.layers[index]
         W, b = nn._layer_params(nn.zeros_like_params(arch), arch, index)
         if isinstance(layer, nn.Dense):
