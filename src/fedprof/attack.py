@@ -312,20 +312,18 @@ class PreferenceProfiler:
         self.prev_agg_sens = np.tile(extract_sensitivity(init_model, arch, aux), (n_user, 1))
         self.history: List[RoundTrace] = []
 
-    def __call__(self, round_index: int, uploads: list, weights: list,
-                 selected: list) -> list:
+    def __call__(self, uploads: list, weights: list, selected: list) -> list:
         sens = np.stack([extract_sensitivity(uploads[u], self.arch, self.aux)
                          for u in range(self.n_user)])
         ds = differential_sensitivity(self.prev_agg_sens, sens)
         self.history.append(RoundTrace(sens, ds))
-        distributed, self.prev_agg_sens = self._aggregate(round_index, uploads, weights,
-                                                          selected, sens)
+        distributed, self.prev_agg_sens = self._aggregate(uploads, weights, selected, sens)
         return distributed
 
-    def _aggregate(self, round_index, uploads, weights, selected, sens):
+    def _aggregate(self, uploads, weights, selected, sens):
         n = self.n_user
         if self.x is None:
-            distributed = fedsim.fedavg_hook(round_index, uploads, weights, selected)
+            distributed = fedsim.fedavg_hook(uploads, weights, selected)
             s = extract_sensitivity(distributed[0], self.arch, self.aux)
             return distributed, np.tile(s, (n, 1))
         distributed, agg_sens = [], []

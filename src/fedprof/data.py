@@ -197,6 +197,8 @@ def write_idx(ds: LabeledDataset, images_path, labels_path) -> None:
     followed by a load is exact for any dataset whose values already lie on
     that grid (in particular anything previously loaded from IDX).
     """
+    if len(ds) and ds.y.max() > 255:
+        raise InputError(f"IDX labels are single bytes, label {ds.y.max()} does not fit")
     if len(ds.feature_shape) == 2:
         rows, cols = ds.feature_shape
     else:

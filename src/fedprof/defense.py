@@ -34,7 +34,7 @@ def sweep_from_config(cfg: harness.ExperimentConfig) -> list:
         ("dropout", {"defense": {"apply": "dropout"}}),
     ]
     for m in cfg["defense"]["noise_multipliers"]:
-        variants.append((f"dp_{m:g}", {"defense": {"apply": "dp", "noise_multiplier": m}}))
+        variants.append((harness.dp_label(m), {"defense": {"apply": "dp", "noise_multiplier": m}}))
     return variants
 
 

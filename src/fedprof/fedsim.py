@@ -41,8 +41,8 @@ class RoundState:
     selected: Optional[list] = None
 
 
-# (round_index, uploads, weights, selected) -> the model distributed to each user
-AggregationHook = Callable[[int, list, list, list], list]
+# (uploads, weights, selected) -> the model distributed to each user
+AggregationHook = Callable[[list, list, list], list]
 
 
 def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
@@ -80,7 +80,7 @@ def client_fraction_sample(n_user: int, fraction: float,
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 
-def fedavg_hook(round_index: int, uploads: list, weights: list, selected: list) -> list:
+def fedavg_hook(uploads: list, weights: list, selected: list) -> list:
     """Identity server: plain FedAvg over the sampled uploads, broadcast to all."""
     models = [uploads[u] for u in selected]
     w = [weights[u] for u in selected]
@@ -123,7 +123,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     _check_finite(uploads, rnd, "uploaded")
 
     weights = [len(c) for c in clients]
-    distributed = hook(rnd, uploads, weights, list(selected))
+    distributed = hook(uploads, weights, list(selected))
     if len(distributed) != n_user:
         raise InternalError("hook returned wrong number of distributed models")
     _check_finite(distributed, rnd, "distributed")

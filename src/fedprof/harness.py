@@ -129,12 +129,14 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment description (plain dict inside) and the
-    client and shadow specs drawn from it, which the run consumes."""
+    """Resolved, validated experiment description (plain dict inside), the
+    client and shadow specs drawn from it and the client model, all of which
+    the run consumes."""
 
     resolved: dict
     fed_spec: data.FederationSpec
     shadow_draws: list
+    arch: nn.Architecture
 
     def __getitem__(self, key):
         return self.resolved[key]
@@ -164,9 +166,15 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
     return out
 
 
+def dp_label(noise_multiplier: float) -> str:
+    """The defense-sweep label of the DP variant with this noise multiplier."""
+    return f"dp_{noise_multiplier:g}"
+
+
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse, strictly validate and default-fill a JSON experiment config,
-    and draw the client and shadow specs its run consumes.
+    and build the client model and draw the client and shadow specs its run
+    consumes.
 
     Every violated invariant, a spec the config cannot realize included, is
     reported with its key path; unknown keys are rejected.
@@ -197,11 +205,26 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         side = int(round(ds["dim"] ** 0.5))
         if side * side != ds["dim"]:
             problems.append("model.kind 'cnn' on synthetic data needs a square dataset.dim")
-        elif not _cnn_fits(side, side):
-            problems.append(f"dataset.dim {ds['dim']} is a {side}x{side} image, too small for "
-                            f"model.kind 'cnn' (at least 6x6, dim 36)")
+    multipliers = resolved["defense"]["noise_multipliers"]
+    labels = [dp_label(m) for m in multipliers]
+    clashes = sorted({label for label in labels if labels.count(label) > 1})
+    if clashes:
+        problems.append(f"defense.noise_multipliers {multipliers} give two entries the same "
+                        f"sweep label: {', '.join(clashes)}")
     if problems:
         raise ConfigError("; ".join(problems))
+    if ds["kind"] == "idx":
+        _, rows, cols = data.load_idx_header(ds["images"])
+        shape, where = (rows, cols), f"dataset.images {ds['images']} holds {rows}x{cols} images"
+    elif resolved["model"]["kind"] == "cnn":
+        shape, where = (side, side), f"dataset.dim {ds['dim']} is a {side}x{side} image"
+    else:
+        shape, where = (ds["dim"],), f"dataset.dim {ds['dim']}"
+    try:
+        arch = build_model_arch(resolved, shape)
+    except InputError as e:
+        raise ConfigError(f"{where}, which model.kind {resolved['model']['kind']!r} cannot "
+                          f"take: {e}") from None
     fed, n_label = resolved["federation"], ds["n_label"]
     try:
         fed_spec = data.make_federation_spec(
@@ -247,10 +270,6 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
     if ds["kind"] == "idx":
-        _, rows, cols = data.load_idx_header(ds["images"])
-        if resolved["model"]["kind"] == "cnn" and not _cnn_fits(rows, cols):
-            raise ConfigError(f"dataset.images {ds['images']} holds {rows}x{cols} images, too "
-                              f"small for model.kind 'cnn' (at least 6x6)")
         have = np.bincount(data.load_idx_labels(ds["labels"]))
         if len(have) != n_label:
             raise ConfigError(f"dataset.n_label is {n_label} but dataset.labels holds "
@@ -262,7 +281,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             raise ConfigError(f"dataset.labels {ds['labels']} is too small for the client "
                               f"datasets plus attack.aux_per_class and eval_per_class per "
                               f"class: " + "; ".join(short))
-    return ExperimentConfig(resolved, fed_spec, draws)
+    return ExperimentConfig(resolved, fed_spec, draws, arch)
 
 
 def _pool_demand(resolved: dict, fed_spec: data.FederationSpec) -> np.ndarray:
@@ -277,30 +296,21 @@ def _pool_demand(resolved: dict, fed_spec: data.FederationSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cnn_fits(rows: int, cols: int) -> bool:
-    """Whether two 3x3 convolutions and a 2x2 pool leave at least one pixel."""
-    return min(rows, cols) >= 6
-
-
-def build_model_arch(cfg: ExperimentConfig, n_label: int, feature_shape: tuple) -> nn.Architecture:
-    """The client model: MLP with a dropout slot before the head, or the
-    small two-convolution network for image-shaped data."""
-    rate = cfg["defense"]["dropout_rate"]
-    if cfg["model"]["kind"] == "mlp":
+def build_model_arch(resolved: dict, feature_shape: tuple) -> nn.Architecture:
+    """The client model for samples of ``feature_shape``: an MLP with a
+    dropout slot before the head, or, for (rows, cols) images, the small
+    two-convolution network.  Raises InputError when the images are too
+    small for the convolutions."""
+    rate, n_label = resolved["defense"]["dropout_rate"], resolved["dataset"]["n_label"]
+    if resolved["model"]["kind"] == "mlp":
         dim = int(np.prod(feature_shape))
         layers, width = [], dim
-        for h in cfg["model"]["hidden"]:
+        for h in resolved["model"]["hidden"]:
             layers += [nn.Dense(width, h), nn.Relu()]
             width = h
         layers += [nn.Dropout(rate), nn.Dense(width, n_label)]
         return nn.Architecture(tuple(layers), (dim,), n_label)
-    if len(feature_shape) == 2:
-        rows, cols = feature_shape
-    else:
-        side = int(round(feature_shape[0] ** 0.5))
-        rows = cols = side
-    if not _cnn_fits(rows, cols):
-        raise ConfigError(f"model.kind 'cnn' needs images of at least 6x6, got {rows}x{cols}")
+    rows, cols = feature_shape
     layers = (
         nn.Conv2d(1, 8, kernel=3), nn.Relu(),
         nn.Conv2d(8, 16, kernel=3), nn.Relu(),
@@ -316,7 +326,6 @@ class StagedData:
     clients: list
     aux: data.LabeledDataset
     test: data.LabeledDataset
-    arch: nn.Architecture
 
 
 def stage_data(cfg: ExperimentConfig) -> StagedData:
@@ -334,8 +343,7 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     aux = data.sample_per_class(pool, cfg["attack"]["aux_per_class"], used)
     test = data.sample_per_class(pool, cfg["eval_per_class"],
                                  np.concatenate([used, aux.source_indices]))
-    arch = build_model_arch(cfg, n_label, pool.feature_shape)
-    return StagedData(clients, aux, test, arch)
+    return StagedData(clients, aux, test)
 
 
 def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
@@ -379,9 +387,9 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     shadow_size = cfg.shadow_draws[0][0].total_size
     update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
     shadow_cfg = dataclasses.replace(update_cfg, epochs=atk["shadow_epochs"])
-    shadows = attack.train_shadows(staged.aux, staged.arch, cfg.shadow_draws, shadow_cfg)
+    shadows = attack.train_shadows(staged.aux, cfg.arch, cfg.shadow_draws, shadow_cfg)
     meta_dataset = attack.build_meta_dataset_federated(
-        shadows, staged.aux, staged.arch, update_cfg,
+        shadows, staged.aux, cfg.arch, update_cfg,
         seed=derive_seed(cfg.seed, "meta-fed"), mode=atk["mode"],
     )
     return OfflineArtifacts(shadows, meta_dataset, _train_meta(cfg, meta_dataset))
@@ -402,14 +410,14 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[
     atk = cfg["attack"]
     n_user = cfg["federation"]["n_user"]
     selective = (aggregation or cfg["fl"]["aggregation"]) == "selective"
-    init = nn.init_params(staged.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(staged.arch, staged.aux, n_user, init,
+    init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
+    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, n_user, init,
                                          x=atk["x"] if selective else None, mode=atk["mode"])
     train_cfg = client_train_config(cfg)
     state = fedsim.initial_state(n_user, init)
     accs = []
     for _ in range(cfg["fl"]["n_rounds"]):
-        state = fedsim.run_round(state, staged.clients, staged.arch, train_cfg,
+        state = fedsim.run_round(state, staged.clients, cfg.arch, train_cfg,
                                  cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
         accs.append((state.round_index, state.local_acc, state.global_acc))
     return profiler.history, accs, state
@@ -443,11 +451,9 @@ class RunReport:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
 
 
-def _mean_test_acc(state: fedsim.RoundState, staged: StagedData) -> float:
-    return float(np.mean([
-        nn.accuracy(m, staged.arch, staged.test.X, staged.test.y)
-        for m in state.distributed
-    ]))
+def _mean_test_acc(state: fedsim.RoundState, arch: nn.Architecture,
+                   test: data.LabeledDataset) -> float:
+    return float(np.mean([nn.accuracy(m, arch, test.X, test.y) for m in state.distributed]))
 
 
 def _ds_trace(history: list, truth: list) -> list:
@@ -499,9 +505,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         predictions=profile.verdicts,
         lock_rounds=profile.lock_rounds,
         topk=topk,
-        utility_test_with=_mean_test_acc(final, staged),
+        utility_test_with=_mean_test_acc(final, cfg.arch, staged.test),
         utility_test_without=(None if base_final is None
-                              else _mean_test_acc(base_final, staged)),
+                              else _mean_test_acc(base_final, cfg.arch, staged.test)),
         utility_own_with=float(np.mean(final.global_acc)),
         utility_own_without=(None if base_final is None
                              else float(np.mean(base_final.global_acc))),

@@ -34,7 +34,6 @@ from .seeding import derive_seed
 class Dense:
     in_dim: int
     out_dim: int
-    feature_layer: bool = False
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class Conv2d:
     out_ch: int
     kernel: int
     stride: int = 1
-    feature_layer: bool = False
 
 
 @dataclass(frozen=True)
@@ -71,19 +69,18 @@ _SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel", "s
 class Architecture:
     """Ordered layer stack plus input/output contract.
 
-    On construction the layer chain is shape-checked and, if no layer is
-    explicitly marked, a feature layer is chosen automatically: the last
-    convolution layer, or for conv-free stacks the last dense layer that is
-    not the output layer (the only dense layer if there is just one).  The
-    feature layer is the slice of the parameter vector used by sensitivity
-    extraction.
+    Construction walks the stack once.  The walk checks every layer's sizes
+    and its input shape, and fixes the parameter layout in plain attributes
+    (not fields, so equality and :meth:`to_json` ignore them):
+    ``param_slots`` maps each parameterised layer's index to (offset, W
+    shape, W size, b size), W before b, and is the only record of where a
+    layer sits in a :class:`ParamVector`; ``n_params`` is the total and
+    ``input_size`` the flat size of one input sample.
 
-    The parameter layout is then fixed once, in plain attributes (not fields,
-    so equality and :meth:`to_json` ignore them): ``param_slots`` maps each
-    parameterised layer's index to (offset, W shape, W size, b size), W
-    before b, and is the only record of where a layer sits in a
-    :class:`ParamVector`; ``n_params`` is the total, ``feature_index`` the
-    feature layer's index and ``input_size`` the flat size of one input sample.
+    ``feature_index`` is the index of the feature layer, the slice of the
+    parameter vector that sensitivity extraction reads.  It follows a rule:
+    the last convolution layer; for conv-free stacks the last dense layer
+    before the output layer; the only dense layer if there is just one.
     """
 
     layers: tuple
@@ -95,25 +92,21 @@ class Architecture:
         self.input_shape = tuple(int(d) for d in self.input_shape)
         if self.n_classes < 2:
             raise InputError(f"n_classes must be >= 2, got {self.n_classes}")
-        self._check_shapes()
-        if not any(getattr(l, "feature_layer", False) for l in self.layers):
-            self._mark_default_feature_layer()
-        self._lay_out_params()
-
-    def _check_shapes(self):
-        shape = self.input_shape
+        shape, offset, self.param_slots = self.input_shape, 0, {}
+        dense, conv = [], None
         for i, layer in enumerate(self.layers):
             for name in _SIZES.get(type(layer), ()):
                 if getattr(layer, name) < 1:
                     raise InputError(f"layer {i}: {_KIND[type(layer)]} {name} must be >= 1, "
                                      f"got {getattr(layer, name)}")
             if isinstance(layer, Dense):
-                flat = int(np.prod(shape))
-                if flat != layer.in_dim:
+                if math.prod(shape) != layer.in_dim:
                     raise InputError(
                         f"layer {i}: dense expects {layer.in_dim} inputs, got shape {shape}"
                     )
                 shape = (layer.out_dim,)
+                w_shape, b_size = (layer.in_dim, layer.out_dim), layer.out_dim
+                dense.append(i)
             elif isinstance(layer, Conv2d):
                 if len(shape) != 3 or shape[0] != layer.in_ch:
                     raise InputError(
@@ -124,6 +117,9 @@ class Architecture:
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: conv2d kernel larger than input {shape}")
                 shape = (layer.out_ch, h, w)
+                w_shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
+                b_size = layer.out_ch
+                conv = i
             elif isinstance(layer, MaxPool2d):
                 if len(shape) != 3:
                     raise InputError(f"layer {i}: maxpool expects (C, H, W), got shape {shape}")
@@ -131,47 +127,25 @@ class Architecture:
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: maxpool kernel larger than input {shape}")
                 shape = (shape[0], h, w)
+                continue
             elif isinstance(layer, Dropout):
                 if not 0.0 <= layer.rate < 1.0:
                     raise InputError(f"layer {i}: dropout rate must be in [0, 1)")
-            elif not isinstance(layer, Relu):
+                continue
+            elif isinstance(layer, Relu):
+                continue
+            else:
                 raise InputError(f"layer {i}: unknown layer spec {layer!r}")
+            w_size = math.prod(w_shape)
+            self.param_slots[i] = (offset, w_shape, w_size, b_size)
+            offset += w_size + b_size
         if shape != (self.n_classes,):
             raise InputError(
                 f"final layer produces shape {shape}, expected ({self.n_classes},)"
             )
-
-    def _mark_default_feature_layer(self):
-        conv_idx = [i for i, l in enumerate(self.layers) if isinstance(l, Conv2d)]
-        dense_idx = [i for i, l in enumerate(self.layers) if isinstance(l, Dense)]
-        if conv_idx:
-            pick = conv_idx[-1]
-        elif len(dense_idx) >= 2:
-            pick = dense_idx[-2]
-        elif dense_idx:
-            pick = dense_idx[-1]
-        else:
-            raise InputError("architecture has no parameterised layer to mark as feature layer")
-        layers = list(self.layers)
-        layers[pick] = dataclasses.replace(layers[pick], feature_layer=True)
-        self.layers = tuple(layers)
-
-    def _lay_out_params(self):
-        self.param_slots, self.feature_index = {}, None
-        offset = 0
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, Dense):
-                w_shape, b_size = (layer.in_dim, layer.out_dim), layer.out_dim
-            elif isinstance(layer, Conv2d):
-                w_shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
-                b_size = layer.out_ch
-            else:
-                continue
-            w_size = math.prod(w_shape)
-            self.param_slots[i] = (offset, w_shape, w_size, b_size)
-            if layer.feature_layer and self.feature_index is None:
-                self.feature_index = i
-            offset += w_size + b_size
+        if conv is None and not dense:
+            raise InputError("architecture has no parameterised layer to read as feature layer")
+        self.feature_index = conv if conv is not None else dense[-2 if len(dense) > 1 else -1]
         self.n_params = offset
         self.input_size = math.prod(self.input_shape)
 
@@ -466,8 +440,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise InputError("learning_rate must be > 0")
-        if self.epochs < 0:
-            raise InputError("epochs must be >= 0")
+        if self.epochs < 1:
+            raise InputError("epochs must be >= 1")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
 
@@ -560,7 +534,7 @@ def train(
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PPAM"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_checkpoint(path, pv: ParamVector, arch: Architecture) -> None:

@@ -110,6 +110,13 @@ def test_idx_round_trip_exact(tmp_path):
     assert back.feature_shape == (3, 4)
 
 
+def test_idx_write_rejects_labels_beyond_a_byte(tmp_path):
+    ds = data.LabeledDataset(np.zeros((2, 4)), [3, 299], 300)
+    img, lbl = tmp_path / "a.idx", tmp_path / "b.idx"
+    with pytest.raises(InputError, match="label 299"):
+        data.write_idx(ds, img, lbl)
+
+
 def test_idx_at_mnist_test_scale(tmp_path):
     # Structural stand-in for the canonical 10k-image test pair.
     rng = np.random.default_rng(1)

@@ -12,7 +12,7 @@ import pytest
 
 import fedprof
 from fedprof import attack, cli, data, harness, nn
-from fedprof.errors import ConfigError, NumericalError
+from fedprof.errors import ConfigError, InputError, NumericalError
 
 FAST = {
     "seed": 5,
@@ -113,6 +113,13 @@ def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, va
         harness.validate_config(json.dumps(raw))
 
 
+def test_noise_multipliers_with_one_sweep_label_are_a_config_error():
+    raw = {"defense": {"noise_multipliers": [0.1, 0.25, 0.1000001]}}
+    with pytest.raises(ConfigError, match="defense.noise_multipliers .* same sweep label: "
+                                          "dp_0.1$"):
+        harness.validate_config(json.dumps(raw))
+
+
 @pytest.mark.parametrize("federation, key", [
     ({"user_size": 20}, "federation.user_size"),
     ({"id_target": 1e9}, "federation.id_target"),  # user sizes clamp to n_label
@@ -187,12 +194,12 @@ def test_idx_pool_must_hold_what_the_run_draws(tmp_path):
 def test_cnn_on_too_small_idx_images_is_a_config_error(tmp_path):
     cnn = {"model": {"kind": "cnn"}}
     raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(5, 5)), cnn)
-    with pytest.raises(ConfigError, match=r"dataset.images .* holds 5x5 images, too small "
-                                          r"for model.kind 'cnn'"):
+    with pytest.raises(ConfigError, match=r"dataset.images .* holds 5x5 images, which "
+                                          r"model.kind 'cnn' cannot take: layer 4: maxpool "
+                                          r"kernel larger than input"):
         harness.validate_config(json.dumps(raw))
     raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(6, 6)), cnn)
-    assert harness.stage_data(harness.validate_config(json.dumps(raw))).arch.input_shape == \
-        (1, 6, 6)
+    assert harness.validate_config(json.dumps(raw)).arch.input_shape == (1, 6, 6)
 
 
 def test_idx_pool_class_count_must_match_n_label(tmp_path):
@@ -312,26 +319,31 @@ def test_cnn_model_arch_on_image_data():
         "eval_per_class": 5,
         "fl": {"n_rounds": 1},
     }))
-    staged = harness.stage_data(cfg)
-    assert staged.arch.input_shape == (1, 8, 8)
+    assert cfg.arch.input_shape == (1, 8, 8)
     rep = harness.run_experiment(cfg)
     assert len(rep.predictions) == 3
 
 
-@pytest.mark.parametrize("dim", [16, 25, "x"])
-def test_cnn_on_too_small_synthetic_images_is_a_config_error(dim):
+@pytest.mark.parametrize("dim, message", [
+    (16, "layer 2: conv2d kernel larger than input"),
+    (25, "layer 4: maxpool kernel larger than input"),
+    (20, "square"),
+    ("x", "invalid value"),
+], ids=["16", "25", "20", "x"])
+def test_cnn_on_too_small_synthetic_images_is_a_config_error(dim, message):
     raw = {"model": {"kind": "cnn"}, "dataset": {"dim": dim}}
-    with pytest.raises(ConfigError, match="dataset.dim"):
+    with pytest.raises(ConfigError, match="dataset.dim") as err:
         harness.validate_config(json.dumps(raw))
+    assert message in str(err.value)
 
 
 def test_cnn_smallest_runnable_image_validates():
     cfg = harness.validate_config(json.dumps({"model": {"kind": "cnn"},
                                               "dataset": {"dim": 36}}))
-    assert harness.build_model_arch(cfg, 10, (36,)).input_shape == (1, 6, 6)
-    with pytest.raises(ConfigError, match="6x6"):
-        harness.build_model_arch(cfg, 10, (5, 5))  # IDX images too small for the CNN
-    arch = harness.build_model_arch(cfg, 10, (8, 10))  # IDX images need not be square
+    assert cfg.arch.input_shape == (1, 6, 6)
+    with pytest.raises(InputError, match="kernel larger than input"):
+        harness.build_model_arch(cfg.resolved, (5, 5))  # IDX images too small for the CNN
+    arch = harness.build_model_arch(cfg.resolved, (8, 10))  # IDX images need not be square
     logits = nn.predict_logits(nn.init_params(arch, seed=0), arch, np.zeros((3, 80)))
     assert logits.shape == (3, 10)
 

@@ -378,13 +378,9 @@ def blobs_2class(n_per_class=40, seed=0):
     return X, y
 
 
-def test_train_zero_epochs_is_identity():
-    arch = mlp(2, 4, 2)
-    params = nn.init_params(arch, seed=0)
-    X, y = blobs_2class()
-    cfg = nn.TrainConfig(learning_rate=0.1, epochs=0, batch_size=8, seed=1)
-    out = nn.train(params, arch, X, y, cfg)
-    assert np.array_equal(out.values, params.values)
+def test_train_config_rejects_zero_epochs():
+    with pytest.raises(InputError, match="epochs must be >= 1"):
+        nn.TrainConfig(learning_rate=0.1, epochs=0, batch_size=8, seed=1)
 
 
 def test_train_separable_blobs_to_perfect_accuracy():
@@ -596,11 +592,21 @@ def test_checkpoint_header_layout(tmp_path):
     nn.save_checkpoint(path, params, arch)
     blob = path.read_bytes()
     assert blob[:4] == b"PPAM"
-    assert int.from_bytes(blob[4:6], "little") == 1
+    assert int.from_bytes(blob[4:6], "little") == 2
     desc_len = int.from_bytes(blob[6:10], "little")
     desc = blob[10:10 + desc_len].decode("utf-8")
     assert nn.Architecture.from_json(desc) == arch
     assert len(blob) == 10 + desc_len + 4 * params.values.size
+
+
+def test_checkpoint_version_1_is_rejected(tmp_path):
+    arch = mlp(2, 3, 2)
+    path = tmp_path / "model.ppam"
+    nn.save_checkpoint(path, nn.init_params(arch, seed=0), arch)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:4] + (1).to_bytes(2, "little") + blob[6:])
+    with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        nn.load_checkpoint(path)
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
@@ -630,7 +636,7 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     for text in (b"{not json", b"\xff\xfe", json.dumps(unknown_kind).encode(),
                  json.dumps(no_layers).encode(), json.dumps(unknown_field).encode(),
                  json.dumps(bad_chain).encode(), json.dumps({**desc, "layers": [1]}).encode()):
-        bad.write_bytes(b"PPAM" + (1).to_bytes(2, "little") + len(text).to_bytes(4, "little")
+        bad.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
                         + text + payload)
         with pytest.raises(FormatError, match="architecture descriptor"):
             nn.load_checkpoint(bad)
@@ -671,23 +677,22 @@ def test_checkpoint_with_zero_kernel_is_format_error(tmp_path):
     desc["layers"][2]["kernel"] = 0
     text = json.dumps(desc).encode()
     path = tmp_path / "zero.ppam"
-    path.write_bytes(b"PPAM" + (1).to_bytes(2, "little") + len(text).to_bytes(4, "little")
+    path.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
                      + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
     with pytest.raises(FormatError, match="layer 2: maxpool kernel"):
         nn.load_checkpoint(path)
 
 
 def test_feature_layer_defaults():
-    cnn = small_cnn()
-    marked = [l for l in cnn.layers if getattr(l, "feature_layer", False)]
-    assert len(marked) == 1 and isinstance(marked[0], nn.Conv2d)
-    assert marked[0] is cnn.layers[3]  # last conv layer
+    assert small_cnn().feature_index == 3  # last conv layer
     deep = nn.Architecture(
         (nn.Dense(4, 8), nn.Relu(), nn.Dense(8, 6), nn.Relu(), nn.Dense(6, 3)), (4,), 3
     )
-    assert getattr(deep.layers[2], "feature_layer", False)  # last hidden dense
+    assert deep.feature_index == 2  # last hidden dense
     single = nn.Architecture((nn.Dense(4, 3),), (4,), 3)
-    assert single.layers[0].feature_layer
+    assert single.feature_index == 0
+    with pytest.raises(InputError, match="no parameterised layer"):
+        nn.Architecture((nn.Relu(),), (3,), 3)
 
 
 def test_architecture_json_round_trip():
@@ -709,8 +714,7 @@ LAYOUT_CASES = [
 
 
 def reference_arch(overrides):
-    cfg = harness.validate_config(json.dumps(overrides))
-    return harness.build_model_arch(cfg, 10, (cfg["dataset"]["dim"],))
+    return harness.validate_config(json.dumps(overrides)).arch
 
 
 def glorot_reference(arch, seed):
