@@ -119,13 +119,13 @@ def train_shadows(aux: LabeledDataset, arch: nn.Architecture,
                   train_cfg: nn.TrainConfig) -> List[ShadowRecord]:
     """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
     realized from the auxiliary store; its preference is the spec's preferred
-    class."""
+    class.  A diverged shadow i raises NumericalError naming "shadow i"."""
     shadows = []
-    for spec, sub in draws:
+    for i, (spec, sub) in enumerate(draws):
         ds = realize_distribution(aux, spec, seed=derive_seed(sub, "data"))
         params = nn.init_params(arch, seed=derive_seed(sub, "init"))
-        cfg = dataclasses.replace(train_cfg, seed=derive_seed(sub, "train"))
-        params = nn.train(params, arch, ds.X, ds.y, cfg)
+        params = nn.train(params, arch, ds.X, ds.y, train_cfg, derive_seed(sub, "train"))
+        fedsim.check_finite(params, f"shadow {i}")
         shadows.append(ShadowRecord(params, ds, spec.preferred_class,
                                     extract_sensitivity(params, arch, aux)))
     return shadows
@@ -167,7 +167,8 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
     For shadow i: average it (equal weights) with the partner, extract S1 of
     the aggregate, retrain the aggregate for one pass over shadow i's own
     dataset (the next-round local update), extract S2, and emit
-    (|S1 - S2|, preference of i).
+    (|S1 - S2|, preference of i).  A diverged update raises NumericalError
+    naming "meta-dataset update i".
     """
     if len(shadows) < 2:
         raise ConfigError("federated meta dataset needs at least two shadows")
@@ -176,8 +177,9 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
         partner = _pair_partner(shadows, i, mode)
         agg = fedsim.fedavg([sh.params, shadows[partner].params], [1.0, 1.0])
         s1 = extract_sensitivity(agg, arch, aux)
-        cfg = dataclasses.replace(update_cfg, seed=derive_seed(seed, "shadow-update", i))
-        updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, cfg)
+        updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, update_cfg,
+                           derive_seed(seed, "shadow-update", i))
+        fedsim.check_finite(updated, f"meta-dataset update {i}")
         s2 = extract_sensitivity(updated, arch, aux)
         features.append(differential_sensitivity(s1, s2))
     return LabeledDataset(np.stack(features), [sh.preference for sh in shadows], aux.n_label)
@@ -202,9 +204,11 @@ class MetaClassifier:
         return nn.predict_logits(self.params, self.arch, normalize_features(features))
 
 
-def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig,
+def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int,
                hidden: int = 32) -> MetaClassifier:
-    """Fit the meta-classifier on (sensitivity features, preference) samples."""
+    """Fit the meta-classifier on (sensitivity features, preference) samples;
+    ``seed`` fixes its initial weights and its training.  Diverged weights
+    raise NumericalError naming the "meta-classifier"."""
     n_label = meta.n_label
     if len(meta) < n_label:
         raise ConfigError(f"need at least {n_label} meta samples, got {len(meta)}")
@@ -216,9 +220,10 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig,
         (nn.Dense(n_label, hidden), nn.Relu(), nn.Dense(hidden, n_label)),
         (n_label,), n_label,
     )
-    params = nn.init_params(arch, seed=derive_seed(train_cfg.seed, "meta-init"))
+    params = nn.init_params(arch, seed=derive_seed(seed, "meta-init"))
     cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, len(feats)))
-    params = nn.train(params, arch, feats, meta.y, cfg)
+    params = nn.train(params, arch, feats, meta.y, cfg, seed)
+    fedsim.check_finite(params, "meta-classifier")
     acc = nn.accuracy(params, arch, feats, meta.y)
     return MetaClassifier(params, arch, acc)
 

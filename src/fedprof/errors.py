@@ -27,4 +27,5 @@ class InternalError(FedprofError):
 
 
 class NumericalError(FedprofError):
-    """Training diverged: a model holds non-finite parameters."""
+    """Training diverged: a model holds non-finite parameters, or ones beyond
+    ``fedsim.DIVERGENCE_BOUND``."""

@@ -5,12 +5,12 @@ can observe uploads and hand back per-user models.  The identity hook is
 plain weighted FedAvg broadcast to everyone.  All per-round randomness is
 derived from the run seed, so trajectories are bit-reproducible.  A model
 with a non-finite parameter, or one whose magnitude exceeds
-:data:`DIVERGENCE_BOUND`, stops the run.
+:data:`DIVERGENCE_BOUND`, stops the run; :func:`check_finite` is that check,
+and the attacker's offline training applies it too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -21,7 +21,8 @@ from .errors import InputError, InternalError, NumericalError
 from .seeding import derive_seed, rng_for
 
 # Largest parameter magnitude a model may hold.  At seed 7 no parameter of the
-# four benchmark workloads exceeds 0.85 in any round, while the test suite's
+# four benchmark workloads exceeds 0.85 in any round, 1.2 in any shadow or
+# meta-dataset update, or 1.9 in the meta-classifier, while the test suite's
 # small config at learning rate 1e6 is past 1e17 after its first round.
 DIVERGENCE_BOUND = 1e6
 
@@ -101,7 +102,9 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
 
     A ``client_fraction`` share of the clients is sampled.  Sampled clients
     train ``train_cfg.epochs`` on their last distributed model and upload;
-    unsampled clients keep their previous upload and model.  The hook
+    user u's seed in round r is derived from (run_seed, r, u), so the
+    trajectory is a function of run_seed.  Unsampled clients keep their
+    previous upload and model.  The hook
     observes all current uploads and returns the per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
     model and for the received model, using the same evaluation set.
@@ -116,17 +119,18 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
 
     uploads = list(prev.uploaded)
     for u in selected:
-        cfg = dataclasses.replace(train_cfg,
-                                  seed=derive_seed(run_seed, "local-train", rnd, int(u)))
-        uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, cfg)
+        uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, train_cfg,
+                              derive_seed(run_seed, "local-train", rnd, int(u)))
 
-    _check_finite(uploads, rnd, "uploaded")
+    for u, m in enumerate(uploads):
+        check_finite(m, f"round {rnd}: the model uploaded for user {u}")
 
     weights = [len(c) for c in clients]
     distributed = hook(uploads, weights, list(selected))
     if len(distributed) != n_user:
         raise InternalError("hook returned wrong number of distributed models")
-    _check_finite(distributed, rnd, "distributed")
+    for u, m in enumerate(distributed):
+        check_finite(m, f"round {rnd}: the model distributed for user {u}")
 
     local_acc = [nn.accuracy(uploads[u], arch, clients[u].X, clients[u].y)
                  for u in range(n_user)]
@@ -142,11 +146,12 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     )
 
 
-def _check_finite(models: list, round_index: int, role: str) -> None:
-    for u, m in enumerate(models):
-        peak = np.abs(m.values).max()
-        if not peak <= DIVERGENCE_BOUND:  # NaN compares false too
-            raise NumericalError(
-                f"round {round_index}: the model {role} for user {u} has non-finite or "
-                f"diverged parameters (largest magnitude {peak:.3g}, bound {DIVERGENCE_BOUND:g})"
-            )
+def check_finite(model: nn.ParamVector, where: str) -> None:
+    """Raise NumericalError naming ``where`` if the model has a parameter that
+    is non-finite or larger in magnitude than DIVERGENCE_BOUND."""
+    peak = np.abs(model.values).max()
+    if not peak <= DIVERGENCE_BOUND:  # NaN compares false too
+        raise NumericalError(
+            f"{where} has non-finite or diverged parameters "
+            f"(largest magnitude {peak:.3g}, bound {DIVERGENCE_BOUND:g})"
+        )

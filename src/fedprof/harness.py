@@ -297,25 +297,27 @@ def _pool_demand(resolved: dict, fed_spec: data.FederationSpec) -> np.ndarray:
 
 
 def build_model_arch(resolved: dict, feature_shape: tuple) -> nn.Architecture:
-    """The client model for samples of ``feature_shape``: an MLP with a
-    dropout slot before the head, or, for (rows, cols) images, the small
-    two-convolution network.  Raises InputError when the images are too
-    small for the convolutions."""
-    rate, n_label = resolved["defense"]["dropout_rate"], resolved["dataset"]["n_label"]
+    """The client model for samples of ``feature_shape``: an MLP or, for
+    (rows, cols) images, the small two-convolution network.  Under the
+    dropout defense a Dropout layer of ``defense.dropout_rate`` sits before
+    the head; no other model has one.  Raises InputError when the images are
+    too small for the convolutions."""
+    defense, n_label = resolved["defense"], resolved["dataset"]["n_label"]
+    head = [nn.Dropout(defense["dropout_rate"])] if defense["apply"] == "dropout" else []
     if resolved["model"]["kind"] == "mlp":
         dim = int(np.prod(feature_shape))
         layers, width = [], dim
         for h in resolved["model"]["hidden"]:
             layers += [nn.Dense(width, h), nn.Relu()]
             width = h
-        layers += [nn.Dropout(rate), nn.Dense(width, n_label)]
+        layers += head + [nn.Dense(width, n_label)]
         return nn.Architecture(tuple(layers), (dim,), n_label)
     rows, cols = feature_shape
     layers = (
         nn.Conv2d(1, 8, kernel=3), nn.Relu(),
         nn.Conv2d(8, 16, kernel=3), nn.Relu(),
         nn.MaxPool2d(2),
-        nn.Dropout(rate),
+        *head,
         nn.Dense(16 * ((rows - 4) // 2) * ((cols - 4) // 2), n_label),
     )
     return nn.Architecture(layers, (1, rows, cols), n_label)
@@ -354,9 +356,7 @@ def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
         learning_rate=cfg["fl"]["learning_rate"],
         epochs=cfg["fl"]["local_epochs"],
         batch_size=cfg["fl"]["batch_size"],
-        dropout_enabled=d["apply"] == "dropout",
         dp=dp,
-        seed=0,  # replaced per (round, user) by the round driver
     )
 
 
@@ -375,10 +375,10 @@ class OfflineArtifacts:
 def _train_meta(cfg: ExperimentConfig, meta_dataset: data.LabeledDataset) -> attack.MetaClassifier:
     meta = cfg["attack"]["meta"]
     meta_cfg = nn.TrainConfig(
-        learning_rate=meta["learning_rate"], epochs=meta["epochs"],
-        batch_size=meta["batch_size"], seed=derive_seed(cfg.seed, "meta-train"),
+        learning_rate=meta["learning_rate"], epochs=meta["epochs"], batch_size=meta["batch_size"],
     )
-    return attack.train_meta(meta_dataset, meta_cfg, hidden=meta["hidden"])
+    return attack.train_meta(meta_dataset, meta_cfg, derive_seed(cfg.seed, "meta-train"),
+                             hidden=meta["hidden"])
 
 
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:

@@ -430,12 +430,13 @@ class DpConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The optimiser: SGD, or DP-SGD with ``dp`` set.  Dropout is a layer of
+    the architecture, and each model's seed is an argument of :func:`train`."""
+
     learning_rate: float
     epochs: int
     batch_size: int
-    dropout_enabled: bool = False
     dp: Optional[DpConfig] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -447,8 +448,6 @@ class TrainConfig:
 
 
 def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
-    if lr <= 0:
-        raise InputError("learning rate must be > 0")
     if pv.values.size != grad.values.size:
         raise InternalError(f"gradient has {grad.values.size} values, model has {pv.values.size}")
     return ParamVector(pv.values - lr * grad.values)
@@ -457,20 +456,16 @@ def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
 def dp_sgd_step(
     pv: ParamVector,
     per_example_grads: np.ndarray,
-    clip_norm: float,
-    noise_multiplier: float,
+    dp: DpConfig,
     lr: float,
     rng: np.random.Generator,
 ) -> ParamVector:
     """Clip each row of per_example_grads, a (batch, n_params) array with one
-    sample's gradient per row, to clip_norm; average; add Gaussian noise with
-    per-coordinate std noise_multiplier * clip_norm / batch_size; then step."""
+    sample's gradient per row, to dp.clip_norm; average; add Gaussian noise
+    with per-coordinate std dp.noise_multiplier * dp.clip_norm / batch_size;
+    then step."""
     if len(per_example_grads) == 0:
         raise InputError("per_example_grads is empty")
-    if clip_norm <= 0:
-        raise InputError("clip_norm must be > 0")
-    if noise_multiplier < 0:
-        raise InputError("noise_multiplier must be >= 0")
     grads = np.asarray(per_example_grads, dtype=np.float64)
     if grads.ndim != 2 or grads.shape[1] != pv.values.size:
         raise InternalError(
@@ -478,10 +473,11 @@ def dp_sgd_step(
         )
     batch = grads.shape[0]
     norms = np.linalg.norm(grads, axis=1)
-    scale = np.minimum(1.0, np.divide(clip_norm, norms, out=np.ones(batch), where=norms > 0))
+    scale = np.minimum(1.0, np.divide(dp.clip_norm, norms, out=np.ones(batch), where=norms > 0))
     mean = (grads * scale[:, None]).sum(axis=0) / batch
-    if noise_multiplier > 0:
-        mean = mean + rng.normal(0.0, noise_multiplier * clip_norm / batch, size=mean.shape)
+    if dp.noise_multiplier > 0:
+        mean = mean + rng.normal(0.0, dp.noise_multiplier * dp.clip_norm / batch,
+                                 size=mean.shape)
     return sgd_step(pv, ParamVector(mean), lr)
 
 
@@ -491,16 +487,20 @@ def train(
     X: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
+    seed: int,
 ) -> ParamVector:
-    """Mini-batch SGD for cfg.epochs passes; deterministic given cfg.seed.
+    """Mini-batch SGD for cfg.epochs passes; deterministic given seed.
 
-    Shuffle order, dropout masks and DP noise all come from one generator
-    seeded from cfg.seed, so identical configs give bit-identical results.
-    With cfg.dp set, one forward and one backward walk give each batch's
+    Every walk is in train mode, so a Dropout layer in ``arch`` draws its
+    masks; a stack without one trains exactly as in eval mode.  Shuffle
+    order, dropout masks and DP noise all come from one generator seeded
+    from ``seed``, so identical calls give bit-identical results.  With
+    cfg.dp set, one forward and one backward walk give each batch's
     per-example gradients, which :func:`dp_sgd_step` clips, averages and
     noises.  That walk draws a dropout layer's mask once for the whole batch;
-    with a single Dropout layer, as in every stack ``harness.build_model_arch``
-    builds, that is the same stream as one draw per sample in batch order.
+    with a single Dropout layer, as in the stack ``harness.build_model_arch``
+    builds for the dropout defense, that is the same stream as one draw per
+    sample in batch order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -509,23 +509,18 @@ def train(
         raise InputError("training dataset is empty")
     if cfg.batch_size > n:
         raise InputError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
+    rng = np.random.default_rng(derive_seed(seed, "train"))
     out = pv.copy()
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            grad = _loss_and_grad(
-                out, arch, X[idx], y[idx], train_mode=cfg.dropout_enabled, rng=rng,
-                per_example=cfg.dp is not None,
-            )
+            grad = _loss_and_grad(out, arch, X[idx], y[idx], train_mode=True, rng=rng,
+                                  per_example=cfg.dp is not None)
             if cfg.dp is None:
                 out = sgd_step(out, grad, cfg.learning_rate)
             else:
-                out = dp_sgd_step(
-                    out, grad, cfg.dp.clip_norm, cfg.dp.noise_multiplier,
-                    cfg.learning_rate, rng,
-                )
+                out = dp_sgd_step(out, grad, cfg.dp, cfg.learning_rate, rng)
     return out
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fedprof import attack, data, fedsim, harness, nn
-from fedprof.errors import ConfigError, InputError
+from fedprof.errors import ConfigError, InputError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +91,7 @@ def test_skewed_training_orders_sensitivity():
     idx = np.concatenate([avail[c][:counts[c]] for c in range(4)])
     ds = pool.subset(idx)
     params = nn.train(nn.init_params(arch, seed=4), arch, ds.X, ds.y,
-                      nn.TrainConfig(0.03, 1, 32, seed=5))
+                      nn.TrainConfig(0.03, 1, 32), 5)
     s = attack.extract_sensitivity(params, arch, aux)
     assert int(np.argmin(s)) == 0
     assert int(np.argmax(s)) == 1
@@ -134,7 +134,7 @@ def test_normalize_features_scale_free():
 def shadows(world):
     pool, aux, arch = world
     draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=77)
-    return attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
+    return attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
 
 
 def test_shadows_cover_every_class(shadows):
@@ -151,7 +151,7 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
         return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred)
 
     draws = attack.draw_shadow_specs(4, 4, strict_sampler, seed=5)
-    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16, seed=0))
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     for s in out:
         measured = s.dataset.class_counts.max() / 30
         assert 0.89 <= measured <= 0.91
@@ -168,7 +168,7 @@ def test_forty_shadows_ten_classes_all_preferred():
     aux = data.sample_per_class(pool, 40, None)
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
     draws = attack.draw_shadow_specs(10, 40, attack.default_shadow_sampler(10, 50), seed=6)
-    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16, seed=0))
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     prefs = [s.preference for s in out]
     assert set(prefs) == set(range(10))
 
@@ -188,7 +188,7 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
         return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred)
 
     draws = attack.draw_shadow_specs(4, 12, skewed, seed=8)
-    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
+    out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_centralized(out)
     hit = np.mean(meta_ds.X.argmin(axis=1) == meta_ds.y)
     assert hit >= 0.8  # chance would be 0.25
@@ -217,13 +217,21 @@ def test_federated_meta_pairing_is_most_opposite(shadows, world):
 
 def test_federated_meta_dataset_shapes(shadows, world):
     pool, aux, arch = world
-    upd = nn.TrainConfig(0.05, 1, 16, seed=0)
+    upd = nn.TrainConfig(0.05, 1, 16)
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9)
     assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
     assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
     assert (meta_ds.X >= 0).all()
     with pytest.raises(ConfigError):
         attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+def test_diverged_meta_dataset_update_raises_numerical_error(shadows, world):
+    pool, aux, arch = world
+    with pytest.raises(NumericalError, match=r"^meta-dataset update 0 .*bound 1e\+06"):
+        attack.build_meta_dataset_federated(shadows, aux, arch, nn.TrainConfig(1e6, 1, 16),
+                                            seed=9)
 
 
 def test_meta_csv_export(tmp_path, shadows, world):
@@ -261,29 +269,29 @@ def test_meta_degenerate_single_label_always_predicts_it():
     X = np.concatenate([rng.random((3, 3)),
                         np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((60, 3))])
     samples = data.LabeledDataset(X, [0, 1, 2] + [1] * 60, 3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16, seed=0))
+    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16), 0)
     preds = meta.scores(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((20, 3))).argmax(axis=1)
     assert (preds == 1).sum() >= 18
 
 
 def test_meta_linearly_separable_reaches_perfect_training_accuracy():
     samples = peaked_meta_dataset(np.random.default_rng(2), 4, 12, 0.2)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16, seed=1))
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16), 1)
     assert meta.train_accuracy == 1.0
 
 
 def test_meta_missing_class_and_too_few_samples_rejected():
     samples = data.LabeledDataset(np.ones((3, 3)), [0, 1, 1], 3)
     with pytest.raises(ConfigError, match=r"no samples for classes \[2\]"):
-        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4, seed=0))
+        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0)
     with pytest.raises(ConfigError, match="at least 3"):
-        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4, seed=0))
+        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0)
 
 
 def test_meta_prediction_invariant_under_feature_scaling():
     rng = np.random.default_rng(3)
     samples = peaked_meta_dataset(rng, 3, 10, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16, seed=2))
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16), 2)
     V = rng.random((10, 3))
     for scale in (500.0, 0.01):
         assert np.array_equal(np.argsort(-meta.scores(V), axis=1, kind="stable"),
@@ -508,13 +516,13 @@ def test_profiler_hook_runs_and_locks(world):
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux_idx))
     clients, _ = data.build_federation(sub, fed, seed=31)
     draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=32)
-    shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16, seed=0))
+    shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
-                                                  nn.TrainConfig(0.05, 1, 16, seed=0), seed=33)
-    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16, seed=34))
+                                                  nn.TrainConfig(0.05, 1, 16), seed=33)
+    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34)
     init = nn.init_params(arch, seed=35)
     prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2)
-    train_cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
+    train_cfg = nn.TrainConfig(0.05, 1, 16)
     st = fedsim.initial_state(4, init)
     for _ in range(8):
         st = fedsim.run_round(st, clients, arch, train_cfg, 1.0, prof, run_seed=36)
@@ -546,7 +554,7 @@ def test_replay_matches_online_profiling(world):
         ds = rng.random((n_user, n_label))
         history.append(attack.RoundTrace(sens, ds))
     samples = peaked_meta_dataset(rng, 4, 8, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16, seed=41))
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41)
     features = [tr.ds for tr in history]
     profile = attack.profile_history(features, meta, 2)
     # online: one user and one round at a time, one meta-classifier row each

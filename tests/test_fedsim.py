@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fedprof import data, fedsim, nn
-from fedprof.errors import InputError, InternalError
+from fedprof.errors import InputError, InternalError, NumericalError
 
 
 def pv(values):
@@ -124,7 +124,7 @@ def tiny_world():
 def test_single_client_identity_hook_global_equals_upload(tiny_world):
     clients, arch, init = tiny_world
     clients = clients[:1]
-    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
+    cfg = nn.TrainConfig(0.05, 1, 8)
     state = fedsim.initial_state(1, init)
     state = fedsim.run_round(state, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=7)
     assert np.array_equal(state.distributed[0].values, state.uploaded[0].values)
@@ -132,7 +132,7 @@ def test_single_client_identity_hook_global_equals_upload(tiny_world):
 
 def test_two_rounds_bit_identical_on_rerun(tiny_world):
     clients, arch, init = tiny_world
-    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
+    cfg = nn.TrainConfig(0.05, 1, 8)
 
     def run():
         st = fedsim.initial_state(3, init)
@@ -156,7 +156,7 @@ def test_training_improves_over_initial_model():
     arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)
     init = nn.init_params(arch, seed=8)
     before = nn.accuracy(init, arch, test.X, test.y)
-    cfg = nn.TrainConfig(0.05, 1, 16, seed=0)
+    cfg = nn.TrainConfig(0.05, 1, 16)
     st = fedsim.initial_state(10, init)
     for _ in range(5):
         st = fedsim.run_round(st, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=9)
@@ -166,7 +166,7 @@ def test_training_improves_over_initial_model():
 
 def test_identity_hook_broadcasts_one_model(tiny_world):
     clients, arch, init = tiny_world
-    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
+    cfg = nn.TrainConfig(0.05, 1, 8)
     st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg, 1.0,
                           fedsim.fedavg_hook, run_seed=13)
     for u in range(1, 3):
@@ -175,7 +175,7 @@ def test_identity_hook_broadcasts_one_model(tiny_world):
 
 def test_unsampled_clients_keep_previous_upload(tiny_world):
     clients, arch, init = tiny_world
-    cfg = nn.TrainConfig(0.05, 1, 8, seed=0)
+    cfg = nn.TrainConfig(0.05, 1, 8)
     st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg,
                           0.34, fedsim.fedavg_hook, run_seed=17)  # ceil -> 2 of 3
     assert len(st.selected) == 2
@@ -185,3 +185,23 @@ def test_unsampled_clients_keep_previous_upload(tiny_world):
     for u in st.selected:
         assert not np.array_equal(st.uploaded[u].values, init.values)
 
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
+def test_diverging_local_training_raises_numerical_error_naming_round_and_user(tiny_world):
+    clients, arch, init = tiny_world
+    cfg = nn.TrainConfig(1e6, 1, 8)
+    with pytest.raises(NumericalError, match=r"round 1: .* user \d+ .*bound 1e\+06"):
+        fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg, 1.0,
+                         fedsim.fedavg_hook, run_seed=7)
+
+
+def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_world):
+    clients, arch, init = tiny_world
+
+    def blow_up_user_2(uploads, weights, selected):
+        out = fedsim.fedavg_hook(uploads, weights, selected)
+        return out[:2] + [pv(np.full(arch.n_params, np.inf))]
+
+    with pytest.raises(NumericalError, match="round 1: the model distributed for user 2 "):
+        fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
+                         1.0, blow_up_user_2, run_seed=7)

@@ -348,17 +348,40 @@ def test_cnn_smallest_runnable_image_validates():
     assert logits.shape == (3, 10)
 
 
+@pytest.mark.parametrize("model", [{}, {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}],
+                         ids=["mlp", "cnn"])
+@pytest.mark.parametrize("apply", ["none", "dropout", "dp"])
+def test_only_the_dropout_defense_builds_a_dropout_layer(model, apply):
+    cfg = harness.validate_config(json.dumps({**model, "defense": {"apply": apply,
+                                                                    "dropout_rate": 0.3}}))
+    dropouts = [layer for layer in cfg.arch.layers if isinstance(layer, nn.Dropout)]
+    assert dropouts == ([nn.Dropout(0.3)] if apply == "dropout" else [])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_divergence_raises_numerical_error_naming_round_and_user():
     cfg = fast_config(fl=DIVERGING_FL)
-    with pytest.raises(NumericalError, match=r"round \d+: .* user \d+"):
+    with pytest.raises(NumericalError, match=r"shadow \d+ has non-finite or diverged"):
         harness.run_experiment(cfg)
 
 
 def test_finite_divergence_raises_numerical_error_in_round_one():
     # Parameters pass 1e17 after round 1 and stay finite for many more rounds.
     cfg = fast_config(fl={**FAST["fl"], "learning_rate": 1e6, "local_epochs": 1})
-    with pytest.raises(NumericalError, match=r"round 1: .* user \d+ .*bound 1e\+06"):
+    with pytest.raises(NumericalError, match=r"shadow \d+ .*bound 1e\+06"):
+        harness.run_experiment(cfg)
+
+
+# Offline divergence: shadows and meta-dataset updates stay bounded, but at
+# learning rate 1e3 the meta-classifier's parameters reach 1.7e9.
+DIVERGING_META = {"seed": 3, "fl": {"n_rounds": 4},
+                  "attack": {"n_shadows": 10, "meta": {"epochs": 50, "learning_rate": 1e3}}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_meta_classifier_raises_numerical_error():
+    cfg = harness.validate_config(json.dumps(DIVERGING_META))
+    with pytest.raises(NumericalError, match=r"^meta-classifier .*bound 1e\+06"):
         harness.run_experiment(cfg)
 
 
@@ -510,6 +533,15 @@ def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 2
     assert "non-finite" in proc.stderr
+    assert not list(tmp_path.rglob("report.json"))
+
+
+def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**DIVERGING_META, "output_dir": str(tmp_path / "runs")}))
+    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "meta-classifier has non-finite or diverged parameters" in proc.stderr
     assert not list(tmp_path.rglob("report.json"))
 
 

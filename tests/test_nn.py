@@ -130,7 +130,7 @@ def test_params_sized_for_another_architecture_are_internal_errors(too_long):
     with pytest.raises(InternalError, match="parameters"):
         nn.backward(params, arch, X, y)
     with pytest.raises(InternalError, match="parameters"):
-        nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4, seed=0))
+        nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), seed=0)
 
 
 def test_forward_is_pure():
@@ -380,15 +380,15 @@ def blobs_2class(n_per_class=40, seed=0):
 
 def test_train_config_rejects_zero_epochs():
     with pytest.raises(InputError, match="epochs must be >= 1"):
-        nn.TrainConfig(learning_rate=0.1, epochs=0, batch_size=8, seed=1)
+        nn.TrainConfig(learning_rate=0.1, epochs=0, batch_size=8)
 
 
 def test_train_separable_blobs_to_perfect_accuracy():
     arch = mlp(2, 8, 2)
     params = nn.init_params(arch, seed=0)
     X, y = blobs_2class()
-    cfg = nn.TrainConfig(learning_rate=0.2, epochs=50, batch_size=16, seed=1)
-    out = nn.train(params, arch, X, y, cfg)
+    cfg = nn.TrainConfig(learning_rate=0.2, epochs=50, batch_size=16)
+    out = nn.train(params, arch, X, y, cfg, seed=1)
     assert nn.accuracy(out, arch, X, y) == 1.0
 
 
@@ -396,26 +396,25 @@ def test_train_same_seed_is_bit_identical():
     arch = mlp(2, 8, 2)
     params = nn.init_params(arch, seed=0)
     X, y = blobs_2class()
-    cfg = nn.TrainConfig(learning_rate=0.1, epochs=3, batch_size=8,
-                         dropout_enabled=True, seed=42)
+    cfg = nn.TrainConfig(learning_rate=0.1, epochs=3, batch_size=8)
     arch_do = nn.Architecture(
         (nn.Dense(2, 8), nn.Relu(), nn.Dropout(0.5), nn.Dense(8, 2)), (2,), 2
     )
     p0 = nn.init_params(arch_do, seed=0)
-    a = nn.train(p0, arch_do, X, y, cfg)
-    b = nn.train(p0, arch_do, X, y, cfg)
+    a = nn.train(p0, arch_do, X, y, cfg, seed=42)
+    b = nn.train(p0, arch_do, X, y, cfg, seed=42)
     assert np.array_equal(a.values, b.values)
 
 
 def test_train_rejects_empty_and_oversized_batch():
     arch = mlp(2, 4, 2)
     params = nn.init_params(arch, seed=0)
-    cfg = nn.TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, seed=0)
+    cfg = nn.TrainConfig(learning_rate=0.1, epochs=1, batch_size=8)
     with pytest.raises(InputError):
-        nn.train(params, arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg)
+        nn.train(params, arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg, seed=0)
     X, y = blobs_2class(n_per_class=2)
     with pytest.raises(InputError):
-        nn.train(params, arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64, seed=0))
+        nn.train(params, arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64), seed=0)
 
 
 def test_dropout_eval_mode_is_identity():
@@ -444,7 +443,7 @@ def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
     p = nn.ParamVector(np.array([1.0, 2.0, 3.0]))
     gs = np.stack([np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.1, 0.0])])
     rng = np.random.default_rng(0)
-    got = nn.dp_sgd_step(p, gs, clip_norm=10.0, noise_multiplier=0.0, lr=0.5, rng=rng)
+    got = nn.dp_sgd_step(p, gs, nn.DpConfig(clip_norm=10.0, noise_multiplier=0.0), lr=0.5, rng=rng)
     mean = nn.ParamVector(np.array([0.05, 0.05, 0.0]))
     want = nn.sgd_step(p, mean, 0.5)
     assert np.array_equal(got.values, want.values)
@@ -454,7 +453,8 @@ def test_dp_step_clips_large_gradient_to_clip_norm():
     p = nn.ParamVector(np.zeros(2))
     g = np.array([6.0, 8.0])  # norm 10
     rng = np.random.default_rng(0)
-    got = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0, lr=1.0, rng=rng)
+    got = nn.dp_sgd_step(p, np.stack([g]), nn.DpConfig(clip_norm=1.0, noise_multiplier=0.0),
+                         lr=1.0, rng=rng)
     assert np.allclose(got.values, -np.array([0.6, 0.8]))
 
 
@@ -463,7 +463,7 @@ def test_clipping_never_increases_norm():
     p = nn.ParamVector(np.zeros(4))
     for _ in range(20):
         g = rng.standard_normal(4) * rng.uniform(0.1, 5.0)
-        stepped = nn.dp_sgd_step(p, np.stack([g]), clip_norm=1.0, noise_multiplier=0.0,
+        stepped = nn.dp_sgd_step(p, np.stack([g]), nn.DpConfig(clip_norm=1.0, noise_multiplier=0.0),
                                  lr=1.0, rng=np.random.default_rng(0))
         assert np.linalg.norm(stepped.values) <= min(1.0, np.linalg.norm(g)) + 1e-12
 
@@ -474,7 +474,8 @@ def test_dp_noise_std_monte_carlo():
     batch = np.stack([zero, zero])  # batch_size 2 -> std = 1 * 1 / 2
     rng = np.random.default_rng(123)
     draws = np.array([
-        nn.dp_sgd_step(p, batch, clip_norm=1.0, noise_multiplier=1.0, lr=1.0, rng=rng).values
+        nn.dp_sgd_step(p, batch, nn.DpConfig(clip_norm=1.0, noise_multiplier=1.0), lr=1.0,
+                       rng=rng).values
         for _ in range(10_000)
     ])
     std = draws.std()
@@ -484,20 +485,19 @@ def test_dp_noise_std_monte_carlo():
 def test_dp_step_rejects_empty_gradient_list():
     p = nn.ParamVector(np.zeros(2))
     with pytest.raises(InputError):
-        nn.dp_sgd_step(p, np.zeros((0, 2)), 1.0, 0.0, 0.1, np.random.default_rng(0))
+        nn.dp_sgd_step(p, np.zeros((0, 2)), nn.DpConfig(1.0, 0.0), 0.1, np.random.default_rng(0))
 
 
 def test_dp_step_rejects_wrong_width_as_internal_error():
     p = nn.ParamVector(np.zeros(2))
     with pytest.raises(InternalError):
-        nn.dp_sgd_step(p, np.zeros((3, 5)), 1.0, 0.0, 0.1, np.random.default_rng(0))
+        nn.dp_sgd_step(p, np.zeros((3, 5)), nn.DpConfig(1.0, 0.0), 0.1, np.random.default_rng(0))
 
 
-# The stacks harness.build_model_arch builds, with their one Dropout layer active.
-DP_ARCH_CASES = [
-    {"defense": {"dropout_rate": 0.5}},
-    {"model": {"kind": "cnn"}, "dataset": {"dim": 36}, "defense": {"dropout_rate": 0.5}},
-]
+# The stacks harness.build_model_arch builds for the dropout defense, with their
+# one Dropout layer.
+DROPOUT = {"defense": {"apply": "dropout", "dropout_rate": 0.5}}
+DP_ARCH_CASES = [DROPOUT, {"model": {"kind": "cnn"}, "dataset": {"dim": 36}, **DROPOUT}]
 
 
 def perturbed_params(arch, seed):
@@ -532,10 +532,10 @@ def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
         assert np.max(np.abs(rows.mean(axis=0) - nn.backward(params, arch, X, y).values)) <= 1e-12
 
 
-def dp_train_reference(params, arch, X, y, cfg):
+def dp_train_reference(params, arch, X, y, cfg, seed, train_mode):
     """nn.train with cfg.dp, as one one-row backward per sample and a
     clipping loop over the batch."""
-    rng = np.random.default_rng(derive_seed(cfg.seed, "train"))
+    rng = np.random.default_rng(derive_seed(seed, "train"))
     values = params.values.copy()
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(X))
@@ -545,7 +545,7 @@ def dp_train_reference(params, arch, X, y, cfg):
             for i in idx:
                 g = nn._loss_and_grad(nn.ParamVector(values), arch,
                                       X[i:i + 1], y[i:i + 1],
-                                      train_mode=cfg.dropout_enabled, rng=rng).values
+                                      train_mode=train_mode, rng=rng).values
                 norm = np.linalg.norm(g)
                 mean += g * (min(1.0, cfg.dp.clip_norm / norm) if norm > 0 else 1.0)
             mean /= len(idx)
@@ -556,16 +556,19 @@ def dp_train_reference(params, arch, X, y, cfg):
 
 
 @pytest.mark.parametrize("overrides", DP_ARCH_CASES)
-@pytest.mark.parametrize("dropout_enabled", [False, True])
-def test_dp_train_equals_per_sample_reference(overrides, dropout_enabled):
-    arch = reference_arch(overrides)
+@pytest.mark.parametrize("dropout", [False, True])
+def test_dp_train_equals_per_sample_reference(overrides, dropout):
+    """nn.train walks in train mode; without dropout the stack has no Dropout
+    layer, and the eval-mode reference gives the same result."""
+    arch = reference_arch(overrides if dropout else {**overrides, "defense": {}})
     params = perturbed_params(arch, 5)
     X, y = rand_batch(arch, 20, seed=6)  # batches of 8, 8 and 4
     # clip_norm 3.5 clips some rows and leaves others whole.
-    cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8, dropout_enabled=dropout_enabled,
-                         dp=nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7), seed=2)
-    got = nn.train(params, arch, X, y, cfg).values
-    assert np.max(np.abs(got - dp_train_reference(params, arch, X, y, cfg))) <= 1e-12
+    cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8,
+                         dp=nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7))
+    got = nn.train(params, arch, X, y, cfg, seed=2).values
+    want = dp_train_reference(params, arch, X, y, cfg, seed=2, train_mode=dropout)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +710,9 @@ def test_architecture_json_round_trip():
 # The default MLP (dim 16, hidden [32], 10 classes) and the 6x6 benchmark CNN:
 # (offset, length) of each parameterised layer by index, and the feature index.
 LAYOUT_CASES = [
-    ({}, {0: (0, 544), 3: (544, 330)}, 0),
+    ({}, {0: (0, 544), 2: (544, 330)}, 0),
     ({"model": {"kind": "cnn"}, "dataset": {"dim": 36}},
-     {0: (0, 80), 2: (80, 1168), 6: (1248, 170)}, 2),
+     {0: (0, 80), 2: (80, 1168), 5: (1248, 170)}, 2),
 ]
 
 
