@@ -80,9 +80,8 @@ class ShadowRecord:
     sensitivity: np.ndarray
 
 
-def default_shadow_sampler(n_label: int, total_size: int,
-                           cp_range=(0.35, 0.7), cd_range=(0.1, 0.6),
-                           mode: str = "majority") -> Callable:
+def default_shadow_sampler(n_label: int, total_size: int, cp_range, cd_range,
+                           mode: str) -> Callable:
     """Distribution sampler for shadow datasets; cd is clamped below cp."""
 
     def sample(preferred: int, rng: np.random.Generator) -> DistributionSpec:
@@ -93,7 +92,7 @@ def default_shadow_sampler(n_label: int, total_size: int,
 
 
 def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed: int,
-                      mode: str = "majority") -> List[Tuple[DistributionSpec, int]]:
+                      mode: str) -> List[Tuple[DistributionSpec, int]]:
     """One (spec, sub-seed) per shadow, preference classes forced round-robin
     so every class is covered; a draw whose class counts do not prefer the
     forced class is resampled.  No data is read, so a config can be checked
@@ -161,7 +160,7 @@ def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
 
 def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDataset,
                                  arch: nn.Architecture, update_cfg: nn.TrainConfig, seed: int,
-                                 mode: str = "majority") -> LabeledDataset:
+                                 mode: str) -> LabeledDataset:
     """Pair each shadow with its most opposite peer and mimic two FL rounds.
 
     For shadow i: average it (equal weights) with the partner, extract S1 of
@@ -196,7 +195,7 @@ class MetaClassifier:
 
     params: nn.ParamVector
     arch: nn.Architecture
-    train_accuracy: float = 0.0
+    train_accuracy: float
 
     def scores(self, features: np.ndarray) -> np.ndarray:
         """Logits for an (n, n_label) feature matrix, one row per sample;
@@ -205,7 +204,7 @@ class MetaClassifier:
 
 
 def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int,
-               hidden: int = 32) -> MetaClassifier:
+               hidden: int) -> MetaClassifier:
     """Fit the meta-classifier on (sensitivity features, preference) samples;
     ``seed`` fixes its initial weights and its training.  Diverged weights
     raise NumericalError naming the "meta-classifier"."""
@@ -233,8 +232,7 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int,
 # ---------------------------------------------------------------------------
 
 
-def select_partners(target_user: int, all_sensitivities, x: int,
-                    mode: str = "majority") -> List[int]:
+def select_partners(target_user: int, all_sensitivities, x: int, mode: str) -> List[int]:
     """The x other users with the most opposite sensitivity at the candidate class.
 
     The candidate class is argmin of the target's sensitivity in majority mode
@@ -255,7 +253,7 @@ def select_partners(target_user: int, all_sensitivities, x: int,
 
 
 def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int,
-                              mode: str = "majority") -> float:
+                              mode: str) -> float:
     """Top-k accuracy against count-derived ground truth, tie-aware.
 
     The true ranking runs from the largest count down in majority mode and
@@ -307,8 +305,7 @@ class PreferenceProfiler:
     """
 
     def __init__(self, arch: nn.Architecture, aux: LabeledDataset, n_user: int,
-                 init_model: nn.ParamVector, x: Optional[int] = None,
-                 mode: str = "majority"):
+                 init_model: nn.ParamVector, x: Optional[int], mode: str):
         self.arch = arch
         self.aux = aux
         self.n_user = n_user

@@ -83,7 +83,7 @@ class DistributionSpec:
     cp: float
     cd: float
     preferred_class: int
-    mode: str = "majority"
+    mode: str
 
     def __post_init__(self):
         if self.n_label < 2:
@@ -102,23 +102,13 @@ class DistributionSpec:
             raise SpecError(f"mode must be 'majority' or 'minority', got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class FederationSpec:
-    n_user: int
-    specs: tuple
-
-    def __post_init__(self):
-        if len(self.specs) != self.n_user:
-            raise SpecError(f"expected {self.n_user} user specs, got {len(self.specs)}")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
 
 
 def make_synthetic(n_label: int, dim: int, per_class_pool: int, seed: int,
-                   sigma: float = 1.0) -> LabeledDataset:
+                   sigma: float) -> LabeledDataset:
     """Isotropic Gaussian blobs, one per class, pairwise mean distance >= 4*sigma.
 
     Class means sit on random unit directions scaled so the closest pair is
@@ -280,8 +270,9 @@ def realize_distribution(pool: LabeledDataset, spec: DistributionSpec,
     return pool.subset(np.concatenate(picked))
 
 
-def build_federation(pool: LabeledDataset, fed: FederationSpec, seed: int):
-    """Realize every user spec from the pool with mutually disjoint samples.
+def build_federation(pool: LabeledDataset, specs: tuple, seed: int):
+    """Realize the DistributionSpecs ``specs``, one per user, from the pool
+    with mutually disjoint samples.
 
     Per-class index stacks are shuffled once, then consumed in user order, so
     the result is deterministic and each user's draw is uniform without
@@ -294,7 +285,7 @@ def build_federation(pool: LabeledDataset, fed: FederationSpec, seed: int):
         stacks.append(rng.permutation(idx))
     cursor = [0] * pool.n_label
     clients = []
-    for u, spec in enumerate(fed.specs):
+    for u, spec in enumerate(specs):
         counts = spec_counts(spec)
         picked = []
         for c in range(pool.n_label):
@@ -373,7 +364,7 @@ def sample_cp_cd(rng: np.random.Generator, cp_range, cd_range, mode: str) -> tup
 
 
 def user_sizes(n_user: int, n_label: int, total_size: int,
-               id_target: Optional[float] = None) -> np.ndarray:
+               id_target: Optional[float]) -> np.ndarray:
     """Per-user dataset sizes: total_size each, or with id_target set,
     total_size +/- delta with delta solved so the sample variance hits the
     target (sizes clamp below at n_label).
@@ -404,11 +395,11 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
 
 
 def make_federation_spec(n_user: int, n_label: int, total_size: int,
-                         cp_range, cd_range, seed: int, mode: str = "majority",
-                         ud_target: Optional[float] = None,
-                         id_target: Optional[float] = None,
-                         equalize_rest: bool = False) -> FederationSpec:
-    """Sample one DistributionSpec per user.
+                         cp_range, cd_range, seed: int, mode: str,
+                         ud_target: Optional[float], id_target: Optional[float],
+                         equalize_rest: bool) -> tuple:
+    """Sample one DistributionSpec per user; returns the tuple of the n_user
+    specs, user 0's first, that :func:`build_federation` realizes.
 
     Preferred classes are drawn uniformly at random (so several users may
     share one, the usual statistical heterogeneity) unless ud_target is set,
@@ -443,4 +434,4 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
         specs.append(DistributionSpec(n_label, size, cp, cd, pref, mode))
-    return FederationSpec(n_user, tuple(specs))
+    return tuple(specs)

@@ -131,10 +131,10 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
 class ExperimentConfig:
     """Resolved, validated experiment description (plain dict inside), the
     client and shadow specs drawn from it and the client model, all of which
-    the run consumes."""
+    the run consumes.  ``fed_spec`` holds one DistributionSpec per user."""
 
     resolved: dict
-    fed_spec: data.FederationSpec
+    fed_spec: tuple
     shadow_draws: list
     arch: nn.Architecture
 
@@ -236,7 +236,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     except SpecError as e:  # a ConfigError from the user sizes names its own key
         raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
                           f"{fed['cd_range']} in {fed['mode']} mode: {e}") from None
-    smallest, batch = min(s.total_size for s in fed_spec.specs), resolved["fl"]["batch_size"]
+    smallest, batch = min(s.total_size for s in fed_spec), resolved["fl"]["batch_size"]
     if smallest < batch:
         key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
         raise ConfigError(f"fl.batch_size {batch} exceeds the smallest user dataset "
@@ -284,10 +284,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     return ExperimentConfig(resolved, fed_spec, draws, arch)
 
 
-def _pool_demand(resolved: dict, fed_spec: data.FederationSpec) -> np.ndarray:
+def _pool_demand(resolved: dict, fed_spec: tuple) -> np.ndarray:
     """Samples of each class a run takes from its pool: the client datasets,
     the auxiliary store and the test set."""
-    clients = np.stack([data.spec_counts(s) for s in fed_spec.specs]).sum(axis=0)
+    clients = np.stack([data.spec_counts(s) for s in fed_spec]).sum(axis=0)
     return clients + resolved["attack"]["aux_per_class"] + resolved["eval_per_class"]
 
 
@@ -400,8 +400,9 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[str] = None):
-    """FL with the attacking server.
+def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: str):
+    """FL with the attacking server, aggregating by ``aggregation``:
+    "selective" (each upload with its attack.x partners) or "fedavg".
 
     Returns (round traces, per-round (round index, local_acc, global_acc),
     final round state); the models of earlier rounds are not kept.
@@ -409,7 +410,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: Optional[
     seed = cfg.seed
     atk = cfg["attack"]
     n_user = cfg["federation"]["n_user"]
-    selective = (aggregation or cfg["fl"]["aggregation"]) == "selective"
+    selective = aggregation == "selective"
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
     profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, n_user, init,
                                          x=atk["x"] if selective else None, mode=atk["mode"])
@@ -484,11 +485,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     t_offline = time.time() - t0
 
     atk = cfg["attack"]
-    history, accs, final = run_online(cfg, staged)
+    history, accs, final = run_online(cfg, staged, cfg["fl"]["aggregation"])
     profile = attack.profile_history([tr.ds for tr in history], offline.meta, atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
-        base_history, _, base_final = run_online(cfg, staged, aggregation="fedavg")
+        base_history, _, base_final = run_online(cfg, staged, "fedavg")
         base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
                                               atk["th_round"])
     t_online = time.time() - t0 - t_offline
@@ -560,7 +561,7 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
     centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows))
-    history, _, _ = run_online(cfg, staged)
+    history, _, _ = run_online(cfg, staged, cfg["fl"]["aggregation"])
     mode = cfg["attack"]["mode"]
     counts = [c.class_counts.tolist() for c in staged.clients]
     truth = [data.preference_class(c.class_counts, mode) for c in staged.clients]

@@ -3,7 +3,7 @@
 Models are opaque flat parameter vectors (:class:`ParamVector`) paired with an
 :class:`Architecture` descriptor.  All operations are pure functions: they
 never mutate their inputs and are bit-reproducible given the same seed.
-Supported layers: dense, 2-D convolution (valid padding), non-overlapping max
+Supported layers: dense, 2-D convolution (valid, stride 1), non-overlapping max
 pooling, ReLU and dropout.  The loss is softmax cross-entropy throughout.
 
 Everything is computed in float64; checkpoints store float32 (documented
@@ -41,7 +41,6 @@ class Conv2d:
     in_ch: int
     out_ch: int
     kernel: int
-    stride: int = 1
 
 
 @dataclass(frozen=True)
@@ -60,8 +59,8 @@ class Dropout:
 
 
 _KIND = {Dense: "dense", Conv2d: "conv2d", MaxPool2d: "maxpool", Relu: "relu", Dropout: "dropout"}
-# Widths, channel counts, kernels and strides; each must be at least 1.
-_SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel", "stride"),
+# Widths, channel counts and kernels; each must be at least 1.
+_SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel"),
           MaxPool2d: ("kernel",)}
 
 
@@ -112,8 +111,7 @@ class Architecture:
                     raise InputError(
                         f"layer {i}: conv2d expects ({layer.in_ch}, H, W), got shape {shape}"
                     )
-                h = (shape[1] - layer.kernel) // layer.stride + 1
-                w = (shape[2] - layer.kernel) // layer.stride + 1
+                h, w = shape[1] - layer.kernel + 1, shape[2] - layer.kernel + 1
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: conv2d kernel larger than input {shape}")
                 shape = (layer.out_ch, h, w)
@@ -231,8 +229,10 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _run_layers(pv, arch, X, train_mode, rng):
-    """Forward pass returning (logits, caches) for the backward walk."""
+def _run_layers(pv, arch, X, rng):
+    """Forward pass returning (logits, caches) for the backward walk.  The
+    walk is in train mode exactly when it gets an ``rng``: a Dropout layer
+    then draws its mask from it, and is the identity otherwise."""
     if pv.values.size != arch.n_params:
         raise InternalError(f"{pv.values.size} parameters for an architecture of {arch.n_params}")
     act = X
@@ -247,7 +247,6 @@ def _run_layers(pv, arch, X, train_mode, rng):
             # im2col: one row of c*k*k input taps per output pixel, so the
             # convolution is one GEMM (Chellapilla et al. 2006).
             win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
-            win = win[:, :, ::layer.stride, ::layer.stride, :, :]
             n, _, ho, wo = win.shape[:4]
             cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
             W, b = _layer_params(pv, arch, i)
@@ -267,7 +266,7 @@ def _run_layers(pv, arch, X, train_mode, rng):
             caches.append(act > 0)
             act = np.maximum(act, 0.0)
         elif isinstance(layer, Dropout):
-            if train_mode and layer.rate > 0.0:
+            if rng is not None and layer.rate > 0.0:
                 keep = rng.random(act.shape) >= layer.rate
                 scale = 1.0 / (1.0 - layer.rate)
                 caches.append((keep, scale))
@@ -299,8 +298,9 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
     rows[:, off + w_size:off + w_size + b_size] = gb
 
 
-def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False):
-    """Gradient of the mean batch loss, from one forward and one backward walk.
+def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False):
+    """Gradient of the mean batch loss, from one forward and one backward walk,
+    in train mode when ``rng`` is given (see :func:`_run_layers`).
 
     The gradient is a ParamVector laid out by ``arch.param_slots`` or, with
     per_example, a (batch, n_params) array whose row i is the gradient of
@@ -313,7 +313,7 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
     """
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits, caches = _run_layers(pv, arch, X, train_mode, rng)
+    logits, caches = _run_layers(pv, arch, X, rng)
     delta = _softmax_xent(logits, y)
     if per_example:
         grad = np.zeros((X.shape[0], arch.n_params))
@@ -354,12 +354,12 @@ def _loss_and_grad(pv, arch, X, y, train_mode=False, rng=None, per_example=False
             if i == stop:
                 break
             # col2im: scatter-add the column-space gradient back tap by tap.
-            s, k = layer.stride, layer.kernel
+            k = layer.kernel
             dcols = (d.transpose(0, 2, 1) @ W.reshape(o, -1)).reshape(n, ho, wo, -1, k, k)
             dx = np.zeros(in_shape)
             for ki in range(k):
                 for kj in range(k):
-                    dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += (
+                    dx[:, :, ki:ki + ho, kj:kj + wo] += (
                         dcols[..., ki, kj].transpose(0, 3, 1, 2)
                     )
             delta = dx
@@ -388,13 +388,13 @@ def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
     """Evaluation-mode forward pass: (logits, mean softmax cross-entropy)."""
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits, _ = _run_layers(pv, arch, X, train_mode=False, rng=None)
+    logits, _ = _run_layers(pv, arch, X, None)
     return logits, -_log_softmax(logits)[np.arange(len(y)), y].mean()
 
 
 def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.ndarray:
     X = _as_batch(arch, X)
-    logits, _ = _run_layers(pv, arch, X, train_mode=False, rng=None)
+    logits, _ = _run_layers(pv, arch, X, None)
     return logits
 
 
@@ -515,8 +515,7 @@ def train(
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            grad = _loss_and_grad(out, arch, X[idx], y[idx], train_mode=True, rng=rng,
-                                  per_example=cfg.dp is not None)
+            grad = _loss_and_grad(out, arch, X[idx], y[idx], rng, cfg.dp is not None)
             if cfg.dp is None:
                 out = sgd_step(out, grad, cfg.learning_rate)
             else:
@@ -534,7 +533,10 @@ _VERSION = 2
 
 def save_checkpoint(path, pv: ParamVector, arch: Architecture) -> None:
     """Binary checkpoint: magic, u16 version, length-prefixed JSON descriptor,
-    then parameters as little-endian float32 in ``param_slots`` order."""
+    then parameters as little-endian float32 in ``param_slots`` order.  A conv
+    layer's descriptor holds ``in_ch``, ``out_ch`` and ``kernel``; one naming
+    a ``stride`` fails to load, at the same version, since no file a run
+    writes holds a conv layer (``meta.ppam`` is a dense stack)."""
     descriptor = arch.to_json().encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)

@@ -140,7 +140,7 @@ def test_criterion_03_fedavg_algebra():
 def test_criterion_04_binary_ratio_monotonicity():
     with criterion(4, "sensitivity at class A decreases in A's ratio (Spearman <= -0.9)"):
         dim, total, pool_seed = 16, 6000, 0
-        pool = data.make_synthetic(2, dim, total + 200, seed=pool_seed)
+        pool = data.make_synthetic(2, dim, total + 200, seed=pool_seed, sigma=1.0)
         aux = data.sample_per_class(pool, 150, None)
         aux_idx = aux.source_indices
         avail = {c: np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx) for c in (0, 1)}
@@ -171,7 +171,7 @@ def test_criterion_05_sensitivity_extremes():
         counts = np.full(10, 360)
         counts[1], counts[8] = 3000, 120  # 50% majority, 2% minority of 6000
         for t in range(20):
-            pool = data.make_synthetic(10, 16, 3400, seed=4300 + t)
+            pool = data.make_synthetic(10, 16, 3400, seed=4300 + t, sigma=1.0)
             aux = data.sample_per_class(pool, 150, None)
             aux_idx = aux.source_indices
             idx = np.concatenate([

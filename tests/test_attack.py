@@ -13,10 +13,16 @@ from fedprof.errors import ConfigError, InputError, NumericalError
 @pytest.fixture(scope="module")
 def world():
     """Small pool, reserved auxiliary store, and an MLP over 4 classes."""
-    pool = data.make_synthetic(4, 8, 200, seed=10)
+    pool = data.make_synthetic(4, 8, 200, seed=10, sigma=1.0)
     aux = data.sample_per_class(pool, 30, None)
     arch = nn.Architecture((nn.Dense(8, 16), nn.Relu(), nn.Dense(16, 4)), (8,), 4)
     return pool, aux, arch
+
+
+def shadow_sampler(n_label, total_size):
+    """The shadow sampler at the config's default ranges, majority mode."""
+    return attack.default_shadow_sampler(n_label, total_size, (0.35, 0.7), (0.1, 0.6),
+                                         "majority")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +88,7 @@ def test_sensitivity_rejects_a_store_not_in_class_blocks(world):
 
 def test_skewed_training_orders_sensitivity():
     # Heavily trained class -> low sensitivity; starved class -> high.
-    pool = data.make_synthetic(4, 8, 800, seed=11)
+    pool = data.make_synthetic(4, 8, 800, seed=11, sigma=1.0)
     aux = data.sample_per_class(pool, 100, None)
     arch = nn.Architecture((nn.Dense(8, 16), nn.Relu(), nn.Dense(16, 4)), (8,), 4)
     aux_idx = aux.source_indices
@@ -133,7 +139,7 @@ def test_normalize_features_scale_free():
 @pytest.fixture(scope="module")
 def shadows(world):
     pool, aux, arch = world
-    draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=77)
+    draws = attack.draw_shadow_specs(4, 8, shadow_sampler(4, 40), seed=77, mode="majority")
     return attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
 
 
@@ -148,9 +154,10 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
     pool, aux, arch = world
 
     def strict_sampler(preferred, rng):
-        return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred)
+        return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred,
+                                     mode="majority")
 
-    draws = attack.draw_shadow_specs(4, 4, strict_sampler, seed=5)
+    draws = attack.draw_shadow_specs(4, 4, strict_sampler, seed=5, mode="majority")
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     for s in out:
         measured = s.dataset.class_counts.max() / 30
@@ -158,16 +165,16 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
 
 
 def test_too_few_shadows_is_config_error():
-    sampler = attack.default_shadow_sampler(4, 40)
+    sampler = shadow_sampler(4, 40)
     with pytest.raises(ConfigError):
-        attack.draw_shadow_specs(4, 3, sampler, seed=0)
+        attack.draw_shadow_specs(4, 3, sampler, seed=0, mode="majority")
 
 
 def test_forty_shadows_ten_classes_all_preferred():
-    pool = data.make_synthetic(10, 8, 120, seed=20)
+    pool = data.make_synthetic(10, 8, 120, seed=20, sigma=1.0)
     aux = data.sample_per_class(pool, 40, None)
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
-    draws = attack.draw_shadow_specs(10, 40, attack.default_shadow_sampler(10, 50), seed=6)
+    draws = attack.draw_shadow_specs(10, 40, shadow_sampler(10, 50), seed=6, mode="majority")
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     prefs = [s.preference for s in out]
     assert set(prefs) == set(range(10))
@@ -185,9 +192,10 @@ def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
     pool, aux, arch = world
 
     def skewed(preferred, rng):
-        return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred)
+        return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred,
+                                     mode="majority")
 
-    draws = attack.draw_shadow_specs(4, 12, skewed, seed=8)
+    draws = attack.draw_shadow_specs(4, 12, skewed, seed=8, mode="majority")
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_centralized(out)
     hit = np.mean(meta_ds.X.argmin(axis=1) == meta_ds.y)
@@ -218,12 +226,12 @@ def test_federated_meta_pairing_is_most_opposite(shadows, world):
 def test_federated_meta_dataset_shapes(shadows, world):
     pool, aux, arch = world
     upd = nn.TrainConfig(0.05, 1, 16)
-    meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9)
+    meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9, mode="majority")
     assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
     assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
     assert (meta_ds.X >= 0).all()
     with pytest.raises(ConfigError):
-        attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9)
+        attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9, mode="majority")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
@@ -231,7 +239,7 @@ def test_diverged_meta_dataset_update_raises_numerical_error(shadows, world):
     pool, aux, arch = world
     with pytest.raises(NumericalError, match=r"^meta-dataset update 0 .*bound 1e\+06"):
         attack.build_meta_dataset_federated(shadows, aux, arch, nn.TrainConfig(1e6, 1, 16),
-                                            seed=9)
+                                            seed=9, mode="majority")
 
 
 def test_meta_csv_export(tmp_path, shadows, world):
@@ -269,29 +277,29 @@ def test_meta_degenerate_single_label_always_predicts_it():
     X = np.concatenate([rng.random((3, 3)),
                         np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((60, 3))])
     samples = data.LabeledDataset(X, [0, 1, 2] + [1] * 60, 3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16), 0)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16), 0, 32)
     preds = meta.scores(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((20, 3))).argmax(axis=1)
     assert (preds == 1).sum() >= 18
 
 
 def test_meta_linearly_separable_reaches_perfect_training_accuracy():
     samples = peaked_meta_dataset(np.random.default_rng(2), 4, 12, 0.2)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16), 1)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16), 1, 32)
     assert meta.train_accuracy == 1.0
 
 
 def test_meta_missing_class_and_too_few_samples_rejected():
     samples = data.LabeledDataset(np.ones((3, 3)), [0, 1, 1], 3)
     with pytest.raises(ConfigError, match=r"no samples for classes \[2\]"):
-        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0)
+        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0, 32)
     with pytest.raises(ConfigError, match="at least 3"):
-        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0)
+        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0, 32)
 
 
 def test_meta_prediction_invariant_under_feature_scaling():
     rng = np.random.default_rng(3)
     samples = peaked_meta_dataset(rng, 3, 10, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16), 2)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16), 2, 32)
     V = rng.random((10, 3))
     for scale in (500.0, 0.01):
         assert np.array_equal(np.argsort(-meta.scores(V), axis=1, kind="stable"),
@@ -457,35 +465,37 @@ def test_batched_fold_matches_scalar_reference(th_round):
 def test_topk_order_free_within_the_set():
     counts = [[4, 3, 2, 1]]  # true ranking 0, 1, 2, 3
     for pred in ([0, 1, 2, 3], [0, 2, 1, 3], [1, 0, 2, 3]):
-        assert attack.topk_accuracy_from_counts([np.array(pred)], counts, 3) == 1.0
+        assert attack.topk_accuracy_from_counts([np.array(pred)], counts, 3, "majority") == 1.0
 
 
 def test_top1_ranked_second_is_a_miss():
     counts = [[3, 2, 1]]  # true ranking 0, 1, 2
     pred = [np.array([1, 0, 2])]
-    assert attack.topk_accuracy_from_counts(pred, counts, 1) == 0.0
-    assert attack.topk_accuracy_from_counts(pred, counts, 2) == 1.0
+    assert attack.topk_accuracy_from_counts(pred, counts, 1, "majority") == 0.0
+    assert attack.topk_accuracy_from_counts(pred, counts, 2, "majority") == 1.0
 
 
 def test_topk_exact_prediction_is_always_correct():
     truth = [np.array([2, 0, 1, 3])]
     counts = [[3, 2, 4, 1]]  # true ranking 2, 0, 1, 3
     for k in (1, 2, 3, 4):
-        assert attack.topk_accuracy_from_counts(truth, counts, k) == 1.0
+        assert attack.topk_accuracy_from_counts(truth, counts, k, "majority") == 1.0
     with pytest.raises(InputError):
-        attack.topk_accuracy_from_counts(truth, counts, 5)
+        attack.topk_accuracy_from_counts(truth, counts, 5, "majority")
 
 
 def test_topk_from_counts_tie_aware():
     counts = [[10, 5, 5, 1]]
     # rank 2 is tied between classes 1 and 2: either completion is valid
-    assert attack.topk_accuracy_from_counts([np.array([0, 1, 3, 2])], counts, 2) == 1.0
-    assert attack.topk_accuracy_from_counts([np.array([0, 2, 3, 1])], counts, 2) == 1.0
-    assert attack.topk_accuracy_from_counts([np.array([0, 3, 1, 2])], counts, 2) == 0.0
+    assert attack.topk_accuracy_from_counts([np.array([0, 1, 3, 2])], counts, 2, "majority") == 1.0
+    assert attack.topk_accuracy_from_counts([np.array([0, 2, 3, 1])], counts, 2, "majority") == 1.0
+    assert attack.topk_accuracy_from_counts([np.array([0, 3, 1, 2])], counts, 2, "majority") == 0.0
     # distinct counts behave exactly like the strict ranking comparison
     distinct = [[9, 7, 5, 3]]
-    assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 1) == 0.0
-    assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 2) == 1.0
+    assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 1,
+                                            "majority") == 0.0
+    assert attack.topk_accuracy_from_counts([np.array([1, 0, 2, 3])], distinct, 2,
+                                            "majority") == 1.0
     # minority mode ranks from the smallest count up; classes 1 and 2 tie there
     tied = [[10, 1, 1, 5]]
 
@@ -499,7 +509,7 @@ def test_topk_from_counts_tie_aware():
     assert score([1, 3, 2, 0], 2) == 0.0
     assert score([3, 2, 1, 0], 3) == 1.0
     assert score([0, 1, 2, 3], 3) == 0.0
-    assert attack.topk_accuracy_from_counts([np.array([1, 2, 3, 0])], tied, 1) == 0.0
+    assert attack.topk_accuracy_from_counts([np.array([1, 2, 3, 0])], tied, 1, "majority") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +521,19 @@ def test_profiler_hook_runs_and_locks(world):
     pool, aux, arch = world
     aux_idx = aux.source_indices
     fed = data.make_federation_spec(4, 4, 60, (0.5, 0.6), (0.2, 0.4), seed=30,
+                                    mode="majority", ud_target=None, id_target=None,
                                     equalize_rest=False)
     # carve clients from the part of the pool not reserved for the auxiliary
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux_idx))
     clients, _ = data.build_federation(sub, fed, seed=31)
-    draws = attack.draw_shadow_specs(4, 8, attack.default_shadow_sampler(4, 40), seed=32)
+    draws = attack.draw_shadow_specs(4, 8, shadow_sampler(4, 40), seed=32, mode="majority")
     shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
-                                                  nn.TrainConfig(0.05, 1, 16), seed=33)
-    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34)
+                                                  nn.TrainConfig(0.05, 1, 16), seed=33,
+                                                  mode="majority")
+    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34, 32)
     init = nn.init_params(arch, seed=35)
-    prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2)
+    prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2, mode="majority")
     train_cfg = nn.TrainConfig(0.05, 1, 16)
     st = fedsim.initial_state(4, init)
     for _ in range(8):
@@ -554,7 +566,7 @@ def test_replay_matches_online_profiling(world):
         ds = rng.random((n_user, n_label))
         history.append(attack.RoundTrace(sens, ds))
     samples = peaked_meta_dataset(rng, 4, 8, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41, 32)
     features = [tr.ds for tr in history]
     profile = attack.profile_history(features, meta, 2)
     # online: one user and one round at a time, one meta-classifier row each

@@ -58,5 +58,5 @@ BENCH_WORKLOADS = _load_bench_workloads()
 @pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS))
 def test_bench_workload_validates(workload):
     cfg = harness.validate_config(json.dumps({**BENCH_WORKLOADS[workload], "seed": 7}))
-    assert len(cfg.fed_spec.specs) == cfg["federation"]["n_user"]
+    assert len(cfg.fed_spec) == cfg["federation"]["n_user"]
     assert len(cfg.shadow_draws) == cfg["attack"]["n_shadows"]

@@ -23,10 +23,10 @@ def test_synthetic_near_zero_sigma_nearest_centroid_is_perfect():
 
 
 def test_synthetic_same_seed_identical_bytes():
-    a = data.make_synthetic(10, 8, 30, seed=7)
-    b = data.make_synthetic(10, 8, 30, seed=7)
+    a = data.make_synthetic(10, 8, 30, seed=7, sigma=1.0)
+    b = data.make_synthetic(10, 8, 30, seed=7, sigma=1.0)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = data.make_synthetic(10, 8, 30, seed=8)
+    c = data.make_synthetic(10, 8, 30, seed=8, sigma=1.0)
     assert not np.array_equal(a.X, c.X)
 
 
@@ -42,7 +42,7 @@ def test_synthetic_mean_separation_at_least_four_sigma():
 
 def test_synthetic_mlp_reaches_90_percent_in_50_epochs():
     # Means depend on the seed, so train and eval on disjoint slices of one pool.
-    pool = data.make_synthetic(10, 16, 110, seed=5)
+    pool = data.make_synthetic(10, 16, 110, seed=5, sigma=1.0)
     tr, te = [], []
     for c in range(10):
         idx = np.flatnonzero(pool.y == c)
@@ -136,7 +136,7 @@ def test_idx_at_mnist_test_scale(tmp_path):
 
 
 def test_spec_counts_forced_allocation():
-    spec = data.DistributionSpec(10, 100, cp=0.4, cd=0.2, preferred_class=0)
+    spec = data.DistributionSpec(10, 100, cp=0.4, cd=0.2, preferred_class=0, mode="majority")
     counts = data.spec_counts(spec)
     assert counts[0] == 40 and counts[1] == 20
     assert (counts[2:] == 5).all()
@@ -144,7 +144,7 @@ def test_spec_counts_forced_allocation():
 
 
 def test_spec_counts_cp_one_boundary():
-    spec = data.DistributionSpec(10, 100, cp=1.0, cd=0.0, preferred_class=3)
+    spec = data.DistributionSpec(10, 100, cp=1.0, cd=0.0, preferred_class=3, mode="majority")
     counts = data.spec_counts(spec)
     assert counts[3] == 100 and counts.sum() == 100
     assert np.count_nonzero(counts) == 1  # CP 1, CD 0: no runner-up class
@@ -158,12 +158,12 @@ def test_preference_class_by_mode_ties_to_lowest_index():
 
 def test_spec_counts_negative_runner_up_is_spec_error():
     with pytest.raises(SpecError):
-        data.DistributionSpec(10, 100, cp=0.3, cd=0.5, preferred_class=0)
+        data.DistributionSpec(10, 100, cp=0.3, cd=0.5, preferred_class=0, mode="majority")
 
 
 def test_realized_cp_at_case_study_scale():
-    pool = data.make_synthetic(10, 4, 1600, seed=2)
-    spec = data.DistributionSpec(10, 4000, cp=0.35, cd=0.325, preferred_class=2)
+    pool = data.make_synthetic(10, 4, 1600, seed=2, sigma=1.0)
+    spec = data.DistributionSpec(10, 4000, cp=0.35, cd=0.325, preferred_class=2, mode="majority")
     ds = data.realize_distribution(pool, spec, seed=3)
     counts = ds.class_counts
     assert len(ds) == 4000
@@ -172,8 +172,8 @@ def test_realized_cp_at_case_study_scale():
 
 
 def test_realize_without_replacement_and_determinism():
-    pool = data.make_synthetic(4, 3, 60, seed=0)
-    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1)
+    pool = data.make_synthetic(4, 3, 60, seed=0, sigma=1.0)
+    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
     a = data.realize_distribution(pool, spec, seed=9)
     b = data.realize_distribution(pool, spec, seed=9)
     assert np.array_equal(a.source_indices, b.source_indices)
@@ -181,8 +181,8 @@ def test_realize_without_replacement_and_determinism():
 
 
 def test_realize_insufficient_pool_is_input_error():
-    pool = data.make_synthetic(4, 3, 10, seed=0)
-    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1)
+    pool = data.make_synthetic(4, 3, 10, seed=0, sigma=1.0)
+    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
     with pytest.raises(InputError):
         data.realize_distribution(pool, spec, seed=0)
 
@@ -198,7 +198,8 @@ def test_realize_insufficient_pool_is_input_error():
 def test_spec_counts_sum_and_round_trip_in_feasible_regime(n_label, total, cp, frac, pref):
     pref = pref % n_label
     cd = cp * frac
-    spec = data.DistributionSpec(n_label, total, cp=cp, cd=cd, preferred_class=pref)
+    spec = data.DistributionSpec(n_label, total, cp=cp, cd=cd, preferred_class=pref,
+                                 mode="majority")
     counts = data.spec_counts(spec)
     assert counts.sum() == total
     assert counts.min() >= 0
@@ -234,10 +235,11 @@ def test_minority_mode_mirrors_majority_arithmetic():
 
 
 def small_federation(seed=0):
-    pool = data.make_synthetic(5, 3, 200, seed=seed)
+    pool = data.make_synthetic(5, 3, 200, seed=seed, sigma=1.0)
     fed = data.make_federation_spec(
         n_user=4, n_label=5, total_size=60, cp_range=(0.4, 0.6),
-        cd_range=(0.1, 0.3), seed=seed,
+        cd_range=(0.1, 0.3), seed=seed, mode="majority", ud_target=None, id_target=None,
+        equalize_rest=False,
     )
     clients, used = data.build_federation(pool, fed, seed=seed)
     return pool, fed, clients, used
@@ -260,7 +262,7 @@ def test_auxiliary_disjoint_from_every_client():
 
 
 def test_sample_per_class_is_class_blocked():
-    pool = data.make_synthetic(4, 3, 20, seed=2)
+    pool = data.make_synthetic(4, 3, 20, seed=2, sigma=1.0)
     shuffled = pool.subset(np.random.default_rng(0).permutation(len(pool)))
     drawn = data.sample_per_class(shuffled, 6, [0, 1, 2])
     assert drawn.y.tolist() == [0] * 6 + [1] * 6 + [2] * 6 + [3] * 6
@@ -273,7 +275,7 @@ def test_sample_per_class_is_class_blocked():
 
 
 def test_auxiliary_empty_store_and_exhausted_pool():
-    pool = data.make_synthetic(3, 3, 20, seed=1)
+    pool = data.make_synthetic(3, 3, 20, seed=1, sigma=1.0)
     empty = data.sample_per_class(pool, 0, None)
     assert len(empty) == 0 and empty.X.shape == (0, 3) and empty.n_label == 3
     with pytest.raises(InputError):
@@ -281,14 +283,14 @@ def test_auxiliary_empty_store_and_exhausted_pool():
 
 
 def test_sample_per_class_rejects_a_negative_count():
-    pool = data.make_synthetic(3, 3, 20, seed=1)
+    pool = data.make_synthetic(3, 3, 20, seed=1, sigma=1.0)
     with pytest.raises(InputError, match="per_class must be >= 0"):
         data.sample_per_class(pool, -1, None)
 
 
 def test_federation_matches_spec_counts():
     pool, fed, clients, _ = small_federation(seed=3)
-    for spec, ds in zip(fed.specs, clients):
+    for spec, ds in zip(fed, clients):
         assert np.array_equal(ds.class_counts, data.spec_counts(spec))
 
 
@@ -299,16 +301,18 @@ def test_federation_matches_spec_counts():
 
 def test_make_federation_spec_ud_target_shares_class_zero():
     fed = data.make_federation_spec(10, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
-                                    ud_target=0.3)
-    prefs = [s.preferred_class for s in fed.specs]
+                                    mode="majority", ud_target=0.3, id_target=None,
+                                    equalize_rest=False)
+    prefs = [s.preferred_class for s in fed]
     assert prefs[:3] == [0, 0, 0]
     assert 0 not in prefs[3:]
 
 
 def test_make_federation_spec_hits_id_target():
     fed = data.make_federation_spec(6, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
-                                    id_target=25.0)
-    sizes = [s.total_size for s in fed.specs]
+                                    mode="majority", ud_target=None, id_target=25.0,
+                                    equalize_rest=False)
+    sizes = [s.total_size for s in fed]
     assert np.var(sizes, ddof=1) == pytest.approx(25.0, rel=0.2)
 
 
@@ -329,11 +333,13 @@ def test_minority_equalized_federation_prefers_the_smallest_class():
     grid = data.equalized_grid(4, 80, (0.05, 0.15), (0.1, 0.2), "minority")
     assert grid == [(0.1, 0.2), (0.1375, 0.15)]
     fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
-                                    mode="minority", equalize_rest=True)
-    for spec in fed.specs:
+                                    mode="minority", ud_target=None, id_target=None,
+                                    equalize_rest=True)
+    for spec in fed:
         assert sorted(data.spec_counts(spec).tolist()) in ([8, 24, 24, 24], [11, 23, 23, 23])
         assert data.preference_class(data.spec_counts(spec), "minority") == spec.preferred_class
     # a preferred share of 40-60% is never the smallest of four classes
     with pytest.raises(SpecError, match="no equalized"):
         data.make_federation_spec(4, 4, 80, (0.4, 0.6), (0.4, 0.6), seed=1,
-                                  mode="minority", equalize_rest=True)
+                                  mode="minority", ud_target=None, id_target=None,
+                                  equalize_rest=True)

@@ -185,7 +185,7 @@ def test_backward_matches_finite_differences_random_archs(seed):
     else:
         ch = int(rng.integers(2, 4))
         arch = nn.Architecture(
-            (nn.Conv2d(1, ch, kernel=3, stride=1), nn.Relu(), nn.MaxPool2d(2),
+            (nn.Conv2d(1, ch, kernel=3), nn.Relu(), nn.MaxPool2d(2),
              nn.Dense(ch * 3 * 3, n_classes)),
             (1, 8, 8), n_classes,
         )
@@ -196,17 +196,6 @@ def test_backward_matches_finite_differences_random_archs(seed):
     assert_close_rel(grad.values, fd, tol=1e-4)
 
 
-def test_conv_stride_two_matches_finite_differences():
-    arch = nn.Architecture(
-        (nn.Conv2d(2, 3, kernel=3, stride=2), nn.Relu(), nn.Dense(3 * 3 * 3, 3)),
-        (2, 7, 7), 3,
-    )
-    params = nn.init_params(arch, seed=11)
-    X, y = rand_batch(arch, 3, seed=12)
-    assert_close_rel(nn.backward(params, arch, X, y).values,
-                     fd_gradient(params, arch, X, y), tol=1e-4)
-
-
 # ---------------------------------------------------------------------------
 # Convolution as a GEMM, against the einsum reference
 # ---------------------------------------------------------------------------
@@ -214,7 +203,7 @@ def test_conv_stride_two_matches_finite_differences():
 
 def einsum_reference(params, arch, X, y):
     """Eval-mode (logits, batch gradient, per-example rows) from a walk that
-    convolves by einsum over the strided window view, with no im2col columns:
+    convolves by einsum over the window view, with no im2col columns:
     the engine's convolution before it became a GEMM.  Its input gradient is
     one einsum per kernel tap."""
     act, n = X.reshape(len(X), *arch.input_shape), len(X)
@@ -227,7 +216,7 @@ def einsum_reference(params, arch, X, y):
         elif isinstance(layer, nn.Conv2d):
             W, b = nn._layer_params(params, arch, i)
             win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
-            caches.append((act.shape, win[:, :, ::layer.stride, ::layer.stride]))
+            caches.append((act.shape, win))
             act = np.einsum("nchwij,ocij->nohw", caches[-1][1], W) + b[None, :, None, None]
         elif isinstance(layer, nn.MaxPool2d):
             k, (_, c, h, w) = layer.kernel, act.shape
@@ -264,10 +253,10 @@ def einsum_reference(params, arch, X, y):
             nn._set_layer_rows(rows, arch, i, np.einsum("nchwij,nohw->nocij", win, delta),
                                delta.sum(axis=(2, 3)))
             dx = np.zeros(in_shape)
-            s, (ho, wo) = layer.stride, delta.shape[2:]
+            ho, wo = delta.shape[2:]
             for ki in range(layer.kernel):
                 for kj in range(layer.kernel):
-                    dx[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += np.einsum(
+                    dx[:, :, ki:ki + ho, kj:kj + wo] += np.einsum(
                         "oc,nohw->nchw", W[:, :, ki, kj], delta)
             delta = dx
         elif isinstance(layer, nn.MaxPool2d):
@@ -292,12 +281,12 @@ def assert_matches_reference(got, want, tol=1e-12):
 
 
 def strided_cnn(side):
-    """A 1x1 convolution, so that the next convolution's input gradient is
-    part of the gradient, then a 3x3 stride-2 convolution: on 7x7 its last
-    window ends at the edge, on 8x8 it leaves the last row and column out."""
+    """A 1x1 convolution of a 2-channel input, so that the next convolution's
+    input gradient is part of the gradient, then a 3x3 convolution, on odd
+    and even sides."""
     return nn.Architecture(
-        (nn.Conv2d(2, 3, kernel=1), nn.Relu(), nn.Conv2d(3, 4, kernel=3, stride=2),
-         nn.Relu(), nn.Dense(4 * 3 * 3, 3)),
+        (nn.Conv2d(2, 3, kernel=1), nn.Relu(), nn.Conv2d(3, 4, kernel=3),
+         nn.Relu(), nn.Dense(4 * (side - 2) ** 2, 3)),
         (2, side, side), 3,
     )
 
@@ -515,12 +504,12 @@ def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
     params = perturbed_params(arch, 3)
     X, y = rand_batch(arch, 9, seed=4)
     rng = np.random.default_rng(11)
-    rows = nn._loss_and_grad(params, arch, X, y, train_mode=train_mode, rng=rng,
+    rows = nn._loss_and_grad(params, arch, X, y, rng=rng if train_mode else None,
                              per_example=True)
     ref_rng = np.random.default_rng(11)
     want = np.stack([
-        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1], train_mode=train_mode,
-                          rng=ref_rng).values
+        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1],
+                          rng=ref_rng if train_mode else None).values
         for i in range(len(X))
     ])
     assert rows.shape == (len(X), arch.n_params)
@@ -545,7 +534,7 @@ def dp_train_reference(params, arch, X, y, cfg, seed, train_mode):
             for i in idx:
                 g = nn._loss_and_grad(nn.ParamVector(values), arch,
                                       X[i:i + 1], y[i:i + 1],
-                                      train_mode=train_mode, rng=rng).values
+                                      rng=rng if train_mode else None).values
                 norm = np.linalg.norm(g)
                 mean += g * (min(1.0, cfg.dp.clip_norm / norm) if norm > 0 else 1.0)
             mean /= len(idx)
@@ -657,9 +646,7 @@ def test_architecture_rejects_incompatible_chain():
         nn.Architecture((nn.Dense(4, 5),), (4,), 3)  # output dim != n_classes
 
 
-@pytest.mark.parametrize("layers, input_shape, message", [
-    ((nn.Conv2d(1, 2, kernel=3, stride=0), nn.Dense(2 * 4 * 4, 3)), (1, 6, 6),
-     "layer 0: conv2d stride"),
+SIZE_CASES = [
     ((nn.Conv2d(1, 2, kernel=0), nn.Dense(2 * 7 * 7, 3)), (1, 6, 6), "layer 0: conv2d kernel"),
     ((nn.Conv2d(1, 0, kernel=3), nn.Dense(1, 3)), (1, 6, 6), "layer 0: conv2d out_ch"),
     ((nn.Conv2d(0, 2, kernel=3), nn.Dense(2 * 4 * 4, 3)), (0, 6, 6), "layer 0: conv2d in_ch"),
@@ -667,7 +654,12 @@ def test_architecture_rejects_incompatible_chain():
      "layer 1: maxpool kernel"),
     ((nn.Dense(4, 0), nn.Dense(0, 3)), (4,), "layer 0: dense out_dim"),
     ((nn.Dense(0, 3),), (0,), "layer 0: dense in_dim"),
-])
+]
+
+
+# The ids are fixed, so that removing a case renames none of the others.
+@pytest.mark.parametrize("layers, input_shape, message", SIZE_CASES, ids=[
+    f"layers{i}-input_shape{i}-{case[2]}" for i, case in enumerate(SIZE_CASES, start=1)])
 def test_architecture_rejects_sizes_below_one(layers, input_shape, message):
     with pytest.raises(InputError, match=message):
         nn.Architecture(layers, input_shape, 3)
@@ -683,6 +675,21 @@ def test_checkpoint_with_zero_kernel_is_format_error(tmp_path):
     path.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
                      + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
     with pytest.raises(FormatError, match="layer 2: maxpool kernel"):
+        nn.load_checkpoint(path)
+
+
+def test_checkpoint_with_conv_stride_is_format_error(tmp_path):
+    """Convolution is stride-1 only, so a conv descriptor holds in_ch, out_ch
+    and kernel, and one that names a stride is rejected."""
+    arch = small_cnn()
+    desc = json.loads(arch.to_json())
+    assert desc["layers"][0] == {"kind": "conv2d", "in_ch": 1, "out_ch": 3, "kernel": 3}
+    desc["layers"][0]["stride"] = 1
+    text = json.dumps(desc).encode()
+    path = tmp_path / "stride.ppam"
+    path.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
+                     + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
+    with pytest.raises(FormatError, match="bad architecture descriptor"):
         nn.load_checkpoint(path)
 
 
