@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import fedsim, nn
-from .data import (DistributionSpec, LabeledDataset, preference_class, realize_distribution,
-                   sample_cp_cd, spec_counts)
+from .data import (LabeledDataset, preference_class, realize_distribution, sample_cp_cd,
+                   target_counts)
 from .errors import ConfigError, InputError
 from .seeding import derive_seed
 
@@ -80,23 +80,13 @@ class ShadowRecord:
     sensitivity: np.ndarray
 
 
-def default_shadow_sampler(n_label: int, total_size: int, cp_range, cd_range,
-                           mode: str) -> Callable:
-    """Distribution sampler for shadow datasets; cd is clamped below cp."""
-
-    def sample(preferred: int, rng: np.random.Generator) -> DistributionSpec:
-        cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        return DistributionSpec(n_label, total_size, cp, cd, preferred, mode)
-
-    return sample
-
-
-def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed: int,
-                      mode: str) -> List[Tuple[DistributionSpec, int]]:
-    """One (spec, sub-seed) per shadow, preference classes forced round-robin
-    so every class is covered; a draw whose class counts do not prefer the
-    forced class is resampled.  No data is read, so a config can be checked
-    before a run."""
+def draw_shadow_specs(n_label: int, n_shadows: int, total_size: int, cp_range, cd_range,
+                      mode: str, seed: int) -> List[Tuple[int, np.ndarray, int]]:
+    """One (preferred class, class counts, sub-seed) per shadow dataset of
+    ``total_size`` samples.  Preference classes are forced round-robin so
+    every class is covered; (cp, cd) come from :func:`data.sample_cp_cd`, and
+    a draw whose counts do not prefer the forced class under ``mode`` is
+    resampled.  No data is read, so a config can be checked before a run."""
     if n_shadows < n_label:
         raise ConfigError(f"{n_shadows} shadows cannot cover {n_label} preference classes")
     draws = []
@@ -104,28 +94,30 @@ def draw_shadow_specs(n_label: int, n_shadows: int, spec_sampler: Callable, seed
         forced = i % n_label
         for attempt in range(50):
             sub = derive_seed(seed, "shadow", i, attempt)
-            spec = spec_sampler(forced, np.random.default_rng(derive_seed(sub, "spec")))
-            if preference_class(spec_counts(spec), mode) == forced:
+            cp, cd = sample_cp_cd(np.random.default_rng(derive_seed(sub, "spec")),
+                                  cp_range, cd_range, mode)
+            counts = target_counts(n_label, total_size, cp, cd, forced, mode)
+            if preference_class(counts, mode) == forced:
                 break
         else:
             raise ConfigError(f"could not realize a shadow preferring class {forced}")
-        draws.append((spec, sub))
+        draws.append((forced, counts, sub))
     return draws
 
 
 def train_shadows(aux: LabeledDataset, arch: nn.Architecture,
-                  draws: List[Tuple[DistributionSpec, int]],
+                  draws: List[Tuple[int, np.ndarray, int]],
                   train_cfg: nn.TrainConfig) -> List[ShadowRecord]:
     """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
-    realized from the auxiliary store; its preference is the spec's preferred
+    realized from the auxiliary store; its preference is the draw's preferred
     class.  A diverged shadow i raises NumericalError naming "shadow i"."""
     shadows = []
-    for i, (spec, sub) in enumerate(draws):
-        ds = realize_distribution(aux, spec, seed=derive_seed(sub, "data"))
+    for i, (preferred, counts, sub) in enumerate(draws):
+        ds = realize_distribution(aux, counts, seed=derive_seed(sub, "data"))
         params = nn.init_params(arch, seed=derive_seed(sub, "init"))
         params = nn.train(params, arch, ds.X, ds.y, train_cfg, derive_seed(sub, "train"))
         fedsim.check_finite(params, f"shadow {i}")
-        shadows.append(ShadowRecord(params, ds, spec.preferred_class,
+        shadows.append(ShadowRecord(params, ds, preferred,
                                     extract_sensitivity(params, arch, aux)))
     return shadows
 

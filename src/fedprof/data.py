@@ -67,41 +67,6 @@ class LabeledDataset:
                               self.feature_shape, src)
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    """Target shape of one client's dataset.
-
-    In majority mode the preferred class holds round(cp * total_size) samples
-    and a designated runner-up class holds cp*total - cd*total; in minority
-    mode the preferred class is the smallest and the runner-up is cd*total
-    above it.  The rest is spread as evenly as possible over the remaining
-    classes, remainder to the lowest class indices.
-    """
-
-    n_label: int
-    total_size: int
-    cp: float
-    cd: float
-    preferred_class: int
-    mode: str
-
-    def __post_init__(self):
-        if self.n_label < 2:
-            raise SpecError("n_label must be >= 2")
-        if self.total_size < 1:
-            raise SpecError("total_size must be >= 1")
-        if not 0.0 < self.cp <= 1.0:
-            raise SpecError(f"cp must be in (0, 1], got {self.cp}")
-        if not 0.0 <= self.cd <= 1.0:
-            raise SpecError(f"cd must be in [0, 1], got {self.cd}")
-        if self.mode == "majority" and self.cd > self.cp:
-            raise SpecError(f"cd {self.cd} > cp {self.cp} implies a negative class count")
-        if not 0 <= self.preferred_class < self.n_label:
-            raise SpecError("preferred_class out of range")
-        if self.mode not in ("majority", "minority"):
-            raise SpecError(f"mode must be 'majority' or 'minority', got {self.mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic data
 # ---------------------------------------------------------------------------
@@ -213,66 +178,86 @@ def preference_class(counts: np.ndarray, mode: str) -> int:
     return int(np.argmax(counts) if mode == "majority" else np.argmin(counts))
 
 
-def spec_counts(spec: DistributionSpec) -> np.ndarray:
-    """Deterministic per-class counts realizing a DistributionSpec.
+def target_counts(n_label: int, total_size: int, cp: float, cd: float,
+                  preferred_class: int, mode: str) -> np.ndarray:
+    """The int64 per-class counts of a dataset of ``total_size`` samples
+    shaped by class proportion ``cp`` and class dominance ``cd``.
 
-    Counts always sum to total_size.  The measured CD only round-trips the
-    spec when the even spread over the remaining classes stays below the
-    runner-up count; specs outside that regime are still realized (majority
-    count first, runner-up capped by what is left).
+    In majority mode the preferred class holds round(cp * total_size) samples
+    and a designated runner-up class, the lowest other index, holds
+    cp*total - cd*total; in minority mode the preferred class is the smallest
+    and the runner-up is cd*total above it.  The rest is spread as evenly as
+    possible over the remaining classes, remainder to the lowest class
+    indices.  Counts always sum to total_size.  The measured CD only
+    round-trips cd when the even spread stays below the runner-up count;
+    targets outside that regime are still realized (majority count first,
+    runner-up capped by what is left).  Raises SpecError for arguments that
+    describe no dataset.
     """
-    n, total = spec.n_label, spec.total_size
-    counts = np.zeros(n, dtype=np.int64)
-    pref = spec.preferred_class
-    runner = min(c for c in range(n) if c != pref)
-    others = [c for c in range(n) if c not in (pref, runner)]
+    if n_label < 2:
+        raise SpecError("n_label must be >= 2")
+    if total_size < 1:
+        raise SpecError("total_size must be >= 1")
+    if not 0.0 < cp <= 1.0:
+        raise SpecError(f"cp must be in (0, 1], got {cp}")
+    if not 0.0 <= cd <= 1.0:
+        raise SpecError(f"cd must be in [0, 1], got {cd}")
+    if mode == "majority" and cd > cp:
+        raise SpecError(f"cd {cd} > cp {cp} implies a negative class count")
+    if not 0 <= preferred_class < n_label:
+        raise SpecError("preferred_class out of range")
+    if mode not in ("majority", "minority"):
+        raise SpecError(f"mode must be 'majority' or 'minority', got {mode!r}")
+    counts = np.zeros(n_label, dtype=np.int64)
+    runner = min(c for c in range(n_label) if c != preferred_class)
+    others = [c for c in range(n_label) if c not in (preferred_class, runner)]
 
-    if spec.mode == "majority":
-        main = int(round(spec.cp * total))
-        main = max(1, min(main, total))
-        second = main - int(round(spec.cd * total))
+    if mode == "majority":
+        main = int(round(cp * total_size))
+        main = max(1, min(main, total_size))
+        second = main - int(round(cd * total_size))
         if second < 0:
-            raise SpecError(f"cp={spec.cp}, cd={spec.cd} give a negative runner-up count")
-        second = min(second, total - main)
+            raise SpecError(f"cp={cp}, cd={cd} give a negative runner-up count")
+        second = min(second, total_size - main)
     else:
-        main = int(round(spec.cp * total))
-        main = max(0, min(main, total))
-        second = min(main + int(round(spec.cd * total)), total - main)
-    counts[pref] = main
+        main = int(round(cp * total_size))
+        main = max(0, min(main, total_size))
+        second = min(main + int(round(cd * total_size)), total_size - main)
+    counts[preferred_class] = main
     if not others:
-        counts[runner] = total - main
+        counts[runner] = total_size - main
         return counts
     counts[runner] = second
-    rest = total - main - second
+    rest = total_size - main - second
     base, extra = divmod(rest, len(others))
     for rank, c in enumerate(sorted(others)):
         counts[c] = base + (1 if rank < extra else 0)
     return counts
 
 
-def realize_distribution(pool: LabeledDataset, spec: DistributionSpec,
+def realize_distribution(pool: LabeledDataset, counts: np.ndarray,
                          seed: int) -> LabeledDataset:
-    """Draw a dataset matching ``spec`` from ``pool`` without replacement."""
-    if pool.n_label != spec.n_label:
-        raise InputError("pool and spec disagree on n_label")
-    counts = spec_counts(spec)
+    """Draw ``counts[c]`` samples of each class c from ``pool`` without
+    replacement."""
+    if pool.n_label != len(counts):
+        raise InputError("pool and counts disagree on n_label")
     rng = np.random.default_rng(derive_seed(seed, "realize"))
     picked = []
-    for c in range(spec.n_label):
+    for c in range(pool.n_label):
         if counts[c] == 0:
             continue
         avail = np.flatnonzero(pool.y == c)
         if len(avail) < counts[c]:
             raise InputError(
-                f"pool has {len(avail)} samples of class {c}, spec needs {counts[c]}"
+                f"pool has {len(avail)} samples of class {c}, the target needs {counts[c]}"
             )
         picked.append(rng.choice(avail, size=counts[c], replace=False))
     return pool.subset(np.concatenate(picked))
 
 
-def build_federation(pool: LabeledDataset, specs: tuple, seed: int):
-    """Realize the DistributionSpecs ``specs``, one per user, from the pool
-    with mutually disjoint samples.
+def build_federation(pool: LabeledDataset, counts: np.ndarray, seed: int):
+    """Realize the (n_user, n_label) class counts ``counts``, one row per
+    user, from the pool with mutually disjoint samples.
 
     Per-class index stacks are shuffled once, then consumed in user order, so
     the result is deterministic and each user's draw is uniform without
@@ -285,11 +270,10 @@ def build_federation(pool: LabeledDataset, specs: tuple, seed: int):
         stacks.append(rng.permutation(idx))
     cursor = [0] * pool.n_label
     clients = []
-    for u, spec in enumerate(specs):
-        counts = spec_counts(spec)
+    for u, row in enumerate(counts):
         picked = []
         for c in range(pool.n_label):
-            need = int(counts[c])
+            need = int(row[c])
             if need == 0:
                 continue
             if cursor[c] + need > len(stacks[c]):
@@ -397,14 +381,15 @@ def user_sizes(n_user: int, n_label: int, total_size: int,
 def make_federation_spec(n_user: int, n_label: int, total_size: int,
                          cp_range, cd_range, seed: int, mode: str,
                          ud_target: Optional[float], id_target: Optional[float],
-                         equalize_rest: bool) -> tuple:
-    """Sample one DistributionSpec per user; returns the tuple of the n_user
-    specs, user 0's first, that :func:`build_federation` realizes.
+                         equalize_rest: bool) -> np.ndarray:
+    """Sample each user's target; returns the (n_user, n_label) int64 class
+    counts, user 0's row first, that :func:`build_federation` realizes.
 
     Preferred classes are drawn uniformly at random (so several users may
     share one, the usual statistical heterogeneity) unless ud_target is set,
     in which case round(ud_target * n_user) users share class 0 and the rest
-    spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`.
+    spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`
+    and :func:`target_counts` rounds them to counts.
     Sizes come from :func:`user_sizes`, checked before any draw.  equalize_rest
     restricts (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
     non-preferred classes tie exactly (one grid per distinct size).
@@ -421,7 +406,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
         while len(prefs) < n_user:
             prefs.append(c % n_label if c % n_label != 0 else 1)
             c += 1
-    specs, grids = [], {}
+    rows, grids = [], {}
     for size, pref in zip(sizes.tolist(), prefs):
         if equalize_rest:
             if size not in grids:
@@ -433,5 +418,5 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
             cp, cd = grid[int(rng.integers(0, len(grid)))]
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        specs.append(DistributionSpec(n_label, size, cp, cd, pref, mode))
-    return tuple(specs)
+        rows.append(target_counts(n_label, size, cp, cd, pref, mode))
+    return np.stack(rows)

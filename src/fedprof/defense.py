@@ -44,14 +44,15 @@ def run_defense_sweep(cfg: harness.ExperimentConfig, variants: list,
     (label, overrides) variant, all with identical seeds.
 
     Reports top-1 attack accuracy and model utility (mean accuracy of the
-    final distributed models on the shared test set).
+    final distributed models on the shared test set).  Neither reads the
+    FedAvg baseline arm, so every variant runs with ``with_baseline`` false.
     """
     labels = [label for label, _ in variants]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate sweep labels in {labels}")
     rows = []
     for label, overrides in variants:
-        variant = cfg.with_overrides(overrides)
+        variant = cfg.with_overrides({**overrides, "with_baseline": False})
         d = variant["defense"]
         report = harness.run_experiment(variant)
         rows.append(SweepRow(

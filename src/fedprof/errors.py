@@ -14,7 +14,7 @@ class FormatError(FedprofError):
 
 
 class SpecError(InputError):
-    """A distribution spec cannot be realized (e.g. negative class count)."""
+    """A dataset target cannot be realized (e.g. negative class count)."""
 
 
 class ConfigError(FedprofError):

@@ -130,12 +130,15 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved, validated experiment description (plain dict inside), the
-    client and shadow specs drawn from it and the client model, all of which
-    the run consumes.  ``fed_spec`` holds one DistributionSpec per user."""
+    client and shadow targets drawn from it and the client model, all of
+    which the run consumes.  ``fed_spec`` is the (n_user, n_label) matrix of
+    each user's class counts; ``shadow_draws`` holds one (preferred class,
+    class counts, sub-seed) per shadow.  Both follow from ``resolved``, so
+    equality compares the rest."""
 
     resolved: dict
-    fed_spec: tuple
-    shadow_draws: list
+    fed_spec: np.ndarray = dataclasses.field(compare=False)
+    shadow_draws: list = dataclasses.field(compare=False)
     arch: nn.Architecture
 
     def __getitem__(self, key):
@@ -173,10 +176,10 @@ def dp_label(noise_multiplier: float) -> str:
 
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse, strictly validate and default-fill a JSON experiment config,
-    and build the client model and draw the client and shadow specs its run
-    consumes.
+    and build the client model and draw the client and shadow class counts
+    its run consumes.
 
-    Every violated invariant, a spec the config cannot realize included, is
+    Every violated invariant, a target the config cannot realize included, is
     reported with its key path; unknown keys are rejected.
     """
     try:
@@ -236,7 +239,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     except SpecError as e:  # a ConfigError from the user sizes names its own key
         raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
                           f"{fed['cd_range']} in {fed['mode']} mode: {e}") from None
-    smallest, batch = min(s.total_size for s in fed_spec), resolved["fl"]["batch_size"]
+    smallest, batch = int(fed_spec.sum(axis=1).min()), resolved["fl"]["batch_size"]
     if smallest < batch:
         key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
         raise ConfigError(f"fl.batch_size {batch} exceeds the smallest user dataset "
@@ -255,17 +258,17 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError(f"attack.shadow_size {size} exceeds {cap}, the most the auxiliary "
                           f"store can supply (attack.aux_per_class / "
                           f"attack.shadow_cp_range[1])")
-    sampler = attack.default_shadow_sampler(n_label, size, tuple(atk["shadow_cp_range"]),
-                                            tuple(atk["shadow_cd_range"]), atk["mode"])
     # Every draw must realize its forced preference from the auxiliary store.
     try:
-        draws = attack.draw_shadow_specs(n_label, atk["n_shadows"], sampler,
-                                         derive_seed(resolved["seed"], "shadows"), atk["mode"])
+        draws = attack.draw_shadow_specs(n_label, atk["n_shadows"], size,
+                                         tuple(atk["shadow_cp_range"]),
+                                         tuple(atk["shadow_cd_range"]), atk["mode"],
+                                         derive_seed(resolved["seed"], "shadows"))
     except (ConfigError, SpecError) as e:
         raise ConfigError(f"attack.shadow_cp_range {atk['shadow_cp_range']} with "
                           f"attack.shadow_cd_range {atk['shadow_cd_range']} in {atk['mode']} "
                           f"mode: {e}") from None
-    need = max(int(data.spec_counts(spec).max()) for spec, _ in draws)
+    need = max(int(counts.max()) for _, counts, _ in draws)
     if need > atk["aux_per_class"]:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
@@ -284,10 +287,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     return ExperimentConfig(resolved, fed_spec, draws, arch)
 
 
-def _pool_demand(resolved: dict, fed_spec: tuple) -> np.ndarray:
+def _pool_demand(resolved: dict, fed_spec: np.ndarray) -> np.ndarray:
     """Samples of each class a run takes from its pool: the client datasets,
     the auxiliary store and the test set."""
-    clients = np.stack([data.spec_counts(s) for s in fed_spec]).sum(axis=0)
+    clients = fed_spec.sum(axis=0)
     return clients + resolved["attack"]["aux_per_class"] + resolved["eval_per_class"]
 
 
@@ -384,7 +387,7 @@ def _train_meta(cfg: ExperimentConfig, meta_dataset: data.LabeledDataset) -> att
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
     atk = cfg["attack"]
     train_cfg = client_train_config(cfg)
-    shadow_size = cfg.shadow_draws[0][0].total_size
+    shadow_size = int(cfg.shadow_draws[0][1].sum())
     update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
     shadow_cfg = dataclasses.replace(update_cfg, epochs=atk["shadow_epochs"])
     shadows = attack.train_shadows(staged.aux, cfg.arch, cfg.shadow_draws, shadow_cfg)

@@ -19,10 +19,10 @@ def world():
     return pool, aux, arch
 
 
-def shadow_sampler(n_label, total_size):
-    """The shadow sampler at the config's default ranges, majority mode."""
-    return attack.default_shadow_sampler(n_label, total_size, (0.35, 0.7), (0.1, 0.6),
-                                         "majority")
+def default_draws(n_label, n_shadows, total_size, seed):
+    """Shadow draws at the config's default ranges, majority mode."""
+    return attack.draw_shadow_specs(n_label, n_shadows, total_size, (0.35, 0.7), (0.1, 0.6),
+                                    "majority", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +139,7 @@ def test_normalize_features_scale_free():
 @pytest.fixture(scope="module")
 def shadows(world):
     pool, aux, arch = world
-    draws = attack.draw_shadow_specs(4, 8, shadow_sampler(4, 40), seed=77, mode="majority")
+    draws = default_draws(4, 8, 40, seed=77)
     return attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
 
 
@@ -152,12 +152,7 @@ def test_shadows_cover_every_class(shadows):
 
 def test_shadow_measured_cp_matches_sampler_contract(world):
     pool, aux, arch = world
-
-    def strict_sampler(preferred, rng):
-        return data.DistributionSpec(4, 30, cp=0.9, cd=0.2, preferred_class=preferred,
-                                     mode="majority")
-
-    draws = attack.draw_shadow_specs(4, 4, strict_sampler, seed=5, mode="majority")
+    draws = attack.draw_shadow_specs(4, 4, 30, (0.9, 0.9), (0.2, 0.2), "majority", seed=5)
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     for s in out:
         measured = s.dataset.class_counts.max() / 30
@@ -165,16 +160,15 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
 
 
 def test_too_few_shadows_is_config_error():
-    sampler = shadow_sampler(4, 40)
     with pytest.raises(ConfigError):
-        attack.draw_shadow_specs(4, 3, sampler, seed=0, mode="majority")
+        default_draws(4, 3, 40, seed=0)
 
 
 def test_forty_shadows_ten_classes_all_preferred():
     pool = data.make_synthetic(10, 8, 120, seed=20, sigma=1.0)
     aux = data.sample_per_class(pool, 40, None)
     arch = nn.Architecture((nn.Dense(8, 12), nn.Relu(), nn.Dense(12, 10)), (8,), 10)
-    draws = attack.draw_shadow_specs(10, 40, shadow_sampler(10, 50), seed=6, mode="majority")
+    draws = default_draws(10, 40, 50, seed=6)
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 1, 16))
     prefs = [s.preference for s in out]
     assert set(prefs) == set(range(10))
@@ -190,12 +184,7 @@ def test_centralized_meta_dataset_labels_and_nonnegativity(shadows, world):
 
 def test_centralized_meta_argmin_tracks_label_for_skewed_shadows(world):
     pool, aux, arch = world
-
-    def skewed(preferred, rng):
-        return data.DistributionSpec(4, 50, cp=0.6, cd=0.4, preferred_class=preferred,
-                                     mode="majority")
-
-    draws = attack.draw_shadow_specs(4, 12, skewed, seed=8, mode="majority")
+    draws = attack.draw_shadow_specs(4, 12, 50, (0.6, 0.6), (0.4, 0.4), "majority", seed=8)
     out = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_centralized(out)
     hit = np.mean(meta_ds.X.argmin(axis=1) == meta_ds.y)
@@ -526,7 +515,7 @@ def test_profiler_hook_runs_and_locks(world):
     # carve clients from the part of the pool not reserved for the auxiliary
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux_idx))
     clients, _ = data.build_federation(sub, fed, seed=31)
-    draws = attack.draw_shadow_specs(4, 8, shadow_sampler(4, 40), seed=32, mode="majority")
+    draws = default_draws(4, 8, 40, seed=32)
     shadows = attack.train_shadows(aux, arch, draws, nn.TrainConfig(0.05, 3, 16))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16), seed=33,

@@ -1,5 +1,6 @@
 """Dataset synthesis, IDX I/O and partitioning tests."""
 
+import re
 import struct
 
 import numpy as np
@@ -136,16 +137,14 @@ def test_idx_at_mnist_test_scale(tmp_path):
 
 
 def test_spec_counts_forced_allocation():
-    spec = data.DistributionSpec(10, 100, cp=0.4, cd=0.2, preferred_class=0, mode="majority")
-    counts = data.spec_counts(spec)
+    counts = data.target_counts(10, 100, cp=0.4, cd=0.2, preferred_class=0, mode="majority")
     assert counts[0] == 40 and counts[1] == 20
     assert (counts[2:] == 5).all()
     assert counts.sum() == 100
 
 
 def test_spec_counts_cp_one_boundary():
-    spec = data.DistributionSpec(10, 100, cp=1.0, cd=0.0, preferred_class=3, mode="majority")
-    counts = data.spec_counts(spec)
+    counts = data.target_counts(10, 100, cp=1.0, cd=0.0, preferred_class=3, mode="majority")
     assert counts[3] == 100 and counts.sum() == 100
     assert np.count_nonzero(counts) == 1  # CP 1, CD 0: no runner-up class
 
@@ -158,13 +157,30 @@ def test_preference_class_by_mode_ties_to_lowest_index():
 
 def test_spec_counts_negative_runner_up_is_spec_error():
     with pytest.raises(SpecError):
-        data.DistributionSpec(10, 100, cp=0.3, cd=0.5, preferred_class=0, mode="majority")
+        data.target_counts(10, 100, cp=0.3, cd=0.5, preferred_class=0, mode="majority")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 100, 0.5, 0.2, 0, "majority"), "n_label must be >= 2"),
+    ((10, 0, 0.5, 0.2, 0, "majority"), "total_size must be >= 1"),
+    ((10, 100, 0.0, 0.0, 0, "majority"), "cp must be in (0, 1], got 0.0"),
+    ((10, 100, 1.5, 0.2, 0, "majority"), "cp must be in (0, 1], got 1.5"),
+    ((10, 100, 1.0, 1.5, 0, "minority"), "cd must be in [0, 1], got 1.5"),
+    ((10, 100, 0.3, 0.5, 0, "majority"), "cd 0.5 > cp 0.3 implies a negative class count"),
+    ((10, 100, 0.5, 0.2, 10, "majority"), "preferred_class out of range"),
+    ((10, 100, 0.5, 0.2, -1, "majority"), "preferred_class out of range"),
+    ((10, 100, 0.5, 0.2, 0, "median"), "mode must be 'majority' or 'minority', got 'median'"),
+], ids=["one-label", "empty", "cp-zero", "cp-above-one", "cd-above-one", "cd-above-cp",
+        "preferred-too-high", "preferred-negative", "unknown-mode"])
+def test_target_counts_rejects_arguments_that_describe_no_dataset(args, message):
+    with pytest.raises(SpecError, match=re.escape(message)):
+        data.target_counts(*args)
 
 
 def test_realized_cp_at_case_study_scale():
     pool = data.make_synthetic(10, 4, 1600, seed=2, sigma=1.0)
-    spec = data.DistributionSpec(10, 4000, cp=0.35, cd=0.325, preferred_class=2, mode="majority")
-    ds = data.realize_distribution(pool, spec, seed=3)
+    target = data.target_counts(10, 4000, cp=0.35, cd=0.325, preferred_class=2, mode="majority")
+    ds = data.realize_distribution(pool, target, seed=3)
     counts = ds.class_counts
     assert len(ds) == 4000
     measured_cp = counts.max() / 4000
@@ -173,18 +189,18 @@ def test_realized_cp_at_case_study_scale():
 
 def test_realize_without_replacement_and_determinism():
     pool = data.make_synthetic(4, 3, 60, seed=0, sigma=1.0)
-    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
-    a = data.realize_distribution(pool, spec, seed=9)
-    b = data.realize_distribution(pool, spec, seed=9)
+    counts = data.target_counts(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
+    a = data.realize_distribution(pool, counts, seed=9)
+    b = data.realize_distribution(pool, counts, seed=9)
     assert np.array_equal(a.source_indices, b.source_indices)
     assert len(np.unique(a.source_indices)) == len(a)
 
 
 def test_realize_insufficient_pool_is_input_error():
     pool = data.make_synthetic(4, 3, 10, seed=0, sigma=1.0)
-    spec = data.DistributionSpec(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
+    counts = data.target_counts(4, 80, cp=0.5, cd=0.25, preferred_class=1, mode="majority")
     with pytest.raises(InputError):
-        data.realize_distribution(pool, spec, seed=0)
+        data.realize_distribution(pool, counts, seed=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,9 +214,8 @@ def test_realize_insufficient_pool_is_input_error():
 def test_spec_counts_sum_and_round_trip_in_feasible_regime(n_label, total, cp, frac, pref):
     pref = pref % n_label
     cd = cp * frac
-    spec = data.DistributionSpec(n_label, total, cp=cp, cd=cd, preferred_class=pref,
-                                 mode="majority")
-    counts = data.spec_counts(spec)
+    counts = data.target_counts(n_label, total, cp=cp, cd=cd, preferred_class=pref,
+                                mode="majority")
     assert counts.sum() == total
     assert counts.min() >= 0
     # measured CP round-trips whenever the preferred class really is the max
@@ -219,9 +234,8 @@ def test_spec_counts_sum_and_round_trip_in_feasible_regime(n_label, total, cp, f
 
 
 def test_minority_mode_mirrors_majority_arithmetic():
-    spec = data.DistributionSpec(10, 100, cp=0.02, cd=0.03, preferred_class=4,
-                                 mode="minority")
-    counts = data.spec_counts(spec)
+    counts = data.target_counts(10, 100, cp=0.02, cd=0.03, preferred_class=4,
+                                mode="minority")
     assert counts[4] == 2
     runner = 0  # lowest index != preferred
     assert counts[runner] == 5
@@ -290,8 +304,9 @@ def test_sample_per_class_rejects_a_negative_count():
 
 def test_federation_matches_spec_counts():
     pool, fed, clients, _ = small_federation(seed=3)
-    for spec, ds in zip(fed, clients):
-        assert np.array_equal(ds.class_counts, data.spec_counts(spec))
+    assert fed.shape == (4, 5) and fed.dtype == np.int64
+    for row, ds in zip(fed, clients):
+        assert np.array_equal(ds.class_counts, row)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +318,7 @@ def test_make_federation_spec_ud_target_shares_class_zero():
     fed = data.make_federation_spec(10, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
                                     mode="majority", ud_target=0.3, id_target=None,
                                     equalize_rest=False)
-    prefs = [s.preferred_class for s in fed]
+    prefs = [data.preference_class(row, "majority") for row in fed]
     assert prefs[:3] == [0, 0, 0]
     assert 0 not in prefs[3:]
 
@@ -312,7 +327,7 @@ def test_make_federation_spec_hits_id_target():
     fed = data.make_federation_spec(6, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
                                     mode="majority", ud_target=None, id_target=25.0,
                                     equalize_rest=False)
-    sizes = [s.total_size for s in fed]
+    sizes = fed.sum(axis=1)
     assert np.var(sizes, ddof=1) == pytest.approx(25.0, rel=0.2)
 
 
@@ -322,8 +337,7 @@ def test_equalized_grid_specs_tie_the_other_classes(mode):
         grid = data.equalized_grid(n_label, total, (0.0, 1.0), (0.0, 1.0), mode)
         assert grid
         for cp, cd in grid:
-            spec = data.DistributionSpec(n_label, total, cp, cd, n_label - 1, mode)
-            counts = data.spec_counts(spec)
+            counts = data.target_counts(n_label, total, cp, cd, n_label - 1, mode)
             preferred, rest = counts[-1], counts[:-1]
             assert rest.min() == rest.max()
             assert (preferred > rest[0]) if mode == "majority" else (preferred < rest[0])
@@ -335,9 +349,14 @@ def test_minority_equalized_federation_prefers_the_smallest_class():
     fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
                                     mode="minority", ud_target=None, id_target=None,
                                     equalize_rest=True)
-    for spec in fed:
-        assert sorted(data.spec_counts(spec).tolist()) in ([8, 24, 24, 24], [11, 23, 23, 23])
-        assert data.preference_class(data.spec_counts(spec), "minority") == spec.preferred_class
+    for row in fed:
+        assert sorted(row.tolist()) in ([8, 24, 24, 24], [11, 23, 23, 23])
+    # with ud_target 0.5 the preferred classes are 0, 0, 0, 1, 2, 3, and each
+    # row's smallest class is its preferred one
+    fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
+                                    mode="minority", ud_target=0.5, id_target=None,
+                                    equalize_rest=True)
+    assert [data.preference_class(row, "minority") for row in fed] == [0, 0, 0, 1, 2, 3]
     # a preferred share of 40-60% is never the smallest of four classes
     with pytest.raises(SpecError, match="no equalized"):
         data.make_federation_spec(4, 4, 80, (0.4, 0.6), (0.4, 0.6), seed=1,

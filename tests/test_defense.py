@@ -83,3 +83,21 @@ def test_disabled_defense_is_bit_identical_to_plain_run():
     cfg_none = harness.validate_config(json.dumps({**BASE, "defense": {"apply": "none"}}))
     rep_none = harness.run_experiment(cfg_none)
     assert rep_plain.to_json() == rep_none.to_json()
+
+
+def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
+    # The rows read only the attack arm, so a with_baseline config runs no
+    # FedAvg baseline arm.
+    arms = []
+    run_online = harness.run_online
+
+    def counting(cfg, staged, aggregation):
+        arms.append(aggregation)
+        return run_online(cfg, staged, aggregation)
+
+    monkeypatch.setattr(harness, "run_online", counting)
+    cfg = base_cfg().with_overrides({"with_baseline": True,
+                                     "defense": {"noise_multipliers": [4.0]}})
+    rows = defense.run_defense_sweep(cfg, defense.sweep_from_config(cfg))
+    assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
+    assert arms == ["selective"] * 3

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import fedprof
-from fedprof import attack, cli, data, harness, nn
+from fedprof import attack, cli, data, fedsim, harness, nn
 from fedprof.errors import ConfigError, InputError, NumericalError
 
 FAST = {
@@ -133,6 +134,7 @@ def test_user_dataset_smaller_than_batch_size_is_a_config_error(federation, key)
 
 def test_run_consumes_the_specs_drawn_at_validation(monkeypatch):
     cfg = fast_config()
+    assert fast_config() == cfg  # the count arrays do not take part in equality
 
     def redraw(*args, **kwargs):
         raise AssertionError("specs drawn again after validation")
@@ -142,12 +144,12 @@ def test_run_consumes_the_specs_drawn_at_validation(monkeypatch):
     staged = harness.stage_data(cfg)
     offline = harness.run_offline(cfg, staged)
     assert len(staged.clients) == len(cfg.fed_spec) == 4
-    for spec, client in zip(cfg.fed_spec, staged.clients):
-        assert np.array_equal(client.class_counts, data.spec_counts(spec))
+    for counts, client in zip(cfg.fed_spec, staged.clients):
+        assert np.array_equal(client.class_counts, counts)
     assert len(offline.shadows) == len(cfg.shadow_draws) == 8
-    for (spec, _), shadow in zip(cfg.shadow_draws, offline.shadows):
-        assert np.array_equal(shadow.dataset.class_counts, data.spec_counts(spec))
-        assert shadow.preference == spec.preferred_class
+    for (preferred, counts, _), shadow in zip(cfg.shadow_draws, offline.shadows):
+        assert np.array_equal(shadow.dataset.class_counts, counts)
+        assert shadow.preference == preferred
 
 
 def test_shadow_size_cap_boundary():
@@ -177,7 +179,7 @@ def write_idx_pool(tmp_path, counts, shape=(8,)):
 def test_idx_pool_must_hold_what_the_run_draws(tmp_path):
     # Each class must cover the clients' draws plus the aux store and test set.
     cfg = fast_config()
-    need = (np.stack([data.spec_counts(s) for s in cfg.fed_spec]).sum(axis=0)
+    need = (cfg.fed_spec.sum(axis=0)
             + FAST["attack"]["aux_per_class"] + FAST["eval_per_class"])
     exact = harness.validate_config(json.dumps(write_idx_pool(tmp_path, need)))
     staged = harness.stage_data(exact)
@@ -267,11 +269,11 @@ def test_persistence_layout(fast_run):
     shadows = json.loads((d / "shadows.json").read_text())
     assert [sh["index"] for sh in shadows] == list(range(8))
     assert {sh["preference"] for sh in shadows} == set(range(4))
-    size = cfg.shadow_draws[0][0].total_size
-    for sh, (spec, _) in zip(shadows, cfg.shadow_draws):
+    size = cfg.shadow_draws[0][1].sum()
+    for sh, (preferred, counts, _) in zip(shadows, cfg.shadow_draws):
         assert sum(sh["class_counts"]) == size
-        assert sh["class_counts"] == data.spec_counts(spec).tolist()
-        assert sh["preference"] == spec.preferred_class
+        assert sh["class_counts"] == counts.tolist()
+        assert sh["preference"] == preferred
         assert len(sh["sensitivity"]) == 4 and min(sh["sensitivity"]) >= 0
 
 
@@ -360,18 +362,23 @@ def test_only_the_dropout_defense_builds_a_dropout_layer(model, apply):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
 def test_divergence_raises_numerical_error_naming_the_shadow():
+    # Shadows train at fl.learning_rate too: at 1e6 the first shadow's largest
+    # parameter is 2.9e11, still finite, so the run stops before round 1.  The
+    # round and user message is covered in tests/test_fedsim.py.
     cfg = fast_config(fl=DIVERGING_FL)
-    with pytest.raises(NumericalError, match=r"shadow \d+ has non-finite or diverged"):
+    with pytest.raises(NumericalError,
+                       match=r"shadow \d+ has non-finite or diverged .*bound 1e\+06"):
         harness.run_experiment(cfg)
 
 
 def test_finite_divergence_raises_numerical_error_in_the_shadow_stage():
-    # Shadows train at fl.learning_rate too: at 1e6 the first shadow's largest
-    # parameter is 2.9e11, still finite, so the run stops before round 1.  The
-    # round and user message is covered in tests/test_fedsim.py.
+    # What stops this run is the magnitude bound, not an inf or NaN: the
+    # largest parameter the message reports is finite and above the bound.
     cfg = fast_config(fl={**FAST["fl"], "learning_rate": 1e6, "local_epochs": 1})
-    with pytest.raises(NumericalError, match=r"shadow \d+ .*bound 1e\+06"):
+    with pytest.raises(NumericalError, match=r"shadow \d+ .*bound 1e\+06") as err:
         harness.run_experiment(cfg)
+    peak = float(re.search(r"largest magnitude (\S+),", str(err.value)).group(1))
+    assert np.isfinite(peak) and peak > fedsim.DIVERGENCE_BOUND
 
 
 # Offline divergence: shadows and meta-dataset updates stay bounded, but at
