@@ -34,8 +34,9 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
                         aux: LabeledDataset) -> np.ndarray:
     """Per-class model sensitivity: the summed absolute feature-layer gradient
     of the mean loss on each class's auxiliary samples.  ``aux`` must be in
-    class blocks, as :func:`data.sample_per_class` draws it.  The input model
-    is never mutated."""
+    class blocks, as :func:`data.sample_per_class` draws it.  Each class's
+    backward walk stops at the feature layer (``arch.feature_index``), since
+    no gradient below it is read.  The input model is never mutated."""
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
@@ -45,7 +46,7 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
         lo, hi = bounds[c], bounds[c + 1]
         if lo == hi:
             raise InputError(f"auxiliary store has no samples for class {c}")
-        grad = nn.backward(pv, arch, aux.X[lo:hi], aux.y[lo:hi])
+        grad = nn.backward(pv, arch, aux.X[lo:hi], aux.y[lo:hi], stop=arch.feature_index)
         out[c] = np.abs(grad.values[off:off + w_size + b_size]).sum()
     return out
 
@@ -294,6 +295,12 @@ class PreferenceProfiler:
     ``init_model`` is the model every user starts from.  ``history[r - 1]``
     is the trace of round r.  Verdicts never feed back into aggregation, so
     :func:`profile_history` computes them afterwards over ``history``.
+
+    Each distinct model is extracted once per round window.  Sensitivity is
+    a function of the parameter values alone, so a memo keyed by the exact
+    parameter bytes serves every model whose bytes were read this round or
+    last round: an idle user's upload, an aggregate whose members did not
+    change, and the initial model in round 1.  Older keys are dropped.
     """
 
     def __init__(self, arch: nn.Architecture, aux: LabeledDataset, n_user: int,
@@ -303,12 +310,25 @@ class PreferenceProfiler:
         self.n_user = n_user
         self.x = x
         self.mode = mode
-        self.prev_agg_sens = np.tile(extract_sensitivity(init_model, arch, aux), (n_user, 1))
+        self._last_round, self._this_round = {}, {}
+        self.prev_agg_sens = np.tile(self._sensitivity(init_model), (n_user, 1))
         self.history: List[RoundTrace] = []
 
+    def _sensitivity(self, pv: nn.ParamVector) -> np.ndarray:
+        """:func:`extract_sensitivity` of ``pv``, unless a model with the same
+        parameter bytes was read this round or last round."""
+        key = pv.values.tobytes()
+        s = self._this_round.get(key)
+        if s is None:
+            s = self._last_round.get(key)
+            if s is None:
+                s = extract_sensitivity(pv, self.arch, self.aux)
+            self._this_round[key] = s
+        return s
+
     def __call__(self, uploads: list, weights: list, selected: list) -> list:
-        sens = np.stack([extract_sensitivity(uploads[u], self.arch, self.aux)
-                         for u in range(self.n_user)])
+        self._last_round, self._this_round = self._this_round, {}
+        sens = np.stack([self._sensitivity(uploads[u]) for u in range(self.n_user)])
         ds = differential_sensitivity(self.prev_agg_sens, sens)
         self.history.append(RoundTrace(sens, ds))
         distributed, self.prev_agg_sens = self._aggregate(uploads, weights, selected, sens)
@@ -318,14 +338,13 @@ class PreferenceProfiler:
         n = self.n_user
         if self.x is None:
             distributed = fedsim.fedavg_hook(uploads, weights, selected)
-            s = extract_sensitivity(distributed[0], self.arch, self.aux)
-            return distributed, np.tile(s, (n, 1))
+            return distributed, np.tile(self._sensitivity(distributed[0]), (n, 1))
         distributed, agg_sens = [], []
         for u in range(n):
             group = [u] + select_partners(u, sens, self.x, self.mode)
             agg = fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group), ids=group)
             distributed.append(agg)
-            agg_sens.append(extract_sensitivity(agg, self.arch, self.aux))
+            agg_sens.append(self._sensitivity(agg))
         return distributed, np.stack(agg_sens)
 
 

@@ -107,7 +107,11 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     previous upload and model.  The hook
     observes all current uploads and returns the per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
-    model and for the received model, using the same evaluation set.
+    model (``local_acc``) and for the received model (``global_acc``), using
+    the same evaluation set.  An unsampled user's upload is last round's, so
+    its ``local_acc`` is ``prev.local_acc[u]``, not scored again; when
+    ``prev.local_acc`` is None (round 1) every upload is scored.  ``clients``
+    must be the same in every round.
     Raises NumericalError, naming the round and user, if an upload or a
     distributed model has a parameter that is non-finite or larger in
     magnitude than DIVERGENCE_BOUND (1e6).
@@ -132,8 +136,12 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     for u, m in enumerate(distributed):
         check_finite(m, f"round {rnd}: the model distributed for user {u}")
 
-    local_acc = [nn.accuracy(uploads[u], arch, clients[u].X, clients[u].y)
-                 for u in range(n_user)]
+    if prev.local_acc is None:
+        local_acc, rescored = [None] * n_user, range(n_user)
+    else:
+        local_acc, rescored = list(prev.local_acc), selected
+    for u in rescored:
+        local_acc[u] = nn.accuracy(uploads[u], arch, clients[u].X, clients[u].y)
     global_acc = [nn.accuracy(distributed[u], arch, clients[u].X, clients[u].y)
                   for u in range(n_user)]
     return RoundState(

@@ -298,19 +298,28 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
     rows[:, off + w_size:off + w_size + b_size] = gb
 
 
-def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False):
+def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None):
     """Gradient of the mean batch loss, from one forward and one backward walk,
     in train mode when ``rng`` is given (see :func:`_run_layers`).
 
     The gradient is a ParamVector laid out by ``arch.param_slots`` or, with
     per_example, a (batch, n_params) array whose row i is the gradient of
     sample i's own loss, equal to what a one-row batch of sample i gives.
+    The walk ends once the parameter gradient of layer ``stop`` is written,
+    and the slots of the parameterised layers below it stay zero.  The
+    default is the first parameterised layer, where no one reads the input
+    gradient, so every slot is written; a ``stop`` that is not a
+    parameterised layer is an InternalError.
     Per-example rows keep the batch axis where the batch gradient sums over
     it: a dense layer's row is outer(a_i, delta_i) (Goodfellow 2015,
     arXiv:1510.01799) and a convolution's is delta_i @ cols_i, over sample
     i's im2col columns; the ReLU, max-pool, dropout and input-gradient steps
     are shared.
     """
+    if stop is None:
+        stop = min(arch.param_slots)
+    elif stop not in arch.param_slots:
+        raise InternalError(f"the backward walk cannot stop at layer {stop}: it has no parameters")
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
     logits, caches = _run_layers(pv, arch, X, rng)
@@ -321,9 +330,6 @@ def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False):
         delta = delta / X.shape[0]
         grad = zeros_like_params(arch)
 
-    # No one reads the input gradient of the first parameterised layer, so
-    # the walk ends once that layer's parameter gradient is written.
-    stop = min(arch.param_slots)
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
@@ -398,10 +404,13 @@ def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.nda
     return logits
 
 
-def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> ParamVector:
-    """Gradient of the mean batch loss w.r.t. every parameter (eval mode), laid
-    out by ``arch.param_slots``."""
-    return _loss_and_grad(pv, arch, X, y)
+def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray,
+             stop: Optional[int] = None) -> ParamVector:
+    """Gradient of the mean batch loss (eval mode), laid out by
+    ``arch.param_slots``: of every parameter by default, or, with ``stop``
+    the index of a parameterised layer, of that layer and the ones above it,
+    with the slots below left zero (see :func:`_loss_and_grad`)."""
+    return _loss_and_grad(pv, arch, X, y, stop=stop)
 
 
 def accuracy(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:

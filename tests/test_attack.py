@@ -2,6 +2,7 @@
 partner selection, streak-gated profiling and top-k scoring."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -84,6 +85,22 @@ def test_sensitivity_rejects_a_store_not_in_class_blocks(world):
     restored = swapped.subset(np.argsort(swapped.y, kind="stable"))
     assert np.array_equal(attack.extract_sensitivity(params, arch, restored),
                           attack.extract_sensitivity(params, arch, aux))
+
+
+def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
+    # The benchmark CNN's feature layer is its second convolution, so
+    # extraction's walk stops above the first; the full walk reads the same.
+    arch = harness.validate_config(json.dumps({"model": {"kind": "cnn"},
+                                               "dataset": {"dim": 36}})).arch
+    assert arch.feature_index > min(arch.param_slots)
+    aux = data.sample_per_class(data.make_synthetic(10, 36, 20, seed=12, sigma=1.0), 15, None)
+    params = nn.init_params(arch, seed=6)
+    got = attack.extract_sensitivity(params, arch, aux)
+    off, _, w_size, b_size = arch.param_slots[arch.feature_index]
+    for c in range(10):
+        Xc = aux.X[aux.y == c]
+        grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
+        assert got[c] == np.abs(grad.values[off:off + w_size + b_size]).sum()
 
 
 def test_skewed_training_orders_sensitivity():
@@ -563,3 +580,87 @@ def test_replay_matches_online_profiling(world):
     assert profile.verdicts == verdicts
     assert profile.lock_rounds == lock
     assert profile.rankings.tolist() == ranking
+
+
+class ReferenceProfiler:
+    """The profiler without its memo: one extract_sensitivity per upload, per
+    selective aggregate and per FedAvg broadcast, every round."""
+
+    def __init__(self, arch, aux, n_user, init_model, x, mode):
+        self.arch, self.aux, self.n_user, self.x, self.mode = arch, aux, n_user, x, mode
+        self.prev_agg_sens = np.tile(attack.extract_sensitivity(init_model, arch, aux),
+                                     (n_user, 1))
+        self.history = []
+
+    def __call__(self, uploads, weights, selected):
+        sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in uploads])
+        ds = attack.differential_sensitivity(self.prev_agg_sens, sens)
+        self.history.append(attack.RoundTrace(sens, ds))
+        if self.x is None:
+            distributed = fedsim.fedavg_hook(uploads, weights, selected)
+            s = attack.extract_sensitivity(distributed[0], self.arch, self.aux)
+            self.prev_agg_sens = np.tile(s, (self.n_user, 1))
+            return distributed
+        distributed = []
+        for u in range(self.n_user):
+            group = [u] + attack.select_partners(u, sens, self.x, self.mode)
+            distributed.append(fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group),
+                                             ids=group))
+        self.prev_agg_sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux)
+                                       for m in distributed])
+        return distributed
+
+
+@pytest.mark.parametrize("x", [2, None], ids=["x2", "fedavg"])
+def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
+    pool, aux, arch = world
+    fed = data.make_federation_spec(6, 4, 40, (0.5, 0.6), (0.2, 0.4), seed=50,
+                                    mode="majority", ud_target=None, id_target=None,
+                                    equalize_rest=False)
+    sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux.source_indices))
+    clients, _ = data.build_federation(sub, fed, seed=51)
+    init = nn.init_params(arch, seed=52)
+    train_cfg = nn.TrainConfig(0.05, 1, 16)
+
+    # calls[r] holds the parameter bytes of every extraction in round r;
+    # calls[0] is the constructor's.  The reference's calls are every model
+    # each round reads.
+    extract = attack.extract_sensitivity
+
+    def recorded(pv, arch, aux):
+        calls[-1].append(pv.values.tobytes())
+        return extract(pv, arch, aux)
+
+    monkeypatch.setattr(attack, "extract_sensitivity", recorded)
+
+    def run(hook_type):
+        hook = hook_type(arch, aux, 6, init, x, "majority")
+        st, states = fedsim.initial_state(6, init), []
+        for _ in range(6):
+            calls.append([])
+            st = fedsim.run_round(st, clients, arch, train_cfg, 0.5, hook, run_seed=53)
+            states.append(st)
+        return hook, states
+
+    calls = [[]]
+    ref, ref_states = run(ReferenceProfiler)
+    requested, calls = calls, [[]]
+    prof, states = run(attack.PreferenceProfiler)
+
+    assert len(prof.history) == len(ref.history) == 6
+    for got, want in zip(prof.history, ref.history):
+        assert np.array_equal(got.sensitivities, want.sensitivities)
+        assert np.array_equal(got.ds, want.ds)
+    for got, want in zip(states, ref_states):
+        assert got.selected == want.selected and len(got.selected) == 3
+        for a, b in zip(got.distributed + got.uploaded, want.distributed + want.uploaded):
+            assert np.array_equal(a.values, b.values)
+    # One extraction per distinct model that neither this round nor the last
+    # one has read already.
+    for r in range(len(calls)):
+        seen_last_round = set(requested[r - 1]) if r else set()
+        assert sorted(calls[r]) == sorted(set(requested[r]) - seen_last_round)
+    assert sum(map(len, calls)) < sum(map(len, requested))
+    # The memo holds the models of those two rounds and no older ones.
+    assert (set(prof._last_round) | set(prof._this_round)
+            == set(requested[-2]) | set(requested[-1]))

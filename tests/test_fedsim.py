@@ -148,6 +148,24 @@ def test_two_rounds_bit_identical_on_rerun(tiny_world):
     assert a.local_acc == b.local_acc and a.global_acc == b.global_acc
 
 
+def test_idle_uploads_keep_their_scored_local_accuracy(tiny_world, monkeypatch):
+    clients, arch, init = tiny_world
+    cfg = nn.TrainConfig(0.05, 1, 8)
+    scored = []
+    accuracy = nn.accuracy
+    monkeypatch.setattr(nn, "accuracy", lambda pv, *args: scored.append(pv) or accuracy(pv, *args))
+    st = fedsim.initial_state(3, init)
+    for rnd in range(1, 5):
+        scored.clear()
+        st = fedsim.run_round(st, clients, arch, cfg, 0.5, fedsim.fedavg_hook, run_seed=12)
+        # every upload in round 1, then only the sampled ones; every received model
+        n_local = 3 if rnd == 1 else len(st.selected)
+        assert len(scored) == n_local + 3
+        # the slow reference: score every upload again
+        assert st.local_acc == [accuracy(st.uploaded[u], arch, clients[u].X, clients[u].y)
+                                for u in range(3)]
+
+
 def test_training_improves_over_initial_model():
     pool = data.make_synthetic(4, 6, 300, seed=5, sigma=1.0)
     fed = data.make_federation_spec(10, 4, 80, (0.4, 0.6), (0.1, 0.3), seed=6,

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from fedprof import harness, nn
 from fedprof.errors import FormatError, InputError, InternalError
 from fedprof.seeding import derive_seed
+from test_acceptance import random_arch as criterion_1_arch
 
 
 def mlp(in_dim=6, hidden=8, n_classes=3):
@@ -316,6 +317,40 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
         for got_part, want_part in zip(nn._layer_params(got, arch, index), want):
             assert_matches_reference(got_part, want_part)
     assert_matches_reference(nn._loss_and_grad(params, arch, X, y, per_example=True), rows)
+
+
+# ---------------------------------------------------------------------------
+# Backward walks that stop at a layer
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_arch", [
+    lambda: reference_arch(BENCHMARK_CNN), small_cnn, lambda: strided_cnn(7),
+    *[lambda seed=seed: criterion_1_arch(np.random.default_rng(4000 + seed))
+      for seed in range(6)],
+], ids=["benchmark-cnn", "small-cnn", "stride2-7x7", *[f"criterion-1-{s}" for s in range(6)]])
+def test_backward_stopped_at_the_feature_layer_is_the_full_walk_above_it(make_arch):
+    arch = make_arch()
+    params = perturbed_params(arch, 5)
+    X, y = rand_batch(arch, 12, seed=6)
+    full = nn.backward(params, arch, X, y).values
+    stopped = nn.backward(params, arch, X, y, stop=arch.feature_index).values
+    for index, (off, _, w_size, b_size) in arch.param_slots.items():
+        part = slice(off, off + w_size + b_size)
+        if index >= arch.feature_index:
+            assert np.array_equal(stopped[part], full[part])
+        else:
+            assert full[part].any() and not stopped[part].any()
+
+
+def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
+    arch = reference_arch(BENCHMARK_CNN)
+    params = perturbed_params(arch, 5)
+    X, y = rand_batch(arch, 3, seed=6)
+    for stop in (-1, 1, 4, len(arch.layers)):
+        assert stop not in arch.param_slots
+        with pytest.raises(InternalError, match=f"cannot stop at layer {stop}:"):
+            nn.backward(params, arch, X, y, stop=stop)
 
 
 # ---------------------------------------------------------------------------
