@@ -292,26 +292,27 @@ class PreferenceProfiler:
     round and aggregates each upload with its x :func:`select_partners`
     partners at equal weights, or by plain FedAvg when x is None.
 
-    ``init_model`` is the model every user starts from.  ``history[r - 1]``
-    is the trace of round r.  Verdicts never feed back into aggregation, so
-    :func:`profile_history` computes them afterwards over ``history``.
+    A user's DS compares the model it received (``received[u]``, which
+    :func:`fedsim.run_round` passes in) with the model it uploaded.
+    ``history[r - 1]`` is the trace of round r.  Verdicts never feed back
+    into aggregation, so :func:`profile_history` computes them afterwards
+    over ``history``.
 
     Each distinct model is extracted once per round window.  Sensitivity is
     a function of the parameter values alone, so a memo keyed by the exact
     parameter bytes serves every model whose bytes were read this round or
-    last round: an idle user's upload, an aggregate whose members did not
-    change, and the initial model in round 1.  Older keys are dropped.
+    last round: an idle user's upload, a received model whose aggregate
+    members did not change, and every user's copy of a broadcast model.
+    Older keys are dropped.  A model is read only once it has been received,
+    so the final round's distributed models are never extracted.
     """
 
-    def __init__(self, arch: nn.Architecture, aux: LabeledDataset, n_user: int,
-                 init_model: nn.ParamVector, x: Optional[int], mode: str):
+    def __init__(self, arch: nn.Architecture, aux: LabeledDataset, x: Optional[int], mode: str):
         self.arch = arch
         self.aux = aux
-        self.n_user = n_user
         self.x = x
         self.mode = mode
         self._last_round, self._this_round = {}, {}
-        self.prev_agg_sens = np.tile(self._sensitivity(init_model), (n_user, 1))
         self.history: List[RoundTrace] = []
 
     def _sensitivity(self, pv: nn.ParamVector) -> np.ndarray:
@@ -326,26 +327,15 @@ class PreferenceProfiler:
             self._this_round[key] = s
         return s
 
-    def __call__(self, uploads: list, weights: list, selected: list) -> list:
+    def __call__(self, received: list, uploads: list, weights: list, selected: list) -> list:
         self._last_round, self._this_round = self._this_round, {}
-        sens = np.stack([self._sensitivity(uploads[u]) for u in range(self.n_user)])
-        ds = differential_sensitivity(self.prev_agg_sens, sens)
+        sens = np.stack([self._sensitivity(m) for m in uploads])
+        ds = differential_sensitivity(np.stack([self._sensitivity(m) for m in received]), sens)
         self.history.append(RoundTrace(sens, ds))
-        distributed, self.prev_agg_sens = self._aggregate(uploads, weights, selected, sens)
-        return distributed
-
-    def _aggregate(self, uploads, weights, selected, sens):
-        n = self.n_user
         if self.x is None:
-            distributed = fedsim.fedavg_hook(uploads, weights, selected)
-            return distributed, np.tile(self._sensitivity(distributed[0]), (n, 1))
-        distributed, agg_sens = [], []
-        for u in range(n):
-            group = [u] + select_partners(u, sens, self.x, self.mode)
-            agg = fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group), ids=group)
-            distributed.append(agg)
-            agg_sens.append(self._sensitivity(agg))
-        return distributed, np.stack(agg_sens)
+            return fedsim.fedavg_hook(received, uploads, weights, selected)
+        groups = [[u] + select_partners(u, sens, self.x, self.mode) for u in range(len(uploads))]
+        return [fedsim.fedavg([uploads[v] for v in g], [1.0] * len(g), ids=g) for g in groups]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Federated training loop: local training, upload, aggregation, distribution.
 
 The aggregation step is delegated to a hook so an attacker-controlled server
-can observe uploads and hand back per-user models.  The identity hook is
-plain weighted FedAvg broadcast to everyone.  All per-round randomness is
-derived from the run seed, so trajectories are bit-reproducible.  A model
-with a non-finite parameter, or one whose magnitude exceeds
-:data:`DIVERGENCE_BOUND`, stops the run; :func:`check_finite` is that check,
-and the attacker's offline training applies it too.
+can observe the models it sent and the uploads, and hand back per-user
+models.  The identity hook is plain weighted FedAvg broadcast to everyone.
+All per-round randomness is derived from the run seed, so trajectories are
+bit-reproducible.  A model with a non-finite parameter, or one whose
+magnitude exceeds :data:`DIVERGENCE_BOUND`, stops the run;
+:func:`check_finite` is that check, and the attacker's offline training
+applies it too.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ class RoundState:
     selected: Optional[list] = None
 
 
-# (uploads, weights, selected) -> the model distributed to each user
-AggregationHook = Callable[[list, list, list], list]
+# (received, uploads, weights, selected) -> the model distributed to each
+# user; received[u] is the model user u was sent last round
+AggregationHook = Callable[[list, list, list, list], list]
 
 
 def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
@@ -81,8 +83,9 @@ def client_fraction_sample(n_user: int, fraction: float,
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 
-def fedavg_hook(uploads: list, weights: list, selected: list) -> list:
-    """Identity server: plain FedAvg over the sampled uploads, broadcast to all."""
+def fedavg_hook(received: list, uploads: list, weights: list, selected: list) -> list:
+    """Identity server: plain FedAvg over the sampled uploads, broadcast to
+    all; ``received`` is not read."""
     models = [uploads[u] for u in selected]
     w = [weights[u] for u in selected]
     g = fedavg(models, w, ids=list(selected))
@@ -104,8 +107,10 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     train ``train_cfg.epochs`` on their last distributed model and upload;
     user u's seed in round r is derived from (run_seed, r, u), so the
     trajectory is a function of run_seed.  Unsampled clients keep their
-    previous upload and model.  The hook
-    observes all current uploads and returns the per-user distributed models.
+    previous upload and model.  The hook is called as
+    ``hook(prev.distributed, uploads, weights, selected)``: it sees the model
+    each user received last round and every current upload, and returns the
+    per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
     model (``local_acc``) and for the received model (``global_acc``), using
     the same evaluation set.  An unsampled user's upload is last round's, so
@@ -130,7 +135,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
         check_finite(m, f"round {rnd}: the model uploaded for user {u}")
 
     weights = [len(c) for c in clients]
-    distributed = hook(uploads, weights, list(selected))
+    distributed = hook(prev.distributed, uploads, weights, list(selected))
     if len(distributed) != n_user:
         raise InternalError("hook returned wrong number of distributed models")
     for u, m in enumerate(distributed):

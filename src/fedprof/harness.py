@@ -9,6 +9,7 @@ across reruns (wall-clock timings live in a separate file).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -198,7 +199,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         for k in ("images", "labels"):
             if not ds[k]:
                 problems.append(f"dataset.{k} is required for kind 'idx'")
-            elif not Path(ds[k]).exists():
+            elif not Path(ds[k]).is_file():
                 problems.append(f"dataset.{k}: file not found: {ds[k]}")
     if resolved["attack"]["x"] >= resolved["federation"]["n_user"]:
         problems.append("attack.x must be smaller than federation.n_user")
@@ -415,7 +416,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: str):
     n_user = cfg["federation"]["n_user"]
     selective = aggregation == "selective"
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, n_user, init,
+    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux,
                                          x=atk["x"] if selective else None, mode=atk["mode"])
     train_cfg = client_train_config(cfg)
     state = fedsim.initial_state(n_user, init)
@@ -650,12 +651,12 @@ def write_meta_csv(meta: data.LabeledDataset, path: Path) -> None:
 
 
 def write_csv(path: Path, rows: list) -> None:
-    """One column per key of the first row; None is written as an empty field."""
+    """One column per key of the first row, quoted where a value holds a comma,
+    quote or newline; None is written as an empty field."""
     if not rows:
         path.write_text("")
         return
-    cols = list(rows[0].keys())
-    with open(path, "w") as f:
-        f.write(",".join(cols) + "\n")
-        for r in rows:
-            f.write(",".join("" if r[c] is None else str(r[c]) for c in cols) + "\n")
+    with open(path, "w", newline="") as f:
+        out = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+        out.writeheader()
+        out.writerows(rows)

@@ -183,9 +183,6 @@ class ParamVector:
         if self.values.ndim != 1:
             raise InputError("ParamVector values must be 1-D")
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.values.copy())
-
 
 def zeros_like_params(arch: Architecture) -> ParamVector:
     return ParamVector(np.zeros(arch.n_params))
@@ -498,7 +495,8 @@ def train(
     cfg: TrainConfig,
     seed: int,
 ) -> ParamVector:
-    """Mini-batch SGD for cfg.epochs passes; deterministic given seed.
+    """Mini-batch SGD for cfg.epochs passes; deterministic given seed.  Each
+    step returns a new vector, so the input model is never mutated.
 
     Every walk is in train mode, so a Dropout layer in ``arch`` draws its
     masks; a stack without one trains exactly as in eval mode.  Shuffle
@@ -519,17 +517,16 @@ def train(
     if cfg.batch_size > n:
         raise InputError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = np.random.default_rng(derive_seed(seed, "train"))
-    out = pv.copy()
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            grad = _loss_and_grad(out, arch, X[idx], y[idx], rng, cfg.dp is not None)
+            grad = _loss_and_grad(pv, arch, X[idx], y[idx], rng, cfg.dp is not None)
             if cfg.dp is None:
-                out = sgd_step(out, grad, cfg.learning_rate)
+                pv = sgd_step(pv, grad, cfg.learning_rate)
             else:
-                out = dp_sgd_step(out, grad, cfg.dp, cfg.learning_rate, rng)
-    return out
+                pv = dp_sgd_step(pv, grad, cfg.dp, cfg.learning_rate, rng)
+    return pv
 
 
 # ---------------------------------------------------------------------------

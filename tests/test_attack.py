@@ -539,7 +539,7 @@ def test_profiler_hook_runs_and_locks(world):
                                                   mode="majority")
     meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34, 32)
     init = nn.init_params(arch, seed=35)
-    prof = attack.PreferenceProfiler(arch, aux, 4, init, x=2, mode="majority")
+    prof = attack.PreferenceProfiler(arch, aux, x=2, mode="majority")
     train_cfg = nn.TrainConfig(0.05, 1, 16)
     st = fedsim.initial_state(4, init)
     for _ in range(8):
@@ -583,31 +583,24 @@ def test_replay_matches_online_profiling(world):
 
 
 class ReferenceProfiler:
-    """The profiler without its memo: one extract_sensitivity per upload, per
-    selective aggregate and per FedAvg broadcast, every round."""
+    """The profiler without its memo: one extract_sensitivity per received
+    model and per upload, every round."""
 
-    def __init__(self, arch, aux, n_user, init_model, x, mode):
-        self.arch, self.aux, self.n_user, self.x, self.mode = arch, aux, n_user, x, mode
-        self.prev_agg_sens = np.tile(attack.extract_sensitivity(init_model, arch, aux),
-                                     (n_user, 1))
+    def __init__(self, arch, aux, x, mode):
+        self.arch, self.aux, self.x, self.mode = arch, aux, x, mode
         self.history = []
 
-    def __call__(self, uploads, weights, selected):
+    def __call__(self, received, uploads, weights, selected):
         sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in uploads])
-        ds = attack.differential_sensitivity(self.prev_agg_sens, sens)
-        self.history.append(attack.RoundTrace(sens, ds))
+        sent = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in received])
+        self.history.append(attack.RoundTrace(sens, attack.differential_sensitivity(sent, sens)))
         if self.x is None:
-            distributed = fedsim.fedavg_hook(uploads, weights, selected)
-            s = attack.extract_sensitivity(distributed[0], self.arch, self.aux)
-            self.prev_agg_sens = np.tile(s, (self.n_user, 1))
-            return distributed
+            return fedsim.fedavg_hook(received, uploads, weights, selected)
         distributed = []
-        for u in range(self.n_user):
+        for u in range(len(uploads)):
             group = [u] + attack.select_partners(u, sens, self.x, self.mode)
             distributed.append(fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group),
                                              ids=group))
-        self.prev_agg_sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux)
-                                       for m in distributed])
         return distributed
 
 
@@ -622,9 +615,8 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
     init = nn.init_params(arch, seed=52)
     train_cfg = nn.TrainConfig(0.05, 1, 16)
 
-    # calls[r] holds the parameter bytes of every extraction in round r;
-    # calls[0] is the constructor's.  The reference's calls are every model
-    # each round reads.
+    # calls[r - 1] holds the parameter bytes of every extraction in round r.
+    # The reference's calls are every model each round reads.
     extract = attack.extract_sensitivity
 
     def recorded(pv, arch, aux):
@@ -634,7 +626,7 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
     monkeypatch.setattr(attack, "extract_sensitivity", recorded)
 
     def run(hook_type):
-        hook = hook_type(arch, aux, 6, init, x, "majority")
+        hook = hook_type(arch, aux, x, "majority")
         st, states = fedsim.initial_state(6, init), []
         for _ in range(6):
             calls.append([])
@@ -642,9 +634,9 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
             states.append(st)
         return hook, states
 
-    calls = [[]]
+    calls = []
     ref, ref_states = run(ReferenceProfiler)
-    requested, calls = calls, [[]]
+    requested, calls = calls, []
     prof, states = run(attack.PreferenceProfiler)
 
     assert len(prof.history) == len(ref.history) == 6
@@ -655,6 +647,21 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
         assert got.selected == want.selected and len(got.selected) == 3
         for a, b in zip(got.distributed + got.uploaded, want.distributed + want.uploaded):
             assert np.array_equal(a.values, b.values)
+    # DS from the round states alone: the model each user was sent the round
+    # before (the initial model in round 1) against the model it uploaded.
+    received = [fedsim.initial_state(6, init)] + states[:-1]
+    for tr, before, now in zip(prof.history, received, states):
+        for u in range(6):
+            want = np.abs(extract(before.distributed[u], arch, aux)
+                          - extract(now.uploaded[u], arch, aux))
+            assert np.array_equal(tr.ds[u], want)
+    # Only received and uploaded models are read, so a final-round
+    # distributed model that no user received or uploaded is never extracted.
+    read = {m.values.tobytes() for before, now in zip(received, states)
+            for m in before.distributed + now.uploaded}
+    unread = {m.values.tobytes() for m in states[-1].distributed} - read
+    assert set().union(*requested) == set().union(*calls) == read
+    assert unread and unread.isdisjoint(set().union(*calls))
     # One extraction per distinct model that neither this round nor the last
     # one has read already.
     for r in range(len(calls)):

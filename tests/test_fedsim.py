@@ -218,10 +218,17 @@ def test_diverging_local_training_raises_numerical_error_naming_round_and_user(t
 def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_world):
     clients, arch, init = tiny_world
 
-    def blow_up_user_2(uploads, weights, selected):
-        out = fedsim.fedavg_hook(uploads, weights, selected)
+    def blow_up_user_2(received, uploads, weights, selected):
+        out = fedsim.fedavg_hook(received, uploads, weights, selected)
         return out[:2] + [pv(np.full(arch.n_params, np.inf))]
 
     with pytest.raises(NumericalError, match="round 1: the model distributed for user 2 "):
         fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
                          1.0, blow_up_user_2, run_seed=7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, -2e6])
+def test_check_finite_rejects_nan_inf_and_diverged_values(bad):
+    fedsim.check_finite(pv([0.5, -fedsim.DIVERGENCE_BOUND, 0.0]), "a model at the bound")
+    with pytest.raises(NumericalError, match="^user 4 has non-finite or diverged parameters"):
+        fedsim.check_finite(pv([0.5, bad, 0.0]), "user 4")

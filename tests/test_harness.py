@@ -1,9 +1,11 @@
 """Config validation, end-to-end determinism, persistence, reporting, CLI."""
 
 import argparse
+import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -306,6 +308,18 @@ def test_report_runs_joins_policies(tmp_path):
     assert "top1" in header and "top2" in header and "top3" in header
 
 
+def test_report_runs_quotes_a_directory_name_holding_a_comma(fast_run, tmp_path):
+    _, d = fast_run
+    odd = tmp_path / "runs,seed1"
+    shutil.copytree(d, odd)
+    summary, _ = harness.report_runs([odd], out_dir=tmp_path / "out")
+    with open(tmp_path / "out" / "summary.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["dir"] for r in rows] == [str(odd)]
+    assert list(rows[0]) == list(summary[0])
+    assert None not in rows[0]  # no field beyond the header
+
+
 def test_report_runs_missing_artifacts_raises(tmp_path):
     with pytest.raises(OSError):
         harness.report_runs([tmp_path / "nope"])
@@ -576,6 +590,8 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
      "federation.cp_range"),
     ("attack", {"shadow_cp_range": [0, 0], "shadow_cd_range": [0, 0]},
      "attack.shadow_cp_range"),
+    # the CLI runs in tmp_path, so "." is a directory, not an IDX file
+    (None, {"dataset": {"kind": "idx", "images": ".", "labels": "."}}, "dataset.images"),
 ])
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"

@@ -145,6 +145,21 @@ def test_forward_is_pure():
     assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
 
 
+@pytest.mark.parametrize("arch, dp", [
+    (mlp(), None),
+    (nn.Architecture((nn.Dense(6, 8), nn.Relu(), nn.Dropout(0.3), nn.Dense(8, 3)), (6,), 3),
+     None),
+    (mlp(), nn.DpConfig(clip_norm=1.0, noise_multiplier=0.5)),
+], ids=["sgd", "dropout", "dp"])
+def test_train_leaves_its_input_unchanged(arch, dp):
+    params = nn.init_params(arch, seed=3)
+    before = params.values.copy()
+    X, y = rand_batch(arch, 12, seed=4)
+    out = nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=2, batch_size=4, dp=dp), seed=5)
+    assert np.array_equal(params.values, before)
+    assert not np.array_equal(out.values, before)
+
+
 # ---------------------------------------------------------------------------
 # Backward
 # ---------------------------------------------------------------------------
