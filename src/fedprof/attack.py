@@ -196,11 +196,11 @@ class MetaClassifier:
         return nn.predict_logits(self.params, self.arch, normalize_features(features))
 
 
-def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int,
-               hidden: int) -> MetaClassifier:
-    """Fit the meta-classifier on (sensitivity features, preference) samples;
-    ``seed`` fixes its initial weights and its training.  Diverged weights
-    raise NumericalError naming the "meta-classifier"."""
+def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> MetaClassifier:
+    """Fit the meta-classifier, a perceptron with one 32-wide hidden layer, on
+    (sensitivity features, preference) samples; ``seed`` fixes its initial
+    weights and its training.  Diverged weights raise NumericalError naming
+    the "meta-classifier"."""
     n_label = meta.n_label
     if len(meta) < n_label:
         raise ConfigError(f"need at least {n_label} meta samples, got {len(meta)}")
@@ -209,7 +209,7 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int,
         raise ConfigError(f"meta dataset has no samples for classes {missing}")
     feats = normalize_features(meta.X)
     arch = nn.Architecture(
-        (nn.Dense(n_label, hidden), nn.Relu(), nn.Dense(hidden, n_label)),
+        (nn.Dense(n_label, 32), nn.Relu(), nn.Dense(32, n_label)),
         (n_label,), n_label,
     )
     params = nn.init_params(arch, seed=derive_seed(seed, "meta-init"))

@@ -392,7 +392,9 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     and :func:`target_counts` rounds them to counts.
     Sizes come from :func:`user_sizes`, checked before any draw.  equalize_rest
     restricts (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
-    non-preferred classes tie exactly (one grid per distinct size).
+    non-preferred classes tie exactly (one grid per distinct size).  A row
+    whose :func:`preference_class` under ``mode`` is not the user's preferred
+    class raises SpecError; nothing is redrawn.
     """
     sizes = user_sizes(n_user, n_label, total_size, id_target)
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
@@ -418,5 +420,10 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
             cp, cd = grid[int(rng.integers(0, len(grid)))]
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        rows.append(target_counts(n_label, size, cp, cd, pref, mode))
+        counts = target_counts(n_label, size, cp, cd, pref, mode)
+        got = preference_class(counts, mode)
+        if got != pref:
+            raise SpecError(f"user {len(rows)}'s counts {counts.tolist()} prefer class {got}, "
+                            f"not its class {pref}")
+        rows.append(counts)
     return np.stack(rows)

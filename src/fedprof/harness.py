@@ -50,7 +50,6 @@ _SCHEMA = {
         "kind": ("synthetic", lambda v: v in ("synthetic", "idx")),
         "n_label": (10, lambda v: _INT(v) and v >= 2),
         "dim": (16, lambda v: _INT(v) and v >= 2),
-        "sigma": (1.0, _POS),
         "images": (None, _NAME),
         "labels": (None, _NAME),
     },
@@ -59,7 +58,6 @@ _SCHEMA = {
         "user_size": (600, _POS_INT),
         "cp_range": ([0.4, 0.6], _RANGE),
         "cd_range": ([0.4, 0.6], _RANGE),
-        "mode": ("majority", lambda v: v in ("majority", "minority")),
         "ud_target": (None, _UNIT),
         "id_target": (None, _NONNEG),
         "equalize_rest": (True, lambda v: isinstance(v, bool)),
@@ -83,15 +81,12 @@ _SCHEMA = {
         "shadow_cp_range": ([0.35, 0.7], _RANGE),
         "shadow_cd_range": ([0.1, 0.6], _RANGE),
         "meta": {
-            "hidden": (32, _POS_INT),
             "learning_rate": (0.1, _POS),
             "epochs": (300, _POS_INT),
-            "batch_size": (16, _POS_INT),
         },
     },
     "model": {
         "kind": ("mlp", lambda v: v in ("mlp", "cnn")),
-        "hidden": ([32], lambda v: isinstance(v, list) and all(_POS_INT(h) for h in v)),
     },
     "defense": {
         "apply": ("none", lambda v: v in ("none", "dropout", "dp")),
@@ -229,17 +224,19 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     except InputError as e:
         raise ConfigError(f"{where}, which model.kind {resolved['model']['kind']!r} cannot "
                           f"take: {e}") from None
-    fed, n_label = resolved["federation"], ds["n_label"]
+    # attack.mode is both the class the attacker profiles and the class each
+    # client's counts make distinct.
+    fed, atk, n_label = resolved["federation"], resolved["attack"], ds["n_label"]
     try:
         fed_spec = data.make_federation_spec(
             n_user=fed["n_user"], n_label=n_label, total_size=fed["user_size"],
             cp_range=tuple(fed["cp_range"]), cd_range=tuple(fed["cd_range"]),
-            seed=derive_seed(resolved["seed"], "federation-spec"), mode=fed["mode"],
+            seed=derive_seed(resolved["seed"], "federation-spec"), mode=atk["mode"],
             ud_target=fed["ud_target"], id_target=fed["id_target"],
             equalize_rest=fed["equalize_rest"])
     except SpecError as e:  # a ConfigError from the user sizes names its own key
         raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
-                          f"{fed['cd_range']} in {fed['mode']} mode: {e}") from None
+                          f"{fed['cd_range']} in {atk['mode']} mode: {e}") from None
     smallest, batch = int(fed_spec.sum(axis=1).min()), resolved["fl"]["batch_size"]
     if smallest < batch:
         key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
@@ -250,7 +247,6 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     # at int(aux_per_class / shadow_cp_range[1]).  A null attack.shadow_size
     # defaults to max(2 * n_label, int(aux_per_class * n_label / 10 * 1.3)),
     # cut to the cap.
-    atk = resolved["attack"]
     cap = int(atk["aux_per_class"] / max(atk["shadow_cp_range"][1], 1e-9))
     size = atk["shadow_size"]
     if size is None:
@@ -301,21 +297,17 @@ def _pool_demand(resolved: dict, fed_spec: np.ndarray) -> np.ndarray:
 
 
 def build_model_arch(resolved: dict, feature_shape: tuple) -> nn.Architecture:
-    """The client model for samples of ``feature_shape``: an MLP or, for
-    (rows, cols) images, the small two-convolution network.  Under the
-    dropout defense a Dropout layer of ``defense.dropout_rate`` sits before
-    the head; no other model has one.  Raises InputError when the images are
-    too small for the convolutions."""
+    """The client model for samples of ``feature_shape``: an MLP with one
+    32-wide hidden layer or, for (rows, cols) images, the small
+    two-convolution network.  Under the dropout defense a Dropout layer of
+    ``defense.dropout_rate`` sits before the head; no other model has one.
+    Raises InputError when the images are too small for the convolutions."""
     defense, n_label = resolved["defense"], resolved["dataset"]["n_label"]
     head = [nn.Dropout(defense["dropout_rate"])] if defense["apply"] == "dropout" else []
     if resolved["model"]["kind"] == "mlp":
         dim = int(np.prod(feature_shape))
-        layers, width = [], dim
-        for h in resolved["model"]["hidden"]:
-            layers += [nn.Dense(width, h), nn.Relu()]
-            width = h
-        layers += head + [nn.Dense(width, n_label)]
-        return nn.Architecture(tuple(layers), (dim,), n_label)
+        layers = (nn.Dense(dim, 32), nn.Relu(), *head, nn.Dense(32, n_label))
+        return nn.Architecture(layers, (dim,), n_label)
     rows, cols = feature_shape
     layers = (
         nn.Conv2d(1, 8, kernel=3), nn.Relu(),
@@ -342,7 +334,7 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     if ds_cfg["kind"] == "synthetic":
         need = int(_pool_demand(cfg.resolved, cfg.fed_spec).max())
         pool = data.make_synthetic(n_label, ds_cfg["dim"], need,
-                                   seed=derive_seed(seed, "pool"), sigma=ds_cfg["sigma"])
+                                   seed=derive_seed(seed, "pool"), sigma=1.0)
     else:  # validate_config checked the classes and their counts
         pool = data.load_idx(ds_cfg["images"], ds_cfg["labels"])
     clients, used = data.build_federation(pool, cfg.fed_spec, seed=derive_seed(seed, "federation"))
@@ -378,11 +370,9 @@ class OfflineArtifacts:
 
 def _train_meta(cfg: ExperimentConfig, meta_dataset: data.LabeledDataset) -> attack.MetaClassifier:
     meta = cfg["attack"]["meta"]
-    meta_cfg = nn.TrainConfig(
-        learning_rate=meta["learning_rate"], epochs=meta["epochs"], batch_size=meta["batch_size"],
-    )
-    return attack.train_meta(meta_dataset, meta_cfg, derive_seed(cfg.seed, "meta-train"),
-                             hidden=meta["hidden"])
+    meta_cfg = nn.TrainConfig(learning_rate=meta["learning_rate"], epochs=meta["epochs"],
+                              batch_size=16)
+    return attack.train_meta(meta_dataset, meta_cfg, derive_seed(cfg.seed, "meta-train"))
 
 
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:

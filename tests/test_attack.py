@@ -283,29 +283,29 @@ def test_meta_degenerate_single_label_always_predicts_it():
     X = np.concatenate([rng.random((3, 3)),
                         np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((60, 3))])
     samples = data.LabeledDataset(X, [0, 1, 2] + [1] * 60, 3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16), 0, 32)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.1, 200, 16), 0)
     preds = meta.scores(np.array([0.1, 0.9, 0.2]) + 0.01 * rng.random((20, 3))).argmax(axis=1)
     assert (preds == 1).sum() >= 18
 
 
 def test_meta_linearly_separable_reaches_perfect_training_accuracy():
     samples = peaked_meta_dataset(np.random.default_rng(2), 4, 12, 0.2)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16), 1, 32)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 300, 16), 1)
     assert meta.train_accuracy == 1.0
 
 
 def test_meta_missing_class_and_too_few_samples_rejected():
     samples = data.LabeledDataset(np.ones((3, 3)), [0, 1, 1], 3)
     with pytest.raises(ConfigError, match=r"no samples for classes \[2\]"):
-        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0, 32)
+        attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0)
     with pytest.raises(ConfigError, match="at least 3"):
-        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0, 32)
+        attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0)
 
 
 def test_meta_prediction_invariant_under_feature_scaling():
     rng = np.random.default_rng(3)
     samples = peaked_meta_dataset(rng, 3, 10, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16), 2, 32)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 200, 16), 2)
     V = rng.random((10, 3))
     for scale in (500.0, 0.01):
         assert np.array_equal(np.argsort(-meta.scores(V), axis=1, kind="stable"),
@@ -537,7 +537,7 @@ def test_profiler_hook_runs_and_locks(world):
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16), seed=33,
                                                   mode="majority")
-    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34, 32)
+    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34)
     init = nn.init_params(arch, seed=35)
     prof = attack.PreferenceProfiler(arch, aux, x=2, mode="majority")
     train_cfg = nn.TrainConfig(0.05, 1, 16)
@@ -572,7 +572,7 @@ def test_replay_matches_online_profiling(world):
         ds = rng.random((n_user, n_label))
         history.append(attack.RoundTrace(sens, ds))
     samples = peaked_meta_dataset(rng, 4, 8, 0.3)
-    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41, 32)
+    meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41)
     features = [tr.ds for tr in history]
     profile = attack.profile_history(features, meta, 2)
     # online: one user and one round at a time, one meta-classifier row each

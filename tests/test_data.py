@@ -203,7 +203,7 @@ def test_realize_insufficient_pool_is_input_error():
         data.realize_distribution(pool, counts, seed=0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n_label=st.integers(3, 10),
     total=st.integers(40, 400),
@@ -321,6 +321,15 @@ def test_make_federation_spec_ud_target_shares_class_zero():
     prefs = [data.preference_class(row, "majority") for row in fed]
     assert prefs[:3] == [0, 0, 0]
     assert 0 not in prefs[3:]
+
+
+def test_make_federation_spec_rejects_counts_that_miss_the_preferred_class():
+    # two classes at cp 0.4: the class each user was given holds the smaller share
+    with pytest.raises(SpecError, match=r"^user 0's counts \[40, 60\] prefer class 1, "
+                                        r"not its class 0$"):
+        data.make_federation_spec(3, 2, 100, (0.4, 0.4), (0.1, 0.1), seed=1,
+                                  mode="majority", ud_target=1.0, id_target=None,
+                                  equalize_rest=False)
 
 
 def test_make_federation_spec_hits_id_target():

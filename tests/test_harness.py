@@ -34,6 +34,8 @@ DIVERGING_FL = {**FAST["fl"], "learning_rate": 1e6, "local_epochs": 5}
 # Shadows that prefer their smallest class: 5-15% of a four-class dataset.
 MINORITY_SHADOWS = {"mode": "minority", "shadow_cp_range": [0.05, 0.15],
                     "shadow_cd_range": [0.1, 0.2]}
+# The same ranges for the clients, which attack.mode also sets to minority.
+MINORITY_CLIENTS = {"cp_range": [0.05, 0.15], "cd_range": [0.1, 0.2]}
 
 
 def fast_config(**overrides):
@@ -68,6 +70,14 @@ def test_unknown_keys_rejected_by_name():
         harness.validate_config(json.dumps({"attack": {"bar": 2}}))
     with pytest.raises(ConfigError, match="unknown key attack.alpha"):  # removed knob
         harness.validate_config(json.dumps({"attack": {"alpha": 0.001}}))
+    # attack.mode chooses the clients' distinct class too; the rest are fixed
+    for raw, path in [({"federation": {"mode": "majority"}}, "federation.mode"),
+                      ({"dataset": {"sigma": 1.0}}, "dataset.sigma"),
+                      ({"model": {"hidden": [32]}}, "model.hidden"),
+                      ({"attack": {"meta": {"hidden": 32}}}, "attack.meta.hidden"),
+                      ({"attack": {"meta": {"batch_size": 16}}}, "attack.meta.batch_size")]:
+        with pytest.raises(ConfigError, match=f"unknown key {re.escape(path)}$"):
+            harness.validate_config(json.dumps(raw))
 
 
 def test_invalid_values_reported_with_key_path():
@@ -92,8 +102,8 @@ def test_with_overrides_merges_nested_dicts_and_replaces_lists():
 
 
 @pytest.mark.parametrize("section, key, value", [
-    ("dataset", "sigma", "a"),
-    ("dataset", "sigma", True),
+    ("defense", "clip_norm", "a"),
+    ("defense", "clip_norm", True),
     ("defense", "noise_multipliers", ["a"]),
     ("dataset", "images", 5),
     ("attack", "shadow_size", "x"),
@@ -423,8 +433,7 @@ def test_hundred_user_run_completes_with_strong_attack():
 
 def test_minority_run_top1_is_the_share_of_correct_predictions():
     cfg = fast_config(attack={**FAST["attack"], **MINORITY_SHADOWS},
-                      federation={**FAST["federation"], "mode": "minority",
-                                  "cp_range": [0.05, 0.15], "cd_range": [0.1, 0.2]})
+                      federation={**FAST["federation"], **MINORITY_CLIENTS})
     rep = harness.run_experiment(cfg)
     assert rep.truth == [int(np.argmin(c)) for c in rep.class_counts]
     hits = [p == t for p, t in zip(rep.predictions, rep.truth)]
@@ -549,12 +558,18 @@ def test_cli_cnn_too_small_idx_images_exit_code_one(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+# Divergence in the FL rounds: one shadow epoch at learning rate 10 stays
+# bounded, but five local epochs take user 0's round-1 upload to 4.3e11.
+DIVERGING_ROUNDS = {**FAST, "fl": {**FAST["fl"], "learning_rate": 10, "local_epochs": 5},
+                    "attack": {**FAST["attack"], "shadow_epochs": 1}}
+
+
 def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**FAST, "fl": DIVERGING_FL,
-                               "output_dir": str(tmp_path / "runs")}))
+    cfg.write_text(json.dumps({**DIVERGING_ROUNDS, "output_dir": str(tmp_path / "runs")}))
     proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 2
+    assert "round 1" in proc.stderr and "user" in proc.stderr
     assert "non-finite" in proc.stderr
     assert not list(tmp_path.rglob("report.json"))
 
@@ -571,14 +586,17 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
 @pytest.mark.parametrize("section, override, key", [
     ("attack", {"shadow_size": 500}, "attack.shadow_size"),  # aux store: 30 per class
     ("federation", {"id_target": 1e308}, "federation.id_target"),  # sizes beyond int64
-    # a two-class shadow of 7 samples with cp < 0.5 holds at most 3 of its preferred class
-    (None, {"dataset": {"n_label": 2},
+    # a two-class shadow of 7 samples with cp < 0.5 holds at most 3 of its preferred
+    # class (the clients' cp above 0.5 keeps each client's class its largest)
+    (None, {"dataset": {"n_label": 2}, "federation": {"cp_range": [0.6, 0.7]},
             "attack": {"shadow_cp_range": [0.1, 0.5], "shadow_cd_range": [0.0, 0.05]}},
      "attack.shadow_cp_range"),
     # a class holding 35-70% of a four-class dataset is never its smallest
-    ("attack", {"mode": "minority"}, "attack.shadow_cp_range"),
+    (None, {"federation": MINORITY_CLIENTS, "attack": {"mode": "minority"}},
+     "attack.shadow_cp_range"),
     # at the cap of int(30 / 0.15) = 200, a non-preferred class needs over 30 samples
-    ("attack", {**MINORITY_SHADOWS, "shadow_size": 200}, "attack.shadow_size"),
+    (None, {"federation": MINORITY_CLIENTS,
+            "attack": {**MINORITY_SHADOWS, "shadow_size": 200}}, "attack.shadow_size"),
     ("federation", {"id_target": 10 ** 400}, "federation.id_target"),  # beyond float range
     ("federation", {"user_size": 2 ** 63}, "federation.user_size"),  # beyond int64
     ("federation", {"n_user": 10 ** 30}, "federation.n_user"),
@@ -592,6 +610,10 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
      "attack.shadow_cp_range"),
     # the CLI runs in tmp_path, so "." is a directory, not an IDX file
     (None, {"dataset": {"kind": "idx", "images": ".", "labels": "."}}, "dataset.images"),
+    # a client holding 40-60% of its class in minority mode has some other class
+    # as its smallest; at seed 5 user 0's counts are [48, 32, 0, 0] for class 0
+    (None, {"federation": {"ud_target": 0.5}, "attack": MINORITY_SHADOWS},
+     "federation.cp_range"),
 ])
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"
@@ -612,3 +634,15 @@ def test_readme_cli_block_names_every_subcommand():
               if isinstance(a, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(sub.choices)
     assert len(set(documented)) == len(documented)
+
+
+def test_readme_minority_config_validates_and_every_preferred_class_is_the_smallest():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("A minority-mode run profiles", 1)[1].split("```json", 1)[1]
+    cfg = harness.validate_config(block.split("```", 1)[0])
+    assert cfg["attack"]["mode"] == "minority"
+    for row in cfg.fed_spec:
+        smallest = int(np.argmin(row))
+        assert row[smallest] < np.delete(row, smallest).min(), row
+    for preferred, counts, _ in cfg.shadow_draws:
+        assert counts[preferred] < np.delete(counts, preferred).min(), counts
