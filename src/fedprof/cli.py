@@ -71,8 +71,7 @@ def cmd_report(args) -> int:
             raise ConfigError(f"--k must be comma-separated positive integers, got {args.k!r}")
     out = Path(args.out) if args.out else Path("report-out")
     summary, _ = harness.report_runs(args.run_dirs, k_values=ks, out_dir=out)
-    cols = ["run_id", "aggregation", "x", "aux_per_class"] + [
-        c for c in summary[0] if c.startswith("top")]
+    cols = ["run_id", "x", "aux_per_class"] + [c for c in summary[0] if c.startswith("top")]
     print(" ".join(f"{c:>14}" for c in cols))
     for row in summary:
         print(" ".join(f"{row.get(c)!s:>14}" for c in cols))

@@ -68,7 +68,6 @@ _SCHEMA = {
         "local_epochs": (1, _POS_INT),
         "learning_rate": (0.03, _POS),
         "batch_size": (32, _POS_INT),
-        "aggregation": ("selective", lambda v: v in ("selective", "fedavg")),
     },
     "attack": {
         "th_round": (3, _POS_INT),
@@ -394,20 +393,18 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def run_online(cfg: ExperimentConfig, staged: StagedData, aggregation: str):
-    """FL with the attacking server, aggregating by ``aggregation``:
-    "selective" (each upload with its attack.x partners) or "fedavg".
+def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int]):
+    """FL with the attacking server, which aggregates each upload with its
+    ``x`` partners (``attack.x`` in the attack arm), or by plain FedAvg when
+    ``x`` is None (the with_baseline reference arm).
 
     Returns (round traces, per-round (round index, local_acc, global_acc),
     final round state); the models of earlier rounds are not kept.
     """
     seed = cfg.seed
-    atk = cfg["attack"]
     n_user = cfg["federation"]["n_user"]
-    selective = aggregation == "selective"
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux,
-                                         x=atk["x"] if selective else None, mode=atk["mode"])
+    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
     train_cfg = client_train_config(cfg)
     state = fedsim.initial_state(n_user, init)
     accs = []
@@ -466,12 +463,18 @@ def _round_log(accs: list, profile: attack.Profile) -> list:
             for u, lock in enumerate(profile.lock_rounds)]
 
 
+def _ground_truth(cfg: ExperimentConfig) -> tuple:
+    """Each user's class counts, as validation drew them, and preferred class."""
+    mode = cfg["attack"]["mode"]
+    return cfg.fed_spec.tolist(), [data.preference_class(row, mode) for row in cfg.fed_spec]
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Offline shadow/meta training, FL with the attack hook, evaluation.
 
-    When fl.aggregation is "selective" and with_baseline is set, a second arm
-    with plain FedAvg aggregation (same seeds, same attacker observation)
-    provides the no-attack utility reference and the paired DS trace.
+    When with_baseline is set, a second arm with plain FedAvg aggregation
+    (same seeds, same attacker observation) provides the no-attack utility
+    reference and the paired DS trace.
     """
     t0 = time.time()
     staged = stage_data(cfg)
@@ -479,17 +482,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     t_offline = time.time() - t0
 
     atk = cfg["attack"]
-    history, accs, final = run_online(cfg, staged, cfg["fl"]["aggregation"])
+    history, accs, final = run_online(cfg, staged, atk["x"])
     profile = attack.profile_history([tr.ds for tr in history], offline.meta, atk["th_round"])
     base_history = base_final = base_profile = None
-    if cfg["with_baseline"] and cfg["fl"]["aggregation"] == "selective":
-        base_history, _, base_final = run_online(cfg, staged, "fedavg")
+    if cfg["with_baseline"]:
+        base_history, _, base_final = run_online(cfg, staged, None)
         base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
                                               atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
-    truth = [data.preference_class(c.class_counts, atk["mode"]) for c in staged.clients]
-    counts = [c.class_counts.tolist() for c in staged.clients]
+    counts, truth = _ground_truth(cfg)
     topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k, atk["mode"])
             for k in range(1, min(3, cfg["dataset"]["n_label"]) + 1)}
     report = RunReport(
@@ -555,10 +557,9 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
     centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows))
-    history, _, _ = run_online(cfg, staged, cfg["fl"]["aggregation"])
+    history, _, _ = run_online(cfg, staged, cfg["attack"]["x"])
     mode = cfg["attack"]["mode"]
-    counts = [c.class_counts.tolist() for c in staged.clients]
-    truth = [data.preference_class(c.class_counts, mode) for c in staged.clients]
+    counts, truth = _ground_truth(cfg)
     out = {}
     for label, meta, features in (
         ("centralized", centralized, [tr.sensitivities for tr in history]),
@@ -604,7 +605,6 @@ def report_runs(run_dirs: list, k_values=None, out_dir: Optional[Path] = None):
         row = {
             "run_id": rep["run_id"],
             "dir": str(d),
-            "aggregation": cfg["fl"]["aggregation"],
             "x": cfg["attack"]["x"],
             "aux_per_class": cfg["attack"]["aux_per_class"],
             "n_user": cfg["federation"]["n_user"],
@@ -620,7 +620,7 @@ def report_runs(run_dirs: list, k_values=None, out_dir: Optional[Path] = None):
             row[f"top{k}"] = rep["topk"][str(k)]
         summary.append(row)
         for rnd, v in enumerate(rep["ds_trace_attack"], start=1):
-            ds_rows.append({"run_id": rep["run_id"], "policy": cfg["fl"]["aggregation"],
+            ds_rows.append({"run_id": rep["run_id"], "policy": "selective",
                             "round": rnd, "mean_ds_at_truth": v})
         if rep.get("ds_trace_baseline"):
             for rnd, v in enumerate(rep["ds_trace_baseline"], start=1):

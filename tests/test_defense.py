@@ -91,13 +91,13 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
     arms = []
     run_online = harness.run_online
 
-    def counting(cfg, staged, aggregation):
-        arms.append(aggregation)
-        return run_online(cfg, staged, aggregation)
+    def counting(cfg, staged, x):
+        arms.append(x)
+        return run_online(cfg, staged, x)
 
     monkeypatch.setattr(harness, "run_online", counting)
     cfg = base_cfg().with_overrides({"with_baseline": True,
                                      "defense": {"noise_multipliers": [4.0]}})
     rows = defense.run_defense_sweep(cfg, defense.sweep_from_config(cfg))
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
-    assert arms == ["selective"] * 3
+    assert arms == [cfg["attack"]["x"]] * 3  # no None: the FedAvg arm never ran

@@ -54,7 +54,6 @@ def test_minimal_config_resolves_documented_defaults():
     assert cfg["attack"]["th_round"] == 3
     assert cfg["attack"]["x"] == 4
     assert cfg["attack"]["aux_per_class"] == 150
-    assert cfg["fl"]["aggregation"] == "selective"
 
 
 def test_x_not_below_n_user_is_rejected_with_key_path():
@@ -70,8 +69,10 @@ def test_unknown_keys_rejected_by_name():
         harness.validate_config(json.dumps({"attack": {"bar": 2}}))
     with pytest.raises(ConfigError, match="unknown key attack.alpha"):  # removed knob
         harness.validate_config(json.dumps({"attack": {"alpha": 0.001}}))
-    # attack.mode chooses the clients' distinct class too; the rest are fixed
+    # attack.mode chooses the clients' distinct class too, FedAvg runs only as
+    # the with_baseline arm, and the rest are fixed
     for raw, path in [({"federation": {"mode": "majority"}}, "federation.mode"),
+                      ({"fl": {"aggregation": "fedavg"}}, "fl.aggregation"),
                       ({"dataset": {"sigma": 1.0}}, "dataset.sigma"),
                       ({"model": {"hidden": [32]}}, "model.hidden"),
                       ({"attack": {"meta": {"hidden": 32}}}, "attack.meta.hidden"),
@@ -299,19 +300,17 @@ def test_run_directory_is_byte_deterministic(fast_run, tmp_path):
             assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
-def test_report_runs_joins_policies(tmp_path):
-    cfg = fast_config()
-    harness.run_experiment(cfg, out_dir=tmp_path / "a")
-    cfg2 = fast_config()
-    resolved = json.loads(json.dumps(cfg2.resolved))
-    resolved["fl"]["aggregation"] = "fedavg"
-    cfg2 = harness.validate_config(json.dumps(resolved))
-    harness.run_experiment(cfg2, out_dir=tmp_path / "b")
-    summary, ds_rows = harness.report_runs([tmp_path / "a", tmp_path / "b"],
-                                           out_dir=tmp_path / "out")
-    assert {r["aggregation"] for r in summary} == {"selective", "fedavg"}
-    policies = {r["policy"] for r in ds_rows}
-    assert "selective" in policies and "fedavg" in policies
+def test_report_runs_joins_policies(fast_run, tmp_path):
+    # A with_baseline run holds both arms' DS traces, one policy each.
+    rep, d = fast_run
+    summary, ds_rows = harness.report_runs([d], out_dir=tmp_path / "out")
+    assert [r["run_id"] for r in summary] == [rep.run_id]
+    assert "aggregation" not in summary[0]
+    assert [(r["policy"], r["round"]) for r in ds_rows] == (
+        [("selective", rnd) for rnd in range(1, 5)]
+        + [("fedavg-baseline", rnd) for rnd in range(1, 5)])
+    assert [r["mean_ds_at_truth"] for r in ds_rows] == (rep.ds_trace_attack
+                                                      + rep.ds_trace_baseline)
     assert (tmp_path / "out" / "summary.csv").exists()
     assert (tmp_path / "out" / "ds_vs_round.csv").exists()
     header = (tmp_path / "out" / "summary.csv").read_text().splitlines()[0]
@@ -634,6 +633,19 @@ def test_readme_cli_block_names_every_subcommand():
               if isinstance(a, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(sub.choices)
     assert len(set(documented)) == len(documented)
+
+
+def test_readme_removed_keys_are_each_rejected_by_name():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("Unknown keys are", 1)[1].split(" removed ones:\n\n", 1)[1]
+    paths = re.findall(r"^- `([\w.]+)`:", section.split("\n\n", 1)[0], flags=re.M)
+    assert len(paths) == 8, paths
+    for path in paths:
+        raw = 1
+        for key in reversed(path.split(".")):
+            raw = {key: raw}
+        with pytest.raises(ConfigError, match=f"^unknown key {re.escape(path)}$"):
+            harness.validate_config(json.dumps(raw))
 
 
 def test_readme_minority_config_validates_and_every_preferred_class_is_the_smallest():
