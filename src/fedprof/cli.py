@@ -50,8 +50,7 @@ def cmd_run(args) -> int:
 def cmd_defense_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(cfg) / "defense"
-    sweep = defense.sweep_from_config(cfg)
-    rows = defense.run_defense_sweep(cfg, sweep, out_dir=out)
+    rows = defense.run_defense_sweep(cfg, out_dir=out)
     print(f"{'label':>10} {'noise':>8} {'attack':>8} {'utility':>8}")
     for r in rows:
         nm = "-" if r.noise_multiplier is None else f"{r.noise_multiplier:g}"

@@ -388,8 +388,8 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     Preferred classes are drawn uniformly at random (so several users may
     share one, the usual statistical heterogeneity) unless ud_target is set,
     in which case round(ud_target * n_user) users share class 0 and the rest
-    spread over the other classes.  (cp, cd) come from :func:`sample_cp_cd`
-    and :func:`target_counts` rounds them to counts.
+    take classes 1, 2, ..., n_label - 1 in turn.  (cp, cd) come from
+    :func:`sample_cp_cd` and :func:`target_counts` rounds them to counts.
     Sizes come from :func:`user_sizes`, checked before any draw.  equalize_rest
     restricts (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
     non-preferred classes tie exactly (one grid per distinct size).  A row
@@ -401,13 +401,8 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     if ud_target is None:
         prefs = [int(v) for v in rng.integers(0, n_label, n_user)]
     else:
-        span = int(round(ud_target * n_user))
-        span = max(1, min(span, n_user))
-        prefs = [0] * span
-        c = 1
-        while len(prefs) < n_user:
-            prefs.append(c % n_label if c % n_label != 0 else 1)
-            c += 1
+        span = max(1, min(int(round(ud_target * n_user)), n_user))
+        prefs = [0] * span + [1 + i % (n_label - 1) for i in range(n_user - span)]
     rows, grids = [], {}
     for size, pref in zip(sizes.tolist(), prefs):
         if equalize_rest:

@@ -1,7 +1,7 @@
 """Client-side mitigations evaluated against the profiling attack: dropout
 during local training and DP-SGD (per-example clipping + Gaussian noise).
 
-A sweep variant is a label plus a nested override of the validated config's
+A sweep variant is a label plus an override of the validated config's
 defense block, so every variant is the same experiment with identical seeds.
 """
 
@@ -13,9 +13,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import harness
-from .errors import ConfigError
 
-__all__ = ["SweepRow", "sweep_from_config", "run_defense_sweep"]
+__all__ = ["SweepRow", "run_defense_sweep"]
 
 
 @dataclass(frozen=True)
@@ -26,33 +25,22 @@ class SweepRow:
     model_utility: float
 
 
-def sweep_from_config(cfg: harness.ExperimentConfig) -> list:
-    """(label, overrides) pairs: none / dropout / one DP variant per entry of
-    ``defense.noise_multipliers``, at the config's clip norm."""
-    variants = [
-        ("none", {"defense": {"apply": "none"}}),
-        ("dropout", {"defense": {"apply": "dropout"}}),
-    ]
-    for m in cfg["defense"]["noise_multipliers"]:
-        variants.append((harness.dp_label(m), {"defense": {"apply": "dp", "noise_multiplier": m}}))
-    return variants
-
-
-def run_defense_sweep(cfg: harness.ExperimentConfig, variants: list,
+def run_defense_sweep(cfg: harness.ExperimentConfig,
                       out_dir: Optional[Path] = None) -> List[SweepRow]:
-    """One full FL+attack run of ``cfg.with_overrides(overrides)`` per
-    (label, overrides) variant, all with identical seeds.
+    """One full FL+attack run per variant, all with identical seeds: none,
+    dropout, and one DP variant per entry of ``defense.noise_multipliers`` at
+    the config's clip norm, each ``cfg`` with its defense block overridden.
 
     Reports top-1 attack accuracy and model utility (mean accuracy of the
     final distributed models on the shared test set).  Neither reads the
     FedAvg baseline arm, so every variant runs with ``with_baseline`` false.
     """
-    labels = [label for label, _ in variants]
-    if len(set(labels)) != len(labels):
-        raise ConfigError(f"duplicate sweep labels in {labels}")
+    variants = [("none", {"apply": "none"}), ("dropout", {"apply": "dropout"})]
+    variants += [(harness.dp_label(m), {"apply": "dp", "noise_multiplier": m})
+                 for m in cfg["defense"]["noise_multipliers"]]
     rows = []
-    for label, overrides in variants:
-        variant = cfg.with_overrides({**overrides, "with_baseline": False})
+    for label, block in variants:
+        variant = cfg.with_overrides({"defense": block, "with_baseline": False})
         d = variant["defense"]
         report = harness.run_experiment(variant)
         rows.append(SweepRow(

@@ -437,7 +437,6 @@ class RunReport:
     ds_trace_attack: list
     ds_trace_baseline: Optional[list]
     baseline_top1: Optional[float]
-    round_log: list
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
@@ -513,10 +512,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         ds_trace_baseline=None if base_history is None else _ds_trace(base_history, truth),
         baseline_top1=(None if base_profile is None else attack.topk_accuracy_from_counts(
             base_profile.rankings, counts, 1, atk["mode"])),
-        round_log=_round_log(accs, profile),
     )
     if out_dir is not None:
-        persist_run(report, offline, Path(out_dir),
+        persist_run(report, _round_log(accs, profile), offline, Path(out_dir),
                     timings={"offline_s": t_offline, "online_s": t_online})
     return report
 
@@ -525,15 +523,16 @@ def run_id_for(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(cfg.to_json().encode("utf-8")).hexdigest()[:12]
 
 
-def persist_run(report: RunReport, offline: OfflineArtifacts, out_dir: Path,
-                timings: dict) -> Path:
-    """Write every artifact of a run, offline ones included, into out_dir."""
+def persist_run(report: RunReport, round_log: list, offline: OfflineArtifacts,
+                out_dir: Path, timings: dict) -> Path:
+    """Write every artifact of a run, offline ones included, into out_dir;
+    ``round_log`` goes to rounds.jsonl, the one per-(round, user) record."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(report.config, sort_keys=True, indent=2))
     (out_dir / "report.json").write_text(report.to_json())
     with open(out_dir / "rounds.jsonl", "w") as f:
-        for entry in report.round_log:
+        for entry in round_log:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
     write_meta_csv(offline.meta_dataset, out_dir / "meta_dataset.csv")
     nn.save_checkpoint(out_dir / "meta.ppam", offline.meta.params, offline.meta.arch)

@@ -145,7 +145,7 @@ def with_pool(raw: dict, pool, where: Path) -> dict:
 
 
 def _no_constant(name):
-    raise ValueError(f"report.json holds {name}")
+    raise ValueError(f"a run file holds {name}")
 
 
 def check_report(cfg: harness.ExperimentConfig, out: Path) -> None:
@@ -169,8 +169,9 @@ def check_report(cfg: harness.ExperimentConfig, out: Path) -> None:
     if all(len(set(np.delete(c, t))) == 1 for c, t in zip(counts, rep["truth"])):
         assert topk == sorted(topk)
     assert all(r is None or th_round <= r <= n_rounds for r in rep["lock_rounds"])
-    assert len(rep["round_log"]) == n_rounds * n_user
-    for entry in rep["round_log"]:
+    lines = (out / "rounds.jsonl").read_text().splitlines()
+    assert len(lines) == n_rounds * n_user
+    for entry in (json.loads(line, parse_constant=_no_constant) for line in lines):
         assert 0 <= entry["local_acc_before"] <= 1
         assert 0 <= entry["global_acc_after"] <= 1
     for arm in ("with", "without"):

@@ -323,6 +323,16 @@ def test_make_federation_spec_ud_target_shares_class_zero():
     assert 0 not in prefs[3:]
 
 
+def test_make_federation_spec_ud_target_spreads_the_rest_evenly():
+    # the nine users outside class 0 take classes 1, 2, 3 in turn, three each,
+    # so no class holds more users than the shared one
+    fed = data.make_federation_spec(12, 4, 100, (0.5, 0.6), (0.2, 0.4), seed=1,
+                                    mode="majority", ud_target=0.25, id_target=None,
+                                    equalize_rest=False)
+    prefs = [data.preference_class(row, "majority") for row in fed]
+    assert prefs == [0, 0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3]
+
+
 def test_make_federation_spec_rejects_counts_that_miss_the_preferred_class():
     # two classes at cp 0.4: the class each user was given holds the smaller share
     with pytest.raises(SpecError, match=r"^user 0's counts \[40, 60\] prefer class 1, "

@@ -1,11 +1,11 @@
 """Defense sweep tests: variant overrides, degenerate-DP equivalence, the CLI."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from fedprof import defense, harness
-from fedprof.errors import ConfigError
 from test_harness import run_cli
 
 BASE = {
@@ -30,35 +30,39 @@ def base_cfg():
 BATCH_16 = {"fl": {"batch_size": 16}}
 
 
-def test_sweep_labels_must_be_unique():
-    with pytest.raises(ConfigError):
-        defense.run_defense_sweep(base_cfg(), [("a", {}), ("a", {})])
+def test_standard_sweep_structure(monkeypatch):
+    # each variant is the config with only its defense block overridden
+    cfg = base_cfg()
+    ran = []
 
+    def recording(variant):
+        ran.append(variant)
+        return SimpleNamespace(topk={"1": 0.0}, utility_test_with=0.0)
 
-def test_standard_sweep_structure():
-    variants = defense.sweep_from_config(base_cfg())
-    labels = [label for label, _ in variants]
-    assert labels == ["none", "dropout", "dp_0.05", "dp_0.25", "dp_1", "dp_4"]
-    assert variants[1][1] == {"defense": {"apply": "dropout"}}
-    assert variants[2][1] == {"defense": {"apply": "dp", "noise_multiplier": 0.05}}
+    monkeypatch.setattr(harness, "run_experiment", recording)
+    rows = defense.run_defense_sweep(cfg)
+    assert [r.label for r in rows] == ["none", "dropout", "dp_0.05", "dp_0.25", "dp_1", "dp_4"]
+    assert [r.noise_multiplier for r in rows] == [None, None, 0.05, 0.25, 1.0, 4.0]
+    assert [v["defense"]["apply"] for v in ran] == ["none", "dropout"] + ["dp"] * 4
+    for variant in ran:
+        assert variant["defense"]["clip_norm"] == cfg["defense"]["clip_norm"]
+        assert variant.with_overrides({"defense": cfg["defense"]}) == cfg
 
 
 def test_degenerate_dp_equals_no_defense_metrics():
     # noise multiplier 0 and a clip norm far above any gradient norm behave
     # like plain SGD on the reported metrics
     cfg = base_cfg().with_overrides(BATCH_16)
-    rows = defense.run_defense_sweep(cfg, [
-        ("none", {}),
-        ("dp_degenerate", {"defense": {"apply": "dp", "clip_norm": 1e9,
-                                       "noise_multiplier": 0.0}}),
-    ])
-    assert rows[0].attack_acc_top1 == rows[1].attack_acc_top1
-    assert rows[0].model_utility == pytest.approx(rows[1].model_utility, abs=1e-9)
+    plain = harness.run_experiment(cfg)
+    dp = harness.run_experiment(cfg.with_overrides(
+        {"defense": {"apply": "dp", "clip_norm": 1e9, "noise_multiplier": 0.0}}))
+    assert plain.topk["1"] == dp.topk["1"]
+    assert plain.utility_test_with == pytest.approx(dp.utility_test_with, abs=1e-9)
 
 
 def test_sweep_runs_and_writes_csv(tmp_path):
     cfg = base_cfg().with_overrides({**BATCH_16, "defense": {"noise_multipliers": [4.0]}})
-    rows = defense.run_defense_sweep(cfg, defense.sweep_from_config(cfg), out_dir=tmp_path)
+    rows = defense.run_defense_sweep(cfg, out_dir=tmp_path)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "label,noise_multiplier,attack_acc_top1,model_utility"
@@ -98,6 +102,6 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
     monkeypatch.setattr(harness, "run_online", counting)
     cfg = base_cfg().with_overrides({"with_baseline": True,
                                      "defense": {"noise_multipliers": [4.0]}})
-    rows = defense.run_defense_sweep(cfg, defense.sweep_from_config(cfg))
+    rows = defense.run_defense_sweep(cfg)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     assert arms == [cfg["attack"]["x"]] * 3  # no None: the FedAvg arm never ran

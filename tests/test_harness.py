@@ -249,16 +249,18 @@ def fast_report(fast_run):
     return fast_run[0]
 
 
-def test_report_fields_well_formed(fast_report):
-    rep = fast_report
+ROUND_LOG_KEYS = {"round", "user", "local_acc_before", "global_acc_after", "locked",
+                  "predicted_class"}
+
+
+def test_report_fields_well_formed(fast_run):
+    rep, d = fast_run
     assert len(rep.predictions) == 4
     assert all(0 <= v <= 1 for v in rep.topk.values())
     assert rep.utility_test_without is not None
     assert len(rep.ds_trace_attack) == 4
-    assert len(rep.round_log) == 16
-    entry = rep.round_log[0]
-    assert set(entry) == {"round", "user", "local_acc_before", "global_acc_after",
-                          "locked", "predicted_class"}
+    entry = json.loads((d / "rounds.jsonl").read_text().splitlines()[0])
+    assert set(entry) == ROUND_LOG_KEYS
 
 
 def test_seed_changes_the_run(fast_report):
@@ -274,10 +276,12 @@ def test_persistence_layout(fast_run):
         assert (d / name).exists(), name
     echoed = json.loads((d / "config.json").read_text())
     assert echoed == cfg.resolved
+    # one rounds.jsonl line per (round, user), and no copy of them in report.json
     lines = (d / "rounds.jsonl").read_text().strip().splitlines()
-    assert len(lines) == len(rep.round_log)
-    assert json.loads((d / "report.json").read_text())["meta_train_accuracy"] == \
-        rep.meta_train_accuracy > 0
+    assert len(lines) == cfg["fl"]["n_rounds"] * cfg["federation"]["n_user"] == 16
+    persisted = json.loads((d / "report.json").read_text())
+    assert "round_log" not in persisted
+    assert persisted["meta_train_accuracy"] == rep.meta_train_accuracy > 0
     # shadows.json holds the meta dataset's inputs, one entry per shadow.
     shadows = json.loads((d / "shadows.json").read_text())
     assert [sh["index"] for sh in shadows] == list(range(8))
@@ -646,6 +650,16 @@ def test_readme_removed_keys_are_each_rejected_by_name():
             raw = {key: raw}
         with pytest.raises(ConfigError, match=f"^unknown key {re.escape(path)}$"):
             harness.validate_config(json.dumps(raw))
+
+
+def test_readme_run_directory_names_every_file_and_round_log_key(fast_run):
+    _, d = fast_run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme.split("A run directory contains", 1)[1].split("\n\n", 1)[0]
+    files = set(re.findall(r"`(\w+\.\w+)`", paragraph))
+    assert files == {p.name for p in d.iterdir()}
+    keys = re.findall(r"`(\w+)`", paragraph.split("`rounds.jsonl` is the only", 1)[1])
+    assert len(keys) == 6 and set(keys) == ROUND_LOG_KEYS, keys
 
 
 def test_readme_minority_config_validates_and_every_preferred_class_is_the_smallest():
