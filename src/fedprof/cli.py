@@ -21,23 +21,18 @@ def _load_config(args) -> harness.ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     cfg = harness.validate_config(path.read_text())
-    overrides = {}
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output_dir"] = str(args.out)
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
+        cfg = cfg.with_overrides({"seed": args.seed})
     return cfg
 
 
-def _out_dir(cfg: harness.ExperimentConfig) -> Path:
-    return Path(cfg["output_dir"]) / harness.run_id_for(cfg)
+def _out_dir(args, cfg: harness.ExperimentConfig) -> Path:
+    return Path(args.out) / harness.run_id_for(cfg)
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg)
+    out = _out_dir(args, cfg)
     report = harness.run_experiment(cfg, out_dir=out)
     print(f"run {report.run_id} -> {out}")
     print("  " + " ".join(f"top{k}={v:.3f}" for k, v in report.topk.items()))
@@ -49,7 +44,7 @@ def cmd_run(args) -> int:
 
 def cmd_defense_sweep(args) -> int:
     cfg = _load_config(args)
-    out = _out_dir(cfg) / "defense"
+    out = _out_dir(args, cfg) / "defense"
     rows = defense.run_defense_sweep(cfg, out_dir=out)
     print(f"{'label':>10} {'noise':>8} {'attack':>8} {'utility':>8}")
     for r in rows:
@@ -86,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", type=str, help="experiment config (JSON)")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
-        sp.add_argument("--out", type=str, default=None, help="override the output directory")
+        sp.add_argument("--out", type=str, default="runs",
+                        help="output root; the run writes under <out>/<run_id>/")
 
     for name, fn in (("run", cmd_run), ("defense-sweep", cmd_defense_sweep)):
         sp = sub.add_parser(name)

@@ -14,7 +14,10 @@ from typing import List, Optional
 
 from . import harness
 
-__all__ = ["SweepRow", "run_defense_sweep"]
+__all__ = ["NOISE_MULTIPLIERS", "SweepRow", "run_defense_sweep"]
+
+# The sweep's DP grid: one variant per noise multiplier, labelled dp_{m:g}.
+NOISE_MULTIPLIERS = (0.05, 0.25, 1.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -28,16 +31,16 @@ class SweepRow:
 def run_defense_sweep(cfg: harness.ExperimentConfig,
                       out_dir: Optional[Path] = None) -> List[SweepRow]:
     """One full FL+attack run per variant, all with identical seeds: none,
-    dropout, and one DP variant per entry of ``defense.noise_multipliers`` at
-    the config's clip norm, each ``cfg`` with its defense block overridden.
+    dropout, and one DP variant per entry of :data:`NOISE_MULTIPLIERS` at the
+    config's clip norm, each ``cfg`` with its defense block overridden.
 
     Reports top-1 attack accuracy and model utility (mean accuracy of the
     final distributed models on the shared test set).  Neither reads the
     FedAvg baseline arm, so every variant runs with ``with_baseline`` false.
     """
     variants = [("none", {"apply": "none"}), ("dropout", {"apply": "dropout"})]
-    variants += [(harness.dp_label(m), {"apply": "dp", "noise_multiplier": m})
-                 for m in cfg["defense"]["noise_multipliers"]]
+    variants += [(f"dp_{m:g}", {"apply": "dp", "noise_multiplier": m})
+                 for m in NOISE_MULTIPLIERS]
     rows = []
     for label, block in variants:
         variant = cfg.with_overrides({"defense": block, "with_baseline": False})

@@ -12,7 +12,9 @@ applies it too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,10 +78,14 @@ def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamV
 
 def client_fraction_sample(n_user: int, fraction: float,
                            rng: np.random.Generator) -> np.ndarray:
-    """ceil(fraction * n_user) distinct user ids, uniform without replacement."""
+    """ceil(fraction * n_user) distinct user ids, uniform without replacement.
+
+    The ceiling is taken of the decimal ``fraction`` is written as, so 0.07 of
+    100 users is 7, not the 8 of ``ceil(7.000000000000001)``.
+    """
     if not 0.0 < fraction <= 1.0:
         raise InputError("fraction must be in (0, 1]")
-    k = int(np.ceil(fraction * n_user))
+    k = math.ceil(Fraction(str(fraction)) * n_user)
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 

@@ -9,6 +9,7 @@ across reruns (wall-clock timings live in a separate file).
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import hashlib
@@ -45,7 +46,6 @@ _NAME = lambda v: isinstance(v, str) and v != ""
 
 _SCHEMA = {
     "seed": (1, lambda v: _INT(v) and v >= 0),
-    "output_dir": ("runs", _NAME),
     "dataset": {
         "kind": ("synthetic", lambda v: v in ("synthetic", "idx")),
         "n_label": (10, lambda v: _INT(v) and v >= 2),
@@ -92,8 +92,6 @@ _SCHEMA = {
         "dropout_rate": (0.5, lambda v: _NUM(v) and 0 <= v < 1),
         "clip_norm": (10.0, _POS),
         "noise_multiplier": (0.0, _NONNEG),
-        "noise_multipliers": ([0.05, 0.25, 1.0, 4.0],
-                              lambda v: isinstance(v, list) and all(_NONNEG(m) for m in v)),
     },
     "eval_per_class": (30, _POS_INT),
     "with_baseline": (True, lambda v: isinstance(v, bool)),
@@ -115,7 +113,8 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
             out[key] = _resolve(sub, entry, where + ".", problems)
             continue
         default, validator = entry
-        value = raw.get(key, default)
+        # a copy, so a caller that mutates its config cannot change a default
+        value = raw[key] if key in raw else copy.deepcopy(default)
         if not (value is None and default is None) and not validator(value):
             problems.append(f"invalid value for {where}: {value!r}")
         out[key] = value
@@ -164,11 +163,6 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
     return out
 
 
-def dp_label(noise_multiplier: float) -> str:
-    """The defense-sweep label of the DP variant with this noise multiplier."""
-    return f"dp_{noise_multiplier:g}"
-
-
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse, strictly validate and default-fill a JSON experiment config,
     and build the client model and draw the client and shadow class counts
@@ -203,12 +197,6 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         side = int(round(ds["dim"] ** 0.5))
         if side * side != ds["dim"]:
             problems.append("model.kind 'cnn' on synthetic data needs a square dataset.dim")
-    multipliers = resolved["defense"]["noise_multipliers"]
-    labels = [dp_label(m) for m in multipliers]
-    clashes = sorted({label for label in labels if labels.count(label) > 1})
-    if clashes:
-        problems.append(f"defense.noise_multipliers {multipliers} give two entries the same "
-                        f"sweep label: {', '.join(clashes)}")
     if problems:
         raise ConfigError("; ".join(problems))
     if ds["kind"] == "idx":

@@ -60,8 +60,9 @@ def test_degenerate_dp_equals_no_defense_metrics():
     assert plain.utility_test_with == pytest.approx(dp.utility_test_with, abs=1e-9)
 
 
-def test_sweep_runs_and_writes_csv(tmp_path):
-    cfg = base_cfg().with_overrides({**BATCH_16, "defense": {"noise_multipliers": [4.0]}})
+def test_sweep_runs_and_writes_csv(tmp_path, monkeypatch):
+    monkeypatch.setattr(defense, "NOISE_MULTIPLIERS", (4.0,))
+    cfg = base_cfg().with_overrides(BATCH_16)
     rows = defense.run_defense_sweep(cfg, out_dir=tmp_path)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     text = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -71,15 +72,17 @@ def test_sweep_runs_and_writes_csv(tmp_path):
 
 
 def test_cli_defense_sweep(tmp_path):
+    # a child process: the sweep runs the full grid of defense.NOISE_MULTIPLIERS
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**BASE, "defense": {"noise_multipliers": [4.0]},
-                                    "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["defense-sweep", "--config", str(cfg_path)], cwd=tmp_path)
+    cfg_path.write_text(json.dumps(BASE))
+    proc = run_cli(["defense-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     (csv,) = (tmp_path / "runs").glob("*/defense/sweep.csv")
     lines = csv.read_text().splitlines()
     assert lines[0] == "label,noise_multiplier,attack_acc_top1,model_utility"
-    assert [line.split(",")[0] for line in lines[1:]] == ["none", "dropout", "dp_4"]
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "none", "dropout", "dp_0.05", "dp_0.25", "dp_1", "dp_4"]
 
 
 def test_disabled_defense_is_bit_identical_to_plain_run():
@@ -100,8 +103,8 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
         return run_online(cfg, staged, x)
 
     monkeypatch.setattr(harness, "run_online", counting)
-    cfg = base_cfg().with_overrides({"with_baseline": True,
-                                     "defense": {"noise_multipliers": [4.0]}})
+    monkeypatch.setattr(defense, "NOISE_MULTIPLIERS", (4.0,))
+    cfg = base_cfg().with_overrides({"with_baseline": True})
     rows = defense.run_defense_sweep(cfg)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     assert arms == [cfg["attack"]["x"]] * 3  # no None: the FedAvg arm never ran

@@ -87,9 +87,16 @@ def test_sample_fraction_outside_zero_one_is_input_error(fraction):
         fedsim.client_fraction_sample(10, fraction, np.random.default_rng(0))
 
 
-def test_sample_point_one_of_ten_is_one_user():
-    got = fedsim.client_fraction_sample(10, 0.1, np.random.default_rng(1))
-    assert got.shape == (1,)
+# 0.07 * 100 is 7.000000000000001 in floats; the sample takes the ceiling of
+# the decimal the fraction is written as.
+@pytest.mark.parametrize("n_user, fraction, size", [
+    (100, 0.07, 7), (50, 0.14, 7), (100, 0.0701, 8), (100, 0.2, 20), (10, 0.1, 1),
+    (10, 1e-9, 1),
+])
+def test_sample_size_is_the_ceiling_of_the_decimal_fraction(n_user, fraction, size):
+    got = fedsim.client_fraction_sample(n_user, fraction, np.random.default_rng(1))
+    assert got.shape == (size,)
+    assert len(set(got.tolist())) == size
 
 
 def test_sampling_is_uniform_within_three_sigma():

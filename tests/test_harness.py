@@ -76,7 +76,11 @@ def test_unknown_keys_rejected_by_name():
                       ({"dataset": {"sigma": 1.0}}, "dataset.sigma"),
                       ({"model": {"hidden": [32]}}, "model.hidden"),
                       ({"attack": {"meta": {"hidden": 32}}}, "attack.meta.hidden"),
-                      ({"attack": {"meta": {"batch_size": 16}}}, "attack.meta.batch_size")]:
+                      ({"attack": {"meta": {"batch_size": 16}}}, "attack.meta.batch_size"),
+                      # the CLI's --out and defense.NOISE_MULTIPLIERS hold these now
+                      ({"output_dir": "runs"}, "output_dir"),
+                      ({"defense": {"noise_multipliers": [4.0]}},
+                       "defense.noise_multipliers")]:
         with pytest.raises(ConfigError, match=f"unknown key {re.escape(path)}$"):
             harness.validate_config(json.dumps(raw))
 
@@ -90,11 +94,11 @@ def test_invalid_values_reported_with_key_path():
 
 def test_with_overrides_merges_nested_dicts_and_replaces_lists():
     base = fast_config()
-    cfg = base.with_overrides({"defense": {"apply": "dp", "noise_multipliers": [2.0]},
-                               "seed": 4})
+    cfg = base.with_overrides({"defense": {"apply": "dp"},
+                               "attack": {"shadow_cd_range": [0.2, 0.3]}, "seed": 4})
     assert cfg.seed == 4
     assert cfg["defense"]["apply"] == "dp"
-    assert cfg["defense"]["noise_multipliers"] == [2.0]
+    assert cfg["attack"]["shadow_cd_range"] == [0.2, 0.3]
     assert cfg["defense"]["clip_norm"] == base["defense"]["clip_norm"]
     assert cfg["federation"] == base["federation"]
     assert base["defense"]["apply"] == "none"
@@ -105,7 +109,6 @@ def test_with_overrides_merges_nested_dicts_and_replaces_lists():
 @pytest.mark.parametrize("section, key, value", [
     ("defense", "clip_norm", "a"),
     ("defense", "clip_norm", True),
-    ("defense", "noise_multipliers", ["a"]),
     ("dataset", "images", 5),
     ("attack", "shadow_size", "x"),
     ("attack", "shadow_size", -3),
@@ -127,11 +130,13 @@ def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, va
         harness.validate_config(json.dumps(raw))
 
 
-def test_noise_multipliers_with_one_sweep_label_are_a_config_error():
-    raw = {"defense": {"noise_multipliers": [0.1, 0.25, 0.1000001]}}
-    with pytest.raises(ConfigError, match="defense.noise_multipliers .* same sweep label: "
-                                          "dp_0.1$"):
-        harness.validate_config(json.dumps(raw))
+def test_resolved_configs_do_not_share_the_default_lists():
+    first = harness.validate_config("{}")
+    first["federation"]["cp_range"][1] = 0.9
+    first["attack"]["shadow_cd_range"][0] = 0.2
+    second = harness.validate_config("{}")
+    assert second["federation"]["cp_range"] == [0.4, 0.6]
+    assert second["attack"]["shadow_cd_range"] == [0.1, 0.6]
 
 
 @pytest.mark.parametrize("federation, key", [
@@ -463,8 +468,9 @@ def run_cli(args, cwd):
 
 def test_cli_run_and_report(tmp_path):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**FAST, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg_path)], cwd=tmp_path)
+    cfg_path.write_text(json.dumps(FAST))
+    proc = run_cli(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "top1=" in proc.stdout
     run_dirs = list((tmp_path / "runs").iterdir())
@@ -475,14 +481,34 @@ def test_cli_run_and_report(tmp_path):
     assert (tmp_path / "rep" / "summary.csv").exists()
 
 
+def test_cli_run_directory_does_not_depend_on_the_output_root(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(FAST))
+    runs = []
+    for root in ("A", "B"):
+        proc = run_cli(["run", "--config", str(cfg_path), "--out", str(tmp_path / root)],
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        (run_dir,) = (tmp_path / root).iterdir()
+        runs.append(run_dir)
+    a, b = runs
+    assert a.name == b.name
+    names = sorted(f.name for f in a.iterdir())
+    assert names == sorted(f.name for f in b.iterdir())
+    for name in names:
+        if name != "timings.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_cli_two_class_run_scores_top1_and_top2(tmp_path):
     raw = json.loads(json.dumps(FAST))
     raw["dataset"]["n_label"] = 2
     raw["federation"]["cp_range"] = [0.5, 0.7]
     raw["attack"].update({"shadow_cp_range": [0.3, 0.7], "shadow_cd_range": [0.0, 0.1]})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg_path)], cwd=tmp_path)
+    cfg_path.write_text(json.dumps(raw))
+    proc = run_cli(["run", "--config", str(cfg_path), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "top2=" in proc.stdout and "top3" not in proc.stdout
     (report,) = (tmp_path / "runs").glob("*/report.json")
@@ -523,9 +549,9 @@ def test_cli_runtime_error_exit_code_two(tmp_path):
     # validates, but the IDX reader rejects the JSON file as images at runtime
     cfg.write_text(json.dumps({
         "dataset": {"kind": "idx", "images": str(cfg), "labels": str(cfg)},
-        "output_dir": str(tmp_path / "runs"),
     }))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad magic" in proc.stderr
 
@@ -534,8 +560,9 @@ def test_cli_idx_pool_too_small_exit_code_one(tmp_path):
     # 60 samples per class validate as files but cannot feed the FAST run.
     raw = write_idx_pool(tmp_path, [60] * 4)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    cfg.write_text(json.dumps(raw))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "dataset.labels" in proc.stderr and "short of" in proc.stderr
     assert not (tmp_path / "runs").exists()
@@ -543,19 +570,20 @@ def test_cli_idx_pool_too_small_exit_code_one(tmp_path):
 
 def test_cli_cnn_too_small_exit_code_one(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": {"kind": "cnn"},
-                               "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    cfg.write_text(json.dumps({"model": {"kind": "cnn"}}))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 1
     assert "dataset.dim" in proc.stderr
 
 
 def test_cli_cnn_too_small_idx_images_exit_code_one(tmp_path):
     raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(5, 5)),
-                              {"model": {"kind": "cnn"}, "output_dir": str(tmp_path / "runs")})
+                              {"model": {"kind": "cnn"}})
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert "dataset.images" in proc.stderr and "5x5" in proc.stderr
     assert not (tmp_path / "runs").exists()
@@ -569,8 +597,9 @@ DIVERGING_ROUNDS = {**FAST, "fl": {**FAST["fl"], "learning_rate": 10, "local_epo
 
 def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**DIVERGING_ROUNDS, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    cfg.write_text(json.dumps(DIVERGING_ROUNDS))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 2
     assert "round 1" in proc.stderr and "user" in proc.stderr
     assert "non-finite" in proc.stderr
@@ -579,8 +608,9 @@ def test_cli_divergence_exit_code_two_and_no_report(tmp_path):
 
 def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**DIVERGING_META, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    cfg.write_text(json.dumps(DIVERGING_META))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 2
     assert "meta-classifier has non-finite or diverged parameters" in proc.stderr
     assert not list(tmp_path.rglob("report.json"))
@@ -621,8 +651,9 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"
     raw = harness._deep_merge(FAST, {section: override} if section else override)
-    cfg.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "runs")}))
-    proc = run_cli(["run", "--config", str(cfg)], cwd=tmp_path)
+    cfg.write_text(json.dumps(raw))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr
     assert "Warning" not in proc.stderr
@@ -643,7 +674,7 @@ def test_readme_removed_keys_are_each_rejected_by_name():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("Unknown keys are", 1)[1].split(" removed ones:\n\n", 1)[1]
     paths = re.findall(r"^- `([\w.]+)`:", section.split("\n\n", 1)[0], flags=re.M)
-    assert len(paths) == 8, paths
+    assert len(paths) == 10, paths
     for path in paths:
         raw = 1
         for key in reversed(path.split(".")):
