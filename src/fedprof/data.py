@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, FormatError, SpecError
+from .errors import InputError, FormatError, SpecError
 from .seeding import derive_seed
 
 IMAGES_MAGIC = 0x00000803
@@ -347,75 +347,35 @@ def sample_cp_cd(rng: np.random.Generator, cp_range, cd_range, mode: str) -> tup
     return cp, float(rng.uniform(lo, hi))
 
 
-def user_sizes(n_user: int, n_label: int, total_size: int,
-               id_target: Optional[float]) -> np.ndarray:
-    """Per-user dataset sizes: total_size each, or with id_target set,
-    total_size +/- delta with delta solved so the sample variance hits the
-    target (sizes clamp below at n_label).
-
-    Raises ConfigError, naming its key, when n_user, total_size or the
-    largest size does not fit in int64.
-    """
-    for key, value in (("federation.n_user", n_user), ("federation.user_size", total_size)):
-        if not value < 2 ** 63:
-            raise ConfigError(f"{key} {value} is beyond the int64 range")
-    if id_target is None or n_user < 2:
-        return np.full(n_user, total_size, dtype=np.int64)
-    pattern = np.array([1 if u % 2 == 0 else -1 for u in range(n_user)], dtype=np.float64)
-    if n_user % 2 == 1:
-        pattern[-1] = 0.0
-    pattern -= pattern.mean()
-    denom = float((pattern ** 2).sum())
-    try:
-        target = float(id_target)
-    except OverflowError:  # a JSON integer beyond the float range
-        target = np.inf
-    delta = np.sqrt(target * (n_user - 1) / denom) if denom > 0 else 0.0
-    largest = total_size + delta * pattern.max()
-    if not largest < 2.0 ** 63:  # also catches an infinite delta
-        raise ConfigError(f"federation.id_target {target:g} makes the largest user "
-                          f"dataset {largest:g} samples, beyond the int64 range")
-    return np.maximum(n_label, np.rint(total_size + delta * pattern)).astype(np.int64)
-
-
 def make_federation_spec(n_user: int, n_label: int, total_size: int,
                          cp_range, cd_range, seed: int, mode: str,
-                         ud_target: Optional[float], id_target: Optional[float],
                          equalize_rest: bool) -> np.ndarray:
     """Sample each user's target; returns the (n_user, n_label) int64 class
     counts, user 0's row first, that :func:`build_federation` realizes.
 
-    Preferred classes are drawn uniformly at random (so several users may
-    share one, the usual statistical heterogeneity) unless ud_target is set,
-    in which case round(ud_target * n_user) users share class 0 and the rest
-    take classes 1, 2, ..., n_label - 1 in turn.  (cp, cd) come from
-    :func:`sample_cp_cd` and :func:`target_counts` rounds them to counts.
-    Sizes come from :func:`user_sizes`, checked before any draw.  equalize_rest
-    restricts (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
-    non-preferred classes tie exactly (one grid per distinct size).  A row
-    whose :func:`preference_class` under ``mode`` is not the user's preferred
-    class raises SpecError; nothing is redrawn.
+    Every row holds ``total_size`` samples.  Preferred classes are drawn
+    uniformly at random, so several users may share one, the usual
+    statistical heterogeneity.  (cp, cd) come from :func:`sample_cp_cd` and
+    :func:`target_counts` rounds them to counts.  equalize_rest restricts
+    (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
+    non-preferred classes tie exactly.  A row whose :func:`preference_class`
+    under ``mode`` is not the user's preferred class raises SpecError;
+    nothing is redrawn.
     """
-    sizes = user_sizes(n_user, n_label, total_size, id_target)
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
-    if ud_target is None:
-        prefs = [int(v) for v in rng.integers(0, n_label, n_user)]
-    else:
-        span = max(1, min(int(round(ud_target * n_user)), n_user))
-        prefs = [0] * span + [1 + i % (n_label - 1) for i in range(n_user - span)]
-    rows, grids = [], {}
-    for size, pref in zip(sizes.tolist(), prefs):
+    prefs = rng.integers(0, n_label, n_user).tolist()
+    if equalize_rest:
+        grid = equalized_grid(n_label, total_size, cp_range, cd_range, mode)
+        if not grid:
+            raise SpecError(f"no equalized (cp, cd) grid point inside cp {cp_range}, "
+                            f"cd {cd_range}")
+    rows = []
+    for pref in prefs:
         if equalize_rest:
-            if size not in grids:
-                grids[size] = equalized_grid(n_label, size, cp_range, cd_range, mode)
-            grid = grids[size]
-            if not grid:
-                raise SpecError(f"no equalized (cp, cd) grid point inside cp {cp_range}, "
-                                f"cd {cd_range}")
             cp, cd = grid[int(rng.integers(0, len(grid)))]
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        counts = target_counts(n_label, size, cp, cd, pref, mode)
+        counts = target_counts(n_label, total_size, cp, cd, pref, mode)
         got = preference_class(counts, mode)
         if got != pref:
             raise SpecError(f"user {len(rows)}'s counts {counts.tolist()} prefer class {got}, "

@@ -31,12 +31,15 @@ from .seeding import derive_seed
 
 # Each leaf is (default, validator); a failed validator is reported with the
 # offending key path.  A key whose default is None is optional: it accepts
-# null or a value its validator passes.  Booleans are not numbers here.
+# null or a value its validator passes.  Booleans are not numbers here.  A key
+# whose default is a float, or a list of floats, stores its value as float,
+# so 1 and 1.0 resolve alike; a count is below 2**63, so it fits int64.
 
 _NUM = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
 _INT = lambda v: isinstance(v, int) and not isinstance(v, bool)
 _POS = lambda v: _NUM(v) and v > 0
-_POS_INT = lambda v: _INT(v) and v > 0
+_COUNT = lambda v: _INT(v) and v < 2 ** 63
+_POS_INT = lambda v: _COUNT(v) and v > 0
 _NONNEG = lambda v: _NUM(v) and v >= 0
 _FRAC = lambda v: _NUM(v) and 0 < v <= 1
 _UNIT = lambda v: _NUM(v) and 0 <= v <= 1
@@ -48,8 +51,8 @@ _SCHEMA = {
     "seed": (1, lambda v: _INT(v) and v >= 0),
     "dataset": {
         "kind": ("synthetic", lambda v: v in ("synthetic", "idx")),
-        "n_label": (10, lambda v: _INT(v) and v >= 2),
-        "dim": (16, lambda v: _INT(v) and v >= 2),
+        "n_label": (10, lambda v: _COUNT(v) and v >= 2),
+        "dim": (16, lambda v: _COUNT(v) and v >= 2),
         "images": (None, _NAME),
         "labels": (None, _NAME),
     },
@@ -58,8 +61,6 @@ _SCHEMA = {
         "user_size": (600, _POS_INT),
         "cp_range": ([0.4, 0.6], _RANGE),
         "cd_range": ([0.4, 0.6], _RANGE),
-        "ud_target": (None, _UNIT),
-        "id_target": (None, _NONNEG),
         "equalize_rest": (True, lambda v: isinstance(v, bool)),
     },
     "fl": {
@@ -115,7 +116,15 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
         default, validator = entry
         # a copy, so a caller that mutates its config cannot change a default
         value = raw[key] if key in raw else copy.deepcopy(default)
-        if not (value is None and default is None) and not validator(value):
+        valid = (value is None and default is None) or validator(value)
+        if valid and isinstance(default, float):
+            try:
+                value = float(value)
+            except OverflowError:  # an integer beyond the float range
+                valid = False
+        elif valid and isinstance(default, list):  # every list key is a range of floats
+            value = [float(v) for v in value]
+        if not valid:
             problems.append(f"invalid value for {where}: {value!r}")
         out[key] = value
     return out
@@ -193,6 +202,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         problems.append("attack.x must be smaller than federation.n_user")
     if resolved["attack"]["n_shadows"] < ds["n_label"]:
         problems.append("attack.n_shadows must be at least dataset.n_label")
+    batch, user_size = resolved["fl"]["batch_size"], resolved["federation"]["user_size"]
+    if batch > user_size:
+        problems.append(f"fl.batch_size {batch} exceeds federation.user_size {user_size}, "
+                        f"the samples each user holds")
     if resolved["model"]["kind"] == "cnn" and ds["kind"] == "synthetic":
         side = int(round(ds["dim"] ** 0.5))
         if side * side != ds["dim"]:
@@ -219,16 +232,10 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             n_user=fed["n_user"], n_label=n_label, total_size=fed["user_size"],
             cp_range=tuple(fed["cp_range"]), cd_range=tuple(fed["cd_range"]),
             seed=derive_seed(resolved["seed"], "federation-spec"), mode=atk["mode"],
-            ud_target=fed["ud_target"], id_target=fed["id_target"],
             equalize_rest=fed["equalize_rest"])
-    except SpecError as e:  # a ConfigError from the user sizes names its own key
+    except SpecError as e:
         raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
                           f"{fed['cd_range']} in {atk['mode']} mode: {e}") from None
-    smallest, batch = int(fed_spec.sum(axis=1).min()), resolved["fl"]["batch_size"]
-    if smallest < batch:
-        key = "federation.user_size" if smallest == fed["user_size"] else "federation.id_target"
-        raise ConfigError(f"fl.batch_size {batch} exceeds the smallest user dataset "
-                          f"({smallest} samples, set by {key})")
     # A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
     # all drawn from that class's aux_per_class samples, so the size is capped
     # at int(aux_per_class / shadow_cp_range[1]).  A null attack.shadow_size

@@ -527,8 +527,7 @@ def test_profiler_hook_runs_and_locks(world):
     pool, aux, arch = world
     aux_idx = aux.source_indices
     fed = data.make_federation_spec(4, 4, 60, (0.5, 0.6), (0.2, 0.4), seed=30,
-                                    mode="majority", ud_target=None, id_target=None,
-                                    equalize_rest=False)
+                                    mode="majority", equalize_rest=False)
     # carve clients from the part of the pool not reserved for the auxiliary
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux_idx))
     clients, _ = data.build_federation(sub, fed, seed=31)
@@ -608,8 +607,7 @@ class ReferenceProfiler:
 def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
     pool, aux, arch = world
     fed = data.make_federation_spec(6, 4, 40, (0.5, 0.6), (0.2, 0.4), seed=50,
-                                    mode="majority", ud_target=None, id_target=None,
-                                    equalize_rest=False)
+                                    mode="majority", equalize_rest=False)
     sub = pool.subset(np.setdiff1d(np.arange(len(pool)), aux.source_indices))
     clients, _ = data.build_federation(sub, fed, seed=51)
     init = nn.init_params(arch, seed=52)

@@ -49,8 +49,9 @@ def ranges_for(mode, n_label, fit):
 
 
 def rate(typical):
-    """``typical``, or a rate drawn log-uniformly from 1e-3 to 1e7."""
-    return st.sampled_from([typical, None]).flatmap(
+    """``typical``, the JSON integer 1, or a rate drawn log-uniformly from 1e-3
+    to 1e7."""
+    return st.sampled_from([typical, 1, None]).flatmap(
         lambda v: st.just(v) if v else st.floats(-3, 7).map(lambda e: 10.0 ** e))
 
 
@@ -82,13 +83,11 @@ def configs(draw):
         "federation": {
             "n_user": n_user, "user_size": user_size,
             "cp_range": cp_range, "cd_range": cd_range,
-            "ud_target": draw(st.none() | st.floats(0, 1)),
-            "id_target": draw(st.none() | st.floats(0, 200)),
             "equalize_rest": draw(st.booleans()),
         },
         "fl": {
             "n_rounds": draw(st.integers(1, 3)),
-            "client_fraction": draw(st.sampled_from([1.0, 0.5]) | st.floats(0.01, 1)),
+            "client_fraction": draw(st.sampled_from([1.0, 1, 0.5]) | st.floats(0.01, 1)),
             "local_epochs": draw(st.integers(1, 2)),
             "learning_rate": draw(rate(0.05)),
             "batch_size": (user_size + 1 if flaw == "batch_size"
@@ -180,14 +179,17 @@ def check_report(cfg: harness.ExperimentConfig, out: Path) -> None:
             assert u is None or 0 <= u <= 1
 
 
-# Config-to-crash gaps closed by hand before this test existed, each a config
-# error now, and the first config this test drew whose top-2 falls below its
-# top-1 (0.5, then 0.0): its users' two largest classes are 4 and 3 of 8.
+# Config-to-crash gaps closed by hand, each a config error now, and the first
+# config this test drew whose top-2 falls below its top-1 (0.5, then 0.0): its
+# users' two largest classes are 4 and 3 of 8.
 PINNED = [
     # clients whose counts miss their designated class (minority mode)
-    harness._deep_merge(FAST, {"federation": {"ud_target": 0.5}, "attack": MINORITY_SHADOWS}),
-    harness._deep_merge(FAST, {"federation": {"id_target": 1e308}}),
+    harness._deep_merge(FAST, {"attack": MINORITY_SHADOWS}),
     harness._deep_merge(FAST, {"federation": {"n_user": 10 ** 30}}),
+    # numbers beyond the float or int64 range
+    harness._deep_merge(FAST, {"fl": {"learning_rate": 10 ** 400}}),
+    harness._deep_merge(FAST, {"attack": {"aux_per_class": 10 ** 30}}),
+    harness._deep_merge(FAST, {"eval_per_class": 10 ** 30}),
     harness._deep_merge(FAST, {"attack": {"shadow_size": 500}}),
     harness._deep_merge(FAST, {"dataset": {"kind": "idx", "images": ".", "labels": "."}}),
     {"model": {"kind": "cnn"}, "dataset": {"dim": 25}},

@@ -252,8 +252,7 @@ def small_federation(seed=0):
     pool = data.make_synthetic(5, 3, 200, seed=seed, sigma=1.0)
     fed = data.make_federation_spec(
         n_user=4, n_label=5, total_size=60, cp_range=(0.4, 0.6),
-        cd_range=(0.1, 0.3), seed=seed, mode="majority", ud_target=None, id_target=None,
-        equalize_rest=False,
+        cd_range=(0.1, 0.3), seed=seed, mode="majority", equalize_rest=False,
     )
     clients, used = data.build_federation(pool, fed, seed=seed)
     return pool, fed, clients, used
@@ -314,40 +313,12 @@ def test_federation_matches_spec_counts():
 # ---------------------------------------------------------------------------
 
 
-def test_make_federation_spec_ud_target_shares_class_zero():
-    fed = data.make_federation_spec(10, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
-                                    mode="majority", ud_target=0.3, id_target=None,
-                                    equalize_rest=False)
-    prefs = [data.preference_class(row, "majority") for row in fed]
-    assert prefs[:3] == [0, 0, 0]
-    assert 0 not in prefs[3:]
-
-
-def test_make_federation_spec_ud_target_spreads_the_rest_evenly():
-    # the nine users outside class 0 take classes 1, 2, 3 in turn, three each,
-    # so no class holds more users than the shared one
-    fed = data.make_federation_spec(12, 4, 100, (0.5, 0.6), (0.2, 0.4), seed=1,
-                                    mode="majority", ud_target=0.25, id_target=None,
-                                    equalize_rest=False)
-    prefs = [data.preference_class(row, "majority") for row in fed]
-    assert prefs == [0, 0, 0, 1, 2, 3, 1, 2, 3, 1, 2, 3]
-
-
 def test_make_federation_spec_rejects_counts_that_miss_the_preferred_class():
     # two classes at cp 0.4: the class each user was given holds the smaller share
     with pytest.raises(SpecError, match=r"^user 0's counts \[40, 60\] prefer class 1, "
                                         r"not its class 0$"):
         data.make_federation_spec(3, 2, 100, (0.4, 0.4), (0.1, 0.1), seed=1,
-                                  mode="majority", ud_target=1.0, id_target=None,
-                                  equalize_rest=False)
-
-
-def test_make_federation_spec_hits_id_target():
-    fed = data.make_federation_spec(6, 5, 100, (0.4, 0.6), (0.1, 0.3), seed=1,
-                                    mode="majority", ud_target=None, id_target=25.0,
-                                    equalize_rest=False)
-    sizes = fed.sum(axis=1)
-    assert np.var(sizes, ddof=1) == pytest.approx(25.0, rel=0.2)
+                                  mode="majority", equalize_rest=False)
 
 
 @pytest.mark.parametrize("mode", ["majority", "minority"])
@@ -366,18 +337,14 @@ def test_minority_equalized_federation_prefers_the_smallest_class():
     grid = data.equalized_grid(4, 80, (0.05, 0.15), (0.1, 0.2), "minority")
     assert grid == [(0.1, 0.2), (0.1375, 0.15)]
     fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
-                                    mode="minority", ud_target=None, id_target=None,
-                                    equalize_rest=True)
+                                    mode="minority", equalize_rest=True)
     for row in fed:
         assert sorted(row.tolist()) in ([8, 24, 24, 24], [11, 23, 23, 23])
-    # with ud_target 0.5 the preferred classes are 0, 0, 0, 1, 2, 3, and each
-    # row's smallest class is its preferred one
-    fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
-                                    mode="minority", ud_target=0.5, id_target=None,
-                                    equalize_rest=True)
-    assert [data.preference_class(row, "minority") for row in fed] == [0, 0, 0, 1, 2, 3]
+    # the preferred classes are drawn at random, and each row's one smallest
+    # class is its preferred one
+    assert [data.preference_class(row, "minority") for row in fed] == [0, 0, 2, 0, 2, 3]
+    assert all((row == row.min()).sum() == 1 for row in fed)
     # a preferred share of 40-60% is never the smallest of four classes
     with pytest.raises(SpecError, match="no equalized"):
         data.make_federation_spec(4, 4, 80, (0.4, 0.6), (0.4, 0.6), seed=1,
-                                  mode="minority", ud_target=None, id_target=None,
-                                  equalize_rest=True)
+                                  mode="minority", equalize_rest=True)

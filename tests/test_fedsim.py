@@ -121,8 +121,7 @@ def test_sampling_is_uniform_within_three_sigma():
 def tiny_world():
     pool = data.make_synthetic(3, 4, 120, seed=0, sigma=1.0)
     fed = data.make_federation_spec(3, 3, 45, (0.5, 0.6), (0.1, 0.2), seed=1,
-                                    mode="majority", ud_target=None, id_target=None,
-                                    equalize_rest=False)
+                                    mode="majority", equalize_rest=False)
     clients, _ = data.build_federation(pool, fed, seed=2)
     arch = nn.Architecture((nn.Dense(4, 8), nn.Relu(), nn.Dense(8, 3)), (4,), 3)
     init = nn.init_params(arch, seed=3)
@@ -176,8 +175,7 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tiny_world, monkeypatch):
 def test_training_improves_over_initial_model():
     pool = data.make_synthetic(4, 6, 300, seed=5, sigma=1.0)
     fed = data.make_federation_spec(10, 4, 80, (0.4, 0.6), (0.1, 0.3), seed=6,
-                                    mode="majority", ud_target=None, id_target=None,
-                                    equalize_rest=False)
+                                    mode="majority", equalize_rest=False)
     clients, used = data.build_federation(pool, fed, seed=7)
     test = data.sample_per_class(pool, 20, used)
     arch = nn.Architecture((nn.Dense(6, 12), nn.Relu(), nn.Dense(12, 4)), (6,), 4)

@@ -80,7 +80,11 @@ def test_unknown_keys_rejected_by_name():
                       # the CLI's --out and defense.NOISE_MULTIPLIERS hold these now
                       ({"output_dir": "runs"}, "output_dir"),
                       ({"defense": {"noise_multipliers": [4.0]}},
-                       "defense.noise_multipliers")]:
+                       "defense.noise_multipliers"),
+                      # every user holds federation.user_size samples of a
+                      # preferred class drawn at random
+                      ({"federation": {"ud_target": 0.5}}, "federation.ud_target"),
+                      ({"federation": {"id_target": 25.0}}, "federation.id_target")]:
         with pytest.raises(ConfigError, match=f"unknown key {re.escape(path)}$"):
             harness.validate_config(json.dumps(raw))
 
@@ -113,9 +117,6 @@ def test_with_overrides_merges_nested_dicts_and_replaces_lists():
     ("attack", "shadow_size", "x"),
     ("attack", "shadow_size", -3),
     ("attack", "shadow_size", 2.5),
-    ("federation", "ud_target", "a"),
-    ("federation", "ud_target", 1.5),
-    ("federation", "id_target", -4.0),
     ("federation", "cp_range", ["a", 0.5]),
     ("fl", "n_rounds", True),
     ("fl", "n_rounds", None),
@@ -139,9 +140,40 @@ def test_resolved_configs_do_not_share_the_default_lists():
     assert second["attack"]["shadow_cd_range"] == [0.1, 0.6]
 
 
+@pytest.mark.parametrize("as_int, as_float", [
+    ({"fl": {"learning_rate": 1}}, {"fl": {"learning_rate": 1.0}}),
+    ({"fl": {"client_fraction": 1}}, {}),  # the default is 1.0
+    ({"federation": {"cp_range": [0, 1]}}, {"federation": {"cp_range": [0.0, 1.0]}}),
+])
+def test_a_float_key_written_as_an_integer_gives_the_same_run_id(as_int, as_float):
+    a, b = (harness.validate_config(json.dumps(raw)) for raw in (as_int, as_float))
+    assert a.to_json() == b.to_json()
+    assert harness.run_id_for(a) == harness.run_id_for(b)
+
+
+BEYOND_RANGE = [
+    ("fl.learning_rate", 10 ** 400),  # beyond the float range
+    ("attack.meta.learning_rate", 10 ** 400),
+    ("defense.clip_norm", 10 ** 400),
+    ("defense.noise_multiplier", 10 ** 400),
+    ("attack.aux_per_class", 10 ** 30),  # beyond int64
+    ("eval_per_class", 10 ** 30),
+    ("federation.n_user", 10 ** 30),
+    ("federation.user_size", 2 ** 63),
+]
+
+
+@pytest.mark.parametrize("path, value", BEYOND_RANGE, ids=[path for path, _ in BEYOND_RANGE])
+def test_numbers_beyond_the_float_or_int64_range_are_config_errors(path, value):
+    raw = value
+    for key in reversed(path.split(".")):
+        raw = {key: raw}
+    with pytest.raises(ConfigError, match=f"^invalid value for {re.escape(path)}: "):
+        harness.validate_config(json.dumps(raw))
+
+
 @pytest.mark.parametrize("federation, key", [
     ({"user_size": 20}, "federation.user_size"),
-    ({"id_target": 1e9}, "federation.id_target"),  # user sizes clamp to n_label
 ])
 def test_user_dataset_smaller_than_batch_size_is_a_config_error(federation, key):
     raw = {**FAST, "federation": {**FAST["federation"], **federation}}
@@ -618,7 +650,7 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
 
 @pytest.mark.parametrize("section, override, key", [
     ("attack", {"shadow_size": 500}, "attack.shadow_size"),  # aux store: 30 per class
-    ("federation", {"id_target": 1e308}, "federation.id_target"),  # sizes beyond int64
+    ("fl", {"learning_rate": 10 ** 400}, "fl.learning_rate"),  # beyond the float range
     # a two-class shadow of 7 samples with cp < 0.5 holds at most 3 of its preferred
     # class (the clients' cp above 0.5 keeps each client's class its largest)
     (None, {"dataset": {"n_label": 2}, "federation": {"cp_range": [0.6, 0.7]},
@@ -630,7 +662,7 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
     # at the cap of int(30 / 0.15) = 200, a non-preferred class needs over 30 samples
     (None, {"federation": MINORITY_CLIENTS,
             "attack": {**MINORITY_SHADOWS, "shadow_size": 200}}, "attack.shadow_size"),
-    ("federation", {"id_target": 10 ** 400}, "federation.id_target"),  # beyond float range
+    ("attack", {"aux_per_class": 10 ** 30}, "attack.aux_per_class"),  # beyond int64
     ("federation", {"user_size": 2 ** 63}, "federation.user_size"),  # beyond int64
     ("federation", {"n_user": 10 ** 30}, "federation.n_user"),
     # a client spec with cp = 0 holds none of its preferred class
@@ -644,9 +676,8 @@ def test_cli_offline_divergence_exit_code_two_and_no_report(tmp_path):
     # the CLI runs in tmp_path, so "." is a directory, not an IDX file
     (None, {"dataset": {"kind": "idx", "images": ".", "labels": "."}}, "dataset.images"),
     # a client holding 40-60% of its class in minority mode has some other class
-    # as its smallest; at seed 5 user 0's counts are [48, 32, 0, 0] for class 0
-    (None, {"federation": {"ud_target": 0.5}, "attack": MINORITY_SHADOWS},
-     "federation.cp_range"),
+    # as its smallest; at seed 5 user 0's counts are [45, 0, 0, 35] for class 3
+    (None, {"attack": MINORITY_SHADOWS}, "federation.cp_range"),
 ])
 def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
     cfg = tmp_path / "cfg.json"
@@ -656,7 +687,7 @@ def test_cli_unrunnable_config_exit_code_one(tmp_path, section, override, key):
                    cwd=tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert key in proc.stderr
-    assert "Warning" not in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_readme_cli_block_names_every_subcommand():
@@ -674,7 +705,7 @@ def test_readme_removed_keys_are_each_rejected_by_name():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("Unknown keys are", 1)[1].split(" removed ones:\n\n", 1)[1]
     paths = re.findall(r"^- `([\w.]+)`:", section.split("\n\n", 1)[0], flags=re.M)
-    assert len(paths) == 10, paths
+    assert len(paths) == 12, paths
     for path in paths:
         raw = 1
         for key in reversed(path.split(".")):
