@@ -288,9 +288,10 @@ class RoundTrace:
 
 
 class PreferenceProfiler:
-    """Aggregation hook that extracts sensitivities, records a RoundTrace per
-    round and aggregates each upload with its x :func:`select_partners`
-    partners at equal weights, or by plain FedAvg when x is None.
+    """Aggregation hook ``profiler(received, uploads, selected)`` that
+    extracts sensitivities, records a RoundTrace per round and aggregates
+    each upload with its x :func:`select_partners` partners at equal weights,
+    or by :func:`fedsim.fedavg_hook` when x is None.
 
     A user's DS compares the model it received (``received[u]``, which
     :func:`fedsim.run_round` passes in) with the model it uploaded.
@@ -327,13 +328,13 @@ class PreferenceProfiler:
             self._this_round[key] = s
         return s
 
-    def __call__(self, received: list, uploads: list, weights: list, selected: list) -> list:
+    def __call__(self, received: list, uploads: list, selected: list) -> list:
         self._last_round, self._this_round = self._this_round, {}
         sens = np.stack([self._sensitivity(m) for m in uploads])
         ds = differential_sensitivity(np.stack([self._sensitivity(m) for m in received]), sens)
         self.history.append(RoundTrace(sens, ds))
         if self.x is None:
-            return fedsim.fedavg_hook(received, uploads, weights, selected)
+            return fedsim.fedavg_hook(received, uploads, selected)
         groups = [[u] + select_partners(u, sens, self.x, self.mode) for u in range(len(uploads))]
         return [fedsim.fedavg([uploads[v] for v in g], [1.0] * len(g), ids=g) for g in groups]
 

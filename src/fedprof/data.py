@@ -7,6 +7,7 @@ index bookkeeping against a shared source pool.
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -312,30 +313,35 @@ def sample_per_class(pool: LabeledDataset, per_class: int, excluded_indices) -> 
 # ---------------------------------------------------------------------------
 
 
-def equalized_grid(n_label: int, total_size: int, cp_range, cd_range, mode: str) -> list:
-    """(cp, cd) pairs under which every non-preferred class realizes exactly
-    the same count.
+def equalized_grid(n_label: int, total_size: int, cp_range, cd_range, mode: str) -> range:
+    """The ascending preferred counts m under which every non-preferred class
+    holds the same count, pack = (total - m) / (n_label - 1).
 
     With the usual rounding, nearby classes end up one sample apart, which
     leaves the rank-2/3 ground truth of a dataset decided by a single sample.
-    On this grid the preferred count m satisfies (total - m) % (n_label - 1)
-    == 0 and the runner-up count equals the even spread pack, so the top-k
-    truth is a clean (preferred + any others) family.  cd = |m - pack| / total
-    with m > pack in majority mode and m < pack in minority mode.
+    On this grid the top-k truth is a clean (preferred + any others) family.
+    m steps by n_label - 1 through the m >= 1 that leave total - m a positive
+    multiple of it, and keeps m > pack in majority mode, m < pack in minority
+    mode, cp = m / total inside ``cp_range`` and cd = |m - pack| / total
+    inside ``cd_range``.  Each test is monotone in m, so bisection finds the
+    two ends.
     """
-    rest_classes = n_label - 1
-    grid = []
-    for m in range(1, total_size):
-        if (total_size - m) % rest_classes:
-            continue
-        pack = (total_size - m) // rest_classes
+    rest = n_label - 1
+    aligned = range((total_size - 1) % rest + 1, total_size - rest + 1, rest)
+
+    def holds(m):
+        """(the tests that only turn true as m grows, those that only turn false)"""
+        pack = (total_size - m) // rest
         gap = m - pack if mode == "majority" else pack - m
-        if gap <= 0:
-            continue
         cp, cd = m / total_size, gap / total_size
-        if cp_range[0] <= cp <= cp_range[1] and cd_range[0] <= cd <= cd_range[1]:
-            grid.append((cp, cd))
-    return grid
+        big_gap, small_gap = gap > 0 and cd_range[0] <= cd, cd <= cd_range[1]
+        # majority mode's gap grows with m, minority mode's shrinks
+        rising, falling = (big_gap, small_gap) if mode == "majority" else (small_gap, big_gap)
+        return cp_range[0] <= cp and rising, cp <= cp_range[1] and falling
+
+    lo = bisect.bisect_left(aligned, True, key=lambda m: holds(m)[0])
+    hi = bisect.bisect_left(aligned, True, key=lambda m: not holds(m)[1])
+    return aligned[lo:hi]
 
 
 def sample_cp_cd(rng: np.random.Generator, cp_range, cd_range, mode: str) -> tuple:
@@ -356,8 +362,9 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     Every row holds ``total_size`` samples.  Preferred classes are drawn
     uniformly at random, so several users may share one, the usual
     statistical heterogeneity.  (cp, cd) come from :func:`sample_cp_cd` and
-    :func:`target_counts` rounds them to counts.  equalize_rest restricts
-    (cp, cd) to the :func:`equalized_grid` of ``mode`` so that the
+    :func:`target_counts` rounds them to counts.  equalize_rest instead draws
+    the preferred count m from the :func:`equalized_grid` of ``mode`` and
+    gives every other class (total_size - m) // (n_label - 1), so that the
     non-preferred classes tie exactly.  A row whose :func:`preference_class`
     under ``mode`` is not the user's preferred class raises SpecError;
     nothing is redrawn.
@@ -372,10 +379,12 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     rows = []
     for pref in prefs:
         if equalize_rest:
-            cp, cd = grid[int(rng.integers(0, len(grid)))]
+            m = grid[int(rng.integers(0, len(grid)))]
+            counts = np.full(n_label, (total_size - m) // (n_label - 1), dtype=np.int64)
+            counts[pref] = m
         else:
             cp, cd = sample_cp_cd(rng, cp_range, cd_range, mode)
-        counts = target_counts(n_label, total_size, cp, cd, pref, mode)
+            counts = target_counts(n_label, total_size, cp, cd, pref, mode)
         got = preference_class(counts, mode)
         if got != pref:
             raise SpecError(f"user {len(rows)}'s counts {counts.tolist()} prefer class {got}, "

@@ -2,7 +2,8 @@
 
 The aggregation step is delegated to a hook so an attacker-controlled server
 can observe the models it sent and the uploads, and hand back per-user
-models.  The identity hook is plain weighted FedAvg broadcast to everyone.
+models.  The identity hook is FedAvg at equal weights, since every client
+holds the same number of samples, broadcast to everyone.
 All per-round randomness is derived from the run seed, so trajectories are
 bit-reproducible.  A model with a non-finite parameter, or one whose
 magnitude exceeds :data:`DIVERGENCE_BOUND`, stops the run;
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import nn
 from .errors import InputError, InternalError, NumericalError
-from .seeding import derive_seed, rng_for
+from .seeding import derive_seed
 
 # Largest parameter magnitude a model may hold.  At seed 7 no parameter of the
 # four benchmark workloads exceeds 0.85 in any round, 1.2 in any shadow or
@@ -45,9 +46,9 @@ class RoundState:
     selected: Optional[list] = None
 
 
-# (received, uploads, weights, selected) -> the model distributed to each
-# user; received[u] is the model user u was sent last round
-AggregationHook = Callable[[list, list, list, list], list]
+# (received, uploads, selected) -> the model distributed to each user;
+# received[u] is the model user u was sent last round
+AggregationHook = Callable[[list, list, list], list]
 
 
 def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
@@ -89,12 +90,11 @@ def client_fraction_sample(n_user: int, fraction: float,
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 
-def fedavg_hook(received: list, uploads: list, weights: list, selected: list) -> list:
-    """Identity server: plain FedAvg over the sampled uploads, broadcast to
-    all; ``received`` is not read."""
-    models = [uploads[u] for u in selected]
-    w = [weights[u] for u in selected]
-    g = fedavg(models, w, ids=list(selected))
+def fedavg_hook(received: list, uploads: list, selected: list) -> list:
+    """Identity server: FedAvg over the sampled uploads at equal weights (all
+    clients hold the same number of samples), reduced in ascending id and
+    broadcast to all; ``received`` is not read."""
+    g = fedavg([uploads[u] for u in selected], [1.0] * len(selected), ids=list(selected))
     return [g] * len(uploads)
 
 
@@ -114,7 +114,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     user u's seed in round r is derived from (run_seed, r, u), so the
     trajectory is a function of run_seed.  Unsampled clients keep their
     previous upload and model.  The hook is called as
-    ``hook(prev.distributed, uploads, weights, selected)``: it sees the model
+    ``hook(prev.distributed, uploads, selected)``: it sees the model
     each user received last round and every current upload, and returns the
     per-user distributed models.
     Per-user accuracy on the user's own data is recorded for the uploaded
@@ -129,7 +129,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     """
     n_user = len(clients)
     rnd = prev.round_index + 1
-    rng = rng_for(run_seed, "sampling", rnd)
+    rng = np.random.default_rng(derive_seed(run_seed, "sampling", rnd))
     selected = client_fraction_sample(n_user, client_fraction, rng)
 
     uploads = list(prev.uploaded)
@@ -140,8 +140,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     for u, m in enumerate(uploads):
         check_finite(m, f"round {rnd}: the model uploaded for user {u}")
 
-    weights = [len(c) for c in clients]
-    distributed = hook(prev.distributed, uploads, weights, list(selected))
+    distributed = hook(prev.distributed, uploads, list(selected))
     if len(distributed) != n_user:
         raise InternalError("hook returned wrong number of distributed models")
     for u, m in enumerate(distributed):

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -27,8 +25,3 @@ def derive_seed(root: int, purpose: str, *indices: int) -> int:
     tag = f"{root & _MASK64}/{purpose}/" + "/".join(str(i) for i in indices)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def rng_for(root: int, purpose: str, *indices: int) -> np.random.Generator:
-    """A fresh ``numpy`` generator seeded via :func:`derive_seed`."""
-    return np.random.default_rng(derive_seed(root, purpose, *indices))

@@ -589,12 +589,12 @@ class ReferenceProfiler:
         self.arch, self.aux, self.x, self.mode = arch, aux, x, mode
         self.history = []
 
-    def __call__(self, received, uploads, weights, selected):
+    def __call__(self, received, uploads, selected):
         sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in uploads])
         sent = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in received])
         self.history.append(attack.RoundTrace(sens, attack.differential_sensitivity(sent, sens)))
         if self.x is None:
-            return fedsim.fedavg_hook(received, uploads, weights, selected)
+            return fedsim.fedavg_hook(received, uploads, selected)
         distributed = []
         for u in range(len(uploads)):
             group = [u] + attack.select_partners(u, sens, self.x, self.mode)

@@ -1,7 +1,9 @@
 """Dataset synthesis, IDX I/O and partitioning tests."""
 
+import math
 import re
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -321,21 +323,102 @@ def test_make_federation_spec_rejects_counts_that_miss_the_preferred_class():
                                   mode="majority", equalize_rest=False)
 
 
+def reference_equalized_point(n_label, total_size, cp_range, cd_range, mode, m):
+    """(cp, cd) of preferred count m if the equalized grid keeps it, else
+    None: one step of the slow reference walk."""
+    rest_classes = n_label - 1
+    if (total_size - m) % rest_classes:
+        return None
+    pack = (total_size - m) // rest_classes
+    gap = m - pack if mode == "majority" else pack - m
+    if gap <= 0:
+        return None
+    cp, cd = m / total_size, gap / total_size
+    if cp_range[0] <= cp <= cp_range[1] and cd_range[0] <= cd <= cd_range[1]:
+        return cp, cd
+    return None
+
+
+def reference_equalized_grid(n_label, total_size, cp_range, cd_range, mode):
+    """{m: (cp, cd)} of every equalized grid point, in ascending m, by a walk
+    over each m below total_size: the slow reference for
+    :func:`data.equalized_grid`."""
+    points = ((m, reference_equalized_point(n_label, total_size, cp_range, cd_range, mode, m))
+              for m in range(1, total_size))
+    return {m: point for m, point in points if point is not None}
+
+
+def test_equalized_grid_and_rows_match_the_reference_walk():
+    rng = np.random.default_rng(26)
+    for i in range(1000):
+        n_label, total = int(rng.integers(2, 13)), int(rng.integers(1, 2001))
+        mode = ("majority", "minority")[i % 2]
+        ranges = []
+        for _ in range(2):
+            if i % 3 == 0:  # round ends, in steps of 0.05
+                ends = rng.integers(0, 21, 2) / 20
+            elif i % 3 == 1:  # ends that are exact shares of the total
+                ends = rng.integers(0, total + 1, 2) / total
+            else:
+                ends = rng.uniform(0.0, 1.0, 2)
+            ranges.append(tuple(sorted(float(e) for e in ends)))
+        want = reference_equalized_grid(n_label, total, *ranges, mode)
+        grid = data.equalized_grid(n_label, total, *ranges, mode)
+        assert list(grid) == list(want)
+        if not want:
+            continue
+        # each equalized row is what target_counts makes of the reference's
+        # (cp, cd) for its preferred count
+        fed = data.make_federation_spec(5, n_label, total, *ranges, seed=i, mode=mode,
+                                        equalize_rest=True)
+        for row in fed:
+            pref = data.preference_class(row, mode)
+            assert np.array_equal(
+                row, data.target_counts(n_label, total, *want[int(row[pref])], pref, mode))
+
+
+def test_equalized_grid_keeps_a_share_equal_to_its_range_end():
+    # 0.55 * 100 is 55.00000000000001, so ceil(0.55 * 100) is 56, yet the
+    # grid's own test 55 / 100 >= 0.55 holds: the grid starts at 55
+    assert math.ceil(0.55 * 100) == 56
+    grid = data.equalized_grid(2, 100, (0.55, 0.6), (0.0, 1.0), "majority")
+    assert list(grid) == [55, 56, 57, 58, 59, 60]
+
+
+@pytest.mark.parametrize("total", [10 ** 12, 2 ** 63 - 1])
+@pytest.mark.parametrize("mode, cp_range, cd_range", [
+    ("majority", (0.4, 0.6), (0.4, 0.6)),
+    ("minority", (0.02, 0.08), (0.05, 0.1)),
+])
+def test_equalized_grid_of_a_huge_user_size_returns_at_once(total, mode, cp_range, cd_range):
+    t0 = time.perf_counter()
+    grid = data.equalized_grid(10, total, cp_range, cd_range, mode)
+    assert time.perf_counter() - t0 < 0.5
+    assert grid.step == 9
+
+    def kept(m):
+        return reference_equalized_point(10, total, cp_range, cd_range, mode, m) is not None
+
+    # the ends pass the reference's tests, the aligned counts beyond them fail
+    assert kept(grid[0]) and kept(grid[-1])
+    assert not kept(grid[0] - 9) and not kept(grid[-1] + 9)
+
+
 @pytest.mark.parametrize("mode", ["majority", "minority"])
 def test_equalized_grid_specs_tie_the_other_classes(mode):
     for n_label, total in ((2, 30), (3, 40), (4, 80), (5, 81)):
-        grid = data.equalized_grid(n_label, total, (0.0, 1.0), (0.0, 1.0), mode)
-        assert grid
-        for cp, cd in grid:
-            counts = data.target_counts(n_label, total, cp, cd, n_label - 1, mode)
-            preferred, rest = counts[-1], counts[:-1]
-            assert rest.min() == rest.max()
+        fed = data.make_federation_spec(12, n_label, total, (0.0, 1.0), (0.0, 1.0), seed=n_label,
+                                        mode=mode, equalize_rest=True)
+        for row in fed:
+            pref = data.preference_class(row, mode)
+            preferred, rest = row[pref], np.delete(row, pref)
+            assert row.sum() == total and rest.min() == rest.max()
             assert (preferred > rest[0]) if mode == "majority" else (preferred < rest[0])
 
 
 def test_minority_equalized_federation_prefers_the_smallest_class():
     grid = data.equalized_grid(4, 80, (0.05, 0.15), (0.1, 0.2), "minority")
-    assert grid == [(0.1, 0.2), (0.1375, 0.15)]
+    assert list(grid) == [8, 11]
     fed = data.make_federation_spec(6, 4, 80, (0.05, 0.15), (0.1, 0.2), seed=1,
                                     mode="minority", equalize_rest=True)
     for row in fed:

@@ -60,6 +60,14 @@ def test_fedavg_equal_weights_is_plain_mean():
     out = fedsim.fedavg(models, [3, 3, 3, 3])
     mean = np.mean([m.values for m in models], axis=0)
     assert np.allclose(out.values, mean, atol=1e-15)
+    # equal sample counts s give the unit-weight average bit for bit: while
+    # s * k is exact (below 2**53), s / (s * k) and 1 / k are the same double
+    for k in (1, 2, 3, 7, 10, 20, 100):
+        models = [pv(rng.standard_normal(5)) for _ in range(k)]
+        ids = rng.permutation(k).tolist()
+        unit = fedsim.fedavg(models, [1.0] * k, ids)
+        for s in (1, 3, 40, 600, 12345, 10 ** 9):
+            assert np.array_equal(fedsim.fedavg(models, [s] * k, ids).values, unit.values)
 
 
 def test_fedavg_rejects_bad_input():
@@ -223,8 +231,8 @@ def test_diverging_local_training_raises_numerical_error_naming_round_and_user(t
 def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_world):
     clients, arch, init = tiny_world
 
-    def blow_up_user_2(received, uploads, weights, selected):
-        out = fedsim.fedavg_hook(received, uploads, weights, selected)
+    def blow_up_user_2(received, uploads, selected):
+        out = fedsim.fedavg_hook(received, uploads, selected)
         return out[:2] + [pv(np.full(arch.n_params, np.inf))]
 
     with pytest.raises(NumericalError, match="round 1: the model distributed for user 2 "):

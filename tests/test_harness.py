@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,14 @@ def test_numbers_beyond_the_float_or_int64_range_are_config_errors(path, value):
         raw = {key: raw}
     with pytest.raises(ConfigError, match=f"^invalid value for {re.escape(path)}: "):
         harness.validate_config(json.dumps(raw))
+
+
+def test_a_huge_user_size_validates_at_once():
+    # validation only: a run would need 10**12 samples per user
+    t0 = time.perf_counter()
+    cfg = harness.validate_config(json.dumps({"federation": {"user_size": 10 ** 12}}))
+    assert time.perf_counter() - t0 < 1.0
+    assert (cfg.fed_spec.sum(axis=1) == 10 ** 12).all()
 
 
 @pytest.mark.parametrize("federation, key", [
