@@ -17,10 +17,13 @@ from .errors import ConfigError, FedprofError
 def _load_config(args) -> harness.ExperimentConfig:
     if args.config is None:
         raise ConfigError("--config <path> is required")
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    cfg = harness.validate_config(path.read_text())
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {args.config}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {args.config} is not a readable UTF-8 file: {e}") from None
+    cfg = harness.validate_config(text)
     if args.seed is not None:
         cfg = cfg.with_overrides({"seed": args.seed})
     return cfg

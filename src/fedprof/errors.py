@@ -10,7 +10,7 @@ class InputError(FedprofError):
 
 
 class FormatError(FedprofError):
-    """A binary file (IDX container, checkpoint) is malformed."""
+    """A file fedprof reads (IDX container, checkpoint, report.json) is malformed."""
 
 
 class SpecError(InputError):

@@ -1,4 +1,5 @@
 """Federated training loop: local training, upload, aggregation, distribution.
+It is the FL protocol alone and scores no model.
 
 The aggregation step is delegated to a hook so an attacker-controlled server
 can observe the models it sent and the uploads, and hand back per-user
@@ -33,7 +34,8 @@ DIVERGENCE_BOUND = 1e6
 
 @dataclass
 class RoundState:
-    """Everything the simulator knows about one FL round.
+    """The models of one FL round: each user's upload and the model
+    distributed to it, and the sampled user ids (None in round 0).
 
     ``distributed[u]`` may differ per user under an attacking server.
     """
@@ -41,8 +43,6 @@ class RoundState:
     round_index: int
     uploaded: list
     distributed: list
-    local_acc: Optional[list] = None
-    global_acc: Optional[list] = None
     selected: Optional[list] = None
 
 
@@ -116,13 +116,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     previous upload and model.  The hook is called as
     ``hook(prev.distributed, uploads, selected)``: it sees the model
     each user received last round and every current upload, and returns the
-    per-user distributed models.
-    Per-user accuracy on the user's own data is recorded for the uploaded
-    model (``local_acc``) and for the received model (``global_acc``), using
-    the same evaluation set.  An unsampled user's upload is last round's, so
-    its ``local_acc`` is ``prev.local_acc[u]``, not scored again; when
-    ``prev.local_acc`` is None (round 1) every upload is scored.  ``clients``
-    must be the same in every round.
+    per-user distributed models.  No model is scored here.
     Raises NumericalError, naming the round and user, if an upload or a
     distributed model has a parameter that is non-finite or larger in
     magnitude than DIVERGENCE_BOUND (1e6).
@@ -145,23 +139,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
         raise InternalError("hook returned wrong number of distributed models")
     for u, m in enumerate(distributed):
         check_finite(m, f"round {rnd}: the model distributed for user {u}")
-
-    if prev.local_acc is None:
-        local_acc, rescored = [None] * n_user, range(n_user)
-    else:
-        local_acc, rescored = list(prev.local_acc), selected
-    for u in rescored:
-        local_acc[u] = nn.accuracy(uploads[u], arch, clients[u].X, clients[u].y)
-    global_acc = [nn.accuracy(distributed[u], arch, clients[u].X, clients[u].y)
-                  for u in range(n_user)]
-    return RoundState(
-        round_index=rnd,
-        uploaded=uploads,
-        distributed=distributed,
-        local_acc=local_acc,
-        global_acc=global_acc,
-        selected=list(selected),
-    )
+    return RoundState(rnd, uploads, distributed, list(selected))
 
 
 def check_finite(model: nn.ParamVector, where: str) -> None:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import attack, data, fedsim, nn
-from .errors import ConfigError, InputError, SpecError
+from .errors import ConfigError, FormatError, InputError, SpecError
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -388,26 +388,47 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int]):
+def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
+               score_rounds: bool):
     """FL with the attacking server, which aggregates each upload with its
     ``x`` partners (``attack.x`` in the attack arm), or by plain FedAvg when
     ``x`` is None (the with_baseline reference arm).
 
-    Returns (round traces, per-round (round index, local_acc, global_acc),
-    final round state); the models of earlier rounds are not kept.
+    Returns (round traces, per-round scores, final round state).  Only with
+    ``score_rounds`` does a round add (round index, local_acc, global_acc):
+    the own-data accuracy of each user's upload (an unsampled user's keeps
+    last round's score; round 1 scores all) and of the model sent to it.
     """
     seed = cfg.seed
-    n_user = cfg["federation"]["n_user"]
+    clients = staged.clients
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
     profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
     train_cfg = client_train_config(cfg)
-    state = fedsim.initial_state(n_user, init)
+    state = fedsim.initial_state(len(clients), init)
     accs = []
     for _ in range(cfg["fl"]["n_rounds"]):
-        state = fedsim.run_round(state, staged.clients, cfg.arch, train_cfg,
+        state = fedsim.run_round(state, clients, cfg.arch, train_cfg,
                                  cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
-        accs.append((state.round_index, state.local_acc, state.global_acc))
+        if score_rounds:
+            local = list(accs[-1][1]) if accs else [None] * len(clients)
+            for u in state.selected if accs else range(len(clients)):
+                local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
+            accs.append((state.round_index, local, _own_acc(state.distributed, cfg.arch, clients)))
     return profiler.history, accs, state
+
+
+def _own_acc(models: list, arch: nn.Architecture, clients: list) -> list:
+    """Accuracy of ``models[u]`` on user u's own data, for every user."""
+    return [nn.accuracy(m, arch, c.X, c.y) for m, c in zip(models, clients)]
+
+
+def _utilities(final: fedsim.RoundState, accs: list, arch: nn.Architecture,
+               staged: StagedData) -> tuple:
+    """Mean accuracy of the final round's distributed models on each user's
+    own data (``accs``'s last round, if it was scored) and on the test set."""
+    own = accs[-1][2] if accs else _own_acc(final.distributed, arch, staged.clients)
+    test = [nn.accuracy(m, arch, staged.test.X, staged.test.y) for m in final.distributed]
+    return float(np.mean(own)), float(np.mean(test))
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +456,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True, indent=2)
-
-
-def _mean_test_acc(state: fedsim.RoundState, arch: nn.Architecture,
-                   test: data.LabeledDataset) -> float:
-    return float(np.mean([nn.accuracy(m, arch, test.X, test.y) for m in state.distributed]))
 
 
 def _ds_trace(history: list, truth: list) -> list:
@@ -476,15 +492,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     t_offline = time.time() - t0
 
     atk = cfg["attack"]
-    history, accs, final = run_online(cfg, staged, atk["x"])
+    history, accs, final = run_online(cfg, staged, atk["x"], out_dir is not None)
     profile = attack.profile_history([tr.ds for tr in history], offline.meta, atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"]:
-        base_history, _, base_final = run_online(cfg, staged, None)
+        base_history, _, base_final = run_online(cfg, staged, None, False)
         base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
                                               atk["th_round"])
     t_online = time.time() - t0 - t_offline
 
+    own_with, test_with = _utilities(final, accs, cfg.arch, staged)
+    own_without, test_without = (None, None) if base_final is None else _utilities(
+        base_final, [], cfg.arch, staged)
     counts, truth = _ground_truth(cfg)
     topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k, atk["mode"])
             for k in range(1, min(3, cfg["dataset"]["n_label"]) + 1)}
@@ -496,12 +515,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         predictions=profile.verdicts,
         lock_rounds=profile.lock_rounds,
         topk=topk,
-        utility_test_with=_mean_test_acc(final, cfg.arch, staged.test),
-        utility_test_without=(None if base_final is None
-                              else _mean_test_acc(base_final, cfg.arch, staged.test)),
-        utility_own_with=float(np.mean(final.global_acc)),
-        utility_own_without=(None if base_final is None
-                             else float(np.mean(base_final.global_acc))),
+        utility_test_with=test_with,
+        utility_test_without=test_without,
+        utility_own_with=own_with,
+        utility_own_without=own_without,
         meta_train_accuracy=offline.meta.train_accuracy,
         ds_trace_attack=_ds_trace(history, truth),
         ds_trace_baseline=None if base_history is None else _ds_trace(base_history, truth),
@@ -519,7 +536,7 @@ def run_id_for(cfg: ExperimentConfig) -> str:
 
 
 def persist_run(report: RunReport, round_log: list, offline: OfflineArtifacts,
-                out_dir: Path, timings: dict) -> Path:
+                out_dir: Path, timings: dict) -> None:
     """Write every artifact of a run, offline ones included, into out_dir;
     ``round_log`` goes to rounds.jsonl, the one per-(round, user) record."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -537,7 +554,6 @@ def persist_run(report: RunReport, round_log: list, offline: OfflineArtifacts,
          "sensitivity": [float(v) for v in sh.sensitivity]}
         for i, sh in enumerate(offline.shadows)], indent=2))
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2))
-    return out_dir
 
 
 def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
@@ -551,7 +567,7 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
     centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows))
-    history, _, _ = run_online(cfg, staged, cfg["attack"]["x"])
+    history, _, _ = run_online(cfg, staged, cfg["attack"]["x"], False)
     _, truth = _ground_truth(cfg)
     out = {}
     for label, meta, features in (
@@ -574,45 +590,47 @@ def report_runs(run_dirs: list, k_values=None, out_dir: Optional[Path] = None):
 
     ``k_values`` defaults to every k that all the runs scored.  Returns
     (summary rows, ds rows); writes summary.csv and ds_vs_round.csv when
-    out_dir is given.  Raises on missing artifacts, and a ConfigError for a k
-    that a run's report did not score.
+    out_dir is given.  Raises OSError on an unreadable report.json, FormatError
+    on one that is not JSON or lacks a field read here, and a ConfigError for
+    a k that a run's report did not score.
     """
     if not run_dirs:
         raise InputError("no run directories given")
-    reports = []
+    loaded = []
     for d in map(Path, run_dirs):
-        if not (d / "report.json").exists():
-            raise OSError(f"missing report.json under {d}")
-        reports.append((d, json.loads((d / "report.json").read_text())))
+        path = d / "report.json"
+        try:
+            rep = json.loads(path.read_text(encoding="utf-8"))
+            cfg = rep["config"]
+            row = {
+                "run_id": rep["run_id"],
+                "dir": str(d),
+                "x": cfg["attack"]["x"],
+                "aux_per_class": cfg["attack"]["aux_per_class"],
+                "n_user": cfg["federation"]["n_user"],
+                "seed": cfg["seed"],
+                "utility_test_with": rep["utility_test_with"],
+                "utility_test_without": rep["utility_test_without"],
+                "meta_train_accuracy": rep["meta_train_accuracy"],
+            }
+            ds = [{"run_id": rep["run_id"], "policy": policy, "round": rnd, "mean_ds_at_truth": v}
+                  for policy, trace in (("selective", rep["ds_trace_attack"]),
+                                        ("fedavg-baseline", rep.get("ds_trace_baseline") or []))
+                  for rnd, v in enumerate(trace, start=1)]
+            loaded.append((row, {int(k): v for k, v in rep["topk"].items()}, ds))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:  # bad JSON or field
+            raise FormatError(f"{path} is not a fedprof report: {e!r}") from None
     if k_values is None:
-        k_values = sorted(set.intersection(*(set(map(int, rep["topk"])) for _, rep in reports)))
+        k_values = sorted(set.intersection(*(set(topk) for _, topk, _ in loaded)))
     summary, ds_rows = [], []
-    for d, rep in reports:
-        cfg = rep["config"]
-        row = {
-            "run_id": rep["run_id"],
-            "dir": str(d),
-            "x": cfg["attack"]["x"],
-            "aux_per_class": cfg["attack"]["aux_per_class"],
-            "n_user": cfg["federation"]["n_user"],
-            "seed": cfg["seed"],
-            "utility_test_with": rep["utility_test_with"],
-            "utility_test_without": rep["utility_test_without"],
-            "meta_train_accuracy": rep["meta_train_accuracy"],
-        }
+    for row, topk, ds in loaded:
         for k in k_values:
-            if str(k) not in rep["topk"]:
-                raise ConfigError(
-                    f"--k {k}: run {d} scored top-k only for k in {', '.join(rep['topk'])}")
-            row[f"top{k}"] = rep["topk"][str(k)]
+            if k not in topk:
+                raise ConfigError(f"--k {k}: run {row['dir']} scored top-k only for k in "
+                                  f"{', '.join(map(str, topk))}")
+            row[f"top{k}"] = topk[k]
         summary.append(row)
-        for rnd, v in enumerate(rep["ds_trace_attack"], start=1):
-            ds_rows.append({"run_id": rep["run_id"], "policy": "selective",
-                            "round": rnd, "mean_ds_at_truth": v})
-        if rep.get("ds_trace_baseline"):
-            for rnd, v in enumerate(rep["ds_trace_baseline"], start=1):
-                ds_rows.append({"run_id": rep["run_id"], "policy": "fedavg-baseline",
-                                "round": rnd, "mean_ds_at_truth": v})
+        ds_rows += ds
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -98,9 +98,9 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
     arms = []
     run_online = harness.run_online
 
-    def counting(cfg, staged, x):
+    def counting(cfg, staged, x, score_rounds):
         arms.append(x)
-        return run_online(cfg, staged, x)
+        return run_online(cfg, staged, x, score_rounds)
 
     monkeypatch.setattr(harness, "run_online", counting)
     monkeypatch.setattr(defense, "NOISE_MULTIPLIERS", (4.0,))

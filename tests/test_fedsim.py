@@ -1,5 +1,7 @@
 """Federation loop tests: aggregation algebra, client sampling, round driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -159,25 +161,22 @@ def test_two_rounds_bit_identical_on_rerun(tiny_world):
     for u in range(3):
         assert np.array_equal(a.uploaded[u].values, b.uploaded[u].values)
         assert np.array_equal(a.distributed[u].values, b.distributed[u].values)
-    assert a.local_acc == b.local_acc and a.global_acc == b.global_acc
 
 
-def test_idle_uploads_keep_their_scored_local_accuracy(tiny_world, monkeypatch):
+def test_run_round_scores_no_model(tiny_world, monkeypatch):
     clients, arch, init = tiny_world
-    cfg = nn.TrainConfig(0.05, 1, 8)
-    scored = []
-    accuracy = nn.accuracy
-    monkeypatch.setattr(nn, "accuracy", lambda pv, *args: scored.append(pv) or accuracy(pv, *args))
+
+    def refuse(*args):
+        raise AssertionError("run_round scored a model")
+
+    monkeypatch.setattr(nn, "accuracy", refuse)
     st = fedsim.initial_state(3, init)
-    for rnd in range(1, 5):
-        scored.clear()
-        st = fedsim.run_round(st, clients, arch, cfg, 0.5, fedsim.fedavg_hook, run_seed=12)
-        # every upload in round 1, then only the sampled ones; every received model
-        n_local = 3 if rnd == 1 else len(st.selected)
-        assert len(scored) == n_local + 3
-        # the slow reference: score every upload again
-        assert st.local_acc == [accuracy(st.uploaded[u], arch, clients[u].X, clients[u].y)
-                                for u in range(3)]
+    for _ in range(2):
+        st = fedsim.run_round(st, clients, arch, nn.TrainConfig(0.05, 1, 8), 0.5,
+                              fedsim.fedavg_hook, run_seed=12)
+    assert st.round_index == 2 and len(st.selected) == 2
+    assert [f.name for f in dataclasses.fields(st)] == [
+        "round_index", "uploaded", "distributed", "selected"]
 
 
 def test_training_improves_over_initial_model():

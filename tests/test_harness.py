@@ -1,6 +1,7 @@
 """Config validation, end-to-end determinism, persistence, reporting, CLI."""
 
 import argparse
+import collections
 import csv
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 
 import fedprof
 from fedprof import attack, cli, data, fedsim, harness, nn
-from fedprof.errors import ConfigError, InputError, NumericalError
+from fedprof.errors import ConfigError, FormatError, InputError, NumericalError
 
 FAST = {
     "seed": 5,
@@ -350,6 +351,62 @@ def test_run_directory_is_byte_deterministic(fast_run, tmp_path):
             assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch):
+    # rounds.jsonl against a slow reference that scores every upload and
+    # every received model in every round; only the fresh uploads, the
+    # received models and, after the last round, the test set are scored.
+    cfg = fast_config(fl={**FAST["fl"], "client_fraction": 0.5}, with_baseline=False)
+    run_round, accuracy = fedsim.run_round, nn.accuracy
+    states, scored = [], []  # scored[r - 1]: what was scored after round r
+
+    def traced_round(*args):
+        states.append(run_round(*args))
+        scored.append(collections.Counter())
+        return states[-1]
+
+    def traced_accuracy(pv, arch, X, y):
+        if scored:  # not the meta-classifier's training accuracy
+            scored[-1][pv.values.tobytes(), X.tobytes()] += 1
+        return accuracy(pv, arch, X, y)
+
+    monkeypatch.setattr(fedsim, "run_round", traced_round)
+    monkeypatch.setattr(nn, "accuracy", traced_accuracy)
+    harness.run_experiment(cfg, out_dir=tmp_path)
+    monkeypatch.undo()
+    staged = harness.stage_data(cfg)
+    log = [json.loads(line) for line in (tmp_path / "rounds.jsonl").read_text().splitlines()]
+    n_user, own = cfg["federation"]["n_user"], [(c.X, c.y) for c in staged.clients]
+    assert len(states) == cfg["fl"]["n_rounds"] == 4
+    for st, calls in zip(states, scored):
+        rows = [e for e in log if e["round"] == st.round_index]
+        assert [e["local_acc_before"] for e in rows] == [
+            accuracy(st.uploaded[u], cfg.arch, *own[u]) for u in range(n_user)]
+        assert [e["global_acc_after"] for e in rows] == [
+            accuracy(st.distributed[u], cfg.arch, *own[u]) for u in range(n_user)]
+        assert len(st.selected) == 2
+        fresh = range(n_user) if st.round_index == 1 else st.selected
+        want = collections.Counter(
+            [(st.uploaded[u].values.tobytes(), own[u][0].tobytes()) for u in fresh]
+            + [(m.values.tobytes(), X.tobytes()) for m, (X, _) in zip(st.distributed, own)])
+        if st is states[-1]:
+            want.update((m.values.tobytes(), staged.test.X.tobytes()) for m in st.distributed)
+        assert calls == want, st.round_index
+
+
+@pytest.mark.parametrize("with_baseline, arms", [(True, 2), (False, 1)])
+def test_a_run_without_a_directory_scores_only_the_reported_models(monkeypatch, with_baseline,
+                                                                   arms):
+    # Each arm scores its final models on the users' own data and on the
+    # test set; the meta-classifier's training accuracy is the one other call.
+    calls = []
+    accuracy = nn.accuracy
+    monkeypatch.setattr(nn, "accuracy", lambda *args: calls.append(1) or accuracy(*args))
+    cfg = fast_config(with_baseline=with_baseline)
+    report = harness.run_experiment(cfg)
+    assert (report.utility_test_without is None) == (not with_baseline)
+    assert len(calls) == 2 * cfg["federation"]["n_user"] * arms + 1
+
+
 def test_report_runs_joins_policies(fast_run, tmp_path):
     # A with_baseline run holds both arms' DS traces, one policy each.
     rep, d = fast_run
@@ -379,9 +436,22 @@ def test_report_runs_quotes_a_directory_name_holding_a_comma(fast_run, tmp_path)
     assert None not in rows[0]  # no field beyond the header
 
 
-def test_report_runs_missing_artifacts_raises(tmp_path):
+def test_report_runs_missing_artifacts_raises(fast_run, tmp_path):
     with pytest.raises(OSError):
         harness.report_runs([tmp_path / "nope"])
+    # A malformed report.json is a FormatError naming the directory and the
+    # parse error or the missing key.
+    full = (fast_run[1] / "report.json").read_text()
+    no_topk = json.dumps({k: v for k, v in json.loads(full).items() if k != "topk"})
+    word_k = json.dumps({**json.loads(full), "topk": {"one": 1.0}})
+    for name, text, what in (("truncated", full[:len(full) // 2], "JSONDecodeError"),
+                             ("empty", "{}", "'config'"), ("no-topk", no_topk, "'topk'"),
+                             ("word-k", word_k, "'one'")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "report.json").write_text(text)
+        with pytest.raises(FormatError, match=re.escape(str(tmp_path / name))) as err:
+            harness.report_runs([tmp_path / name])
+        assert what in str(err.value), name
 
 
 def test_cnn_model_arch_on_image_data():
@@ -574,6 +644,16 @@ def test_cli_report_bad_k_is_config_error(tmp_path):
         assert "--k" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_cli_report_on_a_malformed_report_exit_code_two(tmp_path):
+    run = tmp_path / "run"
+    run.mkdir()
+    for text in ('{"topk": {"1": ', "{}"):
+        (run / "report.json").write_text(text)
+        proc = run_cli(["report", str(run), "--out", str(tmp_path / "rep")], cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert str(run) in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_cli_config_error_exit_code_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"attack": {"x": 99}}))
@@ -583,6 +663,13 @@ def test_cli_config_error_exit_code_one(tmp_path):
     proc = run_cli(["run", "--config", str(tmp_path / "missing.json")], cwd=tmp_path)
     assert proc.returncode == 1
     assert "config file not found" in proc.stderr
+    # a directory, and a file that is not UTF-8
+    not_utf8 = tmp_path / "bytes.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path, not_utf8):
+        proc = run_cli(["run", "--config", str(path)], cwd=tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert f"config file {path} " in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_cli_runtime_error_exit_code_two(tmp_path):
