@@ -7,16 +7,16 @@ Layers:
   fedsim   the FL round loop with pluggable (attacker-controlled) aggregation
            and a stop on diverged parameters
   attack   sensitivity extraction, shadow/meta pipeline, selective aggregation
-  harness  config validation, end-to-end experiments, reports, persistence
-  defense  the dropout / DP-SGD sweep, one config override per variant
+  harness  config validation, experiments (one run, the meta-classifier
+           comparison, the dropout / DP-SGD sweep), reports, persistence
 """
 
-from . import attack, data, defense, fedsim, harness, nn
+from . import attack, data, fedsim, harness, nn
 from .errors import (ConfigError, FedprofError, FormatError, InputError,
                      InternalError, NumericalError, SpecError)
 
 __all__ = [
-    "attack", "data", "defense", "fedsim", "harness", "nn",
+    "attack", "data", "fedsim", "harness", "nn",
     "FedprofError", "InputError", "FormatError", "SpecError",
     "ConfigError", "InternalError", "NumericalError",
 ]

@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import defense, harness
+from . import harness
 from .errors import ConfigError, FedprofError
 
 
@@ -48,7 +48,7 @@ def cmd_run(args) -> int:
 def cmd_defense_sweep(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args, cfg) / "defense"
-    rows = defense.run_defense_sweep(cfg, out_dir=out)
+    rows = harness.run_defense_sweep(cfg, out_dir=out)
     print(f"{'label':>10} {'noise':>8} {'attack':>8} {'utility':>8}")
     for r in rows:
         nm = "-" if r.noise_multiplier is None else f"{r.noise_multiplier:g}"

@@ -8,6 +8,7 @@ index bookkeeping against a shared source pool.
 from __future__ import annotations
 
 import bisect
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -109,7 +110,7 @@ def make_synthetic(n_label: int, dim: int, per_class_pool: int, seed: int,
 def _read_exact(f, size, what):
     blob = f.read(size)
     if len(blob) != size:
-        raise FormatError(f"truncated file while reading {what}")
+        raise FormatError(f"truncated file {f.name} while reading {what}")
     return blob
 
 
@@ -127,13 +128,25 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     return LabeledDataset(X, y, n_label, feature_shape=(rows, cols))
 
 
+def _check_size(f, need: int, what: str) -> None:
+    """Raise FormatError, naming the open file ``f``, if it is shorter than
+    the ``need`` bytes its header promises (``what``)."""
+    size = os.fstat(f.fileno()).st_size
+    if size < need:
+        raise FormatError(f"{f.name} holds {size} bytes, fewer than the {need} its header "
+                          f"promises ({what})")
+
+
 def load_idx_header(images_path) -> tuple:
-    """(count, rows, cols) from the 16-byte header of an IDX image file."""
+    """(count, rows, cols) from the 16-byte header of an IDX image file, which
+    must hold the count * rows * cols pixel bytes the header promises."""
     with open(images_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "images magic"))
         if magic != IMAGES_MAGIC:
-            raise FormatError(f"bad magic 0x{magic:08x} in images file, expected 0x{IMAGES_MAGIC:08x}")
-        return struct.unpack(">III", _read_exact(f, 12, "images dimensions"))
+            raise FormatError(f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IMAGES_MAGIC:08x}")
+        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, "images dimensions"))
+        _check_size(f, 16 + n * rows * cols, f"{n} images of {rows}x{cols} pixels")
+    return n, rows, cols
 
 
 def load_idx_labels(labels_path) -> np.ndarray:
@@ -141,8 +154,9 @@ def load_idx_labels(labels_path) -> np.ndarray:
     with open(labels_path, "rb") as f:
         (magic,) = struct.unpack(">I", _read_exact(f, 4, "labels magic"))
         if magic != LABELS_MAGIC:
-            raise FormatError(f"bad magic 0x{magic:08x} in labels file, expected 0x{LABELS_MAGIC:08x}")
+            raise FormatError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{LABELS_MAGIC:08x}")
         (n,) = struct.unpack(">I", _read_exact(f, 4, "labels count"))
+        _check_size(f, 8 + n, f"{n} one-byte labels")
         return np.frombuffer(_read_exact(f, n, "labels data"), dtype=np.uint8).astype(np.int64)
 
 

@@ -119,7 +119,8 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     per-user distributed models.  No model is scored here.
     Raises NumericalError, naming the round and user, if an upload or a
     distributed model has a parameter that is non-finite or larger in
-    magnitude than DIVERGENCE_BOUND (1e6).
+    magnitude than DIVERGENCE_BOUND (1e6).  Each upload is checked as it is
+    trained; an unsampled user's was checked in the round that trained it.
     """
     n_user = len(clients)
     rnd = prev.round_index + 1
@@ -130,9 +131,7 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     for u in selected:
         uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, train_cfg,
                               derive_seed(run_seed, "local-train", rnd, int(u)))
-
-    for u, m in enumerate(uploads):
-        check_finite(m, f"round {rnd}: the model uploaded for user {u}")
+        check_finite(uploads[u], f"round {rnd}: the model uploaded for user {u}")
 
     distributed = hook(prev.distributed, uploads, list(selected))
     if len(distributed) != n_user:

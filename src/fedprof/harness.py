@@ -1,5 +1,6 @@
 """Experiment orchestration: strict config ingestion, seeded end-to-end runs
 (shadow corpus -> meta-classifier -> FL with the attacking server -> report),
+the experiments made of such runs (meta-classifier comparison, defense sweep),
 artifact persistence, and plot-ready CSV reporting.
 
 A run is a pure function of (config, seed): every random stream is derived
@@ -212,8 +213,12 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             problems.append("model.kind 'cnn' on synthetic data needs a square dataset.dim")
     if problems:
         raise ConfigError("; ".join(problems))
-    if ds["kind"] == "idx":
-        _, rows, cols = data.load_idx_header(ds["images"])
+    if ds["kind"] == "idx":  # a malformed file is a FormatError naming it
+        n_images, rows, cols = data.load_idx_header(ds["images"])
+        labels = data.load_idx_labels(ds["labels"])
+        if n_images != len(labels):
+            raise FormatError(f"count mismatch: {ds['images']} holds {n_images} images but "
+                              f"{ds['labels']} holds {len(labels)} labels")
         shape, where = (rows, cols), f"dataset.images {ds['images']} holds {rows}x{cols} images"
     elif resolved["model"]["kind"] == "cnn":
         shape, where = (side, side), f"dataset.dim {ds['dim']} is a {side}x{side} image"
@@ -264,7 +269,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
         raise ConfigError(f"attack.shadow_size {size} makes a shadow dataset need {need} samples "
                           f"of one class, more than attack.aux_per_class {atk['aux_per_class']}")
     if ds["kind"] == "idx":
-        have = np.bincount(data.load_idx_labels(ds["labels"]))
+        have = np.bincount(labels)
         if len(have) != n_label:
             raise ConfigError(f"dataset.n_label is {n_label} but dataset.labels holds "
                               f"{len(have)} classes")
@@ -486,10 +491,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     (same seeds, same attacker observation) provides the no-attack utility
     reference and the paired DS trace.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
-    t_offline = time.time() - t0
+    t_offline = time.perf_counter() - t0
 
     atk = cfg["attack"]
     history, accs, final = run_online(cfg, staged, atk["x"], out_dir is not None)
@@ -499,7 +504,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
         base_history, _, base_final = run_online(cfg, staged, None, False)
         base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
                                               atk["th_round"])
-    t_online = time.time() - t0 - t_offline
+    t_online = time.perf_counter() - t0 - t_offline
 
     own_with, test_with = _utilities(final, accs, cfg.arch, staged)
     own_without, test_without = (None, None) if base_final is None else _utilities(
@@ -578,6 +583,45 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
         hits = profile.predictions == np.array(truth)
         out[label] = {"accuracy": int(hits.sum()) / hits.size}
     return out
+
+
+# The defense sweep's DP grid: one variant per noise multiplier, labelled dp_{m:g}.
+NOISE_MULTIPLIERS = (0.05, 0.25, 1.0, 4.0)
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    label: str
+    noise_multiplier: Optional[float]
+    attack_acc_top1: float
+    model_utility: float
+
+
+def run_defense_sweep(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> list:
+    """One full FL+attack run per client mitigation, all with identical seeds:
+    none, dropout, and one DP-SGD variant per entry of :data:`NOISE_MULTIPLIERS`
+    at the config's clip norm, each ``cfg`` with its defense block overridden.
+
+    A :class:`SweepRow` per variant holds top-1 attack accuracy and model
+    utility (mean test accuracy of the final distributed models).  Neither
+    reads the FedAvg baseline arm, so every variant runs with
+    ``with_baseline`` false.  Writes sweep.csv into out_dir when given.
+    """
+    variants = [("none", {"apply": "none"}), ("dropout", {"apply": "dropout"})]
+    variants += [(f"dp_{m:g}", {"apply": "dp", "noise_multiplier": m})
+                 for m in NOISE_MULTIPLIERS]
+    rows = []
+    for label, block in variants:
+        variant = cfg.with_overrides({"defense": block, "with_baseline": False})
+        d = variant["defense"]
+        report = run_experiment(variant)
+        rows.append(SweepRow(label, d["noise_multiplier"] if d["apply"] == "dp" else None,
+                             report.topk["1"], report.utility_test_with))
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_csv(out_dir / "sweep.csv", [dataclasses.asdict(r) for r in rows])
+    return rows
 
 
 # ---------------------------------------------------------------------------

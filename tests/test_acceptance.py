@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fedprof import attack, data, defense, fedsim, harness, nn
+from fedprof import attack, data, fedsim, harness, nn
 from fedprof.seeding import derive_seed
 
 
@@ -315,7 +315,7 @@ def test_criterion_12_defense_sweep():
         cfg = harness.validate_config(json.dumps({
             "seed": 3000, "with_baseline": False, "fl": {"n_rounds": 12},
         }))
-        rows = defense.run_defense_sweep(cfg)
+        rows = harness.run_defense_sweep(cfg)
         by_label = {r.label: r for r in rows}
         print("\n  " + " | ".join(f"{r.label}: a={r.attack_acc_top1:.2f} "
                                   f"u={r.model_utility:.2f}" for r in rows))

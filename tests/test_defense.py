@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from fedprof import defense, harness
+from fedprof import harness
 from test_harness import run_cli
 
 BASE = {
@@ -40,7 +40,7 @@ def test_standard_sweep_structure(monkeypatch):
         return SimpleNamespace(topk={"1": 0.0}, utility_test_with=0.0)
 
     monkeypatch.setattr(harness, "run_experiment", recording)
-    rows = defense.run_defense_sweep(cfg)
+    rows = harness.run_defense_sweep(cfg)
     assert [r.label for r in rows] == ["none", "dropout", "dp_0.05", "dp_0.25", "dp_1", "dp_4"]
     assert [r.noise_multiplier for r in rows] == [None, None, 0.05, 0.25, 1.0, 4.0]
     assert [v["defense"]["apply"] for v in ran] == ["none", "dropout"] + ["dp"] * 4
@@ -61,9 +61,9 @@ def test_degenerate_dp_equals_no_defense_metrics():
 
 
 def test_sweep_runs_and_writes_csv(tmp_path, monkeypatch):
-    monkeypatch.setattr(defense, "NOISE_MULTIPLIERS", (4.0,))
+    monkeypatch.setattr(harness, "NOISE_MULTIPLIERS", (4.0,))
     cfg = base_cfg().with_overrides(BATCH_16)
-    rows = defense.run_defense_sweep(cfg, out_dir=tmp_path)
+    rows = harness.run_defense_sweep(cfg, out_dir=tmp_path)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     text = (tmp_path / "sweep.csv").read_text().splitlines()
     assert text[0] == "label,noise_multiplier,attack_acc_top1,model_utility"
@@ -72,7 +72,7 @@ def test_sweep_runs_and_writes_csv(tmp_path, monkeypatch):
 
 
 def test_cli_defense_sweep(tmp_path):
-    # a child process: the sweep runs the full grid of defense.NOISE_MULTIPLIERS
+    # a child process: the sweep runs the full grid of harness.NOISE_MULTIPLIERS
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(BASE))
     proc = run_cli(["defense-sweep", "--config", str(cfg_path), "--out", str(tmp_path / "runs")],
@@ -103,8 +103,8 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
         return run_online(cfg, staged, x, score_rounds)
 
     monkeypatch.setattr(harness, "run_online", counting)
-    monkeypatch.setattr(defense, "NOISE_MULTIPLIERS", (4.0,))
+    monkeypatch.setattr(harness, "NOISE_MULTIPLIERS", (4.0,))
     cfg = base_cfg().with_overrides({"with_baseline": True})
-    rows = defense.run_defense_sweep(cfg)
+    rows = harness.run_defense_sweep(cfg)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
     assert arms == [cfg["attack"]["x"]] * 3  # no None: the FedAvg arm never ran

@@ -227,6 +227,46 @@ def test_diverging_local_training_raises_numerical_error_naming_round_and_user(t
                          fedsim.fedavg_hook, run_seed=7)
 
 
+def test_each_round_checks_only_the_fresh_uploads(tiny_world, monkeypatch):
+    # An idle upload is last round's model, already checked when it was
+    # trained (or the shared init), so a round checks its sampled uploads
+    # only, in ascending user order, and every distributed model.
+    clients, arch, init = tiny_world
+    checked = []
+    check_finite = fedsim.check_finite
+
+    def recording(model, where):
+        checked.append(where)
+        check_finite(model, where)
+
+    monkeypatch.setattr(fedsim, "check_finite", recording)
+    st = fedsim.initial_state(3, init)
+    for _ in range(3):
+        checked.clear()
+        st = fedsim.run_round(st, clients, arch, nn.TrainConfig(0.05, 1, 8), 0.5,
+                              fedsim.fedavg_hook, run_seed=12)
+        assert len(st.selected) == 2
+        assert checked == (
+            [f"round {st.round_index}: the model uploaded for user {u}" for u in st.selected]
+            + [f"round {st.round_index}: the model distributed for user {u}" for u in range(3)])
+
+
+def test_a_diverged_upload_stops_the_round_before_the_next_client_trains(tiny_world,
+                                                                        monkeypatch):
+    clients, arch, init = tiny_world
+    trained = []
+
+    def diverging(pv_in, arch_, X, y, cfg, seed):
+        trained.append(seed)
+        return pv(np.full(arch.n_params, np.inf))
+
+    monkeypatch.setattr(nn, "train", diverging)
+    with pytest.raises(NumericalError, match="round 1: the model uploaded for user 0 "):
+        fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
+                         1.0, fedsim.fedavg_hook, run_seed=7)
+    assert len(trained) == 1
+
+
 def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_world):
     clients, arch, init = tiny_world
 

@@ -3,14 +3,17 @@
 import argparse
 import collections
 import csv
+import inspect
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,7 +82,7 @@ def test_unknown_keys_rejected_by_name():
                       ({"model": {"hidden": [32]}}, "model.hidden"),
                       ({"attack": {"meta": {"hidden": 32}}}, "attack.meta.hidden"),
                       ({"attack": {"meta": {"batch_size": 16}}}, "attack.meta.batch_size"),
-                      # the CLI's --out and defense.NOISE_MULTIPLIERS hold these now
+                      # the CLI's --out and harness.NOISE_MULTIPLIERS hold these now
                       ({"output_dir": "runs"}, "output_dir"),
                       ({"defense": {"noise_multipliers": [4.0]}},
                        "defense.noise_multipliers"),
@@ -264,6 +267,41 @@ def test_cnn_on_too_small_idx_images_is_a_config_error(tmp_path):
     assert harness.validate_config(json.dumps(raw)).arch.input_shape == (1, 6, 6)
 
 
+# (count, rows, cols) headers of a 16-byte image file: one whose pixel count
+# overflows an index-sized integer, and one of 1 TiB
+OVERSIZED_IDX_HEADERS = [(2 ** 32 - 1,) * 3, (2 ** 20, 1024, 1024)]
+
+
+def write_oversized_idx_header(tmp_path, header):
+    """The FAST config on a CNN over an image file that holds only its header."""
+    raw = harness._deep_merge(write_idx_pool(tmp_path, [300] * 4, shape=(6, 6)),
+                              {"model": {"kind": "cnn"}})
+    Path(raw["dataset"]["images"]).write_bytes(struct.pack(">IIII", 0x803, *header))
+    return raw
+
+
+@pytest.mark.parametrize("header", OVERSIZED_IDX_HEADERS)
+def test_an_idx_header_promising_more_pixels_than_its_file_holds_fails_validation(
+        tmp_path, header):
+    raw = write_oversized_idx_header(tmp_path, header)
+    with pytest.raises(FormatError, match=rf"^{re.escape(raw['dataset']['images'])} holds 16 "
+                                          rf"bytes, .*pixels"):
+        harness.validate_config(json.dumps(raw))
+
+
+def test_idx_label_and_image_counts_are_checked_at_validation(tmp_path):
+    raw = write_idx_pool(tmp_path, [300] * 4)
+    labels = Path(raw["dataset"]["labels"])
+    labels.write_bytes(struct.pack(">II", 0x801, 1201) + bytes([0, 1, 2, 3]) * 300 + b"\0")
+    with pytest.raises(FormatError, match=rf"count mismatch: .*images.idx holds 1200 images "
+                                          rf"but .*labels.idx holds 1201 labels"):
+        harness.validate_config(json.dumps(raw))
+    labels.write_bytes(struct.pack(">II", 0x801, 1200) + bytes(1199))
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(labels))} holds 1207 bytes, "
+                                          rf"fewer than the 1208 .*1200 one-byte labels"):
+        harness.validate_config(json.dumps(raw))
+
+
 def test_idx_pool_class_count_must_match_n_label(tmp_path):
     raw = write_idx_pool(tmp_path, [200, 200, 200])
     with pytest.raises(ConfigError, match="dataset.n_label is 4 but dataset.labels holds 3"):
@@ -349,6 +387,19 @@ def test_run_directory_is_byte_deterministic(fast_run, tmp_path):
     for name in names:
         if name != "timings.json":  # wall clock
             assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_stage_timings_do_not_read_the_settable_wall_clock(tmp_path, monkeypatch):
+    # A wall clock set back an hour between reads would record negative
+    # stage durations; only harness's own reference to `time` is replaced.
+    wall = iter(range(10 ** 9, 0, -3600))
+    monkeypatch.setattr(harness, "time", SimpleNamespace(
+        time=lambda: next(wall), perf_counter=time.perf_counter))
+    cfg = fast_config(fl={**FAST["fl"], "n_rounds": 1}, with_baseline=False)
+    harness.run_experiment(cfg, out_dir=tmp_path)
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert set(timings) == {"offline_s", "online_s"}
+    assert min(timings.values()) >= 0, timings
 
 
 def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch):
@@ -684,6 +735,17 @@ def test_cli_runtime_error_exit_code_two(tmp_path):
     assert "bad magic" in proc.stderr
 
 
+def test_cli_oversized_idx_header_exit_code_two(tmp_path):
+    raw = write_oversized_idx_header(tmp_path, OVERSIZED_IDX_HEADERS[0])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    proc = run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")],
+                   cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert raw["dataset"]["images"] in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cli_idx_pool_too_small_exit_code_one(tmp_path):
     # 60 samples per class validate as files but cannot feed the FAST run.
     raw = write_idx_pool(tmp_path, [60] * 4)
@@ -795,6 +857,15 @@ def test_readme_cli_block_names_every_subcommand():
               if isinstance(a, argparse._SubParsersAction)]
     assert sorted(documented) == sorted(sub.choices)
     assert len(set(documented)) == len(documented)
+
+
+def test_readme_module_table_and_package_docstring_name_every_layer():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## What's inside", 1)[1].split("\n## ", 1)[0]
+    table = re.findall(r"^\| `fedprof\.(\w+)` +\|", section, flags=re.M)
+    docstring = re.findall(r"^  (\w+) ", fedprof.__doc__.split("Layers:\n", 1)[1], flags=re.M)
+    layers = [name for name in fedprof.__all__ if inspect.ismodule(getattr(fedprof, name))]
+    assert table == docstring and sorted(table) == sorted(layers), (table, docstring, layers)
 
 
 def test_readme_removed_keys_are_each_rejected_by_name():
