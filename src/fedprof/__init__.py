@@ -13,11 +13,11 @@ Layers:
 
 from . import attack, data, fedsim, harness, nn
 from .errors import (ConfigError, FedprofError, FormatError, InputError,
-                     InternalError, NumericalError, SpecError)
+                     InternalError, NumericalError)
 
 __all__ = [
     "attack", "data", "fedsim", "harness", "nn",
-    "FedprofError", "InputError", "FormatError", "SpecError",
+    "FedprofError", "InputError", "FormatError",
     "ConfigError", "InternalError", "NumericalError",
 ]
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import fedsim, nn
 from .data import (LabeledDataset, preference_class, realize_distribution, sample_cp_cd,
                    target_counts)
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ def draw_shadow_specs(n_label: int, n_shadows: int, total_size: int, cp_range, c
     a draw whose counts do not prefer the forced class under ``mode`` is
     resampled.  No data is read, so a config can be checked before a run."""
     if n_shadows < n_label:
-        raise ConfigError(f"{n_shadows} shadows cannot cover {n_label} preference classes")
+        raise InputError(f"{n_shadows} shadows cannot cover {n_label} preference classes")
     draws = []
     for i in range(n_shadows):
         forced = i % n_label
@@ -101,7 +101,7 @@ def draw_shadow_specs(n_label: int, n_shadows: int, total_size: int, cp_range, c
             if preference_class(counts, mode) == forced:
                 break
         else:
-            raise ConfigError(f"could not realize a shadow preferring class {forced}")
+            raise InputError(f"could not realize a shadow preferring class {forced}")
         draws.append((forced, counts, sub))
     return draws
 
@@ -163,7 +163,7 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
     naming "meta-dataset update i".
     """
     if len(shadows) < 2:
-        raise ConfigError("federated meta dataset needs at least two shadows")
+        raise InputError("federated meta dataset needs at least two shadows")
     features = []
     for i, sh in enumerate(shadows):
         partner = _pair_partner(shadows, i, mode)
@@ -203,10 +203,10 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> Me
     the "meta-classifier"."""
     n_label = meta.n_label
     if len(meta) < n_label:
-        raise ConfigError(f"need at least {n_label} meta samples, got {len(meta)}")
+        raise InputError(f"need at least {n_label} meta samples, got {len(meta)}")
     missing = np.flatnonzero(meta.class_counts == 0).tolist()
     if missing:
-        raise ConfigError(f"meta dataset has no samples for classes {missing}")
+        raise InputError(f"meta dataset has no samples for classes {missing}")
     feats = normalize_features(meta.X)
     arch = nn.Architecture(
         (nn.Dense(n_label, 32), nn.Relu(), nn.Dense(32, n_label)),

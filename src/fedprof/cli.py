@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Subcommands: run, defense-sweep, report.
-Exit codes: 0 success, 1 configuration error, 2 runtime failure.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure (out of
+memory included).
 """
 
 from __future__ import annotations
@@ -110,6 +111,9 @@ def main(argv=None) -> int:
         return 1
     except (FedprofError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # a config too large for this machine; other errors are bugs
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, FormatError, SpecError
+from .errors import InputError, FormatError
 from .seeding import derive_seed
 
 IMAGES_MAGIC = 0x00000803
@@ -206,23 +206,23 @@ def target_counts(n_label: int, total_size: int, cp: float, cd: float,
     indices.  Counts always sum to total_size.  The measured CD only
     round-trips cd when the even spread stays below the runner-up count;
     targets outside that regime are still realized (majority count first,
-    runner-up capped by what is left).  Raises SpecError for arguments that
+    runner-up capped by what is left).  Raises InputError for arguments that
     describe no dataset.
     """
     if n_label < 2:
-        raise SpecError("n_label must be >= 2")
+        raise InputError("n_label must be >= 2")
     if total_size < 1:
-        raise SpecError("total_size must be >= 1")
+        raise InputError("total_size must be >= 1")
     if not 0.0 < cp <= 1.0:
-        raise SpecError(f"cp must be in (0, 1], got {cp}")
+        raise InputError(f"cp must be in (0, 1], got {cp}")
     if not 0.0 <= cd <= 1.0:
-        raise SpecError(f"cd must be in [0, 1], got {cd}")
+        raise InputError(f"cd must be in [0, 1], got {cd}")
     if mode == "majority" and cd > cp:
-        raise SpecError(f"cd {cd} > cp {cp} implies a negative class count")
+        raise InputError(f"cd {cd} > cp {cp} implies a negative class count")
     if not 0 <= preferred_class < n_label:
-        raise SpecError("preferred_class out of range")
+        raise InputError("preferred_class out of range")
     if mode not in ("majority", "minority"):
-        raise SpecError(f"mode must be 'majority' or 'minority', got {mode!r}")
+        raise InputError(f"mode must be 'majority' or 'minority', got {mode!r}")
     counts = np.zeros(n_label, dtype=np.int64)
     runner = min(c for c in range(n_label) if c != preferred_class)
     others = [c for c in range(n_label) if c not in (preferred_class, runner)]
@@ -232,7 +232,7 @@ def target_counts(n_label: int, total_size: int, cp: float, cd: float,
         main = max(1, min(main, total_size))
         second = main - int(round(cd * total_size))
         if second < 0:
-            raise SpecError(f"cp={cp}, cd={cd} give a negative runner-up count")
+            raise InputError(f"cp={cp}, cd={cd} give a negative runner-up count")
         second = min(second, total_size - main)
     else:
         main = int(round(cp * total_size))
@@ -380,7 +380,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     the preferred count m from the :func:`equalized_grid` of ``mode`` and
     gives every other class (total_size - m) // (n_label - 1), so that the
     non-preferred classes tie exactly.  A row whose :func:`preference_class`
-    under ``mode`` is not the user's preferred class raises SpecError;
+    under ``mode`` is not the user's preferred class raises InputError;
     nothing is redrawn.
     """
     rng = np.random.default_rng(derive_seed(seed, "federation-spec"))
@@ -388,7 +388,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
     if equalize_rest:
         grid = equalized_grid(n_label, total_size, cp_range, cd_range, mode)
         if not grid:
-            raise SpecError(f"no equalized (cp, cd) grid point inside cp {cp_range}, "
+            raise InputError(f"no equalized (cp, cd) grid point inside cp {cp_range}, "
                             f"cd {cd_range}")
     rows = []
     for pref in prefs:
@@ -401,7 +401,7 @@ def make_federation_spec(n_user: int, n_label: int, total_size: int,
             counts = target_counts(n_label, total_size, cp, cd, pref, mode)
         got = preference_class(counts, mode)
         if got != pref:
-            raise SpecError(f"user {len(rows)}'s counts {counts.tolist()} prefer class {got}, "
+            raise InputError(f"user {len(rows)}'s counts {counts.tolist()} prefer class {got}, "
                             f"not its class {pref}")
         rows.append(counts)
     return np.stack(rows)

@@ -6,19 +6,18 @@ class FedprofError(Exception):
 
 
 class InputError(FedprofError):
-    """A caller-supplied value violates an operation's precondition."""
+    """A caller-supplied value violates an operation's precondition, a target
+    that describes no dataset included (e.g. a negative class count)."""
 
 
 class FormatError(FedprofError):
     """A file fedprof reads (IDX container, checkpoint, report.json) is malformed."""
 
 
-class SpecError(InputError):
-    """A dataset target cannot be realized (e.g. negative class count)."""
-
-
 class ConfigError(FedprofError):
-    """An experiment or attack configuration is invalid."""
+    """An experiment configuration is invalid.  Only ``harness`` and ``cli``
+    raise it: the layers below raise InputError, which
+    ``harness.validate_config`` rewords under the key path at fault."""
 
 
 class InternalError(FedprofError):

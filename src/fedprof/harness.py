@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import attack, data, fedsim, nn
-from .errors import ConfigError, FormatError, InputError, SpecError
+from .errors import ConfigError, FormatError, InputError
 from .seeding import derive_seed
 
 # ---------------------------------------------------------------------------
@@ -32,12 +32,13 @@ from .seeding import derive_seed
 
 # Each leaf is (default, validator); a failed validator is reported with the
 # offending key path.  A key whose default is None is optional: it accepts
-# null or a value its validator passes.  Booleans are not numbers here.  A key
-# whose default is a float, or a list of floats, stores its value as float,
-# so 1 and 1.0 resolve alike; a count is below 2**63, so it fits int64.
+# null or a value its validator passes.  Booleans are not numbers here, nor
+# is a float beyond the float range (JSON's 1e400 and Infinity parse to inf).
+# A key whose default is a float, or a list of floats, stores its value as
+# float, so 1 and 1.0 resolve alike; a count is below 2**63, so it fits int64.
 
-_NUM = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
 _INT = lambda v: isinstance(v, int) and not isinstance(v, bool)
+_NUM = lambda v: _INT(v) or isinstance(v, float) and np.isfinite(v)
 _POS = lambda v: _NUM(v) and v > 0
 _COUNT = lambda v: _INT(v) and v < 2 ** 63
 _POS_INT = lambda v: _COUNT(v) and v > 0
@@ -133,17 +134,23 @@ def _resolve(raw: dict, schema: dict, path: str, problems: list) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved, validated experiment description (plain dict inside), the
-    client and shadow targets drawn from it and the client model, all of
-    which the run consumes.  ``fed_spec`` is the (n_user, n_label) matrix of
-    each user's class counts; ``shadow_draws`` holds one (preferred class,
-    class counts, sub-seed) per shadow.  Both follow from ``resolved``, so
-    equality compares the rest."""
+    """Resolved, validated experiment description (plain dict inside), and
+    what the run consumes of it: ``fed_spec``, the (n_user, n_label) matrix
+    of each user's class counts; ``shadow_draws``, one (preferred class,
+    class counts, sub-seed) per shadow; the client model; and the optimisers
+    of local training (DP-SGD under the dp defense), of the shadows, of the
+    meta dataset's one-pass updates (batch cut to the shadow size) and of the
+    meta-classifier.  All follow from ``resolved``, so equality compares it
+    and ``arch``."""
 
     resolved: dict
     fed_spec: np.ndarray = dataclasses.field(compare=False)
     shadow_draws: list = dataclasses.field(compare=False)
     arch: nn.Architecture
+    client_train: nn.TrainConfig = dataclasses.field(compare=False)
+    shadow_train: nn.TrainConfig = dataclasses.field(compare=False)
+    update_train: nn.TrainConfig = dataclasses.field(compare=False)
+    meta_train: nn.TrainConfig = dataclasses.field(compare=False)
 
     def __getitem__(self, key):
         return self.resolved[key]
@@ -175,11 +182,12 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 def validate_config(raw_text: str) -> ExperimentConfig:
     """Parse, strictly validate and default-fill a JSON experiment config,
-    and build the client model and draw the client and shadow class counts
-    its run consumes.
+    and build the client model, the optimisers and the client and shadow
+    class counts its run consumes.
 
-    Every violated invariant, a target the config cannot realize included, is
-    reported with its key path; unknown keys are rejected.
+    This is where a config is judged: every violated invariant, a target the
+    config cannot realize included, is a ConfigError naming its key path, and
+    unknown keys are rejected.
     """
     try:
         raw = json.loads(raw_text)
@@ -238,7 +246,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             cp_range=tuple(fed["cp_range"]), cd_range=tuple(fed["cd_range"]),
             seed=derive_seed(resolved["seed"], "federation-spec"), mode=atk["mode"],
             equalize_rest=fed["equalize_rest"])
-    except SpecError as e:
+    except InputError as e:
         raise ConfigError(f"federation.cp_range {fed['cp_range']} with federation.cd_range "
                           f"{fed['cd_range']} in {atk['mode']} mode: {e}") from None
     # A shadow's preferred class takes up to shadow_cp_range[1] of its dataset,
@@ -260,7 +268,7 @@ def validate_config(raw_text: str) -> ExperimentConfig:
                                          tuple(atk["shadow_cp_range"]),
                                          tuple(atk["shadow_cd_range"]), atk["mode"],
                                          derive_seed(resolved["seed"], "shadows"))
-    except (ConfigError, SpecError) as e:
+    except InputError as e:
         raise ConfigError(f"attack.shadow_cp_range {atk['shadow_cp_range']} with "
                           f"attack.shadow_cd_range {atk['shadow_cd_range']} in {atk['mode']} "
                           f"mode: {e}") from None
@@ -280,7 +288,13 @@ def validate_config(raw_text: str) -> ExperimentConfig:
             raise ConfigError(f"dataset.labels {ds['labels']} is too small for the client "
                               f"datasets plus attack.aux_per_class and eval_per_class per "
                               f"class: " + "; ".join(short))
-    return ExperimentConfig(resolved, fed_spec, draws, arch)
+    fl, d, meta = resolved["fl"], resolved["defense"], atk["meta"]
+    dp = nn.DpConfig(d["clip_norm"], d["noise_multiplier"]) if d["apply"] == "dp" else None
+    client = nn.TrainConfig(fl["learning_rate"], fl["local_epochs"], fl["batch_size"], dp)
+    update = dataclasses.replace(client, batch_size=min(fl["batch_size"], size))
+    return ExperimentConfig(resolved, fed_spec, draws, arch, client,
+                            dataclasses.replace(update, epochs=atk["shadow_epochs"]), update,
+                            nn.TrainConfig(meta["learning_rate"], meta["epochs"], 16))
 
 
 def _pool_demand(resolved: dict, fed_spec: np.ndarray) -> np.ndarray:
@@ -343,18 +357,6 @@ def stage_data(cfg: ExperimentConfig) -> StagedData:
     return StagedData(clients, aux, test)
 
 
-def client_train_config(cfg: ExperimentConfig) -> nn.TrainConfig:
-    d = cfg["defense"]
-    dp = (nn.DpConfig(clip_norm=d["clip_norm"], noise_multiplier=d["noise_multiplier"])
-          if d["apply"] == "dp" else None)
-    return nn.TrainConfig(
-        learning_rate=cfg["fl"]["learning_rate"],
-        epochs=cfg["fl"]["local_epochs"],
-        batch_size=cfg["fl"]["batch_size"],
-        dp=dp,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Offline phase: shadows and meta-classifier
 # ---------------------------------------------------------------------------
@@ -367,25 +369,17 @@ class OfflineArtifacts:
     meta: attack.MetaClassifier
 
 
-def _train_meta(cfg: ExperimentConfig, meta_dataset: data.LabeledDataset) -> attack.MetaClassifier:
-    meta = cfg["attack"]["meta"]
-    meta_cfg = nn.TrainConfig(learning_rate=meta["learning_rate"], epochs=meta["epochs"],
-                              batch_size=16)
-    return attack.train_meta(meta_dataset, meta_cfg, derive_seed(cfg.seed, "meta-train"))
-
-
 def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
-    atk = cfg["attack"]
-    train_cfg = client_train_config(cfg)
-    shadow_size = int(cfg.shadow_draws[0][1].sum())
-    update_cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, shadow_size))
-    shadow_cfg = dataclasses.replace(update_cfg, epochs=atk["shadow_epochs"])
-    shadows = attack.train_shadows(staged.aux, cfg.arch, cfg.shadow_draws, shadow_cfg)
+    """Train the shadows on ``cfg.shadow_draws``, build the federated meta
+    dataset from them and fit the meta-classifier, each with the optimiser
+    ``cfg`` holds for it."""
+    shadows = attack.train_shadows(staged.aux, cfg.arch, cfg.shadow_draws, cfg.shadow_train)
     meta_dataset = attack.build_meta_dataset_federated(
-        shadows, staged.aux, cfg.arch, update_cfg,
-        seed=derive_seed(cfg.seed, "meta-fed"), mode=atk["mode"],
+        shadows, staged.aux, cfg.arch, cfg.update_train,
+        seed=derive_seed(cfg.seed, "meta-fed"), mode=cfg["attack"]["mode"],
     )
-    return OfflineArtifacts(shadows, meta_dataset, _train_meta(cfg, meta_dataset))
+    meta = attack.train_meta(meta_dataset, cfg.meta_train, derive_seed(cfg.seed, "meta-train"))
+    return OfflineArtifacts(shadows, meta_dataset, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +402,10 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
     clients = staged.clients
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
     profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
-    train_cfg = client_train_config(cfg)
     state = fedsim.initial_state(len(clients), init)
     accs = []
     for _ in range(cfg["fl"]["n_rounds"]):
-        state = fedsim.run_round(state, clients, cfg.arch, train_cfg,
+        state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
                                  cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
         if score_rounds:
             local = list(accs[-1][1]) if accs else [None] * len(clients)
@@ -543,11 +536,11 @@ def run_id_for(cfg: ExperimentConfig) -> str:
 def persist_run(report: RunReport, round_log: list, offline: OfflineArtifacts,
                 out_dir: Path, timings: dict) -> None:
     """Write every artifact of a run, offline ones included, into out_dir;
-    ``round_log`` goes to rounds.jsonl, the one per-(round, user) record."""
+    ``round_log`` goes to rounds.jsonl, the one per-(round, user) record.
+    report.json goes last, so a directory holding it is complete."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.json").write_text(
         json.dumps(report.config, sort_keys=True, indent=2))
-    (out_dir / "report.json").write_text(report.to_json())
     with open(out_dir / "rounds.jsonl", "w") as f:
         for entry in round_log:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -559,6 +552,7 @@ def persist_run(report: RunReport, round_log: list, offline: OfflineArtifacts,
          "sensitivity": [float(v) for v in sh.sensitivity]}
         for i, sh in enumerate(offline.shadows)], indent=2))
     (out_dir / "timings.json").write_text(json.dumps(timings, indent=2))
+    (out_dir / "report.json").write_text(report.to_json())
 
 
 def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
@@ -571,7 +565,8 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     """
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
-    centralized = _train_meta(cfg, attack.build_meta_dataset_centralized(offline.shadows))
+    centralized = attack.train_meta(attack.build_meta_dataset_centralized(offline.shadows),
+                                    cfg.meta_train, derive_seed(cfg.seed, "meta-train"))
     history, _, _ = run_online(cfg, staged, cfg["attack"]["x"], False)
     _, truth = _ground_truth(cfg)
     out = {}

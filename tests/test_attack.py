@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedprof import attack, data, fedsim, harness, nn
-from fedprof.errors import ConfigError, InputError, NumericalError
+from fedprof.errors import InputError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -177,7 +177,7 @@ def test_shadow_measured_cp_matches_sampler_contract(world):
 
 
 def test_too_few_shadows_is_config_error():
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         default_draws(4, 3, 40, seed=0)
 
 
@@ -236,7 +236,7 @@ def test_federated_meta_dataset_shapes(shadows, world):
     assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
     assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
     assert (meta_ds.X >= 0).all()
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         attack.build_meta_dataset_federated(shadows[:1], aux, arch, upd, seed=9, mode="majority")
 
 
@@ -296,9 +296,9 @@ def test_meta_linearly_separable_reaches_perfect_training_accuracy():
 
 def test_meta_missing_class_and_too_few_samples_rejected():
     samples = data.LabeledDataset(np.ones((3, 3)), [0, 1, 1], 3)
-    with pytest.raises(ConfigError, match=r"no samples for classes \[2\]"):
+    with pytest.raises(InputError, match=r"no samples for classes \[2\]"):
         attack.train_meta(samples, nn.TrainConfig(0.1, 10, 4), 0)
-    with pytest.raises(ConfigError, match="at least 3"):
+    with pytest.raises(InputError, match="at least 3"):
         attack.train_meta(samples.subset([0, 1]), nn.TrainConfig(0.1, 10, 4), 0)
 
 

@@ -188,6 +188,8 @@ PINNED = [
     harness._deep_merge(FAST, {"federation": {"n_user": 10 ** 30}}),
     # numbers beyond the float or int64 range
     harness._deep_merge(FAST, {"fl": {"learning_rate": 10 ** 400}}),
+    # JSON's Infinity: unused under defense "none", but it made report.json non-strict
+    harness._deep_merge(FAST, {"defense": {"noise_multiplier": float("inf")}}),
     harness._deep_merge(FAST, {"attack": {"aux_per_class": 10 ** 30}}),
     harness._deep_merge(FAST, {"eval_per_class": 10 ** 30}),
     harness._deep_merge(FAST, {"attack": {"shadow_size": 500}}),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedprof import data, nn
-from fedprof.errors import FormatError, InputError, SpecError
+from fedprof.errors import FormatError, InputError
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_preference_class_by_mode_ties_to_lowest_index():
 
 
 def test_spec_counts_negative_runner_up_is_spec_error():
-    with pytest.raises(SpecError):
+    with pytest.raises(InputError):
         data.target_counts(10, 100, cp=0.3, cd=0.5, preferred_class=0, mode="majority")
 
 
@@ -175,7 +175,7 @@ def test_spec_counts_negative_runner_up_is_spec_error():
 ], ids=["one-label", "empty", "cp-zero", "cp-above-one", "cd-above-one", "cd-above-cp",
         "preferred-too-high", "preferred-negative", "unknown-mode"])
 def test_target_counts_rejects_arguments_that_describe_no_dataset(args, message):
-    with pytest.raises(SpecError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message)):
         data.target_counts(*args)
 
 
@@ -317,7 +317,7 @@ def test_federation_matches_spec_counts():
 
 def test_make_federation_spec_rejects_counts_that_miss_the_preferred_class():
     # two classes at cp 0.4: the class each user was given holds the smaller share
-    with pytest.raises(SpecError, match=r"^user 0's counts \[40, 60\] prefer class 1, "
+    with pytest.raises(InputError, match=r"^user 0's counts \[40, 60\] prefer class 1, "
                                         r"not its class 0$"):
         data.make_federation_spec(3, 2, 100, (0.4, 0.4), (0.1, 0.1), seed=1,
                                   mode="majority", equalize_rest=False)
@@ -428,6 +428,6 @@ def test_minority_equalized_federation_prefers_the_smallest_class():
     assert [data.preference_class(row, "minority") for row in fed] == [0, 0, 2, 0, 2, 3]
     assert all((row == row.min()).sum() == 1 for row in fed)
     # a preferred share of 40-60% is never the smallest of four classes
-    with pytest.raises(SpecError, match="no equalized"):
+    with pytest.raises(InputError, match="no equalized"):
         data.make_federation_spec(4, 4, 80, (0.4, 0.6), (0.4, 0.6), seed=1,
                                   mode="minority", equalize_rest=True)

@@ -3,6 +3,7 @@
 import argparse
 import collections
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -127,12 +128,21 @@ def test_with_overrides_merges_nested_dicts_and_replaces_lists():
     ("fl", "n_rounds", None),
     ("fl", "n_rounds", 0),
     ("fl", "client_fraction", 0.0),
+    ("attack", "n_shadows", 9),  # fewer than the 10 classes
+    ("fl", None, 3),  # a section that is not an object
+    (None, None, [1]),  # a root that is not an object
 ])
 def test_wrongly_typed_or_out_of_range_values_are_config_errors(section, key, value):
-    raw = {section: {key: value}}
+    raw = value
+    for name in (key, section):
+        if name is not None:
+            raw = {name: raw}
     if key == "images":
         raw["dataset"]["kind"] = "idx"
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    # the message opens with the key at fault, not with a later check's key
+    # (too few shadows would fail attack.draw_shadow_specs under the shadow ranges)
+    path = ".".join(n for n in (section, key) if n) or "config root"
+    with pytest.raises(ConfigError, match=f"^(invalid value for )?{re.escape(path)}[ :]"):
         harness.validate_config(json.dumps(raw))
 
 
@@ -156,25 +166,25 @@ def test_a_float_key_written_as_an_integer_gives_the_same_run_id(as_int, as_floa
     assert harness.run_id_for(a) == harness.run_id_for(b)
 
 
-BEYOND_RANGE = [
-    ("fl.learning_rate", 10 ** 400),  # beyond the float range
-    ("attack.meta.learning_rate", 10 ** 400),
-    ("defense.clip_norm", 10 ** 400),
-    ("defense.noise_multiplier", 10 ** 400),
+FLOAT_KEYS = ["fl.learning_rate", "attack.meta.learning_rate", "defense.clip_norm",
+              "defense.noise_multiplier"]
+# A str value is JSON text: both spellings parse to inf.
+BEYOND_RANGE = [(path, 10 ** 400) for path in FLOAT_KEYS] + [  # beyond the float range
     ("attack.aux_per_class", 10 ** 30),  # beyond int64
     ("eval_per_class", 10 ** 30),
     ("federation.n_user", 10 ** 30),
     ("federation.user_size", 2 ** 63),
-]
+] + [(path, text) for path in FLOAT_KEYS for text in ("1e400", "Infinity")]
 
 
-@pytest.mark.parametrize("path, value", BEYOND_RANGE, ids=[path for path, _ in BEYOND_RANGE])
+@pytest.mark.parametrize("path, value", BEYOND_RANGE, ids=[
+    f"{path}={value}" if isinstance(value, str) else path for path, value in BEYOND_RANGE])
 def test_numbers_beyond_the_float_or_int64_range_are_config_errors(path, value):
-    raw = value
+    text = value if isinstance(value, str) else json.dumps(value)
     for key in reversed(path.split(".")):
-        raw = {key: raw}
+        text = f'{{"{key}": {text}}}'
     with pytest.raises(ConfigError, match=f"^invalid value for {re.escape(path)}: "):
-        harness.validate_config(json.dumps(raw))
+        harness.validate_config(text)
 
 
 def test_a_huge_user_size_validates_at_once():
@@ -213,6 +223,40 @@ def test_run_consumes_the_specs_drawn_at_validation(monkeypatch):
     for (preferred, counts, _), shadow in zip(cfg.shadow_draws, offline.shadows):
         assert np.array_equal(shadow.dataset.class_counts, counts)
         assert shadow.preference == preferred
+
+
+def test_the_run_trains_with_the_optimisers_validation_built(monkeypatch):
+    cfg = fast_config(defense={"apply": "dp"}, with_baseline=False)
+    dp = nn.DpConfig(clip_norm=10.0, noise_multiplier=0.0)
+    # FAST's shadows hold min(max(8, int(30 * 4 / 10 * 1.3)), int(30 / 0.7)) = 15 samples
+    assert cfg.client_train == nn.TrainConfig(0.05, 1, 32, dp)
+    assert cfg.update_train == nn.TrainConfig(0.05, 1, 15, dp)
+    assert cfg.shadow_train == nn.TrainConfig(0.05, 2, 15, dp)
+    assert cfg.meta_train == nn.TrainConfig(0.1, 120, 16)
+    used = collections.Counter()
+    train = nn.train
+
+    def counting_train(pv, arch, X, y, train_cfg, seed):
+        used[train_cfg] += 1
+        return train(pv, arch, X, y, train_cfg, seed)
+
+    def build(*args, **kwargs):
+        raise AssertionError("an optimiser built after validation")
+
+    monkeypatch.setattr(nn, "train", counting_train)
+    monkeypatch.setattr(nn, "TrainConfig", build)
+    monkeypatch.setattr(nn, "DpConfig", build)
+    harness.run_experiment(cfg)
+    # attack.train_meta cuts the batch to the 8 meta samples
+    meta = dataclasses.replace(cfg.meta_train, batch_size=8)
+    assert used == {cfg.shadow_train: 8, cfg.update_train: 8, meta: 1, cfg.client_train: 16}
+
+
+def test_only_harness_and_cli_raise_config_error():
+    # The layers below raise InputError; validate_config rewords it under the
+    # key path at fault.
+    for module in (nn, data, fedsim, attack):
+        assert "ConfigError" not in inspect.getsource(module), module.__name__
 
 
 def test_shadow_size_cap_boundary():
@@ -442,6 +486,19 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch):
         if st is states[-1]:
             want.update((m.values.tobytes(), staged.test.X.tobytes()) for m in st.distributed)
         assert calls == want, st.round_index
+
+
+def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch):
+    # report.json goes last, so `fedprof report` never reads a partial run
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(harness, "write_meta_csv", full_disk)
+    cfg = fast_config(fl={**FAST["fl"], "n_rounds": 1}, with_baseline=False)
+    with pytest.raises(OSError, match="No space left"):
+        harness.run_experiment(cfg, out_dir=tmp_path)
+    assert (tmp_path / "rounds.jsonl").exists()
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("with_baseline, arms", [(True, 2), (False, 1)])
@@ -733,6 +790,20 @@ def test_cli_runtime_error_exit_code_two(tmp_path):
                    cwd=tmp_path)
     assert proc.returncode == 2
     assert "bad magic" in proc.stderr
+
+
+def test_cli_out_of_memory_exit_code_two_without_traceback(tmp_path, monkeypatch, capsys):
+    # a config whose data does not fit in memory; nothing is allocated here
+    message = "Unable to allocate 74.5 GiB for an array"
+
+    def exhaust(cfg, out_dir=None):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "run_experiment", exhaust)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FAST))
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
 
 def test_cli_oversized_idx_header_exit_code_two(tmp_path):
