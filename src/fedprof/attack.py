@@ -34,21 +34,20 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
                         aux: LabeledDataset) -> np.ndarray:
     """Per-class model sensitivity: the summed absolute feature-layer gradient
     of the mean loss on each class's auxiliary samples.  ``aux`` must be in
-    class blocks, as :func:`data.sample_per_class` draws it.  Each class's
-    backward walk stops at the feature layer (``arch.feature_index``), since
-    no gradient below it is read.  The input model is never mutated."""
+    class blocks, as :func:`data.sample_per_class` draws it.  One backward
+    walk over the whole store gives every class's gradient, one row per class
+    block, each bit for bit a walk over that class alone; it stops at the
+    feature layer (``arch.feature_index``), since no gradient below it is
+    read.  The input model is never mutated."""
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
+    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if len(empty):
+        raise InputError(f"auxiliary store has no samples for class {empty[0]}")
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
-    out = np.zeros(aux.n_label)
-    for c in range(aux.n_label):
-        lo, hi = bounds[c], bounds[c + 1]
-        if lo == hi:
-            raise InputError(f"auxiliary store has no samples for class {c}")
-        grad = nn.backward(pv, arch, aux.X[lo:hi], aux.y[lo:hi], stop=arch.feature_index)
-        out[c] = np.abs(grad.values[off:off + w_size + b_size]).sum()
-    return out
+    rows = nn.backward(pv, arch, aux.X, aux.y, stop=arch.feature_index, blocks=bounds)
+    return np.abs(rows[:, off:off + w_size + b_size]).sum(axis=1)
 
 
 def differential_sensitivity(s_agg_prev: np.ndarray, s_now: np.ndarray) -> np.ndarray:
@@ -199,8 +198,8 @@ class MetaClassifier:
 def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> MetaClassifier:
     """Fit the meta-classifier, a perceptron with one 32-wide hidden layer, on
     (sensitivity features, preference) samples; ``seed`` fixes its initial
-    weights and its training.  Diverged weights raise NumericalError naming
-    the "meta-classifier"."""
+    weights and its training, at a batch of at most ``len(meta)`` samples.
+    Diverged weights raise NumericalError naming the "meta-classifier"."""
     n_label = meta.n_label
     if len(meta) < n_label:
         raise InputError(f"need at least {n_label} meta samples, got {len(meta)}")

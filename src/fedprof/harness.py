@@ -140,7 +140,7 @@ class ExperimentConfig:
     class counts, sub-seed) per shadow; the client model; and the optimisers
     of local training (DP-SGD under the dp defense), of the shadows, of the
     meta dataset's one-pass updates (batch cut to the shadow size) and of the
-    meta-classifier.  All follow from ``resolved``, so equality compares it
+    meta-classifier (batch cut to its one sample per shadow).  All follow from ``resolved``, so equality compares it
     and ``arch``."""
 
     resolved: dict
@@ -294,7 +294,8 @@ def validate_config(raw_text: str) -> ExperimentConfig:
     update = dataclasses.replace(client, batch_size=min(fl["batch_size"], size))
     return ExperimentConfig(resolved, fed_spec, draws, arch, client,
                             dataclasses.replace(update, epochs=atk["shadow_epochs"]), update,
-                            nn.TrainConfig(meta["learning_rate"], meta["epochs"], 16))
+                            nn.TrainConfig(meta["learning_rate"], meta["epochs"],
+                                           min(16, atk["n_shadows"])))
 
 
 def _pool_demand(resolved: dict, fed_spec: np.ndarray) -> np.ndarray:

@@ -226,29 +226,50 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _run_layers(pv, arch, X, rng):
+def _matmul_blocks(a, b, spans):
+    """``a @ b``, one matmul per block ``a[lo:hi]`` of a's leading axis, for
+    each (lo, hi) in ``spans``.  How BLAS chunks a product's rows can change
+    its last bits, so each block's rows are bit-identical to the product of
+    that block alone.  One block is the plain product."""
+    if len(spans) == 1:
+        return a @ b
+    out = np.empty(a.shape[:-1] + b.shape[1:])
+    for lo, hi in spans:
+        np.matmul(a[lo:hi], b, out=out[lo:hi])
+    return out
+
+
+def _run_layers(pv, arch, X, rng, spans=None):
     """Forward pass returning (logits, caches) for the backward walk.  The
     walk is in train mode exactly when it gets an ``rng``: a Dropout layer
-    then draws its mask from it, and is the identity otherwise."""
+    then draws its mask from it, and is the identity otherwise.  ``spans``
+    splits the batch into (lo, hi) row blocks (see :func:`_loss_and_grad`),
+    one by default; every GEMM runs once per block and every elementwise step
+    once over all rows, so a block's rows equal a forward pass of that block."""
     if pv.values.size != arch.n_params:
         raise InternalError(f"{pv.values.size} parameters for an architecture of {arch.n_params}")
+    if spans is None:
+        spans = [(0, X.shape[0])]
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Dense):
             flat = act.reshape(act.shape[0], -1)
             W, b = _layer_params(pv, arch, i)
-            caches.append((act.shape, flat))
-            act = flat @ W + b
+            caches.append((act.shape, flat, W))
+            act = _matmul_blocks(flat, W, spans)
+            act += b
         elif isinstance(layer, Conv2d):
             # im2col: one row of c*k*k input taps per output pixel, so the
-            # convolution is one GEMM (Chellapilla et al. 2006).
+            # convolution is one GEMM per block (Chellapilla et al. 2006).
             win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
             n, _, ho, wo = win.shape[:4]
             cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
             W, b = _layer_params(pv, arch, i)
-            caches.append((act.shape, cols))
-            out = cols.reshape(n * ho * wo, -1) @ W.reshape(len(W), -1).T + b
+            caches.append((act.shape, cols, W))
+            out = _matmul_blocks(cols.reshape(n * ho * wo, -1), W.reshape(len(W), -1).T,
+                                 [(lo * ho * wo, hi * ho * wo) for lo, hi in spans])
+            out += b
             act = out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
         elif isinstance(layer, MaxPool2d):
             k = layer.kernel
@@ -274,8 +295,10 @@ def _run_layers(pv, arch, X, rng):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax by the stable log-sum-exp."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row-wise log-softmax by the stable log-sum-exp.  The row max is taken
+    over a class-major copy, since numpy reduces a short last axis one row at
+    a time; a max is exact in any order."""
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -288,20 +311,27 @@ def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) -> None:
-    """Write per-sample (gW, gb), each with a leading batch axis, into the
-    layer's slot of every row of a (batch, n_params) gradient matrix."""
+    """Write per-row (gW, gb), each with a leading axis over the rows, into
+    the layer's slot of every row of a (rows, n_params) gradient matrix; a
+    single row's may come without that axis."""
     off, _, w_size, b_size = arch.param_slots[index]
     rows[:, off:off + w_size] = gW.reshape(len(rows), w_size)
     rows[:, off + w_size:off + w_size + b_size] = gb
 
 
-def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None):
+def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None, blocks=None):
     """Gradient of the mean batch loss, from one forward and one backward walk,
     in train mode when ``rng`` is given (see :func:`_run_layers`).
 
     The gradient is a ParamVector laid out by ``arch.param_slots`` or, with
     per_example, a (batch, n_params) array whose row i is the gradient of
     sample i's own loss, equal to what a one-row batch of sample i gives.
+    Without per_example, ``blocks``, B + 1 row offsets from 0 to the batch
+    size that split the batch into B non-empty contiguous blocks, makes it a
+    (B, n_params) array whose row j is the gradient of block j's mean loss,
+    bit for bit what a batch of block j alone gives: every GEMM runs once
+    per block, and the elementwise steps once over all rows.  A plain batch
+    is one block.
     The walk ends once the parameter gradient of layer ``stop`` is written,
     and the slots of the parameterised layers below it stay zero.  The
     default is the first parameterised layer, where no one reads the input
@@ -319,46 +349,56 @@ def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None):
         raise InternalError(f"the backward walk cannot stop at layer {stop}: it has no parameters")
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits, caches = _run_layers(pv, arch, X, rng)
+    n = X.shape[0]
+    if blocks is None:
+        spans = [(0, n)]
+    else:
+        bounds = [int(v) for v in blocks]
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        if not spans or bounds[0] != 0 or bounds[-1] != n or any(hi <= lo for lo, hi in spans):
+            raise InternalError(f"blocks {bounds} do not split {n} rows into non-empty blocks")
+    logits, caches = _run_layers(pv, arch, X, rng, spans)
     delta = _softmax_xent(logits, y)
     if per_example:
-        grad = np.zeros((X.shape[0], arch.n_params))
+        rows = np.zeros((n, arch.n_params))
     else:
-        delta = delta / X.shape[0]
-        grad = zeros_like_params(arch)
+        for lo, hi in spans:
+            delta[lo:hi] /= hi - lo
+        rows = np.zeros((len(spans), arch.n_params))
 
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
-            in_shape, flat = cache
-            W, _ = _layer_params(pv, arch, i)
+            in_shape, flat, W = cache
             if per_example:
-                _set_layer_rows(grad, arch, i, flat[:, :, None] * delta[:, None, :], delta)
+                _set_layer_rows(rows, arch, i, flat[:, :, None] * delta[:, None, :], delta)
             else:
-                gW, gb = _layer_params(grad, arch, i)
-                gW += flat.T @ delta
-                gb += delta.sum(axis=0)
+                for j, (lo, hi) in enumerate(spans):
+                    block = delta[lo:hi]
+                    _set_layer_rows(rows[j:j + 1], arch, i, flat[lo:hi].T @ block,
+                                    block.sum(axis=0))
             if i == stop:
                 break
-            delta = (delta @ W.T).reshape(in_shape)
+            delta = _matmul_blocks(delta, W.T, spans).reshape(in_shape)
         elif isinstance(layer, Conv2d):
-            in_shape, cols = cache
-            W, _ = _layer_params(pv, arch, i)
+            in_shape, cols, W = cache
             n, o, ho, wo = delta.shape
             d = delta.reshape(n, o, ho * wo)
             if per_example:
-                _set_layer_rows(grad, arch, i, d @ cols, d.sum(axis=2))
+                _set_layer_rows(rows, arch, i, d @ cols, d.sum(axis=2))
             else:
-                gW, gb = _layer_params(grad, arch, i)
-                gW += (d.transpose(1, 0, 2).reshape(o, -1)
-                       @ cols.reshape(n * ho * wo, -1)).reshape(W.shape)
-                gb += d.sum(axis=(0, 2))
+                for j, (lo, hi) in enumerate(spans):
+                    block = d[lo:hi]
+                    _set_layer_rows(rows[j:j + 1], arch, i, block.transpose(1, 0, 2).reshape(o, -1)
+                                    @ cols[lo:hi].reshape((hi - lo) * ho * wo, -1),
+                                    block.sum(axis=(0, 2)))
             if i == stop:
                 break
             # col2im: scatter-add the column-space gradient back tap by tap.
             k = layer.kernel
-            dcols = (d.transpose(0, 2, 1) @ W.reshape(o, -1)).reshape(n, ho, wo, -1, k, k)
+            dcols = _matmul_blocks(d.transpose(0, 2, 1), W.reshape(o, -1),
+                                   spans).reshape(n, ho, wo, -1, k, k)
             dx = np.zeros(in_shape)
             for ki in range(k):
                 for kj in range(k):
@@ -384,7 +424,7 @@ def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None):
             keep, scale = cache
             if keep is not None:
                 delta = delta * keep * scale
-    return grad
+    return rows if per_example or blocks is not None else ParamVector(rows[0])
 
 
 def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
@@ -402,12 +442,14 @@ def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.nda
 
 
 def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray,
-             stop: Optional[int] = None) -> ParamVector:
+             stop: Optional[int] = None, blocks=None):
     """Gradient of the mean batch loss (eval mode), laid out by
     ``arch.param_slots``: of every parameter by default, or, with ``stop``
     the index of a parameterised layer, of that layer and the ones above it,
-    with the slots below left zero (see :func:`_loss_and_grad`)."""
-    return _loss_and_grad(pv, arch, X, y, stop=stop)
+    with the slots below left zero.  With ``blocks``, the row offsets of
+    contiguous row blocks, it is one gradient row per block, each equal to
+    a call on that block alone (see :func:`_loss_and_grad`)."""
+    return _loss_and_grad(pv, arch, X, y, stop=stop, blocks=blocks)
 
 
 def accuracy(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:

@@ -3,7 +3,6 @@
 import argparse
 import collections
 import csv
-import dataclasses
 import inspect
 import json
 import os
@@ -232,7 +231,8 @@ def test_the_run_trains_with_the_optimisers_validation_built(monkeypatch):
     assert cfg.client_train == nn.TrainConfig(0.05, 1, 32, dp)
     assert cfg.update_train == nn.TrainConfig(0.05, 1, 15, dp)
     assert cfg.shadow_train == nn.TrainConfig(0.05, 2, 15, dp)
-    assert cfg.meta_train == nn.TrainConfig(0.1, 120, 16)
+    # one meta sample per shadow, so the meta batch is min(16, 8 shadows)
+    assert cfg.meta_train == nn.TrainConfig(0.1, 120, 8)
     used = collections.Counter()
     train = nn.train
 
@@ -247,9 +247,8 @@ def test_the_run_trains_with_the_optimisers_validation_built(monkeypatch):
     monkeypatch.setattr(nn, "TrainConfig", build)
     monkeypatch.setattr(nn, "DpConfig", build)
     harness.run_experiment(cfg)
-    # attack.train_meta cuts the batch to the 8 meta samples
-    meta = dataclasses.replace(cfg.meta_train, batch_size=8)
-    assert used == {cfg.shadow_train: 8, cfg.update_train: 8, meta: 1, cfg.client_train: 16}
+    assert used == {cfg.shadow_train: 8, cfg.update_train: 8, cfg.meta_train: 1,
+                    cfg.client_train: 16}
 
 
 def test_only_harness_and_cli_raise_config_error():

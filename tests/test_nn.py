@@ -318,20 +318,29 @@ BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
     (lambda: strided_cnn(8), 20),
 ], ids=["benchmark-cnn-32", "benchmark-cnn-1500", "cnn-28x28", "stride2-7x7", "stride2-8x8"])
 def test_conv_gemm_matches_einsum_reference(make_arch, n):
-    """Forward output, each layer's batch weight and bias gradients, and the
-    per-example rows.  The input gradient of every convolution after the
-    first feeds the gradients of the layers below it, so it is checked too."""
+    """Forward output, each layer's batch weight and bias gradients, the
+    per-example rows, and the gradient rows of unequal row blocks, whose
+    reference is the mean of the block's per-example rows.  The input
+    gradient of every convolution after the first feeds the gradients of the
+    layers below it, so it is checked too."""
     arch = make_arch()
     params = perturbed_params(arch, 1)
     X, y = rand_batch(arch, n, seed=2)
     logits, grad, rows = einsum_reference(params, arch, X, y)
     assert_matches_reference(nn.predict_logits(params, arch, X), logits)
-    got = nn.backward(params, arch, X, y)
-    for index in arch.param_slots:
-        want = nn._layer_params(nn.ParamVector(grad), arch, index)
-        for got_part, want_part in zip(nn._layer_params(got, arch, index), want):
-            assert_matches_reference(got_part, want_part)
+
+    def assert_layers_match(got, want):
+        for index in arch.param_slots:
+            for got_part, want_part in zip(nn._layer_params(nn.ParamVector(got), arch, index),
+                                           nn._layer_params(nn.ParamVector(want), arch, index)):
+                assert_matches_reference(got_part, want_part)
+
+    assert_layers_match(nn.backward(params, arch, X, y).values, grad)
     assert_matches_reference(nn._loss_and_grad(params, arch, X, y, per_example=True), rows)
+    bounds = [0, n // 5, n // 2, n]
+    blocks = nn.backward(params, arch, X, y, blocks=bounds)
+    for got, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+        assert_layers_match(got, rows[lo:hi].mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +375,42 @@ def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
         assert stop not in arch.param_slots
         with pytest.raises(InternalError, match=f"cannot stop at layer {stop}:"):
             nn.backward(params, arch, X, y, stop=stop)
+
+
+# ---------------------------------------------------------------------------
+# Backward walks over row blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make_arch", [
+    lambda: reference_arch({}), lambda: reference_arch(BENCHMARK_CNN),
+    lambda: strided_cnn(7), lambda: reference_arch(DROPOUT),
+], ids=["mlp", "benchmark-cnn", "stride2-7x7", "dropout-mlp"])
+@pytest.mark.parametrize("sizes", [(6, 6, 6, 6), (3, 8, 5, 3, 7), (150,) * 10],
+                         ids=["equal", "unequal", "aux-store"])
+@pytest.mark.parametrize("at", ["feature", "first"])
+def test_block_rows_equal_one_backward_per_block(make_arch, sizes, at):
+    """Row j of a blocked walk is bit for bit the walk over block j alone.
+    Stopping at the first layer runs every layer's input gradient above it:
+    col2im for the second convolution of the CNNs, the identity of an
+    eval-mode Dropout."""
+    arch = make_arch()
+    params = perturbed_params(arch, 7)
+    bounds = np.cumsum((0, *sizes))
+    X, y = rand_batch(arch, bounds[-1], seed=8)
+    stop = arch.feature_index if at == "feature" else min(arch.param_slots)
+    rows = nn.backward(params, arch, X, y, stop=stop, blocks=bounds)
+    assert rows.shape == (len(sizes), arch.n_params)
+    for row, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+        assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop).values)
+
+
+@pytest.mark.parametrize("bounds", [[0, 3, 3, 6], [0, 4], [1, 6], [0, 4, 2, 6], [6], []])
+def test_blocks_that_do_not_split_the_batch_are_internal_error(bounds):
+    arch = mlp()
+    X, y = rand_batch(arch, 6, seed=9)
+    with pytest.raises(InternalError, match="do not split 6 rows"):
+        nn.backward(nn.init_params(arch, 1), arch, X, y, blocks=bounds)
 
 
 # ---------------------------------------------------------------------------
