@@ -230,9 +230,7 @@ def _matmul_blocks(a, b, spans):
     """``a @ b``, one matmul per block ``a[lo:hi]`` of a's leading axis, for
     each (lo, hi) in ``spans``.  How BLAS chunks a product's rows can change
     its last bits, so each block's rows are bit-identical to the product of
-    that block alone.  One block is the plain product."""
-    if len(spans) == 1:
-        return a @ b
+    that block alone."""
     out = np.empty(a.shape[:-1] + b.shape[1:])
     for lo, hi in spans:
         np.matmul(a[lo:hi], b, out=out[lo:hi])
