@@ -13,7 +13,6 @@ sensitivity of the model it uploaded this round.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -198,8 +197,9 @@ class MetaClassifier:
 def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> MetaClassifier:
     """Fit the meta-classifier, a perceptron with one 32-wide hidden layer, on
     (sensitivity features, preference) samples; ``seed`` fixes its initial
-    weights and its training, at a batch of at most ``len(meta)`` samples.
-    Diverged weights raise NumericalError naming the "meta-classifier"."""
+    weights and its training, at ``train_cfg``'s batch, which must not exceed
+    ``len(meta)``.  Diverged weights raise NumericalError naming the
+    "meta-classifier"."""
     n_label = meta.n_label
     if len(meta) < n_label:
         raise InputError(f"need at least {n_label} meta samples, got {len(meta)}")
@@ -212,8 +212,7 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> Me
         (n_label,), n_label,
     )
     params = nn.init_params(arch, seed=derive_seed(seed, "meta-init"))
-    cfg = dataclasses.replace(train_cfg, batch_size=min(train_cfg.batch_size, len(feats)))
-    params = nn.train(params, arch, feats, meta.y, cfg, seed)
+    params = nn.train(params, arch, feats, meta.y, train_cfg, seed)
     fedsim.check_finite(params, "meta-classifier")
     acc = nn.accuracy(params, arch, feats, meta.y)
     return MetaClassifier(params, arch, acc)
@@ -278,10 +277,13 @@ def topk_accuracy_from_counts(predicted_rankings, class_counts_list, k: int,
 
 @dataclass
 class RoundTrace:
-    """What the server observed in one round, per user: the sensitivity of
-    the upload and its differential sensitivity (DS) against the model the
-    user received the round before."""
+    """What the server observed in one round: the sampled user ids
+    (``selected``, ascending), the sensitivity of every upload, and one
+    differential sensitivity (DS) row per sampled user, ``ds[i]`` for user
+    ``selected[i]``: its upload against the model it received the round
+    before.  An unsampled user trained nothing, so it has no DS row."""
 
+    selected: List[int]
     sensitivities: np.ndarray
     ds: np.ndarray
 
@@ -292,8 +294,10 @@ class PreferenceProfiler:
     each upload with its x :func:`select_partners` partners at equal weights,
     or by :func:`fedsim.fedavg_hook` when x is None.
 
-    A user's DS compares the model it received (``received[u]``, which
-    :func:`fedsim.run_round` passes in) with the model it uploaded.
+    A sampled user's DS compares the model it received (``received[u]``,
+    which :func:`fedsim.run_round` passes in) with the model it trained from
+    it and uploaded.  Partner choice reads every upload's sensitivity, but
+    only the sampled users' received models are extracted.
     ``history[r - 1]`` is the trace of round r.  Verdicts never feed back
     into aggregation, so :func:`profile_history` computes them afterwards
     over ``history``.
@@ -329,9 +333,11 @@ class PreferenceProfiler:
 
     def __call__(self, received: list, uploads: list, selected: list) -> list:
         self._last_round, self._this_round = self._this_round, {}
+        selected = [int(u) for u in selected]
         sens = np.stack([self._sensitivity(m) for m in uploads])
-        ds = differential_sensitivity(np.stack([self._sensitivity(m) for m in received]), sens)
-        self.history.append(RoundTrace(sens, ds))
+        sent = np.stack([self._sensitivity(received[u]) for u in selected])
+        self.history.append(RoundTrace(selected, sens,
+                                       differential_sensitivity(sent, sens[selected])))
         if self.x is None:
             return fedsim.fedavg_hook(received, uploads, selected)
         groups = [[u] + select_partners(u, sens, self.x, self.mode) for u in range(len(uploads))]
@@ -348,10 +354,12 @@ class Profile:
     """Streak-gated verdicts over a run of rounds 1..T.
 
     ``predictions[r - 1, u]`` is the meta-classifier's class for user u in
-    round r, scored whether or not u was locked by then.  ``lock_rounds[u]``
-    is the round user u locked in, or None.  ``verdicts`` are the locked
-    classes, falling back to the last prediction for users never locked;
-    ``rankings[u]`` orders every class for user u, frozen at its lock round.
+    round r, scored whenever u was observed in round r, locked or not, and
+    -1 when it was not.  ``lock_rounds[u]`` is the round user u locked in,
+    or None.  ``verdicts`` are the locked classes, falling back to the last
+    prediction for users never locked; ``rankings[u]`` orders every class
+    for user u, frozen at its lock round.  A user never observed keeps the
+    initial state: verdict 0, the identity ranking and no lock round.
     """
 
     predictions: np.ndarray
@@ -360,48 +368,57 @@ class Profile:
     rankings: np.ndarray
 
 
-def profile_round(preds: np.ndarray, last: np.ndarray, streak: np.ndarray,
+def profile_round(ids: np.ndarray, preds: np.ndarray, last: np.ndarray, streak: np.ndarray,
                   lock_round: np.ndarray, round_index: int, th_round: int) -> np.ndarray:
-    """One streak step for every user of one round, updating the state arrays
-    in place.
+    """One streak step for the users ``ids`` observed in one round, whose
+    predictions are ``preds``, updating the per-user state arrays in place.
 
-    A user not yet locked (``lock_round`` 0) extends its streak when its
-    prediction repeats its last one and restarts it at 1 otherwise; once the
-    streak reaches th_round it locks at ``round_index``.  Locked users are
-    left alone.  Returns the mask of users that were open this round.
+    An observed user not yet locked (``lock_round`` 0) extends its streak
+    when its prediction repeats its last one and restarts it at 1 otherwise;
+    once the streak reaches th_round it locks at ``round_index``.  Locked
+    and unobserved users are left alone.  Returns the mask of the rows of
+    ``ids`` whose users were open this round.
     """
-    open_ = lock_round == 0
-    streak[open_] = np.where(preds == last, streak + 1, 1)[open_]
-    last[open_] = preds[open_]
-    lock_round[open_ & (streak >= th_round)] = round_index
+    open_ = lock_round[ids] == 0
+    users, preds = ids[open_], preds[open_]
+    streak[users] = np.where(preds == last[users], streak[users] + 1, 1)
+    last[users] = preds
+    lock_round[users[streak[users] >= th_round]] = round_index
     return open_
 
 
-def profile_history(features: List[np.ndarray], meta: MetaClassifier,
+def profile_history(rounds: List[Tuple[list, np.ndarray]], n_user: int, meta: MetaClassifier,
                     th_round: int) -> Profile:
-    """Streak-gated profiling of every user, as one fold over per-round
-    (n_user, n_label) feature matrices for rounds 1..T: the differential
-    sensitivities ``[tr.ds for tr in history]``, or the raw sensitivities
-    for the centralized-meta baseline.  Each round is scored once.
+    """Streak-gated profiling of users 0..n_user-1, as one fold over rounds
+    1..T.  ``rounds[r - 1]`` is round r's (observed user ids, feature
+    matrix) pair, one feature row per id: the differential sensitivities
+    ``[(tr.selected, tr.ds) for tr in history]``, or the sampled users' raw
+    sensitivities for the centralized-meta baseline.  Full participation is
+    the case where every id is observed.  Each round is scored once, and
+    only observed users' streaks and rankings move.
 
     The aggregation trajectory does not depend on which meta-classifier reads
     the features, so one recorded simulation can score several meta variants
     on identical footing.
     """
-    if not features:
+    if not rounds:
         raise InputError("no round features to profile")
     if th_round < 1:
         raise InputError("th_round must be >= 1")
-    n_user, n_label = np.shape(features[0])
-    last = np.full(n_user, -1)
+    n_label = np.shape(rounds[0][1])[1]
+    # A first prediction starts a streak of 1 whatever ``last`` holds, so
+    # starting at class 0 changes no streak and is the verdict of a user
+    # never observed.
+    last = np.zeros(n_user, dtype=np.int64)
     streak, lock_round = np.zeros(n_user, dtype=np.int64), np.zeros(n_user, dtype=np.int64)
-    rankings = np.zeros((n_user, n_label), dtype=np.int64)
-    predictions = []
-    for r, f in enumerate(features, start=1):
+    rankings = np.tile(np.arange(n_label), (n_user, 1))
+    predictions = np.full((len(rounds), n_user), -1)
+    for r, (ids, f) in enumerate(rounds, start=1):
+        ids = np.asarray(ids, dtype=np.int64)
         scores = meta.scores(f)
         preds = scores.argmax(axis=1)
-        open_ = profile_round(preds, last, streak, lock_round, r, th_round)
-        rankings[open_] = np.argsort(-scores[open_], axis=1, kind="stable")
-        predictions.append(preds)
-    return Profile(np.stack(predictions), [int(r) if r else None for r in lock_round],
+        open_ = profile_round(ids, preds, last, streak, lock_round, r, th_round)
+        rankings[ids[open_]] = np.argsort(-scores[open_], axis=1, kind="stable")
+        predictions[r - 1, ids] = preds
+    return Profile(predictions, [int(r) if r else None for r in lock_round],
                    last.tolist(), rankings)

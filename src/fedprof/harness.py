@@ -3,9 +3,10 @@
 the experiments made of such runs (meta-classifier comparison, defense sweep),
 artifact persistence, and plot-ready CSV reporting.
 
-A run is a pure function of (config, seed): every random stream is derived
-from the root seed with a labeled sub-seed, and report.json is byte-identical
-across reruns (wall-clock timings live in a separate file).
+A run is a function of (config, seed): every random stream is derived from
+the root seed with a labeled sub-seed, and report.json is byte-identical
+across reruns under one BLAS build and kernel (wall-clock timings live in a
+separate file).
 """
 
 from __future__ import annotations
@@ -140,8 +141,10 @@ class ExperimentConfig:
     class counts, sub-seed) per shadow; the client model; and the optimisers
     of local training (DP-SGD under the dp defense), of the shadows, of the
     meta dataset's one-pass updates (batch cut to the shadow size) and of the
-    meta-classifier (batch cut to its one sample per shadow).  All follow from ``resolved``, so equality compares it
-    and ``arch``."""
+    meta-classifier (batch cut to its one sample per shadow; this is the
+    only cut, since :func:`attack.train_meta` trains at the batch it is
+    given).  All follow from ``resolved``, so equality compares it and
+    ``arch``."""
 
     resolved: dict
     fed_spec: np.ndarray = dataclasses.field(compare=False)
@@ -458,16 +461,18 @@ class RunReport:
 
 
 def _ds_trace(history: list, truth: list) -> list:
-    return [float(np.mean([tr.ds[u][truth[u]] for u in range(len(truth))]))
+    """Per round, the mean DS at the preferred class over the sampled users."""
+    return [float(np.mean([row[truth[u]] for u, row in zip(tr.selected, tr.ds)]))
             for tr in history]
 
 
 def _round_log(accs: list, profile: attack.Profile) -> list:
-    """One entry per (round, user); a user locked before a round has no
-    prediction in it."""
+    """One entry per (round, user); a user not sampled in a round, or locked
+    before it, has no prediction in it."""
     return [{"round": rnd, "user": u, "local_acc_before": local[u], "global_acc_after": glob[u],
              "locked": lock is not None and lock <= rnd,
-             "predicted_class": None if lock is not None and lock < rnd else int(preds[u])}
+             "predicted_class": (None if preds[u] < 0 or lock is not None and lock < rnd
+                                 else int(preds[u]))}
             for (rnd, local, glob), preds in zip(accs, profile.predictions)
             for u, lock in enumerate(profile.lock_rounds)]
 
@@ -490,14 +495,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> Run
     offline = run_offline(cfg, staged)
     t_offline = time.perf_counter() - t0
 
-    atk = cfg["attack"]
+    atk, n_user = cfg["attack"], cfg["federation"]["n_user"]
     history, accs, final = run_online(cfg, staged, atk["x"], out_dir is not None)
-    profile = attack.profile_history([tr.ds for tr in history], offline.meta, atk["th_round"])
+    profile = attack.profile_history([(tr.selected, tr.ds) for tr in history], n_user,
+                                     offline.meta, atk["th_round"])
     base_history = base_final = base_profile = None
     if cfg["with_baseline"]:
         base_history, _, base_final = run_online(cfg, staged, None, False)
-        base_profile = attack.profile_history([tr.ds for tr in base_history], offline.meta,
-                                              atk["th_round"])
+        base_profile = attack.profile_history([(tr.selected, tr.ds) for tr in base_history],
+                                              n_user, offline.meta, atk["th_round"])
     t_online = time.perf_counter() - t0 - t_offline
 
     own_with, test_with = _utilities(final, accs, cfg.arch, staged)
@@ -562,7 +568,9 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
 
     Returns ``{"centralized": {"accuracy": a}, "federated": {"accuracy": b}}``,
     each arm's meta-classifier accuracy in the federated simulation: the
-    fraction of correct (round, user) predictions across the whole run.
+    fraction of correct predictions over the (round, user) rows the server
+    observed, those of the users sampled in each round.  The centralized arm
+    reads those users' raw upload sensitivities, the federated arm their DS.
     """
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
@@ -571,12 +579,14 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     history, _, _ = run_online(cfg, staged, cfg["attack"]["x"], False)
     _, truth = _ground_truth(cfg)
     out = {}
-    for label, meta, features in (
-        ("centralized", centralized, [tr.sensitivities for tr in history]),
-        ("federated", offline.meta, [tr.ds for tr in history]),
+    for label, meta, rounds in (
+        ("centralized", centralized,
+         [(tr.selected, tr.sensitivities[tr.selected]) for tr in history]),
+        ("federated", offline.meta, [(tr.selected, tr.ds) for tr in history]),
     ):
-        profile = attack.profile_history(features, meta, cfg["attack"]["th_round"])
-        hits = profile.predictions == np.array(truth)
+        profile = attack.profile_history(rounds, len(truth), meta, cfg["attack"]["th_round"])
+        observed = profile.predictions >= 0
+        hits = (profile.predictions == np.array(truth))[observed]
         out[label] = {"accuracy": int(hits.sum()) / hits.size}
     return out
 

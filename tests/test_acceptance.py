@@ -339,3 +339,25 @@ def test_criterion_13_full_run_determinism():
         first = harness.run_experiment(cfg).to_json()
         second = harness.run_experiment(cfg).to_json()
         assert first == second
+
+
+# ---------------------------------------------------------------------------
+# 16. User count under partial participation
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_16_user_count_insensitivity():
+    with criterion(16, "mean top-1 at 100 users, 20% sampled, >= 10 users minus 0.1"):
+        def run(seed, n_user, fraction):
+            cfg = harness.validate_config(json.dumps({
+                "seed": seed, "with_baseline": False,
+                "federation": {"n_user": n_user, "user_size": 200},
+                "fl": {"client_fraction": fraction},
+            }))
+            return harness.run_experiment(cfg).topk["1"]
+
+        few = [run(seed, 10, 1.0) for seed in range(1, 6)]
+        many = [run(seed, 100, 0.2) for seed in range(1, 6)]
+        print(f"\n  top-1 at 10 users: {few}\n  top-1 at 100 users, 20% sampled: {many}")
+        # The paper finds PPA insensitive to the number of users, up to 100.
+        assert np.mean(many) >= np.mean(few) - 0.1

@@ -369,27 +369,30 @@ class ScoresAreFeatures:
 
 
 def one_hot_rounds(script, n_label=3):
-    """One user's per-round (1, n_label) features, predicting ``script``."""
-    return [np.eye(n_label)[[c]] for c in script]
+    """User 0's per-round (ids, (1, n_label) features), predicting ``script``."""
+    return [([0], np.eye(n_label)[[c]]) for c in script]
 
 
-def scalar_profile(features, score, th_round):
+def scalar_profile(rounds, n_user, score, th_round):
     """Per-user, per-round streak gate, the reference for the batched fold.
 
-    ``score`` maps one user's feature row to its class scores.  Returns the
-    verdicts, lock rounds, rankings, and per-round predictions with None for
-    users locked in an earlier round.
+    ``rounds`` holds each round's (observed user ids, feature rows) pair, and
+    ``score`` maps one user's feature row to its class scores.  A user is
+    scored only in the rounds it was observed in; one never observed keeps
+    verdict 0 and the identity ranking.  Returns the verdicts, lock rounds,
+    rankings, and per-round predictions with None for users not observed in
+    the round or locked in an earlier one.
     """
-    n_user = len(features[0])
+    n_label = len(rounds[0][1][0])
     last, streak = [None] * n_user, [0] * n_user
-    lock, ranking = [None] * n_user, [None] * n_user
+    lock, ranking = [None] * n_user, [list(range(n_label))] * n_user
     masked = []
-    for r, f in enumerate(features, start=1):
+    for r, (ids, f) in enumerate(rounds, start=1):
         row = [None] * n_user
-        for u in range(n_user):
+        for u, feats in zip(ids, f):
             if lock[u] is not None:
                 continue
-            s = list(score(f[u]))
+            s = list(score(feats))
             pred = max(range(len(s)), key=lambda c: (s[c], -c))  # first max wins
             streak[u] = streak[u] + 1 if pred == last[u] else 1
             last[u] = pred
@@ -398,50 +401,58 @@ def scalar_profile(features, score, th_round):
                 lock[u] = r
             row[u] = pred
         masked.append(row)
-    return last, lock, ranking, masked
+    return [0 if v is None else v for v in last], lock, ranking, masked
 
 
 def test_th_round_one_locks_immediately():
-    profile = attack.profile_history(one_hot_rounds([2, 0]), ScoresAreFeatures(), th_round=1)
+    profile = attack.profile_history(one_hot_rounds([2, 0]), 1, ScoresAreFeatures(), th_round=1)
     assert profile.lock_rounds == [1] and profile.verdicts == [2]
     assert profile.predictions[:, 0].tolist() == [2, 0]  # later rounds are still scored
 
 
 def test_streak_semantics_locks_on_round_five():
     meta = ScoresAreFeatures()
-    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1, 1]), meta, 3)  # A,A,B,B,B
+    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1, 1]), 1, meta, 3)  # A,A,B,B,B
     assert profile.lock_rounds == [5] and profile.verdicts == [1]
-    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1]), meta, 3)
+    profile = attack.profile_history(one_hot_rounds([0, 0, 1, 1]), 1, meta, 3)
     assert profile.lock_rounds == [None] and profile.verdicts == [1]
 
 
 def test_profile_round_leaves_locked_users_alone():
-    # user 0 locked to class 2 in round 1; user 1 is open with no prediction yet
-    last, streak, lock = np.array([2, -1]), np.array([1, 0]), np.array([1, 0])
-    open_ = attack.profile_round(np.array([0, 0]), last, streak, lock, 2, th_round=1)
+    # user 0 locked to class 2 in round 1; user 1 is open with no prediction
+    # yet; user 2 is open on a streak of 1 but not observed this round
+    last, streak, lock = np.array([2, 0, 1]), np.array([1, 0, 1]), np.array([1, 0, 0])
+    open_ = attack.profile_round(np.array([0, 1]), np.array([0, 0]), last, streak, lock, 2,
+                                 th_round=1)
     assert open_.tolist() == [False, True]
-    assert last.tolist() == [2, 0] and streak.tolist() == [1, 1] and lock.tolist() == [1, 2]
+    assert last.tolist() == [2, 0, 1] and streak.tolist() == [1, 1, 1]
+    assert lock.tolist() == [1, 2, 0]
 
 
 def test_profile_history_rejects_no_rounds_and_th_round_zero():
     with pytest.raises(InputError):
-        attack.profile_history([], ScoresAreFeatures(), 1)
+        attack.profile_history([], 1, ScoresAreFeatures(), 1)
     with pytest.raises(InputError):
-        attack.profile_history(one_hot_rounds([0]), ScoresAreFeatures(), 0)
+        attack.profile_history(one_hot_rounds([0]), 1, ScoresAreFeatures(), 0)
 
 
 @pytest.mark.parametrize("th_round", [1, 2, 3])
 def test_batched_fold_matches_scalar_reference(th_round):
     rng = np.random.default_rng(60 + th_round)
     meta = ScoresAreFeatures()
-    seen = {"locked": False, "never_locked": False, "broken_streak": False}
+    seen = {"locked": False, "never_locked": False, "broken_streak": False,
+            "partial_round": False, "never_sampled": False}
     for trial in range(30):
         n_user, n_label, T = (int(v) for v in rng.integers((1, 2, 1), (8, 5, 9)))
+        # every third trial samples a random non-empty subset of users per round
+        ids = [np.sort(rng.choice(n_user, int(rng.integers(1, n_user + 1)), replace=False))
+               if trial % 3 == 2 else np.arange(n_user) for _ in range(T)]
         # small integers tie often, in the argmax and in the ranking
-        features = [rng.integers(0, 3, (n_user, n_label)).astype(np.float64)
-                    if trial % 2 else rng.random((n_user, n_label)) for _ in range(T)]
-        profile = attack.profile_history(features, meta, th_round)
-        verdicts, lock, ranking, masked = scalar_profile(features, lambda row: row, th_round)
+        rounds = [(i, rng.integers(0, 3, (len(i), n_label)).astype(np.float64)
+                   if trial % 2 else rng.random((len(i), n_label))) for i in ids]
+        profile = attack.profile_history(rounds, n_user, meta, th_round)
+        verdicts, lock, ranking, masked = scalar_profile(rounds, n_user, lambda row: row,
+                                                         th_round)
         assert profile.verdicts == verdicts
         assert profile.lock_rounds == lock
         assert profile.rankings.tolist() == ranking
@@ -455,7 +466,9 @@ def test_batched_fold_matches_scalar_reference(th_round):
         seen["broken_streak"] |= any(
             masked[r][u] != masked[r + 1][u] and masked[r + 1][u] is not None
             for r in range(T - 1) for u in range(n_user))
-    assert seen["locked"]
+        seen["partial_round"] |= any(len(i) < n_user for i in ids)
+        seen["never_sampled"] |= len(set().union(*map(set, ids))) < n_user
+    assert seen["locked"] and seen["partial_round"] and seen["never_sampled"]
     if th_round > 1:
         assert seen["never_locked"] and seen["broken_streak"]
 
@@ -536,7 +549,7 @@ def test_profiler_hook_runs_and_locks(world):
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch,
                                                   nn.TrainConfig(0.05, 1, 16), seed=33,
                                                   mode="majority")
-    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 16), 34)
+    meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 8), 34)  # 8 meta rows
     init = nn.init_params(arch, seed=35)
     prof = attack.PreferenceProfiler(arch, aux, x=2, mode="majority")
     train_cfg = nn.TrainConfig(0.05, 1, 16)
@@ -544,9 +557,11 @@ def test_profiler_hook_runs_and_locks(world):
     for _ in range(8):
         st = fedsim.run_round(st, clients, arch, train_cfg, 1.0, prof, run_seed=36)
     assert len(prof.history) == 8
-    profile = attack.profile_history([tr.ds for tr in prof.history], meta, th_round=2)
+    profile = attack.profile_history([(tr.selected, tr.ds) for tr in prof.history], 4, meta,
+                                     th_round=2)
     assert all(p is not None for p in profile.verdicts)
     last = prof.history[-1]
+    assert last.selected == [0, 1, 2, 3]
     assert last.sensitivities.shape == (4, 4)
     assert last.ds.shape == (4, 4)
     # a locked user's verdict is its prediction in its lock round
@@ -564,26 +579,34 @@ def test_profiler_hook_runs_and_locks(world):
 def test_replay_matches_online_profiling(world):
     pool, aux, arch = world
     rng = np.random.default_rng(40)
-    n_user, n_label, T = 3, 4, 6
-    history = []
-    for _ in range(T):
-        sens = rng.random((n_user, n_label))
-        ds = rng.random((n_user, n_label))
-        history.append(attack.RoundTrace(sens, ds))
+    n_user, n_label, T = 4, 4, 6
+    # rounds 1 and 4 sample users 0-2, the others two of them; user 3 is
+    # never sampled
+    selected = [[0, 1, 2], [0, 2], [1, 2], [0, 1, 2], [0, 1], [1, 2]]
+    history = [attack.RoundTrace(ids, rng.random((n_user, n_label)),
+                                 rng.random((len(ids), n_label))) for ids in selected]
     samples = peaked_meta_dataset(rng, 4, 8, 0.3)
     meta = attack.train_meta(samples, nn.TrainConfig(0.2, 150, 16), 41)
-    features = [tr.ds for tr in history]
-    profile = attack.profile_history(features, meta, 2)
-    # online: one user and one round at a time, one meta-classifier row each
-    verdicts, lock, ranking, _ = scalar_profile(features, lambda row: meta.scores(row[None])[0], 2)
+    rounds = [(tr.selected, tr.ds) for tr in history]
+    profile = attack.profile_history(rounds, n_user, meta, 2)
+    # online: one observed user and one round at a time, one meta-classifier row each
+    verdicts, lock, ranking, masked = scalar_profile(
+        rounds, n_user, lambda row: meta.scores(row[None])[0], 2)
     assert profile.verdicts == verdicts
     assert profile.lock_rounds == lock
     assert profile.rankings.tolist() == ranking
+    assert (verdicts[3], lock[3], ranking[3]) == (0, None, [0, 1, 2, 3])
+    log = harness._round_log([(r, [0.0] * n_user, [0.0] * n_user) for r in range(1, T + 1)],
+                             profile)
+    assert [e["predicted_class"] for e in log] == [p for row in masked for p in row]
+    assert all(e["predicted_class"] is None for e in log if e["user"] == 3)
+    assert any(e["predicted_class"] is None and e["user"] not in selected[e["round"] - 1]
+               and not e["locked"] and e["user"] != 3 for e in log)
 
 
 class ReferenceProfiler:
-    """The profiler without its memo: one extract_sensitivity per received
-    model and per upload, every round."""
+    """The profiler without its memo: one extract_sensitivity per upload and
+    per sampled user's received model, every round."""
 
     def __init__(self, arch, aux, x, mode):
         self.arch, self.aux, self.x, self.mode = arch, aux, x, mode
@@ -591,8 +614,10 @@ class ReferenceProfiler:
 
     def __call__(self, received, uploads, selected):
         sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in uploads])
-        sent = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in received])
-        self.history.append(attack.RoundTrace(sens, attack.differential_sensitivity(sent, sens)))
+        sent = np.stack([attack.extract_sensitivity(received[u], self.arch, self.aux)
+                         for u in selected])
+        ds = attack.differential_sensitivity(sent, sens[selected])
+        self.history.append(attack.RoundTrace([int(u) for u in selected], sens, ds))
         if self.x is None:
             return fedsim.fedavg_hook(received, uploads, selected)
         distributed = []
@@ -639,27 +664,35 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
 
     assert len(prof.history) == len(ref.history) == 6
     for got, want in zip(prof.history, ref.history):
+        assert got.selected == want.selected
         assert np.array_equal(got.sensitivities, want.sensitivities)
         assert np.array_equal(got.ds, want.ds)
     for got, want in zip(states, ref_states):
         assert got.selected == want.selected and len(got.selected) == 3
         for a, b in zip(got.distributed + got.uploaded, want.distributed + want.uploaded):
             assert np.array_equal(a.values, b.values)
-    # DS from the round states alone: the model each user was sent the round
-    # before (the initial model in round 1) against the model it uploaded.
+    # DS from the round states alone, one row per sampled user: the model it
+    # was sent the round before (the initial model in round 1) against the
+    # model it trained from it and uploaded.
     received = [fedsim.initial_state(6, init)] + states[:-1]
     for tr, before, now in zip(prof.history, received, states):
-        for u in range(6):
+        assert tr.selected == now.selected and tr.ds.shape == (3, 4)
+        for row, u in zip(tr.ds, now.selected):
             want = np.abs(extract(before.distributed[u], arch, aux)
                           - extract(now.uploaded[u], arch, aux))
-            assert np.array_equal(tr.ds[u], want)
-    # Only received and uploaded models are read, so a final-round
-    # distributed model that no user received or uploaded is never extracted.
+            assert np.array_equal(row, want)
+    # Only uploads and the sampled users' received models are read.  An
+    # unsampled user's received model, and a final-round distributed model,
+    # is never extracted unless it was read as one of those.
     read = {m.values.tobytes() for before, now in zip(received, states)
-            for m in before.distributed + now.uploaded}
-    unread = {m.values.tobytes() for m in states[-1].distributed} - read
+            for m in [before.distributed[u] for u in now.selected] + now.uploaded}
+    unread = {m.values.tobytes() for before, now in zip(received, states)
+              for m in before.distributed + now.distributed} - read
+    skipped = {before.distributed[u].values.tobytes() for before, now in zip(received, states)
+               for u in range(6) if u not in now.selected} - read
     assert set().union(*requested) == set().union(*calls) == read
     assert unread and unread.isdisjoint(set().union(*calls))
+    assert skipped or x is None  # a broadcast model is read through a sampled user
     # One extraction per distinct model that neither this round nor the last
     # one has read already.
     for r in range(len(calls)):
