@@ -35,9 +35,9 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     of the mean loss on each class's auxiliary samples.  ``aux`` must be in
     class blocks, as :func:`data.sample_per_class` draws it.  One backward
     walk over the whole store gives every class's gradient, one row per class
-    block, each bit for bit a walk over that class alone; it stops at the
-    feature layer (``arch.feature_index``), since no gradient below it is
-    read.  The input model is never mutated."""
+    block, each bit for bit a walk over that class alone; it forms only the
+    feature layer's gradient (``arch.feature_index``), the one slot read.
+    The input model is never mutated."""
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
@@ -109,12 +109,19 @@ def train_shadows(aux: LabeledDataset, arch: nn.Architecture,
                   train_cfg: nn.TrainConfig) -> List[ShadowRecord]:
     """Train one shadow model per :func:`draw_shadow_specs` draw on a dataset
     realized from the auxiliary store; its preference is the draw's preferred
-    class.  A diverged shadow i raises NumericalError naming "shadow i"."""
+    class.  Every draw is realized and initialised first; the datasets are
+    equal in size, so all shadows train in one :func:`nn.train` call, each
+    from its own sub-seed.  They are then checked and extracted in draw
+    order, and the first diverged shadow i raises NumericalError naming
+    "shadow i"."""
+    datasets = [realize_distribution(aux, counts, seed=derive_seed(sub, "data"))
+                for _, counts, sub in draws]
+    trained = nn.train([nn.init_params(arch, seed=derive_seed(sub, "init")) for *_, sub in draws],
+                       arch, np.concatenate([ds.X for ds in datasets]),
+                       np.concatenate([ds.y for ds in datasets]), train_cfg,
+                       [derive_seed(sub, "train") for *_, sub in draws])
     shadows = []
-    for i, (preferred, counts, sub) in enumerate(draws):
-        ds = realize_distribution(aux, counts, seed=derive_seed(sub, "data"))
-        params = nn.init_params(arch, seed=derive_seed(sub, "init"))
-        params = nn.train(params, arch, ds.X, ds.y, train_cfg, derive_seed(sub, "train"))
+    for i, ((preferred, *_), ds, params) in enumerate(zip(draws, datasets, trained)):
         fedsim.check_finite(params, f"shadow {i}")
         shadows.append(ShadowRecord(params, ds, preferred,
                                     extract_sensitivity(params, arch, aux)))
@@ -157,21 +164,23 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
     For shadow i: average it (equal weights) with the partner, extract S1 of
     the aggregate, retrain the aggregate for one pass over shadow i's own
     dataset (the next-round local update), extract S2, and emit
-    (|S1 - S2|, preference of i).  A diverged update raises NumericalError
-    naming "meta-dataset update i".
+    (|S1 - S2|, preference of i).  The updates of all shadows train in one
+    :func:`nn.train` call, since the shadow datasets are equal in size, and
+    are then checked in shadow order: the first diverged update raises
+    NumericalError naming "meta-dataset update i".
     """
     if len(shadows) < 2:
         raise InputError("federated meta dataset needs at least two shadows")
+    aggs = [fedsim.fedavg([sh.params, shadows[_pair_partner(shadows, i, mode)].params],
+                          [1.0, 1.0]) for i, sh in enumerate(shadows)]
+    updates = nn.train(aggs, arch, np.concatenate([sh.dataset.X for sh in shadows]),
+                       np.concatenate([sh.dataset.y for sh in shadows]), update_cfg,
+                       [derive_seed(seed, "shadow-update", i) for i in range(len(shadows))])
     features = []
-    for i, sh in enumerate(shadows):
-        partner = _pair_partner(shadows, i, mode)
-        agg = fedsim.fedavg([sh.params, shadows[partner].params], [1.0, 1.0])
-        s1 = extract_sensitivity(agg, arch, aux)
-        updated = nn.train(agg, arch, sh.dataset.X, sh.dataset.y, update_cfg,
-                           derive_seed(seed, "shadow-update", i))
+    for i, (agg, updated) in enumerate(zip(aggs, updates)):
         fedsim.check_finite(updated, f"meta-dataset update {i}")
-        s2 = extract_sensitivity(updated, arch, aux)
-        features.append(differential_sensitivity(s1, s2))
+        features.append(differential_sensitivity(extract_sensitivity(agg, arch, aux),
+                                                 extract_sensitivity(updated, arch, aux)))
     return LabeledDataset(np.stack(features), [sh.preference for sh in shadows], aux.n_label)
 
 
@@ -211,8 +220,8 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> Me
         (nn.Dense(n_label, 32), nn.Relu(), nn.Dense(32, n_label)),
         (n_label,), n_label,
     )
-    params = nn.init_params(arch, seed=derive_seed(seed, "meta-init"))
-    params = nn.train(params, arch, feats, meta.y, train_cfg, seed)
+    params = nn.train([nn.init_params(arch, seed=derive_seed(seed, "meta-init"))], arch, feats,
+                      meta.y, train_cfg, [seed])[0]
     fedsim.check_finite(params, "meta-classifier")
     acc = nn.accuracy(params, arch, feats, meta.y)
     return MetaClassifier(params, arch, acc)

@@ -5,9 +5,11 @@ The aggregation step is delegated to a hook so an attacker-controlled server
 can observe the models it sent and the uploads, and hand back per-user
 models.  The identity hook is FedAvg at equal weights, since every client
 holds the same number of samples, broadcast to everyone.
-All per-round randomness is derived from the run seed, so trajectories are
-bit-reproducible.  A model with a non-finite parameter, or one whose
-magnitude exceeds :data:`DIVERGENCE_BOUND`, stops the run;
+A round's sampled clients hold equal-size datasets and share one
+optimiser, so they train together in one :func:`nn.train` call, each from
+its own seed.  All per-round randomness is derived from the run seed, so
+trajectories are bit-reproducible.  A model with a non-finite parameter, or
+one whose magnitude exceeds :data:`DIVERGENCE_BOUND`, stops the run;
 :func:`check_finite` is that check, and the attacker's offline training
 applies it too.
 """
@@ -111,16 +113,19 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
 
     A ``client_fraction`` share of the clients is sampled.  Sampled clients
     train ``train_cfg.epochs`` on their last distributed model and upload;
-    user u's seed in round r is derived from (run_seed, r, u), so the
-    trajectory is a function of run_seed.  Unsampled clients keep their
+    they train in one :func:`nn.train` call, and user u's seed in round r is
+    derived from (run_seed, r, u), so each upload is what training u alone
+    gives and the trajectory is a function of run_seed.  Unsampled clients keep their
     previous upload and model.  The hook is called as
     ``hook(prev.distributed, uploads, selected)``: it sees the model
     each user received last round and every current upload, and returns the
     per-user distributed models.  No model is scored here.
     Raises NumericalError, naming the round and user, if an upload or a
     distributed model has a parameter that is non-finite or larger in
-    magnitude than DIVERGENCE_BOUND (1e6).  Each upload is checked as it is
-    trained; an unsampled user's was checked in the round that trained it.
+    magnitude than DIVERGENCE_BOUND (1e6).  The uploads are checked once all
+    are trained, in ascending user id, so the error names the lowest
+    diverged user and the hook is not called; an unsampled user's upload was
+    checked in the round that trained it.
     """
     n_user = len(clients)
     rnd = prev.round_index + 1
@@ -128,10 +133,13 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     selected = client_fraction_sample(n_user, client_fraction, rng)
 
     uploads = list(prev.uploaded)
-    for u in selected:
-        uploads[u] = nn.train(prev.distributed[u], arch, clients[u].X, clients[u].y, train_cfg,
-                              derive_seed(run_seed, "local-train", rnd, int(u)))
-        check_finite(uploads[u], f"round {rnd}: the model uploaded for user {u}")
+    trained = nn.train([prev.distributed[u] for u in selected], arch,
+                       np.concatenate([clients[u].X for u in selected]),
+                       np.concatenate([clients[u].y for u in selected]), train_cfg,
+                       [derive_seed(run_seed, "local-train", rnd, int(u)) for u in selected])
+    for u, model in zip(selected, trained):
+        check_finite(model, f"round {rnd}: the model uploaded for user {u}")
+        uploads[u] = model
 
     distributed = hook(prev.distributed, uploads, list(selected))
     if len(distributed) != n_user:

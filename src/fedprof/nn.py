@@ -3,6 +3,9 @@
 Models are opaque flat parameter vectors (:class:`ParamVector`) paired with an
 :class:`Architecture` descriptor.  All operations are pure functions: they
 never mutate their inputs and are bit-reproducible given the same seed.
+The forward and backward walks carry a leading model axis, so :func:`train`
+steps S equal-size models of one architecture in lockstep, each bit for bit
+as if it trained alone; one model is the S = 1 case.
 Supported layers: dense, 2-D convolution (valid, stride 1), non-overlapping max
 pooling, ReLU and dropout.  The loss is softmax cross-entropy throughout.
 
@@ -201,13 +204,18 @@ def init_params(arch: Architecture, seed: int) -> ParamVector:
     return pv
 
 
-def _layer_params(pv: ParamVector, arch: Architecture, index: int):
-    """(W, b) views into the flat vector for the parameterised layer at index."""
+def _layer_params(params, arch: Architecture, index: int):
+    """(W, b) views into the flat vector for the parameterised layer at index.
+    ``params`` is a ParamVector or an array whose last axis is the flat
+    vector, such as an (S, n_params) stack, whose leading axes the views
+    keep."""
     if index not in arch.param_slots:
         raise InternalError(f"layer {index} has no parameters")
+    values = getattr(params, "values", params)
     off, w_shape, w_size, b_size = arch.param_slots[index]
-    return (pv.values[off:off + w_size].reshape(w_shape),
-            pv.values[off + w_size:off + w_size + b_size])
+    lead = values.shape[:-1]
+    return (values[..., off:off + w_size].reshape(*lead, *w_shape),
+            values[..., off + w_size:off + w_size + b_size])
 
 
 # ---------------------------------------------------------------------------
@@ -227,54 +235,63 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
 
 
 def _matmul_blocks(a, b, spans):
-    """``a @ b``, one matmul per block ``a[lo:hi]`` of a's leading axis, for
-    each (lo, hi) in ``spans``.  How BLAS chunks a product's rows can change
-    its last bits, so each block's rows are bit-identical to the product of
-    that block alone."""
-    out = np.empty(a.shape[:-1] + b.shape[1:])
+    """``a @ b`` over a leading model axis, one matmul per block
+    ``a[:, lo:hi]`` of a's row axis (axis 1), for each (lo, hi) in
+    ``spans``; b broadcasts against a's leading axes.  Each matmul runs one
+    GEMM per model, and how BLAS chunks a product's rows can change its last
+    bits, so each model's block is bit-identical to the product of that
+    block alone."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:])
     for lo, hi in spans:
-        np.matmul(a[lo:hi], b, out=out[lo:hi])
+        np.matmul(a[:, lo:hi], b, out=out[:, lo:hi])
     return out
 
 
-def _run_layers(pv, arch, X, rng, spans=None):
-    """Forward pass returning (logits, caches) for the backward walk.  The
-    walk is in train mode exactly when it gets an ``rng``: a Dropout layer
-    then draws its mask from it, and is the identity otherwise.  ``spans``
-    splits the batch into (lo, hi) row blocks (see :func:`_loss_and_grad`),
-    one by default; every GEMM runs once per block and every elementwise step
-    once over all rows, so a block's rows equal a forward pass of that block."""
-    if pv.values.size != arch.n_params:
-        raise InternalError(f"{pv.values.size} parameters for an architecture of {arch.n_params}")
+def _run_layers(params, arch, X, rngs, spans=None):
+    """Forward pass of an (S, n_params) stack of S models, model s on batch
+    ``X[s]`` of the (S, n, *input_shape) X, returning ((S, n, n_classes)
+    logits, caches) for the backward walk.  The walk is in train mode
+    exactly when it gets ``rngs``, one generator per model: a Dropout layer
+    then draws one mask per model from that model's generator, in model
+    order, and is the identity otherwise.  ``spans`` splits every model's
+    batch into the same (lo, hi) row blocks (see :func:`_loss_and_grad`),
+    one by default; every GEMM runs once per block over the model axis and
+    every elementwise step once over all rows of all models, so a model's
+    block equals a forward pass of that model on that block alone."""
+    if params.shape[-1] != arch.n_params:
+        raise InternalError(f"{params.shape[-1]} parameters for an architecture of {arch.n_params}")
+    S, n = X.shape[:2]
     if spans is None:
-        spans = [(0, X.shape[0])]
+        spans = [(0, n)]
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
         if isinstance(layer, Dense):
-            flat = act.reshape(act.shape[0], -1)
-            W, b = _layer_params(pv, arch, i)
+            flat = act.reshape(S, n, -1)
+            W, b = _layer_params(params, arch, i)
             caches.append((act.shape, flat, W))
             act = _matmul_blocks(flat, W, spans)
-            act += b
+            act += b[:, None]
         elif isinstance(layer, Conv2d):
             # im2col: one row of c*k*k input taps per output pixel, so the
-            # convolution is one GEMM per block (Chellapilla et al. 2006).
-            win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(2, 3))
-            n, _, ho, wo = win.shape[:4]
-            cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n, ho * wo, -1)
-            W, b = _layer_params(pv, arch, i)
+            # convolution is one GEMM per model and block (Chellapilla et
+            # al. 2006).
+            win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(3, 4))
+            ho, wo = win.shape[3:5]
+            cols = win.transpose(0, 1, 3, 4, 2, 5, 6).reshape(S, n, ho * wo, -1)
+            W, b = _layer_params(params, arch, i)
             caches.append((act.shape, cols, W))
-            out = _matmul_blocks(cols.reshape(n * ho * wo, -1), W.reshape(len(W), -1).T,
+            out = _matmul_blocks(cols.reshape(S, n * ho * wo, -1),
+                                 W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1),
                                  [(lo * ho * wo, hi * ho * wo) for lo, hi in spans])
-            out += b
-            act = out.reshape(n, ho, wo, -1).transpose(0, 3, 1, 2)
+            out += b[:, None]
+            act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, MaxPool2d):
             k = layer.kernel
-            n, c, h, w = act.shape
+            c, h, w = act.shape[2:]
             ho, wo = h // k, w // k
-            tiles = act[:, :, :ho * k, :wo * k].reshape(n, c, ho, k, wo, k)
-            tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, k * k)
+            tiles = act[..., :ho * k, :wo * k].reshape(S, n, c, ho, k, wo, k)
+            tiles = tiles.transpose(0, 1, 2, 3, 5, 4, 6).reshape(S, n, c, ho, wo, k * k)
             idx = tiles.argmax(axis=-1)  # first max wins: deterministic tie-break
             caches.append((act.shape, idx))
             act = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
@@ -282,8 +299,8 @@ def _run_layers(pv, arch, X, rng, spans=None):
             caches.append(act > 0)
             act = np.maximum(act, 0.0)
         elif isinstance(layer, Dropout):
-            if rng is not None and layer.rate > 0.0:
-                keep = rng.random(act.shape) >= layer.rate
+            if rngs is not None and layer.rate > 0.0:
+                keep = np.stack([rng.random(act.shape[1:]) for rng in rngs]) >= layer.rate
                 scale = 1.0 / (1.0 - layer.rate)
                 caches.append((keep, scale))
                 act = act * keep * scale
@@ -309,45 +326,92 @@ def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) -> None:
-    """Write per-row (gW, gb), each with a leading axis over the rows, into
-    the layer's slot of every row of a (rows, n_params) gradient matrix; a
-    single row's may come without that axis."""
+    """Write per-row (gW, gb), each with the leading axes of ``rows``, into
+    the layer's slot of every row of a (..., n_params) gradient array."""
     off, _, w_size, b_size = arch.param_slots[index]
-    rows[:, off:off + w_size] = gW.reshape(len(rows), w_size)
-    rows[:, off + w_size:off + w_size + b_size] = gb
+    rows[..., off:off + w_size] = gW.reshape(*rows.shape[:-1], w_size)
+    rows[..., off + w_size:off + w_size + b_size] = gb
 
 
-def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None, blocks=None):
-    """Gradient of the mean batch loss, from one forward and one backward walk,
-    in train mode when ``rng`` is given (see :func:`_run_layers`).
+def _block_grads(arch: Architecture, pieces, spans) -> np.ndarray:
+    """(S, B, n_params) gradients, row [s, j] that of model s on row block j
+    of ``spans``, from the (layer index, layer input, output gradient)
+    pieces of a backward walk whose output gradients were divided by their
+    block's size.  Each block's weight gradient is one GEMM over the model
+    axis.  Slots the walk did not reach stay zero."""
+    S = len(pieces[0][2])
+    grads = np.zeros((S, len(spans), arch.n_params))
+    for i, a, d in pieces:
+        for j, (lo, hi) in enumerate(spans):
+            block = d[:, lo:hi]
+            if isinstance(arch.layers[i], Dense):
+                gW, gb = a[:, lo:hi].transpose(0, 2, 1) @ block, block.sum(axis=1)
+            else:
+                gW = (block.transpose(0, 2, 1, 3).reshape(S, block.shape[2], -1)
+                      @ a[:, lo:hi].reshape(S, -1, a.shape[-1]))
+                gb = block.sum(axis=(1, 3))
+            _set_layer_rows(grads[:, j], arch, i, gW, gb)
+    return grads
 
-    The gradient is a ParamVector laid out by ``arch.param_slots`` or, with
-    per_example, a (batch, n_params) array whose row i is the gradient of
-    sample i's own loss, equal to what a one-row batch of sample i gives.
-    Without per_example, ``blocks``, B + 1 row offsets from 0 to the batch
-    size that split the batch into B non-empty contiguous blocks, makes it a
-    (B, n_params) array whose row j is the gradient of block j's mean loss,
-    bit for bit what a batch of block j alone gives: every GEMM runs once
-    per block, and the elementwise steps once over all rows.  A plain batch
-    is one block.
-    The walk ends once the parameter gradient of layer ``stop`` is written,
-    and the slots of the parameterised layers below it stay zero.  The
-    default is the first parameterised layer, where no one reads the input
-    gradient, so every slot is written; a ``stop`` that is not a
-    parameterised layer is an InternalError.
-    Per-example rows keep the batch axis where the batch gradient sums over
-    it: a dense layer's row is outer(a_i, delta_i) (Goodfellow 2015,
-    arXiv:1510.01799) and a convolution's is delta_i @ cols_i, over sample
-    i's im2col columns; the ReLU, max-pool, dropout and input-gradient steps
-    are shared.
+
+def _example_rows(arch: Architecture, pieces, s: int) -> np.ndarray:
+    """Model s's (batch, n_params) per-example gradient rows, from the
+    pieces of a backward walk (see :func:`_block_grads`) whose output
+    gradients are per row: a dense layer's row is outer(a_i, delta_i)
+    (Goodfellow 2015, arXiv:1510.01799) and a convolution's is
+    delta_i @ cols_i, over sample i's im2col columns.  Slots the walk did
+    not reach stay zero."""
+    rows = np.zeros((pieces[0][2].shape[1], arch.n_params))
+    for i, a, d in pieces:
+        if isinstance(arch.layers[i], Dense):
+            _set_layer_rows(rows, arch, i, a[s][:, :, None] * d[s][:, None, :], d[s])
+        else:
+            _set_layer_rows(rows, arch, i, d[s] @ a[s], d[s].sum(axis=2))
+    return rows
+
+
+def _loss_and_grad(params, arch, X, y, rng=None, per_example=False, stop=None, blocks=None):
+    """Gradient of the mean batch loss of each of S models, from one forward
+    and one backward walk over all of them, in train mode when ``rng`` is
+    given (see :func:`_run_layers`).
+
+    ``params`` is an (S, n_params) stack, X and y hold the S models' equal
+    batches concatenated in model order, and ``rng`` is one generator per
+    model.  A ParamVector with a single generator is the S = 1 case and
+    gets its result without the model axis.
+    The gradient is an (S, n_params) array laid out by ``arch.param_slots``
+    (a ParamVector for S = 1).  With ``blocks``, B + 1 row offsets from 0 to
+    the batch size that split each model's batch into B non-empty
+    contiguous blocks, it is an (S, B, n_params) array whose row [s, j] is
+    the gradient of block j's mean loss under model s, bit for bit what a
+    batch of block j alone gives: every GEMM runs once per block over the
+    model axis, and the elementwise steps once over all rows.  A plain batch
+    is one block.  With per_example, it is an iterator over the models of
+    (batch, n_params) arrays whose row i is the gradient of sample i's own
+    loss, equal to what a one-row batch of sample i gives (for S = 1, the
+    array); each model's array is formed only when the iterator reaches it,
+    so no (S, batch, n_params) array is held.  The ReLU, max-pool, dropout
+    and input-gradient steps are shared with the batch gradient, which sums
+    over the batch axis that per-example rows keep.
+    The walk ends once the parameter gradient of layer ``stop`` is formed.
+    With ``stop`` given, it forms and writes only that layer's slot, and
+    every other slot stays zero.  By default it stops at the first
+    parameterised layer, where no one reads the input gradient, and writes
+    every slot, as training needs.  A ``stop`` that is not a parameterised
+    layer is an InternalError.
     """
-    if stop is None:
+    one = isinstance(params, ParamVector)
+    if one:
+        params, rng = params.values[None], None if rng is None else [rng]
+    write_all = stop is None
+    if write_all:
         stop = min(arch.param_slots)
     elif stop not in arch.param_slots:
         raise InternalError(f"the backward walk cannot stop at layer {stop}: it has no parameters")
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
+    S = len(params)
+    n = X.shape[0] // S
     if blocks is None:
         spans = [(0, n)]
     else:
@@ -355,65 +419,51 @@ def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None, block
         spans = list(zip(bounds[:-1], bounds[1:]))
         if not spans or bounds[0] != 0 or bounds[-1] != n or any(hi <= lo for lo, hi in spans):
             raise InternalError(f"blocks {bounds} do not split {n} rows into non-empty blocks")
-    logits, caches = _run_layers(pv, arch, X, rng, spans)
-    delta = _softmax_xent(logits, y)
-    if per_example:
-        rows = np.zeros((n, arch.n_params))
-    else:
+    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, spans)
+    delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
+    if not per_example:
         for lo, hi in spans:
-            delta[lo:hi] /= hi - lo
-        rows = np.zeros((len(spans), arch.n_params))
-
+            delta[:, lo:hi] /= hi - lo
+    pieces = []  # (layer index, layer input, output gradient) per slot written
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
             in_shape, flat, W = cache
-            if per_example:
-                _set_layer_rows(rows, arch, i, flat[:, :, None] * delta[:, None, :], delta)
-            else:
-                for j, (lo, hi) in enumerate(spans):
-                    block = delta[lo:hi]
-                    _set_layer_rows(rows[j:j + 1], arch, i, flat[lo:hi].T @ block,
-                                    block.sum(axis=0))
+            if write_all or i == stop:
+                pieces.append((i, flat, delta))
             if i == stop:
                 break
-            delta = _matmul_blocks(delta, W.T, spans).reshape(in_shape)
+            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), spans).reshape(in_shape)
         elif isinstance(layer, Conv2d):
             in_shape, cols, W = cache
-            n, o, ho, wo = delta.shape
-            d = delta.reshape(n, o, ho * wo)
-            if per_example:
-                _set_layer_rows(rows, arch, i, d @ cols, d.sum(axis=2))
-            else:
-                for j, (lo, hi) in enumerate(spans):
-                    block = d[lo:hi]
-                    _set_layer_rows(rows[j:j + 1], arch, i, block.transpose(1, 0, 2).reshape(o, -1)
-                                    @ cols[lo:hi].reshape((hi - lo) * ho * wo, -1),
-                                    block.sum(axis=(0, 2)))
+            o, ho, wo = delta.shape[2:]
+            d = delta.reshape(S, n, o, ho * wo)
+            if write_all or i == stop:
+                pieces.append((i, cols, d))
             if i == stop:
                 break
             # col2im: scatter-add the column-space gradient back tap by tap.
             k = layer.kernel
-            dcols = _matmul_blocks(d.transpose(0, 2, 1), W.reshape(o, -1),
-                                   spans).reshape(n, ho, wo, -1, k, k)
+            dcols = _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
+                                   spans).reshape(S, n, ho, wo, -1, k, k)
             dx = np.zeros(in_shape)
             for ki in range(k):
                 for kj in range(k):
-                    dx[:, :, ki:ki + ho, kj:kj + wo] += (
-                        dcols[..., ki, kj].transpose(0, 3, 1, 2)
+                    dx[..., ki:ki + ho, kj:kj + wo] += (
+                        dcols[..., ki, kj].transpose(0, 1, 4, 2, 3)
                     )
             delta = dx
         elif isinstance(layer, MaxPool2d):
             in_shape, idx = cache
             k = layer.kernel
-            n, c, h, w = in_shape
-            ho, wo = idx.shape[2], idx.shape[3]
-            dtiles = np.zeros((n, c, ho, wo, k * k))
+            c, ho, wo = idx.shape[2:]
+            dtiles = np.zeros((S, n, c, ho, wo, k * k))
             np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
             dx = np.zeros(in_shape)
-            dx[:, :, :ho * k, :wo * k] = (
-                dtiles.reshape(n, c, ho, wo, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho * k, wo * k)
+            dx[..., :ho * k, :wo * k] = (
+                dtiles.reshape(S, n, c, ho, wo, k, k).transpose(0, 1, 2, 3, 5, 4, 6)
+                .reshape(S, n, c, ho * k, wo * k)
             )
             delta = dx
         elif isinstance(layer, Relu):
@@ -422,29 +472,36 @@ def _loss_and_grad(pv, arch, X, y, rng=None, per_example=False, stop=None, block
             keep, scale = cache
             if keep is not None:
                 delta = delta * keep * scale
-    return rows if per_example or blocks is not None else ParamVector(rows[0])
+    if per_example:
+        rows = (_example_rows(arch, pieces, s) for s in range(S))
+        return next(rows) if one else rows
+    grads = _block_grads(arch, pieces, spans)
+    if blocks is None:
+        grads = grads[:, 0]
+    if not one:
+        return grads
+    return grads[0] if blocks is not None else ParamVector(grads[0])
 
 
 def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
     """Evaluation-mode forward pass: (logits, mean softmax cross-entropy)."""
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits, _ = _run_layers(pv, arch, X, None)
+    logits = _run_layers(pv.values[None], arch, X[None], None)[0][0]
     return logits, -_log_softmax(logits)[np.arange(len(y)), y].mean()
 
 
 def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.ndarray:
     X = _as_batch(arch, X)
-    logits, _ = _run_layers(pv, arch, X, None)
-    return logits
+    return _run_layers(pv.values[None], arch, X[None], None)[0][0]
 
 
 def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray,
              stop: Optional[int] = None, blocks=None):
     """Gradient of the mean batch loss (eval mode), laid out by
     ``arch.param_slots``: of every parameter by default, or, with ``stop``
-    the index of a parameterised layer, of that layer and the ones above it,
-    with the slots below left zero.  With ``blocks``, the row offsets of
+    the index of a parameterised layer, of that layer only, with every other
+    slot left zero.  With ``blocks``, the row offsets of
     contiguous row blocks, it is one gradient row per block, each equal to
     a call on that block alone (see :func:`_loss_and_grad`)."""
     return _loss_and_grad(pv, arch, X, y, stop=stop, blocks=blocks)
@@ -528,45 +585,68 @@ def dp_sgd_step(
 
 
 def train(
-    pv: ParamVector,
+    models: list,
     arch: Architecture,
     X: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
-    seed: int,
-) -> ParamVector:
-    """Mini-batch SGD for cfg.epochs passes; deterministic given seed.  Each
-    step returns a new vector, so the input model is never mutated.
+    seeds: list,
+) -> list:
+    """Mini-batch SGD for cfg.epochs passes, for S models of one architecture
+    in lockstep; returns S new ParamVectors, model s bit for bit what
+    training it alone gives.  The input models are never mutated.
 
-    Every walk is in train mode, so a Dropout layer in ``arch`` draws its
-    masks; a stack without one trains exactly as in eval mode.  Shuffle
-    order, dropout masks and DP noise all come from one generator seeded
-    from ``seed``, so identical calls give bit-identical results.  With
-    cfg.dp set, one forward and one backward walk give each batch's
-    per-example gradients, which :func:`dp_sgd_step` clips, averages and
-    noises.  That walk draws a dropout layer's mask once for the whole batch;
-    with a single Dropout layer, as in the stack ``harness.build_model_arch``
-    builds for the dropout defense, that is the same stream as one draw per
-    sample in batch order.
+    ``X`` and ``y`` hold the S models' equal-size datasets concatenated in
+    model order, so ``len(X)`` is the number of samples.  Model s's shuffle
+    order, dropout masks and DP noise all come from one generator of its
+    own, seeded from ``seeds[s]``, so identical calls give bit-identical
+    results.  Each step is one forward and one backward walk over all S
+    batches (see :func:`_loss_and_grad`).  Every walk is in train mode, so
+    a Dropout layer in ``arch`` draws its masks; a stack without one trains
+    exactly as in eval mode.  Without cfg.dp, one :func:`sgd_step` moves
+    the whole stack.  With cfg.dp set, the walk gives each model's
+    per-example gradients, one model at a time, which :func:`dp_sgd_step`
+    clips, averages and noises.  The walk draws a dropout layer's mask
+    once for a model's whole batch; with a single Dropout layer, as in the
+    stack ``harness.build_model_arch`` builds for the dropout defense, that
+    is the same stream as one draw per sample in batch order.
     """
+    models, seeds = list(models), list(seeds)
+    if not models or len(seeds) != len(models):
+        raise InputError(f"{len(models)} models need as many seeds, got {len(seeds)}")
+    sizes = {m.values.size for m in models}
+    if sizes != {arch.n_params}:
+        raise InternalError(f"models of {sorted(sizes)} parameters for an architecture of "
+                            f"{arch.n_params}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    n = X.shape[0]
-    if n == 0:
+    S = len(models)
+    if X.shape[0] == 0:
         raise InputError("training dataset is empty")
+    if X.shape[0] % S or len(y) != X.shape[0]:
+        raise InputError(f"{X.shape[0]} samples and {len(y)} labels do not split into "
+                         f"{S} equal datasets")
+    n = X.shape[0] // S
     if cfg.batch_size > n:
         raise InputError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    rng = np.random.default_rng(derive_seed(seed, "train"))
+    params = np.stack([m.values for m in models])
+    rngs = [np.random.default_rng(derive_seed(seed, "train")) for seed in seeds]
+    offsets = np.arange(S)[:, None] * n
     for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
+        perms = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            grad = _loss_and_grad(pv, arch, X[idx], y[idx], rng, cfg.dp is not None)
+            idx = perms[:, start:start + cfg.batch_size].ravel()
+            grads = _loss_and_grad(params, arch, X[idx], y[idx], rngs, cfg.dp is not None)
             if cfg.dp is None:
-                pv = sgd_step(pv, grad, cfg.learning_rate)
+                # SGD is elementwise, so the stack steps as one flat vector.
+                params = sgd_step(ParamVector(params.ravel()), ParamVector(grads.ravel()),
+                                  cfg.learning_rate).values.reshape(S, -1)
             else:
-                pv = dp_sgd_step(pv, grad, cfg.dp, cfg.learning_rate, rng)
-    return pv
+                params = np.stack([
+                    dp_sgd_step(ParamVector(p), rows, cfg.dp, cfg.learning_rate, rng).values
+                    for p, rows, rng in zip(params, grads, rngs)])
+    # One array per model, so that no returned model keeps the stack alive.
+    return [ParamVector(p.copy()) for p in params]
 
 
 # ---------------------------------------------------------------------------

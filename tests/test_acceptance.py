@@ -153,7 +153,8 @@ def test_criterion_04_binary_ratio_monotonicity():
             ds = pool.subset(idx)
             params = nn.init_params(arch, seed=derive_seed(pool_seed, "init"))
             cfg = nn.TrainConfig(0.01, 1, 32)
-            trained = nn.train(params, arch, ds.X, ds.y, cfg, derive_seed(pool_seed, "train", i))
+            trained = nn.train([params], arch, ds.X, ds.y, cfg,
+                               [derive_seed(pool_seed, "train", i)])[0]
             s_at_a.append(attack.extract_sensitivity(trained, arch, aux)[0])
         rho = stats.spearmanr(ratios, s_at_a).statistic
         print(f"\n  ratio sweep S[A]: {np.round(s_at_a, 3)}  spearman={rho:+.3f}")
@@ -183,7 +184,7 @@ def test_criterion_05_sensitivity_extremes():
                                    (16,), 10)
             params = nn.init_params(arch, seed=derive_seed(4400 + t, "init"))
             cfg = nn.TrainConfig(0.03, 1, 32)
-            trained = nn.train(params, arch, ds.X, ds.y, cfg, derive_seed(4500 + t, "train"))
+            trained = nn.train([params], arch, ds.X, ds.y, cfg, [derive_seed(4500 + t, "train")])[0]
             s = attack.extract_sensitivity(trained, arch, aux)
             ok_min += int(np.argmin(s) == 1)
             ok_max += int(np.argmax(s) == 8)

@@ -113,8 +113,8 @@ def test_skewed_training_orders_sensitivity():
     avail = [np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx) for c in range(4)]
     idx = np.concatenate([avail[c][:counts[c]] for c in range(4)])
     ds = pool.subset(idx)
-    params = nn.train(nn.init_params(arch, seed=4), arch, ds.X, ds.y,
-                      nn.TrainConfig(0.03, 1, 32), 5)
+    params = nn.train([nn.init_params(arch, seed=4)], arch, ds.X, ds.y,
+                      nn.TrainConfig(0.03, 1, 32), [5])[0]
     s = attack.extract_sensitivity(params, arch, aux)
     assert int(np.argmin(s)) == 0
     assert int(np.argmax(s)) == 1

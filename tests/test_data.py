@@ -56,7 +56,7 @@ def test_synthetic_mlp_reaches_90_percent_in_50_epochs():
     arch = nn.Architecture((nn.Dense(16, 32), nn.Relu(), nn.Dense(32, 10)), (16,), 10)
     params = nn.init_params(arch, seed=0)
     cfg = nn.TrainConfig(learning_rate=0.1, epochs=50, batch_size=32)
-    out = nn.train(params, arch, tr_ds.X, tr_ds.y, cfg, seed=1)
+    out = nn.train([params], arch, tr_ds.X, tr_ds.y, cfg, [1])[0]
     assert nn.accuracy(out, arch, te_ds.X, te_ds.y) >= 0.90
 
 

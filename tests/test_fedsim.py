@@ -251,20 +251,30 @@ def test_each_round_checks_only_the_fresh_uploads(tiny_world, monkeypatch):
             + [f"round {st.round_index}: the model distributed for user {u}" for u in range(3)])
 
 
-def test_a_diverged_upload_stops_the_round_before_the_next_client_trains(tiny_world,
-                                                                        monkeypatch):
+def test_a_round_trains_its_clients_in_one_call_and_names_the_lowest_diverged_user(
+        tiny_world, monkeypatch):
+    """The sampled clients train together, so a divergence is found after
+    training: the uploads are checked in ascending id, the error names the
+    first diverged user, and nothing is aggregated."""
     clients, arch, init = tiny_world
-    trained = []
+    calls = []
+    train = nn.train
 
-    def diverging(pv_in, arch_, X, y, cfg, seed):
-        trained.append(seed)
-        return pv(np.full(arch.n_params, np.inf))
+    def diverging(models, arch_, X, y, cfg, seeds):
+        calls.append(len(seeds))
+        out = train(models, arch_, X, y, cfg, seeds)
+        for u in (2, 0):
+            out[u] = pv(np.full(arch.n_params, np.inf))
+        return out
+
+    def hook(*args):
+        raise AssertionError("a round with a diverged upload aggregated")
 
     monkeypatch.setattr(nn, "train", diverging)
     with pytest.raises(NumericalError, match="round 1: the model uploaded for user 0 "):
         fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
-                         1.0, fedsim.fedavg_hook, run_seed=7)
-    assert len(trained) == 1
+                         1.0, hook, run_seed=7)
+    assert calls == [3]
 
 
 def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_world):

@@ -233,12 +233,13 @@ def test_the_run_trains_with_the_optimisers_validation_built(monkeypatch):
     assert cfg.shadow_train == nn.TrainConfig(0.05, 2, 15, dp)
     # one meta sample per shadow, so the meta batch is min(16, 8 shadows)
     assert cfg.meta_train == nn.TrainConfig(0.1, 120, 8)
-    used = collections.Counter()
+    used, calls = collections.Counter(), collections.Counter()
     train = nn.train
 
-    def counting_train(pv, arch, X, y, train_cfg, seed):
-        used[train_cfg] += 1
-        return train(pv, arch, X, y, train_cfg, seed)
+    def counting_train(models, arch, X, y, train_cfg, seeds):
+        used[train_cfg] += len(seeds)
+        calls[train_cfg] += 1
+        return train(models, arch, X, y, train_cfg, seeds)
 
     def build(*args, **kwargs):
         raise AssertionError("an optimiser built after validation")
@@ -249,6 +250,10 @@ def test_the_run_trains_with_the_optimisers_validation_built(monkeypatch):
     harness.run_experiment(cfg)
     assert used == {cfg.shadow_train: 8, cfg.update_train: 8, cfg.meta_train: 1,
                     cfg.client_train: 16}
+    # Each group trains in one call: the shadows, the meta-dataset updates,
+    # the meta-classifier, and each round's sampled clients.
+    assert calls == {cfg.shadow_train: 1, cfg.update_train: 1, cfg.meta_train: 1,
+                     cfg.client_train: FAST["fl"]["n_rounds"]}
 
 
 def test_only_harness_and_cli_raise_config_error():
@@ -971,3 +976,73 @@ def test_readme_minority_config_validates_and_every_preferred_class_is_the_small
         assert row[smallest] < np.delete(row, smallest).min(), row
     for preferred, counts, _ in cfg.shadow_draws:
         assert counts[preferred] < np.delete(counts, preferred).min(), counts
+
+
+# ---------------------------------------------------------------------------
+# Decisions across BLAS kernels
+# ---------------------------------------------------------------------------
+
+# Runs one config into a directory and prints the OpenBLAS core it ran on
+# (null where it cannot be read).
+KERNEL_CHILD = r"""
+import ctypes, json, sys
+from pathlib import Path
+from fedprof import harness
+
+def core_name():
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    for path in sorted({line.split()[-1] for line in maps if "openblas" in line.lower()
+                        and line.split()[-1].startswith("/")}):
+        for symbol in ("openblas_get_corename", "openblas_get_corename64_",
+                       "scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            fn = getattr(ctypes.CDLL(path), symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+harness.run_experiment(harness.validate_config(sys.argv[1]), Path(sys.argv[2]))
+print(json.dumps({"core": core_name()}))
+"""
+
+# Report fields that are sums of many products, so their last bits depend on
+# how a BLAS kernel orders them; every other field is a decision or a count.
+FLOAT_TRACES = ("ds_trace_attack", "ds_trace_baseline")
+
+
+def test_decisions_agree_across_blas_kernels(tmp_path):
+    """One small run under the default OpenBLAS kernel and one under the
+    generic x86-64 kernel (``OPENBLAS_CORETYPE=Prescott``): bytes may differ,
+    but every decision field of report.json and every line of rounds.jsonl
+    agree, and the DS traces agree at 1e-12 relative."""
+    pkg_root = str(Path(fedprof.__file__).resolve().parent.parent)
+    runs = {}
+    for label, coretype in (("default", None), ("prescott", "Prescott")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / label
+        proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps(FAST), str(out)],
+                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert proc.returncode == 0, proc.stderr
+        runs[label] = (json.loads(proc.stdout.splitlines()[-1])["core"],
+                       json.loads((out / "report.json").read_text()),
+                       (out / "rounds.jsonl").read_text())
+    (core, report, rounds), (other_core, other_report, other_rounds) = runs.values()
+    if core is None:
+        print("\n  the OpenBLAS core could not be read, so the two kernels may be one")
+    elif core == other_core:
+        print(f"\n  OPENBLAS_CORETYPE=Prescott was ignored here (core {core} in both runs), "
+              "so this compared a kernel with itself")
+    else:
+        print(f"\n  compared OpenBLAS cores {core} and {other_core}")
+    assert rounds == other_rounds
+    assert report.keys() == other_report.keys()
+    for key in report:
+        if key in FLOAT_TRACES:
+            want, got = np.asarray(report[key]), np.asarray(other_report[key])
+            assert want.shape == got.shape and want.size > 0
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+        else:
+            assert report[key] == other_report[key], key

@@ -131,7 +131,7 @@ def test_params_sized_for_another_architecture_are_internal_errors(too_long):
     with pytest.raises(InternalError, match="parameters"):
         nn.backward(params, arch, X, y)
     with pytest.raises(InternalError, match="parameters"):
-        nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), seed=0)
+        nn.train([params], arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), [0])
 
 
 def test_forward_is_pure():
@@ -155,7 +155,7 @@ def test_train_leaves_its_input_unchanged(arch, dp):
     params = nn.init_params(arch, seed=3)
     before = params.values.copy()
     X, y = rand_batch(arch, 12, seed=4)
-    out = nn.train(params, arch, X, y, nn.TrainConfig(0.1, epochs=2, batch_size=4, dp=dp), seed=5)
+    out = nn.train([params], arch, X, y, nn.TrainConfig(0.1, epochs=2, batch_size=4, dp=dp), [5])[0]
     assert np.array_equal(params.values, before)
     assert not np.array_equal(out.values, before)
 
@@ -354,6 +354,9 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
       for seed in range(6)],
 ], ids=["benchmark-cnn", "small-cnn", "stride2-7x7", *[f"criterion-1-{s}" for s in range(6)]])
 def test_backward_stopped_at_the_feature_layer_is_the_full_walk_above_it(make_arch):
+    """The stopped walk runs every layer above the feature layer but forms
+    only the feature layer's gradient, equal to the full walk's; every other
+    slot is zero."""
     arch = make_arch()
     params = perturbed_params(arch, 5)
     X, y = rand_batch(arch, 12, seed=6)
@@ -361,10 +364,11 @@ def test_backward_stopped_at_the_feature_layer_is_the_full_walk_above_it(make_ar
     stopped = nn.backward(params, arch, X, y, stop=arch.feature_index).values
     for index, (off, _, w_size, b_size) in arch.param_slots.items():
         part = slice(off, off + w_size + b_size)
-        if index >= arch.feature_index:
+        assert full[part].any()
+        if index == arch.feature_index:
             assert np.array_equal(stopped[part], full[part])
         else:
-            assert full[part].any() and not stopped[part].any()
+            assert not stopped[part].any()
 
 
 def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
@@ -472,7 +476,7 @@ def test_train_separable_blobs_to_perfect_accuracy():
     params = nn.init_params(arch, seed=0)
     X, y = blobs_2class()
     cfg = nn.TrainConfig(learning_rate=0.2, epochs=50, batch_size=16)
-    out = nn.train(params, arch, X, y, cfg, seed=1)
+    out = nn.train([params], arch, X, y, cfg, [1])[0]
     assert nn.accuracy(out, arch, X, y) == 1.0
 
 
@@ -485,8 +489,8 @@ def test_train_same_seed_is_bit_identical():
         (nn.Dense(2, 8), nn.Relu(), nn.Dropout(0.5), nn.Dense(8, 2)), (2,), 2
     )
     p0 = nn.init_params(arch_do, seed=0)
-    a = nn.train(p0, arch_do, X, y, cfg, seed=42)
-    b = nn.train(p0, arch_do, X, y, cfg, seed=42)
+    a = nn.train([p0], arch_do, X, y, cfg, [42])[0]
+    b = nn.train([p0], arch_do, X, y, cfg, [42])[0]
     assert np.array_equal(a.values, b.values)
 
 
@@ -495,10 +499,10 @@ def test_train_rejects_empty_and_oversized_batch():
     params = nn.init_params(arch, seed=0)
     cfg = nn.TrainConfig(learning_rate=0.1, epochs=1, batch_size=8)
     with pytest.raises(InputError):
-        nn.train(params, arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg, seed=0)
+        nn.train([params], arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg, [0])
     X, y = blobs_2class(n_per_class=2)
     with pytest.raises(InputError):
-        nn.train(params, arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64), seed=0)
+        nn.train([params], arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64), [0])
 
 
 def test_dropout_eval_mode_is_identity():
@@ -650,9 +654,81 @@ def test_dp_train_equals_per_sample_reference(overrides, dropout):
     # clip_norm 3.5 clips some rows and leaves others whole.
     cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8,
                          dp=nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7))
-    got = nn.train(params, arch, X, y, cfg, seed=2).values
+    got = nn.train([params], arch, X, y, cfg, [2])[0].values
     want = dp_train_reference(params, arch, X, y, cfg, seed=2, train_mode=dropout)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Lockstep training
+# ---------------------------------------------------------------------------
+
+
+def sequential_train_reference(params, arch, X, y, cfg, seed):
+    """One model's training loop, the reference for nn.train's lockstep
+    walk: one generator gives the model's per-epoch permutation, its
+    dropout masks and its DP noise, and every step walks this model alone."""
+    rng = np.random.default_rng(derive_seed(seed, "train"))
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            grad = nn._loss_and_grad(params, arch, X[idx], y[idx], rng, cfg.dp is not None)
+            if cfg.dp is None:
+                params = nn.sgd_step(params, grad, cfg.learning_rate)
+            else:
+                params = nn.dp_sgd_step(params, grad, cfg.dp, cfg.learning_rate, rng)
+    return params
+
+
+DP = nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7)
+LOCKSTEP_CASES = {
+    "mlp": ({}, None),
+    "benchmark-cnn": (BENCHMARK_CNN, None),
+    "dropout-mlp": (DROPOUT, None),
+    "dp-mlp": ({}, DP),
+    "dp-cnn": (BENCHMARK_CNN, DP),
+    "dp-dropout-cnn": (DP_ARCH_CASES[1], DP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+@pytest.mark.parametrize("n_models", [1, 4])
+def test_lockstep_training_equals_one_model_at_a_time(case, n_models):
+    """One nn.train call over S models, each with its own start, data and
+    seed, is bit for bit S runs of the one-model loop.  20 samples at batch
+    8 end each epoch on a partial batch of 4."""
+    overrides, dp = LOCKSTEP_CASES[case]
+    arch = reference_arch(overrides)
+    n = 20
+    models = [perturbed_params(arch, 10 + s) for s in range(n_models)]
+    seeds = [derive_seed(3, "lockstep", s) for s in range(n_models)]
+    X, y = rand_batch(arch, n_models * n, seed=12)
+    cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8, dp=dp)
+    got = nn.train(models, arch, X, y, cfg, seeds)
+    assert len(got) == n_models
+    for s, (model, seed) in enumerate(zip(models, seeds)):
+        rows = slice(s * n, (s + 1) * n)
+        want = sequential_train_reference(model, arch, X[rows], y[rows], cfg, seed)
+        assert np.array_equal(got[s].values, want.values)
+        assert not np.array_equal(got[s].values, model.values)
+
+
+def test_lockstep_training_rejects_unpaired_seeds_and_unequal_datasets():
+    arch = mlp()
+    models = [nn.init_params(arch, seed=s) for s in range(3)]
+    X, y = rand_batch(arch, 12, seed=1)
+    cfg = nn.TrainConfig(0.1, epochs=1, batch_size=2)
+    with pytest.raises(InputError, match="3 models need as many seeds, got 2"):
+        nn.train(models, arch, X, y, cfg, [0, 1])
+    with pytest.raises(InputError, match="0 models need as many seeds"):
+        nn.train([], arch, X, y, cfg, [])
+    with pytest.raises(InputError, match="do not split into 3 equal datasets"):
+        nn.train(models, arch, X[:11], y[:11], cfg, [0, 1, 2])
+    with pytest.raises(InputError, match="do not split into 3 equal datasets"):
+        nn.train(models, arch, X, y[:9], cfg, [0, 1, 2])
+    with pytest.raises(InternalError, match="parameters"):
+        nn.train(models[:2] + [nn.init_params(mlp(6, 4, 3), 0)], arch, X, y, cfg, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
