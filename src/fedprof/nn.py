@@ -354,23 +354,26 @@ def _block_grads(arch: Architecture, pieces, spans) -> np.ndarray:
     return grads
 
 
-def _example_rows(arch: Architecture, pieces, s: int) -> np.ndarray:
-    """Model s's (batch, n_params) per-example gradient rows, from the
+def _example_sq_norms(arch: Architecture, pieces) -> np.ndarray:
+    """(S, batch) squared L2 norms of the per-example gradients of the
     pieces of a backward walk (see :func:`_block_grads`) whose output
-    gradients are per row: a dense layer's row is outer(a_i, delta_i)
-    (Goodfellow 2015, arXiv:1510.01799) and a convolution's is
-    delta_i @ cols_i, over sample i's im2col columns.  Slots the walk did
-    not reach stay zero."""
-    rows = np.zeros((pieces[0][2].shape[1], arch.n_params))
+    gradients are per row, without forming the (batch, n_params) rows.  A
+    dense layer's row is outer(a_i, delta_i), whose squared norm is
+    |a_i|^2 |delta_i|^2 (Goodfellow 2015, arXiv:1510.01799); a convolution's
+    is delta_i @ cols_i over sample i's im2col columns, formed one layer at a
+    time.  Each adds its bias row's |sum of delta_i|^2."""
+    sq = 0.0
     for i, a, d in pieces:
         if isinstance(arch.layers[i], Dense):
-            _set_layer_rows(rows, arch, i, a[s][:, :, None] * d[s][:, None, :], d[s])
+            d2 = (d * d).sum(axis=-1)
+            sq = sq + (a * a).sum(axis=-1) * d2 + d2
         else:
-            _set_layer_rows(rows, arch, i, d[s] @ a[s], d[s].sum(axis=2))
-    return rows
+            gW, gb = d @ a, d.sum(axis=-1)
+            sq = sq + (gW * gW).sum(axis=(-2, -1)) + (gb * gb).sum(axis=-1)
+    return sq
 
 
-def _loss_and_grad(params, arch, X, y, rng=None, per_example=False, stop=None, blocks=None):
+def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=None):
     """Gradient of the mean batch loss of each of S models, from one forward
     and one backward walk over all of them, in train mode when ``rng`` is
     given (see :func:`_run_layers`).
@@ -386,13 +389,14 @@ def _loss_and_grad(params, arch, X, y, rng=None, per_example=False, stop=None, b
     the gradient of block j's mean loss under model s, bit for bit what a
     batch of block j alone gives: every GEMM runs once per block over the
     model axis, and the elementwise steps once over all rows.  A plain batch
-    is one block.  With per_example, it is an iterator over the models of
-    (batch, n_params) arrays whose row i is the gradient of sample i's own
-    loss, equal to what a one-row batch of sample i gives (for S = 1, the
-    array); each model's array is formed only when the iterator reaches it,
-    so no (S, batch, n_params) array is held.  The ReLU, max-pool, dropout
-    and input-gradient steps are shared with the batch gradient, which sums
-    over the batch axis that per-example rows keep.
+    is one block.  With ``clip`` set, each row's gradient is instead the
+    mean over its block of the per-example gradients (what a one-row batch
+    of each sample gives), each first scaled to L2 norm at most ``clip``; an
+    example whose gradient is exactly zero is left as it is.  The walk then
+    runs on the per-row output gradients, not divided by the block size,
+    takes each example's norm from them (see :func:`_example_sq_norms`) and
+    folds min(1, clip / norm) / block size into each piece's rows before
+    the gradients are formed, so no (batch, n_params) array is held.
     The walk ends once the parameter gradient of layer ``stop`` is formed.
     With ``stop`` given, it forms and writes only that layer's slot, and
     every other slot stays zero.  By default it stops at the first
@@ -421,7 +425,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, per_example=False, stop=None, b
             raise InternalError(f"blocks {bounds} do not split {n} rows into non-empty blocks")
     logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, spans)
     delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
-    if not per_example:
+    if clip is None:
         for lo, hi in spans:
             delta[:, lo:hi] /= hi - lo
     pieces = []  # (layer index, layer input, output gradient) per slot written
@@ -472,9 +476,12 @@ def _loss_and_grad(params, arch, X, y, rng=None, per_example=False, stop=None, b
             keep, scale = cache
             if keep is not None:
                 delta = delta * keep * scale
-    if per_example:
-        rows = (_example_rows(arch, pieces, s) for s in range(S))
-        return next(rows) if one else rows
+    if clip is not None:
+        norms = np.sqrt(_example_sq_norms(arch, pieces))
+        scale = np.minimum(1.0, np.divide(clip, norms, out=np.ones_like(norms), where=norms > 0))
+        for lo, hi in spans:
+            scale[:, lo:hi] /= hi - lo
+        pieces = [(i, a, d * scale.reshape(S, n, *[1] * (d.ndim - 2))) for i, a, d in pieces]
     grads = _block_grads(arch, pieces, spans)
     if blocks is None:
         grads = grads[:, 0]
@@ -566,7 +573,10 @@ def dp_sgd_step(
     """Clip each row of per_example_grads, a (batch, n_params) array with one
     sample's gradient per row, to dp.clip_norm; average; add Gaussian noise
     with per-coordinate std dp.noise_multiplier * dp.clip_norm / batch_size;
-    then step."""
+    then step.  This is the step in row form; :func:`train` takes the same
+    step from the clipped mean that :func:`_loss_and_grad` forms without the
+    rows, and does not call it.  It stays because the benchmark's tracer
+    wraps it by name."""
     if len(per_example_grads) == 0:
         raise InputError("per_example_grads is empty")
     grads = np.asarray(per_example_grads, dtype=np.float64)
@@ -603,13 +613,16 @@ def train(
     results.  Each step is one forward and one backward walk over all S
     batches (see :func:`_loss_and_grad`).  Every walk is in train mode, so
     a Dropout layer in ``arch`` draws its masks; a stack without one trains
-    exactly as in eval mode.  Without cfg.dp, one :func:`sgd_step` moves
-    the whole stack.  With cfg.dp set, the walk gives each model's
-    per-example gradients, one model at a time, which :func:`dp_sgd_step`
-    clips, averages and noises.  The walk draws a dropout layer's mask
-    once for a model's whole batch; with a single Dropout layer, as in the
-    stack ``harness.build_model_arch`` builds for the dropout defense, that
-    is the same stream as one draw per sample in batch order.
+    exactly as in eval mode.  With cfg.dp set, the walk gives each model's
+    mean of per-example gradients clipped to cfg.dp.clip_norm, and each
+    model then draws its Gaussian noise, of std noise_multiplier *
+    clip_norm / batch size, from its generator, in model order: the step
+    :func:`dp_sgd_step` takes from per-example rows, without forming them.
+    Either way, one :func:`sgd_step` moves the whole stack.  The walk draws
+    a dropout layer's mask once for a model's whole batch; with a single
+    Dropout layer, as in the stack ``harness.build_model_arch`` builds for
+    the dropout defense, that is the same stream as one draw per sample in
+    batch order.
     """
     models, seeds = list(models), list(seeds)
     if not models or len(seeds) != len(models):
@@ -636,15 +649,14 @@ def train(
         perms = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, cfg.batch_size):
             idx = perms[:, start:start + cfg.batch_size].ravel()
-            grads = _loss_and_grad(params, arch, X[idx], y[idx], rngs, cfg.dp is not None)
-            if cfg.dp is None:
-                # SGD is elementwise, so the stack steps as one flat vector.
-                params = sgd_step(ParamVector(params.ravel()), ParamVector(grads.ravel()),
-                                  cfg.learning_rate).values.reshape(S, -1)
-            else:
-                params = np.stack([
-                    dp_sgd_step(ParamVector(p), rows, cfg.dp, cfg.learning_rate, rng).values
-                    for p, rows, rng in zip(params, grads, rngs)])
+            grads = _loss_and_grad(params, arch, X[idx], y[idx], rngs,
+                                   clip=None if cfg.dp is None else cfg.dp.clip_norm)
+            if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
+                std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / (len(idx) // S)
+                grads += np.stack([rng.normal(0.0, std, size=arch.n_params) for rng in rngs])
+            # SGD is elementwise, so the stack steps as one flat vector.
+            params = sgd_step(ParamVector(params.ravel()), ParamVector(grads.ravel()),
+                              cfg.learning_rate).values.reshape(S, -1)
     # One array per model, so that no returned model keeps the stack alive.
     return [ParamVector(p.copy()) for p in params]
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,8 +320,9 @@ BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
 ], ids=["benchmark-cnn-32", "benchmark-cnn-1500", "cnn-28x28", "stride2-7x7", "stride2-8x8"])
 def test_conv_gemm_matches_einsum_reference(make_arch, n):
     """Forward output, each layer's batch weight and bias gradients, the
-    per-example rows, and the gradient rows of unequal row blocks, whose
-    reference is the mean of the block's per-example rows.  The input
+    per-example rows (one-row blocks), their clipped mean, and the gradient
+    rows of unequal row blocks, plain and clipped, whose reference is the
+    mean of the block's per-example rows, plain and clipped.  The input
     gradient of every convolution after the first feeds the gradients of the
     layers below it, so it is checked too."""
     arch = make_arch()
@@ -336,11 +338,16 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
                 assert_matches_reference(got_part, want_part)
 
     assert_layers_match(nn.backward(params, arch, X, y).values, grad)
-    assert_matches_reference(nn._loss_and_grad(params, arch, X, y, per_example=True), rows)
+    assert_matches_reference(nn.backward(params, arch, X, y, blocks=range(n + 1)), rows)
+    clip = np.median(np.linalg.norm(rows, axis=1))  # clips about half of the rows
+    assert_matches_reference(nn._loss_and_grad(params, arch, X, y, clip=clip).values,
+                             clipped_mean(rows, clip))
     bounds = [0, n // 5, n // 2, n]
     blocks = nn.backward(params, arch, X, y, blocks=bounds)
-    for got, lo, hi in zip(blocks, bounds[:-1], bounds[1:]):
+    clipped = nn._loss_and_grad(params, arch, X, y, clip=clip, blocks=bounds)
+    for got, got_clipped, lo, hi in zip(blocks, clipped, bounds[:-1], bounds[1:]):
         assert_layers_match(got, rows[lo:hi].mean(axis=0))
+        assert_matches_reference(got_clipped, clipped_mean(rows[lo:hi], clip))
 
 
 # ---------------------------------------------------------------------------
@@ -596,28 +603,63 @@ def perturbed_params(arch, seed):
         params.values + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params))
 
 
+def clipped_mean(rows, clip):
+    """The mean of per-example gradient rows, each first scaled by a loop to
+    L2 norm at most clip; a zero row stays as it is."""
+    mean = np.zeros(rows.shape[1])
+    for g in rows:
+        norm = np.linalg.norm(g)
+        mean += g * (min(1.0, clip / norm) if norm > 0 else 1.0)
+    return mean / len(rows)
+
+
 @pytest.mark.parametrize("overrides", DP_ARCH_CASES)
 @pytest.mark.parametrize("train_mode", [False, True])
-def test_per_example_rows_equal_one_row_batches(overrides, train_mode):
+def test_clipped_mean_equals_clipped_one_row_batches(overrides, train_mode):
+    """The clipped mean of one walk equals the per-example gradients, each
+    walked here as a one-row batch, clipped and averaged by a loop; both
+    draw the same dropout stream.  With a clip above every norm it is the
+    batch gradient."""
     arch = reference_arch(overrides)
     params = perturbed_params(arch, 3)
     X, y = rand_batch(arch, 9, seed=4)
-    rng = np.random.default_rng(11)
-    rows = nn._loss_and_grad(params, arch, X, y, rng=rng if train_mode else None,
-                             per_example=True)
-    ref_rng = np.random.default_rng(11)
-    want = np.stack([
-        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1],
-                          rng=ref_rng if train_mode else None).values
+
+    def mode_rng():
+        return np.random.default_rng(11) if train_mode else None
+
+    rng, ref_rng = mode_rng(), mode_rng()
+    rows = np.stack([
+        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1], rng=ref_rng).values
         for i in range(len(X))
     ])
-    assert rows.shape == (len(X), arch.n_params)
-    assert np.max(np.abs(rows - want)) <= 1e-12
-    # Both walks drew the same dropout stream; without dropout, the rows
-    # average to the batch gradient.
-    assert rng.random() == ref_rng.random()
-    if not train_mode:
-        assert np.max(np.abs(rows.mean(axis=0) - nn.backward(params, arch, X, y).values)) <= 1e-12
+    clip = np.median(np.linalg.norm(rows, axis=1))  # clips some rows, leaves others whole
+    got = nn._loss_and_grad(params, arch, X, y, rng=rng, clip=clip)
+    assert got.values.shape == (arch.n_params,)
+    assert_matches_reference(got.values, clipped_mean(rows, clip))
+    if train_mode:
+        assert rng.random() == ref_rng.random()
+    unclipped = nn._loss_and_grad(params, arch, X, y, rng=mode_rng(), clip=1e12)
+    batch = nn._loss_and_grad(params, arch, X, y, rng=mode_rng())
+    assert_matches_reference(unclipped.values, batch.values)
+
+
+def test_clipped_mean_keeps_an_exactly_zero_example_without_a_warning():
+    """A sample the model fits exactly (softmax 1.0 at its label) has an
+    exactly-zero gradient; it counts at factor 1, with no division by its
+    zero norm."""
+    arch = mlp()
+    params = perturbed_params(arch, 3)
+    _, b = nn._layer_params(params, arch, 2)
+    b[0] = 1e3  # exp(-1e3) underflows: class 0 gets probability exactly 1.0
+    X, _ = rand_batch(arch, 6, seed=4)
+    y = np.array([0, 1, 0, 2, 1, 2])
+    rows = np.stack([nn.backward(params, arch, X[i:i + 1], y[i:i + 1]).values
+                     for i in range(len(X))])
+    assert not rows[y == 0].any() and rows[y != 0].any(axis=1).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nn._loss_and_grad(params, arch, X, y, clip=0.5).values
+    assert_matches_reference(got, clipped_mean(rows, 0.5))
 
 
 def dp_train_reference(params, arch, X, y, cfg, seed, train_mode):
@@ -673,11 +715,12 @@ def sequential_train_reference(params, arch, X, y, cfg, seed):
         perm = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            grad = nn._loss_and_grad(params, arch, X[idx], y[idx], rng, cfg.dp is not None)
-            if cfg.dp is None:
-                params = nn.sgd_step(params, grad, cfg.learning_rate)
-            else:
-                params = nn.dp_sgd_step(params, grad, cfg.dp, cfg.learning_rate, rng)
+            grad = nn._loss_and_grad(params, arch, X[idx], y[idx], rng,
+                                     clip=None if cfg.dp is None else cfg.dp.clip_norm)
+            if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
+                std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / len(idx)
+                grad = nn.ParamVector(grad.values + rng.normal(0.0, std, size=arch.n_params))
+            params = nn.sgd_step(params, grad, cfg.learning_rate)
     return params
 
 
