@@ -141,29 +141,15 @@ def build_meta_dataset_centralized(shadows: List[ShadowRecord]) -> LabeledDatase
                           [s.preference for s in shadows], shadows[0].dataset.n_label)
 
 
-def _most_opposite(column, target: int, mode: str) -> List[int]:
-    """Every id but ``target``, most opposite first at one class: the largest
-    ``column[id]`` first in majority mode, the smallest first in minority
-    mode.  Ties go to the lower id."""
-    sign = -1.0 if mode == "majority" else 1.0
-    others = [j for j in range(len(column)) if j != target]
-    return sorted(others, key=lambda j: (sign * column[j], j))
-
-
-def _pair_partner(shadows: List[ShadowRecord], i: int, mode: str) -> int:
-    """The other shadow with the most opposite sensitivity at shadow i's class."""
-    key = shadows[i].preference
-    return _most_opposite([s.sensitivity[key] for s in shadows], i, mode)[0]
-
-
 def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDataset,
                                  arch: nn.Architecture, update_cfg: nn.TrainConfig, seed: int,
                                  mode: str) -> LabeledDataset:
     """Pair each shadow with its most opposite peer and mimic two FL rounds.
 
-    For shadow i: average it (equal weights) with the partner, extract S1 of
-    the aggregate, retrain the aggregate for one pass over shadow i's own
-    dataset (the next-round local update), extract S2, and emit
+    For shadow i: average it (equal weights) with its :func:`select_partners`
+    partner at its preferred class, extract S1 of the aggregate, retrain the
+    aggregate for one pass over shadow i's own dataset (the next-round local
+    update), extract S2, and emit
     (|S1 - S2|, preference of i).  The updates of all shadows train in one
     :func:`nn.train` call, since the shadow datasets are equal in size, and
     are then checked in shadow order: the first diverged update raises
@@ -171,8 +157,10 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
     """
     if len(shadows) < 2:
         raise InputError("federated meta dataset needs at least two shadows")
-    aggs = [fedsim.fedavg([sh.params, shadows[_pair_partner(shadows, i, mode)].params],
-                          [1.0, 1.0]) for i, sh in enumerate(shadows)]
+    partners = select_partners(np.stack([sh.sensitivity for sh in shadows]), 1, mode,
+                               [sh.preference for sh in shadows])[:, 0]
+    aggs = [fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
+            for sh, j in zip(shadows, partners)]
     updates = nn.train(aggs, arch, np.concatenate([sh.dataset.X for sh in shadows]),
                        np.concatenate([sh.dataset.y for sh in shadows]), update_cfg,
                        [derive_seed(seed, "shadow-update", i) for i in range(len(shadows))])
@@ -232,19 +220,33 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> Me
 # ---------------------------------------------------------------------------
 
 
-def select_partners(target_user: int, all_sensitivities, x: int, mode: str) -> List[int]:
-    """The x other users with the most opposite sensitivity at the candidate class.
+def select_partners(sensitivities, x: int, mode: str, classes=None) -> np.ndarray:
+    """Every user's x partners, as an (n_user, x) array: row u holds the x
+    other users with the most opposite sensitivity at u's candidate class,
+    the largest first in majority mode and the smallest first in minority
+    mode.  Ties break toward lower user ids.
 
-    The candidate class is argmin of the target's sensitivity in majority mode
-    (argmax in minority mode); partners are the x users with the largest
-    (resp. smallest) sensitivity there.  Ties break toward lower user ids.
+    The candidate class is ``classes[u]`` when given (a shadow's preferred
+    class), else the argmin of row u in majority mode (argmax in minority
+    mode).  One stable argsort per candidate class ranks every user at it,
+    so memory stays O(n_user * (n_label + x)).
     """
-    n = len(all_sensitivities)
+    s = np.asarray(sensitivities, dtype=np.float64)
+    n = len(s)
     if x > n - 1:
         raise InputError(f"x={x} but only {n - 1} other users exist")
-    s_t = np.asarray(all_sensitivities[target_user])
-    c = int(np.argmin(s_t)) if mode == "majority" else int(np.argmax(s_t))
-    return _most_opposite([s[c] for s in all_sensitivities], target_user, mode)[:x]
+    if classes is None:
+        classes = s.argmin(axis=1) if mode == "majority" else s.argmax(axis=1)
+    classes = np.asarray(classes)
+    sign = -1.0 if mode == "majority" else 1.0
+    partners, cols = np.empty((n, x), dtype=np.int64), np.arange(x)
+    for c in set(classes.tolist()):
+        users = np.flatnonzero(classes == c)
+        order = np.argsort(sign * s[:, c], kind="stable")
+        rank = np.argsort(order)
+        # the first x of the ranking, stepping over the user itself
+        partners[users] = order[cols + (cols >= rank[users, None])]
+    return partners
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,8 @@ class PreferenceProfiler:
     """Aggregation hook ``profiler(received, uploads, selected)`` that
     extracts sensitivities, records a RoundTrace per round and aggregates
     each upload with its x :func:`select_partners` partners at equal weights,
-    or by :func:`fedsim.fedavg_hook` when x is None.
+    or by :func:`fedsim.fedavg_hook` when x is None.  All the groups, each
+    in ascending id, reduce in one :func:`fedsim.average_groups` call.
 
     A sampled user's DS compares the model it received (``received[u]``,
     which :func:`fedsim.run_round` passes in) with the model it trained from
@@ -349,8 +352,11 @@ class PreferenceProfiler:
                                        differential_sensitivity(sent, sens[selected])))
         if self.x is None:
             return fedsim.fedavg_hook(received, uploads, selected)
-        groups = [[u] + select_partners(u, sens, self.x, self.mode) for u in range(len(uploads))]
-        return [fedsim.fedavg([uploads[v] for v in g], [1.0] * len(g), ids=g) for g in groups]
+        groups = np.sort(np.column_stack([np.arange(len(uploads)),
+                                          select_partners(sens, self.x, self.mode)]), axis=1)
+        aggs = fedsim.average_groups(np.stack([m.values for m in uploads]), groups,
+                                     np.full(groups.shape, 1.0 / groups.shape[1]))
+        return [nn.ParamVector(v) for v in aggs]
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,22 @@ class RoundState:
 AggregationHook = Callable[[list, list, list], list]
 
 
+def average_groups(stacked: np.ndarray, groups: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """Row g: the average of rows ``stacked[groups[g]]`` at weights
+    ``shares[g]`` (summing to 1), as weighted deltas around the anchor
+    ``stacked[groups[g, 0]]`` added in column order, one vector step per
+    column for every group at once.  Algebraically the weighted mean, but
+    bitwise the anchor when all members are identical."""
+    anchor = stacked[groups[:, 0]]
+    acc = np.zeros_like(anchor)
+    for k in range(groups.shape[1]):
+        acc += shares[:, k, None] * (stacked[groups[:, k]] - anchor)
+    return anchor + acc
+
+
 def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
-    """Data-size weighted elementwise average of parameter vectors.
+    """Data-size weighted elementwise average of parameter vectors, the
+    one-group case of :func:`average_groups`.
 
     If ``ids`` are given, (model, weight) pairs are reduced in ascending id
     order, which makes the result invariant (bitwise) under shuffling.
@@ -65,18 +79,13 @@ def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamV
         raise InputError("models and weights must pair up")
     if any(w <= 0 for w in weights):
         raise InputError("weights must be positive")
-    order = list(range(len(models))) if ids is None else list(np.argsort(np.asarray(ids)))
-    anchor = models[order[0]]
+    if len({m.values.size for m in models}) > 1:
+        raise InternalError("fedavg size mismatch across models")
+    order = np.arange(len(models)) if ids is None else np.argsort(np.asarray(ids))
     total = float(sum(weights))
-    # Accumulate weighted deltas around an anchor model: algebraically the
-    # weighted mean, but bitwise idempotent when all models are identical.
-    acc = np.zeros_like(anchor.values)
-    for i in order:
-        m = models[i]
-        if m.values.size != anchor.values.size:
-            raise InternalError("fedavg size mismatch across models")
-        acc += (weights[i] / total) * (m.values - anchor.values)
-    return nn.ParamVector(anchor.values + acc)
+    shares = np.array([[weights[i] / total for i in order]])
+    return nn.ParamVector(average_groups(np.stack([m.values for m in models]), order[None],
+                                         shares)[0])
 
 
 def client_fraction_sample(n_user: int, fraction: float,

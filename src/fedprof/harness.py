@@ -400,35 +400,37 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
     Returns (round traces, per-round scores, final round state).  Only with
     ``score_rounds`` does a round add (round index, local_acc, global_acc):
     the own-data accuracy of each user's upload (an unsampled user's keeps
-    last round's score; round 1 scores all) and of the model sent to it.
+    last round's score; round 1 scores all) and of the model sent to it (so
+    does a user sent the same parameter bytes as last round).
     """
     seed = cfg.seed
     clients = staged.clients
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
     profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
-    state = fedsim.initial_state(len(clients), init)
+    n = len(clients)
+    state = fedsim.initial_state(n, init)
     accs = []
     for _ in range(cfg["fl"]["n_rounds"]):
+        sent = state.distributed
         state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
                                  cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
         if score_rounds:
-            local = list(accs[-1][1]) if accs else [None] * len(clients)
-            for u in state.selected if accs else range(len(clients)):
+            local, glob = map(list, accs[-1][1:]) if accs else ([None] * n, [None] * n)
+            for u in state.selected if accs else range(n):
                 local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
-            accs.append((state.round_index, local, _own_acc(state.distributed, cfg.arch, clients)))
+            for u, m in enumerate(state.distributed):
+                if not accs or m.values.tobytes() != sent[u].values.tobytes():
+                    glob[u] = nn.accuracy(m, cfg.arch, clients[u].X, clients[u].y)
+            accs.append((state.round_index, local, glob))
     return profiler.history, accs, state
-
-
-def _own_acc(models: list, arch: nn.Architecture, clients: list) -> list:
-    """Accuracy of ``models[u]`` on user u's own data, for every user."""
-    return [nn.accuracy(m, arch, c.X, c.y) for m, c in zip(models, clients)]
 
 
 def _utilities(final: fedsim.RoundState, accs: list, arch: nn.Architecture,
                staged: StagedData) -> tuple:
     """Mean accuracy of the final round's distributed models on each user's
     own data (``accs``'s last round, if it was scored) and on the test set."""
-    own = accs[-1][2] if accs else _own_acc(final.distributed, arch, staged.clients)
+    own = accs[-1][2] if accs else [nn.accuracy(m, arch, c.X, c.y)
+                                    for m, c in zip(final.distributed, staged.clients)]
     test = [nn.accuracy(m, arch, staged.test.X, staged.test.y) for m in final.distributed]
     return float(np.mean(own)), float(np.mean(test))
 

@@ -3,6 +3,7 @@ partner selection, streak-gated profiling and top-k scoring."""
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,21 +219,37 @@ def test_federated_meta_pairing_is_most_opposite(shadows, world):
     fake[1].sensitivity[0] = 1.0
     fake[2].sensitivity[0] = 9.0
     fake[3].sensitivity[0] = 3.0
-    assert attack._pair_partner(fake, 0, "majority") == 2
-    assert attack._pair_partner(fake, 0, "minority") == 1  # index 0 excluded, min value
+    assert pair_partners(fake, "majority")[0] == 2
+    assert pair_partners(fake, "minority")[0] == 1  # index 0 excluded, min value
 
     two = fake[:2]
     two[0].preference, two[1].preference = 0, 1
     two[0].sensitivity = np.array([0.1, 5.0, 0.0, 0.0])
     two[1].sensitivity = np.array([5.0, 0.1, 0.0, 0.0])
-    assert attack._pair_partner(two, 0, "majority") == 1
-    assert attack._pair_partner(two, 1, "majority") == 0
+    assert pair_partners(two, "majority").tolist() == [1, 0]
 
 
-def test_federated_meta_dataset_shapes(shadows, world):
+def pair_partners(shadows, mode):
+    """Each shadow's partner, as build_meta_dataset_federated pairs them."""
+    return attack.select_partners(np.stack([s.sensitivity for s in shadows]), 1, mode,
+                                  [s.preference for s in shadows])[:, 0]
+
+
+def test_federated_meta_dataset_shapes(shadows, world, monkeypatch):
     pool, aux, arch = world
     upd = nn.TrainConfig(0.05, 1, 16)
+    train, trained_from = nn.train, []
+    monkeypatch.setattr(nn, "train", lambda models, *args: trained_from.extend(models)
+                        or train(models, *args))
     meta_ds = attack.build_meta_dataset_federated(shadows, aux, arch, upd, seed=9, mode="majority")
+    # each update starts from the equal-weight fedavg of a shadow (the
+    # anchor) and its per-shadow reference partner
+    sens = [sh.sensitivity for sh in shadows]
+    assert len(trained_from) == len(shadows)
+    for i, (sh, got) in enumerate(zip(shadows, trained_from)):
+        j, = reference_partners(sens, i, 1, "majority", sh.preference)
+        want = fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
+        assert np.array_equal(got.values, want.values)
     assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
     assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
     assert (meta_ds.X >= 0).all()
@@ -317,6 +334,19 @@ def test_meta_prediction_invariant_under_feature_scaling():
 # ---------------------------------------------------------------------------
 
 
+def reference_partners(sens, target, x, mode, cls=None):
+    """The per-user partner choice: every other id sorted by (value at the
+    candidate class, id), the largest value first in majority mode and the
+    smallest first in minority mode.  The candidate class is ``cls`` if
+    given, else the argmin (majority) or argmax (minority) of the target's
+    row."""
+    if cls is None:
+        cls = int(np.argmin(sens[target]) if mode == "majority" else np.argmax(sens[target]))
+    sign = -1.0 if mode == "majority" else 1.0
+    others = [j for j in range(len(sens)) if j != target]
+    return sorted(others, key=lambda j: (sign * sens[j][cls], j))[:x]
+
+
 def test_partner_choice_top_x_by_value():
     s_target = np.array([0.5, 9.0])  # candidate class = argmin = 0
     sens = [s_target,
@@ -324,36 +354,71 @@ def test_partner_choice_top_x_by_value():
             np.array([5.0, 0.0]),
             np.array([3.0, 0.0]),
             np.array([9.0, 0.0])]
-    assert attack.select_partners(0, sens, 2, "majority") == [4, 2]
+    assert attack.select_partners(sens, 2, "majority")[0].tolist() == [4, 2]
 
 
 def test_partner_choice_boundary_all_others():
     sens = [np.arange(3, dtype=float) for _ in range(5)]
-    got = attack.select_partners(2, sens, 4, "majority")
-    assert sorted(got) == [0, 1, 3, 4]
+    got = attack.select_partners(sens, 4, "majority")
+    assert got.shape == (5, 4)
+    assert sorted(got[2]) == [0, 1, 3, 4]
     with pytest.raises(InputError):
-        attack.select_partners(2, sens, 5, "majority")
+        attack.select_partners(sens, 5, "majority")
 
 
 def test_partner_choice_ties_break_to_lower_id():
     sens = [np.array([0.0, 1.0]), np.array([2.0, 0.0]), np.array([2.0, 0.0]),
             np.array([1.0, 0.0])]
-    assert attack.select_partners(0, sens, 2, "majority") == [1, 2]
+    assert attack.select_partners(sens, 2, "majority")[0].tolist() == [1, 2]
 
 
 def test_partner_choice_minority_mode_smallest_at_argmax():
     s_target = np.array([0.1, 7.0])  # minority candidate = argmax = 1
     sens = [s_target, np.array([0.0, 4.0]), np.array([0.0, 1.0]), np.array([0.0, 2.5])]
-    assert attack.select_partners(0, sens, 2, "minority") == [2, 3]
+    assert attack.select_partners(sens, 2, "minority")[0].tolist() == [2, 3]
 
 
 def test_partner_choice_deterministic_and_excludes_target():
     rng = np.random.default_rng(4)
     sens = [rng.random(5) for _ in range(8)]
-    a = attack.select_partners(3, sens, 4, "majority")
-    b = attack.select_partners(3, sens, 4, "majority")
-    assert a == b
-    assert 3 not in a
+    a = attack.select_partners(sens, 4, "majority")
+    b = attack.select_partners(sens, 4, "majority")
+    assert np.array_equal(a, b)
+    assert all(u not in row for u, row in enumerate(a.tolist()))
+
+
+@pytest.mark.parametrize("mode", ["majority", "minority"])
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "integer-tied"])
+def test_partner_choice_equals_per_user_sorted_reference(mode, tied):
+    rng = np.random.default_rng(60 + tied)
+    for n_user in (2, 3, 4, 7, 16, 45, 100):
+        n_label = int(rng.integers(2, 8))
+        sens = (rng.integers(0, 3, (n_user, n_label)).astype(float) if tied
+                else rng.random((n_user, n_label)))
+        for x in sorted({1, n_user // 2, n_user - 1}):
+            got = attack.select_partners(sens, x, mode)
+            assert got.shape == (n_user, x)
+            assert got.tolist() == [reference_partners(sens, u, x, mode) for u in range(n_user)]
+        # the shadow pairing: x = 1 at each shadow's preferred class
+        prefs = rng.integers(0, n_label, n_user)
+        assert attack.select_partners(sens, 1, mode, prefs).tolist() == [
+            reference_partners(sens, i, 1, mode, c) for i, c in enumerate(prefs)]
+
+
+def test_partner_choice_memory_stays_linear_in_users():
+    # An (n_user, n_user) key matrix would take 3.2 GB at 20,000 users, and
+    # federation.n_user validates up to 2**63 - 1.
+    sens = np.random.default_rng(5).random((20_000, 10))
+    tracemalloc.start()
+    try:
+        partners = attack.select_partners(sens, 4, "majority")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert partners.shape == (20_000, 4)
+    assert peak < 4 * 2 ** 20, peak
+    for u in (0, 12_345, 19_999):
+        assert partners[u].tolist() == reference_partners(sens, u, 4, "majority")
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +635,7 @@ def test_profiler_hook_runs_and_locks(world):
             assert profile.predictions[lr_ - 1, u] == profile.verdicts[u]
     # every distributed model is a valid equal-weight fedavg of x+1 uploads
     for u in range(4):
-        partners = attack.select_partners(u, last.sensitivities, 2, "majority")
-        group = [u] + partners
+        group = [u] + reference_partners(last.sensitivities, u, 2, "majority")
         want = fedsim.fedavg([st.uploaded[v] for v in group], [1.0] * 3, ids=group)
         assert np.array_equal(st.distributed[u].values, want.values)
 
@@ -605,8 +669,9 @@ def test_replay_matches_online_profiling(world):
 
 
 class ReferenceProfiler:
-    """The profiler without its memo: one extract_sensitivity per upload and
-    per sampled user's received model, every round."""
+    """The profiler without its memo and its array forms: one
+    extract_sensitivity per upload and per sampled user's received model,
+    every round, and one per-user partner choice and fedavg per user."""
 
     def __init__(self, arch, aux, x, mode):
         self.arch, self.aux, self.x, self.mode = arch, aux, x, mode
@@ -622,7 +687,7 @@ class ReferenceProfiler:
             return fedsim.fedavg_hook(received, uploads, selected)
         distributed = []
         for u in range(len(uploads)):
-            group = [u] + attack.select_partners(u, sens, self.x, self.mode)
+            group = [u] + reference_partners(sens, u, self.x, self.mode)
             distributed.append(fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group),
                                              ids=group))
         return distributed

@@ -72,6 +72,33 @@ def test_fedavg_equal_weights_is_plain_mean():
             assert np.array_equal(fedsim.fedavg(models, [s] * k, ids).values, unit.values)
 
 
+def anchored_loop(rows, shares):
+    """The weighted average of ``rows`` as one loop over them, accumulating
+    weighted deltas from the first row in row order."""
+    acc = np.zeros_like(rows[0])
+    for row, w in zip(rows, shares):
+        acc += w * (row - rows[0])
+    return rows[0] + acc
+
+
+def test_average_groups_equals_the_per_group_anchored_loop():
+    rng = np.random.default_rng(6)
+    stacked = rng.standard_normal((12, 9))
+    for width in (1, 2, 5, 12):
+        groups = np.stack([rng.permutation(12)[:width] for _ in range(7)])
+        shares = rng.random((7, width))
+        shares /= shares.sum(axis=1, keepdims=True)
+        got = fedsim.average_groups(stacked, groups, shares)
+        assert got.shape == (7, 9)
+        for avg, group, w in zip(got, groups, shares):
+            assert np.array_equal(avg, anchored_loop(stacked[group], w))
+    # fedavg is the one-group case, in ascending id order when ids are given
+    models, weights, ids = [pv(row) for row in stacked[:5]], [3, 1, 4, 1, 5], [4, 0, 3, 1, 2]
+    order = np.argsort(ids)
+    want = anchored_loop(stacked[order], [weights[i] / 14 for i in order])
+    assert np.array_equal(fedsim.fedavg(models, weights, ids).values, want)
+
+
 def test_fedavg_rejects_bad_input():
     with pytest.raises(InputError):
         fedsim.fedavg([], [])

@@ -21,6 +21,7 @@ import pytest
 import fedprof
 from fedprof import attack, cli, data, fedsim, harness, nn
 from fedprof.errors import ConfigError, FormatError, InputError, NumericalError
+from fedprof.seeding import derive_seed
 
 FAST = {
     "seed": 5,
@@ -450,11 +451,22 @@ def test_stage_timings_do_not_read_the_settable_wall_clock(tmp_path, monkeypatch
     assert min(timings.values()) >= 0, timings
 
 
-def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch):
+# 30 users, 6 sampled per round: some users are sent the same model in two
+# rounds running.
+PARTIAL_30 = {"federation": {**FAST["federation"], "n_user": 30},
+              "fl": {**FAST["fl"], "n_rounds": 5, "client_fraction": 0.2}}
+
+
+@pytest.mark.parametrize("overrides, n_sampled, reuses", [
+    ({"fl": {**FAST["fl"], "client_fraction": 0.5}}, 2, False), (PARTIAL_30, 6, True)],
+    ids=["4-users", "30-users"])
+def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch, overrides,
+                                                       n_sampled, reuses):
     # rounds.jsonl against a slow reference that scores every upload and
     # every received model in every round; only the fresh uploads, the
-    # received models and, after the last round, the test set are scored.
-    cfg = fast_config(fl={**FAST["fl"], "client_fraction": 0.5}, with_baseline=False)
+    # received models not byte-equal to the ones sent the round before and,
+    # after the last round, the test set are scored.
+    cfg = fast_config(**overrides, with_baseline=False)
     run_round, accuracy = fedsim.run_round, nn.accuracy
     states, scored = [], []  # scored[r - 1]: what was scored after round r
 
@@ -475,21 +487,73 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch):
     staged = harness.stage_data(cfg)
     log = [json.loads(line) for line in (tmp_path / "rounds.jsonl").read_text().splitlines()]
     n_user, own = cfg["federation"]["n_user"], [(c.X, c.y) for c in staged.clients]
-    assert len(states) == cfg["fl"]["n_rounds"] == 4
-    for st, calls in zip(states, scored):
+    assert len(states) == cfg["fl"]["n_rounds"]
+    n_kept = 0
+    for st, before, calls in zip(states, [None] + states[:-1], scored):
         rows = [e for e in log if e["round"] == st.round_index]
         assert [e["local_acc_before"] for e in rows] == [
             accuracy(st.uploaded[u], cfg.arch, *own[u]) for u in range(n_user)]
         assert [e["global_acc_after"] for e in rows] == [
             accuracy(st.distributed[u], cfg.arch, *own[u]) for u in range(n_user)]
-        assert len(st.selected) == 2
-        fresh = range(n_user) if st.round_index == 1 else st.selected
+        assert len(st.selected) == n_sampled
+        fresh = range(n_user) if before is None else st.selected
+        sent = [m.values.tobytes() for m in st.distributed]
+        kept = set() if before is None else {
+            u for u in range(n_user) if sent[u] == before.distributed[u].values.tobytes()}
+        n_kept += len(kept)
         want = collections.Counter(
             [(st.uploaded[u].values.tobytes(), own[u][0].tobytes()) for u in fresh]
-            + [(m.values.tobytes(), X.tobytes()) for m, (X, _) in zip(st.distributed, own)])
+            + [(sent[u], own[u][0].tobytes()) for u in range(n_user) if u not in kept])
         if st is states[-1]:
-            want.update((m.values.tobytes(), staged.test.X.tobytes()) for m in st.distributed)
+            want.update((m, staged.test.X.tobytes()) for m in sent)
         assert calls == want, st.round_index
+    assert (n_kept > 0) == reuses
+
+
+def rescoring_run_online(cfg, staged, x, score_rounds):
+    """harness.run_online scoring every user's received model in every round."""
+    clients = staged.clients
+    init = nn.init_params(cfg.arch, seed=derive_seed(cfg.seed, "global-init"))
+    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
+    state = fedsim.initial_state(len(clients), init)
+    accs = []
+    for _ in range(cfg["fl"]["n_rounds"]):
+        state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
+                                 cfg["fl"]["client_fraction"], profiler,
+                                 derive_seed(cfg.seed, "fl"))
+        if score_rounds:
+            local = list(accs[-1][1]) if accs else [None] * len(clients)
+            for u in state.selected if accs else range(len(clients)):
+                local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
+            accs.append((state.round_index, local, [nn.accuracy(m, cfg.arch, c.X, c.y)
+                                                    for m, c in zip(state.distributed, clients)]))
+    return profiler.history, accs, state
+
+
+def test_reused_own_data_scores_equal_a_run_that_rescores_every_model(tmp_path, monkeypatch):
+    cfg = fast_config(**PARTIAL_30, with_baseline=True)
+    accuracy, run_online = nn.accuracy, harness.run_online
+
+    def run(online):
+        calls = []
+        monkeypatch.setattr(nn, "accuracy", lambda pv, arch, X, y: calls.append(
+            (pv.values.tobytes(), X.tobytes())) or accuracy(pv, arch, X, y))
+        monkeypatch.setattr(harness, "run_online", online)
+        harness.run_experiment(cfg, tmp_path / online.__name__)
+        monkeypatch.undo()
+        return calls
+
+    reused, rescored = run(run_online), run(rescoring_run_online)
+    for name in ("rounds.jsonl", "report.json"):
+        assert ((tmp_path / "run_online" / name).read_bytes()
+                == (tmp_path / "rescoring_run_online" / name).read_bytes())
+    # The run scores a strict subset of what the rescoring run scores, and
+    # the FedAvg arm's final scoring of its broadcast model (own data, then
+    # the test set) does not change.
+    skipped = collections.Counter(rescored) - collections.Counter(reused)
+    assert skipped and not collections.Counter(reused) - collections.Counter(rescored)
+    n_user = cfg["federation"]["n_user"]
+    assert reused[-2 * n_user:] == rescored[-2 * n_user:]
 
 
 def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch):
