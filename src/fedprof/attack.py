@@ -45,7 +45,7 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     if len(empty):
         raise InputError(f"auxiliary store has no samples for class {empty[0]}")
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
-    rows = nn.backward(pv, arch, aux.X, aux.y, stop=arch.feature_index, blocks=bounds)
+    rows = nn.backward(pv.values, arch, aux.X, aux.y, stop=arch.feature_index, blocks=bounds)
     return np.abs(rows[:, off:off + w_size + b_size]).sum(axis=1)
 
 
@@ -73,7 +73,7 @@ def normalize_features(v: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ShadowRecord:
-    params: nn.ParamVector
+    params: np.ndarray
     dataset: LabeledDataset
     preference: int
     sensitivity: np.ndarray
@@ -116,15 +116,15 @@ def train_shadows(aux: LabeledDataset, arch: nn.Architecture,
     "shadow i"."""
     datasets = [realize_distribution(aux, counts, seed=derive_seed(sub, "data"))
                 for _, counts, sub in draws]
-    trained = nn.train([nn.init_params(arch, seed=derive_seed(sub, "init")) for *_, sub in draws],
-                       arch, np.concatenate([ds.X for ds in datasets]),
+    inits = np.stack([nn.init_params(arch, seed=derive_seed(sub, "init")) for *_, sub in draws])
+    trained = nn.train(inits, arch, np.concatenate([ds.X for ds in datasets]),
                        np.concatenate([ds.y for ds in datasets]), train_cfg,
                        [derive_seed(sub, "train") for *_, sub in draws])
     shadows = []
     for i, ((preferred, *_), ds, params) in enumerate(zip(draws, datasets, trained)):
         fedsim.check_finite(params, f"shadow {i}")
         shadows.append(ShadowRecord(params, ds, preferred,
-                                    extract_sensitivity(params, arch, aux)))
+                                    extract_sensitivity(nn.ParamVector(params), arch, aux)))
     return shadows
 
 
@@ -159,16 +159,17 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
         raise InputError("federated meta dataset needs at least two shadows")
     partners = select_partners(np.stack([sh.sensitivity for sh in shadows]), 1, mode,
                                [sh.preference for sh in shadows])[:, 0]
-    aggs = [fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
-            for sh, j in zip(shadows, partners)]
+    aggs = np.stack([fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
+                     for sh, j in zip(shadows, partners)])
     updates = nn.train(aggs, arch, np.concatenate([sh.dataset.X for sh in shadows]),
                        np.concatenate([sh.dataset.y for sh in shadows]), update_cfg,
                        [derive_seed(seed, "shadow-update", i) for i in range(len(shadows))])
     features = []
     for i, (agg, updated) in enumerate(zip(aggs, updates)):
         fedsim.check_finite(updated, f"meta-dataset update {i}")
-        features.append(differential_sensitivity(extract_sensitivity(agg, arch, aux),
-                                                 extract_sensitivity(updated, arch, aux)))
+        features.append(differential_sensitivity(
+            extract_sensitivity(nn.ParamVector(agg), arch, aux),
+            extract_sensitivity(nn.ParamVector(updated), arch, aux)))
     return LabeledDataset(np.stack(features), [sh.preference for sh in shadows], aux.n_label)
 
 
@@ -181,7 +182,7 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
 class MetaClassifier:
     """Small perceptron mapping max-normalized sensitivity features to classes."""
 
-    params: nn.ParamVector
+    params: np.ndarray
     arch: nn.Architecture
     train_accuracy: float
 
@@ -208,8 +209,8 @@ def train_meta(meta: LabeledDataset, train_cfg: nn.TrainConfig, seed: int) -> Me
         (nn.Dense(n_label, 32), nn.Relu(), nn.Dense(32, n_label)),
         (n_label,), n_label,
     )
-    params = nn.train([nn.init_params(arch, seed=derive_seed(seed, "meta-init"))], arch, feats,
-                      meta.y, train_cfg, [seed])[0]
+    params = nn.train(nn.init_params(arch, seed=derive_seed(seed, "meta-init"))[None], arch,
+                      feats, meta.y, train_cfg, [seed])[0]
     fedsim.check_finite(params, "meta-classifier")
     acc = nn.accuracy(params, arch, feats, meta.y)
     return MetaClassifier(params, arch, acc)
@@ -303,8 +304,10 @@ class PreferenceProfiler:
     """Aggregation hook ``profiler(received, uploads, selected)`` that
     extracts sensitivities, records a RoundTrace per round and aggregates
     each upload with its x :func:`select_partners` partners at equal weights,
-    or by :func:`fedsim.fedavg_hook` when x is None.  All the groups, each
-    in ascending id, reduce in one :func:`fedsim.average_groups` call.
+    or by :func:`fedsim.fedavg_hook` when x is None.  ``received`` and
+    ``uploads`` are (n_user, n_params) arrays.  All the groups, each in
+    ascending id, reduce in one :func:`fedsim.average_groups` call over
+    ``uploads``, whose (n_user, n_params) result is the hook's return.
 
     A sampled user's DS compares the model it received (``received[u]``,
     which :func:`fedsim.run_round` passes in) with the model it trained from
@@ -331,19 +334,19 @@ class PreferenceProfiler:
         self._last_round, self._this_round = {}, {}
         self.history: List[RoundTrace] = []
 
-    def _sensitivity(self, pv: nn.ParamVector) -> np.ndarray:
-        """:func:`extract_sensitivity` of ``pv``, unless a model with the same
-        parameter bytes was read this round or last round."""
-        key = pv.values.tobytes()
+    def _sensitivity(self, model: np.ndarray) -> np.ndarray:
+        """:func:`extract_sensitivity` of ``model``, unless a model with the
+        same parameter bytes was read this round or last round."""
+        key = model.tobytes()
         s = self._this_round.get(key)
         if s is None:
             s = self._last_round.get(key)
             if s is None:
-                s = extract_sensitivity(pv, self.arch, self.aux)
+                s = extract_sensitivity(nn.ParamVector(model), self.arch, self.aux)
             self._this_round[key] = s
         return s
 
-    def __call__(self, received: list, uploads: list, selected: list) -> list:
+    def __call__(self, received: np.ndarray, uploads: np.ndarray, selected: list) -> np.ndarray:
         self._last_round, self._this_round = self._this_round, {}
         selected = [int(u) for u in selected]
         sens = np.stack([self._sensitivity(m) for m in uploads])
@@ -354,9 +357,8 @@ class PreferenceProfiler:
             return fedsim.fedavg_hook(received, uploads, selected)
         groups = np.sort(np.column_stack([np.arange(len(uploads)),
                                           select_partners(sens, self.x, self.mode)]), axis=1)
-        aggs = fedsim.average_groups(np.stack([m.values for m in uploads]), groups,
+        return fedsim.average_groups(uploads, groups,
                                      np.full(groups.shape, 1.0 / groups.shape[1]))
-        return [nn.ParamVector(v) for v in aggs]
 
 
 # ---------------------------------------------------------------------------

@@ -37,20 +37,21 @@ DIVERGENCE_BOUND = 1e6
 @dataclass
 class RoundState:
     """The models of one FL round: each user's upload and the model
-    distributed to it, and the sampled user ids (None in round 0).
+    distributed to it, row u of an (n_user, n_params) array each (maybe a
+    read-only broadcast view), and the sampled user ids (None in round 0).
 
     ``distributed[u]`` may differ per user under an attacking server.
     """
 
     round_index: int
-    uploaded: list
-    distributed: list
+    uploaded: np.ndarray
+    distributed: np.ndarray
     selected: Optional[list] = None
 
 
-# (received, uploads, selected) -> the model distributed to each user;
-# received[u] is the model user u was sent last round
-AggregationHook = Callable[[list, list, list], list]
+# (received, uploads, selected) -> distributed, each model set an (n_user, n_params)
+# array with row u for user u; received[u] is the model user u was sent last round
+AggregationHook = Callable[[np.ndarray, np.ndarray, list], np.ndarray]
 
 
 def average_groups(stacked: np.ndarray, groups: np.ndarray, shares: np.ndarray) -> np.ndarray:
@@ -66,26 +67,25 @@ def average_groups(stacked: np.ndarray, groups: np.ndarray, shares: np.ndarray) 
     return anchor + acc
 
 
-def fedavg(models: list, weights: list, ids: Optional[list] = None) -> nn.ParamVector:
-    """Data-size weighted elementwise average of parameter vectors, the
-    one-group case of :func:`average_groups`.
+def fedavg(models, weights: list, ids: Optional[list] = None) -> np.ndarray:
+    """Data-size weighted elementwise average of models (1-D arrays, or the
+    rows of a stack), the one-group case of :func:`average_groups`.
 
     If ``ids`` are given, (model, weight) pairs are reduced in ascending id
     order, which makes the result invariant (bitwise) under shuffling.
     """
-    if not models:
+    if not len(models):
         raise InputError("fedavg needs at least one model")
     if len(models) != len(weights):
         raise InputError("models and weights must pair up")
     if any(w <= 0 for w in weights):
         raise InputError("weights must be positive")
-    if len({m.values.size for m in models}) > 1:
+    if len({m.size for m in models}) > 1:
         raise InternalError("fedavg size mismatch across models")
     order = np.arange(len(models)) if ids is None else np.argsort(np.asarray(ids))
     total = float(sum(weights))
     shares = np.array([[weights[i] / total for i in order]])
-    return nn.ParamVector(average_groups(np.stack([m.values for m in models]), order[None],
-                                         shares)[0])
+    return average_groups(np.stack(models), order[None], shares)[0]
 
 
 def client_fraction_sample(n_user: int, fraction: float,
@@ -101,18 +101,20 @@ def client_fraction_sample(n_user: int, fraction: float,
     return np.sort(rng.choice(n_user, size=k, replace=False))
 
 
-def fedavg_hook(received: list, uploads: list, selected: list) -> list:
+def fedavg_hook(received: np.ndarray, uploads: np.ndarray, selected: list) -> np.ndarray:
     """Identity server: FedAvg over the sampled uploads at equal weights (all
     clients hold the same number of samples), reduced in ascending id and
-    broadcast to all; ``received`` is not read."""
-    g = fedavg([uploads[u] for u in selected], [1.0] * len(selected), ids=list(selected))
-    return [g] * len(uploads)
+    broadcast to all as a read-only (n_user, n_params) view of the one
+    average; ``received`` is not read."""
+    g = fedavg(uploads[selected], [1.0] * len(selected), ids=list(selected))
+    return np.broadcast_to(g, uploads.shape)
 
 
-def initial_state(n_user: int, init_model: nn.ParamVector) -> RoundState:
-    """Round 0: one seeded global init shared by (distributed to) all users."""
-    return RoundState(0, uploaded=[init_model] * n_user,
-                      distributed=[init_model] * n_user)
+def initial_state(n_user: int, init_model: np.ndarray) -> RoundState:
+    """Round 0: one seeded global init shared by (distributed to) all users,
+    as read-only (n_user, n_params) views of it."""
+    models = np.broadcast_to(init_model, (n_user, init_model.size))
+    return RoundState(0, models, models)
 
 
 def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
@@ -128,7 +130,9 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     previous upload and model.  The hook is called as
     ``hook(prev.distributed, uploads, selected)``: it sees the model
     each user received last round and every current upload, and returns the
-    per-user distributed models.  No model is scored here.
+    distributed models as an (n_user, n_params) array, row u for user u;
+    anything else is an InternalError naming that shape.  No model is
+    scored here.
     Raises NumericalError, naming the round and user, if an upload or a
     distributed model has a parameter that is non-finite or larger in
     magnitude than DIVERGENCE_BOUND (1e6).  The uploads are checked once all
@@ -141,8 +145,8 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
     rng = np.random.default_rng(derive_seed(run_seed, "sampling", rnd))
     selected = client_fraction_sample(n_user, client_fraction, rng)
 
-    uploads = list(prev.uploaded)
-    trained = nn.train([prev.distributed[u] for u in selected], arch,
+    uploads = prev.uploaded.copy()
+    trained = nn.train(prev.distributed[selected], arch,
                        np.concatenate([clients[u].X for u in selected]),
                        np.concatenate([clients[u].y for u in selected]), train_cfg,
                        [derive_seed(run_seed, "local-train", rnd, int(u)) for u in selected])
@@ -151,17 +155,17 @@ def run_round(prev: RoundState, clients: list, arch: nn.Architecture,
         uploads[u] = model
 
     distributed = hook(prev.distributed, uploads, list(selected))
-    if len(distributed) != n_user:
-        raise InternalError("hook returned wrong number of distributed models")
+    if not isinstance(distributed, np.ndarray) or distributed.shape != (n_user, arch.n_params):
+        raise InternalError(f"the hook must return an array of shape ({n_user}, {arch.n_params})")
     for u, m in enumerate(distributed):
         check_finite(m, f"round {rnd}: the model distributed for user {u}")
     return RoundState(rnd, uploads, distributed, list(selected))
 
 
-def check_finite(model: nn.ParamVector, where: str) -> None:
+def check_finite(model: np.ndarray, where: str) -> None:
     """Raise NumericalError naming ``where`` if the model has a parameter that
     is non-finite or larger in magnitude than DIVERGENCE_BOUND."""
-    peak = np.abs(model.values).max()
+    peak = np.abs(model).max()
     if not peak <= DIVERGENCE_BOUND:  # NaN compares false too
         raise NumericalError(
             f"{where} has non-finite or diverged parameters "

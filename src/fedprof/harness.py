@@ -419,7 +419,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
             for u in state.selected if accs else range(n):
                 local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
             for u, m in enumerate(state.distributed):
-                if not accs or m.values.tobytes() != sent[u].values.tobytes():
+                if not accs or m.tobytes() != sent[u].tobytes():
                     glob[u] = nn.accuracy(m, cfg.arch, clients[u].X, clients[u].y)
             accs.append((state.round_index, local, glob))
     return profiler.history, accs, state

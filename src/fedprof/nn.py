@@ -1,8 +1,9 @@
 """Minimal differentiable feed-forward network engine.
 
-Models are opaque flat parameter vectors (:class:`ParamVector`) paired with an
-:class:`Architecture` descriptor.  All operations are pure functions: they
-never mutate their inputs and are bit-reproducible given the same seed.
+A model is a 1-D float64 array of length ``arch.n_params``, laid out by its
+:class:`Architecture`'s ``param_slots``, and S models are an (S, n_params)
+array.  All operations are pure functions: they never mutate their inputs
+and are bit-reproducible given the same seed.
 The forward and backward walks carry a leading model axis, so :func:`train`
 steps S equal-size models of one architecture in lockstep, each bit for bit
 as if it trained alone; one model is the S = 1 case.
@@ -76,7 +77,7 @@ class Architecture:
     (not fields, so equality and :meth:`to_json` ignore them):
     ``param_slots`` maps each parameterised layer's index to (offset, W
     shape, W size, b size), W before b, and is the only record of where a
-    layer sits in a :class:`ParamVector`; ``n_params`` is the total and
+    layer sits in a model; ``n_params`` is the total and
     ``input_size`` the flat size of one input sample.
 
     ``feature_index`` is the index of the feature layer, the slice of the
@@ -170,52 +171,47 @@ class Architecture:
 
 
 # ---------------------------------------------------------------------------
-# Parameter vectors
+# Parameters
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ParamVector:
-    """Flat float64 parameter vector.  Where each layer's parameters sit in it
-    is its Architecture's ``param_slots``."""
+    """One model wrapped for :func:`attack.extract_sensitivity`, the only
+    function that takes one: the benchmark's tracer reads that argument as
+    ``pv.values``.  Everywhere else a model is a plain 1-D float64 array.
+    This class and the four wraps at the calls of ``extract_sensitivity`` go
+    once the tracer reads a plain array (ROADMAP direction 1)."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1:
+    def __init__(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
             raise InputError("ParamVector values must be 1-D")
+        self.values = values
 
 
-def zeros_like_params(arch: Architecture) -> ParamVector:
-    return ParamVector(np.zeros(arch.n_params))
-
-
-def init_params(arch: Architecture, seed: int) -> ParamVector:
+def init_params(arch: Architecture, seed: int) -> np.ndarray:
     """Glorot-uniform weights, zero biases, deterministic by seed."""
     rng = np.random.default_rng(derive_seed(seed, "init"))
-    pv = zeros_like_params(arch)
+    params = np.zeros(arch.n_params)
     for off, w_shape, w_size, b_size in arch.param_slots.values():
         # W is (in, out) for dense and (out, in, k, k) for conv: b_size output
         # units, each fed by w_size // b_size inputs, over a k*k receptive field.
         fan_in, fan_out = w_size // b_size, b_size * math.prod(w_shape[2:])
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        pv.values[off:off + w_size] = rng.uniform(-bound, bound, w_size)
-    return pv
+        params[off:off + w_size] = rng.uniform(-bound, bound, w_size)
+    return params
 
 
-def _layer_params(params, arch: Architecture, index: int):
-    """(W, b) views into the flat vector for the parameterised layer at index.
-    ``params`` is a ParamVector or an array whose last axis is the flat
-    vector, such as an (S, n_params) stack, whose leading axes the views
-    keep."""
+def _layer_params(params: np.ndarray, arch: Architecture, index: int):
+    """(W, b) views into the parameters of the parameterised layer at index.
+    ``params`` is one model or an array whose last axis is one, such as an
+    (S, n_params) stack, whose leading axes the views keep."""
     if index not in arch.param_slots:
         raise InternalError(f"layer {index} has no parameters")
-    values = getattr(params, "values", params)
     off, w_shape, w_size, b_size = arch.param_slots[index]
-    lead = values.shape[:-1]
-    return (values[..., off:off + w_size].reshape(*lead, *w_shape),
-            values[..., off + w_size:off + w_size + b_size])
+    lead = params.shape[:-1]
+    return (params[..., off:off + w_size].reshape(*lead, *w_shape),
+            params[..., off + w_size:off + w_size + b_size])
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +254,9 @@ def _run_layers(params, arch, X, rngs, spans=None):
     one by default; every GEMM runs once per block over the model axis and
     every elementwise step once over all rows of all models, so a model's
     block equals a forward pass of that model on that block alone."""
-    if params.shape[-1] != arch.n_params:
-        raise InternalError(f"{params.shape[-1]} parameters for an architecture of {arch.n_params}")
     S, n = X.shape[:2]
+    if params.shape != (S, arch.n_params):
+        raise InternalError(f"parameters of shape {params.shape}, expected ({S}, {arch.n_params})")
     if spans is None:
         spans = [(0, n)]
     act = X
@@ -380,12 +376,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
 
     ``params`` is an (S, n_params) stack, X and y hold the S models' equal
     batches concatenated in model order, and ``rng`` is one generator per
-    model.  A ParamVector with a single generator is the S = 1 case and
-    gets its result without the model axis.
-    The gradient is an (S, n_params) array laid out by ``arch.param_slots``
-    (a ParamVector for S = 1).  With ``blocks``, B + 1 row offsets from 0 to
-    the batch size that split each model's batch into B non-empty
-    contiguous blocks, it is an (S, B, n_params) array whose row [s, j] is
+    model.  The gradient is an (S, n_params) array laid out by
+    ``arch.param_slots``.  With ``blocks``, B + 1 row offsets from 0 to the
+    batch size that split each model's batch into B non-empty contiguous
+    blocks, it is an (S, B, n_params) array whose row [s, j] is
     the gradient of block j's mean loss under model s, bit for bit what a
     batch of block j alone gives: every GEMM runs once per block over the
     model axis, and the elementwise steps once over all rows.  A plain batch
@@ -404,9 +398,6 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     every slot, as training needs.  A ``stop`` that is not a parameterised
     layer is an InternalError.
     """
-    one = isinstance(params, ParamVector)
-    if one:
-        params, rng = params.values[None], None if rng is None else [rng]
     write_all = stop is None
     if write_all:
         stop = min(arch.param_slots)
@@ -483,27 +474,23 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
             scale[:, lo:hi] /= hi - lo
         pieces = [(i, a, d * scale.reshape(S, n, *[1] * (d.ndim - 2))) for i, a, d in pieces]
     grads = _block_grads(arch, pieces, spans)
-    if blocks is None:
-        grads = grads[:, 0]
-    if not one:
-        return grads
-    return grads[0] if blocks is not None else ParamVector(grads[0])
+    return grads if blocks is not None else grads[:, 0]
 
 
-def forward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray):
+def forward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray):
     """Evaluation-mode forward pass: (logits, mean softmax cross-entropy)."""
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits = _run_layers(pv.values[None], arch, X[None], None)[0][0]
+    logits = _run_layers(params[None], arch, X[None], None)[0][0]
     return logits, -_log_softmax(logits)[np.arange(len(y)), y].mean()
 
 
-def predict_logits(pv: ParamVector, arch: Architecture, X: np.ndarray) -> np.ndarray:
+def predict_logits(params: np.ndarray, arch: Architecture, X: np.ndarray) -> np.ndarray:
     X = _as_batch(arch, X)
-    return _run_layers(pv.values[None], arch, X[None], None)[0][0]
+    return _run_layers(params[None], arch, X[None], None)[0][0]
 
 
-def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray,
+def backward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray,
              stop: Optional[int] = None, blocks=None):
     """Gradient of the mean batch loss (eval mode), laid out by
     ``arch.param_slots``: of every parameter by default, or, with ``stop``
@@ -511,11 +498,11 @@ def backward(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray,
     slot left zero.  With ``blocks``, the row offsets of
     contiguous row blocks, it is one gradient row per block, each equal to
     a call on that block alone (see :func:`_loss_and_grad`)."""
-    return _loss_and_grad(pv, arch, X, y, stop=stop, blocks=blocks)
+    return _loss_and_grad(params[None], arch, X, y, stop=stop, blocks=blocks)[0]
 
 
-def accuracy(pv: ParamVector, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:
-    logits = predict_logits(pv, arch, X)
+def accuracy(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:
+    logits = predict_logits(params, arch, X)
     return float((logits.argmax(axis=1) == np.asarray(y)).mean())
 
 
@@ -557,19 +544,20 @@ class TrainConfig:
             raise InputError("batch_size must be >= 1")
 
 
-def sgd_step(pv: ParamVector, grad: ParamVector, lr: float) -> ParamVector:
-    if pv.values.size != grad.values.size:
-        raise InternalError(f"gradient has {grad.values.size} values, model has {pv.values.size}")
-    return ParamVector(pv.values - lr * grad.values)
+def sgd_step(params: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+    """``params - lr * grad``, elementwise, for one model or a stack."""
+    if params.shape != grad.shape:
+        raise InternalError(f"gradient of shape {grad.shape} for a model of shape {params.shape}")
+    return params - lr * grad
 
 
 def dp_sgd_step(
-    pv: ParamVector,
+    params: np.ndarray,
     per_example_grads: np.ndarray,
     dp: DpConfig,
     lr: float,
     rng: np.random.Generator,
-) -> ParamVector:
+) -> np.ndarray:
     """Clip each row of per_example_grads, a (batch, n_params) array with one
     sample's gradient per row, to dp.clip_norm; average; add Gaussian noise
     with per-coordinate std dp.noise_multiplier * dp.clip_norm / batch_size;
@@ -580,9 +568,9 @@ def dp_sgd_step(
     if len(per_example_grads) == 0:
         raise InputError("per_example_grads is empty")
     grads = np.asarray(per_example_grads, dtype=np.float64)
-    if grads.ndim != 2 or grads.shape[1] != pv.values.size:
+    if grads.ndim != 2 or grads.shape[1] != params.size:
         raise InternalError(
-            f"per-example gradients have shape {grads.shape}, expected (batch, {pv.values.size})"
+            f"per-example gradients have shape {grads.shape}, expected (batch, {params.size})"
         )
     batch = grads.shape[0]
     norms = np.linalg.norm(grads, axis=1)
@@ -591,20 +579,21 @@ def dp_sgd_step(
     if dp.noise_multiplier > 0:
         mean = mean + rng.normal(0.0, dp.noise_multiplier * dp.clip_norm / batch,
                                  size=mean.shape)
-    return sgd_step(pv, ParamVector(mean), lr)
+    return sgd_step(params, mean, lr)
 
 
 def train(
-    models: list,
+    models: np.ndarray,
     arch: Architecture,
     X: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig,
     seeds: list,
-) -> list:
-    """Mini-batch SGD for cfg.epochs passes, for S models of one architecture
-    in lockstep; returns S new ParamVectors, model s bit for bit what
-    training it alone gives.  The input models are never mutated.
+) -> np.ndarray:
+    """Mini-batch SGD for cfg.epochs passes, for the (S, n_params) stack
+    ``models`` of one architecture in lockstep; returns a new (S, n_params)
+    stack, row s bit for bit what training model s alone gives.  The input
+    models are never mutated.
 
     ``X`` and ``y`` hold the S models' equal-size datasets concatenated in
     model order, so ``len(X)`` is the number of samples.  Model s's shuffle
@@ -624,13 +613,11 @@ def train(
     the dropout defense, that is the same stream as one draw per sample in
     batch order.
     """
-    models, seeds = list(models), list(seeds)
-    if not models or len(seeds) != len(models):
+    seeds = list(seeds)
+    if models.ndim != 2 or models.shape[1] != arch.n_params:
+        raise InternalError(f"models of shape {models.shape} for {arch.n_params} parameters each")
+    if not len(models) or len(seeds) != len(models):
         raise InputError(f"{len(models)} models need as many seeds, got {len(seeds)}")
-    sizes = {m.values.size for m in models}
-    if sizes != {arch.n_params}:
-        raise InternalError(f"models of {sorted(sizes)} parameters for an architecture of "
-                            f"{arch.n_params}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     S = len(models)
@@ -642,23 +629,19 @@ def train(
     n = X.shape[0] // S
     if cfg.batch_size > n:
         raise InputError(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    params = np.stack([m.values for m in models])
     rngs = [np.random.default_rng(derive_seed(seed, "train")) for seed in seeds]
     offsets = np.arange(S)[:, None] * n
     for _ in range(cfg.epochs):
         perms = np.stack([rng.permutation(n) for rng in rngs]) + offsets
         for start in range(0, n, cfg.batch_size):
             idx = perms[:, start:start + cfg.batch_size].ravel()
-            grads = _loss_and_grad(params, arch, X[idx], y[idx], rngs,
+            grads = _loss_and_grad(models, arch, X[idx], y[idx], rngs,
                                    clip=None if cfg.dp is None else cfg.dp.clip_norm)
             if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
                 std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / (len(idx) // S)
                 grads += np.stack([rng.normal(0.0, std, size=arch.n_params) for rng in rngs])
-            # SGD is elementwise, so the stack steps as one flat vector.
-            params = sgd_step(ParamVector(params.ravel()), ParamVector(grads.ravel()),
-                              cfg.learning_rate).values.reshape(S, -1)
-    # One array per model, so that no returned model keeps the stack alive.
-    return [ParamVector(p.copy()) for p in params]
+            models = sgd_step(models, grads, cfg.learning_rate)
+    return models
 
 
 # ---------------------------------------------------------------------------
@@ -669,23 +652,27 @@ _MAGIC = b"PPAM"
 _VERSION = 2
 
 
-def save_checkpoint(path, pv: ParamVector, arch: Architecture) -> None:
+def save_checkpoint(path, params: np.ndarray, arch: Architecture) -> None:
     """Binary checkpoint: magic, u16 version, length-prefixed JSON descriptor,
     then parameters as little-endian float32 in ``param_slots`` order.  A conv
     layer's descriptor holds ``in_ch``, ``out_ch`` and ``kernel``; one naming
     a ``stride`` fails to load, at the same version, since no file a run
-    writes holds a conv layer (``meta.ppam`` is a dense stack)."""
+    writes holds a conv layer (``meta.ppam`` is a dense stack).  A model
+    not shaped (n_params,) is an InternalError."""
+    if params.shape != (arch.n_params,):
+        raise InternalError(f"model of shape {params.shape}, expected ({arch.n_params},)")
     descriptor = arch.to_json().encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<H", _VERSION))
         f.write(struct.pack("<I", len(descriptor)))
         f.write(descriptor)
-        f.write(pv.values.astype("<f4").tobytes())
+        f.write(params.astype("<f4").tobytes())
 
 
 def load_checkpoint(path):
-    """Load a checkpoint, returning (ParamVector, Architecture).
+    """Load a checkpoint, returning (model, Architecture): the model is a
+    1-D float64 array of length ``arch.n_params``.
 
     Values were stored as float32, so reloaded parameters are float64
     round-trips of the float32 representation.
@@ -711,5 +698,4 @@ def load_checkpoint(path):
         raise FormatError(
             f"parameter payload holds {len(payload) // 4} floats, expected {arch.n_params}"
         )
-    values = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    return ParamVector(values), arch
+    return np.frombuffer(payload, dtype="<f4").astype(np.float64), arch

@@ -33,14 +33,14 @@ def criterion(num, title):
 
 
 def fd_gradient(params, arch, X, y, h=1e-4):
-    base = params.values.copy()
+    base = params.copy()
     out = np.zeros_like(base)
     for i in range(base.size):
         plus, minus = base.copy(), base.copy()
         plus[i] += h
         minus[i] -= h
-        out[i] = (nn.forward(nn.ParamVector(plus), arch, X, y)[1]
-                  - nn.forward(nn.ParamVector(minus), arch, X, y)[1]) / (2 * h)
+        out[i] = (nn.forward(plus, arch, X, y)[1]
+                  - nn.forward(minus, arch, X, y)[1]) / (2 * h)
     return out
 
 
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_matches_finite_differences():
             params = nn.init_params(arch, seed=seed)
             X = rng.standard_normal((4, int(np.prod(arch.input_shape))))
             y = rng.integers(0, arch.n_classes, 4)
-            got = nn.backward(params, arch, X, y).values
+            got = nn.backward(params, arch, X, y)
             want = fd_gradient(params, arch, X, y)
             denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
             assert np.max(np.abs(got - want) / denom) <= 1e-4
@@ -94,11 +94,11 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
             batches = [rng.standard_normal((int(rng.integers(3, 9)), 6)) for _ in range(4)]
             aux = data.LabeledDataset(np.concatenate(batches),
                                       np.repeat(np.arange(4), [len(b) for b in batches]), 4)
-            got = attack.extract_sensitivity(params, arch, aux)
+            got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
             off, _, w_size, b_size = arch.param_slots[arch.feature_index]
             for c in range(4):
                 grad = nn.backward(params, arch, batches[c], np.full(len(batches[c]), c))
-                want = np.abs(grad.values[off:off + w_size + b_size]).sum()
+                want = np.abs(grad[off:off + w_size + b_size]).sum()
                 assert abs(got[c] - want) <= 1e-9 * max(want, 1e-30)
 
 
@@ -110,18 +110,18 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
 def test_criterion_03_fedavg_algebra():
     with criterion(3, "fedavg oracle (1e-12), idempotence, permutation invariance"):
         rng = np.random.default_rng(4200)
-        models = [nn.ParamVector(rng.standard_normal(23)) for _ in range(6)]
+        models = [rng.standard_normal(23) for _ in range(6)]
         weights = [int(w) for w in rng.integers(1, 40, 6)]
         got = fedsim.fedavg(models, weights)
         total = sum(weights)
         want = np.zeros(23)
         for i in range(23):
             for m, w in zip(models, weights):
-                want[i] += (w / total) * m.values[i]
-        assert np.max(np.abs(got.values - want)) <= 1e-12
+                want[i] += (w / total) * m[i]
+        assert np.max(np.abs(got - want)) <= 1e-12
 
         same = fedsim.fedavg([models[0]] * 4, [3, 1, 9, 2])
-        assert np.array_equal(same.values, models[0].values)
+        assert np.array_equal(same, models[0])
 
         ids = list(range(6))
         base = fedsim.fedavg(models, weights, ids=ids)
@@ -129,7 +129,7 @@ def test_criterion_03_fedavg_algebra():
         shuffled = fedsim.fedavg([models[i] for i in perm],
                                  [weights[i] for i in perm],
                                  ids=[ids[i] for i in perm])
-        assert np.array_equal(base.values, shuffled.values)
+        assert np.array_equal(base, shuffled)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +153,9 @@ def test_criterion_04_binary_ratio_monotonicity():
             ds = pool.subset(idx)
             params = nn.init_params(arch, seed=derive_seed(pool_seed, "init"))
             cfg = nn.TrainConfig(0.01, 1, 32)
-            trained = nn.train([params], arch, ds.X, ds.y, cfg,
+            trained = nn.train(params[None], arch, ds.X, ds.y, cfg,
                                [derive_seed(pool_seed, "train", i)])[0]
-            s_at_a.append(attack.extract_sensitivity(trained, arch, aux)[0])
+            s_at_a.append(attack.extract_sensitivity(nn.ParamVector(trained), arch, aux)[0])
         rho = stats.spearmanr(ratios, s_at_a).statistic
         print(f"\n  ratio sweep S[A]: {np.round(s_at_a, 3)}  spearman={rho:+.3f}")
         assert rho <= -0.9
@@ -184,8 +184,9 @@ def test_criterion_05_sensitivity_extremes():
                                    (16,), 10)
             params = nn.init_params(arch, seed=derive_seed(4400 + t, "init"))
             cfg = nn.TrainConfig(0.03, 1, 32)
-            trained = nn.train([params], arch, ds.X, ds.y, cfg, [derive_seed(4500 + t, "train")])[0]
-            s = attack.extract_sensitivity(trained, arch, aux)
+            trained = nn.train(params[None], arch, ds.X, ds.y, cfg,
+                               [derive_seed(4500 + t, "train")])[0]
+            s = attack.extract_sensitivity(nn.ParamVector(trained), arch, aux)
             ok_min += int(np.argmin(s) == 1)
             ok_max += int(np.argmax(s) == 8)
         print(f"\n  argmin hits {ok_min}/20, argmax hits {ok_max}/20")

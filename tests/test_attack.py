@@ -35,12 +35,12 @@ def default_draws(n_label, n_shadows, total_size, seed):
 def test_sensitivity_matches_summed_feature_layer_gradient(world):
     pool, aux, arch = world
     params = nn.init_params(arch, seed=1)
-    got = attack.extract_sensitivity(params, arch, aux)
+    got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(4):
         Xc = aux.X[aux.y == c]
         grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
-        want = np.abs(grad.values[off:off + w_size + b_size]).sum()
+        want = np.abs(grad[off:off + w_size + b_size]).sum()
         assert got[c] == want
 
 
@@ -48,21 +48,21 @@ def test_sensitivity_zero_at_stationary_point(world):
     # Saturated correct logits for class 0's auxiliary batch -> ~zero gradient.
     pool, aux, arch = world
     big = nn.Architecture((nn.Dense(8, 2),), (8,), 2)
-    params = nn.zeros_like_params(big)
+    params = np.zeros(big.n_params)
     W, b = nn._layer_params(params, big, 0)
     b[:] = [80.0, -80.0]  # class 0 always wins regardless of input
     first_two = aux.y < 2
     aux2 = data.LabeledDataset(aux.X[first_two], aux.y[first_two], 2)
-    s = attack.extract_sensitivity(params, big, aux2)
+    s = attack.extract_sensitivity(nn.ParamVector(params), big, aux2)
     assert s[0] < 1e-6
 
 
 def test_sensitivity_never_mutates_the_model(world):
     pool, aux, arch = world
     params = nn.init_params(arch, seed=2)
-    before = params.values.copy()
-    attack.extract_sensitivity(params, arch, aux)
-    assert np.array_equal(params.values, before)
+    before = params.copy()
+    attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
+    assert np.array_equal(params, before)
 
 
 def test_sensitivity_rejects_empty_class(world):
@@ -70,10 +70,10 @@ def test_sensitivity_rejects_empty_class(world):
     params = nn.init_params(arch, seed=3)
     empty = data.LabeledDataset(np.zeros((0, 8)), np.zeros(0, dtype=np.int64), 4)
     with pytest.raises(InputError, match="no samples for class 0"):
-        attack.extract_sensitivity(params, arch, empty)
+        attack.extract_sensitivity(nn.ParamVector(params), arch, empty)
     no_class_2 = aux.subset(np.flatnonzero(aux.y != 2))
     with pytest.raises(InputError, match="no samples for class 2"):
-        attack.extract_sensitivity(params, arch, no_class_2)
+        attack.extract_sensitivity(nn.ParamVector(params), arch, no_class_2)
 
 
 def test_sensitivity_rejects_a_store_not_in_class_blocks(world):
@@ -81,11 +81,11 @@ def test_sensitivity_rejects_a_store_not_in_class_blocks(world):
     params = nn.init_params(arch, seed=3)
     swapped = aux.subset(np.r_[np.arange(30, 60), np.arange(30), np.arange(60, 120)])
     with pytest.raises(InputError, match="class blocks"):
-        attack.extract_sensitivity(params, arch, swapped)
+        attack.extract_sensitivity(nn.ParamVector(params), arch, swapped)
     # the same rows back in class order give the store's own sensitivity
     restored = swapped.subset(np.argsort(swapped.y, kind="stable"))
-    assert np.array_equal(attack.extract_sensitivity(params, arch, restored),
-                          attack.extract_sensitivity(params, arch, aux))
+    assert np.array_equal(attack.extract_sensitivity(nn.ParamVector(params), arch, restored),
+                          attack.extract_sensitivity(nn.ParamVector(params), arch, aux))
 
 
 def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
@@ -96,12 +96,12 @@ def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
     assert arch.feature_index > min(arch.param_slots)
     aux = data.sample_per_class(data.make_synthetic(10, 36, 20, seed=12, sigma=1.0), 15, None)
     params = nn.init_params(arch, seed=6)
-    got = attack.extract_sensitivity(params, arch, aux)
+    got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(10):
         Xc = aux.X[aux.y == c]
         grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
-        assert got[c] == np.abs(grad.values[off:off + w_size + b_size]).sum()
+        assert got[c] == np.abs(grad[off:off + w_size + b_size]).sum()
 
 
 def test_skewed_training_orders_sensitivity():
@@ -114,9 +114,9 @@ def test_skewed_training_orders_sensitivity():
     avail = [np.setdiff1d(np.flatnonzero(pool.y == c), aux_idx) for c in range(4)]
     idx = np.concatenate([avail[c][:counts[c]] for c in range(4)])
     ds = pool.subset(idx)
-    params = nn.train([nn.init_params(arch, seed=4)], arch, ds.X, ds.y,
+    params = nn.train(nn.init_params(arch, seed=4)[None], arch, ds.X, ds.y,
                       nn.TrainConfig(0.03, 1, 32), [5])[0]
-    s = attack.extract_sensitivity(params, arch, aux)
+    s = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
     assert int(np.argmin(s)) == 0
     assert int(np.argmax(s)) == 1
 
@@ -249,7 +249,7 @@ def test_federated_meta_dataset_shapes(shadows, world, monkeypatch):
     for i, (sh, got) in enumerate(zip(shadows, trained_from)):
         j, = reference_partners(sens, i, 1, "majority", sh.preference)
         want = fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
-        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got, want)
     assert meta_ds.X.shape == (len(shadows), 4) and meta_ds.n_label == 4
     assert meta_ds.y.tolist() == [sh.preference for sh in shadows]
     assert (meta_ds.X >= 0).all()
@@ -637,7 +637,7 @@ def test_profiler_hook_runs_and_locks(world):
     for u in range(4):
         group = [u] + reference_partners(last.sensitivities, u, 2, "majority")
         want = fedsim.fedavg([st.uploaded[v] for v in group], [1.0] * 3, ids=group)
-        assert np.array_equal(st.distributed[u].values, want.values)
+        assert np.array_equal(st.distributed[u], want)
 
 
 def test_replay_matches_online_profiling(world):
@@ -678,9 +678,10 @@ class ReferenceProfiler:
         self.history = []
 
     def __call__(self, received, uploads, selected):
-        sens = np.stack([attack.extract_sensitivity(m, self.arch, self.aux) for m in uploads])
-        sent = np.stack([attack.extract_sensitivity(received[u], self.arch, self.aux)
-                         for u in selected])
+        sens = np.stack([attack.extract_sensitivity(nn.ParamVector(m), self.arch, self.aux)
+                         for m in uploads])
+        sent = np.stack([attack.extract_sensitivity(nn.ParamVector(received[u]), self.arch,
+                                                    self.aux) for u in selected])
         ds = attack.differential_sensitivity(sent, sens[selected])
         self.history.append(attack.RoundTrace([int(u) for u in selected], sens, ds))
         if self.x is None:
@@ -690,7 +691,7 @@ class ReferenceProfiler:
             group = [u] + reference_partners(sens, u, self.x, self.mode)
             distributed.append(fedsim.fedavg([uploads[v] for v in group], [1.0] * len(group),
                                              ids=group))
-        return distributed
+        return np.stack(distributed)
 
 
 @pytest.mark.parametrize("x", [2, None], ids=["x2", "fedavg"])
@@ -734,8 +735,8 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
         assert np.array_equal(got.ds, want.ds)
     for got, want in zip(states, ref_states):
         assert got.selected == want.selected and len(got.selected) == 3
-        for a, b in zip(got.distributed + got.uploaded, want.distributed + want.uploaded):
-            assert np.array_equal(a.values, b.values)
+        for a, b in zip([*got.distributed, *got.uploaded], [*want.distributed, *want.uploaded]):
+            assert np.array_equal(a, b)
     # DS from the round states alone, one row per sampled user: the model it
     # was sent the round before (the initial model in round 1) against the
     # model it trained from it and uploaded.
@@ -743,17 +744,17 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
     for tr, before, now in zip(prof.history, received, states):
         assert tr.selected == now.selected and tr.ds.shape == (3, 4)
         for row, u in zip(tr.ds, now.selected):
-            want = np.abs(extract(before.distributed[u], arch, aux)
-                          - extract(now.uploaded[u], arch, aux))
+            want = np.abs(extract(nn.ParamVector(before.distributed[u]), arch, aux)
+                          - extract(nn.ParamVector(now.uploaded[u]), arch, aux))
             assert np.array_equal(row, want)
     # Only uploads and the sampled users' received models are read.  An
     # unsampled user's received model, and a final-round distributed model,
     # is never extracted unless it was read as one of those.
-    read = {m.values.tobytes() for before, now in zip(received, states)
-            for m in [before.distributed[u] for u in now.selected] + now.uploaded}
-    unread = {m.values.tobytes() for before, now in zip(received, states)
-              for m in before.distributed + now.distributed} - read
-    skipped = {before.distributed[u].values.tobytes() for before, now in zip(received, states)
+    read = {m.tobytes() for before, now in zip(received, states)
+            for m in [*before.distributed[now.selected], *now.uploaded]}
+    unread = {m.tobytes() for before, now in zip(received, states)
+              for m in [*before.distributed, *now.distributed]} - read
+    skipped = {before.distributed[u].tobytes() for before, now in zip(received, states)
                for u in range(6) if u not in now.selected} - read
     assert set().union(*requested) == set().union(*calls) == read
     assert unread and unread.isdisjoint(set().union(*calls))

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps fedprof functions by name, and its workloads are
 fedprof configs; a rename or a validation change that breaks either fails here."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -60,3 +61,40 @@ def test_bench_workload_validates(workload):
     cfg = harness.validate_config(json.dumps({**BENCH_WORKLOADS[workload], "seed": 7}))
     assert len(cfg.fed_spec) == cfg["federation"]["n_user"]
     assert len(cfg.shadow_draws) == cfg["attack"]["n_shadows"]
+
+
+def _calls_named(node, name):
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "id", getattr(func, "attr", None)) == name
+
+
+def test_param_vector_stays_the_tracer_shim():
+    """A model is a plain array everywhere but in ``extract_sensitivity``'s
+    ``pv``, which the tracer reads as ``pv.values``: ``nn.ParamVector(...)``
+    is built only as that call's first argument, and ``pv.values`` in that
+    function is the only ``.values`` attribute read (``dict.values()`` calls
+    aside)."""
+    wraps, reads = [], []
+    for path in sorted((ROOT / "src" / "fedprof").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parent, owner = {}, {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                parent[child] = node
+                owner[child] = node.name if isinstance(node, ast.FunctionDef) else owner.get(node)
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if _calls_named(node, "ParamVector"):
+                up = parent[node]
+                if not (_calls_named(up, "extract_sensitivity") and up.args[:1] == [node]):
+                    wraps.append(where)
+            elif (isinstance(node, ast.Attribute) and node.attr == "values"
+                  and isinstance(node.ctx, ast.Load)
+                  and not (isinstance(parent[node], ast.Call) and parent[node].func is node)):
+                reads.append((where, ast.unparse(node), owner.get(node)))
+    hint = ("a model is a plain array; nn.ParamVector is only the tracer's view of "
+            "extract_sensitivity's argument, until ROADMAP direction 1 lets the tracer "
+            "read an array and the class goes")
+    assert not wraps, f"nn.ParamVector built outside extract_sensitivity's call at {wraps}: {hint}"
+    assert [(code, fn) for _, code, fn in reads] == [("pv.values", "extract_sensitivity")], (
+        f".values read at {reads}: {hint}")

@@ -10,7 +10,7 @@ from fedprof.errors import InputError, InternalError, NumericalError
 
 
 def pv(values):
-    return nn.ParamVector(np.asarray(values, dtype=float))
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -21,12 +21,12 @@ def pv(values):
 def test_fedavg_idempotent_on_identical_models():
     m = pv([1.0, -2.0, 3.0])
     out = fedsim.fedavg([m, m, m], [1, 7, 2])
-    assert np.array_equal(out.values, m.values)
+    assert np.array_equal(out, m)
 
 
 def test_fedavg_weighted_mean_example():
     out = fedsim.fedavg([pv([2.0]), pv([4.0])], [1, 3])
-    assert out.values[0] == pytest.approx(3.5)
+    assert out[0] == pytest.approx(3.5)
 
 
 def test_fedavg_matches_scalar_loop_oracle():
@@ -39,9 +39,9 @@ def test_fedavg_matches_scalar_loop_oracle():
     for i in range(17):
         acc = 0.0
         for m, w in zip(models, weights):
-            acc += (w / total) * m.values[i]
+            acc += (w / total) * m[i]
         expected[i] = acc
-    assert np.max(np.abs(got.values - expected)) <= 1e-12
+    assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_fedavg_permutation_invariant_with_ids():
@@ -53,15 +53,15 @@ def test_fedavg_permutation_invariant_with_ids():
     perm = rng.permutation(6)
     shuffled = fedsim.fedavg([models[i] for i in perm], [weights[i] for i in perm],
                              ids=[ids[i] for i in perm])
-    assert np.array_equal(base.values, shuffled.values)
+    assert np.array_equal(base, shuffled)
 
 
 def test_fedavg_equal_weights_is_plain_mean():
     rng = np.random.default_rng(5)
     models = [pv(rng.standard_normal(7)) for _ in range(4)]
     out = fedsim.fedavg(models, [3, 3, 3, 3])
-    mean = np.mean([m.values for m in models], axis=0)
-    assert np.allclose(out.values, mean, atol=1e-15)
+    mean = np.mean(models, axis=0)
+    assert np.allclose(out, mean, atol=1e-15)
     # equal sample counts s give the unit-weight average bit for bit: while
     # s * k is exact (below 2**53), s / (s * k) and 1 / k are the same double
     for k in (1, 2, 3, 7, 10, 20, 100):
@@ -69,7 +69,7 @@ def test_fedavg_equal_weights_is_plain_mean():
         ids = rng.permutation(k).tolist()
         unit = fedsim.fedavg(models, [1.0] * k, ids)
         for s in (1, 3, 40, 600, 12345, 10 ** 9):
-            assert np.array_equal(fedsim.fedavg(models, [s] * k, ids).values, unit.values)
+            assert np.array_equal(fedsim.fedavg(models, [s] * k, ids), unit)
 
 
 def anchored_loop(rows, shares):
@@ -96,7 +96,7 @@ def test_average_groups_equals_the_per_group_anchored_loop():
     models, weights, ids = [pv(row) for row in stacked[:5]], [3, 1, 4, 1, 5], [4, 0, 3, 1, 2]
     order = np.argsort(ids)
     want = anchored_loop(stacked[order], [weights[i] / 14 for i in order])
-    assert np.array_equal(fedsim.fedavg(models, weights, ids).values, want)
+    assert np.array_equal(fedsim.fedavg(models, weights, ids), want)
 
 
 def test_fedavg_rejects_bad_input():
@@ -171,7 +171,7 @@ def test_single_client_identity_hook_global_equals_upload(tiny_world):
     cfg = nn.TrainConfig(0.05, 1, 8)
     state = fedsim.initial_state(1, init)
     state = fedsim.run_round(state, clients, arch, cfg, 1.0, fedsim.fedavg_hook, run_seed=7)
-    assert np.array_equal(state.distributed[0].values, state.uploaded[0].values)
+    assert np.array_equal(state.distributed[0], state.uploaded[0])
 
 
 def test_two_rounds_bit_identical_on_rerun(tiny_world):
@@ -186,8 +186,8 @@ def test_two_rounds_bit_identical_on_rerun(tiny_world):
 
     a, b = run(), run()
     for u in range(3):
-        assert np.array_equal(a.uploaded[u].values, b.uploaded[u].values)
-        assert np.array_equal(a.distributed[u].values, b.distributed[u].values)
+        assert np.array_equal(a.uploaded[u], b.uploaded[u])
+        assert np.array_equal(a.distributed[u], b.distributed[u])
 
 
 def test_run_round_scores_no_model(tiny_world, monkeypatch):
@@ -229,7 +229,7 @@ def test_identity_hook_broadcasts_one_model(tiny_world):
     st = fedsim.run_round(fedsim.initial_state(3, init), clients, arch, cfg, 1.0,
                           fedsim.fedavg_hook, run_seed=13)
     for u in range(1, 3):
-        assert np.array_equal(st.distributed[0].values, st.distributed[u].values)
+        assert np.array_equal(st.distributed[0], st.distributed[u])
 
 
 def test_unsampled_clients_keep_previous_upload(tiny_world):
@@ -240,9 +240,9 @@ def test_unsampled_clients_keep_previous_upload(tiny_world):
     assert len(st.selected) == 2
     skipped = [u for u in range(3) if u not in st.selected]
     for u in skipped:
-        assert np.array_equal(st.uploaded[u].values, init.values)
+        assert np.array_equal(st.uploaded[u], init)
     for u in st.selected:
-        assert not np.array_equal(st.uploaded[u].values, init.values)
+        assert not np.array_equal(st.uploaded[u], init)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflows on purpose
@@ -309,11 +309,25 @@ def test_diverged_distributed_model_raises_numerical_error_naming_user(tiny_worl
 
     def blow_up_user_2(received, uploads, selected):
         out = fedsim.fedavg_hook(received, uploads, selected)
-        return out[:2] + [pv(np.full(arch.n_params, np.inf))]
+        return np.vstack([out[:2], pv(np.full(arch.n_params, np.inf))])
 
     with pytest.raises(NumericalError, match="round 1: the model distributed for user 2 "):
         fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
                          1.0, blow_up_user_2, run_seed=7)
+
+
+@pytest.mark.parametrize("reshape", [lambda out: out[:-1], lambda out: out[:, :-1]],
+                         ids=["one-row-short", "too-narrow"])
+def test_a_hook_that_returns_the_wrong_shape_is_internal_error(tiny_world, reshape):
+    clients, arch, init = tiny_world
+
+    def bad_hook(received, uploads, selected):
+        return reshape(fedsim.fedavg_hook(received, uploads, selected))
+
+    expected = rf"must return an array of shape \(3, {arch.n_params}\)"
+    with pytest.raises(InternalError, match=expected):
+        fedsim.run_round(fedsim.initial_state(3, init), clients, arch, nn.TrainConfig(0.05, 1, 8),
+                         1.0, bad_hook, run_seed=7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, -2e6])

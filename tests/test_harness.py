@@ -477,7 +477,7 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch, ov
 
     def traced_accuracy(pv, arch, X, y):
         if scored:  # not the meta-classifier's training accuracy
-            scored[-1][pv.values.tobytes(), X.tobytes()] += 1
+            scored[-1][pv.tobytes(), X.tobytes()] += 1
         return accuracy(pv, arch, X, y)
 
     monkeypatch.setattr(fedsim, "run_round", traced_round)
@@ -497,12 +497,12 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch, ov
             accuracy(st.distributed[u], cfg.arch, *own[u]) for u in range(n_user)]
         assert len(st.selected) == n_sampled
         fresh = range(n_user) if before is None else st.selected
-        sent = [m.values.tobytes() for m in st.distributed]
+        sent = [m.tobytes() for m in st.distributed]
         kept = set() if before is None else {
-            u for u in range(n_user) if sent[u] == before.distributed[u].values.tobytes()}
+            u for u in range(n_user) if sent[u] == before.distributed[u].tobytes()}
         n_kept += len(kept)
         want = collections.Counter(
-            [(st.uploaded[u].values.tobytes(), own[u][0].tobytes()) for u in fresh]
+            [(st.uploaded[u].tobytes(), own[u][0].tobytes()) for u in fresh]
             + [(sent[u], own[u][0].tobytes()) for u in range(n_user) if u not in kept])
         if st is states[-1]:
             want.update((m, staged.test.X.tobytes()) for m in sent)
@@ -537,7 +537,7 @@ def test_reused_own_data_scores_equal_a_run_that_rescores_every_model(tmp_path, 
     def run(online):
         calls = []
         monkeypatch.setattr(nn, "accuracy", lambda pv, arch, X, y: calls.append(
-            (pv.values.tobytes(), X.tobytes())) or accuracy(pv, arch, X, y))
+            (pv.tobytes(), X.tobytes())) or accuracy(pv, arch, X, y))
         monkeypatch.setattr(harness, "run_online", online)
         harness.run_experiment(cfg, tmp_path / online.__name__)
         monkeypatch.undo()

@@ -59,14 +59,14 @@ def xent_oracle(logits, y):
 
 def fd_gradient(params, arch, X, y, h=1e-4):
     """Central finite differences on the mean batch loss."""
-    base = params.values.copy()
+    base = params.copy()
     out = np.zeros_like(base)
     for i in range(base.size):
         plus, minus = base.copy(), base.copy()
         plus[i] += h
         minus[i] -= h
-        lp = nn.forward(nn.ParamVector(plus), arch, X, y)[1]
-        lm = nn.forward(nn.ParamVector(minus), arch, X, y)[1]
+        lp = nn.forward(plus, arch, X, y)[1]
+        lm = nn.forward(minus, arch, X, y)[1]
         out[i] = (lp - lm) / (2 * h)
     return out
 
@@ -84,7 +84,7 @@ def assert_close_rel(a, b, tol, floor=1e-8):
 
 def test_zero_weights_give_uniform_logits_and_log_k_loss():
     arch = nn.Architecture((nn.Dense(4, 10),), (4,), 10)
-    params = nn.zeros_like_params(arch)
+    params = np.zeros(arch.n_params)
     X, y = rand_batch(arch, 5, seed=0)
     logits, loss = nn.forward(params, arch, X, y)
     assert np.allclose(logits, 0.0)
@@ -93,7 +93,7 @@ def test_zero_weights_give_uniform_logits_and_log_k_loss():
 
 def test_saturated_correct_logit_drives_loss_to_zero():
     arch = nn.Architecture((nn.Dense(2, 2),), (2,), 2)
-    params = nn.zeros_like_params(arch)
+    params = np.zeros(arch.n_params)
     W, _ = nn._layer_params(params, arch, 0)
     W[:] = np.array([[50.0, -50.0], [-50.0, 50.0]])
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -119,30 +119,32 @@ def test_forward_rejects_shape_mismatch_and_empty_batch():
         nn.forward(params, arch, np.zeros((0, 6)), np.zeros(0, dtype=int))
 
 
-@pytest.mark.parametrize("too_long", [True, False], ids=["too-long", "too-short"])
-def test_params_sized_for_another_architecture_are_internal_errors(too_long):
+@pytest.mark.parametrize("case", ["too-long", "too-short", "one-model-as-2d"])
+def test_params_sized_for_another_architecture_are_internal_errors(case):
     """The parameters of a two-dense-layer model do not fit a one-dense-layer
-    architecture, and the other way round."""
+    architecture, and the other way round; one model passed as a (1, n_params)
+    array is not broadcast either."""
     deep, shallow = mlp(), nn.Architecture((nn.Dense(6, 3),), (6,), 3)
-    params, arch = ((nn.init_params(deep, 0), shallow) if too_long
-                    else (nn.init_params(shallow, 0), deep))
+    params, arch = {"too-long": (nn.init_params(deep, 0), shallow),
+                    "too-short": (nn.init_params(shallow, 0), deep),
+                    "one-model-as-2d": (nn.init_params(deep, 0)[None], deep)}[case]
     X, y = rand_batch(arch, 8, seed=1)
     with pytest.raises(InternalError, match="parameters"):
         nn.predict_logits(params, arch, X)
     with pytest.raises(InternalError, match="parameters"):
         nn.backward(params, arch, X, y)
     with pytest.raises(InternalError, match="parameters"):
-        nn.train([params], arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), [0])
+        nn.train(params[None], arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), [0])
 
 
 def test_forward_is_pure():
     arch = small_cnn()
     params = nn.init_params(arch, seed=3)
     X, y = rand_batch(arch, 4, seed=2)
-    before = params.values.copy()
+    before = params.copy()
     r1 = nn.forward(params, arch, X, y)
     r2 = nn.forward(params, arch, X, y)
-    assert np.array_equal(params.values, before)
+    assert np.array_equal(params, before)
     assert np.array_equal(r1[0], r2[0]) and r1[1] == r2[1]
 
 
@@ -154,11 +156,12 @@ def test_forward_is_pure():
 ], ids=["sgd", "dropout", "dp"])
 def test_train_leaves_its_input_unchanged(arch, dp):
     params = nn.init_params(arch, seed=3)
-    before = params.values.copy()
+    before = params.copy()
     X, y = rand_batch(arch, 12, seed=4)
-    out = nn.train([params], arch, X, y, nn.TrainConfig(0.1, epochs=2, batch_size=4, dp=dp), [5])[0]
-    assert np.array_equal(params.values, before)
-    assert not np.array_equal(out.values, before)
+    out = nn.train(params[None], arch, X, y, nn.TrainConfig(0.1, epochs=2, batch_size=4, dp=dp),
+                   [5])[0]
+    assert np.array_equal(params, before)
+    assert not np.array_equal(out, before)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +173,7 @@ def test_one_parameter_logistic_gradient_by_hand():
     # Binary softmax with logits (0, wx): at w=0, x=1, y=1 the gradient of the
     # loss w.r.t. w is sigma(0) - 1 = -0.5.
     arch = nn.Architecture((nn.Dense(1, 2),), (1,), 2)
-    params = nn.zeros_like_params(arch)
+    params = np.zeros(arch.n_params)
     grad = nn.backward(params, arch, np.array([[1.0]]), np.array([1]))
     W, _ = nn._layer_params(grad, arch, 0)
     assert W[0, 1] == pytest.approx(-0.5)
@@ -179,13 +182,13 @@ def test_one_parameter_logistic_gradient_by_hand():
 
 def test_gradient_near_zero_at_saturated_minimum():
     arch = nn.Architecture((nn.Dense(2, 2),), (2,), 2)
-    params = nn.zeros_like_params(arch)
+    params = np.zeros(arch.n_params)
     W, _ = nn._layer_params(params, arch, 0)
     W[:] = np.array([[60.0, -60.0], [-60.0, 60.0]])
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
     grad = nn.backward(params, arch, X, y)
-    assert np.linalg.norm(grad.values) < 1e-6
+    assert np.linalg.norm(grad) < 1e-6
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -210,7 +213,7 @@ def test_backward_matches_finite_differences_random_archs(seed):
     X, y = rand_batch(arch, 5, seed=200 + seed)
     grad = nn.backward(params, arch, X, y)
     fd = fd_gradient(params, arch, X, y)
-    assert_close_rel(grad.values, fd, tol=1e-4)
+    assert_close_rel(grad, fd, tol=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +253,7 @@ def einsum_reference(params, arch, X, y):
     delta = np.exp(logits - logits.max(axis=1, keepdims=True))
     delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(n), y] -= 1.0  # per-row loss gradient; the batch mean's is delta / n
-    grad, rows = nn.zeros_like_params(arch), np.zeros((n, arch.n_params))
+    grad, rows = np.zeros(arch.n_params), np.zeros((n, arch.n_params))
     for i in range(len(arch.layers) - 1, -1, -1):
         layer, cache = arch.layers[i], caches[i]
         if isinstance(layer, nn.Dense):
@@ -286,7 +289,7 @@ def einsum_reference(params, arch, X, y):
                 0, 1, 2, 4, 3, 5).reshape(n, c, ho * k, wo * k)
         else:
             delta = delta * cache
-    return logits, grad.values, rows
+    return logits, grad, rows
 
 
 def assert_matches_reference(got, want, tol=1e-12):
@@ -333,18 +336,18 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
 
     def assert_layers_match(got, want):
         for index in arch.param_slots:
-            for got_part, want_part in zip(nn._layer_params(nn.ParamVector(got), arch, index),
-                                           nn._layer_params(nn.ParamVector(want), arch, index)):
+            for got_part, want_part in zip(nn._layer_params(got, arch, index),
+                                           nn._layer_params(want, arch, index)):
                 assert_matches_reference(got_part, want_part)
 
-    assert_layers_match(nn.backward(params, arch, X, y).values, grad)
+    assert_layers_match(nn.backward(params, arch, X, y), grad)
     assert_matches_reference(nn.backward(params, arch, X, y, blocks=range(n + 1)), rows)
     clip = np.median(np.linalg.norm(rows, axis=1))  # clips about half of the rows
-    assert_matches_reference(nn._loss_and_grad(params, arch, X, y, clip=clip).values,
+    assert_matches_reference(one_model_grad(params, arch, X, y, clip=clip),
                              clipped_mean(rows, clip))
     bounds = [0, n // 5, n // 2, n]
     blocks = nn.backward(params, arch, X, y, blocks=bounds)
-    clipped = nn._loss_and_grad(params, arch, X, y, clip=clip, blocks=bounds)
+    clipped = one_model_grad(params, arch, X, y, clip=clip, blocks=bounds)
     for got, got_clipped, lo, hi in zip(blocks, clipped, bounds[:-1], bounds[1:]):
         assert_layers_match(got, rows[lo:hi].mean(axis=0))
         assert_matches_reference(got_clipped, clipped_mean(rows[lo:hi], clip))
@@ -367,8 +370,8 @@ def test_backward_stopped_at_the_feature_layer_is_the_full_walk_above_it(make_ar
     arch = make_arch()
     params = perturbed_params(arch, 5)
     X, y = rand_batch(arch, 12, seed=6)
-    full = nn.backward(params, arch, X, y).values
-    stopped = nn.backward(params, arch, X, y, stop=arch.feature_index).values
+    full = nn.backward(params, arch, X, y)
+    stopped = nn.backward(params, arch, X, y, stop=arch.feature_index)
     for index, (off, _, w_size, b_size) in arch.param_slots.items():
         part = slice(off, off + w_size + b_size)
         assert full[part].any()
@@ -413,7 +416,7 @@ def test_block_rows_equal_one_backward_per_block(make_arch, sizes, at):
     rows = nn.backward(params, arch, X, y, stop=stop, blocks=bounds)
     assert rows.shape == (len(sizes), arch.n_params)
     for row, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
-        assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop).values)
+        assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop))
 
 
 @pytest.mark.parametrize("bounds", [[0, 3, 3, 6], [0, 4], [1, 6], [0, 4, 2, 6], [6], []])
@@ -430,16 +433,16 @@ def test_blocks_that_do_not_split_the_batch_are_internal_error(bounds):
 
 
 def test_sgd_step_arithmetic_and_identity():
-    p = nn.ParamVector(np.array([2.0]))
-    g = nn.ParamVector(np.array([1.0]))
-    assert nn.sgd_step(p, g, 0.5).values[0] == 1.5
-    zero = nn.ParamVector(np.array([0.0]))
-    assert np.array_equal(nn.sgd_step(p, zero, 0.5).values, p.values)
+    p = np.array([2.0])
+    g = np.array([1.0])
+    assert nn.sgd_step(p, g, 0.5)[0] == 1.5
+    zero = np.array([0.0])
+    assert np.array_equal(nn.sgd_step(p, zero, 0.5), p)
 
 
 def test_sgd_step_layout_mismatch_is_internal_error():
-    p = nn.ParamVector(np.array([2.0]))
-    g = nn.ParamVector(np.array([1.0, 1.0]))
+    p = np.array([2.0])
+    g = np.array([1.0, 1.0])
     with pytest.raises(InternalError):
         nn.sgd_step(p, g, 0.1)
 
@@ -455,8 +458,8 @@ def test_two_recomputed_steps_differ_from_one_summed_step_on_curved_loss():
     two_steps = nn.sgd_step(after1, g2, lr)
     # One step with the gradient taken twice at the start point: only equal to
     # the two-step path if the loss surface were flat along the way.
-    naive = nn.sgd_step(params, nn.ParamVector(2.0 * g1.values), lr)
-    assert not np.allclose(two_steps.values, naive.values, atol=1e-12)
+    naive = nn.sgd_step(params, 2.0 * g1, lr)
+    assert not np.allclose(two_steps, naive, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +486,7 @@ def test_train_separable_blobs_to_perfect_accuracy():
     params = nn.init_params(arch, seed=0)
     X, y = blobs_2class()
     cfg = nn.TrainConfig(learning_rate=0.2, epochs=50, batch_size=16)
-    out = nn.train([params], arch, X, y, cfg, [1])[0]
+    out = nn.train(params[None], arch, X, y, cfg, [1])[0]
     assert nn.accuracy(out, arch, X, y) == 1.0
 
 
@@ -496,9 +499,9 @@ def test_train_same_seed_is_bit_identical():
         (nn.Dense(2, 8), nn.Relu(), nn.Dropout(0.5), nn.Dense(8, 2)), (2,), 2
     )
     p0 = nn.init_params(arch_do, seed=0)
-    a = nn.train([p0], arch_do, X, y, cfg, [42])[0]
-    b = nn.train([p0], arch_do, X, y, cfg, [42])[0]
-    assert np.array_equal(a.values, b.values)
+    a = nn.train(p0[None], arch_do, X, y, cfg, [42])[0]
+    b = nn.train(p0[None], arch_do, X, y, cfg, [42])[0]
+    assert np.array_equal(a, b)
 
 
 def test_train_rejects_empty_and_oversized_batch():
@@ -506,10 +509,10 @@ def test_train_rejects_empty_and_oversized_batch():
     params = nn.init_params(arch, seed=0)
     cfg = nn.TrainConfig(learning_rate=0.1, epochs=1, batch_size=8)
     with pytest.raises(InputError):
-        nn.train([params], arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg, [0])
+        nn.train(params[None], arch, np.zeros((0, 2)), np.zeros(0, dtype=int), cfg, [0])
     X, y = blobs_2class(n_per_class=2)
     with pytest.raises(InputError):
-        nn.train([params], arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64), [0])
+        nn.train(params[None], arch, X, y, nn.TrainConfig(0.1, 1, batch_size=64), [0])
 
 
 def test_dropout_eval_mode_is_identity():
@@ -523,8 +526,8 @@ def test_dropout_eval_mode_is_identity():
     X, y = blobs_2class(n_per_class=5)
     with_do = nn.predict_logits(params, arch, X)
     # Same weights under the dropout-free layer stack (layer indices differ only).
-    stripped = nn.zeros_like_params(plain)
-    stripped.values[:] = params.values
+    stripped = np.zeros(plain.n_params)
+    stripped[:] = params
     without = nn.predict_logits(stripped, plain, X)
     assert np.array_equal(with_do, without)
 
@@ -535,42 +538,42 @@ def test_dropout_eval_mode_is_identity():
 
 
 def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
-    p = nn.ParamVector(np.array([1.0, 2.0, 3.0]))
+    p = np.array([1.0, 2.0, 3.0])
     gs = np.stack([np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.1, 0.0])])
     rng = np.random.default_rng(0)
     got = nn.dp_sgd_step(p, gs, nn.DpConfig(clip_norm=10.0, noise_multiplier=0.0), lr=0.5, rng=rng)
-    mean = nn.ParamVector(np.array([0.05, 0.05, 0.0]))
+    mean = np.array([0.05, 0.05, 0.0])
     want = nn.sgd_step(p, mean, 0.5)
-    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got, want)
 
 
 def test_dp_step_clips_large_gradient_to_clip_norm():
-    p = nn.ParamVector(np.zeros(2))
+    p = np.zeros(2)
     g = np.array([6.0, 8.0])  # norm 10
     rng = np.random.default_rng(0)
     got = nn.dp_sgd_step(p, np.stack([g]), nn.DpConfig(clip_norm=1.0, noise_multiplier=0.0),
                          lr=1.0, rng=rng)
-    assert np.allclose(got.values, -np.array([0.6, 0.8]))
+    assert np.allclose(got, -np.array([0.6, 0.8]))
 
 
 def test_clipping_never_increases_norm():
     rng = np.random.default_rng(5)
-    p = nn.ParamVector(np.zeros(4))
+    p = np.zeros(4)
     for _ in range(20):
         g = rng.standard_normal(4) * rng.uniform(0.1, 5.0)
         stepped = nn.dp_sgd_step(p, np.stack([g]), nn.DpConfig(clip_norm=1.0, noise_multiplier=0.0),
                                  lr=1.0, rng=np.random.default_rng(0))
-        assert np.linalg.norm(stepped.values) <= min(1.0, np.linalg.norm(g)) + 1e-12
+        assert np.linalg.norm(stepped) <= min(1.0, np.linalg.norm(g)) + 1e-12
 
 
 def test_dp_noise_std_monte_carlo():
-    p = nn.ParamVector(np.zeros(4))
+    p = np.zeros(4)
     zero = np.zeros(4)
     batch = np.stack([zero, zero])  # batch_size 2 -> std = 1 * 1 / 2
     rng = np.random.default_rng(123)
     draws = np.array([
         nn.dp_sgd_step(p, batch, nn.DpConfig(clip_norm=1.0, noise_multiplier=1.0), lr=1.0,
-                       rng=rng).values
+                       rng=rng)
         for _ in range(10_000)
     ])
     std = draws.std()
@@ -578,13 +581,13 @@ def test_dp_noise_std_monte_carlo():
 
 
 def test_dp_step_rejects_empty_gradient_list():
-    p = nn.ParamVector(np.zeros(2))
+    p = np.zeros(2)
     with pytest.raises(InputError):
         nn.dp_sgd_step(p, np.zeros((0, 2)), nn.DpConfig(1.0, 0.0), 0.1, np.random.default_rng(0))
 
 
 def test_dp_step_rejects_wrong_width_as_internal_error():
-    p = nn.ParamVector(np.zeros(2))
+    p = np.zeros(2)
     with pytest.raises(InternalError):
         nn.dp_sgd_step(p, np.zeros((3, 5)), nn.DpConfig(1.0, 0.0), 0.1, np.random.default_rng(0))
 
@@ -595,12 +598,18 @@ DROPOUT = {"defense": {"apply": "dropout", "dropout_rate": 0.5}}
 DP_ARCH_CASES = [DROPOUT, {"model": {"kind": "cnn"}, "dataset": {"dim": 36}, **DROPOUT}]
 
 
+def one_model_grad(params, arch, X, y, rng=None, **kwargs):
+    """nn._loss_and_grad of one model, as the S = 1 stack with its one
+    generator."""
+    return nn._loss_and_grad(params[None], arch, X, y, None if rng is None else [rng],
+                             **kwargs)[0]
+
+
 def perturbed_params(arch, seed):
     """Glorot init plus small noise on every parameter, so biases are non-zero
     and ReLU and max-pool patterns vary across samples."""
     params = nn.init_params(arch, seed)
-    return nn.ParamVector(
-        params.values + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params))
+    return params + 0.05 * np.random.default_rng(seed).standard_normal(arch.n_params)
 
 
 def clipped_mean(rows, clip):
@@ -629,18 +638,18 @@ def test_clipped_mean_equals_clipped_one_row_batches(overrides, train_mode):
 
     rng, ref_rng = mode_rng(), mode_rng()
     rows = np.stack([
-        nn._loss_and_grad(params, arch, X[i:i + 1], y[i:i + 1], rng=ref_rng).values
+        one_model_grad(params, arch, X[i:i + 1], y[i:i + 1], rng=ref_rng)
         for i in range(len(X))
     ])
     clip = np.median(np.linalg.norm(rows, axis=1))  # clips some rows, leaves others whole
-    got = nn._loss_and_grad(params, arch, X, y, rng=rng, clip=clip)
-    assert got.values.shape == (arch.n_params,)
-    assert_matches_reference(got.values, clipped_mean(rows, clip))
+    got = one_model_grad(params, arch, X, y, rng=rng, clip=clip)
+    assert got.shape == (arch.n_params,)
+    assert_matches_reference(got, clipped_mean(rows, clip))
     if train_mode:
         assert rng.random() == ref_rng.random()
-    unclipped = nn._loss_and_grad(params, arch, X, y, rng=mode_rng(), clip=1e12)
-    batch = nn._loss_and_grad(params, arch, X, y, rng=mode_rng())
-    assert_matches_reference(unclipped.values, batch.values)
+    unclipped = one_model_grad(params, arch, X, y, rng=mode_rng(), clip=1e12)
+    batch = one_model_grad(params, arch, X, y, rng=mode_rng())
+    assert_matches_reference(unclipped, batch)
 
 
 def test_clipped_mean_keeps_an_exactly_zero_example_without_a_warning():
@@ -653,12 +662,12 @@ def test_clipped_mean_keeps_an_exactly_zero_example_without_a_warning():
     b[0] = 1e3  # exp(-1e3) underflows: class 0 gets probability exactly 1.0
     X, _ = rand_batch(arch, 6, seed=4)
     y = np.array([0, 1, 0, 2, 1, 2])
-    rows = np.stack([nn.backward(params, arch, X[i:i + 1], y[i:i + 1]).values
+    rows = np.stack([nn.backward(params, arch, X[i:i + 1], y[i:i + 1])
                      for i in range(len(X))])
     assert not rows[y == 0].any() and rows[y != 0].any(axis=1).all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = nn._loss_and_grad(params, arch, X, y, clip=0.5).values
+        got = one_model_grad(params, arch, X, y, clip=0.5)
     assert_matches_reference(got, clipped_mean(rows, 0.5))
 
 
@@ -666,16 +675,16 @@ def dp_train_reference(params, arch, X, y, cfg, seed, train_mode):
     """nn.train with cfg.dp, as one one-row backward per sample and a
     clipping loop over the batch."""
     rng = np.random.default_rng(derive_seed(seed, "train"))
-    values = params.values.copy()
+    values = params.copy()
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
             mean = np.zeros_like(values)
             for i in idx:
-                g = nn._loss_and_grad(nn.ParamVector(values), arch,
+                g = one_model_grad(values, arch,
                                       X[i:i + 1], y[i:i + 1],
-                                      rng=rng if train_mode else None).values
+                                      rng=rng if train_mode else None)
                 norm = np.linalg.norm(g)
                 mean += g * (min(1.0, cfg.dp.clip_norm / norm) if norm > 0 else 1.0)
             mean /= len(idx)
@@ -696,7 +705,7 @@ def test_dp_train_equals_per_sample_reference(overrides, dropout):
     # clip_norm 3.5 clips some rows and leaves others whole.
     cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8,
                          dp=nn.DpConfig(clip_norm=3.5, noise_multiplier=0.7))
-    got = nn.train([params], arch, X, y, cfg, [2])[0].values
+    got = nn.train(params[None], arch, X, y, cfg, [2])[0]
     want = dp_train_reference(params, arch, X, y, cfg, seed=2, train_mode=dropout)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -715,11 +724,11 @@ def sequential_train_reference(params, arch, X, y, cfg, seed):
         perm = rng.permutation(len(X))
         for start in range(0, len(X), cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            grad = nn._loss_and_grad(params, arch, X[idx], y[idx], rng,
+            grad = one_model_grad(params, arch, X[idx], y[idx], rng,
                                      clip=None if cfg.dp is None else cfg.dp.clip_norm)
             if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
                 std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / len(idx)
-                grad = nn.ParamVector(grad.values + rng.normal(0.0, std, size=arch.n_params))
+                grad = grad + rng.normal(0.0, std, size=arch.n_params)
             params = nn.sgd_step(params, grad, cfg.learning_rate)
     return params
 
@@ -744,7 +753,7 @@ def test_lockstep_training_equals_one_model_at_a_time(case, n_models):
     overrides, dp = LOCKSTEP_CASES[case]
     arch = reference_arch(overrides)
     n = 20
-    models = [perturbed_params(arch, 10 + s) for s in range(n_models)]
+    models = np.stack([perturbed_params(arch, 10 + s) for s in range(n_models)])
     seeds = [derive_seed(3, "lockstep", s) for s in range(n_models)]
     X, y = rand_batch(arch, n_models * n, seed=12)
     cfg = nn.TrainConfig(0.1, epochs=2, batch_size=8, dp=dp)
@@ -753,25 +762,26 @@ def test_lockstep_training_equals_one_model_at_a_time(case, n_models):
     for s, (model, seed) in enumerate(zip(models, seeds)):
         rows = slice(s * n, (s + 1) * n)
         want = sequential_train_reference(model, arch, X[rows], y[rows], cfg, seed)
-        assert np.array_equal(got[s].values, want.values)
-        assert not np.array_equal(got[s].values, model.values)
+        assert np.array_equal(got[s], want)
+        assert not np.array_equal(got[s], model)
 
 
 def test_lockstep_training_rejects_unpaired_seeds_and_unequal_datasets():
     arch = mlp()
-    models = [nn.init_params(arch, seed=s) for s in range(3)]
+    models = np.stack([nn.init_params(arch, seed=s) for s in range(3)])
     X, y = rand_batch(arch, 12, seed=1)
     cfg = nn.TrainConfig(0.1, epochs=1, batch_size=2)
     with pytest.raises(InputError, match="3 models need as many seeds, got 2"):
         nn.train(models, arch, X, y, cfg, [0, 1])
     with pytest.raises(InputError, match="0 models need as many seeds"):
-        nn.train([], arch, X, y, cfg, [])
+        nn.train(np.empty((0, arch.n_params)), arch, X, y, cfg, [])
     with pytest.raises(InputError, match="do not split into 3 equal datasets"):
         nn.train(models, arch, X[:11], y[:11], cfg, [0, 1, 2])
     with pytest.raises(InputError, match="do not split into 3 equal datasets"):
         nn.train(models, arch, X, y[:9], cfg, [0, 1, 2])
     with pytest.raises(InternalError, match="parameters"):
-        nn.train(models[:2] + [nn.init_params(mlp(6, 4, 3), 0)], arch, X, y, cfg, [0, 1, 2])
+        nn.train(np.stack([nn.init_params(mlp(6, 4, 3), s) for s in range(3)]), arch, X, y,
+                 cfg, [0, 1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +798,11 @@ def test_checkpoint_round_trip(tmp_path):
     assert arch2 == arch
     assert arch2.param_slots == arch.param_slots
     # float32 storage: round-trip through f4 must be exact
-    assert np.array_equal(loaded.values, params.values.astype("<f4").astype(np.float64))
+    assert np.array_equal(loaded, params.astype("<f4").astype(np.float64))
+    for wrong in (params[None], params[:-1]):
+        with pytest.raises(InternalError, match="model of shape"):
+            nn.save_checkpoint(tmp_path / "wrong.ppam", wrong, arch)
+    assert not (tmp_path / "wrong.ppam").exists()
 
 
 def test_checkpoint_header_layout(tmp_path):
@@ -802,7 +816,7 @@ def test_checkpoint_header_layout(tmp_path):
     desc_len = int.from_bytes(blob[6:10], "little")
     desc = blob[10:10 + desc_len].decode("utf-8")
     assert nn.Architecture.from_json(desc) == arch
-    assert len(blob) == 10 + desc_len + 4 * params.values.size
+    assert len(blob) == 10 + desc_len + 4 * params.size
 
 
 def test_checkpoint_version_1_is_rejected(tmp_path):
@@ -838,7 +852,7 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
     bad_chain = json.loads(json.dumps(desc))
     bad_chain["layers"][0]["in_dim"] += 1
     no_layers = {k: v for k, v in desc.items() if k != "layers"}
-    payload = params.values.astype("<f4").tobytes()
+    payload = params.astype("<f4").tobytes()
     for text in (b"{not json", b"\xff\xfe", json.dumps(unknown_kind).encode(),
                  json.dumps(no_layers).encode(), json.dumps(unknown_field).encode(),
                  json.dumps(bad_chain).encode(), json.dumps({**desc, "layers": [1]}).encode()):
@@ -887,7 +901,7 @@ def test_checkpoint_with_zero_kernel_is_format_error(tmp_path):
     text = json.dumps(desc).encode()
     path = tmp_path / "zero.ppam"
     path.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
-                     + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
+                     + text + nn.init_params(arch, 0).astype("<f4").tobytes())
     with pytest.raises(FormatError, match="layer 2: maxpool kernel"):
         nn.load_checkpoint(path)
 
@@ -902,7 +916,7 @@ def test_checkpoint_with_conv_stride_is_format_error(tmp_path):
     text = json.dumps(desc).encode()
     path = tmp_path / "stride.ppam"
     path.write_bytes(b"PPAM" + (2).to_bytes(2, "little") + len(text).to_bytes(4, "little")
-                     + text + nn.init_params(arch, 0).values.astype("<f4").tobytes())
+                     + text + nn.init_params(arch, 0).astype("<f4").tobytes())
     with pytest.raises(FormatError, match="bad architecture descriptor"):
         nn.load_checkpoint(path)
 
@@ -971,18 +985,18 @@ def test_layout_and_feature_layer_match_written_references(overrides, layout, fe
     assert arch.feature_index == feature_index
     for index in layout:
         layer = arch.layers[index]
-        W, b = nn._layer_params(nn.zeros_like_params(arch), arch, index)
+        W, b = nn._layer_params(np.zeros(arch.n_params), arch, index)
         if isinstance(layer, nn.Dense):
             shapes = (layer.in_dim, layer.out_dim), (layer.out_dim,)
         else:
             shapes = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel), (layer.out_ch,)
         assert (W.shape, b.shape) == shapes
     with pytest.raises(InternalError):
-        nn._layer_params(nn.zeros_like_params(arch), arch, 1)  # a relu
+        nn._layer_params(np.zeros(arch.n_params), arch, 1)  # a relu
 
 
 @pytest.mark.parametrize("overrides", [case[0] for case in LAYOUT_CASES])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_init_params_equals_layerwise_glorot_reference(overrides, seed):
     arch = reference_arch(overrides)
-    assert np.array_equal(nn.init_params(arch, seed).values, glorot_reference(arch, seed))
+    assert np.array_equal(nn.init_params(arch, seed), glorot_reference(arch, seed))
