@@ -318,39 +318,47 @@ class PreferenceProfiler:
     over ``history``.
 
     Each distinct model is extracted once per round window.  Sensitivity is
-    a function of the parameter values alone, so a memo keyed by the exact
-    parameter bytes serves every model whose bytes were read this round or
-    last round: an idle user's upload, a received model whose aggregate
-    members did not change, and every user's copy of a broadcast model.
-    Older keys are dropped.  A model is read only once it has been received,
-    so the final round's distributed models are never extracted.
+    a function of the parameter values alone, so ``memo`` maps round r to
+    the sensitivities read in round r, keyed by the exact parameter bytes,
+    and a model read this round or last round is served from it: an idle
+    user's upload, a received model whose aggregate members did not change,
+    and every user's copy of a broadcast model.  Profilers of several server
+    rules on one federation share one memo and advance in lockstep, so a
+    model that any of them read (round 1's, which is the same under every
+    rule) is extracted once.  Rounds older than the last one are dropped.
+    A model is read only once it has been received, so the final round's
+    distributed models are never extracted.
     """
 
-    def __init__(self, arch: nn.Architecture, aux: LabeledDataset, x: Optional[int], mode: str):
+    def __init__(self, arch: nn.Architecture, aux: LabeledDataset, x: Optional[int], mode: str,
+                 memo: dict):
         self.arch = arch
         self.aux = aux
         self.x = x
         self.mode = mode
-        self._last_round, self._this_round = {}, {}
+        self.memo = memo
         self.history: List[RoundTrace] = []
 
-    def _sensitivity(self, model: np.ndarray) -> np.ndarray:
+    def _sensitivity(self, model: np.ndarray, rnd: int) -> np.ndarray:
         """:func:`extract_sensitivity` of ``model``, unless a model with the
-        same parameter bytes was read this round or last round."""
+        same parameter bytes was read in round ``rnd`` or the round before."""
         key = model.tobytes()
-        s = self._this_round.get(key)
+        this_round = self.memo[rnd]
+        s = this_round.get(key)
         if s is None:
-            s = self._last_round.get(key)
+            s = self.memo.get(rnd - 1, {}).get(key)
             if s is None:
                 s = extract_sensitivity(nn.ParamVector(model), self.arch, self.aux)
-            self._this_round[key] = s
+            this_round[key] = s
         return s
 
     def __call__(self, received: np.ndarray, uploads: np.ndarray, selected: list) -> np.ndarray:
-        self._last_round, self._this_round = self._this_round, {}
+        rnd = len(self.history) + 1
+        self.memo.pop(rnd - 2, None)
+        self.memo.setdefault(rnd, {})
         selected = [int(u) for u in selected]
-        sens = np.stack([self._sensitivity(m) for m in uploads])
-        sent = np.stack([self._sensitivity(received[u]) for u in selected])
+        sens = np.stack([self._sensitivity(m, rnd) for m in uploads])
+        sent = np.stack([self._sensitivity(received[u], rnd) for u in selected])
         self.history.append(RoundTrace(selected, sens,
                                        differential_sensitivity(sent, sens[selected])))
         if self.x is None:

@@ -391,30 +391,38 @@ def run_offline(cfg: ExperimentConfig, staged: StagedData) -> OfflineArtifacts:
 # ---------------------------------------------------------------------------
 
 
-def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
-               score_rounds: bool):
-    """FL with the attacking server, which aggregates each upload with its
-    ``x`` partners (``attack.x`` in the attack arm), or by plain FedAvg when
-    ``x`` is None (the with_baseline reference arm).
+def run_online(cfg: ExperimentConfig, staged: StagedData, xs: list, score_rounds: bool):
+    """FL with the attacking server on one federation, one arm per server
+    rule in ``xs``: an x aggregates each upload with its x partners
+    (``attack.x`` in the attack arm), and None is plain FedAvg (the
+    with_baseline reference arm).  The arms advance round by round, each
+    with its own :func:`fedsim.run_round` call and profiler; the profilers
+    share one sensitivity memo, so round 1, the same in every arm, is
+    extracted once.  Each arm is bit for bit its run alone.
 
-    Returns (round traces, per-round scores, final round state).  Only with
-    ``score_rounds`` does a round add (round index, local_acc, global_acc):
-    the own-data accuracy of each user's upload (an unsampled user's keeps
-    last round's score; round 1 scores all) and of the model sent to it (so
-    does a user sent the same parameter bytes as last round).
+    Returns (round traces per arm, per-round scores of ``xs[0]``, final
+    round state per arm).  Only with ``score_rounds`` does a round add
+    (round index, local_acc, global_acc): the own-data accuracy of each
+    user's upload (an unsampled user's keeps last round's score; round 1
+    scores all) and of the model sent to it (so does a user sent the same
+    parameter bytes as last round).
     """
     seed = cfg.seed
     clients = staged.clients
     init = nn.init_params(cfg.arch, seed=derive_seed(seed, "global-init"))
-    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
+    memo = {}
+    profilers = [attack.PreferenceProfiler(cfg.arch, staged.aux, x, cfg["attack"]["mode"], memo)
+                 for x in xs]
     n = len(clients)
-    state = fedsim.initial_state(n, init)
+    states = [fedsim.initial_state(n, init)] * len(xs)
     accs = []
     for _ in range(cfg["fl"]["n_rounds"]):
-        sent = state.distributed
-        state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
-                                 cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
+        sent = states[0].distributed
+        states = [fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
+                                   cfg["fl"]["client_fraction"], profiler, derive_seed(seed, "fl"))
+                  for state, profiler in zip(states, profilers)]
         if score_rounds:
+            state = states[0]
             local, glob = map(list, accs[-1][1:]) if accs else ([None] * n, [None] * n)
             for u in state.selected if accs else range(n):
                 local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
@@ -422,7 +430,7 @@ def run_online(cfg: ExperimentConfig, staged: StagedData, x: Optional[int],
                 if not accs or m.tobytes() != sent[u].tobytes():
                     glob[u] = nn.accuracy(m, cfg.arch, clients[u].X, clients[u].y)
             accs.append((state.round_index, local, glob))
-    return profiler.history, accs, state
+    return [p.history for p in profilers], accs, states
 
 
 def _utilities(final: fedsim.RoundState, accs: list, arch: nn.Architecture,
@@ -488,52 +496,49 @@ def _ground_truth(cfg: ExperimentConfig) -> tuple:
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> RunReport:
     """Offline shadow/meta training, FL with the attack hook, evaluation.
 
-    When with_baseline is set, a second arm with plain FedAvg aggregation
-    (same seeds, same attacker observation) provides the no-attack utility
-    reference and the paired DS trace.
+    When with_baseline is set, plain FedAvg aggregation runs as a second
+    arm of the same online simulation (same seeds, same attacker
+    observation); it provides the no-attack utility reference, the paired
+    DS trace and the baseline top-1.
     """
     t0 = time.perf_counter()
     staged = stage_data(cfg)
     offline = run_offline(cfg, staged)
     t_offline = time.perf_counter() - t0
 
-    atk, n_user = cfg["attack"], cfg["federation"]["n_user"]
-    history, accs, final = run_online(cfg, staged, atk["x"], out_dir is not None)
-    profile = attack.profile_history([(tr.selected, tr.ds) for tr in history], n_user,
-                                     offline.meta, atk["th_round"])
-    base_history = base_final = base_profile = None
-    if cfg["with_baseline"]:
-        base_history, _, base_final = run_online(cfg, staged, None, False)
-        base_profile = attack.profile_history([(tr.selected, tr.ds) for tr in base_history],
-                                              n_user, offline.meta, atk["th_round"])
+    atk, n_user, baseline = cfg["attack"], cfg["federation"]["n_user"], cfg["with_baseline"]
+    histories, accs, finals = run_online(cfg, staged, [atk["x"], None] if baseline else [atk["x"]],
+                                         out_dir is not None)
+    profiles = [attack.profile_history([(tr.selected, tr.ds) for tr in history], n_user,
+                                       offline.meta, atk["th_round"]) for history in histories]
     t_online = time.perf_counter() - t0 - t_offline
 
-    own_with, test_with = _utilities(final, accs, cfg.arch, staged)
-    own_without, test_without = (None, None) if base_final is None else _utilities(
-        base_final, [], cfg.arch, staged)
+    own_with, test_with = _utilities(finals[0], accs, cfg.arch, staged)
+    own_without, test_without = (_utilities(finals[1], [], cfg.arch, staged) if baseline
+                                 else (None, None))
     counts, truth = _ground_truth(cfg)
-    topk = {str(k): attack.topk_accuracy_from_counts(profile.rankings, counts, k, atk["mode"])
+    topk = {str(k): attack.topk_accuracy_from_counts(profiles[0].rankings, counts, k, atk["mode"])
             for k in range(1, min(3, cfg["dataset"]["n_label"]) + 1)}
     report = RunReport(
         run_id=run_id_for(cfg),
         config=cfg.resolved,
         truth=truth,
         class_counts=counts,
-        predictions=profile.verdicts,
-        lock_rounds=profile.lock_rounds,
+        predictions=profiles[0].verdicts,
+        lock_rounds=profiles[0].lock_rounds,
         topk=topk,
         utility_test_with=test_with,
         utility_test_without=test_without,
         utility_own_with=own_with,
         utility_own_without=own_without,
         meta_train_accuracy=offline.meta.train_accuracy,
-        ds_trace_attack=_ds_trace(history, truth),
-        ds_trace_baseline=None if base_history is None else _ds_trace(base_history, truth),
-        baseline_top1=(None if base_profile is None else attack.topk_accuracy_from_counts(
-            base_profile.rankings, counts, 1, atk["mode"])),
+        ds_trace_attack=_ds_trace(histories[0], truth),
+        ds_trace_baseline=_ds_trace(histories[1], truth) if baseline else None,
+        baseline_top1=(attack.topk_accuracy_from_counts(profiles[1].rankings, counts, 1,
+                                                        atk["mode"]) if baseline else None),
     )
     if out_dir is not None:
-        persist_run(report, _round_log(accs, profile), offline, Path(out_dir),
+        persist_run(report, _round_log(accs, profiles[0]), offline, Path(out_dir),
                     timings={"offline_s": t_offline, "online_s": t_online})
     return report
 
@@ -578,7 +583,7 @@ def compare_meta_algorithms(cfg: ExperimentConfig) -> dict:
     offline = run_offline(cfg, staged)
     centralized = attack.train_meta(attack.build_meta_dataset_centralized(offline.shadows),
                                     cfg.meta_train, derive_seed(cfg.seed, "meta-train"))
-    history, _, _ = run_online(cfg, staged, cfg["attack"]["x"], False)
+    (history,), _, _ = run_online(cfg, staged, [cfg["attack"]["x"]], False)
     _, truth = _ground_truth(cfg)
     out = {}
     for label, meta, rounds in (

@@ -288,16 +288,24 @@ def test_criterion_10_auxiliary_size_sweep():
 
 def test_criterion_11_x_selection_sweep():
     with criterion(11, "mean top-1 over x in 1..4 exceeds x=11 by >= 0.1 (n_user=12)"):
-        def run(seed, x):
-            cfg = harness.validate_config(json.dumps({
-                "seed": seed, "with_baseline": False,
-                "federation": {"n_user": 12},
-                "attack": {"x": x},
-            }))
-            return harness.run_experiment(cfg).topk["1"]
+        xs = (1, 2, 3, 4, 11)
 
-        acc = {x: float(np.mean([run(8200 + s, x) for s in range(3)]))
-               for x in (1, 2, 3, 4, 11)}
+        def run(seed):
+            """Top-1 per x: one offline stage, then one online simulation
+            with an arm per x (the offline stage does not read x)."""
+            cfg = harness.validate_config(json.dumps({
+                "seed": seed, "with_baseline": False, "federation": {"n_user": 12},
+            }))
+            staged = harness.stage_data(cfg)
+            offline = harness.run_offline(cfg, staged)
+            histories, _, _ = harness.run_online(cfg, staged, list(xs), False)
+            atk = cfg["attack"]
+            return [attack.topk_accuracy_from_counts(
+                attack.profile_history([(tr.selected, tr.ds) for tr in history],
+                                       len(cfg.fed_spec), offline.meta, atk["th_round"]).rankings,
+                cfg.fed_spec, 1, atk["mode"]) for history in histories]
+
+        acc = dict(zip(xs, np.mean([run(8200 + s) for s in range(3)], axis=0).tolist()))
         low = float(np.mean([acc[x] for x in (1, 2, 3, 4)]))
         print(f"\n  x sweep: {[f'x{x}={acc[x]:.2f}' for x in (1, 2, 3, 4, 11)]} "
               f"mean(1..4)={low:.3f} gap={low - acc[11]:+.3f}")

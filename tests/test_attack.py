@@ -616,7 +616,7 @@ def test_profiler_hook_runs_and_locks(world):
                                                   mode="majority")
     meta = attack.train_meta(meta_ds, nn.TrainConfig(0.1, 200, 8), 34)  # 8 meta rows
     init = nn.init_params(arch, seed=35)
-    prof = attack.PreferenceProfiler(arch, aux, x=2, mode="majority")
+    prof = attack.PreferenceProfiler(arch, aux, 2, "majority", {})
     train_cfg = nn.TrainConfig(0.05, 1, 16)
     st = fedsim.initial_state(4, init)
     for _ in range(8):
@@ -714,19 +714,23 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
 
     monkeypatch.setattr(attack, "extract_sensitivity", recorded)
 
-    def run(hook_type):
-        hook = hook_type(arch, aux, x, "majority")
-        st, states = fedsim.initial_state(6, init), []
+    def run(*hooks):
+        """The hooks in lockstep, one federation each; returns each one's
+        round states."""
+        sts, states = [fedsim.initial_state(6, init)] * len(hooks), []
         for _ in range(6):
             calls.append([])
-            st = fedsim.run_round(st, clients, arch, train_cfg, 0.5, hook, run_seed=53)
-            states.append(st)
-        return hook, states
+            sts = [fedsim.run_round(st, clients, arch, train_cfg, 0.5, hook, run_seed=53)
+                   for st, hook in zip(sts, hooks)]
+            states.append(sts)
+        return [list(arm) for arm in zip(*states)]
 
     calls = []
-    ref, ref_states = run(ReferenceProfiler)
+    ref = ReferenceProfiler(arch, aux, x, "majority")
+    (ref_states,) = run(ref)
     requested, calls = calls, []
-    prof, states = run(attack.PreferenceProfiler)
+    prof = attack.PreferenceProfiler(arch, aux, x, "majority", {})
+    (states,) = run(prof)
 
     assert len(prof.history) == len(ref.history) == 6
     for got, want in zip(prof.history, ref.history):
@@ -766,5 +770,32 @@ def test_memoised_profiler_matches_per_model_reference(world, monkeypatch, x):
         assert sorted(calls[r]) == sorted(set(requested[r]) - seen_last_round)
     assert sum(map(len, calls)) < sum(map(len, requested))
     # The memo holds the models of those two rounds and no older ones.
-    assert (set(prof._last_round) | set(prof._this_round)
-            == set(requested[-2]) | set(requested[-1]))
+    assert sorted(prof.memo) == [5, 6]
+    assert set(prof.memo[5]) == set(requested[-2]) and set(prof.memo[6]) == set(requested[-1])
+
+    # Two profilers, this rule and the other one, in lockstep on one memo:
+    # each keeps its solo history, and a model read by either of them this
+    # round or last round is not extracted again, so round 1, the same under
+    # both rules, is extracted once.
+    memo, calls = {}, []
+    arms = [attack.PreferenceProfiler(arch, aux, rule, "majority", memo)
+            for rule in (x, 2 if x is None else None)]
+    arm_states = run(*arms)
+    for got, want in zip(arms[0].history, prof.history):
+        assert got.selected == want.selected
+        assert np.array_equal(got.sensitivities, want.sensitivities)
+        assert np.array_equal(got.ds, want.ds)
+    assert np.array_equal(arm_states[0][-1].distributed, states[-1].distributed)
+
+    def round_reads(arm):
+        """Per round, the bytes of the models a profiler reads: the sampled
+        users' received models and every upload."""
+        return [{m.tobytes() for m in [*before.distributed[now.selected], *now.uploaded]}
+                for before, now in zip([fedsim.initial_state(6, init)] + arm[:-1], arm)]
+
+    reads = [a | b for a, b in zip(*map(round_reads, arm_states))]
+    for r in range(len(calls)):
+        assert sorted(calls[r]) == sorted(reads[r] - (reads[r - 1] if r else set()))
+    assert sorted(calls[0]) == sorted(set(requested[0]))
+    assert sorted(memo) == [5, 6]
+    assert set(memo[5]) == reads[-2] and set(memo[6]) == reads[-1]

@@ -98,13 +98,13 @@ def test_sweep_runs_one_online_arm_per_variant(monkeypatch):
     arms = []
     run_online = harness.run_online
 
-    def counting(cfg, staged, x, score_rounds):
-        arms.append(x)
-        return run_online(cfg, staged, x, score_rounds)
+    def counting(cfg, staged, xs, score_rounds):
+        arms.append(xs)
+        return run_online(cfg, staged, xs, score_rounds)
 
     monkeypatch.setattr(harness, "run_online", counting)
     monkeypatch.setattr(harness, "NOISE_MULTIPLIERS", (4.0,))
     cfg = base_cfg().with_overrides({"with_baseline": True})
     rows = harness.run_defense_sweep(cfg)
     assert [r.label for r in rows] == ["none", "dropout", "dp_4"]
-    assert arms == [cfg["attack"]["x"]] * 3  # no None: the FedAvg arm never ran
+    assert arms == [[cfg["attack"]["x"]]] * 3  # no None: the FedAvg arm never ran

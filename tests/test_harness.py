@@ -510,24 +510,30 @@ def test_idle_uploads_keep_their_scored_local_accuracy(tmp_path, monkeypatch, ov
     assert (n_kept > 0) == reuses
 
 
-def rescoring_run_online(cfg, staged, x, score_rounds):
-    """harness.run_online scoring every user's received model in every round."""
+def rescoring_run_online(cfg, staged, xs, score_rounds):
+    """harness.run_online as one run per arm, each with its own memo,
+    scoring every user's received model in every round."""
     clients = staged.clients
     init = nn.init_params(cfg.arch, seed=derive_seed(cfg.seed, "global-init"))
-    profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x=x, mode=cfg["attack"]["mode"])
-    state = fedsim.initial_state(len(clients), init)
-    accs = []
-    for _ in range(cfg["fl"]["n_rounds"]):
-        state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
-                                 cfg["fl"]["client_fraction"], profiler,
-                                 derive_seed(cfg.seed, "fl"))
-        if score_rounds:
-            local = list(accs[-1][1]) if accs else [None] * len(clients)
-            for u in state.selected if accs else range(len(clients)):
-                local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X, clients[u].y)
-            accs.append((state.round_index, local, [nn.accuracy(m, cfg.arch, c.X, c.y)
-                                                    for m, c in zip(state.distributed, clients)]))
-    return profiler.history, accs, state
+    histories, accs, finals = [], [], []
+    for arm, x in enumerate(xs):
+        profiler = attack.PreferenceProfiler(cfg.arch, staged.aux, x, cfg["attack"]["mode"], {})
+        state = fedsim.initial_state(len(clients), init)
+        for _ in range(cfg["fl"]["n_rounds"]):
+            state = fedsim.run_round(state, clients, cfg.arch, cfg.client_train,
+                                     cfg["fl"]["client_fraction"], profiler,
+                                     derive_seed(cfg.seed, "fl"))
+            if score_rounds and arm == 0:
+                local = list(accs[-1][1]) if accs else [None] * len(clients)
+                for u in state.selected if accs else range(len(clients)):
+                    local[u] = nn.accuracy(state.uploaded[u], cfg.arch, clients[u].X,
+                                           clients[u].y)
+                accs.append((state.round_index, local,
+                             [nn.accuracy(m, cfg.arch, c.X, c.y)
+                              for m, c in zip(state.distributed, clients)]))
+        histories.append(profiler.history)
+        finals.append(state)
+    return histories, accs, finals
 
 
 def test_reused_own_data_scores_equal_a_run_that_rescores_every_model(tmp_path, monkeypatch):
@@ -554,6 +560,40 @@ def test_reused_own_data_scores_equal_a_run_that_rescores_every_model(tmp_path, 
     assert skipped and not collections.Counter(reused) - collections.Counter(rescored)
     n_user = cfg["federation"]["n_user"]
     assert reused[-2 * n_user:] == rescored[-2 * n_user:]
+
+
+@pytest.mark.parametrize("overrides", [{}, PARTIAL_30], ids=["4-users", "30-users"])
+def test_arms_equal_their_one_arm_runs(monkeypatch, overrides):
+    # One simulation with the attack arm and the FedAvg arm is, bit for bit,
+    # the two one-arm simulations.  The arms share one memo, so round 1, the
+    # same in both, is extracted once: its sampled uploads and the initial
+    # model.
+    cfg = fast_config(**overrides)
+    staged = harness.stage_data(cfg)
+    extract, calls = attack.extract_sensitivity, []
+    monkeypatch.setattr(attack, "extract_sensitivity",
+                        lambda *args: calls.append(1) or extract(*args))
+
+    def run(xs):
+        calls.clear()
+        return (*harness.run_online(cfg, staged, xs, True), len(calls))
+
+    x = cfg["attack"]["x"]
+    (history, base_history), accs, (final, base_final), n_both = run([x, None])
+    (history_x,), accs_x, (final_x,), n_x = run([x])
+    (history_none,), _, (final_none,), n_none = run([None])
+    for got, want in ((history, history_x), (base_history, history_none)):
+        assert len(got) == len(want) == cfg["fl"]["n_rounds"]
+        for g, w in zip(got, want):
+            assert g.selected == w.selected
+            assert np.array_equal(g.sensitivities, w.sensitivities)
+            assert np.array_equal(g.ds, w.ds)
+    for got, want in ((final, final_x), (base_final, final_none)):
+        assert (got.round_index, got.selected) == (want.round_index, want.selected)
+        assert np.array_equal(got.uploaded, want.uploaded)
+        assert np.array_equal(got.distributed, want.distributed)
+    assert accs == accs_x and len(accs) == cfg["fl"]["n_rounds"]
+    assert n_both == n_x + n_none - (len(history[0].selected) + 1)
 
 
 def test_a_failed_write_leaves_no_report(tmp_path, monkeypatch):
