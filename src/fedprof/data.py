@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import nn
 from .errors import InputError, FormatError
 from .seeding import derive_seed
 
@@ -29,7 +30,8 @@ LABELS_MAGIC = 0x00000801
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix (n, d) with integer labels in [0, n_label).
+    """Feature matrix (n, d), stored in the engine's dtype ``nn.DTYPE``, with
+    integer labels in [0, n_label).
 
     ``source_indices`` records where each sample sits in the pool it was
     drawn from, which is what makes disjointness checks possible.
@@ -42,7 +44,7 @@ class LabeledDataset:
     source_indices: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        self.X = np.asarray(self.X, dtype=nn.DTYPE)
         if self.X.ndim == 1:
             self.X = self.X[:, None]
         self.y = np.asarray(self.y, dtype=np.int64)
@@ -94,10 +96,12 @@ def make_synthetic(n_label: int, dim: int, per_class_pool: int, seed: int,
         gaps = np.linalg.norm(dirs[:, None, :] - dirs[None, :, :], axis=-1)
         min_gap = gaps[np.triu_indices(n_label, 1)].min()
     means = dirs * (max(4.0 * sigma, 1.0) / min_gap)
-    X = np.concatenate([
-        means[c] + sigma * rng.standard_normal((per_class_pool, dim))
-        for c in range(n_label)
-    ])
+    # Drawn in float64 one class at a time and cast into the engine dtype, so
+    # the stream does not depend on the dtype and no float64 pool is held.
+    X = np.empty((n_label * per_class_pool, dim), dtype=nn.DTYPE)
+    for c in range(n_label):
+        X[c * per_class_pool:(c + 1) * per_class_pool] = (
+            means[c] + sigma * rng.standard_normal((per_class_pool, dim)))
     y = np.repeat(np.arange(n_label), per_class_pool)
     return LabeledDataset(X, y, n_label)
 
@@ -123,7 +127,8 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     y = load_idx_labels(labels_path)
     if n != len(y):
         raise FormatError(f"count mismatch: {n} images but {len(y)} labels")
-    X = pixels.astype(np.float64).reshape(n, rows * cols) / 255.0
+    X = pixels.astype(nn.DTYPE).reshape(n, rows * cols)
+    X /= 255.0  # k / 255 in float32 is the float64 quotient cast, for every byte k
     n_label = int(y.max()) + 1 if n else 1
     return LabeledDataset(X, y, n_label, feature_shape=(rows, cols))
 

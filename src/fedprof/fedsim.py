@@ -59,7 +59,9 @@ def average_groups(stacked: np.ndarray, groups: np.ndarray, shares: np.ndarray) 
     ``shares[g]`` (summing to 1), as weighted deltas around the anchor
     ``stacked[groups[g, 0]]`` added in column order, one vector step per
     column for every group at once.  Algebraically the weighted mean, but
-    bitwise the anchor when all members are identical."""
+    bitwise the anchor when all members are identical.  The shares are cast
+    to the models' dtype, so the sums stay in it."""
+    shares = shares.astype(stacked.dtype, copy=False)
     anchor = stacked[groups[:, 0]]
     acc = np.zeros_like(anchor)
     for k in range(groups.shape[1]):

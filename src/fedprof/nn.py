@@ -1,17 +1,22 @@
 """Minimal differentiable feed-forward network engine.
 
-A model is a 1-D float64 array of length ``arch.n_params``, laid out by its
-:class:`Architecture`'s ``param_slots``, and S models are an (S, n_params)
-array.  All operations are pure functions: they never mutate their inputs
-and are bit-reproducible given the same seed.
+A model is a 1-D array of :data:`DTYPE` of length ``arch.n_params``, laid
+out by its :class:`Architecture`'s ``param_slots``, and S models are an
+(S, n_params) array.  All operations are pure functions: they never mutate
+their inputs and are bit-reproducible given the same seed.
 The forward and backward walks carry a leading model axis, so :func:`train`
 steps S equal-size models of one architecture in lockstep, each bit for bit
 as if it trained alone; one model is the S = 1 case.
 Supported layers: dense, 2-D convolution (valid, stride 1), non-overlapping max
 pooling, ReLU and dropout.  The loss is softmax cross-entropy throughout.
 
-Everything is computed in float64; checkpoints store float32 (documented
-precision loss on reload).
+Everything is computed in :data:`DTYPE`, float32 for runs.  Each entry point
+casts the models and batches it receives to it, so a float64 caller computes
+exactly as its cast and no walk mixes precisions; setting ``nn.DTYPE`` to
+float64 gives the reference engine the tests check algorithms against.  The
+Glorot and DP-noise draws stay in float64 and are cast, so their random
+streams do not depend on the dtype.  Checkpoints store float32, so a reload
+in a float32 engine is bit-exact.
 """
 
 from __future__ import annotations
@@ -28,6 +33,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, InputError, InternalError
 from .seeding import derive_seed
+
+# The engine's floating-point type, read at call time: float32 for runs, and
+# float64 as the reference mode of the tests.  It is not a config key, so a
+# run stays a function of (config, seed).
+DTYPE = np.float32
 
 # ---------------------------------------------------------------------------
 # Layer specs and architecture descriptor
@@ -178,19 +188,20 @@ class Architecture:
 class ParamVector:
     """One model wrapped for :func:`attack.extract_sensitivity`, the only
     function that takes one: the benchmark's tracer reads that argument as
-    ``pv.values``.  Everywhere else a model is a plain 1-D float64 array.
+    ``pv.values``.  Everywhere else a model is a plain 1-D array.
     This class and the four wraps at the calls of ``extract_sensitivity`` go
     once the tracer reads a plain array (ROADMAP direction 1)."""
 
     def __init__(self, values):
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=DTYPE)
         if values.ndim != 1:
             raise InputError("ParamVector values must be 1-D")
         self.values = values
 
 
 def init_params(arch: Architecture, seed: int) -> np.ndarray:
-    """Glorot-uniform weights, zero biases, deterministic by seed."""
+    """Glorot-uniform weights, zero biases, deterministic by seed; drawn in
+    float64 and cast to :data:`DTYPE`."""
     rng = np.random.default_rng(derive_seed(seed, "init"))
     params = np.zeros(arch.n_params)
     for off, w_shape, w_size, b_size in arch.param_slots.values():
@@ -199,7 +210,7 @@ def init_params(arch: Architecture, seed: int) -> np.ndarray:
         fan_in, fan_out = w_size // b_size, b_size * math.prod(w_shape[2:])
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         params[off:off + w_size] = rng.uniform(-bound, bound, w_size)
-    return params
+    return params.astype(DTYPE, copy=False)
 
 
 def _layer_params(params: np.ndarray, arch: Architecture, index: int):
@@ -220,7 +231,7 @@ def _layer_params(params: np.ndarray, arch: Architecture, index: int):
 
 
 def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X, dtype=DTYPE)
     if X.shape[0] == 0:
         raise InputError("batch is empty")
     if X.size != X.shape[0] * arch.input_size:
@@ -237,7 +248,7 @@ def _matmul_blocks(a, b, spans):
     GEMM per model, and how BLAS chunks a product's rows can change its last
     bits, so each model's block is bit-identical to the product of that
     block alone."""
-    out = np.empty(a.shape[:-1] + b.shape[-1:])
+    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
     for lo, hi in spans:
         np.matmul(a[:, lo:hi], b, out=out[:, lo:hi])
     return out
@@ -255,6 +266,7 @@ def _run_layers(params, arch, X, rngs, spans=None):
     every elementwise step once over all rows of all models, so a model's
     block equals a forward pass of that model on that block alone."""
     S, n = X.shape[:2]
+    params = np.asarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
         raise InternalError(f"parameters of shape {params.shape}, expected ({S}, {arch.n_params})")
     if spans is None:
@@ -336,7 +348,7 @@ def _block_grads(arch: Architecture, pieces, spans) -> np.ndarray:
     block's size.  Each block's weight gradient is one GEMM over the model
     axis.  Slots the walk did not reach stay zero."""
     S = len(pieces[0][2])
-    grads = np.zeros((S, len(spans), arch.n_params))
+    grads = np.zeros((S, len(spans), arch.n_params), dtype=DTYPE)
     for i, a, d in pieces:
         for j, (lo, hi) in enumerate(spans):
             block = d[:, lo:hi]
@@ -442,7 +454,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
             k = layer.kernel
             dcols = _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
                                    spans).reshape(S, n, ho, wo, -1, k, k)
-            dx = np.zeros(in_shape)
+            dx = np.zeros(in_shape, dtype=DTYPE)
             for ki in range(k):
                 for kj in range(k):
                     dx[..., ki:ki + ho, kj:kj + wo] += (
@@ -453,9 +465,9 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
             in_shape, idx = cache
             k = layer.kernel
             c, ho, wo = idx.shape[2:]
-            dtiles = np.zeros((S, n, c, ho, wo, k * k))
+            dtiles = np.zeros((S, n, c, ho, wo, k * k), dtype=DTYPE)
             np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
-            dx = np.zeros(in_shape)
+            dx = np.zeros(in_shape, dtype=DTYPE)
             dx[..., :ho * k, :wo * k] = (
                 dtiles.reshape(S, n, c, ho, wo, k, k).transpose(0, 1, 2, 3, 5, 4, 6)
                 .reshape(S, n, c, ho * k, wo * k)
@@ -567,18 +579,20 @@ def dp_sgd_step(
     wraps it by name."""
     if len(per_example_grads) == 0:
         raise InputError("per_example_grads is empty")
-    grads = np.asarray(per_example_grads, dtype=np.float64)
+    params = np.asarray(params, dtype=DTYPE)
+    grads = np.asarray(per_example_grads, dtype=DTYPE)
     if grads.ndim != 2 or grads.shape[1] != params.size:
         raise InternalError(
             f"per-example gradients have shape {grads.shape}, expected (batch, {params.size})"
         )
     batch = grads.shape[0]
     norms = np.linalg.norm(grads, axis=1)
-    scale = np.minimum(1.0, np.divide(dp.clip_norm, norms, out=np.ones(batch), where=norms > 0))
+    scale = np.minimum(1.0, np.divide(dp.clip_norm, norms, out=np.ones_like(norms),
+                                      where=norms > 0))
     mean = (grads * scale[:, None]).sum(axis=0) / batch
     if dp.noise_multiplier > 0:
         mean = mean + rng.normal(0.0, dp.noise_multiplier * dp.clip_norm / batch,
-                                 size=mean.shape)
+                                 size=mean.shape).astype(DTYPE, copy=False)
     return sgd_step(params, mean, lr)
 
 
@@ -618,7 +632,8 @@ def train(
         raise InternalError(f"models of shape {models.shape} for {arch.n_params} parameters each")
     if not len(models) or len(seeds) != len(models):
         raise InputError(f"{len(models)} models need as many seeds, got {len(seeds)}")
-    X = np.asarray(X, dtype=np.float64)
+    models = np.asarray(models, dtype=DTYPE)
+    X = np.asarray(X, dtype=DTYPE)
     y = np.asarray(y, dtype=np.int64)
     S = len(models)
     if X.shape[0] == 0:
@@ -639,7 +654,8 @@ def train(
                                    clip=None if cfg.dp is None else cfg.dp.clip_norm)
             if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
                 std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / (len(idx) // S)
-                grads += np.stack([rng.normal(0.0, std, size=arch.n_params) for rng in rngs])
+                grads += np.stack([rng.normal(0.0, std, size=arch.n_params)
+                                   for rng in rngs]).astype(DTYPE, copy=False)
             models = sgd_step(models, grads, cfg.learning_rate)
     return models
 
@@ -672,11 +688,8 @@ def save_checkpoint(path, params: np.ndarray, arch: Architecture) -> None:
 
 def load_checkpoint(path):
     """Load a checkpoint, returning (model, Architecture): the model is a
-    1-D float64 array of length ``arch.n_params``.
-
-    Values were stored as float32, so reloaded parameters are float64
-    round-trips of the float32 representation.
-    """
+    1-D :data:`DTYPE` array of length ``arch.n_params``, the stored float32
+    values exactly."""
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != _MAGIC:
@@ -698,4 +711,4 @@ def load_checkpoint(path):
         raise FormatError(
             f"parameter payload holds {len(payload) // 4} floats, expected {arch.n_params}"
         )
-    return np.frombuffer(payload, dtype="<f4").astype(np.float64), arch
+    return np.frombuffer(payload, dtype="<f4").astype(DTYPE), arch

@@ -63,6 +63,7 @@ def random_arch(rng):
         (1, side, side), n_classes)
 
 
+@pytest.mark.usefixtures("float64_engine")
 def test_criterion_01_gradient_matches_finite_differences():
     with criterion(1, "backward matches central finite differences on random archs"):
         checked = 0

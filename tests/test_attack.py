@@ -104,6 +104,29 @@ def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
         assert got[c] == np.abs(grad[off:off + w_size + b_size]).sum()
 
 
+@pytest.mark.parametrize("overrides, dim", [({}, 16), ({"model": {"kind": "cnn"}}, 36)],
+                         ids=["mlp", "benchmark-cnn"])
+def test_float32_sensitivity_matches_the_float64_engine(overrides, dim, monkeypatch):
+    """The float32 engine's sensitivities against the float64 engine's, for
+    the same models and store (float32 values, which float64 holds exactly):
+    an initial model and one trained from it.  A sensitivity is a sum of
+    absolute gradient entries, which do not cancel, so the two agree at
+    1e-5 relative, about 80 float32 ulps."""
+    overrides = {**overrides, "dataset": {"dim": dim}}
+    arch = harness.validate_config(json.dumps(overrides)).arch
+    aux = data.sample_per_class(data.make_synthetic(10, dim, 40, seed=12, sigma=1.0), 30, None)
+    assert aux.X.dtype == np.float32
+    init = nn.init_params(arch, seed=6)
+    trained = nn.train(init[None], arch, aux.X, aux.y, nn.TrainConfig(0.05, 2, 32), [4])[0]
+    for params in (init, trained):
+        got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
+        with monkeypatch.context() as m:
+            m.setattr(nn, "DTYPE", np.float64)
+            want = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
+        assert got.dtype == np.float32 and want.dtype == np.float64
+        assert np.max(np.abs(got - want) / want) <= 1e-5
+
+
 def test_skewed_training_orders_sensitivity():
     # Heavily trained class -> low sensitivity; starved class -> high.
     pool = data.make_synthetic(4, 8, 800, seed=11, sigma=1.0)

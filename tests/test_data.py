@@ -77,6 +77,17 @@ def test_idx_pixel_scaling_matches_format_arithmetic(tmp_path):
     assert ds.X[0][3] == pytest.approx(0.25098, abs=1e-5)
 
 
+def test_idx_pixels_load_as_the_float64_quotient_cast_to_the_engine_dtype(tmp_path):
+    """Every byte k loads as k / 255 divided in float64 and cast to the
+    engine dtype, although a float32 engine divides in float32."""
+    img, lbl = tmp_path / "img.idx", tmp_path / "lbl.idx"
+    img.write_bytes(struct.pack(">IIII", 0x803, 1, 16, 16) + bytes(range(256)))
+    lbl.write_bytes(struct.pack(">II", 0x801, 1) + bytes([0]))
+    X = data.load_idx(img, lbl).X
+    assert X.dtype == nn.DTYPE == np.float32
+    assert np.array_equal(X[0], (np.arange(256) / 255.0).astype(np.float32))
+
+
 def test_idx_bad_magic_named_in_error(tmp_path):
     img = tmp_path / "img.idx"
     lbl = tmp_path / "lbl.idx"

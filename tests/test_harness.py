@@ -438,6 +438,67 @@ def test_run_directory_is_byte_deterministic(fast_run, tmp_path):
             assert (first / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
+def test_the_persisted_meta_classifier_reloads_exactly(fast_run):
+    """The run's meta.ppam holds the meta-classifier training gives, bit for
+    bit: checkpoints store float32, the engine dtype of a run, so the
+    reloaded classifier scores its meta dataset identically."""
+    _, d = fast_run
+    cfg = fast_config()
+    offline = harness.run_offline(cfg, harness.stage_data(cfg))
+    meta = offline.meta
+    params, arch = nn.load_checkpoint(d / "meta.ppam")
+    assert arch == meta.arch
+    assert params.dtype == meta.params.dtype == np.float32
+    assert np.array_equal(params, meta.params)
+    reloaded = attack.MetaClassifier(params, arch, meta.train_accuracy)
+    features = offline.meta_dataset.X
+    assert np.array_equal(reloaded.scores(features), meta.scores(features))
+
+
+def test_a_run_keeps_every_model_and_feature_array_in_float32(monkeypatch):
+    """Every model and feature array that crosses a module boundary in a
+    FAST run is float32, the engine dtype of a run.  A float64 array there
+    would give the same decisions at float64 cost, so only this catches it:
+    the staged data, the shadows, the models each nn.train call takes and
+    returns (the meta-dataset updates among them), the meta-classifier and
+    its features, every model extracted and its sensitivities, and each
+    round's uploads and distributed models."""
+    seen = collections.defaultdict(set)
+
+    def spy(owner, name, check):
+        original = getattr(owner, name)
+        signature = inspect.signature(original)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            check(signature.bind(*args, **kwargs).arguments, result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    def record(label, *arrays):
+        seen[label].update(np.asarray(a).dtype for a in arrays)
+
+    spy(harness, "stage_data", lambda args, staged: record(
+        "staged X", staged.aux.X, staged.test.X, *(c.X for c in staged.clients)))
+    spy(attack, "train_shadows", lambda args, shadows: record(
+        "shadow params", *(sh.params for sh in shadows)))
+    spy(nn, "train", lambda args, trained: record("trained models", args["models"], trained))
+    spy(harness, "run_offline", lambda args, off: (
+        record("meta params", off.meta.params), record("meta features", off.meta_dataset.X)))
+    spy(attack, "extract_sensitivity", lambda args, s: (
+        record("extracted models", args["pv"].values, args["aux"].X),
+        record("sensitivities", s)))
+    spy(fedsim, "run_round", lambda args, state: (
+        record("uploads", state.uploaded), record("distributed models", state.distributed)))
+    harness.run_experiment(fast_config())
+    assert set(seen) == {"staged X", "shadow params", "trained models", "meta params",
+                         "meta features", "extracted models", "sensitivities", "uploads",
+                         "distributed models"}
+    assert {label: dtypes for label, dtypes in seen.items()
+            if dtypes != {np.dtype(np.float32)}} == {}
+
+
 def test_stage_timings_do_not_read_the_settable_wall_clock(tmp_path, monkeypatch):
     # A wall clock set back an hour between reads would record negative
     # stage durations; only harness's own reference to `time` is replaced.
@@ -1086,12 +1147,13 @@ def test_readme_minority_config_validates_and_every_preferred_class_is_the_small
 # Decisions across BLAS kernels
 # ---------------------------------------------------------------------------
 
-# Runs one config into a directory and prints the OpenBLAS core it ran on
-# (null where it cannot be read).
+# Runs one config into a directory with the engine in the named dtype, and
+# prints the OpenBLAS core it ran on (null where it cannot be read).
 KERNEL_CHILD = r"""
 import ctypes, json, sys
 from pathlib import Path
-from fedprof import harness
+import numpy as np
+from fedprof import harness, nn
 
 def core_name():
     maps = Path("/proc/self/maps").read_text().splitlines()
@@ -1105,6 +1167,7 @@ def core_name():
                 return fn().decode()
     return None
 
+nn.DTYPE = getattr(np, sys.argv[3])
 harness.run_experiment(harness.validate_config(sys.argv[1]), Path(sys.argv[2]))
 print(json.dumps({"core": core_name()}))
 """
@@ -1114,11 +1177,12 @@ print(json.dumps({"core": core_name()}))
 FLOAT_TRACES = ("ds_trace_attack", "ds_trace_baseline")
 
 
-def test_decisions_agree_across_blas_kernels(tmp_path):
-    """One small run under the default OpenBLAS kernel and one under the
-    generic x86-64 kernel (``OPENBLAS_CORETYPE=Prescott``): bytes may differ,
-    but every decision field of report.json and every line of rounds.jsonl
-    agree, and the DS traces agree at 1e-12 relative."""
+def assert_decisions_agree_across_blas_kernels(tmp_path, dtype, trace_tol):
+    """One small run of FAST in an engine of ``dtype`` under the default
+    OpenBLAS kernel and one under the generic x86-64 kernel
+    (``OPENBLAS_CORETYPE=Prescott``): bytes may differ, but every decision
+    field of report.json and every line of rounds.jsonl agree, and the DS
+    traces agree at ``trace_tol`` relative to their largest value."""
     pkg_root = str(Path(fedprof.__file__).resolve().parent.parent)
     runs = {}
     for label, coretype in (("default", None), ("prescott", "Prescott")):
@@ -1127,8 +1191,8 @@ def test_decisions_agree_across_blas_kernels(tmp_path):
         if coretype:
             env["OPENBLAS_CORETYPE"] = coretype
         out = tmp_path / label
-        proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps(FAST), str(out)],
-                              capture_output=True, text=True, cwd=tmp_path, env=env)
+        proc = subprocess.run([sys.executable, "-c", KERNEL_CHILD, json.dumps(FAST), str(out),
+                               dtype], capture_output=True, text=True, cwd=tmp_path, env=env)
         assert proc.returncode == 0, proc.stderr
         runs[label] = (json.loads(proc.stdout.splitlines()[-1])["core"],
                        json.loads((out / "report.json").read_text()),
@@ -1147,6 +1211,20 @@ def test_decisions_agree_across_blas_kernels(tmp_path):
         if key in FLOAT_TRACES:
             want, got = np.asarray(report[key]), np.asarray(other_report[key])
             assert want.shape == got.shape and want.size > 0
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), key
+            assert np.max(np.abs(got - want)) <= trace_tol * np.max(np.abs(want)), key
         else:
             assert report[key] == other_report[key], key
+
+
+def test_decisions_agree_across_blas_kernels(tmp_path):
+    """In the float64 reference engine the DS traces agree at 1e-12."""
+    assert_decisions_agree_across_blas_kernels(tmp_path, "float64", 1e-12)
+
+
+def test_decisions_agree_across_blas_kernels_in_float32(tmp_path):
+    """In the float32 engine of a run the decisions and rounds.jsonl lines
+    agree as in float64.  A DS trace is a mean of differences of float32
+    sums, so a kernel that orders those sums differently moves it by float32
+    ulps (epsilon 1.2e-7), not float64 ones: 1e-5 relative allows about 80
+    ulps of its largest value."""
+    assert_decisions_agree_across_blas_kernels(tmp_path, "float32", 1e-5)

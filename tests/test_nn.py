@@ -191,6 +191,7 @@ def test_gradient_near_zero_at_saturated_minimum():
     assert np.linalg.norm(grad) < 1e-6
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_backward_matches_finite_differences_random_archs(seed):
     rng = np.random.default_rng(100 + seed)
@@ -314,6 +315,7 @@ def strided_cnn(side):
 BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("make_arch, n", [
     (lambda: reference_arch(BENCHMARK_CNN), 32),
     (lambda: reference_arch(BENCHMARK_CNN), 1500),
@@ -537,6 +539,7 @@ def test_dropout_eval_mode_is_identity():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("float64_engine")
 def test_dp_step_without_noise_or_clipping_equals_sgd_on_mean():
     p = np.array([1.0, 2.0, 3.0])
     gs = np.stack([np.array([0.1, 0.0, 0.0]), np.array([0.0, 0.1, 0.0])])
@@ -556,6 +559,7 @@ def test_dp_step_clips_large_gradient_to_clip_norm():
     assert np.allclose(got, -np.array([0.6, 0.8]))
 
 
+@pytest.mark.usefixtures("float64_engine")
 def test_clipping_never_increases_norm():
     rng = np.random.default_rng(5)
     p = np.zeros(4)
@@ -622,6 +626,7 @@ def clipped_mean(rows, clip):
     return mean / len(rows)
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("overrides", DP_ARCH_CASES)
 @pytest.mark.parametrize("train_mode", [False, True])
 def test_clipped_mean_equals_clipped_one_row_batches(overrides, train_mode):
@@ -652,6 +657,7 @@ def test_clipped_mean_equals_clipped_one_row_batches(overrides, train_mode):
     assert_matches_reference(unclipped, batch)
 
 
+@pytest.mark.usefixtures("float64_engine")
 def test_clipped_mean_keeps_an_exactly_zero_example_without_a_warning():
     """A sample the model fits exactly (softmax 1.0 at its label) has an
     exactly-zero gradient; it counts at factor 1, with no division by its
@@ -694,6 +700,7 @@ def dp_train_reference(params, arch, X, y, cfg, seed, train_mode):
     return values
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("overrides", DP_ARCH_CASES)
 @pytest.mark.parametrize("dropout", [False, True])
 def test_dp_train_equals_per_sample_reference(overrides, dropout):
@@ -718,7 +725,10 @@ def test_dp_train_equals_per_sample_reference(overrides, dropout):
 def sequential_train_reference(params, arch, X, y, cfg, seed):
     """One model's training loop, the reference for nn.train's lockstep
     walk: one generator gives the model's per-epoch permutation, its
-    dropout masks and its DP noise, and every step walks this model alone."""
+    dropout masks and its DP noise, and every step walks this model alone.
+    The model and the noise are cast to the engine dtype, as nn.train casts
+    them."""
+    params = np.asarray(params, dtype=nn.DTYPE)
     rng = np.random.default_rng(derive_seed(seed, "train"))
     for _ in range(cfg.epochs):
         perm = rng.permutation(len(X))
@@ -728,7 +738,7 @@ def sequential_train_reference(params, arch, X, y, cfg, seed):
                                      clip=None if cfg.dp is None else cfg.dp.clip_norm)
             if cfg.dp is not None and cfg.dp.noise_multiplier > 0:
                 std = cfg.dp.noise_multiplier * cfg.dp.clip_norm / len(idx)
-                grad = grad + rng.normal(0.0, std, size=arch.n_params)
+                grad = grad + rng.normal(0.0, std, size=arch.n_params).astype(nn.DTYPE)
             params = nn.sgd_step(params, grad, cfg.learning_rate)
     return params
 
@@ -744,12 +754,17 @@ LOCKSTEP_CASES = {
 }
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
 @pytest.mark.parametrize("n_models", [1, 4])
 def test_lockstep_training_equals_one_model_at_a_time(case, n_models):
     """One nn.train call over S models, each with its own start, data and
     seed, is bit for bit S runs of the one-model loop.  20 samples at batch
     8 end each epoch on a partial batch of 4."""
+    assert_lockstep_equals_sequential(case, n_models)
+
+
+def assert_lockstep_equals_sequential(case, n_models):
     overrides, dp = LOCKSTEP_CASES[case]
     arch = reference_arch(overrides)
     n = 20
@@ -995,8 +1010,68 @@ def test_layout_and_feature_layer_match_written_references(overrides, layout, fe
         nn._layer_params(np.zeros(arch.n_params), arch, 1)  # a relu
 
 
+@pytest.mark.usefixtures("float64_engine")
 @pytest.mark.parametrize("overrides", [case[0] for case in LAYOUT_CASES])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_init_params_equals_layerwise_glorot_reference(overrides, seed):
     arch = reference_arch(overrides)
     assert np.array_equal(nn.init_params(arch, seed), glorot_reference(arch, seed))
+
+
+# ---------------------------------------------------------------------------
+# The float32 engine of a run
+# ---------------------------------------------------------------------------
+
+
+def relu_and_pool_patterns(params, arch, X):
+    """Which units each ReLU passes and which tap each max-pool window picks,
+    in an eval-mode walk of one model: between two models with equal
+    patterns the loss is smooth."""
+    _, caches = nn._run_layers(params[None], arch, X.reshape(1, len(X), *arch.input_shape), None)
+    return [cache if isinstance(layer, nn.Relu) else cache[1]
+            for layer, cache in zip(arch.layers, caches)
+            if isinstance(layer, (nn.Relu, nn.MaxPool2d))]
+
+
+# Central differences in float32: a step near the cube root of float32's
+# epsilon (1.2e-7) balances the truncation error (order h^2) against the
+# loss's rounding (order eps / h).  The bound is the error 8 float32 ulps of
+# a loss near log(10) make in a difference over 2h.
+FD32_STEP = 5e-3
+FD32_TOL = 8 * 2.4e-7 / (2 * FD32_STEP)
+
+
+@pytest.mark.parametrize("overrides", [{}, BENCHMARK_CNN], ids=["mlp", "benchmark-cnn"])
+def test_float32_backward_matches_finite_differences(overrides):
+    """The float32 gradient of the benchmark MLP and CNN against central
+    differences of the float32 loss.  A coordinate whose step moves a ReLU
+    or max-pool pattern has a kink inside the step, where central
+    differences are not the gradient, so it is left out; at least 3 in 4
+    coordinates are checked."""
+    arch = reference_arch(overrides)
+    params = perturbed_params(arch, 1).astype(np.float32)
+    X, y = rand_batch(arch, 8, seed=21)
+    grad = nn.backward(params, arch, X, y)
+    assert grad.dtype == np.float32
+    base = relu_and_pool_patterns(params, arch, X)
+    checked = 0
+    for i in range(arch.n_params):
+        plus, minus = params.copy(), params.copy()
+        plus[i] += FD32_STEP
+        minus[i] -= FD32_STEP
+        if not all(np.array_equal(a, b) for p in (plus, minus)
+                   for a, b in zip(relu_and_pool_patterns(p, arch, X), base)):
+            continue
+        fd = ((float(nn.forward(plus, arch, X, y)[1]) - float(nn.forward(minus, arch, X, y)[1]))
+              / (float(plus[i]) - float(minus[i])))
+        assert abs(grad[i] - fd) <= FD32_TOL, f"parameter {i}: {grad[i]} vs {fd}"
+        checked += 1
+    assert checked >= 0.75 * arch.n_params
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+@pytest.mark.parametrize("n_models", [1, 4])
+def test_lockstep_training_equals_one_model_at_a_time_in_float32(case, n_models):
+    """The lockstep check in the float32 engine of a run: bit for bit too."""
+    assert nn.DTYPE is np.float32
+    assert_lockstep_equals_sequential(case, n_models)
