@@ -241,36 +241,53 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _matmul_blocks(a, b, spans):
-    """``a @ b`` over a leading model axis, one matmul per block
-    ``a[:, lo:hi]`` of a's row axis (axis 1), for each (lo, hi) in
-    ``spans``; b broadcasts against a's leading axes.  Each matmul runs one
-    GEMM per model, and how BLAS chunks a product's rows can change its last
-    bits, so each model's block is bit-identical to the product of that
-    block alone."""
-    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
+def _runs(spans):
+    """Consecutive equal-size (lo, hi) row blocks grouped into runs, each a
+    (lo, count, size) triple: ``count`` blocks of ``size`` rows from ``lo``."""
+    runs = []
     for lo, hi in spans:
-        np.matmul(a[:, lo:hi], b, out=out[:, lo:hi])
+        if runs and runs[-1][2] == hi - lo:
+            start, count, size = runs[-1]
+            runs[-1] = (start, count + 1, size)
+        else:
+            runs.append((lo, 1, hi - lo))
+    return runs
+
+
+def _matmul_blocks(a, b, runs):
+    """``a @ b`` over a leading model axis, one GEMM per model and row block
+    of a's row axis (axis 1), the blocks given as ``runs`` (see
+    :func:`_runs`); b broadcasts against a's leading axes.  Each run is one
+    batched matmul over an (S, count, size, ...) view of a, with b broadcast
+    over the run axis, and numpy issues one GEMM per (model, block) of it.
+    How BLAS chunks a product's rows can change its last bits, so each
+    model's block is bit-identical to the product of that block alone."""
+    S = a.shape[0]
+    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
+    for lo, count, size in runs:
+        rows = slice(lo, lo + count * size)
+        np.matmul(a[:, rows].reshape(S, count, size, *a.shape[2:]), b[:, None],
+                  out=out[:, rows].reshape(S, count, size, *out.shape[2:]))
     return out
 
 
-def _run_layers(params, arch, X, rngs, spans=None):
+def _run_layers(params, arch, X, rngs, runs=None):
     """Forward pass of an (S, n_params) stack of S models, model s on batch
     ``X[s]`` of the (S, n, *input_shape) X, returning ((S, n, n_classes)
     logits, caches) for the backward walk.  The walk is in train mode
     exactly when it gets ``rngs``, one generator per model: a Dropout layer
     then draws one mask per model from that model's generator, in model
-    order, and is the identity otherwise.  ``spans`` splits every model's
-    batch into the same (lo, hi) row blocks (see :func:`_loss_and_grad`),
-    one by default; every GEMM runs once per block over the model axis and
-    every elementwise step once over all rows of all models, so a model's
-    block equals a forward pass of that model on that block alone."""
+    order, and is the identity otherwise.  ``runs`` splits every model's
+    batch into the same row blocks (see :func:`_runs`), one by default;
+    every GEMM runs once per (model, block), issued as one batched call per
+    run, and every elementwise step once over all rows of all models, so a
+    model's block equals a forward pass of that model on that block alone."""
     S, n = X.shape[:2]
     params = np.asarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
         raise InternalError(f"parameters of shape {params.shape}, expected ({S}, {arch.n_params})")
-    if spans is None:
-        spans = [(0, n)]
+    if runs is None:
+        runs = [(0, 1, n)]
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
@@ -278,7 +295,7 @@ def _run_layers(params, arch, X, rngs, spans=None):
             flat = act.reshape(S, n, -1)
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, flat, W))
-            act = _matmul_blocks(flat, W, spans)
+            act = _matmul_blocks(flat, W, runs)
             act += b[:, None]
         elif isinstance(layer, Conv2d):
             # im2col: one row of c*k*k input taps per output pixel, so the
@@ -291,7 +308,8 @@ def _run_layers(params, arch, X, rngs, spans=None):
             caches.append((act.shape, cols, W))
             out = _matmul_blocks(cols.reshape(S, n * ho * wo, -1),
                                  W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1),
-                                 [(lo * ho * wo, hi * ho * wo) for lo, hi in spans])
+                                 [(lo * ho * wo, count, size * ho * wo)
+                                  for lo, count, size in runs])
             out += b[:, None]
             act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, MaxPool2d):
@@ -327,8 +345,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per row, the gradient of that row's own cross-entropy w.r.t. its
-    logits.  The mean loss's gradient is this divided by the batch size."""
-    grad = np.exp(_log_softmax(logits))
+    logits, softmax minus one-hot, as an (n, C) C-contiguous array.  The mean
+    loss's gradient is this divided by the batch size.  The softmax is the
+    shifted exp(z - max) / sum (Blanchard, Higham & Higham 2021), one exp
+    and no log, computed on a class-major copy so that the max and the sum
+    run over the short class axis as whole rows, not one row at a time."""
+    e = np.ascontiguousarray(logits.T)
+    e = np.exp(e - e.max(axis=0))
+    e /= e.sum(axis=0)
+    grad = np.ascontiguousarray(e.T)
     grad[np.arange(logits.shape[0]), y] -= 1.0
     return grad
 
@@ -341,24 +366,30 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
     rows[..., off + w_size:off + w_size + b_size] = gb
 
 
-def _block_grads(arch: Architecture, pieces, spans) -> np.ndarray:
+def _block_grads(arch: Architecture, pieces, runs) -> np.ndarray:
     """(S, B, n_params) gradients, row [s, j] that of model s on row block j
-    of ``spans``, from the (layer index, layer input, output gradient)
-    pieces of a backward walk whose output gradients were divided by their
-    block's size.  Each block's weight gradient is one GEMM over the model
-    axis.  Slots the walk did not reach stay zero."""
+    of ``runs`` (see :func:`_runs`), from the (layer index, layer input,
+    output gradient) pieces of a backward walk whose output gradients were
+    divided by their block's size.  Each block's weight gradient is one GEMM
+    per model, issued as one batched call per run, and a run's blocks are
+    written to their rows at once.  Slots the walk did not reach stay
+    zero."""
     S = len(pieces[0][2])
-    grads = np.zeros((S, len(spans), arch.n_params), dtype=DTYPE)
+    grads = np.zeros((S, sum(count for _, count, _ in runs), arch.n_params), dtype=DTYPE)
     for i, a, d in pieces:
-        for j, (lo, hi) in enumerate(spans):
-            block = d[:, lo:hi]
+        j = 0
+        for lo, count, size in runs:
+            rows = slice(lo, lo + count * size)
+            block = d[:, rows].reshape(S, count, size, *d.shape[2:])
+            inp = a[:, rows].reshape(S, count, size, *a.shape[2:])
             if isinstance(arch.layers[i], Dense):
-                gW, gb = a[:, lo:hi].transpose(0, 2, 1) @ block, block.sum(axis=1)
+                gW, gb = inp.transpose(0, 1, 3, 2) @ block, block.sum(axis=2)
             else:
-                gW = (block.transpose(0, 2, 1, 3).reshape(S, block.shape[2], -1)
-                      @ a[:, lo:hi].reshape(S, -1, a.shape[-1]))
-                gb = block.sum(axis=(1, 3))
-            _set_layer_rows(grads[:, j], arch, i, gW, gb)
+                gW = (block.transpose(0, 1, 3, 2, 4).reshape(S, count, d.shape[2], -1)
+                      @ inp.reshape(S, count, -1, a.shape[-1]))
+                gb = block.sum(axis=(2, 4))
+            _set_layer_rows(grads[:, j:j + count], arch, i, gW, gb)
+            j += count
     return grads
 
 
@@ -393,12 +424,15 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     batch size that split each model's batch into B non-empty contiguous
     blocks, it is an (S, B, n_params) array whose row [s, j] is
     the gradient of block j's mean loss under model s, bit for bit what a
-    batch of block j alone gives: every GEMM runs once per block over the
-    model axis, and the elementwise steps once over all rows.  A plain batch
-    is one block.  With ``clip`` set, each row's gradient is instead the
-    mean over its block of the per-example gradients (what a one-row batch
-    of each sample gives), each first scaled to L2 norm at most ``clip``; an
-    example whose gradient is exactly zero is left as it is.  The walk then
+    batch of block j alone gives: every GEMM runs once per (model, block),
+    issued as one batched call per run of consecutive equal-size blocks (see
+    :func:`_runs`), and the elementwise steps once over all rows, but for
+    the division of each block's output gradients by its size, once per
+    run.  A plain batch is one block.  With ``clip`` set, each row's
+    gradient is instead the mean over its block of the per-example
+    gradients (what a one-row batch of each sample gives), each first
+    scaled to L2 norm at most ``clip``; an example whose gradient is
+    exactly zero is left as it is.  The walk then
     runs on the per-row output gradients, not divided by the block size,
     takes each example's norm from them (see :func:`_example_sq_norms`) and
     folds min(1, clip / norm) / block size into each piece's rows before
@@ -420,17 +454,18 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     S = len(params)
     n = X.shape[0] // S
     if blocks is None:
-        spans = [(0, n)]
+        runs = [(0, 1, n)]
     else:
         bounds = [int(v) for v in blocks]
         spans = list(zip(bounds[:-1], bounds[1:]))
         if not spans or bounds[0] != 0 or bounds[-1] != n or any(hi <= lo for lo, hi in spans):
             raise InternalError(f"blocks {bounds} do not split {n} rows into non-empty blocks")
-    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, spans)
+        runs = _runs(spans)
+    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, runs)
     delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
     if clip is None:
-        for lo, hi in spans:
-            delta[:, lo:hi] /= hi - lo
+        for lo, count, size in runs:
+            delta[:, lo:lo + count * size] /= size
     pieces = []  # (layer index, layer input, output gradient) per slot written
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
@@ -441,7 +476,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
                 pieces.append((i, flat, delta))
             if i == stop:
                 break
-            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), spans).reshape(in_shape)
+            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), runs).reshape(in_shape)
         elif isinstance(layer, Conv2d):
             in_shape, cols, W = cache
             o, ho, wo = delta.shape[2:]
@@ -453,7 +488,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
             # col2im: scatter-add the column-space gradient back tap by tap.
             k = layer.kernel
             dcols = _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
-                                   spans).reshape(S, n, ho, wo, -1, k, k)
+                                   runs).reshape(S, n, ho, wo, -1, k, k)
             dx = np.zeros(in_shape, dtype=DTYPE)
             for ki in range(k):
                 for kj in range(k):
@@ -482,10 +517,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     if clip is not None:
         norms = np.sqrt(_example_sq_norms(arch, pieces))
         scale = np.minimum(1.0, np.divide(clip, norms, out=np.ones_like(norms), where=norms > 0))
-        for lo, hi in spans:
-            scale[:, lo:hi] /= hi - lo
+        for lo, count, size in runs:
+            scale[:, lo:lo + count * size] /= size
         pieces = [(i, a, d * scale.reshape(S, n, *[1] * (d.ndim - 2))) for i, a, d in pieces]
-    grads = _block_grads(arch, pieces, spans)
+    grads = _block_grads(arch, pieces, runs)
     return grads if blocks is not None else grads[:, 0]
 
 

@@ -57,6 +57,17 @@ def xent_oracle(logits, y):
     return total / len(y)
 
 
+def softmax_xent_grad_oracle(logits, y):
+    """Scalar-loop softmax minus one-hot per row, in float64: the gradient of
+    each row's own cross-entropy w.r.t. its logits."""
+    out = []
+    for row, label in zip(logits, y):
+        row = [float(v) for v in row]
+        exps = [math.exp(v - max(row)) for v in row]
+        out.append([e / sum(exps) - (k == label) for k, e in enumerate(exps)])
+    return np.array(out)
+
+
 def fd_gradient(params, arch, X, y, h=1e-4):
     """Central finite differences on the mean batch loss."""
     base = params.copy()
@@ -108,6 +119,40 @@ def test_loss_matches_scalar_loop_oracle():
     X, y = rand_batch(arch, 8, seed=1)
     logits, loss = nn.forward(params, arch, X, y)
     assert loss == pytest.approx(xent_oracle(logits, y), rel=1e-6)
+
+
+# 8 float32 ulps of 1.0, the scale of a softmax; observed below 1.4e-7.
+SOFTMAX32_TOL = 8 * float(np.finfo(np.float32).eps)
+
+
+def assert_softmax_xent_matches_oracle(tol):
+    """nn._softmax_xent against the float64 oracle on 64 rows of 10 logits
+    in the engine dtype: 16 standard, 16 spread over about 1e3, 16 offset
+    by +1e30 and 16 by -1e30, where an unshifted exp overflows or
+    underflows.  Every entry is finite, within ``tol`` of the oracle, and
+    every row sums to 0 within ``tol``."""
+    rng = np.random.default_rng(11)
+    logits = rng.standard_normal((64, 10)) * 3
+    logits[16:32] *= 1e3 / 6
+    logits[32:48] += 1e30
+    logits[48:] -= 1e30
+    logits = logits.astype(nn.DTYPE)
+    y = rng.integers(0, 10, 64)
+    grad = nn._softmax_xent(logits, y)
+    assert grad.dtype == nn.DTYPE and grad.shape == (64, 10) and grad.flags.c_contiguous
+    assert np.isfinite(grad).all()
+    assert np.abs(grad - softmax_xent_grad_oracle(logits, y)).max() <= tol
+    assert np.abs(grad.astype(np.float64).sum(axis=1)).max() <= tol
+
+
+def test_softmax_xent_matches_scalar_loop_oracle_in_float32():
+    assert nn.DTYPE is np.float32
+    assert_softmax_xent_matches_oracle(SOFTMAX32_TOL)
+
+
+@pytest.mark.usefixtures("float64_engine")
+def test_softmax_xent_matches_scalar_loop_oracle():
+    assert_softmax_xent_matches_oracle(1e-12)
 
 
 def test_forward_rejects_shape_mismatch_and_empty_batch():
@@ -402,8 +447,9 @@ def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
     lambda: reference_arch({}), lambda: reference_arch(BENCHMARK_CNN),
     lambda: strided_cnn(7), lambda: reference_arch(DROPOUT),
 ], ids=["mlp", "benchmark-cnn", "stride2-7x7", "dropout-mlp"])
-@pytest.mark.parametrize("sizes", [(6, 6, 6, 6), (3, 8, 5, 3, 7), (150,) * 10],
-                         ids=["equal", "unequal", "aux-store"])
+@pytest.mark.parametrize("sizes", [(6, 6, 6, 6), (3, 8, 5, 3, 7), (150,) * 10,
+                                   (6, 6, 6, 3, 3, 7)],
+                         ids=["equal", "unequal", "aux-store", "runs-3-2-1"])
 @pytest.mark.parametrize("at", ["feature", "first"])
 def test_block_rows_equal_one_backward_per_block(make_arch, sizes, at):
     """Row j of a blocked walk is bit for bit the walk over block j alone.
