@@ -33,19 +33,27 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
                         aux: LabeledDataset) -> np.ndarray:
     """Per-class model sensitivity: the summed absolute feature-layer gradient
     of the mean loss on each class's auxiliary samples.  ``aux`` must be in
-    class blocks, as :func:`data.sample_per_class` draws it.  One backward
-    walk over the whole store gives every class's gradient, one row per class
-    block, each bit for bit a walk over that class alone; it forms only the
-    feature layer's gradient (``arch.feature_index``), the one slot read.
-    The input model is never mutated."""
+    class blocks, as :func:`data.sample_per_class` draws it.  Each walk forms
+    only the feature layer's gradient (``arch.feature_index``), the one slot
+    read.  A store of equal class blocks, the only kind a run builds, takes
+    one backward walk that gives every class's gradient, one row per class
+    block, each bit for bit a walk over that class alone; a store of unequal
+    blocks takes one walk per class.  The input model is never mutated."""
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
-    empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+    counts = np.diff(bounds)
+    empty = np.flatnonzero(counts == 0)
     if len(empty):
         raise InputError(f"auxiliary store has no samples for class {empty[0]}")
-    off, _, w_size, b_size = arch.param_slots[arch.feature_index]
-    rows = nn.backward(pv.values, arch, aux.X, aux.y, stop=arch.feature_index, blocks=bounds)
+    model, stop = pv.values, arch.feature_index
+    off, _, w_size, b_size = arch.param_slots[stop]
+    if np.all(counts == counts[0]):
+        # an int: a numpy divisor would divide the float32 walk in float64
+        rows = nn.backward(model, arch, aux.X, aux.y, stop=stop, block=int(counts[0]))
+    else:
+        rows = np.stack([nn.backward(model, arch, aux.X[lo:hi], aux.y[lo:hi], stop=stop)
+                         for lo, hi in zip(bounds[:-1], bounds[1:])])
     return np.abs(rows[:, off:off + w_size + b_size]).sum(axis=1)
 
 
@@ -150,17 +158,20 @@ def build_meta_dataset_federated(shadows: List[ShadowRecord], aux: LabeledDatase
     partner at its preferred class, extract S1 of the aggregate, retrain the
     aggregate for one pass over shadow i's own dataset (the next-round local
     update), extract S2, and emit
-    (|S1 - S2|, preference of i).  The updates of all shadows train in one
-    :func:`nn.train` call, since the shadow datasets are equal in size, and
-    are then checked in shadow order: the first diverged update raises
-    NumericalError naming "meta-dataset update i".
+    (|S1 - S2|, preference of i).  All pairs average in one
+    :func:`fedsim.average_groups` call, shadow i as its pair's anchor.  The
+    updates of all shadows train in one :func:`nn.train` call, since the
+    shadow datasets are equal in size, and are then checked in shadow order:
+    the first diverged update raises NumericalError naming "meta-dataset
+    update i".
     """
     if len(shadows) < 2:
         raise InputError("federated meta dataset needs at least two shadows")
     partners = select_partners(np.stack([sh.sensitivity for sh in shadows]), 1, mode,
                                [sh.preference for sh in shadows])[:, 0]
-    aggs = np.stack([fedsim.fedavg([sh.params, shadows[j].params], [1.0, 1.0])
-                     for sh, j in zip(shadows, partners)])
+    pairs = np.column_stack([np.arange(len(shadows)), partners])
+    aggs = fedsim.average_groups(np.stack([sh.params for sh in shadows]), pairs,
+                                 np.full(pairs.shape, 0.5))
     updates = nn.train(aggs, arch, np.concatenate([sh.dataset.X for sh in shadows]),
                        np.concatenate([sh.dataset.y for sh in shadows]), update_cfg,
                        [derive_seed(seed, "shadow-update", i) for i in range(len(shadows))])

@@ -241,53 +241,39 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _runs(spans):
-    """Consecutive equal-size (lo, hi) row blocks grouped into runs, each a
-    (lo, count, size) triple: ``count`` blocks of ``size`` rows from ``lo``."""
-    runs = []
-    for lo, hi in spans:
-        if runs and runs[-1][2] == hi - lo:
-            start, count, size = runs[-1]
-            runs[-1] = (start, count + 1, size)
-        else:
-            runs.append((lo, 1, hi - lo))
-    return runs
-
-
-def _matmul_blocks(a, b, runs):
-    """``a @ b`` over a leading model axis, one GEMM per model and row block
-    of a's row axis (axis 1), the blocks given as ``runs`` (see
-    :func:`_runs`); b broadcasts against a's leading axes.  Each run is one
-    batched matmul over an (S, count, size, ...) view of a, with b broadcast
-    over the run axis, and numpy issues one GEMM per (model, block) of it.
-    How BLAS chunks a product's rows can change its last bits, so each
-    model's block is bit-identical to the product of that block alone."""
-    S = a.shape[0]
+def _matmul_blocks(a, b, size):
+    """``a @ b`` over a leading model axis, one GEMM per model and block of
+    ``size`` rows of a's row axis (axis 1); b broadcasts against a's leading
+    axes.  It is one batched matmul over an (S, n // size, size, ...) view of
+    a, with b broadcast over the block axis, and numpy issues one GEMM per
+    (model, block) of it.  How BLAS chunks a product's rows can change its
+    last bits, so each model's block is bit-identical to the product of that
+    block alone."""
+    S, n = a.shape[:2]
     out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
-    for lo, count, size in runs:
-        rows = slice(lo, lo + count * size)
-        np.matmul(a[:, rows].reshape(S, count, size, *a.shape[2:]), b[:, None],
-                  out=out[:, rows].reshape(S, count, size, *out.shape[2:]))
+    np.matmul(a.reshape(S, n // size, size, *a.shape[2:]), b[:, None],
+              out=out.reshape(S, n // size, size, *out.shape[2:]))
     return out
 
 
-def _run_layers(params, arch, X, rngs, runs=None):
+def _run_layers(params, arch, X, rngs, size=None):
     """Forward pass of an (S, n_params) stack of S models, model s on batch
     ``X[s]`` of the (S, n, *input_shape) X, returning ((S, n, n_classes)
     logits, caches) for the backward walk.  The walk is in train mode
     exactly when it gets ``rngs``, one generator per model: a Dropout layer
     then draws one mask per model from that model's generator, in model
-    order, and is the identity otherwise.  ``runs`` splits every model's
-    batch into the same row blocks (see :func:`_runs`), one by default;
-    every GEMM runs once per (model, block), issued as one batched call per
-    run, and every elementwise step once over all rows of all models, so a
-    model's block equals a forward pass of that model on that block alone."""
+    order, and is the identity otherwise.  ``size``, a row count that
+    divides n, splits every model's batch into blocks of that many rows
+    (one block of n by default): every GEMM runs once per (model, block),
+    all issued as one batched call (see :func:`_matmul_blocks`), and every
+    elementwise step once over all rows of all models, so a model's block
+    equals a forward pass of that model on that block alone."""
     S, n = X.shape[:2]
     params = np.asarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
         raise InternalError(f"parameters of shape {params.shape}, expected ({S}, {arch.n_params})")
-    if runs is None:
-        runs = [(0, 1, n)]
+    if size is None:
+        size = n
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
@@ -295,7 +281,7 @@ def _run_layers(params, arch, X, rngs, runs=None):
             flat = act.reshape(S, n, -1)
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, flat, W))
-            act = _matmul_blocks(flat, W, runs)
+            act = _matmul_blocks(flat, W, size)
             act += b[:, None]
         elif isinstance(layer, Conv2d):
             # im2col: one row of c*k*k input taps per output pixel, so the
@@ -308,8 +294,7 @@ def _run_layers(params, arch, X, rngs, runs=None):
             caches.append((act.shape, cols, W))
             out = _matmul_blocks(cols.reshape(S, n * ho * wo, -1),
                                  W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1),
-                                 [(lo * ho * wo, count, size * ho * wo)
-                                  for lo, count, size in runs])
+                                 size * ho * wo)
             out += b[:, None]
             act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, MaxPool2d):
@@ -335,24 +320,19 @@ def _run_layers(params, arch, X, rngs, runs=None):
     return act, caches
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax by the stable log-sum-exp.  The row max is taken
-    over a class-major copy, since numpy reduces a short last axis one row at
-    a time; a max is exact in any order."""
-    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Per row, the gradient of that row's own cross-entropy w.r.t. its
     logits, softmax minus one-hot, as an (n, C) C-contiguous array.  The mean
     loss's gradient is this divided by the batch size.  The softmax is the
     shifted exp(z - max) / sum (Blanchard, Higham & Higham 2021), one exp
     and no log, computed on a class-major copy so that the max and the sum
-    run over the short class axis as whole rows, not one row at a time."""
+    run over the short class axis as whole rows, not one row at a time.
+    Those rows are added in class order; numpy would sum a one-row batch's
+    single column pairwise, so that column is accumulated instead, and a row
+    reads the same in a batch of one as in a larger batch."""
     e = np.ascontiguousarray(logits.T)
     e = np.exp(e - e.max(axis=0))
-    e /= e.sum(axis=0)
+    e /= e.sum(axis=0) if e.shape[1] > 1 else np.add.accumulate(e, axis=0)[-1]
     grad = np.ascontiguousarray(e.T)
     grad[np.arange(logits.shape[0]), y] -= 1.0
     return grad
@@ -366,30 +346,26 @@ def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) ->
     rows[..., off + w_size:off + w_size + b_size] = gb
 
 
-def _block_grads(arch: Architecture, pieces, runs) -> np.ndarray:
-    """(S, B, n_params) gradients, row [s, j] that of model s on row block j
-    of ``runs`` (see :func:`_runs`), from the (layer index, layer input,
-    output gradient) pieces of a backward walk whose output gradients were
-    divided by their block's size.  Each block's weight gradient is one GEMM
-    per model, issued as one batched call per run, and a run's blocks are
-    written to their rows at once.  Slots the walk did not reach stay
-    zero."""
-    S = len(pieces[0][2])
-    grads = np.zeros((S, sum(count for _, count, _ in runs), arch.n_params), dtype=DTYPE)
+def _block_grads(arch: Architecture, pieces, size) -> np.ndarray:
+    """(S, B, n_params) gradients, row [s, j] that of model s on row block j,
+    the j-th ``size`` rows, from the (layer index, layer input, output
+    gradient) pieces of a backward walk whose output gradients were divided
+    by ``size``.  Each block's weight gradient is one GEMM per model, all
+    issued as one batched call per layer, and written to their rows at once.
+    Slots the walk did not reach stay zero."""
+    S, n = pieces[0][2].shape[:2]
+    B = n // size
+    grads = np.zeros((S, B, arch.n_params), dtype=DTYPE)
     for i, a, d in pieces:
-        j = 0
-        for lo, count, size in runs:
-            rows = slice(lo, lo + count * size)
-            block = d[:, rows].reshape(S, count, size, *d.shape[2:])
-            inp = a[:, rows].reshape(S, count, size, *a.shape[2:])
-            if isinstance(arch.layers[i], Dense):
-                gW, gb = inp.transpose(0, 1, 3, 2) @ block, block.sum(axis=2)
-            else:
-                gW = (block.transpose(0, 1, 3, 2, 4).reshape(S, count, d.shape[2], -1)
-                      @ inp.reshape(S, count, -1, a.shape[-1]))
-                gb = block.sum(axis=(2, 4))
-            _set_layer_rows(grads[:, j:j + count], arch, i, gW, gb)
-            j += count
+        block = d.reshape(S, B, size, *d.shape[2:])
+        inp = a.reshape(S, B, size, *a.shape[2:])
+        if isinstance(arch.layers[i], Dense):
+            gW, gb = inp.transpose(0, 1, 3, 2) @ block, block.sum(axis=2)
+        else:
+            gW = (block.transpose(0, 1, 3, 2, 4).reshape(S, B, d.shape[2], -1)
+                  @ inp.reshape(S, B, -1, a.shape[-1]))
+            gb = block.sum(axis=(2, 4))
+        _set_layer_rows(grads, arch, i, gW, gb)
     return grads
 
 
@@ -412,7 +388,7 @@ def _example_sq_norms(arch: Architecture, pieces) -> np.ndarray:
     return sq
 
 
-def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=None):
+def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=None):
     """Gradient of the mean batch loss of each of S models, from one forward
     and one backward walk over all of them, in train mode when ``rng`` is
     given (see :func:`_run_layers`).
@@ -420,15 +396,16 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     ``params`` is an (S, n_params) stack, X and y hold the S models' equal
     batches concatenated in model order, and ``rng`` is one generator per
     model.  The gradient is an (S, n_params) array laid out by
-    ``arch.param_slots``.  With ``blocks``, B + 1 row offsets from 0 to the
-    batch size that split each model's batch into B non-empty contiguous
-    blocks, it is an (S, B, n_params) array whose row [s, j] is
-    the gradient of block j's mean loss under model s, bit for bit what a
-    batch of block j alone gives: every GEMM runs once per (model, block),
-    issued as one batched call per run of consecutive equal-size blocks (see
-    :func:`_runs`), and the elementwise steps once over all rows, but for
-    the division of each block's output gradients by its size, once per
-    run.  A plain batch is one block.  With ``clip`` set, each row's
+    ``arch.param_slots``.  With ``block``, a row count that divides each
+    model's batch of n rows into B = n // block contiguous blocks, it is an
+    (S, B, n_params) array whose row [s, j] is the gradient of block j's
+    mean loss under model s, bit for bit what a batch of block j alone
+    gives: every GEMM runs once per (model, block), all issued as one
+    batched call per product (see :func:`_matmul_blocks`), and every
+    elementwise step once over all rows, the division of the output
+    gradients by the block size included.  A plain batch is one block.  A
+    ``block`` that is not positive, exceeds n or does not divide it is an
+    InternalError.  With ``clip`` set, each row's
     gradient is instead the mean over its block of the per-example
     gradients (what a one-row batch of each sample gives), each first
     scaled to L2 norm at most ``clip``; an example whose gradient is
@@ -453,19 +430,13 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     y = np.asarray(y, dtype=np.int64)
     S = len(params)
     n = X.shape[0] // S
-    if blocks is None:
-        runs = [(0, 1, n)]
-    else:
-        bounds = [int(v) for v in blocks]
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        if not spans or bounds[0] != 0 or bounds[-1] != n or any(hi <= lo for lo, hi in spans):
-            raise InternalError(f"blocks {bounds} do not split {n} rows into non-empty blocks")
-        runs = _runs(spans)
-    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, runs)
+    size = n if block is None else block
+    if not 0 < size <= n or n % size:
+        raise InternalError(f"blocks of {size} rows do not split {n} rows")
+    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, size)
     delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
     if clip is None:
-        for lo, count, size in runs:
-            delta[:, lo:lo + count * size] /= size
+        delta /= size
     pieces = []  # (layer index, layer input, output gradient) per slot written
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
@@ -476,7 +447,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
                 pieces.append((i, flat, delta))
             if i == stop:
                 break
-            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), runs).reshape(in_shape)
+            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), size).reshape(in_shape)
         elif isinstance(layer, Conv2d):
             in_shape, cols, W = cache
             o, ho, wo = delta.shape[2:]
@@ -488,7 +459,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
             # col2im: scatter-add the column-space gradient back tap by tap.
             k = layer.kernel
             dcols = _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
-                                   runs).reshape(S, n, ho, wo, -1, k, k)
+                                   size).reshape(S, n, ho, wo, -1, k, k)
             dx = np.zeros(in_shape, dtype=DTYPE)
             for ki in range(k):
                 for kj in range(k):
@@ -517,11 +488,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, blocks=No
     if clip is not None:
         norms = np.sqrt(_example_sq_norms(arch, pieces))
         scale = np.minimum(1.0, np.divide(clip, norms, out=np.ones_like(norms), where=norms > 0))
-        for lo, count, size in runs:
-            scale[:, lo:lo + count * size] /= size
+        scale /= size
         pieces = [(i, a, d * scale.reshape(S, n, *[1] * (d.ndim - 2))) for i, a, d in pieces]
-    grads = _block_grads(arch, pieces, runs)
-    return grads if blocks is not None else grads[:, 0]
+    grads = _block_grads(arch, pieces, size)
+    return grads if block is not None else grads[:, 0]
 
 
 def forward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray):
@@ -529,7 +499,12 @@ def forward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray
     X = _as_batch(arch, X)
     y = np.asarray(y, dtype=np.int64)
     logits = _run_layers(params[None], arch, X[None], None)[0][0]
-    return logits, -_log_softmax(logits)[np.arange(len(y)), y].mean()
+    # Log-softmax by the stable log-sum-exp.  The row max is taken over a
+    # class-major copy, since numpy reduces a short last axis one row at a
+    # time; a max is exact in any order.
+    shifted = logits - np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return logits, -log_probs[np.arange(len(y)), y].mean()
 
 
 def predict_logits(params: np.ndarray, arch: Architecture, X: np.ndarray) -> np.ndarray:
@@ -538,14 +513,14 @@ def predict_logits(params: np.ndarray, arch: Architecture, X: np.ndarray) -> np.
 
 
 def backward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray,
-             stop: Optional[int] = None, blocks=None):
+             stop: Optional[int] = None, block: Optional[int] = None):
     """Gradient of the mean batch loss (eval mode), laid out by
     ``arch.param_slots``: of every parameter by default, or, with ``stop``
     the index of a parameterised layer, of that layer only, with every other
-    slot left zero.  With ``blocks``, the row offsets of
-    contiguous row blocks, it is one gradient row per block, each equal to
-    a call on that block alone (see :func:`_loss_and_grad`)."""
-    return _loss_and_grad(params[None], arch, X, y, stop=stop, blocks=blocks)[0]
+    slot left zero.  With ``block``, a row count that divides the batch, it
+    is one gradient row per contiguous block of that many rows, each equal
+    to a call on that block alone (see :func:`_loss_and_grad`)."""
+    return _loss_and_grad(params[None], arch, X, y, stop=stop, block=block)[0]
 
 
 def accuracy(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:

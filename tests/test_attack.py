@@ -106,6 +106,25 @@ def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
 
 @pytest.mark.parametrize("overrides, dim", [({}, 16), ({"model": {"kind": "cnn"}}, 36)],
                          ids=["mlp", "benchmark-cnn"])
+def test_sensitivity_of_unequal_class_blocks_equals_a_full_walk_per_class(overrides, dim):
+    # No run builds such a store; it takes one walk per class, not the
+    # blocked walk, and reads the same as that class's batch alone.
+    arch = harness.validate_config(json.dumps({**overrides, "dataset": {"dim": dim}})).arch
+    counts = [3, 8, 1, 5, 5, 2, 7, 4, 6, 3]
+    aux = data.sample_per_class(data.make_synthetic(10, dim, 20, seed=13, sigma=1.0), 8, None)
+    aux = aux.subset(np.concatenate([np.flatnonzero(aux.y == c)[:k] for c, k in enumerate(counts)]))
+    assert np.array_equal(np.bincount(aux.y), counts)
+    params = nn.init_params(arch, seed=7)
+    got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
+    off, _, w_size, b_size = arch.param_slots[arch.feature_index]
+    for c in range(10):
+        Xc = aux.X[aux.y == c]
+        grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
+        assert got[c] == np.abs(grad[off:off + w_size + b_size]).sum()
+
+
+@pytest.mark.parametrize("overrides, dim", [({}, 16), ({"model": {"kind": "cnn"}}, 36)],
+                         ids=["mlp", "benchmark-cnn"])
 def test_float32_sensitivity_matches_the_float64_engine(overrides, dim, monkeypatch):
     """The float32 engine's sensitivities against the float64 engine's, for
     the same models and store (float32 values, which float64 holds exactly):

@@ -371,7 +371,7 @@ BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
 def test_conv_gemm_matches_einsum_reference(make_arch, n):
     """Forward output, each layer's batch weight and bias gradients, the
     per-example rows (one-row blocks), their clipped mean, and the gradient
-    rows of unequal row blocks, plain and clipped, whose reference is the
+    rows of four equal row blocks, plain and clipped, whose reference is the
     mean of the block's per-example rows, plain and clipped.  The input
     gradient of every convolution after the first feeds the gradients of the
     layers below it, so it is checked too."""
@@ -388,16 +388,18 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
                 assert_matches_reference(got_part, want_part)
 
     assert_layers_match(nn.backward(params, arch, X, y), grad)
-    assert_matches_reference(nn.backward(params, arch, X, y, blocks=range(n + 1)), rows)
+    assert_matches_reference(nn.backward(params, arch, X, y, block=1), rows)
     clip = np.median(np.linalg.norm(rows, axis=1))  # clips about half of the rows
     assert_matches_reference(one_model_grad(params, arch, X, y, clip=clip),
                              clipped_mean(rows, clip))
-    bounds = [0, n // 5, n // 2, n]
-    blocks = nn.backward(params, arch, X, y, blocks=bounds)
-    clipped = one_model_grad(params, arch, X, y, clip=clip, blocks=bounds)
-    for got, got_clipped, lo, hi in zip(blocks, clipped, bounds[:-1], bounds[1:]):
-        assert_layers_match(got, rows[lo:hi].mean(axis=0))
-        assert_matches_reference(got_clipped, clipped_mean(rows[lo:hi], clip))
+    size = n // 4
+    blocks = nn.backward(params, arch, X, y, block=size)
+    clipped = one_model_grad(params, arch, X, y, clip=clip, block=size)
+    assert len(blocks) == len(clipped) == 4
+    for j, (got, got_clipped) in enumerate(zip(blocks, clipped)):
+        block_rows = rows[j * size:(j + 1) * size]
+        assert_layers_match(got, block_rows.mean(axis=0))
+        assert_matches_reference(got_clipped, clipped_mean(block_rows, clip))
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +449,33 @@ def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
     lambda: reference_arch({}), lambda: reference_arch(BENCHMARK_CNN),
     lambda: strided_cnn(7), lambda: reference_arch(DROPOUT),
 ], ids=["mlp", "benchmark-cnn", "stride2-7x7", "dropout-mlp"])
-@pytest.mark.parametrize("sizes", [(6, 6, 6, 6), (3, 8, 5, 3, 7), (150,) * 10,
-                                   (6, 6, 6, 3, 3, 7)],
-                         ids=["equal", "unequal", "aux-store", "runs-3-2-1"])
+@pytest.mark.parametrize("size, count", [(6, 4), (150, 10), (1, 24), (24, 1)],
+                         ids=["equal", "aux-store", "one-row", "one-block"])
 @pytest.mark.parametrize("at", ["feature", "first"])
-def test_block_rows_equal_one_backward_per_block(make_arch, sizes, at):
-    """Row j of a blocked walk is bit for bit the walk over block j alone.
-    Stopping at the first layer runs every layer's input gradient above it:
+def test_block_rows_equal_one_backward_per_block(make_arch, size, count, at):
+    """Row j of a blocked walk is bit for bit the walk over block j alone,
+    from one-row blocks (per-example gradients) to one block of the whole
+    batch.  Stopping at the first layer runs every layer's input gradient above it:
     col2im for the second convolution of the CNNs, the identity of an
     eval-mode Dropout."""
     arch = make_arch()
     params = perturbed_params(arch, 7)
-    bounds = np.cumsum((0, *sizes))
-    X, y = rand_batch(arch, bounds[-1], seed=8)
+    X, y = rand_batch(arch, size * count, seed=8)
     stop = arch.feature_index if at == "feature" else min(arch.param_slots)
-    rows = nn.backward(params, arch, X, y, stop=stop, blocks=bounds)
-    assert rows.shape == (len(sizes), arch.n_params)
-    for row, lo, hi in zip(rows, bounds[:-1], bounds[1:]):
+    rows = nn.backward(params, arch, X, y, stop=stop, block=size)
+    assert rows.shape == (count, arch.n_params)
+    for j, row in enumerate(rows):
+        lo, hi = j * size, (j + 1) * size
         assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop))
 
 
-@pytest.mark.parametrize("bounds", [[0, 3, 3, 6], [0, 4], [1, 6], [0, 4, 2, 6], [6], []])
-def test_blocks_that_do_not_split_the_batch_are_internal_error(bounds):
+@pytest.mark.parametrize("size", [-6, -1, 0, 4, 7, 12])
+def test_blocks_that_do_not_split_the_batch_are_internal_error(size):
+    # -6 and -1 leave no remainder, so only the sign check rejects them
     arch = mlp()
     X, y = rand_batch(arch, 6, seed=9)
-    with pytest.raises(InternalError, match="do not split 6 rows"):
-        nn.backward(nn.init_params(arch, 1), arch, X, y, blocks=bounds)
+    with pytest.raises(InternalError, match=f"blocks of {size} rows do not split 6 rows"):
+        nn.backward(nn.init_params(arch, 1), arch, X, y, block=size)
 
 
 # ---------------------------------------------------------------------------
