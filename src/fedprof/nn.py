@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, InputError, InternalError
 from .seeding import derive_seed
@@ -78,6 +77,29 @@ _SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel"),
           MaxPool2d: ("kernel",)}
 
 
+# Transposes of an (S, n, c, h, w) activation into its memory order: (c, h,
+# w), or channel-last.
+_MEMORY_AXES = ((0, 1, 2, 3, 4), (0, 1, 3, 4, 2))
+
+
+def _memory_offsets(shape, channel_last):
+    """Where each element of a (c, h, w) sample sits in its memory order, in
+    (c, h, w) order."""
+    c, h, w = shape
+    if channel_last:
+        return np.arange(h * w * c, dtype=np.intp).reshape(h, w, c).transpose(2, 0, 1).ravel()
+    return np.arange(c * h * w, dtype=np.intp)
+
+
+def _window_taps(shape, k, step):
+    """(k*k, c*ho*wo) flat (c, h, w) indices of the k x k windows of a (c, h,
+    w) sample taken every ``step`` pixels: row ki*k + kj holds tap (ki, kj)
+    of every window, in (c, ho, wo) order."""
+    c, h, w = shape
+    ki, kj, ch, oh, ow = np.ogrid[:k, :k, :c, :(h - k) // step + 1, :(w - k) // step + 1]
+    return ((ch * h + oh * step + ki) * w + ow * step + kj).reshape(k * k, -1)
+
+
 @dataclass
 class Architecture:
     """Ordered layer stack plus input/output contract.
@@ -89,6 +111,22 @@ class Architecture:
     shape, W size, b size), W before b, and is the only record of where a
     layer sits in a model; ``n_params`` is the total and
     ``input_size`` the flat size of one input sample.
+
+    ``tables`` maps each convolution and max-pool layer's index to the index
+    tables its walk gathers through, as (axes, forward table, backward
+    table).  ``axes`` transposes the layer's (S, n, c, h, w) input into the
+    order it has in memory: channel-last after a convolution, whose GEMM
+    leaves its output so and whose ReLU keeps it, and (c, h, w) otherwise;
+    an activation held in another order is copied into it.  Tables index one
+    sample's input in that order, or its gradient, which is always (c, h,
+    w), and list taps in (ki, kj) order.  A convolution's forward table is
+    its im2col, one row of (c, ki, kj) taps per output pixel in (ho, wo)
+    order, flat; its backward table is its col2im, a (k*k, c*h*w) array
+    whose row for a tap holds, for each input pixel, the column-gradient
+    entry that tap adds to it, or the index of a zero past the columns where
+    the tap misses the pixel.  A max-pool's tables are (k*k, c*ho*wo), the
+    taps of every window, into its input and into its input gradient; the
+    pixels a window misses on an odd side are in neither.
 
     ``feature_index`` is the index of the feature layer, the slice of the
     parameter vector that sensitivity extraction reads.  It follows a rule:
@@ -105,8 +143,9 @@ class Architecture:
         self.input_shape = tuple(int(d) for d in self.input_shape)
         if self.n_classes < 2:
             raise InputError(f"n_classes must be >= 2, got {self.n_classes}")
-        shape, offset, self.param_slots = self.input_shape, 0, {}
+        shape, offset, self.param_slots, self.tables = self.input_shape, 0, {}, {}
         dense, conv = [], None
+        channel_last = False  # the memory order of the current activation
         for i, layer in enumerate(self.layers):
             for name in _SIZES.get(type(layer), ()):
                 if getattr(layer, name) < 1:
@@ -128,7 +167,17 @@ class Architecture:
                 h, w = shape[1] - layer.kernel + 1, shape[2] - layer.kernel + 1
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: conv2d kernel larger than input {shape}")
-                shape = (layer.out_ch, h, w)
+                k, c, pixels = layer.kernel, layer.in_ch, h * w
+                taps = _window_taps(shape, k, 1)
+                im2col = _memory_offsets(shape, channel_last)[taps].reshape(k * k, c, pixels).T
+                # One sample's column gradient is (ho, wo, c, ki, kj), and
+                # entry ``width`` is the zero after it.
+                width = pixels * c * k * k
+                col2im = np.full((k * k, math.prod(shape)), width, dtype=np.intp)
+                col2im[np.arange(k * k)[:, None], taps] = np.arange(width).reshape(
+                    pixels, c, k * k).T.reshape(k * k, -1)
+                self.tables[i] = (_MEMORY_AXES[channel_last], im2col.ravel(), col2im)
+                shape, channel_last = (layer.out_ch, h, w), True
                 w_shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
                 b_size = layer.out_ch
                 conv = i
@@ -138,7 +187,10 @@ class Architecture:
                 h, w = shape[1] // layer.kernel, shape[2] // layer.kernel
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: maxpool kernel larger than input {shape}")
-                shape = (shape[0], h, w)
+                taps = _window_taps(shape, layer.kernel, layer.kernel)
+                self.tables[i] = (_MEMORY_AXES[channel_last],
+                                  _memory_offsets(shape, channel_last)[taps], taps)
+                shape, channel_last = (shape[0], h, w), False
                 continue
             elif isinstance(layer, Dropout):
                 if not 0.0 <= layer.rate < 1.0:
@@ -241,19 +293,85 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _matmul_blocks(a, b, size):
+def _matmul_blocks(a, b, size, out=None):
     """``a @ b`` over a leading model axis, one GEMM per model and block of
     ``size`` rows of a's row axis (axis 1); b broadcasts against a's leading
     axes.  It is one batched matmul over an (S, n // size, size, ...) view of
     a, with b broadcast over the block axis, and numpy issues one GEMM per
     (model, block) of it.  How BLAS chunks a product's rows can change its
     last bits, so each model's block is bit-identical to the product of that
-    block alone."""
+    block alone.  The product goes to ``out`` when given, a view whose
+    matrices are C-contiguous, as the col2im's padded columns are."""
     S, n = a.shape[:2]
-    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
+    if out is None:
+        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
     np.matmul(a.reshape(S, n // size, size, *a.shape[2:]), b[:, None],
               out=out.reshape(S, n // size, size, *out.shape[2:]))
     return out
+
+
+def _im2col(act, layer, tables):
+    """The (S, n, ho*wo, c*k*k) im2col columns of an (S, n, c, h, w)
+    activation: one row of (c, ki, kj) input taps per output pixel, in (ho,
+    wo) order, gathered in one ``np.take`` from the activation in its memory
+    order (see :class:`Architecture`)."""
+    S, n, _, h, w = act.shape
+    axes, im2col, _ = tables
+    cols = np.take(act.transpose(axes).reshape(S, n, -1), im2col, axis=-1)
+    return cols.reshape(S, n, (h - layer.kernel + 1) * (w - layer.kernel + 1), -1)
+
+
+def _max_pool(act, layer, tables):
+    """(pooled, argmax) of non-overlapping k x k max pooling of an (S, n, c,
+    h, w) activation, both (S, n, c, h // k, w // k) and C-contiguous; argmax
+    is the winning tap, ki*k + kj, of each window.  One tap-major gather,
+    (S, n, k*k, c*ho*wo), then a running max over the taps in (ki, kj)
+    order: a tap must beat the max so far, so the first max wins, a
+    deterministic tie-break.  A NaN in a window makes its max NaN."""
+    S, n, c, h, w = act.shape
+    axes, taps, _ = tables
+    tiles = np.take(act.transpose(axes).reshape(S, n, -1), taps, axis=-1)
+    pooled = tiles[:, :, 0].copy()
+    argmax = np.zeros(pooled.shape, dtype=np.intp)
+    for t in range(1, len(taps)):
+        np.copyto(argmax, t, where=tiles[:, :, t] > pooled)
+        np.maximum(pooled, tiles[:, :, t], out=pooled)
+    out_shape = (S, n, c, h // layer.kernel, w // layer.kernel)
+    return pooled.reshape(out_shape), argmax.reshape(out_shape)
+
+
+def _max_pool_grad(delta, in_shape, argmax, tables):
+    """The C-contiguous input gradient of :func:`_max_pool`: each window's
+    output gradient goes to the pixel of its winning tap, every other pixel,
+    the cropped ones of an odd side included, is zero."""
+    taps = tables[2]
+    rows, width, windows = math.prod(in_shape[:2]), math.prod(in_shape[2:]), taps.shape[1]
+    at = np.take(taps, argmax.reshape(rows, windows) * windows + np.arange(windows))
+    at += np.arange(0, rows * width, width)[:, None]
+    dx = np.zeros(rows * width, dtype=DTYPE)
+    dx[at] = delta.reshape(rows, windows)
+    return dx.reshape(in_shape)
+
+
+def _col2im(d, W, size, in_shape, tables):
+    """The C-contiguous (S, n, c, h, w) input gradient of a convolution from
+    its (S, n, o, ho*wo) output gradient ``d`` and its (S, o, c, k, k)
+    weights, blocked by ``size`` rows as in :func:`_run_layers`.  One GEMM
+    per sample forms the column gradient, each sample's followed by one zero
+    in the same buffer.  Each input pixel then gathers its entry of every
+    tap in turn, in (ki, kj) order, into a gradient that starts at zero, so
+    it sums in the order of a scatter-add tap by tap; a tap that misses the
+    pixel adds the zero, which changes no sum."""
+    S, n, o, pixels = d.shape
+    width = pixels * W[0, 0].size
+    dcols = np.empty((S, n, width + 1), dtype=DTYPE)
+    dcols[..., width] = 0.0
+    _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1), size,
+                   out=dcols[..., :width].reshape(S, n, pixels, -1))
+    dx = np.zeros((S, n, math.prod(in_shape[2:])), dtype=DTYPE)
+    for tap in tables[2]:
+        dx += np.take(dcols, tap, axis=-1)
+    return dx.reshape(in_shape)
 
 
 def _run_layers(params, arch, X, rngs, size=None):
@@ -267,7 +385,11 @@ def _run_layers(params, arch, X, rngs, size=None):
     (one block of n by default): every GEMM runs once per (model, block),
     all issued as one batched call (see :func:`_matmul_blocks`), and every
     elementwise step once over all rows of all models, so a model's block
-    equals a forward pass of that model on that block alone."""
+    equals a forward pass of that model on that block alone.  A convolution
+    gathers its im2col columns and a max-pool its windows through the
+    layer's index tables in ``arch.tables`` (see :func:`_im2col` and
+    :func:`_max_pool`); a convolution caches (input shape, columns, W) and a
+    max-pool (input shape, argmax)."""
     S, n = X.shape[:2]
     params = np.asarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
@@ -284,12 +406,8 @@ def _run_layers(params, arch, X, rngs, size=None):
             act = _matmul_blocks(flat, W, size)
             act += b[:, None]
         elif isinstance(layer, Conv2d):
-            # im2col: one row of c*k*k input taps per output pixel, so the
-            # convolution is one GEMM per model and block (Chellapilla et
-            # al. 2006).
-            win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(3, 4))
-            ho, wo = win.shape[3:5]
-            cols = win.transpose(0, 1, 3, 4, 2, 5, 6).reshape(S, n, ho * wo, -1)
+            ho, wo = act.shape[3] - layer.kernel + 1, act.shape[4] - layer.kernel + 1
+            cols = _im2col(act, layer, arch.tables[i])
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, cols, W))
             out = _matmul_blocks(cols.reshape(S, n * ho * wo, -1),
@@ -298,14 +416,9 @@ def _run_layers(params, arch, X, rngs, size=None):
             out += b[:, None]
             act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, MaxPool2d):
-            k = layer.kernel
-            c, h, w = act.shape[2:]
-            ho, wo = h // k, w // k
-            tiles = act[..., :ho * k, :wo * k].reshape(S, n, c, ho, k, wo, k)
-            tiles = tiles.transpose(0, 1, 2, 3, 5, 4, 6).reshape(S, n, c, ho, wo, k * k)
-            idx = tiles.argmax(axis=-1)  # first max wins: deterministic tie-break
+            pooled, idx = _max_pool(act, layer, arch.tables[i])
             caches.append((act.shape, idx))
-            act = np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0]
+            act = pooled
         elif isinstance(layer, Relu):
             caches.append(act > 0)
             act = np.maximum(act, 0.0)
@@ -414,6 +527,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
     takes each example's norm from them (see :func:`_example_sq_norms`) and
     folds min(1, clip / norm) / block size into each piece's rows before
     the gradients are formed, so no (batch, n_params) array is held.
+    A max-pool's input gradient is one scatter into a C-contiguous (c, h, w)
+    array, and a convolution's is its col2im, one gather per tap through
+    ``arch.tables`` (see :func:`_max_pool_grad` and :func:`_col2im`), so
+    every pixel sums in the order of a tap-by-tap scatter-add.
     The walk ends once the parameter gradient of layer ``stop`` is formed.
     With ``stop`` given, it forms and writes only that layer's slot, and
     every other slot stays zero.  By default it stops at the first
@@ -456,29 +573,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
                 pieces.append((i, cols, d))
             if i == stop:
                 break
-            # col2im: scatter-add the column-space gradient back tap by tap.
-            k = layer.kernel
-            dcols = _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
-                                   size).reshape(S, n, ho, wo, -1, k, k)
-            dx = np.zeros(in_shape, dtype=DTYPE)
-            for ki in range(k):
-                for kj in range(k):
-                    dx[..., ki:ki + ho, kj:kj + wo] += (
-                        dcols[..., ki, kj].transpose(0, 1, 4, 2, 3)
-                    )
-            delta = dx
+            delta = _col2im(d, W, size, in_shape, arch.tables[i])
         elif isinstance(layer, MaxPool2d):
             in_shape, idx = cache
-            k = layer.kernel
-            c, ho, wo = idx.shape[2:]
-            dtiles = np.zeros((S, n, c, ho, wo, k * k), dtype=DTYPE)
-            np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
-            dx = np.zeros(in_shape, dtype=DTYPE)
-            dx[..., :ho * k, :wo * k] = (
-                dtiles.reshape(S, n, c, ho, wo, k, k).transpose(0, 1, 2, 3, 5, 4, 6)
-                .reshape(S, n, c, ho * k, wo * k)
-            )
-            delta = dx
+            delta = _max_pool_grad(delta, in_shape, idx, arch.tables[i])
         elif isinstance(layer, Relu):
             delta = delta * cache
         elif isinstance(layer, Dropout):

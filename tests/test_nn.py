@@ -357,6 +357,15 @@ def strided_cnn(side):
     )
 
 
+def pool_crop_cnn():
+    """A 3x3 convolution of a 9x9 input, then 2x2 max pooling of its odd 7x7
+    output, which crops the last row and column."""
+    return nn.Architecture(
+        (nn.Conv2d(1, 3, kernel=3), nn.Relu(), nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 3)),
+        (1, 9, 9), 3,
+    )
+
+
 BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
 
 
@@ -367,7 +376,9 @@ BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
     (lambda: reference_arch({"model": {"kind": "cnn"}, "dataset": {"dim": 784}}), 16),
     (lambda: strided_cnn(7), 20),
     (lambda: strided_cnn(8), 20),
-], ids=["benchmark-cnn-32", "benchmark-cnn-1500", "cnn-28x28", "stride2-7x7", "stride2-8x8"])
+    (pool_crop_cnn, 20),
+], ids=["benchmark-cnn-32", "benchmark-cnn-1500", "cnn-28x28", "stride2-7x7", "stride2-8x8",
+        "pool-crop-9x9"])
 def test_conv_gemm_matches_einsum_reference(make_arch, n):
     """Forward output, each layer's batch weight and bias gradients, the
     per-example rows (one-row blocks), their clipped mean, and the gradient
@@ -400,6 +411,130 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
         block_rows = rows[j * size:(j + 1) * size]
         assert_layers_match(got, block_rows.mean(axis=0))
         assert_matches_reference(got_clipped, clipped_mean(block_rows, clip))
+
+
+# ---------------------------------------------------------------------------
+# The gather walk against the window-view walk
+# ---------------------------------------------------------------------------
+
+
+def window_im2col(act, layer, tables):
+    """im2col by a transposed copy of the window view."""
+    S, n = act.shape[:2]
+    win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(3, 4))
+    ho, wo = win.shape[3:5]
+    return win.transpose(0, 1, 3, 4, 2, 5, 6).reshape(S, n, ho * wo, -1)
+
+
+def tile_max_pool(act, layer, tables):
+    """Max pooling by argmax over a tile-transposed copy of the cropped input."""
+    k = layer.kernel
+    S, n, c, h, w = act.shape
+    ho, wo = h // k, w // k
+    tiles = act[..., :ho * k, :wo * k].reshape(S, n, c, ho, k, wo, k)
+    tiles = tiles.transpose(0, 1, 2, 3, 5, 4, 6).reshape(S, n, c, ho, wo, k * k)
+    idx = tiles.argmax(axis=-1)
+    return np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0], idx
+
+
+def tile_max_pool_grad(delta, in_shape, idx, tables):
+    """The pooling gradient put into tiles, then transposed into place."""
+    k = math.isqrt(len(tables[2]))
+    S, n, c, ho, wo = idx.shape
+    dtiles = np.zeros((S, n, c, ho, wo, k * k), dtype=nn.DTYPE)
+    np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
+    dx = np.zeros(in_shape, dtype=nn.DTYPE)
+    dx[..., :ho * k, :wo * k] = (dtiles.reshape(S, n, c, ho, wo, k, k)
+                                 .transpose(0, 1, 2, 3, 5, 4, 6).reshape(S, n, c, ho * k, wo * k))
+    return dx
+
+
+def strided_col2im(d, W, size, in_shape, tables):
+    """col2im by one strided add of the column gradient per tap."""
+    S, n, o = d.shape[:3]
+    k = W.shape[-1]
+    ho, wo = in_shape[3] - k + 1, in_shape[4] - k + 1
+    dcols = nn._matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
+                              size).reshape(S, n, ho, wo, -1, k, k)
+    dx = np.zeros(in_shape, dtype=nn.DTYPE)
+    for ki in range(k):
+        for kj in range(k):
+            dx[..., ki:ki + ho, kj:kj + wo] += dcols[..., ki, kj].transpose(0, 1, 4, 2, 3)
+    return dx
+
+
+WINDOW_WALK = {"_im2col": window_im2col, "_max_pool": tile_max_pool,
+               "_max_pool_grad": tile_max_pool_grad, "_col2im": strided_col2im}
+
+
+def conv_walk_outputs(models, arch, X, y):
+    """Logits, max-pool argmaxes and gradients of an S-model stack: the full
+    walk, the walk stopped at the feature layer, blocks of half the batch,
+    and the clipped walk of DP-SGD over the same blocks."""
+    S, n = len(models), len(X) // len(models)
+    logits, caches = nn._run_layers(models, arch, X.reshape(S, n, *arch.input_shape), None)
+    argmaxes = [cache[1] for layer, cache in zip(arch.layers, caches)
+                if isinstance(layer, nn.MaxPool2d)]
+    return [logits, *argmaxes,
+            nn._loss_and_grad(models, arch, X, y),
+            nn._loss_and_grad(models, arch, X, y, stop=arch.feature_index),
+            nn._loss_and_grad(models, arch, X, y, block=n // 2),
+            nn._loss_and_grad(models, arch, X, y, clip=0.5, block=n // 2)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("n_models", [1, 4])
+@pytest.mark.parametrize("make_arch", [
+    lambda: reference_arch(BENCHMARK_CNN), small_cnn, lambda: strided_cnn(7),
+    lambda: reference_arch({"model": {"kind": "cnn"}, "dataset": {"dim": 784}}), pool_crop_cnn,
+], ids=["benchmark-cnn", "small-cnn", "stride2-7x7", "cnn-28x28", "pool-crop-9x9"])
+def test_gather_walk_equals_window_view_walk_bit_for_bit(monkeypatch, make_arch, n_models, dtype):
+    """The index-table walk (im2col, max pooling and its gradient, col2im) and
+    the window-view walk it replaced give the same bytes.  Every third
+    sample is constant, so each convolution's output is constant per channel
+    and every pooling window ties, at zero where the ReLU cuts a channel:
+    the first max must win in both."""
+    monkeypatch.setattr(nn, "DTYPE", dtype)
+    arch = make_arch()
+    n = 4
+    models = np.stack([perturbed_params(arch, 30 + s) for s in range(n_models)]).astype(dtype)
+    X, y = rand_batch(arch, n_models * n, seed=31)
+    X[::3] = 0.5
+    got = conv_walk_outputs(models, arch, X, y)
+    for name, reference in WINDOW_WALK.items():
+        monkeypatch.setattr(nn, name, reference)
+    want = conv_walk_outputs(models, arch, X, y)
+    for got_part, want_part in zip(got, want):
+        assert got_part.dtype == want_part.dtype and got_part.shape == want_part.shape
+        assert got_part.tobytes() == want_part.tobytes()
+
+
+@pytest.mark.parametrize("channel_last", [False, True])
+def test_max_pool_ties_and_nans_match_the_tile_reference(channel_last):
+    """Max pooling of a 7x7 input with many ties, in either memory order:
+    the pooled values and, in windows without a NaN, the winning taps equal
+    the tile reference's; a window with a NaN at any tap pools to NaN."""
+    arch = nn.Architecture((nn.Conv2d(2, 3, kernel=1), nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 2)),
+                           (2, 7, 7), 2)
+    tables, layer = arch.tables[1], arch.layers[1]
+    assert tables[0] == (0, 1, 3, 4, 2)  # the input of a pool after a convolution
+    act = np.random.default_rng(40).integers(0, 3, (2, 5, 7, 7, 3)).astype(nn.DTYPE)
+    act[0, 0, :2, :2, 0] = [[1, 2], [2, 2]]  # a tie that tap 0 does not win
+    act[1, 1, 0, 0, :] = np.nan  # tap 0 of three windows
+    act[1, 2, 5, 5, 1] = np.nan  # the last tap of a window
+    act = act.transpose(0, 1, 4, 2, 3)
+    if not channel_last:
+        act = np.ascontiguousarray(act)
+        tables = nn.Architecture((nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 2)), (3, 7, 7),
+                                 2).tables[0]
+    pooled, idx = nn._max_pool(act, layer, tables)
+    want, want_idx = tile_max_pool(act, layer, tables)
+    assert np.array_equal(pooled, want, equal_nan=True)
+    assert idx[0, 0, 0, 0, 0] == want_idx[0, 0, 0, 0, 0] == 1
+    finite = ~np.isnan(want)
+    assert np.array_equal(idx[finite], want_idx[finite])
+    assert np.isnan(pooled[1, 1, :, 0, 0]).all() and np.isnan(pooled[1, 2, 1, 2, 2])
+    assert np.count_nonzero(~finite) == 4
 
 
 # ---------------------------------------------------------------------------
