@@ -33,9 +33,9 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
                         aux: LabeledDataset) -> np.ndarray:
     """Per-class model sensitivity: the summed absolute feature-layer gradient
     of the mean loss on each class's auxiliary samples.  ``aux`` must be in
-    class blocks, as :func:`data.sample_per_class` draws it.  Each walk forms
-    only the feature layer's gradient (``arch.feature_index``), the one slot
-    read.  A store of equal class blocks, the only kind a run builds, takes
+    class blocks, as :func:`data.sample_per_class` draws it.  Each walk stops
+    at the feature layer (``arch.feature_index``) and returns its gradient
+    alone.  A store of equal class blocks, the only kind a run builds, takes
     one backward walk that gives every class's gradient, one row per class
     block, each bit for bit a walk over that class alone; a store of unequal
     blocks takes one walk per class.  The input model is never mutated."""
@@ -47,14 +47,13 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     if len(empty):
         raise InputError(f"auxiliary store has no samples for class {empty[0]}")
     model, stop = pv.values, arch.feature_index
-    off, _, w_size, b_size = arch.param_slots[stop]
     if np.all(counts == counts[0]):
         # an int: a numpy divisor would divide the float32 walk in float64
         rows = nn.backward(model, arch, aux.X, aux.y, stop=stop, block=int(counts[0]))
     else:
         rows = np.stack([nn.backward(model, arch, aux.X[lo:hi], aux.y[lo:hi], stop=stop)
                          for lo, hi in zip(bounds[:-1], bounds[1:])])
-    return np.abs(rows[:, off:off + w_size + b_size]).sum(axis=1)
+    return np.abs(rows).sum(axis=1)
 
 
 def differential_sensitivity(s_agg_prev: np.ndarray, s_now: np.ndarray) -> np.ndarray:

@@ -128,8 +128,8 @@ class Architecture:
     taps of every window, into its input and into its input gradient; the
     pixels a window misses on an odd side are in neither.
 
-    ``feature_index`` is the index of the feature layer, the slice of the
-    parameter vector that sensitivity extraction reads.  It follows a rule:
+    ``feature_index`` is the index of the feature layer, the layer whose
+    gradient sensitivity extraction reads.  It follows a rule:
     the last convolution layer; for conv-free stacks the last dense layer
     before the output layer; the only dense layer if there is just one.
     """
@@ -451,25 +451,19 @@ def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _set_layer_rows(rows: np.ndarray, arch: Architecture, index: int, gW, gb) -> None:
-    """Write per-row (gW, gb), each with the leading axes of ``rows``, into
-    the layer's slot of every row of a (..., n_params) gradient array."""
-    off, _, w_size, b_size = arch.param_slots[index]
-    rows[..., off:off + w_size] = gW.reshape(*rows.shape[:-1], w_size)
-    rows[..., off + w_size:off + w_size + b_size] = gb
-
-
 def _block_grads(arch: Architecture, pieces, size) -> np.ndarray:
-    """(S, B, n_params) gradients, row [s, j] that of model s on row block j,
-    the j-th ``size`` rows, from the (layer index, layer input, output
-    gradient) pieces of a backward walk whose output gradients were divided
-    by ``size``.  Each block's weight gradient is one GEMM per model, all
-    issued as one batched call per layer, and written to their rows at once.
-    Slots the walk did not reach stay zero."""
+    """(S, B, P) gradients, row [s, j] that of model s on row block j, the
+    j-th ``size`` rows, from the (layer index, layer input, output gradient)
+    pieces of a backward walk whose output gradients were divided by
+    ``size``.  A row holds the [W, b] gradient of each layer that has a
+    piece, in layer order, so P is the sum of their W and b sizes; with a
+    piece for every parameterised layer, it is a row laid out by
+    ``arch.param_slots``.  Each block's weight gradient is one GEMM per
+    model, all issued as one batched call per layer."""
     S, n = pieces[0][2].shape[:2]
     B = n // size
-    grads = np.zeros((S, B, arch.n_params), dtype=DTYPE)
-    for i, a, d in pieces:
+    parts = []
+    for i, a, d in reversed(pieces):
         block = d.reshape(S, B, size, *d.shape[2:])
         inp = a.reshape(S, B, size, *a.shape[2:])
         if isinstance(arch.layers[i], Dense):
@@ -478,8 +472,8 @@ def _block_grads(arch: Architecture, pieces, size) -> np.ndarray:
             gW = (block.transpose(0, 1, 3, 2, 4).reshape(S, B, d.shape[2], -1)
                   @ inp.reshape(S, B, -1, a.shape[-1]))
             gb = block.sum(axis=(2, 4))
-        _set_layer_rows(grads, arch, i, gW, gb)
-    return grads
+        parts += (gW.reshape(S, B, -1), gb)
+    return np.concatenate(parts, axis=-1)
 
 
 def _example_sq_norms(arch: Architecture, pieces) -> np.ndarray:
@@ -508,10 +502,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
 
     ``params`` is an (S, n_params) stack, X and y hold the S models' equal
     batches concatenated in model order, and ``rng`` is one generator per
-    model.  The gradient is an (S, n_params) array laid out by
-    ``arch.param_slots``.  With ``block``, a row count that divides each
+    model.  The gradient is an (S, P) array, P = n_params by default (see
+    ``stop``).  With ``block``, a row count that divides each
     model's batch of n rows into B = n // block contiguous blocks, it is an
-    (S, B, n_params) array whose row [s, j] is the gradient of block j's
+    (S, B, P) array whose row [s, j] is the gradient of block j's
     mean loss under model s, bit for bit what a batch of block j alone
     gives: every GEMM runs once per (model, block), all issued as one
     batched call per product (see :func:`_matmul_blocks`), and every
@@ -532,14 +526,15 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
     ``arch.tables`` (see :func:`_max_pool_grad` and :func:`_col2im`), so
     every pixel sums in the order of a tap-by-tap scatter-add.
     The walk ends once the parameter gradient of layer ``stop`` is formed.
-    With ``stop`` given, it forms and writes only that layer's slot, and
-    every other slot stays zero.  By default it stops at the first
-    parameterised layer, where no one reads the input gradient, and writes
-    every slot, as training needs.  A ``stop`` that is not a parameterised
-    layer is an InternalError.
+    With ``stop`` given, it forms only that layer's gradient and returns it
+    alone, its W then its b, so P is that layer's W size plus b size.  By
+    default it stops at the first parameterised layer, where no one reads
+    the input gradient, and returns every layer's gradient, laid out by
+    ``arch.param_slots``, as training needs.  A ``stop`` that is not a
+    parameterised layer is an InternalError.
     """
-    write_all = stop is None
-    if write_all:
+    form_all = stop is None
+    if form_all:
         stop = min(arch.param_slots)
     elif stop not in arch.param_slots:
         raise InternalError(f"the backward walk cannot stop at layer {stop}: it has no parameters")
@@ -554,13 +549,13 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
     delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
     if clip is None:
         delta /= size
-    pieces = []  # (layer index, layer input, output gradient) per slot written
+    pieces = []  # (layer index, layer input, output gradient) per layer formed
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
         cache = caches[i]
         if isinstance(layer, Dense):
             in_shape, flat, W = cache
-            if write_all or i == stop:
+            if form_all or i == stop:
                 pieces.append((i, flat, delta))
             if i == stop:
                 break
@@ -569,7 +564,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
             in_shape, cols, W = cache
             o, ho, wo = delta.shape[2:]
             d = delta.reshape(S, n, o, ho * wo)
-            if write_all or i == stop:
+            if form_all or i == stop:
                 pieces.append((i, cols, d))
             if i == stop:
                 break
@@ -594,9 +589,8 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
 
 def forward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray):
     """Evaluation-mode forward pass: (logits, mean softmax cross-entropy)."""
-    X = _as_batch(arch, X)
+    logits = predict_logits(params, arch, X)
     y = np.asarray(y, dtype=np.int64)
-    logits = _run_layers(params[None], arch, X[None], None)[0][0]
     # Log-softmax by the stable log-sum-exp.  The row max is taken over a
     # class-major copy, since numpy reduces a short last axis one row at a
     # time; a max is exact in any order.
@@ -612,10 +606,10 @@ def predict_logits(params: np.ndarray, arch: Architecture, X: np.ndarray) -> np.
 
 def backward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray,
              stop: Optional[int] = None, block: Optional[int] = None):
-    """Gradient of the mean batch loss (eval mode), laid out by
-    ``arch.param_slots``: of every parameter by default, or, with ``stop``
-    the index of a parameterised layer, of that layer only, with every other
-    slot left zero.  With ``block``, a row count that divides the batch, it
+    """Gradient of the mean batch loss (eval mode): of every parameter,
+    laid out by ``arch.param_slots``, by default, or, with ``stop`` the
+    index of a parameterised layer, of that layer only, a (w_size + b_size,)
+    array, W then b.  With ``block``, a row count that divides the batch, it
     is one gradient row per contiguous block of that many rows, each equal
     to a call on that block alone (see :func:`_loss_and_grad`)."""
     return _loss_and_grad(params[None], arch, X, y, stop=stop, block=block)[0]

@@ -308,7 +308,9 @@ def einsum_reference(params, arch, X, y):
             gW, gb = nn._layer_params(grad, arch, i)
             gW += flat.T @ delta / n
             gb += delta.sum(axis=0) / n
-            nn._set_layer_rows(rows, arch, i, flat[:, :, None] * delta[:, None, :], delta)
+            gW_rows, gb_rows = nn._layer_params(rows, arch, i)
+            gW_rows[:] = flat[:, :, None] * delta[:, None, :]
+            gb_rows[:] = delta
             delta = (delta @ W.T).reshape(in_shape)
         elif isinstance(layer, nn.Conv2d):
             W, _ = nn._layer_params(params, arch, i)
@@ -316,8 +318,9 @@ def einsum_reference(params, arch, X, y):
             gW, gb = nn._layer_params(grad, arch, i)
             gW += np.einsum("nchwij,nohw->ocij", win, delta) / n
             gb += delta.sum(axis=(0, 2, 3)) / n
-            nn._set_layer_rows(rows, arch, i, np.einsum("nchwij,nohw->nocij", win, delta),
-                               delta.sum(axis=(2, 3)))
+            gW_rows, gb_rows = nn._layer_params(rows, arch, i)
+            gW_rows[:] = np.einsum("nchwij,nohw->nocij", win, delta)
+            gb_rows[:] = delta.sum(axis=(2, 3))
             dx = np.zeros(in_shape)
             ho, wo = delta.shape[2:]
             for ki in range(layer.kernel):
@@ -547,22 +550,20 @@ def test_max_pool_ties_and_nans_match_the_tile_reference(channel_last):
     *[lambda seed=seed: criterion_1_arch(np.random.default_rng(4000 + seed))
       for seed in range(6)],
 ], ids=["benchmark-cnn", "small-cnn", "stride2-7x7", *[f"criterion-1-{s}" for s in range(6)]])
-def test_backward_stopped_at_the_feature_layer_is_the_full_walk_above_it(make_arch):
-    """The stopped walk runs every layer above the feature layer but forms
-    only the feature layer's gradient, equal to the full walk's; every other
-    slot is zero."""
+def test_backward_stopped_at_a_layer_is_that_layer_of_the_full_walk(make_arch):
+    """A walk stopped at any parameterised layer, the first, the feature and
+    the output layer among them, runs every layer above it and returns only
+    that layer's gradient, W then b, bit for bit the full walk's slot."""
     arch = make_arch()
     params = perturbed_params(arch, 5)
     X, y = rand_batch(arch, 12, seed=6)
     full = nn.backward(params, arch, X, y)
-    stopped = nn.backward(params, arch, X, y, stop=arch.feature_index)
     for index, (off, _, w_size, b_size) in arch.param_slots.items():
-        part = slice(off, off + w_size + b_size)
-        assert full[part].any()
-        if index == arch.feature_index:
-            assert np.array_equal(stopped[part], full[part])
-        else:
-            assert not stopped[part].any()
+        part = full[off:off + w_size + b_size]
+        assert part.any()
+        stopped = nn.backward(params, arch, X, y, stop=index)
+        assert stopped.shape == part.shape
+        assert np.array_equal(stopped, part)
 
 
 def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
@@ -598,7 +599,8 @@ def test_block_rows_equal_one_backward_per_block(make_arch, size, count, at):
     X, y = rand_batch(arch, size * count, seed=8)
     stop = arch.feature_index if at == "feature" else min(arch.param_slots)
     rows = nn.backward(params, arch, X, y, stop=stop, block=size)
-    assert rows.shape == (count, arch.n_params)
+    _, _, w_size, b_size = arch.param_slots[stop]
+    assert rows.shape == (count, w_size + b_size)
     for j, row in enumerate(rows):
         lo, hi = j * size, (j + 1) * size
         assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop))
