@@ -1,8 +1,13 @@
 """Engine tests: forward/backward oracles, SGD variants, determinism, checkpoints."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1261,3 +1266,46 @@ def test_lockstep_training_equals_one_model_at_a_time_in_float32(case, n_models)
     """The lockstep check in the float32 engine of a run: bit for bit too."""
     assert nn.DTYPE is np.float32
     assert_lockstep_equals_sequential(case, n_models)
+
+
+# ---------------------------------------------------------------------------
+# Allocator settings
+# ---------------------------------------------------------------------------
+
+# Trains ten benchmark-CNN models (200 rows each, batch 32) for one warm-up
+# epoch, then prints the minor page faults of five more epochs.
+WARM_EPOCHS_CHILD = r"""
+import json, resource
+import numpy as np
+from fedprof import harness, nn
+
+arch = harness.validate_config(json.dumps(%r)).arch
+n_models, rows = 10, 200
+rng = np.random.default_rng(0)
+X = rng.standard_normal((n_models * rows, 36))
+y = rng.integers(0, arch.n_classes, n_models * rows)
+models = np.stack([nn.init_params(arch, s) for s in range(n_models)])
+cfg, seeds = nn.TrainConfig(0.05, epochs=1, batch_size=32), list(range(n_models))
+models = nn.train(models, arch, X, y, cfg, seeds)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    models = nn.train(models, arch, X, y, cfg, seeds)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""" % BENCHMARK_CNN
+
+
+def test_warm_cnn_epochs_fault_no_heap_pages():
+    """Importing nn fixes glibc's mmap and trim thresholds, so a warm walk
+    reuses the heap pages of the last one instead of faulting them in
+    again.  Five warm epochs of ten benchmark-CNN clients, in a fresh
+    process, must fault fewer pages than the fewest one such epoch faulted
+    with glibc's defaults (1,484)."""
+    if os.name != "posix" or not hasattr(ctypes.CDLL(None), "mallopt"):
+        pytest.skip("libc has no mallopt, so nn sets no allocator option")
+    pkg_root = str(Path(nn.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", WARM_EPOCHS_CHILD],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 1484
