@@ -36,9 +36,10 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
     class blocks, as :func:`data.sample_per_class` draws it.  Each walk stops
     at the feature layer (``arch.feature_index``) and returns its gradient
     alone.  A store of equal class blocks, the only kind a run builds, takes
-    one backward walk that gives every class's gradient, one row per class
-    block, each bit for bit a walk over that class alone; a store of unequal
-    blocks takes one walk per class.  The input model is never mutated."""
+    one backward walk over one copy of the model per class block, on the
+    store's rows as they are, which gives every class's gradient, each bit
+    for bit a walk over that class alone; a store of unequal blocks takes
+    one walk per class.  The input model is never mutated."""
     if np.any(aux.y[1:] < aux.y[:-1]):
         raise InputError("auxiliary store is not in class blocks")
     bounds = np.searchsorted(aux.y, np.arange(aux.n_label + 1))
@@ -48,11 +49,12 @@ def extract_sensitivity(pv: nn.ParamVector, arch: nn.Architecture,
         raise InputError(f"auxiliary store has no samples for class {empty[0]}")
     model, stop = pv.values, arch.feature_index
     if np.all(counts == counts[0]):
-        # an int: a numpy divisor would divide the float32 walk in float64
-        rows = nn.backward(model, arch, aux.X, aux.y, stop=stop, block=int(counts[0]))
+        copies = np.broadcast_to(model, (aux.n_label, len(model)))
+        rows = nn.backward(copies, arch, aux.X, aux.y, stop=stop)
     else:
-        rows = np.stack([nn.backward(model, arch, aux.X[lo:hi], aux.y[lo:hi], stop=stop)
-                         for lo, hi in zip(bounds[:-1], bounds[1:])])
+        rows = np.concatenate([
+            nn.backward(model[None], arch, aux.X[lo:hi], aux.y[lo:hi], stop=stop)
+            for lo, hi in zip(bounds[:-1], bounds[1:])])
     return np.abs(rows).sum(axis=1)
 
 

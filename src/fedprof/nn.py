@@ -4,9 +4,10 @@ A model is a 1-D array of :data:`DTYPE` of length ``arch.n_params``, laid
 out by its :class:`Architecture`'s ``param_slots``, and S models are an
 (S, n_params) array.  All operations are pure functions: they never mutate
 their inputs and are bit-reproducible given the same seed.
-The forward and backward walks carry a leading model axis, so :func:`train`
-steps S equal-size models of one architecture in lockstep, each bit for bit
-as if it trained alone; one model is the S = 1 case.
+The forward and backward walks carry a leading model axis, their only batch
+axis: :func:`train` steps S equal-size models of one architecture in
+lockstep and :func:`backward` takes the gradients of S models on S equal
+batches, each bit for bit as if it ran alone; one model is the S = 1 case.
 Supported layers: dense, 2-D convolution (valid, stride 1), non-overlapping max
 pooling, ReLU and dropout.  The loss is softmax cross-entropy throughout.
 
@@ -309,23 +310,6 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _matmul_blocks(a, b, size, out=None):
-    """``a @ b`` over a leading model axis, one GEMM per model and block of
-    ``size`` rows of a's row axis (axis 1); b broadcasts against a's leading
-    axes.  It is one batched matmul over an (S, n // size, size, ...) view of
-    a, with b broadcast over the block axis, and numpy issues one GEMM per
-    (model, block) of it.  How BLAS chunks a product's rows can change its
-    last bits, so each model's block is bit-identical to the product of that
-    block alone.  The product goes to ``out`` when given, a view whose
-    matrices are C-contiguous, as the col2im's padded columns are."""
-    S, n = a.shape[:2]
-    if out is None:
-        out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=DTYPE)
-    np.matmul(a.reshape(S, n // size, size, *a.shape[2:]), b[:, None],
-              out=out.reshape(S, n // size, size, *out.shape[2:]))
-    return out
-
-
 def _im2col(act, layer, tables):
     """The (S, n, ho*wo, c*k*k) im2col columns of an (S, n, c, h, w)
     activation: one row of (c, ki, kj) input taps per output pixel, in (ho,
@@ -369,49 +353,45 @@ def _max_pool_grad(delta, in_shape, argmax, tables):
     return dx.reshape(in_shape)
 
 
-def _col2im(d, W, size, in_shape, tables):
+def _col2im(d, W, in_shape, tables):
     """The C-contiguous (S, n, c, h, w) input gradient of a convolution from
     its (S, n, o, ho*wo) output gradient ``d`` and its (S, o, c, k, k)
-    weights, blocked by ``size`` rows as in :func:`_run_layers`.  One GEMM
-    per sample forms the column gradient, each sample's followed by one zero
-    in the same buffer.  Each input pixel then gathers its entry of every
-    tap in turn, in (ki, kj) order, into a gradient that starts at zero, so
-    it sums in the order of a scatter-add tap by tap; a tap that misses the
-    pixel adds the zero, which changes no sum."""
+    weights.  One GEMM per sample forms the column gradient, each sample's
+    followed by one zero in the same buffer.  Each input pixel then gathers
+    its entry of every tap in turn, in (ki, kj) order, into a gradient that
+    starts at zero, so it sums in the order of a scatter-add tap by tap; a
+    tap that misses the pixel adds the zero, which changes no sum."""
     S, n, o, pixels = d.shape
     width = pixels * W[0, 0].size
     dcols = np.empty((S, n, width + 1), dtype=DTYPE)
     dcols[..., width] = 0.0
-    _matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1), size,
-                   out=dcols[..., :width].reshape(S, n, pixels, -1))
+    np.matmul(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
+              out=dcols[..., :width].reshape(S, n, pixels, -1))
     dx = np.zeros((S, n, math.prod(in_shape[2:])), dtype=DTYPE)
     for tap in tables[2]:
         dx += np.take(dcols, tap, axis=-1)
     return dx.reshape(in_shape)
 
 
-def _run_layers(params, arch, X, rngs, size=None):
+def _run_layers(params, arch, X, rngs):
     """Forward pass of an (S, n_params) stack of S models, model s on batch
     ``X[s]`` of the (S, n, *input_shape) X, returning ((S, n, n_classes)
     logits, caches) for the backward walk.  The walk is in train mode
     exactly when it gets ``rngs``, one generator per model: a Dropout layer
     then draws one mask per model from that model's generator, in model
-    order, and is the identity otherwise.  ``size``, a row count that
-    divides n, splits every model's batch into blocks of that many rows
-    (one block of n by default): every GEMM runs once per (model, block),
-    all issued as one batched call (see :func:`_matmul_blocks`), and every
-    elementwise step once over all rows of all models, so a model's block
-    equals a forward pass of that model on that block alone.  A convolution
+    order, and is the identity otherwise.  Every GEMM runs once per model,
+    all issued as one batched ``np.matmul``, and every elementwise step once
+    over all rows, so model s's rows equal a walk of that model alone.  A
+    stack whose rows share memory (``np.broadcast_to``) is walked as a
+    C-contiguous copy, as a copied one would be.  A convolution
     gathers its im2col columns and a max-pool its windows through the
     layer's index tables in ``arch.tables`` (see :func:`_im2col` and
     :func:`_max_pool`); a convolution caches (input shape, columns, W) and a
     max-pool (input shape, argmax)."""
     S, n = X.shape[:2]
-    params = np.asarray(params, dtype=DTYPE)
+    params = np.ascontiguousarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
         raise InternalError(f"parameters of shape {params.shape}, expected ({S}, {arch.n_params})")
-    if size is None:
-        size = n
     act = X
     caches = []
     for i, layer in enumerate(arch.layers):
@@ -419,16 +399,15 @@ def _run_layers(params, arch, X, rngs, size=None):
             flat = act.reshape(S, n, -1)
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, flat, W))
-            act = _matmul_blocks(flat, W, size)
+            act = flat @ W
             act += b[:, None]
         elif isinstance(layer, Conv2d):
             ho, wo = act.shape[3] - layer.kernel + 1, act.shape[4] - layer.kernel + 1
             cols = _im2col(act, layer, arch.tables[i])
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, cols, W))
-            out = _matmul_blocks(cols.reshape(S, n * ho * wo, -1),
-                                 W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1),
-                                 size * ho * wo)
+            out = np.matmul(cols.reshape(S, n * ho * wo, -1),
+                            W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1))
             out += b[:, None]
             act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
         elif isinstance(layer, MaxPool2d):
@@ -467,34 +446,29 @@ def _softmax_xent(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _block_grads(arch: Architecture, pieces, size) -> np.ndarray:
-    """(S, B, P) gradients, row [s, j] that of model s on row block j, the
-    j-th ``size`` rows, from the (layer index, layer input, output gradient)
-    pieces of a backward walk whose output gradients were divided by
-    ``size``.  A row holds the [W, b] gradient of each layer that has a
-    piece, in layer order, so P is the sum of their W and b sizes; with a
-    piece for every parameterised layer, it is a row laid out by
-    ``arch.param_slots``.  Each block's weight gradient is one GEMM per
-    model, all issued as one batched call per layer."""
-    S, n = pieces[0][2].shape[:2]
-    B = n // size
+def _param_grads(arch: Architecture, pieces) -> np.ndarray:
+    """(S, P) gradients, row s that of model s, from the (layer index, layer
+    input, output gradient) pieces of a backward walk whose output gradients
+    were divided by the batch size.  A row holds the [W, b] gradient of each
+    layer that has a piece, in layer order, so P is the sum of their W and b
+    sizes; with a piece for every parameterised layer, it is a row laid out
+    by ``arch.param_slots``.  Each weight gradient is one GEMM per model,
+    all issued as one batched call per layer."""
+    S = len(pieces[0][2])
     parts = []
     for i, a, d in reversed(pieces):
-        block = d.reshape(S, B, size, *d.shape[2:])
-        inp = a.reshape(S, B, size, *a.shape[2:])
         if isinstance(arch.layers[i], Dense):
-            gW, gb = inp.transpose(0, 1, 3, 2) @ block, block.sum(axis=2)
+            gW, gb = a.transpose(0, 2, 1) @ d, d.sum(axis=1)
         else:
-            gW = (block.transpose(0, 1, 3, 2, 4).reshape(S, B, d.shape[2], -1)
-                  @ inp.reshape(S, B, -1, a.shape[-1]))
-            gb = block.sum(axis=(2, 4))
-        parts += (gW.reshape(S, B, -1), gb)
+            gW = d.transpose(0, 2, 1, 3).reshape(S, d.shape[2], -1) @ a.reshape(S, -1, a.shape[-1])
+            gb = d.sum(axis=(1, 3))
+        parts += (gW.reshape(S, -1), gb)
     return np.concatenate(parts, axis=-1)
 
 
 def _example_sq_norms(arch: Architecture, pieces) -> np.ndarray:
     """(S, batch) squared L2 norms of the per-example gradients of the
-    pieces of a backward walk (see :func:`_block_grads`) whose output
+    pieces of a backward walk (see :func:`_param_grads`) whose output
     gradients are per row, without forming the (batch, n_params) rows.  A
     dense layer's row is outer(a_i, delta_i), whose squared norm is
     |a_i|^2 |delta_i|^2 (Goodfellow 2015, arXiv:1510.01799); a convolution's
@@ -511,32 +485,23 @@ def _example_sq_norms(arch: Architecture, pieces) -> np.ndarray:
     return sq
 
 
-def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=None):
-    """Gradient of the mean batch loss of each of S models, from one forward
-    and one backward walk over all of them, in train mode when ``rng`` is
-    given (see :func:`_run_layers`).
+def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None):
+    """Gradients of the mean batch loss of S models, from one forward and
+    one backward walk over all of them, in train mode when ``rng``, one
+    generator per model, is given (see :func:`_run_layers`).
 
-    ``params`` is an (S, n_params) stack, X and y hold the S models' equal
-    batches concatenated in model order, and ``rng`` is one generator per
-    model.  The gradient is an (S, P) array, P = n_params by default (see
-    ``stop``).  With ``block``, a row count that divides each
-    model's batch of n rows into B = n // block contiguous blocks, it is an
-    (S, B, P) array whose row [s, j] is the gradient of block j's
-    mean loss under model s, bit for bit what a batch of block j alone
-    gives: every GEMM runs once per (model, block), all issued as one
-    batched call per product (see :func:`_matmul_blocks`), and every
-    elementwise step once over all rows, the division of the output
-    gradients by the block size included.  A plain batch is one block.  A
-    ``block`` that is not positive, exceeds n or does not divide it is an
-    InternalError.  With ``clip`` set, each row's
-    gradient is instead the mean over its block of the per-example
-    gradients (what a one-row batch of each sample gives), each first
-    scaled to L2 norm at most ``clip``; an example whose gradient is
-    exactly zero is left as it is.  The walk then
-    runs on the per-row output gradients, not divided by the block size,
-    takes each example's norm from them (see :func:`_example_sq_norms`) and
-    folds min(1, clip / norm) / block size into each piece's rows before
-    the gradients are formed, so no (batch, n_params) array is held.
+    ``params`` is an (S, n_params) stack, and X and y hold the S models'
+    equal batches of n rows concatenated in model order.  The result is an
+    (S, P) array, P = n_params by default (see ``stop``), whose row s is bit
+    for bit what model s gives on its batch alone.  With ``clip`` set, a
+    row is instead the mean over its batch of the per-example gradients
+    (what a one-row batch of each sample gives), each first scaled to L2
+    norm at most ``clip``; an example whose gradient is exactly zero is left
+    as it is.  The walk then runs on the per-row output gradients, not
+    divided by n, takes each example's norm from them (see
+    :func:`_example_sq_norms`) and folds min(1, clip / norm) / n into each
+    piece's rows before the gradients are formed, so no (batch, n_params)
+    array is held.
     A max-pool's input gradient is one scatter into a C-contiguous (c, h, w)
     array, and a convolution's is its col2im, one gather per tap through
     ``arch.tables`` (see :func:`_max_pool_grad` and :func:`_col2im`), so
@@ -558,13 +523,10 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
     y = np.asarray(y, dtype=np.int64)
     S = len(params)
     n = X.shape[0] // S
-    size = n if block is None else block
-    if not 0 < size <= n or n % size:
-        raise InternalError(f"blocks of {size} rows do not split {n} rows")
-    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng, size)
+    logits, caches = _run_layers(params, arch, X.reshape(S, n, *arch.input_shape), rng)
     delta = _softmax_xent(logits.reshape(S * n, -1), y).reshape(S, n, -1)
     if clip is None:
-        delta /= size
+        delta /= n
     pieces = []  # (layer index, layer input, output gradient) per layer formed
     for i in range(len(arch.layers) - 1, -1, -1):
         layer = arch.layers[i]
@@ -575,7 +537,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
                 pieces.append((i, flat, delta))
             if i == stop:
                 break
-            delta = _matmul_blocks(delta, W.transpose(0, 2, 1), size).reshape(in_shape)
+            delta = (delta @ W.transpose(0, 2, 1)).reshape(in_shape)
         elif isinstance(layer, Conv2d):
             in_shape, cols, W = cache
             o, ho, wo = delta.shape[2:]
@@ -584,7 +546,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
                 pieces.append((i, cols, d))
             if i == stop:
                 break
-            delta = _col2im(d, W, size, in_shape, arch.tables[i])
+            delta = _col2im(d, W, in_shape, arch.tables[i])
         elif isinstance(layer, MaxPool2d):
             in_shape, idx = cache
             delta = _max_pool_grad(delta, in_shape, idx, arch.tables[i])
@@ -597,10 +559,9 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None, block=Non
     if clip is not None:
         norms = np.sqrt(_example_sq_norms(arch, pieces))
         scale = np.minimum(1.0, np.divide(clip, norms, out=np.ones_like(norms), where=norms > 0))
-        scale /= size
+        scale /= n
         pieces = [(i, a, d * scale.reshape(S, n, *[1] * (d.ndim - 2))) for i, a, d in pieces]
-    grads = _block_grads(arch, pieces, size)
-    return grads if block is not None else grads[:, 0]
+    return _param_grads(arch, pieces)
 
 
 def forward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray):
@@ -620,15 +581,19 @@ def predict_logits(params: np.ndarray, arch: Architecture, X: np.ndarray) -> np.
     return _run_layers(params[None], arch, X[None], None)[0][0]
 
 
-def backward(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray,
-             stop: Optional[int] = None, block: Optional[int] = None):
-    """Gradient of the mean batch loss (eval mode): of every parameter,
-    laid out by ``arch.param_slots``, by default, or, with ``stop`` the
-    index of a parameterised layer, of that layer only, a (w_size + b_size,)
-    array, W then b.  With ``block``, a row count that divides the batch, it
-    is one gradient row per contiguous block of that many rows, each equal
-    to a call on that block alone (see :func:`_loss_and_grad`)."""
-    return _loss_and_grad(params[None], arch, X, y, stop=stop, block=block)[0]
+def backward(models: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray,
+             stop: Optional[int] = None) -> np.ndarray:
+    """Eval-mode gradients of the mean batch loss of the (S, n_params) stack
+    ``models``, on S equal batches concatenated in model order in X and y,
+    as :func:`train` takes them: an (S, P) array whose row s is bit for bit
+    a walk of model s over batch s alone (see :func:`_loss_and_grad`, also
+    for ``stop``).  Models that are not such a stack, or rows that do not
+    split into S equal batches, are an InternalError."""
+    if models.ndim != 2 or models.shape[1] != arch.n_params:
+        raise InternalError(f"models of shape {models.shape} for {arch.n_params} parameters each")
+    if not len(models) or len(X) % len(models):
+        raise InternalError(f"{len(X)} rows do not split into {len(models)} equal batches")
+    return _loss_and_grad(models, arch, X, y, stop=stop)
 
 
 def accuracy(params: np.ndarray, arch: Architecture, X: np.ndarray, y: np.ndarray) -> float:

@@ -73,7 +73,7 @@ def test_criterion_01_gradient_matches_finite_differences():
             params = nn.init_params(arch, seed=seed)
             X = rng.standard_normal((4, int(np.prod(arch.input_shape))))
             y = rng.integers(0, arch.n_classes, 4)
-            got = nn.backward(params, arch, X, y)
+            got = nn.backward(params[None], arch, X, y)[0]
             want = fd_gradient(params, arch, X, y)
             denom = np.maximum(np.maximum(np.abs(got), np.abs(want)), 1e-8)
             assert np.max(np.abs(got - want) / denom) <= 1e-4
@@ -98,7 +98,7 @@ def test_criterion_02_sensitivity_identity_on_random_pairs():
             got = attack.extract_sensitivity(nn.ParamVector(params), arch, aux)
             off, _, w_size, b_size = arch.param_slots[arch.feature_index]
             for c in range(4):
-                grad = nn.backward(params, arch, batches[c], np.full(len(batches[c]), c))
+                grad = nn.backward(params[None], arch, batches[c], np.full(len(batches[c]), c))[0]
                 want = np.abs(grad[off:off + w_size + b_size]).sum()
                 assert abs(got[c] - want) <= 1e-9 * max(want, 1e-30)
 

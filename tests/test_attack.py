@@ -39,7 +39,7 @@ def test_sensitivity_matches_summed_feature_layer_gradient(world):
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(4):
         Xc = aux.X[aux.y == c]
-        grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
+        grad = nn.backward(params[None], arch, Xc, np.full(len(Xc), c))[0]
         want = np.abs(grad[off:off + w_size + b_size]).sum()
         assert got[c] == want
 
@@ -100,15 +100,16 @@ def test_cnn_sensitivity_equals_a_full_walk_per_class_reference():
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(10):
         Xc = aux.X[aux.y == c]
-        grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
+        grad = nn.backward(params[None], arch, Xc, np.full(len(Xc), c))[0]
         assert got[c] == np.abs(grad[off:off + w_size + b_size]).sum()
 
 
 @pytest.mark.parametrize("overrides, dim", [({}, 16), ({"model": {"kind": "cnn"}}, 36)],
                          ids=["mlp", "benchmark-cnn"])
 def test_sensitivity_of_unequal_class_blocks_equals_a_full_walk_per_class(overrides, dim):
-    # No run builds such a store; it takes one walk per class, not the
-    # blocked walk, and reads the same as that class's batch alone.
+    # No run builds such a store; it takes one walk per class, not one walk
+    # over a copy of the model per class, and reads the same as that
+    # class's batch alone.
     arch = harness.validate_config(json.dumps({**overrides, "dataset": {"dim": dim}})).arch
     counts = [3, 8, 1, 5, 5, 2, 7, 4, 6, 3]
     aux = data.sample_per_class(data.make_synthetic(10, dim, 20, seed=13, sigma=1.0), 8, None)
@@ -119,7 +120,7 @@ def test_sensitivity_of_unequal_class_blocks_equals_a_full_walk_per_class(overri
     off, _, w_size, b_size = arch.param_slots[arch.feature_index]
     for c in range(10):
         Xc = aux.X[aux.y == c]
-        grad = nn.backward(params, arch, Xc, np.full(len(Xc), c))
+        grad = nn.backward(params[None], arch, Xc, np.full(len(Xc), c))[0]
         assert got[c] == np.abs(grad[off:off + w_size + b_size]).sum()
 
 

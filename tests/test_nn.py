@@ -182,7 +182,7 @@ def test_params_sized_for_another_architecture_are_internal_errors(case):
     with pytest.raises(InternalError, match="parameters"):
         nn.predict_logits(params, arch, X)
     with pytest.raises(InternalError, match="parameters"):
-        nn.backward(params, arch, X, y)
+        nn.backward(params[None], arch, X, y)
     with pytest.raises(InternalError, match="parameters"):
         nn.train(params[None], arch, X, y, nn.TrainConfig(0.1, epochs=1, batch_size=4), [0])
 
@@ -224,7 +224,7 @@ def test_one_parameter_logistic_gradient_by_hand():
     # loss w.r.t. w is sigma(0) - 1 = -0.5.
     arch = nn.Architecture((nn.Dense(1, 2),), (1,), 2)
     params = np.zeros(arch.n_params)
-    grad = nn.backward(params, arch, np.array([[1.0]]), np.array([1]))
+    grad = nn.backward(params[None], arch, np.array([[1.0]]), np.array([1]))[0]
     W, _ = nn._layer_params(grad, arch, 0)
     assert W[0, 1] == pytest.approx(-0.5)
     assert W[0, 0] == pytest.approx(0.5)
@@ -237,7 +237,7 @@ def test_gradient_near_zero_at_saturated_minimum():
     W[:] = np.array([[60.0, -60.0], [-60.0, 60.0]])
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     y = np.array([0, 1])
-    grad = nn.backward(params, arch, X, y)
+    grad = nn.backward(params[None], arch, X, y)[0]
     assert np.linalg.norm(grad) < 1e-6
 
 
@@ -262,7 +262,7 @@ def test_backward_matches_finite_differences_random_archs(seed):
         )
     params = nn.init_params(arch, seed=seed)
     X, y = rand_batch(arch, 5, seed=200 + seed)
-    grad = nn.backward(params, arch, X, y)
+    grad = nn.backward(params[None], arch, X, y)[0]
     fd = fd_gradient(params, arch, X, y)
     assert_close_rel(grad, fd, tol=1e-4)
 
@@ -389,11 +389,12 @@ BENCHMARK_CNN = {"model": {"kind": "cnn"}, "dataset": {"dim": 36}}
         "pool-crop-9x9"])
 def test_conv_gemm_matches_einsum_reference(make_arch, n):
     """Forward output, each layer's batch weight and bias gradients, the
-    per-example rows (one-row blocks), their clipped mean, and the gradient
-    rows of four equal row blocks, plain and clipped, whose reference is the
-    mean of the block's per-example rows, plain and clipped.  The input
-    gradient of every convolution after the first feeds the gradients of the
-    layers below it, so it is checked too."""
+    per-example rows (one copy of the model per row), their clipped mean,
+    and the gradient rows of four copies of the model on four equal
+    batches, plain and clipped, whose reference is the mean of the batch's
+    per-example rows, plain and clipped.  The input gradient of every
+    convolution after the first feeds the gradients of the layers below it,
+    so it is checked too."""
     arch = make_arch()
     params = perturbed_params(arch, 1)
     X, y = rand_batch(arch, n, seed=2)
@@ -406,19 +407,19 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
                                            nn._layer_params(want, arch, index)):
                 assert_matches_reference(got_part, want_part)
 
-    assert_layers_match(nn.backward(params, arch, X, y), grad)
-    assert_matches_reference(nn.backward(params, arch, X, y, block=1), rows)
+    assert_layers_match(nn.backward(params[None], arch, X, y)[0], grad)
+    assert_matches_reference(nn.backward(copies(params, n), arch, X, y), rows)
     clip = np.median(np.linalg.norm(rows, axis=1))  # clips about half of the rows
     assert_matches_reference(one_model_grad(params, arch, X, y, clip=clip),
                              clipped_mean(rows, clip))
     size = n // 4
-    blocks = nn.backward(params, arch, X, y, block=size)
-    clipped = one_model_grad(params, arch, X, y, clip=clip, block=size)
-    assert len(blocks) == len(clipped) == 4
-    for j, (got, got_clipped) in enumerate(zip(blocks, clipped)):
-        block_rows = rows[j * size:(j + 1) * size]
-        assert_layers_match(got, block_rows.mean(axis=0))
-        assert_matches_reference(got_clipped, clipped_mean(block_rows, clip))
+    batches = nn.backward(copies(params, 4), arch, X, y)
+    clipped = nn._loss_and_grad(copies(params, 4), arch, X, y, clip=clip)
+    assert len(batches) == len(clipped) == 4
+    for j, (got, got_clipped) in enumerate(zip(batches, clipped)):
+        batch_rows = rows[j * size:(j + 1) * size]
+        assert_layers_match(got, batch_rows.mean(axis=0))
+        assert_matches_reference(got_clipped, clipped_mean(batch_rows, clip))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +458,12 @@ def tile_max_pool_grad(delta, in_shape, idx, tables):
     return dx
 
 
-def strided_col2im(d, W, size, in_shape, tables):
+def strided_col2im(d, W, in_shape, tables):
     """col2im by one strided add of the column gradient per tap."""
     S, n, o = d.shape[:3]
     k = W.shape[-1]
     ho, wo = in_shape[3] - k + 1, in_shape[4] - k + 1
-    dcols = nn._matmul_blocks(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
-                              size).reshape(S, n, ho, wo, -1, k, k)
+    dcols = (d.transpose(0, 1, 3, 2) @ W.reshape(S, 1, o, -1)).reshape(S, n, ho, wo, -1, k, k)
     dx = np.zeros(in_shape, dtype=nn.DTYPE)
     for ki in range(k):
         for kj in range(k):
@@ -477,17 +477,19 @@ WINDOW_WALK = {"_im2col": window_im2col, "_max_pool": tile_max_pool,
 
 def conv_walk_outputs(models, arch, X, y):
     """Logits, max-pool argmaxes and gradients of an S-model stack: the full
-    walk, the walk stopped at the feature layer, blocks of half the batch,
-    and the clipped walk of DP-SGD over the same blocks."""
+    walk, the walk stopped at the feature layer, two copies of each model
+    on the halves of its batch, and the clipped walk of DP-SGD over the same
+    copies."""
     S, n = len(models), len(X) // len(models)
     logits, caches = nn._run_layers(models, arch, X.reshape(S, n, *arch.input_shape), None)
     argmaxes = [cache[1] for layer, cache in zip(arch.layers, caches)
                 if isinstance(layer, nn.MaxPool2d)]
+    pairs = np.repeat(models, 2, axis=0)
     return [logits, *argmaxes,
             nn._loss_and_grad(models, arch, X, y),
             nn._loss_and_grad(models, arch, X, y, stop=arch.feature_index),
-            nn._loss_and_grad(models, arch, X, y, block=n // 2),
-            nn._loss_and_grad(models, arch, X, y, clip=0.5, block=n // 2)]
+            nn._loss_and_grad(pairs, arch, X, y),
+            nn._loss_and_grad(pairs, arch, X, y, clip=0.5)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
@@ -562,11 +564,11 @@ def test_backward_stopped_at_a_layer_is_that_layer_of_the_full_walk(make_arch):
     arch = make_arch()
     params = perturbed_params(arch, 5)
     X, y = rand_batch(arch, 12, seed=6)
-    full = nn.backward(params, arch, X, y)
+    full = nn.backward(params[None], arch, X, y)[0]
     for index, (off, _, w_size, b_size) in arch.param_slots.items():
         part = full[off:off + w_size + b_size]
         assert part.any()
-        stopped = nn.backward(params, arch, X, y, stop=index)
+        stopped = nn.backward(params[None], arch, X, y, stop=index)[0]
         assert stopped.shape == part.shape
         assert np.array_equal(stopped, part)
 
@@ -578,12 +580,17 @@ def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
     for stop in (-1, 1, 4, len(arch.layers)):
         assert stop not in arch.param_slots
         with pytest.raises(InternalError, match=f"cannot stop at layer {stop}:"):
-            nn.backward(params, arch, X, y, stop=stop)
+            nn.backward(params[None], arch, X, y, stop=stop)
 
 
 # ---------------------------------------------------------------------------
-# Backward walks over row blocks
+# Backward walks over a stack of models
 # ---------------------------------------------------------------------------
+
+
+def copies(params, count):
+    """``count`` copies of one model as a stack whose rows share its memory."""
+    return np.broadcast_to(params, (count, len(params)))
 
 
 @pytest.mark.parametrize("make_arch", [
@@ -591,33 +598,47 @@ def test_backward_stop_at_a_layer_without_parameters_is_internal_error():
     lambda: strided_cnn(7), lambda: reference_arch(DROPOUT),
 ], ids=["mlp", "benchmark-cnn", "stride2-7x7", "dropout-mlp"])
 @pytest.mark.parametrize("size, count", [(6, 4), (150, 10), (1, 24), (24, 1)],
-                         ids=["equal", "aux-store", "one-row", "one-block"])
+                         ids=["equal", "aux-store", "one-row", "one-model"])
 @pytest.mark.parametrize("at", ["feature", "first"])
-def test_block_rows_equal_one_backward_per_block(make_arch, size, count, at):
-    """Row j of a blocked walk is bit for bit the walk over block j alone,
-    from one-row blocks (per-example gradients) to one block of the whole
-    batch.  Stopping at the first layer runs every layer's input gradient above it:
-    col2im for the second convolution of the CNNs, the identity of an
-    eval-mode Dropout."""
+def test_rows_of_a_walk_over_copies_equal_one_backward_per_batch(make_arch, size, count, at):
+    """Row s of a walk over ``count`` copies of one model, on ``count``
+    batches of ``size`` rows, is bit for bit the walk over batch s alone,
+    from one-row batches (per-example gradients) to one batch of all rows,
+    whether the copies share the model's memory or are copied.  Stopping at
+    the first layer runs every layer's input gradient above it: col2im for
+    the second convolution of the CNNs, the identity of an eval-mode
+    Dropout."""
     arch = make_arch()
     params = perturbed_params(arch, 7)
     X, y = rand_batch(arch, size * count, seed=8)
     stop = arch.feature_index if at == "feature" else min(arch.param_slots)
-    rows = nn.backward(params, arch, X, y, stop=stop, block=size)
     _, _, w_size, b_size = arch.param_slots[stop]
-    assert rows.shape == (count, w_size + b_size)
-    for j, row in enumerate(rows):
-        lo, hi = j * size, (j + 1) * size
-        assert np.array_equal(row, nn.backward(params, arch, X[lo:hi], y[lo:hi], stop=stop))
+    for stack in (copies(params, count), np.repeat(params[None], count, axis=0)):
+        rows = nn.backward(stack, arch, X, y, stop=stop)
+        assert rows.shape == (count, w_size + b_size)
+        for s, row in enumerate(rows):
+            lo, hi = s * size, (s + 1) * size
+            alone = nn.backward(params[None], arch, X[lo:hi], y[lo:hi], stop=stop)
+            assert np.array_equal(row, alone[0])
 
 
-@pytest.mark.parametrize("size", [-6, -1, 0, 4, 7, 12])
-def test_blocks_that_do_not_split_the_batch_are_internal_error(size):
-    # -6 and -1 leave no remainder, so only the sign check rejects them
+@pytest.mark.parametrize("n_models", [0, 4, 5, 7, 9, 12])
+def test_rows_that_do_not_split_into_one_batch_per_model_are_internal_error(n_models):
     arch = mlp()
     X, y = rand_batch(arch, 6, seed=9)
-    with pytest.raises(InternalError, match=f"blocks of {size} rows do not split 6 rows"):
-        nn.backward(nn.init_params(arch, 1), arch, X, y, block=size)
+    with pytest.raises(InternalError, match=f"6 rows do not split into {n_models} equal batches"):
+        nn.backward(copies(nn.init_params(arch, 1), n_models), arch, X, y)
+
+
+def test_backward_of_one_model_not_in_a_stack_is_internal_error():
+    """One model must come as a (1, n_params) stack: a 1-D model is named by
+    its shape, not broadcast."""
+    arch = mlp()
+    X, y = rand_batch(arch, 6, seed=9)
+    params = nn.init_params(arch, 1)
+    with pytest.raises(InternalError, match=rf"models of shape \({arch.n_params},\) for "
+                                            rf"{arch.n_params} parameters each"):
+        nn.backward(params, arch, X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +666,9 @@ def test_two_recomputed_steps_differ_from_one_summed_step_on_curved_loss():
     params = nn.init_params(arch, seed=5)
     X, y = rand_batch(arch, 6, seed=6)
     lr = 0.5
-    g1 = nn.backward(params, arch, X, y)
+    g1 = nn.backward(params[None], arch, X, y)[0]
     after1 = nn.sgd_step(params, g1, lr)
-    g2 = nn.backward(after1, arch, X, y)  # recomputed at the new point
+    g2 = nn.backward(after1[None], arch, X, y)[0]  # recomputed at the new point
     two_steps = nn.sgd_step(after1, g2, lr)
     # One step with the gradient taken twice at the start point: only equal to
     # the two-step path if the loss surface were flat along the way.
@@ -859,7 +880,7 @@ def test_clipped_mean_keeps_an_exactly_zero_example_without_a_warning():
     b[0] = 1e3  # exp(-1e3) underflows: class 0 gets probability exactly 1.0
     X, _ = rand_batch(arch, 6, seed=4)
     y = np.array([0, 1, 0, 2, 1, 2])
-    rows = np.stack([nn.backward(params, arch, X[i:i + 1], y[i:i + 1])
+    rows = np.stack([nn.backward(params[None], arch, X[i:i + 1], y[i:i + 1])[0]
                      for i in range(len(X))])
     assert not rows[y == 0].any() and rows[y != 0].any(axis=1).all()
     with warnings.catch_warnings():
@@ -1242,7 +1263,7 @@ def test_float32_backward_matches_finite_differences(overrides):
     arch = reference_arch(overrides)
     params = perturbed_params(arch, 1).astype(np.float32)
     X, y = rand_batch(arch, 8, seed=21)
-    grad = nn.backward(params, arch, X, y)
+    grad = nn.backward(params[None], arch, X, y)[0]
     assert grad.dtype == np.float32
     base = relu_and_pool_patterns(params, arch, X)
     checked = 0
@@ -1266,6 +1287,25 @@ def test_lockstep_training_equals_one_model_at_a_time_in_float32(case, n_models)
     """The lockstep check in the float32 engine of a run: bit for bit too."""
     assert nn.DTYPE is np.float32
     assert_lockstep_equals_sequential(case, n_models)
+
+
+@pytest.mark.parametrize("overrides", [{}, BENCHMARK_CNN], ids=["mlp", "benchmark-cnn"])
+def test_lockstep_training_of_a_broadcast_stack_equals_one_model_runs(overrides):
+    """Six copies of one float32 start model that share its memory
+    (``np.broadcast_to``, stride 0 between rows), each with its own data and
+    seed, train at a one-row batch bit for bit as each copy trains alone."""
+    assert nn.DTYPE is np.float32
+    arch = reference_arch(overrides)
+    init = perturbed_params(arch, 10).astype(np.float32)
+    S, n = 6, 20
+    seeds = [derive_seed(3, "lockstep", s) for s in range(S)]
+    X, y = rand_batch(arch, S * n, seed=12)
+    cfg = nn.TrainConfig(0.1, epochs=2, batch_size=1)
+    got = nn.train(copies(init, S), arch, X, y, cfg, seeds)
+    for s, seed in enumerate(seeds):
+        rows = slice(s * n, (s + 1) * n)
+        assert np.array_equal(got[s], sequential_train_reference(init, arch, X[rows], y[rows], cfg,
+                                                                 seed))
 
 
 # ---------------------------------------------------------------------------
