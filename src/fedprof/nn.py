@@ -94,20 +94,6 @@ _SIZES = {Dense: ("in_dim", "out_dim"), Conv2d: ("in_ch", "out_ch", "kernel"),
           MaxPool2d: ("kernel",)}
 
 
-# Transposes of an (S, n, c, h, w) activation into its memory order: (c, h,
-# w), or channel-last.
-_MEMORY_AXES = ((0, 1, 2, 3, 4), (0, 1, 3, 4, 2))
-
-
-def _memory_offsets(shape, channel_last):
-    """Where each element of a (c, h, w) sample sits in its memory order, in
-    (c, h, w) order."""
-    c, h, w = shape
-    if channel_last:
-        return np.arange(h * w * c, dtype=np.intp).reshape(h, w, c).transpose(2, 0, 1).ravel()
-    return np.arange(c * h * w, dtype=np.intp)
-
-
 def _window_taps(shape, k, step):
     """(k*k, c*ho*wo) flat (c, h, w) indices of the k x k windows of a (c, h,
     w) sample taken every ``step`` pixels: row ki*k + kj holds tap (ki, kj)
@@ -130,20 +116,17 @@ class Architecture:
     ``input_size`` the flat size of one input sample.
 
     ``tables`` maps each convolution and max-pool layer's index to the index
-    tables its walk gathers through, as (axes, forward table, backward
-    table).  ``axes`` transposes the layer's (S, n, c, h, w) input into the
-    order it has in memory: channel-last after a convolution, whose GEMM
-    leaves its output so and whose ReLU keeps it, and (c, h, w) otherwise;
-    an activation held in another order is copied into it.  Tables index one
-    sample's input in that order, or its gradient, which is always (c, h,
-    w), and list taps in (ki, kj) order.  A convolution's forward table is
-    its im2col, one row of (c, ki, kj) taps per output pixel in (ho, wo)
-    order, flat; its backward table is its col2im, a (k*k, c*h*w) array
-    whose row for a tap holds, for each input pixel, the column-gradient
-    entry that tap adds to it, or the index of a zero past the columns where
-    the tap misses the pixel.  A max-pool's tables are (k*k, c*ho*wo), the
-    taps of every window, into its input and into its input gradient; the
-    pixels a window misses on an odd side are in neither.
+    tables its walk gathers through.  Every activation and every gradient of
+    the walk is a C-contiguous (S, n, c, h, w) array, so a table indexes one
+    sample's flat (c, h, w) input or input gradient, and it lists taps in
+    (ki, kj) order.  A convolution's tables are (im2col, col2im): im2col is
+    one row of (c, ki, kj) taps per output pixel in (ho, wo) order, flat;
+    col2im is a (k*k, c*h*w) array whose row for a tap holds, for each input
+    pixel, the column-gradient entry that tap adds to it, or the index of a
+    zero past the columns where the tap misses the pixel.  A max-pool's one
+    table is ``taps``, (k*k, c*ho*wo), the taps of every window, which its
+    forward walk gathers and its backward walk scatters through; the pixels
+    a window misses on an odd side are not in it.
 
     ``feature_index`` is the index of the feature layer, the layer whose
     gradient sensitivity extraction reads.  It follows a rule:
@@ -162,7 +145,6 @@ class Architecture:
             raise InputError(f"n_classes must be >= 2, got {self.n_classes}")
         shape, offset, self.param_slots, self.tables = self.input_shape, 0, {}, {}
         dense, conv = [], None
-        channel_last = False  # the memory order of the current activation
         for i, layer in enumerate(self.layers):
             for name in _SIZES.get(type(layer), ()):
                 if getattr(layer, name) < 1:
@@ -186,15 +168,14 @@ class Architecture:
                     raise InputError(f"layer {i}: conv2d kernel larger than input {shape}")
                 k, c, pixels = layer.kernel, layer.in_ch, h * w
                 taps = _window_taps(shape, k, 1)
-                im2col = _memory_offsets(shape, channel_last)[taps].reshape(k * k, c, pixels).T
                 # One sample's column gradient is (ho, wo, c, ki, kj), and
                 # entry ``width`` is the zero after it.
                 width = pixels * c * k * k
                 col2im = np.full((k * k, math.prod(shape)), width, dtype=np.intp)
                 col2im[np.arange(k * k)[:, None], taps] = np.arange(width).reshape(
                     pixels, c, k * k).T.reshape(k * k, -1)
-                self.tables[i] = (_MEMORY_AXES[channel_last], im2col.ravel(), col2im)
-                shape, channel_last = (layer.out_ch, h, w), True
+                self.tables[i] = (taps.reshape(k * k, c, pixels).T.ravel(), col2im)
+                shape = (layer.out_ch, h, w)
                 w_shape = (layer.out_ch, layer.in_ch, layer.kernel, layer.kernel)
                 b_size = layer.out_ch
                 conv = i
@@ -204,10 +185,8 @@ class Architecture:
                 h, w = shape[1] // layer.kernel, shape[2] // layer.kernel
                 if h < 1 or w < 1:
                     raise InputError(f"layer {i}: maxpool kernel larger than input {shape}")
-                taps = _window_taps(shape, layer.kernel, layer.kernel)
-                self.tables[i] = (_MEMORY_AXES[channel_last],
-                                  _memory_offsets(shape, channel_last)[taps], taps)
-                shape, channel_last = (shape[0], h, w), False
+                self.tables[i] = _window_taps(shape, layer.kernel, layer.kernel)
+                shape = (shape[0], h, w)
                 continue
             elif isinstance(layer, Dropout):
                 if not 0.0 <= layer.rate < 1.0:
@@ -310,27 +289,26 @@ def _as_batch(arch: Architecture, X: np.ndarray) -> np.ndarray:
     return X.reshape(X.shape[0], *arch.input_shape)
 
 
-def _im2col(act, layer, tables):
-    """The (S, n, ho*wo, c*k*k) im2col columns of an (S, n, c, h, w)
-    activation: one row of (c, ki, kj) input taps per output pixel, in (ho,
-    wo) order, gathered in one ``np.take`` from the activation in its memory
-    order (see :class:`Architecture`)."""
+def _im2col(act, layer, im2col):
+    """The (S, n, ho*wo, c*k*k) im2col columns of a C-contiguous (S, n, c, h,
+    w) activation: one row of (c, ki, kj) input taps per output pixel, in (ho,
+    wo) order, gathered in one ``np.take`` through the layer's im2col table
+    (see :class:`Architecture`)."""
     S, n, _, h, w = act.shape
-    axes, im2col, _ = tables
-    cols = np.take(act.transpose(axes).reshape(S, n, -1), im2col, axis=-1)
+    cols = np.take(act.reshape(S, n, -1), im2col, axis=-1)
     return cols.reshape(S, n, (h - layer.kernel + 1) * (w - layer.kernel + 1), -1)
 
 
-def _max_pool(act, layer, tables):
-    """(pooled, argmax) of non-overlapping k x k max pooling of an (S, n, c,
-    h, w) activation, both (S, n, c, h // k, w // k) and C-contiguous; argmax
-    is the winning tap, ki*k + kj, of each window.  One tap-major gather,
-    (S, n, k*k, c*ho*wo), then a running max over the taps in (ki, kj)
-    order: a tap must beat the max so far, so the first max wins, a
-    deterministic tie-break.  A NaN in a window makes its max NaN."""
+def _max_pool(act, layer, taps):
+    """(pooled, argmax) of non-overlapping k x k max pooling of a C-contiguous
+    (S, n, c, h, w) activation, both (S, n, c, h // k, w // k) and
+    C-contiguous; argmax is the winning tap, ki*k + kj, of each window.  One
+    tap-major gather through the layer's ``taps`` table, (S, n, k*k,
+    c*ho*wo), then a running max over the taps in (ki, kj) order: a tap must
+    beat the max so far, so the first max wins, a deterministic tie-break.  A
+    NaN in a window makes its max NaN."""
     S, n, c, h, w = act.shape
-    axes, taps, _ = tables
-    tiles = np.take(act.transpose(axes).reshape(S, n, -1), taps, axis=-1)
+    tiles = np.take(act.reshape(S, n, -1), taps, axis=-1)
     pooled = tiles[:, :, 0].copy()
     argmax = np.zeros(pooled.shape, dtype=np.intp)
     for t in range(1, len(taps)):
@@ -340,11 +318,11 @@ def _max_pool(act, layer, tables):
     return pooled.reshape(out_shape), argmax.reshape(out_shape)
 
 
-def _max_pool_grad(delta, in_shape, argmax, tables):
-    """The C-contiguous input gradient of :func:`_max_pool`: each window's
-    output gradient goes to the pixel of its winning tap, every other pixel,
-    the cropped ones of an odd side included, is zero."""
-    taps = tables[2]
+def _max_pool_grad(delta, in_shape, argmax, taps):
+    """The C-contiguous (S, n, c, h, w) input gradient of :func:`_max_pool`,
+    one scatter through the same ``taps`` table: each window's output
+    gradient goes to the pixel of its winning tap, every other pixel, the
+    cropped ones of an odd side included, is zero."""
     rows, width, windows = math.prod(in_shape[:2]), math.prod(in_shape[2:]), taps.shape[1]
     at = np.take(taps, argmax.reshape(rows, windows) * windows + np.arange(windows))
     at += np.arange(0, rows * width, width)[:, None]
@@ -353,7 +331,7 @@ def _max_pool_grad(delta, in_shape, argmax, tables):
     return dx.reshape(in_shape)
 
 
-def _col2im(d, W, in_shape, tables):
+def _col2im(d, W, in_shape, col2im):
     """The C-contiguous (S, n, c, h, w) input gradient of a convolution from
     its (S, n, o, ho*wo) output gradient ``d`` and its (S, o, c, k, k)
     weights.  One GEMM per sample forms the column gradient, each sample's
@@ -368,7 +346,7 @@ def _col2im(d, W, in_shape, tables):
     np.matmul(d.transpose(0, 1, 3, 2), W.reshape(S, 1, o, -1),
               out=dcols[..., :width].reshape(S, n, pixels, -1))
     dx = np.zeros((S, n, math.prod(in_shape[2:])), dtype=DTYPE)
-    for tap in tables[2]:
+    for tap in col2im:
         dx += np.take(dcols, tap, axis=-1)
     return dx.reshape(in_shape)
 
@@ -383,11 +361,12 @@ def _run_layers(params, arch, X, rngs):
     all issued as one batched ``np.matmul``, and every elementwise step once
     over all rows, so model s's rows equal a walk of that model alone.  A
     stack whose rows share memory (``np.broadcast_to``) is walked as a
-    C-contiguous copy, as a copied one would be.  A convolution
-    gathers its im2col columns and a max-pool its windows through the
-    layer's index tables in ``arch.tables`` (see :func:`_im2col` and
-    :func:`_max_pool`); a convolution caches (input shape, columns, W) and a
-    max-pool (input shape, argmax)."""
+    C-contiguous copy, as a copied one would be.  Every activation is
+    C-contiguous (S, n, c, h, w): a convolution copies its GEMM's (ho, wo, o)
+    output into that order.  A convolution gathers its im2col columns and a
+    max-pool its windows through the layer's tables in ``arch.tables`` (see
+    :func:`_im2col` and :func:`_max_pool`); a convolution caches (input
+    shape, columns, W) and a max-pool (input shape, argmax)."""
     S, n = X.shape[:2]
     params = np.ascontiguousarray(params, dtype=DTYPE)
     if params.shape != (S, arch.n_params):
@@ -403,13 +382,13 @@ def _run_layers(params, arch, X, rngs):
             act += b[:, None]
         elif isinstance(layer, Conv2d):
             ho, wo = act.shape[3] - layer.kernel + 1, act.shape[4] - layer.kernel + 1
-            cols = _im2col(act, layer, arch.tables[i])
+            cols = _im2col(act, layer, arch.tables[i][0])
             W, b = _layer_params(params, arch, i)
             caches.append((act.shape, cols, W))
-            out = np.matmul(cols.reshape(S, n * ho * wo, -1),
+            act = np.matmul(cols.reshape(S, n * ho * wo, -1),
                             W.reshape(S, layer.out_ch, -1).transpose(0, 2, 1))
-            out += b[:, None]
-            act = out.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3)
+            act += b[:, None]
+            act = np.ascontiguousarray(act.reshape(S, n, ho, wo, -1).transpose(0, 1, 4, 2, 3))
         elif isinstance(layer, MaxPool2d):
             pooled, idx = _max_pool(act, layer, arch.tables[i])
             caches.append((act.shape, idx))
@@ -546,7 +525,7 @@ def _loss_and_grad(params, arch, X, y, rng=None, clip=None, stop=None):
                 pieces.append((i, cols, d))
             if i == stop:
                 break
-            delta = _col2im(d, W, in_shape, arch.tables[i])
+            delta = _col2im(d, W, in_shape, arch.tables[i][1])
         elif isinstance(layer, MaxPool2d):
             in_shape, idx = cache
             delta = _max_pool_grad(delta, in_shape, idx, arch.tables[i])

@@ -427,7 +427,7 @@ def test_conv_gemm_matches_einsum_reference(make_arch, n):
 # ---------------------------------------------------------------------------
 
 
-def window_im2col(act, layer, tables):
+def window_im2col(act, layer, im2col):
     """im2col by a transposed copy of the window view."""
     S, n = act.shape[:2]
     win = sliding_window_view(act, (layer.kernel, layer.kernel), axis=(3, 4))
@@ -435,7 +435,7 @@ def window_im2col(act, layer, tables):
     return win.transpose(0, 1, 3, 4, 2, 5, 6).reshape(S, n, ho * wo, -1)
 
 
-def tile_max_pool(act, layer, tables):
+def tile_max_pool(act, layer, taps):
     """Max pooling by argmax over a tile-transposed copy of the cropped input."""
     k = layer.kernel
     S, n, c, h, w = act.shape
@@ -446,9 +446,9 @@ def tile_max_pool(act, layer, tables):
     return np.take_along_axis(tiles, idx[..., None], axis=-1)[..., 0], idx
 
 
-def tile_max_pool_grad(delta, in_shape, idx, tables):
+def tile_max_pool_grad(delta, in_shape, idx, taps):
     """The pooling gradient put into tiles, then transposed into place."""
-    k = math.isqrt(len(tables[2]))
+    k = math.isqrt(len(taps))
     S, n, c, ho, wo = idx.shape
     dtiles = np.zeros((S, n, c, ho, wo, k * k), dtype=nn.DTYPE)
     np.put_along_axis(dtiles, idx[..., None], delta[..., None], axis=-1)
@@ -458,7 +458,7 @@ def tile_max_pool_grad(delta, in_shape, idx, tables):
     return dx
 
 
-def strided_col2im(d, W, in_shape, tables):
+def strided_col2im(d, W, in_shape, col2im):
     """col2im by one strided add of the column gradient per tap."""
     S, n, o = d.shape[:3]
     k = W.shape[-1]
@@ -519,32 +519,61 @@ def test_gather_walk_equals_window_view_walk_bit_for_bit(monkeypatch, make_arch,
         assert got_part.tobytes() == want_part.tobytes()
 
 
-@pytest.mark.parametrize("channel_last", [False, True])
-def test_max_pool_ties_and_nans_match_the_tile_reference(channel_last):
-    """Max pooling of a 7x7 input with many ties, in either memory order:
-    the pooled values and, in windows without a NaN, the winning taps equal
-    the tile reference's; a window with a NaN at any tap pools to NaN."""
+def test_max_pool_ties_and_nans_match_the_tile_reference():
+    """Max pooling of a 7x7 input with many ties: the pooled values and, in
+    windows without a NaN, the winning taps equal the tile reference's; a
+    window with a NaN at any tap pools to NaN."""
     arch = nn.Architecture((nn.Conv2d(2, 3, kernel=1), nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 2)),
                            (2, 7, 7), 2)
-    tables, layer = arch.tables[1], arch.layers[1]
-    assert tables[0] == (0, 1, 3, 4, 2)  # the input of a pool after a convolution
+    taps, layer = arch.tables[1], arch.layers[1]
+    # the input of a pool after a convolution is indexed as any (3, 7, 7) input
+    assert np.array_equal(taps, nn.Architecture((nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 2)),
+                                                (3, 7, 7), 2).tables[0])
     act = np.random.default_rng(40).integers(0, 3, (2, 5, 7, 7, 3)).astype(nn.DTYPE)
     act[0, 0, :2, :2, 0] = [[1, 2], [2, 2]]  # a tie that tap 0 does not win
     act[1, 1, 0, 0, :] = np.nan  # tap 0 of three windows
     act[1, 2, 5, 5, 1] = np.nan  # the last tap of a window
-    act = act.transpose(0, 1, 4, 2, 3)
-    if not channel_last:
-        act = np.ascontiguousarray(act)
-        tables = nn.Architecture((nn.MaxPool2d(2), nn.Dense(3 * 3 * 3, 2)), (3, 7, 7),
-                                 2).tables[0]
-    pooled, idx = nn._max_pool(act, layer, tables)
-    want, want_idx = tile_max_pool(act, layer, tables)
+    act = np.ascontiguousarray(act.transpose(0, 1, 4, 2, 3))
+    pooled, idx = nn._max_pool(act, layer, taps)
+    want, want_idx = tile_max_pool(act, layer, taps)
     assert np.array_equal(pooled, want, equal_nan=True)
     assert idx[0, 0, 0, 0, 0] == want_idx[0, 0, 0, 0, 0] == 1
     finite = ~np.isnan(want)
     assert np.array_equal(idx[finite], want_idx[finite])
     assert np.isnan(pooled[1, 1, :, 0, 0]).all() and np.isnan(pooled[1, 2, 1, 2, 2])
     assert np.count_nonzero(~finite) == 4
+
+
+@pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+@pytest.mark.parametrize("make_arch", [
+    lambda: reference_arch(BENCHMARK_CNN), small_cnn, pool_crop_cnn,
+    lambda: reference_arch({"model": {"kind": "cnn"}, "dataset": {"dim": 784}}),
+    lambda: reference_arch({**BENCHMARK_CNN, **DROPOUT}),
+], ids=["benchmark-cnn", "small-cnn", "pool-crop-9x9", "cnn-28x28", "benchmark-cnn-dropout"])
+def test_conv_walk_caches_are_c_contiguous(make_arch, train_mode):
+    """Every array a forward walk of a two-model stack caches for a
+    convolution, ReLU, max-pool or dropout layer is C-contiguous, so each
+    elementwise step of the backward walk multiplies arrays of one memory
+    order.  A convolution's W is a view into the parameter stack, not an
+    activation, and is left out."""
+    arch = make_arch()
+    S, n = 2, 5
+    models = np.stack([perturbed_params(arch, 50 + s) for s in range(S)]).astype(nn.DTYPE)
+    X, _ = rand_batch(arch, S * n, seed=51)
+    rngs = [np.random.default_rng(52 + s) for s in range(S)] if train_mode else None
+    _, caches = nn._run_layers(models, arch, X.reshape(S, n, *arch.input_shape).astype(nn.DTYPE),
+                               rngs)
+    arrays = []
+    for layer, cache in zip(arch.layers, caches):
+        if isinstance(layer, nn.Conv2d):
+            arrays.append(cache[1])  # the columns; cache[2] is W
+        elif isinstance(layer, (nn.MaxPool2d, nn.Dropout)):
+            arrays += [part for part in cache if isinstance(part, np.ndarray)]
+        elif isinstance(layer, nn.Relu):
+            arrays.append(cache)
+    assert arrays
+    for a in arrays:
+        assert a.flags.c_contiguous, (a.shape, a.strides)
 
 
 # ---------------------------------------------------------------------------
